@@ -7,6 +7,15 @@
 //! explicit-SIMD tentpole bought over the previous PR, same process, same
 //! build flags, same run.
 //!
+//! The `skinny` section sweeps the row count at the decode step's weight
+//! shapes with **both f32 drivers pinned** (`sgemm_pinned` — the packed-`B`
+//! row-panel driver and the in-place-`B` column-block driver), cycling
+//! through enough distinct weight matrices that `B` streams from memory as
+//! it does in a decode step. It reports GFLOP/s and GB/s of `B` streamed
+//! per tier, and the row count through which the skinny driver is no slower
+//! than the packed one — the measurement `bt_gemm::SKINNY_MAX_M` is read
+//! off.
+//!
 //! Owns `BENCH_gemm.json` at the repo root (every entry carries a `tier`
 //! field); `bench_gemm` keeps the console-only microkernel-vs-seed view.
 //!
@@ -17,7 +26,8 @@ use bt_bench::{banner, fast_mode, wall};
 use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
 use bt_gemm::isa::active_kernel;
 use bt_gemm::{
-    available_isas, resolve_lowp_kernel, set_active_isa, set_active_precision, sgemm, GemmSpec, Isa, Precision,
+    available_isas, resolve_lowp_kernel, set_active_isa, set_active_precision, sgemm, sgemm_pinned, Driver, GemmSpec,
+    Isa, Precision, SKINNY_MAX_M,
 };
 use bt_tensor::rng::Xoshiro256StarStar;
 use rayon::prelude::*;
@@ -144,6 +154,102 @@ fn sweep(tier: &str, prec: &str, reps: usize, scale: usize, rows: &mut Vec<Row>)
     }
 }
 
+/// One point of the skinny sweep: both drivers on the same operands.
+struct SkinnyPoint {
+    name: &'static str,
+    tier: &'static str,
+    m: usize,
+    n: usize,
+    k: usize,
+    /// Best seconds per call, indexed like [`SKINNY_DRIVERS`].
+    secs: [f64; 2],
+}
+
+const SKINNY_DRIVERS: [Driver; 2] = [Driver::Packed, Driver::Skinny];
+
+impl SkinnyPoint {
+    fn gflops(&self, d: usize) -> f64 {
+        2.0 * (self.m * self.n * self.k) as f64 / self.secs[d] / 1e9
+    }
+
+    /// GB/s of `B` streamed (one pass over the `k×n` weights per call).
+    fn b_gbs(&self, d: usize) -> f64 {
+        (self.k * self.n * 4) as f64 / self.secs[d] / 1e9
+    }
+
+    fn skinny_vs_packed(&self) -> f64 {
+        self.secs[0] / self.secs[1]
+    }
+}
+
+/// Row counts of the skinny sweep: the decode range, the issue's candidates
+/// for the crossover, and far enough past them to see the packed driver
+/// catch up.
+const SKINNY_MS: [usize; 10] = [1, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
+/// `(name, k, n)` of the decode step's three distinct weight shapes.
+const SKINNY_SHAPES: [(&str, usize, usize); 3] = [("qkv", 768, 2304), ("ffn_up", 768, 3072), ("ffn_down", 3072, 768)];
+/// Bytes of distinct weights cycled per timing pass at the decode row
+/// counts — a decoder's worth, so `B` comes from memory, not from L2.
+const SKINNY_WORKING_SET: usize = 64 << 20;
+/// Decode-range rows whose skinny/packed ratio the gate holds to a floor
+/// (measured 2.5–11× over the full runs made; the floor leaves room for a
+/// steal episode).
+const SKINNY_DECODE_MAX_M: usize = 16;
+const SKINNY_DECODE_SPEEDUP_FLOOR: f64 = 1.5;
+/// A driver is "no slower" down to this ratio: the same row's
+/// skinny/packed ratio moved by up to ±0.1 between two full runs of this
+/// bench on the reference guest.
+const SKINNY_PARITY: f64 = 0.9;
+
+/// Timed passes per driver and point in the skinny sweep.
+const SKINNY_REPS: usize = 5;
+
+/// Both drivers on the active tier at every `SKINNY_MS × SKINNY_SHAPES`
+/// point: per-call time is the best pass over the weight set divided by
+/// its size.
+fn skinny_sweep(tier: &'static str, scale: usize, points: &mut Vec<SkinnyPoint>) {
+    // Fast mode folds the smallest row counts together.
+    let mut ms: Vec<usize> = SKINNY_MS.iter().map(|m| (m / scale).max(1)).collect();
+    ms.dedup();
+    for (name, k, n) in SKINNY_SHAPES {
+        let (k, n) = (k / scale, n / scale);
+        let copies = (SKINNY_WORKING_SET / scale / scale).div_ceil(k * n * 4).max(2);
+        let weights: Vec<Vec<f32>> = (0..copies).map(|i| rand_vec(k * n, 200 + i as u64)).collect();
+        for &m in &ms {
+            // Past the decode range B is reused across row groups/panels and
+            // where it comes from stops mattering; two matrices keep the
+            // large-m points affordable.
+            let set = if m <= SKINNY_MAX_M { &weights[..] } else { &weights[..2] };
+            let a = rand_vec(m * k, 1);
+            let mut c = vec![0.0f32; m * n];
+            // The two drivers alternate pass by pass, so a steal episode
+            // that outlasts a pass costs both the same passes; best pass
+            // per driver after one warm-up each.
+            let mut secs = [f64::INFINITY; 2];
+            for rep in 0..=SKINNY_REPS {
+                for (d, &driver) in SKINNY_DRIVERS.iter().enumerate() {
+                    let ((), pass) = wall(|| {
+                        for b in set {
+                            sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, b, &mut c, None);
+                        }
+                    });
+                    if rep > 0 {
+                        secs[d] = secs[d].min(pass / set.len() as f64);
+                    }
+                }
+            }
+            points.push(SkinnyPoint {
+                name,
+                tier,
+                m,
+                n,
+                k,
+                secs,
+            });
+        }
+    }
+}
+
 fn main() {
     banner(
         "GEMM throughput per ISA dispatch tier",
@@ -154,6 +260,8 @@ fn main() {
     let scale = if fast_mode() { 4 } else { 1 };
     let mut rows: Vec<Row> = Vec::new();
 
+    let mut skinny_points: Vec<SkinnyPoint> = Vec::new();
+
     sweep("seed_scalar", "f32", reps, scale, &mut rows);
     let available = available_isas();
     for tier in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
@@ -163,6 +271,7 @@ fn main() {
         }
         set_active_isa(tier).expect("tier just reported available");
         sweep(tier.name(), "f32", reps, scale, &mut rows);
+        skinny_sweep(tier.name(), scale, &mut skinny_points);
         // Low-precision sweeps on this tier — only combinations the
         // dispatcher serves natively (a degraded combination would just
         // duplicate the row of the tier it degrades to).
@@ -249,6 +358,49 @@ fn main() {
         );
     }
 
+    // Skinny section: both drivers side by side, then per tier the largest
+    // row count through which the skinny driver is no slower than the packed
+    // one at every shape. The crossover `SKINNY_MAX_M` is the smallest of
+    // those: one constant has to be right on every tier.
+    println!(
+        "\n{:<9} {:<7} {:>5} {:>5} {:>5} | {:>10} {:>8} | {:>10} {:>8} | {:>7}",
+        "shape", "tier", "m", "n", "k", "packed GF", "B GB/s", "skinny GF", "B GB/s", "skinny/p"
+    );
+    let mut skinny_ms: Vec<usize> = skinny_points.iter().map(|p| p.m).collect();
+    skinny_ms.sort_unstable();
+    skinny_ms.dedup();
+    let mut no_slower_through: Vec<(&str, usize)> = Vec::new();
+    for tier in available.iter().map(|t| t.name()) {
+        let mut through = 0usize;
+        let mut still_level = true;
+        for &m in &skinny_ms {
+            for p in skinny_points.iter().filter(|p| p.tier == tier && p.m == m) {
+                let x = p.skinny_vs_packed();
+                println!(
+                    "{:<9} {:<7} {:>5} {:>5} {:>5} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} | {:>7.2}",
+                    p.name,
+                    tier,
+                    m,
+                    p.n,
+                    p.k,
+                    p.gflops(0),
+                    p.b_gbs(0),
+                    p.gflops(1),
+                    p.b_gbs(1),
+                    x
+                );
+                still_level &= x >= SKINNY_PARITY;
+            }
+            if still_level {
+                through = m;
+            }
+        }
+        println!("{tier}: skinny driver no slower (>= {SKINNY_PARITY}x) at every shape through m = {through}");
+        no_slower_through.push((tier, through));
+    }
+    let measured = no_slower_through.iter().map(|&(_, m)| m).min().unwrap_or(0);
+    println!("measured crossover (smallest over tiers): {measured}; bt_gemm::SKINNY_MAX_M = {SKINNY_MAX_M}");
+
     // BENCH_gemm.json at the repo root (hand-rolled — no serde in-tree).
     // The header is the shared RunMeta schema (host, pool, ISA, rev, time).
     let mut json = bt_bench::report::RunMeta::collect("gemm", "GFLOP/s").header_json();
@@ -287,7 +439,50 @@ fn main() {
             if i + 1 == lowp_speedups.len() { "" } else { "," }
         );
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n  \"skinny\": [\n");
+    for (i, p) in skinny_points.iter().enumerate() {
+        for (d, driver) in SKINNY_DRIVERS.iter().enumerate() {
+            let _ = writeln!(
+                json,
+                "    {{\"name\": \"{}\", \"tier\": \"{}\", \"driver\": \"{}\", \"m\": {}, \"n\": {}, \"k\": {}, \"gflops\": {:.3}, \"b_gbs\": {:.3}, \"secs\": {:.6}}}{}",
+                p.name,
+                p.tier,
+                driver.name(),
+                p.m,
+                p.n,
+                p.k,
+                p.gflops(d),
+                p.b_gbs(d),
+                p.secs[d],
+                if i + 1 == skinny_points.len() && d == 1 { "" } else { "," }
+            );
+        }
+    }
+    let decode_points: Vec<&SkinnyPoint> = skinny_points.iter().filter(|p| p.m <= SKINNY_DECODE_MAX_M).collect();
+    json.push_str("  ],\n  \"skinny_decode_speedup\": [\n");
+    for (i, p) in decode_points.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"tier\": \"{}\", \"m\": {}, \"skinny_vs_packed\": {:.2}, \"speedup_floor\": {SKINNY_DECODE_SPEEDUP_FLOOR:.1}}}{}",
+            p.name,
+            p.tier,
+            p.m,
+            p.skinny_vs_packed(),
+            if i + 1 == decode_points.len() { "" } else { "," }
+        );
+    }
+    json.push_str("  ],\n  \"skinny_no_slower_through_m\": {\n");
+    for (i, (tier, m)) in no_slower_through.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    \"{tier}\": {m}{}",
+            if i + 1 == no_slower_through.len() { "" } else { "," }
+        );
+    }
+    let _ = writeln!(
+        json,
+        "  }},\n  \"skinny_measured_crossover_m\": {measured},\n  \"skinny_max_m\": {SKINNY_MAX_M}\n}}"
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, &json).expect("write BENCH_gemm.json");
     println!("\nwrote {path}");

@@ -5,7 +5,8 @@
 //!
 //! Each artifact is a flat report: a top-level object with one or more row
 //! arrays (`results` for the headline sweep; `BENCH_serve.json` also has
-//! `sharded_scaling`). Rows are joined across the two directories on a
+//! `sharded_scaling`, `BENCH_gemm.json` the two-driver `skinny` sweep and
+//! its `skinny_decode_speedup` floors). Rows are joined across the two directories on a
 //! per-bench identity key that includes the workload shape (so a FAST-mode
 //! run, which shrinks GEMM shapes, simply produces zero key overlap with a
 //! full-mode baseline instead of nonsense ratios — the gate reports that
@@ -270,6 +271,26 @@ const SPECS: &[Spec] = &[
         section: "results",
         key_fields: &["name", "tier", "prec", "m", "n", "k"],
         metrics: &[("gflops", Band::RateMin)],
+    },
+    // Both f32 drivers at the decode weight shapes (`gemm_isa` skinny
+    // sweep): each row holds its rate, and at decode row counts the skinny
+    // driver must keep its self-declared lead over the packed one.
+    Spec {
+        file: "BENCH_gemm.json",
+        section: "skinny",
+        key_fields: &["name", "tier", "driver", "m", "n", "k"],
+        metrics: &[("gflops", Band::RateMin)],
+    },
+    Spec {
+        file: "BENCH_gemm.json",
+        section: "skinny_decode_speedup",
+        key_fields: &["name", "tier", "m"],
+        metrics: &[(
+            "skinny_vs_packed",
+            Band::SelfFloor {
+                floor_field: "speedup_floor",
+            },
+        )],
     },
     Spec {
         file: "BENCH_pool.json",

@@ -1,8 +1,29 @@
-//! Blocked, packed, rayon-parallel SGEMM with a fused-epilogue entry point,
-//! built on the shared register-blocked microkernel in [`crate::micro`].
+//! Rayon-parallel SGEMM with a fused-epilogue entry point: the public
+//! entry points, the driver selection, and the packed driver built on the
+//! shared register-blocked microkernel in [`crate::micro`].
 //!
-//! The layout mirrors a classic GotoBLAS/cuBLAS decomposition adapted to CPU
-//! threads standing in for threadblocks:
+//! There are two f32 drivers, and [`sgemm`] / [`sgemm_epilogue`] choose
+//! between them **from the shape alone** — no environment variable, no
+//! configuration field, nothing a caller passes:
+//!
+//! * `m ≤ SKINNY_MAX_M` and `B` not transposed → the skinny driver
+//!   ([`crate::skinny`]): `B` read in place, only the few rows of `A`
+//!   packed, parallel over column blocks of `C`. This is the decode step
+//!   (`m` = live sessions) and every other launch too short to amortise a
+//!   repack of the weights;
+//! * anything else — more rows, `transb`, and every low-precision tier —
+//!   → the packed driver below.
+//!
+//! Both accumulate every output element as one `p`-ascending chain and
+//! finish it with the same [`store_row`], so for one
+//! [`MicroKernel::fused_fma`](crate::micro::MicroKernel::fused_fma) class
+//! the stored bits do not depend on which driver ran: a row computed at
+//! `m = 1` equals the same row inside an `m = 1024` product
+//! (`tests/skinny_differential.rs`). The crossover is therefore a pure
+//! performance constant, read off the `skinny` section of `BENCH_gemm.json`.
+//!
+//! The packed driver's layout mirrors a classic GotoBLAS/cuBLAS
+//! decomposition adapted to CPU threads standing in for threadblocks:
 //!
 //! * `B` is packed once into `NR`-wide k-major micropanels (the staged
 //!   "shared memory" image, shared read-only by every task), consuming the
@@ -19,6 +40,7 @@
 use crate::isa::active_kernel;
 use crate::micro::{pack_a_panel, pack_b_panel, MR_MAX, NR_MAX};
 use crate::scratch::with_worker_scratch;
+use crate::skinny::SKINNY_MAX_M;
 use rayon::prelude::*;
 
 /// Rows of `C` per parallel task (a multiple of every kernel's `MR`).
@@ -75,7 +97,7 @@ impl GemmSpec {
 /// # Panics
 /// Panics if a slice is shorter than its declared shape.
 pub fn sgemm(spec: GemmSpec, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    sgemm_inner(spec, m, n, k, a, b, c, None)
+    sgemm_inner(spec, m, n, k, a, b, c, None, None)
 }
 
 /// [`sgemm`] with a fused epilogue: each output element `x` at column `j`
@@ -92,14 +114,14 @@ pub fn sgemm_epilogue(
     c: &mut [f32],
     epilogue: &(dyn Fn(usize, f32) -> f32 + Sync),
 ) {
-    sgemm_inner(spec, m, n, k, a, b, c, Some(epilogue))
+    sgemm_inner(spec, m, n, k, a, b, c, Some(epilogue), None)
 }
 
 /// Blends one microkernel accumulator row into a `C` row with the
 /// alpha/beta scaling and optional epilogue (`col0` is the row's first
 /// global column, passed to the epilogue hook).
 #[inline]
-fn store_row(
+pub(crate) fn store_row(
     c_row: &mut [f32],
     acc_row: &[f32],
     col0: usize,
@@ -138,6 +160,56 @@ fn record_dispatch(isa: &str, prec: &str, m: usize, n: usize, k: usize) {
     }
 }
 
+/// The two f32 drivers. Production entry points pick one from the shape
+/// alone (see [`sgemm_inner`]); benches and the differential suite pin one
+/// through [`sgemm_pinned`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// `B` re-packed per launch, parallel over row panels of `C`.
+    Packed,
+    /// `B` read in place, parallel over column blocks of `C`
+    /// ([`crate::skinny`]); requires `transb == false`.
+    Skinny,
+}
+
+impl Driver {
+    /// The driver's name in bench rows.
+    pub fn name(self) -> &'static str {
+        match self {
+            Driver::Packed => "packed",
+            Driver::Skinny => "skinny",
+        }
+    }
+}
+
+/// [`sgemm_epilogue`] on the f32 family of the active ISA tier with the
+/// driver pinned instead of chosen from the shape — the test/bench seam for
+/// comparing the two drivers on identical operands. Not a tuning knob:
+/// production callers have no way to reach it through configuration.
+///
+/// # Panics
+/// Panics on short slices, or if `Driver::Skinny` is pinned with `transb`.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn sgemm_pinned(
+    driver: Driver,
+    spec: GemmSpec,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+) {
+    assert!(
+        !(driver == Driver::Skinny && spec.transb),
+        "the skinny driver reads row-major B in place; transb is the packed driver's"
+    );
+    sgemm_inner(spec, m, n, k, a, b, c, epilogue, Some(driver))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn sgemm_inner(
     spec: GemmSpec,
@@ -148,6 +220,7 @@ fn sgemm_inner(
     b: &[f32],
     c: &mut [f32],
     epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    pinned: Option<Driver>,
 ) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
@@ -173,19 +246,38 @@ fn sgemm_inner(
     // The precision axis: a non-f32 active precision resolves to a
     // low-precision kernel (possibly ISA-degraded, with a warn_once) and
     // routes the launch through the packed-bytes driver. `None` means f32 —
-    // the original family below.
-    let prec = crate::prec::active_precision();
-    if let Some(lk) = crate::lowp::resolve_lowp_kernel(prec, crate::isa::active_isa()) {
-        record_dispatch(lk.isa.name(), lk.prec.name(), m, n, k);
-        return sgemm_lowp(lk, spec, m, n, k, a, b, c, epilogue);
+    // the two drivers below. A pinned driver (tests, benches) is by
+    // definition an f32 launch.
+    if pinned.is_none() {
+        let prec = crate::prec::active_precision();
+        if let Some(lk) = crate::lowp::resolve_lowp_kernel(prec, crate::isa::active_isa()) {
+            record_dispatch(lk.isa.name(), lk.prec.name(), m, n, k);
+            return sgemm_lowp(lk, spec, m, n, k, a, b, c, epilogue);
+        }
     }
 
     // One kernel per launch: the geometry below must stay consistent even
     // if the process-wide selection changes mid-flight.
     let kern = active_kernel();
     record_dispatch(kern.isa.name(), "f32", m, n, k);
+
+    // The driver is a function of the shape alone: few rows against a
+    // row-major B stream the weights in place; everything else amortises a
+    // repack. Both produce the same bits (see `crate::skinny`).
+    let driver = pinned.unwrap_or(if m <= SKINNY_MAX_M && !spec.transb {
+        Driver::Skinny
+    } else {
+        Driver::Packed
+    });
     if bt_obs::enabled() {
-        bt_obs::counter(&format!("gemm.blocked.launches.{}", kern.isa.name())).incr();
+        let prefix = match driver {
+            Driver::Packed => bt_obs::names::GEMM_BLOCKED_LAUNCHES_PREFIX,
+            Driver::Skinny => bt_obs::names::GEMM_SKINNY_LAUNCHES_PREFIX,
+        };
+        bt_obs::counter(&format!("{prefix}{}", kern.isa.name())).incr();
+    }
+    if driver == Driver::Skinny {
+        return crate::skinny::sgemm_skinny(kern.isa, spec, m, n, k, a, b, c, epilogue);
     }
     let (mr, nr) = (kern.mr, kern.nr);
     debug_assert_eq!(PANEL_ROWS % mr, 0, "row panels must hold whole micropanels");
@@ -250,7 +342,7 @@ fn sgemm_inner(
         });
 }
 
-/// The low-precision twin of the f32 driver below: same decomposition
+/// The low-precision twin of the packed f32 driver above: same decomposition
 /// (B packed once per launch, one rayon task per `C` row panel, register
 /// tile accumulation over the full `K` extent, same alpha/beta/epilogue
 /// store path) — but micropanels are packed *bytes* in the kernel's own
@@ -276,7 +368,8 @@ fn sgemm_lowp(
     let (alpha, beta) = (spec.alpha, spec.beta);
     if bt_obs::enabled() {
         bt_obs::counter(&format!(
-            "gemm.blocked.launches.{}.{}",
+            "{}{}.{}",
+            bt_obs::names::GEMM_BLOCKED_LAUNCHES_PREFIX,
             kern.isa.name(),
             kern.prec.name()
         ))

@@ -11,6 +11,11 @@
 //! | `avx2`   | 8×16           | `_mm256_fmadd_ps` on 16 `ymm` accumulators   |
 //! | `avx512` | 16×16          | `_mm512_fmadd_ps` on 16 `zmm` accumulators   |
 //!
+//! Each tier also has a family of row-count-specialised strip kernels for
+//! the skinny driver (`crate::skinny`: scalar `≤8×16`, avx2 `≤4×24`, avx512
+//! `≤8×48`, reading row-major `B` in place); the tier selected here picks
+//! those too.
+//!
 //! Selection happens once, lazily, from `is_x86_feature_detected!` — best
 //! tier wins — and can be overridden with the `BYTE_GEMM_ISA` environment
 //! variable (`scalar|avx2|avx512|auto`) for testing and benchmarking. An

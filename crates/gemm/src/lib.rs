@@ -22,15 +22,23 @@
 //!
 //! All operands are row-major `f32` slices. Matrix `B` may be consumed
 //! transposed (`transb`), which is how `Q·Kᵀ` is expressed. Parallelism maps
-//! CUDA threadblocks onto rayon tasks: plain GEMM parallelizes over row
-//! panels of `C`; grouped GEMM spawns a fixed number of virtual CTAs that
-//! pull tiles from the scheduler exactly as Fig. 5 describes.
+//! CUDA threadblocks onto rayon tasks. Plain GEMM has two f32 drivers and
+//! picks one from the shape alone: up to `SKINNY_MAX_M` rows against a
+//! row-major `B` (the decode step's weight products) the skinny driver reads
+//! `B` in place and parallelizes over **column blocks** of `C`; every other
+//! shape (and every low-precision tier) re-packs `B` once per launch and
+//! parallelizes over **row panels** of `C`. The two are bitwise
+//! interchangeable, so the choice is invisible to callers. Grouped GEMM
+//! spawns a fixed number of virtual CTAs that pull tiles from the scheduler
+//! exactly as Fig. 5 describes.
 
 // `deny` rather than `forbid`: the lock-free output store (`store`) confines
 // its raw-pointer writes behind a module-level `allow` with debug-checked
-// disjointness, and the ISA-dispatched microkernels (`isa`, `micro`) confine
+// disjointness, the ISA-dispatched microkernels (`isa`, `micro`) confine
 // theirs behind `#[target_feature]` entry points with a documented
-// zero-padded-panel invariant; everything else stays safe.
+// zero-padded-panel invariant, and the in-place strip kernels (`skinny`)
+// behind a wrapper that bounds every `B` element they read; everything else
+// stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -43,13 +51,16 @@ pub mod micro;
 pub mod prec;
 mod reference;
 mod scratch;
+mod skinny;
 pub mod store;
 
-pub use blocked::{sgemm, sgemm_epilogue, GemmSpec};
+pub use blocked::{sgemm, sgemm_epilogue, sgemm_pinned, Driver, GemmSpec};
 pub use isa::{active_isa, available_isas, set_active_isa, Isa};
 pub use lowp::{dot_error_bound, int8_dot_error_bound, lowp_impl, resolve_lowp_kernel, Chain, LowpKernel};
 pub use prec::{active_precision, parse_prec_request, set_active_precision, Precision};
 pub use reference::gemm_ref;
+#[doc(hidden)]
+pub use skinny::SKINNY_MAX_M;
 pub use store::DisjointWriter;
 
 use bt_device::KernelSpec;

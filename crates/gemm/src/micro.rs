@@ -141,7 +141,7 @@ impl std::fmt::Debug for MicroKernel {
 /// the const parameter — never by the caller's (or a helper's) feature
 /// context.
 #[inline(always)]
-fn contract<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn contract<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
     if FUSED {
         a.mul_add(b, c)
     } else {

@@ -104,6 +104,15 @@ impl Scratch {
         &mut self.a_pack[..len]
     }
 
+    /// Returns just the accumulator-tile buffer at the requested length (the
+    /// skinny driver's column-block tasks spill their register tiles here
+    /// between `K` chunks; `A` is packed once per launch and shared, `B` is
+    /// read in place).
+    pub(crate) fn tile(&mut self, len: usize) -> &mut [f32] {
+        grow(&mut self.tile, len, &mut self.grows);
+        &mut self.tile[..len]
+    }
+
     /// Returns `(a_pack, b_pack, tile, row_buf)` slices of at least the
     /// requested lengths, growing the backing buffers only on a new
     /// high-water mark. Contents are stale — callers overwrite fully.

@@ -8,8 +8,8 @@
 //! contract is enforced in debug builds by a per-element claim map that
 //! panics on the first overlapping write.
 //!
-//! This is the only unsafe code in the crate, and it is confined to the
-//! `copy_nonoverlapping` behind an always-on bounds assertion.
+//! The unsafe code here is confined to the `copy_nonoverlapping` / slice
+//! reconstruction behind an always-on bounds assertion.
 
 #![allow(unsafe_code)]
 
@@ -32,9 +32,10 @@ pub struct DisjointWriter<'a> {
     _marker: PhantomData<&'a mut [f32]>,
 }
 
-// SAFETY: the writer hands out no references; all access goes through
-// `write`/`write_at`, which only touch in-bounds elements, and callers
-// guarantee (debug-checked) that concurrent writes never alias an element.
+// SAFETY: the writer hands out no references beyond the span of an `update`
+// closure; all access goes through `write`/`write_at`/`update`, which only
+// touch in-bounds elements, and callers guarantee (debug-checked) that
+// concurrent accesses never alias an element.
 unsafe impl Send for DisjointWriter<'_> {}
 unsafe impl Sync for DisjointWriter<'_> {}
 
@@ -93,6 +94,30 @@ impl<'a> DisjointWriter<'a> {
         }
     }
 
+    /// Runs `f` on elements `offset .. offset + len` as an exclusive slice —
+    /// the read-modify-write form of [`DisjointWriter::write`], for stores
+    /// that blend with the existing contents (`beta != 0`, epilogues).
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds, or (debug builds) if any
+    /// element was already claimed through this writer.
+    pub fn update<R>(&self, offset: usize, len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+        assert!(
+            offset + len <= self.len,
+            "update [{offset}, {}) out of bounds (len {})",
+            offset + len,
+            self.len
+        );
+        #[cfg(debug_assertions)]
+        self.claim(offset, len);
+        // SAFETY: range is in bounds (asserted above) inside the buffer this
+        // writer borrows exclusively; no other reference to these elements
+        // exists for the closure's duration because concurrent
+        // element-disjointness is the caller contract, claim-checked in
+        // debug builds — the same contract `write` relies on.
+        f(unsafe { std::slice::from_raw_parts_mut(self.ptr.add(offset), len) })
+    }
+
     /// Writes a single element at `idx`.
     ///
     /// # Panics
@@ -130,6 +155,40 @@ mod tests {
         let mut buf = vec![0.0f32; 4];
         let w = DisjointWriter::new(&mut buf);
         w.write(3, &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn update_blends_in_place() {
+        let mut buf = vec![1.0f32, 2.0, 3.0, 4.0];
+        {
+            let w = DisjointWriter::new(&mut buf);
+            let sum = w.update(1, 2, |s| {
+                for v in s.iter_mut() {
+                    *v *= 10.0;
+                }
+                s.iter().sum::<f32>()
+            });
+            assert_eq!(sum, 50.0);
+        }
+        assert_eq!(buf, vec![1.0, 20.0, 30.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_update_rejected() {
+        let mut buf = vec![0.0f32; 4];
+        let w = DisjointWriter::new(&mut buf);
+        w.update(3, 2, |_| ());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "disjointness violated")]
+    fn update_overlapping_a_write_caught_in_debug() {
+        let mut buf = vec![0.0f32; 4];
+        let w = DisjointWriter::new(&mut buf);
+        w.write(0, &[1.0, 2.0]);
+        w.update(1, 2, |_| ());
     }
 
     #[cfg(debug_assertions)]

@@ -133,6 +133,13 @@ pub const GEMM_CALLS_PREFIX: &str = "gemm.calls.";
 /// The windowed snapshot divides the delta by the window to report GFLOP/s
 /// per dispatch path.
 pub const GEMM_FLOPS_PREFIX: &str = "gemm.flops.";
+/// Prefix for launches of the packed-`B` driver:
+/// `gemm.blocked.launches.<isa>` (f32) or `…<isa>.<prec>` (low precision).
+pub const GEMM_BLOCKED_LAUNCHES_PREFIX: &str = "gemm.blocked.launches.";
+/// Prefix for launches of the in-place-`B` skinny driver:
+/// `gemm.skinny.launches.<isa>` (f32 only). With the prefix above, a
+/// snapshot shows which driver each `sgemm` launch took.
+pub const GEMM_SKINNY_LAUNCHES_PREFIX: &str = "gemm.skinny.launches.";
 
 // --- req.* — request-lifecycle trace marks --------------------------------
 //
@@ -263,6 +270,27 @@ mod tests {
             REQ_SHED_HOT_SHARD,
         ] {
             assert!(name.starts_with(REQ_SHED_PREFIX));
+        }
+    }
+
+    #[test]
+    fn gemm_prefixes_are_distinct_families_under_one_layer() {
+        // Dynamic names are `<prefix><isa>[.<prec>]`: no prefix may be a
+        // prefix of another (a snapshot filter on one family would sweep up
+        // the other), none may collide with a fixed name, and all sit in the
+        // `gemm.` layer.
+        let prefixes = [
+            GEMM_CALLS_PREFIX,
+            GEMM_FLOPS_PREFIX,
+            GEMM_BLOCKED_LAUNCHES_PREFIX,
+            GEMM_SKINNY_LAUNCHES_PREFIX,
+        ];
+        for (i, a) in prefixes.iter().enumerate() {
+            assert!(a.starts_with("gemm.") && a.ends_with('.'), "{a}");
+            assert!(!ALL.iter().any(|n| n.starts_with(a)), "{a} shadows a fixed name");
+            for b in &prefixes[i + 1..] {
+                assert!(!a.starts_with(b) && !b.starts_with(a), "{a} / {b} overlap");
+            }
         }
     }
 

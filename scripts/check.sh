@@ -11,7 +11,9 @@ echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
 echo "==> cargo test --workspace (BYTE_POOL_THREADS=1)"
-# Width-1 pool: every parallel path must also be correct fully serialized.
+# Width-1 pool: every parallel path must also be correct fully serialized
+# (including the skinny GEMM driver's column blocks — one lane then walks
+# every block; bt-gemm's skinny_differential runs in this pass).
 BYTE_POOL_THREADS=1 cargo test --workspace --quiet
 
 echo "==> cargo test -p rayon --features interleave"
@@ -21,8 +23,10 @@ cargo test -p rayon --features interleave --quiet
 # ISA matrix: the GEMM suites must pass with dispatch pinned to the scalar
 # tier and with auto-detection (widest tier on this host). Covers the
 # BYTE_GEMM_ISA env seam itself, not just the programmatic setter.
+# `-p bt-gemm` includes tests/skinny_differential.rs (skinny driver ≡ packed
+# driver, bitwise, on every tier).
 for isa in scalar auto; do
-  echo "==> cargo test -p bt-gemm + differential_simd (BYTE_GEMM_ISA=$isa)"
+  echo "==> cargo test -p bt-gemm (incl. skinny_differential) + differential_simd (BYTE_GEMM_ISA=$isa)"
   BYTE_GEMM_ISA="$isa" cargo test -p bt-gemm --quiet
   BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_simd --quiet
 done

@@ -24,6 +24,15 @@
 //! otherwise. Block-size invariance is asserted bitwise *per tier*
 //! unconditionally: paging is memory layout, never math.
 //!
+//! The row count of a launch also picks the f32 GEMM **driver**
+//! (`bt_gemm::SKINNY_MAX_M`: in-place-`B` skinny driver at or below it,
+//! packed driver above). The last three tests walk every decode call site
+//! across that boundary — `forward_rows` at `r` = 1, 8, crossover,
+//! crossover + 1 (prefill and batched step), the contiguous session's
+//! `M = 1` GEMVs, and the teacher-forcing decoder's linears — and assert the
+//! relations above keep holding, bitwise wherever the two sides run the same
+//! arithmetic.
+//!
 //! Tiers the host lacks are skipped with a logged reason (stderr), never
 //! silently: the log always accounts for all tiers.
 //!
@@ -286,5 +295,173 @@ fn oom_shedding_is_tier_invariant() {
             );
         }
         starved_out.clone()
+    });
+}
+
+/// Rows on either side of the GEMM driver boundary, plus the two row counts
+/// a decode step actually sees.
+fn boundary_rows() -> [usize; 4] {
+    [1, 8, bt_gemm::SKINNY_MAX_M, bt_gemm::SKINNY_MAX_M + 1]
+}
+
+fn assert_bitwise(label: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{label}: lengths differ");
+    for (d, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{label}, dim {d} on {}: {g:?} vs {w:?}",
+            isa::active_isa()
+        );
+    }
+}
+
+/// `forward_rows` at `r` rows of one session (a prefill of `r` tokens) is
+/// **bitwise** the same tokens stepped one at a time (`r = 1`, the skinny
+/// driver's GEMV), for `r` on both sides of the driver boundary: each row's
+/// GEMM chains and each row's grouped attention problems are the same
+/// whatever else shares the launch.
+#[test]
+fn prefill_rows_across_the_gemm_driver_boundary_equal_single_steps() {
+    let config = BertConfig::tiny();
+    let decoder = TransformerDecoder::new_random(config, 2, 17);
+    let hidden = config.hidden();
+    let memory = Tensor::randn([3, hidden], 4);
+    let longest = *boundary_rows().iter().max().unwrap();
+    let prompt = Tensor::randn([longest, hidden], 5);
+
+    decode_differential("prefill_driver_boundary", || {
+        let dev = device();
+        let mut stepper = PagedDecoder::new(&decoder, PagedLayout::new(4, longest));
+        let sid = stepper.open_session(&dev, &memory);
+        let stepped: Vec<Vec<f32>> = prompt
+            .as_slice()
+            .chunks(hidden)
+            .map(|row| {
+                let out = stepper.step_batch(&dev, &[sid], row);
+                out.outputs[0].clone().expect("pool sized to fit")
+            })
+            .collect();
+        for r in boundary_rows() {
+            let mut d = PagedDecoder::new(&decoder, PagedLayout::new(4, longest));
+            let s = d.open_session(&dev, &memory);
+            let head = Tensor::from_vec(prompt.as_slice()[..r * hidden].to_vec(), [r, hidden]).unwrap();
+            let rows = d.prefill(&dev, s, &head).unwrap();
+            assert_eq!(rows.len(), r);
+            for (i, row) in rows.iter().enumerate() {
+                assert_bitwise(&format!("prefill of {r} rows, token {i}"), row, &stepped[i]);
+            }
+        }
+        stepped.into_iter().flatten().collect()
+    });
+}
+
+/// `forward_rows` at `r` rows of `r` sessions (one batched decode step):
+/// every session's token is **bitwise** what the session produces stepping
+/// alone, for `r` on both sides of the driver boundary; and the contiguous
+/// [`DecoderSession`] (all `M = 1` GEMVs) tracks it within [`TOL`] there as
+/// it does at two sessions.
+#[test]
+fn batched_steps_across_the_gemm_driver_boundary_equal_solo_steps() {
+    let config = BertConfig::tiny();
+    let decoder = TransformerDecoder::new_random(config, 2, 19);
+    let hidden = config.hidden();
+    let sessions = *boundary_rows().iter().max().unwrap();
+    let steps = 3;
+    let memories: Vec<Tensor> = (0..sessions)
+        .map(|i| Tensor::randn([2 + i % 3, hidden], 100 + i as u64))
+        .collect();
+    let inputs: Vec<Tensor> = (0..sessions)
+        .map(|i| Tensor::randn([steps, hidden], 300 + i as u64))
+        .collect();
+    let token = |s: usize, t: usize| &inputs[s].as_slice()[t * hidden..(t + 1) * hidden];
+
+    decode_differential("batch_driver_boundary", || {
+        let dev = device();
+        // Every session alone: r = 1 launches, paged and contiguous.
+        let solo: Vec<Vec<Vec<f32>>> = (0..sessions)
+            .map(|s| {
+                let mut d = PagedDecoder::new(&decoder, PagedLayout::new(2, 8));
+                let sid = d.open_session(&dev, &memories[s]);
+                let mut contiguous = DecoderSession::new(&decoder, &dev, &memories[s]);
+                (0..steps)
+                    .map(|t| {
+                        let got = d.step_batch(&dev, &[sid], token(s, t)).outputs[0]
+                            .clone()
+                            .expect("fits");
+                        let want = contiguous.step(&dev, token(s, t));
+                        for (dim, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                (g - w).abs() < TOL,
+                                "session {s}, step {t}, dim {dim}: paged {g} vs contiguous {w}"
+                            );
+                        }
+                        got
+                    })
+                    .collect()
+            })
+            .collect();
+        for r in boundary_rows() {
+            let mut d = PagedDecoder::new(&decoder, PagedLayout::new(2, 4 * sessions));
+            let ids: Vec<SessionId> = memories[..r].iter().map(|m| d.open_session(&dev, m)).collect();
+            for t in 0..steps {
+                let flat: Vec<f32> = (0..r).flat_map(|s| token(s, t).iter().copied()).collect();
+                let out = d.step_batch(&dev, &ids, &flat);
+                assert!(out.oom.is_empty(), "pool sized to fit");
+                for (s, (got, alone)) in out.outputs.iter().zip(&solo).enumerate() {
+                    let got = got.as_ref().expect("no shed");
+                    assert_bitwise(&format!("{r} sessions, session {s}, step {t}"), got, &alone[t]);
+                }
+            }
+        }
+        solo.into_iter().flatten().flatten().collect()
+    });
+}
+
+/// Teacher forcing ([`TransformerDecoder::forward`], whose linears see one
+/// row per target token): a target of crossover + 1 tokens runs its GEMMs on
+/// the packed driver, its causal prefixes of 1, 8 and crossover tokens on
+/// the skinny one — the shared rows must agree **bitwise**, and the paged
+/// prefill must track the long forward within [`TOL`] on both sides.
+#[test]
+fn teacher_forcing_prefixes_across_the_gemm_driver_boundary_agree() {
+    let config = BertConfig::tiny();
+    let decoder = TransformerDecoder::new_random(config, 2, 23);
+    let hidden = config.hidden();
+    let mem_len = 3;
+    let memory = Tensor::randn([mem_len, hidden], 6);
+    let longest = *boundary_rows().iter().max().unwrap();
+    let target = Tensor::randn([longest, hidden], 7);
+
+    decode_differential("teacher_forcing_driver_boundary", || {
+        let dev = device();
+        let forward = |t: usize| {
+            let tgt_mask = BatchMask::from_lens(vec![t], t).unwrap();
+            let mem_mask = BatchMask::from_lens(vec![mem_len], mem_len).unwrap();
+            let tgt = Tensor::from_vec(target.as_slice()[..t * hidden].to_vec(), [1, t, hidden]).unwrap();
+            let mem = memory.clone().reshape([1, mem_len, hidden]).unwrap();
+            let out = decoder.forward(&dev, &tgt, &tgt_mask, &mem, &mem_mask).unwrap();
+            out.as_slice()[..t * hidden].to_vec()
+        };
+        let full = forward(longest);
+        for t in boundary_rows() {
+            assert_bitwise(
+                &format!("teacher-forced prefix of {t}"),
+                &forward(t),
+                &full[..t * hidden],
+            );
+        }
+
+        let mut d = PagedDecoder::new(&decoder, PagedLayout::new(4, longest));
+        let s = d.open_session(&dev, &memory);
+        let rows = d.prefill(&dev, s, &target).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            for (dim, (g, w)) in row.iter().zip(&full[i * hidden..(i + 1) * hidden]).enumerate() {
+                assert!(
+                    (g - w).abs() < TOL,
+                    "token {i}, dim {dim}: paged {g} vs teacher-forcing {w}"
+                );
+            }
+        }
+        full
     });
 }
