@@ -1,7 +1,5 @@
-//! Admission control and batch-cutting policies shared by the offline
-//! batcher ([`crate::serving::form_batches`]), the continuous-batching
-//! server ([`crate::server`]), and the multi-shard router
-//! ([`crate::shard`]).
+//! Admission control and batch-cutting policies of the continuous-batching
+//! server ([`crate::server`]) and the multi-shard router ([`crate::shard`]).
 //!
 //! The central idea is **token-weighted admission**: a request's cost is its
 //! valid-token count, not its slot in a fixed-size batch. Under a
@@ -12,9 +10,9 @@
 //! proportional to valid tokens rather than to `batch × max_seq_len`.
 //!
 //! The policies here are pure data-structure code (no clocks, no threads):
-//! the virtual-time engine, the threaded server, and the offline window
-//! batcher all call the same [`CutPolicy::cut_next_batch`], so a policy
-//! tested in one driver behaves identically in the others.
+//! the one serving engine calls [`CutPolicy::cut_next_batch`] whichever
+//! front (virtual-time trace or threaded channel) feeds it, so a policy
+//! tested here behaves identically under both.
 
 use crate::grouping::descending_order;
 use bt_varlen::{BatchMask, VarlenError};
@@ -198,50 +196,14 @@ impl CutPolicy {
     }
 }
 
-/// One planned batch: the `(id, len)` pairs it contains plus the
-/// [`BatchMask`] it runs with.
-pub type PlannedBatch = (Vec<(usize, usize)>, BatchMask);
-
-/// Cuts an entire window of already-arrived requests into batches with
-/// masks — the offline form of the server's continuous loop, and the shared
-/// implementation behind [`crate::serving::form_batches`].
-///
-/// Each batch's mask uses the batch's own maximum (clamped) length, so a
-/// padded runtime pays per-batch padding while a packed runtime pays only
-/// for valid tokens.
-///
-/// # Errors
-/// Propagates [`VarlenError`] from mask construction. With the invariants
-/// established here — every length clamped to at least 1 and the mask's
-/// `max_seq_len` taken as the maximum over the same clamped lengths — mask
-/// construction cannot currently fail; the `Result` is kept so the
-/// signature stays honest if [`BatchMask`] gains new invariants.
-pub fn plan_batches(requests: &[(usize, usize)], policy: CutPolicy) -> Result<Vec<PlannedBatch>, VarlenError> {
-    let mut queue: VecDeque<Pending> = requests
-        .iter()
-        .map(|&(id, len)| Pending {
-            id,
-            len,
-            arrival: 0.0,
-            deadline: f64::INFINITY,
-        })
-        .collect();
-    // SortedGroups over a whole window: repeated longest-`max_batch` cuts
-    // are exactly "sort the window descending, chunk it".
-    let mut batches = Vec::new();
-    while !queue.is_empty() {
-        let cut = policy.cut_next_batch(&mut queue);
-        let mask = batch_mask(&cut)?;
-        batches.push((cut.into_iter().map(|p| (p.id, p.len)).collect(), mask));
-    }
-    Ok(batches)
-}
-
 /// Builds the [`BatchMask`] for one cut batch: lengths clamped to at least
 /// one, padded length equal to the batch's own maximum.
 ///
 /// # Errors
-/// As [`plan_batches`]: structurally unreachable under current invariants.
+/// Propagates [`VarlenError`] from mask construction. With every length
+/// clamped to at least 1 and `max_seq_len` taken as the maximum over the
+/// same clamped lengths, construction cannot currently fail; the `Result`
+/// is kept so the signature stays honest if [`BatchMask`] gains invariants.
 pub fn batch_mask(batch: &[Pending]) -> Result<BatchMask, VarlenError> {
     let lens: Vec<usize> = batch.iter().map(|p| admission_weight(p.len)).collect();
     let max = lens.iter().copied().max().unwrap_or(1);
@@ -321,27 +283,53 @@ mod tests {
         }
     }
 
+    /// Drains a whole queue with repeated cuts, as the server loop does.
+    fn drain(policy: CutPolicy, mut q: VecDeque<Pending>) -> Vec<Vec<Pending>> {
+        let mut cuts = Vec::new();
+        while !q.is_empty() {
+            cuts.push(policy.cut_next_batch(&mut q));
+        }
+        cuts
+    }
+
     #[test]
-    fn plan_batches_covers_every_request_once() {
-        let requests: Vec<(usize, usize)> = [3usize, 9, 1, 4, 4, 8, 2].iter().copied().enumerate().collect();
+    fn every_queued_request_lands_in_exactly_one_cut() {
         for policy in [
             CutPolicy::Fifo { max_batch: 3 },
             CutPolicy::SortedGroups { max_batch: 3 },
             CutPolicy::TokenBudget { budget_tokens: 8 },
         ] {
-            let batches = plan_batches(&requests, policy).unwrap();
-            let mut ids: Vec<usize> = batches.iter().flat_map(|(b, _)| b.iter().map(|&(id, _)| id)).collect();
+            let mut ids: Vec<usize> = drain(policy, queue_of(&[3, 9, 1, 4, 4, 8, 2]))
+                .iter()
+                .flat_map(|cut| cut.iter().map(|p| p.id))
+                .collect();
             ids.sort_unstable();
-            assert_eq!(ids, (0..requests.len()).collect::<Vec<_>>(), "{}", policy.label());
+            assert_eq!(ids, (0..7).collect::<Vec<_>>(), "{}", policy.label());
         }
     }
 
     #[test]
-    fn masks_use_per_batch_maximum() {
-        let requests = vec![(0, 100), (1, 5), (2, 90), (3, 7)];
-        let batches = plan_batches(&requests, CutPolicy::SortedGroups { max_batch: 2 }).unwrap();
-        assert_eq!(batches[0].1.max_seq_len(), 100);
-        assert_eq!(batches[1].1.max_seq_len(), 7);
+    fn sorted_groups_waste_less_padding_than_fifo() {
+        use bt_varlen::workload::LengthDistribution;
+        // One PaperUniform window: FIFO cuts mix long and short requests
+        // (each mask pads to its longest member); sorting clusters them.
+        let lens = LengthDistribution::PaperUniform { alpha: 0.6 }.sample(64, 256, 7);
+        let padded = |policy| -> usize {
+            drain(policy, queue_of(&lens))
+                .iter()
+                .map(|cut| batch_mask(cut).expect("mask").padded_words())
+                .sum()
+        };
+        assert!(padded(CutPolicy::SortedGroups { max_batch: 8 }) < padded(CutPolicy::Fifo { max_batch: 8 }));
+    }
+
+    #[test]
+    fn masks_clamp_lengths_and_pad_to_their_own_maximum() {
+        let cuts = drain(CutPolicy::SortedGroups { max_batch: 2 }, queue_of(&[100, 0, 90, 7]));
+        let masks: Vec<BatchMask> = cuts.iter().map(|cut| batch_mask(cut).expect("mask")).collect();
+        assert_eq!(masks[0].seq_lens(), &[100, 90]);
+        assert_eq!(masks[1].seq_lens(), &[7, 1]);
+        assert_eq!(masks[1].max_seq_len(), 7);
     }
 
     #[test]

@@ -21,13 +21,16 @@
 //! * [`grouping`] — TurboTransformer's sort-and-group re-batching.
 //! * [`admission`] — shared batch-cutting policies (FIFO, sorted groups,
 //!   token budget) and shed reasons.
-//! * [`serving`] — open-loop workload generators, offline batching helpers
-//!   and latency statistics.
+//! * [`serving`] — open-loop workload generators and latency statistics.
 //! * [`server`] — `bt-serve`: the continuous-batching server with bounded
-//!   ingress, deadlines and load shedding (virtual-time engine + threaded
-//!   front-end).
+//!   ingress, deadlines and load shedding. One engine runs the loop; two
+//!   fronts feed it — a seeded trace on a virtual clock ([`run_open_loop`])
+//!   and bounded channels on the wall clock (the threaded [`Server`]).
+//! * [`decode`] — token-step batching over the paged KV cache
+//!   ([`run_decode_loop`]): a separate loop by decision, its plan/resolve
+//!   steps are stateful per session and share no logic with the batch loop.
 //! * [`shard`] — multi-shard scale-out: a deterministic router spreading an
-//!   open-loop trace across N server instances (round-robin, join-shortest-
+//!   open-loop trace across N engine instances (round-robin, join-shortest-
 //!   queue, power-of-two-choices) with per-shard KV budgets, a hot-shard
 //!   work-shedding gate, and mergeable per-shard telemetry snapshots.
 //! * [`calibration`] — per-runtime constants, the paper's Table I, and
@@ -44,7 +47,6 @@ pub mod decode;
 mod framework;
 pub mod grouping;
 pub mod pipeline;
-pub mod profiled;
 pub mod server;
 pub mod serving;
 pub mod shard;

@@ -32,37 +32,40 @@
 //!   ([`ServeSummary::accounting_is_exact`], asserted by the seeded stress
 //!   suite).
 //!
-//! Three drivers share the same admission and cutting code
-//! ([`crate::admission`]):
+//! The loop itself — admit → deadline sweep → cut → chunk rounds → execute
+//! → resolve — exists **once**, as `Engine::run`, generic over a single
+//! seam: a `Front` that says where time, arrivals and outcomes come from
+//! and go to. There are exactly two fronts:
 //!
-//! * [`run_open_loop`] — a deterministic virtual-time engine: arrivals come
-//!   from a seeded generator ([`crate::serving::poisson_arrivals`] /
-//!   [`crate::serving::bursty_arrivals`]) and the clock advances by the
-//!   executor's *modeled* batch time, so shed/served accounting and latency
-//!   percentiles are bit-identical across runs. This drives the stress
-//!   test, `BENCH_serve.json`, and `btx serve`.
-//! * [`crate::shard::run_sharded_open_loop`] — the same virtual-time engine
-//!   multiplied by N: a shard router spreads the arrival trace across N
-//!   independent `OpenLoopShard` instances (round-robin, join-shortest-
-//!   queue, or power-of-two-choices by outstanding valid tokens), with a
-//!   hot-shard work-shedding gate ([`ShedReason::HotShard`]).
-//! * [`Server`] — a real multi-threaded front-end: producers submit over a
-//!   bounded MPSC channel ([`std::sync::mpsc::sync_channel`]), a server
-//!   thread runs the same continuous-batching loop in wall time, and batch
-//!   execution runs on the persistent work-stealing pool (the forwards'
-//!   internal `parallel_for` fan-outs).
+//! * the **virtual front** (trace-driven): arrivals come from a seeded
+//!   generator ([`crate::serving::poisson_arrivals`] /
+//!   [`crate::serving::bursty_arrivals`]), the clock advances by the
+//!   executor's *modeled* batch time, and outcomes land in an id-indexed
+//!   ledger — so shed/served accounting and latency percentiles are
+//!   bit-identical across runs. [`run_open_loop`] drives one engine to an
+//!   infinite horizon (the stress test, `BENCH_serve.json`, `btx serve`);
+//!   [`crate::shard::run_sharded_open_loop`] interleaves N of them on one
+//!   global clock behind a shard router (round-robin, join-shortest-queue,
+//!   or power-of-two-choices by outstanding valid tokens, with a hot-shard
+//!   work-shedding gate, [`ShedReason::HotShard`]).
+//! * the **wall front** (channel-driven): producers submit over a bounded
+//!   MPSC channel ([`std::sync::mpsc::sync_channel`]), time is an
+//!   [`Instant`] epoch, outcomes leave on a result channel and per-request
+//!   [`StreamEvent`] senders. [`Server`] is this front plus one thread that
+//!   calls the engine; batch execution runs on the persistent work-stealing
+//!   pool (the forwards' internal `parallel_for` fan-outs).
 //!
 //! Everything is instrumented with `bt-obs`: queue-depth, batch-occupancy,
 //! batch-token and time-in-queue histograms, per-reason shed counters, and
 //! `serve.batch` / `serve.batch.forward` spans — all named from the
-//! canonical [`bt_obs::names`] table. All three drivers additionally tag
-//! every request's lifecycle (`req.enqueue` → `req.admit` → `req.round` →
+//! canonical [`bt_obs::names`] table. The engine additionally tags every
+//! request's lifecycle (`req.enqueue` → `req.admit` → `req.round` →
 //! `req.exec.done` → `req.done` / `req.shed.<reason>`) with a
 //! [`bt_obs::TraceId`], so a drained profile reconstructs per-request
-//! causal timelines via `bt_obs::trace::reconstruct`. The virtual-time
-//! engine stamps marks with its *simulated* clock, making trace phase
-//! breakdowns reconcile exactly with the [`ServeReport`] ledger; the
-//! threaded server stamps wall time.
+//! causal timelines via `bt_obs::trace::reconstruct`. The virtual front
+//! stamps marks with its *simulated* clock, making trace phase breakdowns
+//! reconcile exactly with the [`ServeReport`] ledger; the wall front stamps
+//! wall time.
 //!
 //! ```
 //! use bt_frameworks::server::{run_open_loop, ServeConfig};
@@ -85,12 +88,12 @@
 //! assert_eq!(summary.offered, 64);
 //! ```
 
-use crate::admission::{batch_mask, CutPolicy, Pending, ShedReason};
+use crate::admission::{admission_weight, batch_mask, CutPolicy, Pending, ShedReason};
 use crate::serving::{latency_stats, LatencyStats, TimedRequest};
-use bt_obs::{names, TraceId};
+use bt_obs::{names, LabelId, TraceId};
 use bt_varlen::BatchMask;
-use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::time::Instant;
 
 /// Requests offered to the server (admitted or not).
@@ -355,45 +358,47 @@ pub fn modeled_forward_executor(
     }
 }
 
-/// Records a shed outcome in the virtual-time engine: bumps the per-reason
-/// counter, stamps the request's terminal `req.shed.<reason>` trace mark at
-/// the simulated instant `t_ns`, and writes the ledger slot. Shared with
-/// the shard router, whose hot-shard gate sheds before any shard is
-/// reached.
-pub(crate) fn record_shed(
-    outcomes: &mut [Option<RequestOutcome>],
-    id: usize,
-    len: usize,
-    reason: ShedReason,
-    wait: f64,
-    t_ns: u64,
-) {
+/// Request-lifecycle trace marks the engine stamps through
+/// [`Front::mark`] (terminal `req.shed.<reason>` labels live on
+/// [`ShedReason::trace_label`]).
+static ENQUEUE: LabelId = LabelId::new(names::REQ_ENQUEUE);
+static ADMIT: LabelId = LabelId::new(names::REQ_ADMIT);
+static ROUND: LabelId = LabelId::new(names::REQ_ROUND);
+static EXEC_DONE: LabelId = LabelId::new(names::REQ_EXEC_DONE);
+static STREAM_TOKEN: LabelId = LabelId::new(names::REQ_STREAM_TOKEN);
+static DONE: LabelId = LabelId::new(names::REQ_DONE);
+
+/// The per-reason shed counter.
+fn shed_counter(reason: ShedReason) -> &'static bt_obs::Counter {
     match reason {
-        ShedReason::QueueFull => SHED_QUEUE_FULL.incr(),
-        ShedReason::DeadlineExpired => SHED_DEADLINE.incr(),
-        ShedReason::TooLong => SHED_TOO_LONG.incr(),
-        ShedReason::CacheOom => SHED_CACHE_OOM.incr(),
-        ShedReason::CancelledMidRequest => SHED_CANCELLED.incr(),
-        ShedReason::HotShard => SHED_HOT_SHARD.incr(),
+        ShedReason::QueueFull => &SHED_QUEUE_FULL,
+        ShedReason::DeadlineExpired => &SHED_DEADLINE,
+        ShedReason::TooLong => &SHED_TOO_LONG,
+        ShedReason::CacheOom => &SHED_CACHE_OOM,
+        ShedReason::CancelledMidRequest => &SHED_CANCELLED,
+        ShedReason::HotShard => &SHED_HOT_SHARD,
     }
-    bt_obs::trace_mark_at(TraceId::from_request(id), reason.trace_label(), t_ns);
+}
+
+/// Writes one request's final outcome into the id-indexed virtual-time
+/// ledger.
+fn fill_slot(outcomes: &mut [Option<RequestOutcome>], id: usize, len: usize, outcome: Outcome) {
     let slot = outcomes.get_mut(id).expect("request ids must be a permutation of 0..n");
     assert!(slot.is_none(), "request id {id} offered twice");
-    *slot = Some(RequestOutcome {
-        id,
-        len,
-        outcome: Outcome::Shed { reason, wait },
-    });
+    *slot = Some(RequestOutcome { id, len, outcome });
 }
 
 /// Records a router-level shed: the request was offered to the system
 /// (counted against `serve.offered`, `req.enqueue` stamped) but the shard
-/// router refused to place it on a hot shard, so no shard's ingress ever
+/// router refused to place it on a hot shard, so no shard's engine ever
 /// saw it. Keeps the global ledger exact from the router's side.
 pub(crate) fn record_router_shed(outcomes: &mut [Option<RequestOutcome>], id: usize, len: usize, t: f64) {
+    let (tid, reason) = (TraceId::from_request(id), ShedReason::HotShard);
     OFFERED.incr();
-    bt_obs::trace_mark!(TraceId::from_request(id), names::REQ_ENQUEUE, vns(t));
-    record_shed(outcomes, id, len, ShedReason::HotShard, 0.0, vns(t));
+    bt_obs::trace_mark_at(tid, &ENQUEUE, vns(t));
+    shed_counter(reason).incr();
+    fill_slot(outcomes, id, len, Outcome::Shed { reason, wait: 0.0 });
+    bt_obs::trace_mark_at(tid, reason.trace_label(), vns(t));
 }
 
 /// Splits a cut batch into execution rounds of at most `chunk_tokens`
@@ -423,152 +428,138 @@ fn plan_rounds(mut batch: Vec<Pending>, chunk_tokens: usize) -> Vec<Vec<Pending>
     rounds
 }
 
-/// The incremental per-shard open-loop engine: [`run_open_loop`]'s loop
-/// body, factored out so the shard router ([`crate::shard`]) can interleave
-/// N independent instances on one global virtual clock.
-///
-/// [`OpenLoopShard::offer`] appends a routed arrival to the shard's private
-/// sub-trace; [`OpenLoopShard::advance`] runs the admit → sweep → cut →
-/// execute loop, but only **acts** at instants strictly before `horizon`.
-/// The router sets the horizon to the next *unrouted* global arrival time,
-/// which guarantees every global arrival at or before a batch cut has been
-/// routed (and offered to its shard) before that cut happens — so a single
-/// shard driven to `horizon = ∞` replays the monolithic loop instruction
-/// for instruction. That equivalence is what makes `--shards 1`
-/// bit-identical to the unsharded server, and it is pinned by
-/// `tests/shard_stress.rs`.
-pub(crate) struct OpenLoopShard {
-    config: ServeConfig,
-    /// Routed arrivals not yet admitted, in global arrival order.
-    pending: VecDeque<TimedRequest>,
-    queue: VecDeque<Pending>,
-    clock: f64,
-    /// Executed rounds still in flight at a given instant: `(done, tokens)`
-    /// entries, pruned by time in [`OpenLoopShard::outstanding_tokens`].
-    inflight: VecDeque<(f64, usize)>,
-    pub(crate) batches: usize,
-    pub(crate) makespan: f64,
+/// What a [`Front`] answers when the engine asks for the next arrival.
+enum Ingress {
+    /// A request that has arrived by the front's current instant.
+    Arrival(TimedRequest),
+    /// Nothing more has arrived yet; carry on with what is queued.
+    Drained,
+    /// [`Engine::run`] must return: the ingress hung up and is drained
+    /// (wall), or the trace is exhausted or the next acting instant is at
+    /// or past the horizon (virtual).
+    Closed,
 }
 
-impl OpenLoopShard {
-    pub(crate) fn new(config: ServeConfig) -> OpenLoopShard {
+/// The engine's one seam: where time, arrivals and outcomes come from and
+/// go to. All times are seconds from the front's epoch. Two
+/// implementations exist — [`VirtualFront`] (trace, simulated clock,
+/// ledger) and [`WallFront`] (channels, [`Instant`]) — and a test can
+/// script a third.
+trait Front {
+    /// The current instant.
+    fn now(&self) -> f64;
+    /// The executor just ran a round of `tokens` valid tokens and reported
+    /// `duration` seconds.
+    fn ran(&mut self, duration: f64, tokens: usize);
+    /// The next request that has arrived by [`Front::now`]. `idle` is true
+    /// on the first call of a loop iteration that starts with nothing
+    /// queued: the front then blocks, or jumps its clock, until something
+    /// arrives.
+    fn next_arrival(&mut self, idle: bool) -> Ingress;
+    /// Hands `p`'s final outcome to whoever is waiting for it.
+    fn deliver(&mut self, p: &Pending, outcome: Outcome);
+    /// Stamps a lifecycle mark on request `id`'s trace for the instant `t`.
+    fn mark(&self, id: usize, label: &'static LabelId, t: f64);
+}
+
+/// Counts, delivers and stamps the terminal mark of one final outcome.
+fn resolve(front: &mut impl Front, p: &Pending, outcome: Outcome, t: f64) {
+    let label = match outcome {
+        Outcome::Served { .. } => {
+            SERVED.incr();
+            &DONE
+        }
+        Outcome::Shed { reason, .. } => {
+            shed_counter(reason).incr();
+            reason.trace_label()
+        }
+    };
+    front.deliver(p, outcome);
+    front.mark(p.id, label, t);
+}
+
+/// `retain` predicate for deadline checks: true while `p` may still run at
+/// `now`; otherwise sheds it with `reason`.
+fn within_deadline(front: &mut impl Front, p: &Pending, now: f64, reason: ShedReason) -> bool {
+    let expired = p.deadline < now;
+    if expired {
+        let wait = now - p.arrival;
+        resolve(front, p, Outcome::Shed { reason, wait }, now);
+    }
+    !expired
+}
+
+/// The continuous-batching engine: the admitted queue plus the loop that
+/// drains it. The only definition of the admit → sweep → cut → rounds →
+/// execute → resolve loop; everything clock- or transport-specific is
+/// behind its [`Front`].
+struct Engine {
+    config: ServeConfig,
+    queue: VecDeque<Pending>,
+    /// Rounds executed so far.
+    batches: usize,
+}
+
+impl Engine {
+    fn new(config: ServeConfig) -> Engine {
         config.validate();
-        OpenLoopShard {
+        Engine {
             config,
-            pending: VecDeque::new(),
             queue: VecDeque::new(),
-            clock: 0.0,
-            inflight: VecDeque::new(),
             batches: 0,
-            makespan: 0.0,
         }
     }
 
-    /// Routes one arrival onto this shard. Arrivals must be offered in
-    /// non-decreasing arrival order (the router processes the global trace
-    /// sorted by arrival).
-    pub(crate) fn offer(&mut self, r: TimedRequest) {
-        self.pending.push_back(r);
-    }
-
-    /// Valid tokens this shard is responsible for at instant `now`: routed
-    /// but unadmitted arrivals, queued requests, and executed rounds whose
-    /// modeled completion lies after `now`. This is the load signal the
-    /// join-shortest-queue and power-of-two-choices policies compare.
-    pub(crate) fn outstanding_tokens(&mut self, now: f64) -> usize {
-        while let Some(&(done, _)) = self.inflight.front() {
-            if done <= now {
-                self.inflight.pop_front();
-            } else {
-                break;
-            }
-        }
-        let pending: usize = self
-            .pending
-            .iter()
-            .map(|r| crate::admission::admission_weight(r.len))
-            .sum();
-        let queued: usize = self
-            .queue
-            .iter()
-            .map(|p| crate::admission::admission_weight(p.len))
-            .sum();
-        let inflight: usize = self.inflight.iter().map(|&(_, t)| t).sum();
-        pending + queued + inflight
-    }
-
-    /// True while the shard still has unadmitted or queued work.
-    pub(crate) fn has_work(&self) -> bool {
-        !self.pending.is_empty() || !self.queue.is_empty()
-    }
-
-    /// Runs the continuous-batching loop up to (but excluding) `horizon`:
-    /// at each acting instant, admit every offered arrival up to the clock,
-    /// sweep expired deadlines, cut one batch and execute its rounds. Only
-    /// the *cut instant* is gated by the horizon — once a batch is cut its
-    /// rounds run to completion even past the horizon, exactly as the
-    /// monolithic loop never re-checks arrivals mid-batch.
-    pub(crate) fn advance(
-        &mut self,
-        horizon: f64,
-        outcomes: &mut [Option<RequestOutcome>],
-        exec: &mut impl FnMut(&BatchMask) -> f64,
-    ) {
+    /// Runs the loop until the front closes:
+    /// 1. admit every arrival up to now (gate-shedding
+    ///    [`ShedReason::TooLong`] and, once the bounded queue is full,
+    ///    [`ShedReason::QueueFull`]);
+    /// 2. cancel queued requests whose deadline passed (a request whose
+    ///    deadline equals the batch start still runs);
+    /// 3. cut the next batch with the configured policy and execute it — as
+    ///    a single forward, or as shortest-first chunk rounds when
+    ///    [`ServeConfig::chunk_tokens`] is set, cancelling requests whose
+    ///    deadline passes between rounds;
+    /// 4. repeat; with nothing queued the front blocks or jumps to the next
+    ///    arrival.
+    ///
+    /// Once a batch is cut its rounds run to completion: arrivals are not
+    /// looked at mid-batch.
+    fn run(&mut self, front: &mut impl Front, exec: &mut impl FnMut(&BatchMask) -> f64) {
         let config = self.config;
         loop {
-            // The instant this shard would act: its own clock while work is
-            // queued, else a jump to the next routed arrival.
-            let act = if self.queue.is_empty() {
-                match self.pending.front() {
-                    None => return,
-                    Some(r) => self.clock.max(r.arrival),
-                }
-            } else {
-                self.clock
-            };
-            if act >= horizon {
-                return;
-            }
-            self.clock = act;
-            let clock = self.clock;
-            while let Some(&r) = self.pending.front() {
-                if r.arrival > clock {
-                    break;
-                }
-                self.pending.pop_front();
+            let mut idle = self.queue.is_empty();
+            loop {
+                let r = match front.next_arrival(idle) {
+                    Ingress::Arrival(r) => r,
+                    Ingress::Drained => break,
+                    Ingress::Closed => return,
+                };
+                idle = false;
                 OFFERED.incr();
-                let tid = TraceId::from_request(r.id);
-                bt_obs::trace_mark!(tid, names::REQ_ENQUEUE, vns(r.arrival));
-                if r.len > config.max_len {
-                    record_shed(outcomes, r.id, r.len, ShedReason::TooLong, 0.0, vns(r.arrival));
+                let p = Pending {
+                    id: r.id,
+                    len: r.len,
+                    arrival: r.arrival,
+                    deadline: r.arrival + config.deadline,
+                };
+                let gate = |reason| Outcome::Shed { reason, wait: 0.0 };
+                if p.len > config.max_len {
+                    resolve(front, &p, gate(ShedReason::TooLong), p.arrival);
                 } else if self.queue.len() >= config.queue_capacity {
-                    record_shed(outcomes, r.id, r.len, ShedReason::QueueFull, 0.0, vns(r.arrival));
+                    // On the wall front the channel bound already pushed
+                    // back on producers; this gate keeps the *internal*
+                    // queue within the configured bound even after a drain.
+                    resolve(front, &p, gate(ShedReason::QueueFull), p.arrival);
                 } else {
-                    bt_obs::trace_mark!(tid, names::REQ_ADMIT, vns(r.arrival));
-                    self.queue.push_back(Pending {
-                        id: r.id,
-                        len: r.len,
-                        arrival: r.arrival,
-                        deadline: r.arrival + config.deadline,
-                    });
+                    front.mark(p.id, &ADMIT, p.arrival);
+                    self.queue.push_back(p);
                 }
                 QUEUE_DEPTH.record(self.queue.len() as u64);
             }
-            self.queue.retain(|p| {
-                if p.deadline < clock {
-                    record_shed(
-                        outcomes,
-                        p.id,
-                        p.len,
-                        ShedReason::DeadlineExpired,
-                        clock - p.arrival,
-                        vns(clock),
-                    );
-                    false
-                } else {
-                    true
-                }
-            });
+            let now = front.now();
+            self.queue
+                .retain(|p| within_deadline(front, p, now, ShedReason::DeadlineExpired));
             if self.queue.is_empty() {
                 continue;
             }
@@ -578,37 +569,24 @@ impl OpenLoopShard {
             if config.chunk_tokens != 0 {
                 CHUNK_ROUNDS.add(rounds.len() as u64);
             }
-            for (round_no, round) in rounds.into_iter().enumerate() {
+            for (round_no, mut round) in rounds.into_iter().enumerate() {
                 // Per-chunk deadline check: a request scheduled into a later
                 // round may have expired while the earlier rounds ran. Its
                 // batch was cut but its own forward never started — cancel it
                 // with the mid-request reason, distinct from queue expiry.
-                // (Round 0 starts at the same clock the queue sweep used, so
-                // it needs no re-check: with `chunk_tokens == 0` this loop is
+                // (Round 0 starts at the instant the queue sweep used, so it
+                // needs no re-check: with `chunk_tokens == 0` this loop is
                 // exactly the single-round pre-chunking path.)
-                let round: Vec<Pending> = if round_no == 0 {
-                    round
-                } else {
-                    round
-                        .into_iter()
-                        .filter(|p| {
-                            if p.deadline < self.clock {
-                                CHUNK_CANCELLED.incr();
-                                record_shed(
-                                    outcomes,
-                                    p.id,
-                                    p.len,
-                                    ShedReason::CancelledMidRequest,
-                                    self.clock - p.arrival,
-                                    vns(self.clock),
-                                );
-                                false
-                            } else {
-                                true
-                            }
-                        })
-                        .collect()
-                };
+                if round_no > 0 {
+                    let now = front.now();
+                    round.retain(|p| {
+                        let alive = within_deadline(front, p, now, ShedReason::CancelledMidRequest);
+                        if !alive {
+                            CHUNK_CANCELLED.incr();
+                        }
+                        alive
+                    });
+                }
                 if round.is_empty() {
                     continue;
                 }
@@ -620,10 +598,10 @@ impl OpenLoopShard {
                 if config.chunk_tokens != 0 {
                     CHUNK_TOKENS.record(mask.valid_words() as u64);
                 }
-                let start = self.clock;
+                let start = front.now();
                 for p in &round {
                     TIME_IN_QUEUE_US.record(((start - p.arrival) * 1e6) as u64);
-                    bt_obs::trace_mark!(TraceId::from_request(p.id), names::REQ_ROUND, vns(start));
+                    front.mark(p.id, &ROUND, start);
                 }
                 let duration = {
                     let _span = bt_obs::span!("serve.batch.forward");
@@ -633,31 +611,169 @@ impl OpenLoopShard {
                     duration.is_finite() && duration >= 0.0,
                     "executor must return a finite non-negative duration, got {duration}"
                 );
-                let done = start + duration;
+                front.ran(duration, mask.valid_words());
+                let done = front.now();
                 for p in &round {
-                    SERVED.incr();
-                    let tid = TraceId::from_request(p.id);
-                    bt_obs::trace_mark!(tid, names::REQ_EXEC_DONE, vns(done));
-                    bt_obs::trace_mark!(tid, names::REQ_DONE, vns(done));
-                    let slot = outcomes
-                        .get_mut(p.id)
-                        .expect("request ids must be a permutation of 0..n");
-                    assert!(slot.is_none(), "request id {} offered twice", p.id);
-                    *slot = Some(RequestOutcome {
-                        id: p.id,
-                        len: p.len,
-                        outcome: Outcome::Served {
-                            queue_wait: start - p.arrival,
-                            latency: done - p.arrival,
-                        },
-                    });
+                    front.mark(p.id, &EXEC_DONE, done);
+                    let served = Outcome::Served {
+                        queue_wait: start - p.arrival,
+                        latency: done - p.arrival,
+                    };
+                    resolve(front, p, served, done);
                 }
-                self.inflight.push_back((done, mask.valid_words()));
                 self.batches += 1;
-                self.clock = done;
-                self.makespan = self.makespan.max(done);
             }
         }
+    }
+}
+
+/// The virtual front's state that outlives one [`OpenLoopShard::advance`]
+/// call: the routed sub-trace and the simulated clock.
+struct VirtualTime {
+    /// Routed arrivals not yet admitted, in global arrival order.
+    pending: VecDeque<TimedRequest>,
+    clock: f64,
+    /// Executed rounds still in flight at a given instant: `(done, tokens)`
+    /// entries, pruned by time in [`OpenLoopShard::outstanding_tokens`].
+    inflight: VecDeque<(f64, usize)>,
+    makespan: f64,
+}
+
+/// The trace-driven [`Front`]: arrivals pop off the shard's sub-trace, the
+/// clock advances by the executor's reported durations, outcomes land in
+/// the id-indexed ledger and marks carry the simulated instant.
+///
+/// It only **acts** at instants strictly before `horizon`. The router sets
+/// the horizon to the next *unrouted* global arrival time, which guarantees
+/// every global arrival at or before a batch cut has been routed (and
+/// offered to its shard) before that cut happens — so a single shard
+/// driven to `horizon = ∞` is the monolithic loop. That is what makes
+/// `--shards 1` bit-identical to the unsharded server, and it is pinned by
+/// `tests/shard_stress.rs`.
+struct VirtualFront<'a> {
+    time: &'a mut VirtualTime,
+    horizon: f64,
+    outcomes: &'a mut [Option<RequestOutcome>],
+}
+
+impl Front for VirtualFront<'_> {
+    fn now(&self) -> f64 {
+        self.time.clock
+    }
+
+    fn ran(&mut self, duration: f64, tokens: usize) {
+        let t = &mut *self.time;
+        t.clock += duration;
+        t.inflight.push_back((t.clock, tokens));
+        t.makespan = t.makespan.max(t.clock);
+    }
+
+    fn next_arrival(&mut self, idle: bool) -> Ingress {
+        let t = &mut *self.time;
+        // The instant the engine would act: its own clock while work is
+        // queued, else a jump to the next routed arrival.
+        let act = match t.pending.front() {
+            Some(r) if idle => t.clock.max(r.arrival),
+            None if idle => return Ingress::Closed,
+            _ => t.clock,
+        };
+        if act >= self.horizon {
+            return Ingress::Closed;
+        }
+        t.clock = act;
+        match t.pending.front() {
+            Some(&r) if r.arrival <= act => {
+                t.pending.pop_front();
+                self.mark(r.id, &ENQUEUE, r.arrival);
+                Ingress::Arrival(r)
+            }
+            _ => Ingress::Drained,
+        }
+    }
+
+    fn deliver(&mut self, p: &Pending, outcome: Outcome) {
+        fill_slot(self.outcomes, p.id, p.len, outcome);
+    }
+
+    fn mark(&self, id: usize, label: &'static LabelId, t: f64) {
+        bt_obs::trace_mark_at(TraceId::from_request(id), label, vns(t));
+    }
+}
+
+/// One engine on the virtual front, driven incrementally so the shard
+/// router ([`crate::shard`]) can interleave N independent instances on one
+/// global virtual clock: [`OpenLoopShard::offer`] appends a routed arrival
+/// to the shard's private sub-trace, [`OpenLoopShard::advance`] runs the
+/// engine up to a horizon.
+pub(crate) struct OpenLoopShard {
+    engine: Engine,
+    time: VirtualTime,
+}
+
+impl OpenLoopShard {
+    pub(crate) fn new(config: ServeConfig) -> OpenLoopShard {
+        OpenLoopShard {
+            engine: Engine::new(config),
+            time: VirtualTime {
+                pending: VecDeque::new(),
+                clock: 0.0,
+                inflight: VecDeque::new(),
+                makespan: 0.0,
+            },
+        }
+    }
+
+    /// Routes one arrival onto this shard. Arrivals must be offered in
+    /// non-decreasing arrival order (the router processes the global trace
+    /// sorted by arrival).
+    pub(crate) fn offer(&mut self, r: TimedRequest) {
+        self.time.pending.push_back(r);
+    }
+
+    /// Valid tokens this shard is responsible for at instant `now`: routed
+    /// but unadmitted arrivals, queued requests, and executed rounds whose
+    /// modeled completion lies after `now`. This is the load signal the
+    /// join-shortest-queue and power-of-two-choices policies compare.
+    pub(crate) fn outstanding_tokens(&mut self, now: f64) -> usize {
+        let t = &mut self.time;
+        while t.inflight.front().is_some_and(|&(done, _)| done <= now) {
+            t.inflight.pop_front();
+        }
+        let pending: usize = t.pending.iter().map(|r| admission_weight(r.len)).sum();
+        let queued: usize = self.engine.queue.iter().map(|p| admission_weight(p.len)).sum();
+        let inflight: usize = t.inflight.iter().map(|&(_, tokens)| tokens).sum();
+        pending + queued + inflight
+    }
+
+    /// True while the shard still has unadmitted or queued work.
+    pub(crate) fn has_work(&self) -> bool {
+        !self.time.pending.is_empty() || !self.engine.queue.is_empty()
+    }
+
+    /// This shard's report over the outcomes attributed to it.
+    pub(crate) fn report(&self, outcomes: Vec<RequestOutcome>) -> ServeReport {
+        ServeReport {
+            outcomes,
+            batches: self.engine.batches,
+            makespan: self.time.makespan,
+        }
+    }
+
+    /// Runs the engine up to (but excluding) `horizon`. Only the *cut
+    /// instant* is gated by the horizon — once a batch is cut its rounds
+    /// run to completion even past it.
+    pub(crate) fn advance(
+        &mut self,
+        horizon: f64,
+        outcomes: &mut [Option<RequestOutcome>],
+        exec: &mut impl FnMut(&BatchMask) -> f64,
+    ) {
+        let mut front = VirtualFront {
+            time: &mut self.time,
+            horizon,
+            outcomes,
+        };
+        self.engine.run(&mut front, exec);
     }
 }
 
@@ -665,22 +781,10 @@ impl OpenLoopShard {
 /// arrival trace in **virtual time**: the clock advances by the executor's
 /// returned batch duration (typically modeled device seconds), so the whole
 /// run — batches formed, requests shed, every latency — is deterministic
-/// for a fixed trace and executor. Implemented as a single
-/// `OpenLoopShard` engine driven to an infinite horizon; the multi-shard
-/// router ([`crate::shard::run_sharded_open_loop`]) drives N of them.
-///
-/// Loop semantics, identical to the threaded [`Server`]:
-/// 1. admit every arrival up to the clock (gate-shedding
-///    [`ShedReason::TooLong`] and, once the bounded queue is full,
-///    [`ShedReason::QueueFull`]);
-/// 2. cancel queued requests whose deadline passed (a request whose
-///    deadline equals the batch start still runs);
-/// 3. cut the next batch with the configured policy and execute it — as a
-///    single forward, or as shortest-first chunk rounds when
-///    [`ServeConfig::chunk_tokens`] is set, cancelling requests whose
-///    deadline passes between rounds;
-/// 4. advance the clock by each round's duration and repeat. An idle server
-///    jumps straight to the next arrival.
+/// for a fixed trace and executor. It is the same engine the threaded
+/// [`Server`] runs, on the trace-driven front, driven to an infinite
+/// horizon; the multi-shard router
+/// ([`crate::shard::run_sharded_open_loop`]) drives N of them.
 ///
 /// # Panics
 /// Panics if request ids are not a permutation of `0..requests.len()`, if
@@ -700,15 +804,10 @@ pub fn run_open_loop(
         shard.offer(r);
     }
     shard.advance(f64::INFINITY, &mut outcomes, &mut exec);
-    let outcomes: Vec<RequestOutcome> = outcomes
+    let outcomes = outcomes
         .into_iter()
-        .map(|o| o.expect("every offered request has exactly one outcome"))
-        .collect();
-    ServeReport {
-        outcomes,
-        batches: shard.batches,
-        makespan: shard.makespan,
-    }
+        .map(|o| o.expect("every offered request has exactly one outcome"));
+    shard.report(outcomes.collect())
 }
 
 /// One event on a streaming request's bounded per-request output channel
@@ -748,21 +847,15 @@ pub struct IngressHandle {
 }
 
 impl IngressHandle {
-    /// Offers a request; rejects with [`ShedReason::QueueFull`] when the
-    /// bounded ingress is full, or with a disconnect error message if the
-    /// server already shut down.
-    ///
-    /// # Errors
-    /// `Err(Some(QueueFull))` on backpressure, `Err(None)` if the server is
-    /// gone.
-    pub fn try_submit(&self, id: usize, len: usize) -> Result<(), Option<ShedReason>> {
+    fn submit(&self, id: usize, len: usize, stream: Option<SyncSender<StreamEvent>>) -> Result<(), Option<ShedReason>> {
         let tid = TraceId::from_request(id);
-        bt_obs::trace_mark!(tid, names::REQ_ENQUEUE);
+        bt_obs::trace_mark(tid, &ENQUEUE);
+        let submitted = Instant::now();
         match self.tx.try_send(Submission {
             id,
             len,
-            submitted: Instant::now(),
-            stream: None,
+            submitted,
+            stream,
         }) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
@@ -771,6 +864,17 @@ impl IngressHandle {
             }
             Err(TrySendError::Disconnected(_)) => Err(None),
         }
+    }
+
+    /// Offers a request; rejects with [`ShedReason::QueueFull`] when the
+    /// bounded ingress is full, or with a disconnect error message if the
+    /// server already shut down.
+    ///
+    /// # Errors
+    /// `Err(Some(QueueFull))` on backpressure, `Err(None)` if the server is
+    /// gone.
+    pub fn try_submit(&self, id: usize, len: usize) -> Result<(), Option<ShedReason>> {
+        self.submit(id, len, None)
     }
 
     /// Like [`IngressHandle::try_submit`], but returns a **bounded
@@ -795,26 +899,96 @@ impl IngressHandle {
         capacity: usize,
     ) -> Result<Receiver<StreamEvent>, Option<ShedReason>> {
         let (stream_tx, stream_rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-        let tid = TraceId::from_request(id);
-        bt_obs::trace_mark!(tid, names::REQ_ENQUEUE);
-        match self.tx.try_send(Submission {
-            id,
-            len,
-            submitted: Instant::now(),
-            stream: Some(stream_tx),
-        }) {
-            Ok(()) => Ok(stream_rx),
-            Err(TrySendError::Full(_)) => {
-                bt_obs::trace_mark(tid, ShedReason::QueueFull.trace_label());
-                Err(Some(ShedReason::QueueFull))
-            }
-            Err(TrySendError::Disconnected(_)) => Err(None),
+        self.submit(id, len, Some(stream_tx)).map(|()| stream_rx)
+    }
+}
+
+/// The channel-driven [`Front`]: arrivals come off the bounded ingress
+/// channel, time is seconds since `epoch`, outcomes leave on the result
+/// channel (and the request's stream, if it has one) and marks carry the
+/// telemetry wall clock.
+struct WallFront {
+    epoch: Instant,
+    ingress: Receiver<Submission>,
+    results: Sender<RequestOutcome>,
+    /// Bounded per-request output channels, keyed by request id. Removed
+    /// (hanging up the channel) when the outcome is final.
+    streams: HashMap<usize, SyncSender<StreamEvent>>,
+}
+
+impl WallFront {
+    /// The epoch is the instant of construction, so it precedes every
+    /// submission made through a handle handed out afterwards.
+    fn new(ingress: Receiver<Submission>, results: Sender<RequestOutcome>) -> WallFront {
+        WallFront {
+            epoch: Instant::now(),
+            ingress,
+            results,
+            streams: HashMap::new(),
         }
     }
 }
 
+impl Front for WallFront {
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// The wall clock moved by itself while the executor ran.
+    fn ran(&mut self, _duration: f64, _tokens: usize) {}
+
+    fn next_arrival(&mut self, idle: bool) -> Ingress {
+        let s = if idle {
+            // Block until work arrives or every producer hung up.
+            match self.ingress.recv() {
+                Ok(s) => s,
+                Err(_) => return Ingress::Closed,
+            }
+        } else {
+            match self.ingress.try_recv() {
+                Ok(s) => s,
+                Err(_) => return Ingress::Drained,
+            }
+        };
+        if let Some(stream) = s.stream {
+            self.streams.insert(s.id, stream);
+        }
+        Ingress::Arrival(TimedRequest {
+            id: s.id,
+            len: s.len,
+            arrival: s.submitted.saturating_duration_since(self.epoch).as_secs_f64(),
+        })
+    }
+
+    fn deliver(&mut self, p: &Pending, outcome: Outcome) {
+        if let Some(s) = self.streams.remove(&p.id) {
+            if matches!(outcome, Outcome::Served { .. }) {
+                // Token-at-a-time, best-effort: a full bounded channel
+                // drops events rather than blocking the server thread on a
+                // stalled consumer.
+                for index in 0..p.len {
+                    if s.try_send(StreamEvent::Token { index }).is_err() {
+                        break;
+                    }
+                    bt_obs::trace_mark(TraceId::from_request(p.id), &STREAM_TOKEN);
+                }
+            }
+            let _ = s.try_send(StreamEvent::Done(outcome));
+        }
+        let _ = self.results.send(RequestOutcome {
+            id: p.id,
+            len: p.len,
+            outcome,
+        });
+    }
+
+    fn mark(&self, id: usize, label: &'static LabelId, _t: f64) {
+        bt_obs::trace_mark(TraceId::from_request(id), label);
+    }
+}
+
 /// The multi-threaded continuous-batching server: a bounded MPSC ingress
-/// feeding one server thread that runs the same admission/cut/shed loop as
+/// feeding one server thread that runs the same engine as
 /// [`run_open_loop`], in wall-clock time, executing batches on the
 /// persistent pool.
 ///
@@ -836,184 +1010,18 @@ impl Server {
     /// executor (wall time; the executor's internal parallelism runs on the
     /// persistent pool).
     pub fn spawn(config: ServeConfig, mut exec: impl FnMut(&BatchMask) + Send + 'static) -> Server {
-        config.validate();
+        let mut engine = Engine::new(config);
         let (tx, rx) = std::sync::mpsc::sync_channel::<Submission>(config.queue_capacity);
         let (result_tx, results) = std::sync::mpsc::channel::<RequestOutcome>();
+        // Built here, not on the worker: a request submitted before the
+        // thread's first instruction must still arrive after the epoch.
+        let mut front = WallFront::new(rx, result_tx);
         let worker = std::thread::spawn(move || {
-            let epoch = Instant::now();
-            let mut queue: VecDeque<Pending> = VecDeque::new();
-            // Bounded per-request output channels, keyed by request id.
-            // Removed (hanging up the channel) when the outcome is final.
-            let mut streams: std::collections::HashMap<usize, SyncSender<StreamEvent>> =
-                std::collections::HashMap::new();
-            let mut batches = 0usize;
-            let shed = |result_tx: &std::sync::mpsc::Sender<RequestOutcome>,
-                        streams: &mut std::collections::HashMap<usize, SyncSender<StreamEvent>>,
-                        p: &Pending,
-                        reason,
-                        wait| {
-                match reason {
-                    ShedReason::QueueFull => SHED_QUEUE_FULL.incr(),
-                    ShedReason::DeadlineExpired => SHED_DEADLINE.incr(),
-                    ShedReason::TooLong => SHED_TOO_LONG.incr(),
-                    ShedReason::CacheOom => SHED_CACHE_OOM.incr(),
-                    ShedReason::CancelledMidRequest => SHED_CANCELLED.incr(),
-                    ShedReason::HotShard => SHED_HOT_SHARD.incr(),
-                }
-                bt_obs::trace_mark(TraceId::from_request(p.id), reason.trace_label());
-                let outcome = Outcome::Shed { reason, wait };
-                if let Some(s) = streams.remove(&p.id) {
-                    let _ = s.try_send(StreamEvent::Done(outcome));
-                }
-                let _ = result_tx.send(RequestOutcome {
-                    id: p.id,
-                    len: p.len,
-                    outcome,
-                });
-            };
-            let admit = |queue: &mut VecDeque<Pending>,
-                         streams: &mut std::collections::HashMap<usize, SyncSender<StreamEvent>>,
-                         result_tx: &std::sync::mpsc::Sender<RequestOutcome>,
-                         s: Submission| {
-                OFFERED.incr();
-                let arrival = s.submitted.saturating_duration_since(epoch).as_secs_f64();
-                let p = Pending {
-                    id: s.id,
-                    len: s.len,
-                    arrival,
-                    deadline: arrival + config.deadline,
-                };
-                if let Some(stream) = s.stream {
-                    streams.insert(s.id, stream);
-                }
-                if p.len > config.max_len {
-                    shed(result_tx, streams, &p, ShedReason::TooLong, 0.0);
-                } else if queue.len() >= config.queue_capacity {
-                    // The channel bound already pushed back on producers;
-                    // this second gate keeps the *internal* queue within the
-                    // configured bound even after a drain.
-                    shed(result_tx, streams, &p, ShedReason::QueueFull, 0.0);
-                } else {
-                    bt_obs::trace_mark!(TraceId::from_request(p.id), names::REQ_ADMIT);
-                    queue.push_back(p);
-                }
-                QUEUE_DEPTH.record(queue.len() as u64);
-            };
-            loop {
-                if queue.is_empty() {
-                    // Idle: block until work arrives or every producer hung up.
-                    match rx.recv() {
-                        Ok(s) => admit(&mut queue, &mut streams, &result_tx, s),
-                        Err(_) => break,
-                    }
-                }
-                while let Ok(s) = rx.try_recv() {
-                    admit(&mut queue, &mut streams, &result_tx, s);
-                }
-                let now = epoch.elapsed().as_secs_f64();
-                queue.retain(|p| {
-                    if p.deadline < now {
-                        shed(
-                            &result_tx,
-                            &mut streams,
-                            p,
-                            ShedReason::DeadlineExpired,
-                            now - p.arrival,
-                        );
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if queue.is_empty() {
-                    continue;
-                }
-                let _batch_span = bt_obs::span!("serve.batch");
-                let cut = config.policy.cut_next_batch(&mut queue);
-                let rounds = plan_rounds(cut, config.chunk_tokens);
-                if config.chunk_tokens != 0 {
-                    CHUNK_ROUNDS.add(rounds.len() as u64);
-                }
-                for (round_no, round) in rounds.into_iter().enumerate() {
-                    // Per-chunk deadline check (same semantics as
-                    // `run_open_loop`): later rounds re-check expiry so a
-                    // request overtaken by earlier rounds is cancelled
-                    // mid-request rather than served uselessly late.
-                    let now = epoch.elapsed().as_secs_f64();
-                    let round: Vec<Pending> = if round_no == 0 {
-                        round
-                    } else {
-                        round
-                            .into_iter()
-                            .filter(|p| {
-                                if p.deadline < now {
-                                    CHUNK_CANCELLED.incr();
-                                    shed(
-                                        &result_tx,
-                                        &mut streams,
-                                        p,
-                                        ShedReason::CancelledMidRequest,
-                                        now - p.arrival,
-                                    );
-                                    false
-                                } else {
-                                    true
-                                }
-                            })
-                            .collect()
-                    };
-                    if round.is_empty() {
-                        continue;
-                    }
-                    let _chunk_span = bt_obs::span!("serve.chunk");
-                    let mask = batch_mask(&round).expect("per-batch mask invariants hold");
-                    BATCHES.incr();
-                    OCCUPANCY.record(round.len() as u64);
-                    BATCH_TOKENS.record(mask.valid_words() as u64);
-                    if config.chunk_tokens != 0 {
-                        CHUNK_TOKENS.record(mask.valid_words() as u64);
-                    }
-                    let start = epoch.elapsed().as_secs_f64();
-                    for p in &round {
-                        TIME_IN_QUEUE_US.record(((start - p.arrival) * 1e6) as u64);
-                        bt_obs::trace_mark!(TraceId::from_request(p.id), names::REQ_ROUND);
-                    }
-                    {
-                        let _span = bt_obs::span!("serve.batch.forward");
-                        exec(&mask);
-                    }
-                    let done = epoch.elapsed().as_secs_f64();
-                    for p in &round {
-                        SERVED.incr();
-                        let tid = TraceId::from_request(p.id);
-                        bt_obs::trace_mark!(tid, names::REQ_EXEC_DONE);
-                        let outcome = Outcome::Served {
-                            queue_wait: start - p.arrival,
-                            latency: done - p.arrival,
-                        };
-                        if let Some(s) = streams.remove(&p.id) {
-                            // Token-at-a-time, best-effort: a full bounded
-                            // channel drops events rather than blocking the
-                            // server thread on a stalled consumer.
-                            for index in 0..p.len {
-                                if s.try_send(StreamEvent::Token { index }).is_err() {
-                                    break;
-                                }
-                                bt_obs::trace_mark!(tid, names::REQ_STREAM_TOKEN);
-                            }
-                            let _ = s.try_send(StreamEvent::Done(outcome));
-                        }
-                        bt_obs::trace_mark!(tid, names::REQ_DONE);
-                        let _ = result_tx.send(RequestOutcome {
-                            id: p.id,
-                            len: p.len,
-                            outcome,
-                        });
-                    }
-                    batches += 1;
-                }
-            }
-            batches
+            engine.run(&mut front, &mut |mask| {
+                exec(mask);
+                0.0 // unused: `WallFront::ran` reads the wall clock instead
+            });
+            engine.batches
         });
         Server {
             handle: IngressHandle { tx },
@@ -1317,6 +1325,91 @@ mod tests {
             }
             other => panic!("expected mid-request cancellation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wall_arrivals_are_offsets_from_front_construction() {
+        // `Server::spawn` builds the front before it starts the worker, so
+        // a submission racing the thread's start-up is not clamped to 0.
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let (result_tx, _results) = std::sync::mpsc::channel();
+        let (handle, mut front) = (IngressHandle { tx }, WallFront::new(rx, result_tx));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        handle.try_submit(0, 8).expect("channel has room");
+        match front.next_arrival(true) {
+            Ingress::Arrival(r) => assert!(r.arrival > 0.0, "arrival offset {}", r.arrival),
+            _ => panic!("the submission is in the channel"),
+        }
+    }
+
+    /// The wall front's ingress and egress under a scripted clock that
+    /// advances only by the executor's reported durations.
+    struct ScriptedClock {
+        wall: WallFront,
+        clock: f64,
+    }
+
+    impl Front for ScriptedClock {
+        fn now(&self) -> f64 {
+            self.clock
+        }
+        fn ran(&mut self, duration: f64, _tokens: usize) {
+            self.clock += duration;
+        }
+        fn next_arrival(&mut self, idle: bool) -> Ingress {
+            self.wall.next_arrival(idle)
+        }
+        fn deliver(&mut self, p: &Pending, outcome: Outcome) {
+            self.wall.deliver(p, outcome);
+        }
+        fn mark(&self, id: usize, label: &'static LabelId, t: f64) {
+            self.wall.mark(id, label, t);
+        }
+    }
+
+    #[test]
+    fn wall_front_under_a_scripted_clock_reproduces_the_virtual_ledger() {
+        // One burst, all due at t = 0. The first cut runs as rounds [4] [8]
+        // [12] [16]: the 16 overruns the deadline between rounds
+        // (cancelled mid-request) and by then everything still queued has
+        // expired too; the 999 never passes the length gate.
+        let lens = [4usize, 12, 8, 16, 999, 2, 10, 6, 14, 3];
+        let config = ServeConfig {
+            policy: CutPolicy::Fifo { max_batch: 4 },
+            queue_capacity: 16,
+            deadline: 2.0,
+            max_len: 64,
+            chunk_tokens: 8,
+        };
+        let mut exec = |mask: &BatchMask| mask.valid_words() as f64 * 0.1;
+
+        // The channel is filled before the front exists, so every
+        // submission stamp precedes the epoch and arrives at exactly 0.0.
+        let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_capacity);
+        let (result_tx, results) = std::sync::mpsc::channel();
+        let handle = IngressHandle { tx };
+        for (id, &len) in lens.iter().enumerate() {
+            handle.try_submit(id, len).expect("channel has room");
+        }
+        drop(handle);
+        let mut front = ScriptedClock {
+            wall: WallFront::new(rx, result_tx),
+            clock: 0.0,
+        };
+        let mut engine = Engine::new(config);
+        engine.run(&mut front, &mut exec);
+        let mut wall: Vec<RequestOutcome> = results.try_iter().collect();
+        wall.sort_by_key(|o| o.id);
+
+        let burst: Vec<(usize, f64)> = lens.iter().map(|&len| (len, 0.0)).collect();
+        let report = run_open_loop(&arrivals(&burst), &config, exec);
+        assert_eq!(wall, report.outcomes, "same engine, same ledger, bit for bit");
+        assert_eq!(engine.batches, report.batches);
+        let s = report.summary();
+        assert_eq!(
+            (s.served, s.shed_cancelled, s.shed_deadline, s.shed_too_long),
+            (3, 1, 5, 1)
+        );
     }
 
     #[test]

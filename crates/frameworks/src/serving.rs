@@ -1,88 +1,16 @@
-//! Online-serving substrate: request batching policies, open-loop arrival
-//! generators, and latency statistics.
+//! Open-loop workload substrate: arrival-trace generators and latency
+//! statistics.
 //!
 //! The paper's motivation is a *serving* system (TikTok/Douyin traffic):
 //! requests with wildly different lengths arrive continuously and must be
-//! batched for GPU efficiency. This module provides the offline batching
-//! policies the serving example compares:
-//!
-//! * [`BatchPolicy::Fifo`] — take the next `max_batch` requests as they
-//!   came. A padding-free runtime (ByteTransformer) is insensitive to the
-//!   length variance inside such batches; a padded runtime pays for it.
-//! * [`BatchPolicy::SortedGroups`] — TurboTransformers-style: sort a window
-//!   of requests by length, then cut batches of similar lengths. Reduces
-//!   padding for padded runtimes at the cost of reordering (which shows up
-//!   as queueing latency for early-arrived long requests).
-//!
-//! Both are thin wrappers over the shared batch-cutting policies in
-//! [`crate::admission`]; the *online* continuous-batching server (bounded
-//! ingress queue, deadlines, token-budget batches, load shedding) lives in
-//! [`crate::server`].
+//! batched for GPU efficiency. This module produces those arrival traces
+//! ([`poisson_arrivals`], [`bursty_arrivals`]) and summarises the latencies
+//! a run observed ([`latency_stats`]); the continuous-batching server that
+//! consumes them (bounded ingress queue, deadlines, token-budget batches,
+//! load shedding) lives in [`crate::server`], its batch-cutting policies
+//! in [`crate::admission`].
 
-use crate::admission::CutPolicy;
-use bt_varlen::{BatchMask, VarlenError};
-
-/// A serving request: an id and a sequence length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
-    /// Caller-assigned identifier (used to report per-request latency).
-    pub id: usize,
-    /// Token count of the request.
-    pub len: usize,
-}
-
-/// Batch formation policy for the offline window batcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Arrival order, fixed maximum batch size.
-    Fifo,
-    /// Sort the whole window by length, then cut fixed-size batches —
-    /// the grouping family TurboTransformers/LightSeq use.
-    SortedGroups,
-}
-
-impl BatchPolicy {
-    /// The equivalent continuous-batching [`CutPolicy`] at the given
-    /// capacity (both offline policies are count-capped).
-    pub fn cut_policy(&self, max_batch: usize) -> CutPolicy {
-        match self {
-            BatchPolicy::Fifo => CutPolicy::Fifo { max_batch },
-            BatchPolicy::SortedGroups => CutPolicy::SortedGroups { max_batch },
-        }
-    }
-}
-
-/// Forms batches over a window of requests. Each batch is at most
-/// `max_batch` requests; its mask's `max_seq_len` is the longest member
-/// (padded runtimes pay for that; packed runtimes pay only for valid
-/// tokens). Delegates to [`crate::admission::plan_batches`], so the window
-/// batcher and the continuous server cut batches with the same code.
-///
-/// # Errors
-/// Propagates [`VarlenError`] from mask construction. Under the invariants
-/// `plan_batches` establishes (lengths clamped to ≥ 1, each mask's
-/// `max_seq_len` the maximum of its own batch) mask construction cannot
-/// currently fail; the `Result` is kept so the signature survives future
-/// [`BatchMask`] invariants without breaking callers.
-///
-/// # Panics
-/// Panics if `max_batch == 0`.
-pub fn form_batches(
-    requests: &[Request],
-    max_batch: usize,
-    policy: BatchPolicy,
-) -> Result<Vec<(Vec<Request>, BatchMask)>, VarlenError> {
-    assert!(max_batch > 0, "max_batch must be positive");
-    let pairs: Vec<(usize, usize)> = requests.iter().map(|r| (r.id, r.len)).collect();
-    let planned = crate::admission::plan_batches(&pairs, policy.cut_policy(max_batch))?;
-    Ok(planned
-        .into_iter()
-        .map(|(batch, mask)| (batch.into_iter().map(|(id, len)| Request { id, len }).collect(), mask))
-        .collect())
-}
-
-/// A request with an arrival time, for the discrete-event server
-/// simulation.
+/// A request with an arrival time: one entry of an open-loop trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedRequest {
     /// Caller-assigned identifier.
@@ -153,53 +81,6 @@ pub fn bursty_arrivals(
         .collect()
 }
 
-/// Discrete-event simulation of a single-GPU serving loop.
-///
-/// The server forms a batch whenever it is free and work is pending: it
-/// admits every request that has arrived, waits up to `max_wait` seconds for
-/// more (batching window), caps at `max_batch`, and runs the batch for the
-/// duration `exec` reports (typically the modeled time of a framework
-/// forward). Returns per-request latency (completion − arrival), indexed by
-/// request id.
-///
-/// # Panics
-/// Panics if `max_batch == 0` or request ids are not `0..n`.
-pub fn simulate_server(
-    requests: &[TimedRequest],
-    max_batch: usize,
-    max_wait: f64,
-    mut exec: impl FnMut(&BatchMask) -> f64,
-) -> Vec<f64> {
-    assert!(max_batch > 0, "max_batch must be positive");
-    let mut order: Vec<TimedRequest> = requests.to_vec();
-    order.sort_by(|a, b| a.arrival.partial_cmp(&b.arrival).expect("finite arrivals"));
-    let mut latency = vec![0.0f64; requests.len()];
-    let mut clock = 0.0f64;
-    let mut next = 0usize;
-    while next < order.len() {
-        // The server becomes attentive at `t0`.
-        let t0 = clock.max(order[next].arrival);
-        // Admit arrivals within the batching window, up to capacity.
-        let deadline = t0 + max_wait;
-        let mut batch = Vec::new();
-        while next < order.len() && batch.len() < max_batch && order[next].arrival <= deadline {
-            batch.push(order[next]);
-            next += 1;
-        }
-        let start = batch.iter().map(|r| r.arrival).fold(t0, f64::max);
-        let lens: Vec<usize> = batch.iter().map(|r| r.len.max(1)).collect();
-        let max = lens.iter().copied().max().unwrap_or(1);
-        let mask = BatchMask::from_lens(lens, max).expect("bounded lengths");
-        let duration = exec(&mask);
-        let done = start + duration;
-        for r in &batch {
-            latency[r.id] = done - r.arrival;
-        }
-        clock = done;
-    }
-    latency
-}
-
 /// Latency percentiles over a set of per-request latencies (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
@@ -245,61 +126,6 @@ pub fn latency_stats(latencies: &[f64]) -> LatencyStats {
 mod tests {
     use super::*;
 
-    fn reqs(lens: &[usize]) -> Vec<Request> {
-        lens.iter().enumerate().map(|(id, &len)| Request { id, len }).collect()
-    }
-
-    #[test]
-    fn fifo_preserves_arrival_order() {
-        let batches = form_batches(&reqs(&[100, 5, 90, 7]), 2, BatchPolicy::Fifo).unwrap();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].0[0].id, 0);
-        assert_eq!(batches[0].0[1].id, 1);
-        assert_eq!(batches[0].1.max_seq_len(), 100);
-    }
-
-    #[test]
-    fn sorted_groups_cluster_similar_lengths() {
-        let batches = form_batches(&reqs(&[100, 5, 90, 7]), 2, BatchPolicy::SortedGroups).unwrap();
-        // Sorted desc: 100, 90 | 7, 5.
-        assert_eq!(batches[0].1.max_seq_len(), 100);
-        assert_eq!(batches[0].1.seq_lens(), &[100, 90]);
-        assert_eq!(batches[1].1.max_seq_len(), 7);
-    }
-
-    #[test]
-    fn sorted_groups_waste_less_padding() {
-        // Interleaved long/short arrivals: FIFO batches mix them (heavy
-        // padding); sorting clusters them.
-        let lens: Vec<usize> = (1..=32).flat_map(|i| [i * 16, 520 - i * 16]).collect();
-        let requests = reqs(&lens);
-        let waste = |policy| -> f64 {
-            form_batches(&requests, 8, policy)
-                .unwrap()
-                .iter()
-                .map(|(_, m)| m.padded_words() as f64)
-                .sum::<f64>()
-        };
-        assert!(waste(BatchPolicy::SortedGroups) < waste(BatchPolicy::Fifo));
-    }
-
-    #[test]
-    fn every_request_lands_in_exactly_one_batch() {
-        let requests = reqs(&[3, 9, 1, 4, 4, 8, 2]);
-        for policy in [BatchPolicy::Fifo, BatchPolicy::SortedGroups] {
-            let batches = form_batches(&requests, 3, policy).unwrap();
-            let mut ids: Vec<usize> = batches.iter().flat_map(|(rs, _)| rs.iter().map(|r| r.id)).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..7).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn zero_length_requests_are_clamped() {
-        let batches = form_batches(&reqs(&[0, 4]), 2, BatchPolicy::Fifo).unwrap();
-        assert_eq!(batches[0].1.seq_lens(), &[1, 4]);
-    }
-
     #[test]
     fn poisson_arrivals_are_monotone_at_roughly_the_rate() {
         let reqs = poisson_arrivals(2_000, 100.0, bt_varlen::workload::LengthDistribution::Fixed, 64, 7);
@@ -336,78 +162,6 @@ mod tests {
             burst > quiet * 4,
             "burst phases must dominate: burst {burst} vs quiet {quiet}"
         );
-    }
-
-    #[test]
-    fn server_batches_up_to_capacity() {
-        // 6 requests arriving together, capacity 4, constant 1 s service.
-        let reqs: Vec<TimedRequest> = (0..6)
-            .map(|id| TimedRequest {
-                id,
-                len: 8,
-                arrival: 0.0,
-            })
-            .collect();
-        let mut batches = Vec::new();
-        let lat = simulate_server(&reqs, 4, 0.0, |mask| {
-            batches.push(mask.batch());
-            1.0
-        });
-        assert_eq!(batches, vec![4, 2]);
-        // First four finish at t=1, last two queue behind them (t=2).
-        assert_eq!(lat[0], 1.0);
-        assert_eq!(lat[5], 2.0);
-    }
-
-    #[test]
-    fn batching_window_gathers_stragglers() {
-        let reqs = vec![
-            TimedRequest {
-                id: 0,
-                len: 4,
-                arrival: 0.0,
-            },
-            TimedRequest {
-                id: 1,
-                len: 4,
-                arrival: 0.05,
-            },
-        ];
-        // Without a window the second request runs alone...
-        let mut batches = Vec::new();
-        simulate_server(&reqs, 8, 0.0, |m| {
-            batches.push(m.batch());
-            1.0
-        });
-        assert_eq!(batches, vec![1, 1]);
-        // ...with a 0.1 s window they share a batch (start waits for #1).
-        let mut batches = Vec::new();
-        let lat = simulate_server(&reqs, 8, 0.1, |m| {
-            batches.push(m.batch());
-            1.0
-        });
-        assert_eq!(batches, vec![2]);
-        assert!((lat[0] - 1.05).abs() < 1e-12); // waited for the straggler
-        assert!((lat[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idle_server_jumps_to_next_arrival() {
-        let reqs = vec![
-            TimedRequest {
-                id: 0,
-                len: 4,
-                arrival: 0.0,
-            },
-            TimedRequest {
-                id: 1,
-                len: 4,
-                arrival: 100.0,
-            },
-        ];
-        let lat = simulate_server(&reqs, 8, 0.0, |_| 1.0);
-        // Neither request sees the other's gap.
-        assert_eq!(lat, vec![1.0, 1.0]);
     }
 
     #[test]

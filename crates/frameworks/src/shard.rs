@@ -430,11 +430,7 @@ impl ShardRouter {
         let shard_reports: Vec<ServeReport> = per_shard
             .into_iter()
             .zip(&self.engines)
-            .map(|(outcomes, engine)| ServeReport {
-                outcomes,
-                batches: engine.batches,
-                makespan: engine.makespan,
-            })
+            .map(|(outcomes, engine)| engine.report(outcomes))
             .collect();
         debug_assert!(
             self.engines.iter().all(|e| !e.has_work()),

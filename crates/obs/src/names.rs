@@ -11,10 +11,9 @@
 //!
 //! | prefix | layer | examples |
 //! |---|---|---|
-//! | `serve.` | encoder open-loop batcher (`run_open_loop`) | `serve.offered`, `serve.chunk.rounds` |
+//! | `serve.` | encoder continuous-batching engine (`run_open_loop`, `Server`) | `serve.offered`, `serve.chunk.rounds` |
 //! | `serve.shard.` | multi-shard router (`run_sharded_open_loop`) | `serve.shard.routed` |
 //! | `serve.decode.` | paged decode loop (`run_decode_loop`) | `serve.decode.steps` |
-//! | `serving.` | threaded profiled server (`serve_profiled`) | `serving.batches` |
 //! | `kvcache.` | paged KV cache + block pool | `kvcache.pool.high_water_blocks` |
 //! | `gemm.` | GEMM drivers (per-ISA/per-precision rates) | `gemm.flops.avx512.f32` |
 //! | `req.` | request-lifecycle trace marks (tagged point events) | `req.admit`, `req.shed.queue_full` |
@@ -94,19 +93,6 @@ pub const DECODE_TOKENS_DECODE: &str = "serve.decode.tokens.decode";
 pub const DECODE_TOKENS_PREFILL: &str = "serve.decode.tokens.prefill";
 /// Histogram: active decode sessions per step.
 pub const DECODE_ACTIVE_SESSIONS: &str = "serve.decode.active_sessions";
-
-// --- serving.* — threaded profiled server ---------------------------------
-
-/// Histogram: requests per forwarded batch.
-pub const SERVING_BATCH_OCCUPANCY: &str = "serving.batch.occupancy";
-/// Histogram: per-request queue wait in microseconds.
-pub const SERVING_QUEUE_WAIT_US: &str = "serving.queue_wait_us";
-/// Requests accepted by the profiled server.
-pub const SERVING_REQUESTS: &str = "serving.requests";
-/// Batches forwarded by the profiled server.
-pub const SERVING_BATCHES: &str = "serving.batches";
-/// Requests that returned an error outcome.
-pub const SERVING_REQUEST_ERRORS: &str = "serving.request.errors";
 
 // --- kvcache.* — paged KV cache and block pool ----------------------------
 
@@ -217,11 +203,6 @@ pub const ALL: &[&str] = &[
     DECODE_TOKENS_DECODE,
     DECODE_TOKENS_PREFILL,
     DECODE_ACTIVE_SESSIONS,
-    SERVING_BATCH_OCCUPANCY,
-    SERVING_QUEUE_WAIT_US,
-    SERVING_REQUESTS,
-    SERVING_BATCHES,
-    SERVING_REQUEST_ERRORS,
     KV_SESSIONS_OPENED,
     KV_SESSIONS_FREED,
     KV_OOM,

@@ -1,6 +1,6 @@
 //! Online serving scenario: a Poisson stream of variable-length requests is
-//! batched and served by a simulated single-GPU server; compare frameworks
-//! and batching policies on end-to-end latency (queueing included).
+//! continuously batched and served by a simulated single-GPU server;
+//! compare frameworks on end-to-end latency (queueing included).
 //!
 //! This is the workload the paper's introduction motivates (real-time
 //! inference behind TikTok/Douyin): requests with very different lengths
@@ -11,7 +11,9 @@
 //! cargo run --release --example serving
 //! ```
 
-use bytetransformer::frameworks::serving::{latency_stats, poisson_arrivals, simulate_server};
+use bytetransformer::frameworks::admission::CutPolicy;
+use bytetransformer::frameworks::server::{run_open_loop, ServeConfig};
+use bytetransformer::frameworks::serving::poisson_arrivals;
 use bytetransformer::prelude::*;
 use bytetransformer::tensor::rng::Xoshiro256StarStar;
 
@@ -43,12 +45,16 @@ fn main() {
         lens.iter().max().expect("non-empty")
     );
 
-    let max_batch = 8;
-    let window = 5e-3; // 5 ms batching window
-    println!(
-        "server: max_batch = {max_batch}, batching window = {:.0} ms\n",
-        window * 1e3
-    );
+    // Continuous batching: whenever the device is free, the next (up to)
+    // eight queued requests form a batch. Nothing is shed.
+    let serve = ServeConfig {
+        policy: CutPolicy::Fifo { max_batch: 8 },
+        queue_capacity: requests.len(),
+        deadline: f64::INFINITY,
+        max_len: 256,
+        chunk_tokens: 0,
+    };
+    println!("server: continuous batching, fifo cuts of max_batch = 8\n");
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "framework", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"
@@ -60,13 +66,13 @@ fn main() {
         FrameworkKind::ByteTransformer,
     ] {
         let fw = SimFramework::new(kind, model.clone());
-        let latencies = simulate_server(&requests, max_batch, window, |mask| {
+        let report = run_open_loop(&requests, &serve, |mask| {
             let input = random_batch(mask, config.hidden());
             let dev = fw.device(CostModel::a100());
             fw.forward(&dev, &input, mask).expect("supported shapes");
             dev.modeled_total()
         });
-        let s = latency_stats(&latencies);
+        let s = report.summary().served_latency;
         println!(
             "{:<18} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
             kind.name(),
@@ -79,9 +85,7 @@ fn main() {
     }
     println!(
         "\nthe padding-free pipeline shortens every batch, which compounds through the\n\
-         queue (median latency improves several-fold); the p95/p99 tail here is set\n\
-         by the {:.0} ms batching window itself — shrink it to trade throughput for tail",
-        window * 1e3
+         queue (median latency improves several-fold)"
     );
 }
 

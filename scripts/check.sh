@@ -16,6 +16,13 @@ echo "==> cargo test --workspace (BYTE_POOL_THREADS=1)"
 # every block; bt-gemm's skinny_differential runs in this pass).
 BYTE_POOL_THREADS=1 cargo test --workspace --quiet
 
+echo "==> cargo test --release (standalone benchmark/ package)"
+# benchmark/ is a package outside the workspace that compiles against the
+# public API of bt-frameworks (Server, ServeConfig, decode::*) and friends:
+# without this step an API break passes everything above and is first seen
+# by the benchmark pipeline.
+cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -p rayon --features interleave"
 # Seeded yield points in the deque's steal/pop race windows.
 cargo test -p rayon --features interleave --quiet

@@ -867,8 +867,9 @@ fn cmd_compare(a: &Args) {
 }
 
 fn cmd_profile(a: &Args) {
-    use bytetransformer::frameworks::profiled::serve_profiled;
-    use bytetransformer::frameworks::serving::{latency_stats, poisson_arrivals};
+    use bytetransformer::frameworks::admission::CutPolicy;
+    use bytetransformer::frameworks::server::{masked_randn, run_open_loop, ServeConfig};
+    use bytetransformer::frameworks::serving::poisson_arrivals;
     use bytetransformer::obs;
     use std::collections::{BTreeMap, HashSet};
 
@@ -899,7 +900,8 @@ fn cmd_profile(a: &Args) {
     });
     forward.expect("spawned task ran").expect("validated shapes");
 
-    // Segment 2: a short request stream through the instrumented server.
+    // Segment 2: a short request stream through the continuous-batching
+    // server, every batch a real forward on one shared traced device.
     let fw = SimFramework::new(FrameworkKind::ByteTransformer, model.clone());
     let serve_dev = fw.device(CostModel::a100());
     let requests = poisson_arrivals(
@@ -909,7 +911,23 @@ fn cmd_profile(a: &Args) {
         a.seq,
         11,
     );
-    let serve = serve_profiled(&fw, &serve_dev, &requests, 4, 1e-3, 11);
+    let serve_config = ServeConfig {
+        policy: CutPolicy::Fifo { max_batch: 4 },
+        queue_capacity: requests.len(),
+        deadline: f64::INFINITY,
+        max_len: a.seq,
+        chunk_tokens: 0,
+    };
+    let mut batch_no = 0u64;
+    let serve = run_open_loop(&requests, &serve_config, |mask| {
+        let input = masked_randn(mask, config.hidden(), 11 ^ batch_no);
+        batch_no += 1;
+        let before = serve_dev.modeled_total();
+        fw.forward(&serve_dev, &input, mask)
+            .expect("max_len bounds request lengths to supported shapes");
+        serve_dev.modeled_total() - before
+    })
+    .summary();
 
     let profile = obs::drain();
     match a.format.as_str() {
@@ -975,16 +993,14 @@ fn cmd_profile(a: &Args) {
          the ratio is host-vs-A100 deviation, stable within a bucket)"
     );
 
-    let lat: Vec<f64> = serve.requests.iter().map(|r| r.latency).collect();
-    let stats = latency_stats(&lat);
     println!(
-        "\nserving: {} requests in {} batches, {} errors; latency p50 {:.3} ms, p95 {:.3} ms, max {:.3} ms",
-        serve.requests.len(),
+        "\nserving: {} requests in {} batches, {} shed; latency p50 {:.3} ms, p95 {:.3} ms, max {:.3} ms",
+        serve.offered,
         serve.batches,
-        serve.errors,
-        stats.p50 * 1e3,
-        stats.p95 * 1e3,
-        stats.max * 1e3
+        serve.shed(),
+        serve.served_latency.p50 * 1e3,
+        serve.served_latency.p95 * 1e3,
+        serve.served_latency.max * 1e3
     );
     if profile.dropped > 0 {
         println!("note: {} events dropped (ring full)", profile.dropped);

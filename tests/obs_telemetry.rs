@@ -7,7 +7,9 @@
 //! serialize on one lock and assert on **deltas** (counters are cumulative
 //! across drains).
 
-use bytetransformer::frameworks::profiled::serve_profiled;
+use bytetransformer::frameworks::admission::{CutPolicy, ShedReason};
+use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
+use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop, Outcome, ServeConfig};
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
 use std::sync::{Mutex, Once, OnceLock};
@@ -175,16 +177,16 @@ fn long_sequences_take_the_grouped_path() {
 }
 
 #[test]
-fn serving_records_latency_and_error_telemetry() {
+fn serving_records_latency_and_shed_telemetry() {
     if !obs::compiled() {
         return;
     }
     let _guard = setup();
     let model = BertModel::new_random(BertConfig::tiny(), 1, 42);
-    // TurboTransformer rejects seq > 512, so a 600-token request fails
-    // while the short one succeeds — both must appear in the profile.
+    // TurboTransformer rejects seq > 512; with `max_len` at that limit the
+    // admission gate sheds the 600-token request before any forward could
+    // fail, while the short one is served — both must appear in the profile.
     let fw = SimFramework::new(FrameworkKind::TurboTransformer, model);
-    let device = fw.device(CostModel::unit());
     let requests: Vec<_> = [20usize, 600]
         .iter()
         .enumerate()
@@ -194,21 +196,34 @@ fn serving_records_latency_and_error_telemetry() {
             arrival: id as f64 * 1e-4,
         })
         .collect();
-    let report = serve_profiled(&fw, &device, &requests, 1, 0.0, 9);
+    let config = ServeConfig {
+        policy: CutPolicy::Fifo { max_batch: 1 },
+        queue_capacity: 2,
+        deadline: f64::INFINITY,
+        max_len: TURBO_MAX_SEQ,
+        chunk_tokens: 0,
+    };
+    let report = run_open_loop(&requests, &config, modeled_forward_executor(&fw, CostModel::unit(), 9));
     let profile = obs::drain();
 
-    assert_eq!(report.batches, 2);
-    assert_eq!(report.errors, 1);
-    assert!(report.requests[0].ok && !report.requests[1].ok);
+    assert_eq!(report.batches, 1);
+    assert!(matches!(report.outcomes[0].outcome, Outcome::Served { latency, .. } if latency > 0.0));
+    assert!(matches!(
+        report.outcomes[1].outcome,
+        Outcome::Shed {
+            reason: ShedReason::TooLong,
+            ..
+        }
+    ));
     let totals = profile.span_totals();
-    assert_eq!(totals.get("serving.batch").map(|t| t.0), Some(2));
-    assert_eq!(totals.get("serving.batch.forward").map(|t| t.0), Some(2));
+    assert_eq!(totals.get("serve.batch").map(|t| t.0), Some(1));
+    assert_eq!(totals.get("serve.batch.forward").map(|t| t.0), Some(1));
     assert_eq!(
-        totals.get("serving.request.error").map(|t| t.0),
-        Some(1),
-        "the failed batch must record a terminal error span"
+        profile.events.iter().filter(|e| e.name == "req.shed.too_long").count(),
+        1,
+        "the shed request must carry its terminal mark"
     );
-    assert!(profile.histograms.iter().any(|h| h.name == "serving.batch.occupancy"));
+    assert!(profile.histograms.iter().any(|h| h.name == "serve.batch.occupancy"));
 }
 
 #[test]
