@@ -372,10 +372,10 @@ pub(crate) fn grouped_softmax_attention_ex(
 /// Warp-prefetch scheduler visits issued by the grouped-MHA engine (both
 /// the Q·Kᵀ and P·V stages), mirroring the `grouped.scheduler_visits`
 /// device metric into the telemetry registry.
-static MHA_SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new("mha.grouped.scheduler_visits");
+static MHA_SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_SCHEDULER_VISITS);
 /// Attention units (batch × heads sub-problems) handed to the grouped
 /// driver per `fused_grouped_attention` call, accumulated.
-static MHA_PROBLEMS: bt_obs::Counter = bt_obs::Counter::new("mha.grouped.problems");
+static MHA_PROBLEMS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_PROBLEMS);
 
 /// Grouped fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
 /// pre-scaled). Returns the packed `[valid, hidden]` context.

@@ -68,8 +68,8 @@ pub(crate) fn packed_dims(q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex
 /// [`FUSED_SHORT_MAX_SEQ`] (paper: "With the explicit design for both short
 /// and long sequences…"). Returns the packed `[valid, hidden]` context.
 pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
-    static SHORT_PATH: bt_obs::Counter = bt_obs::Counter::new("mha.path.short");
-    static LONG_PATH: bt_obs::Counter = bt_obs::Counter::new("mha.path.long");
+    static SHORT_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_SHORT);
+    static LONG_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_LONG);
     if idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ {
         SHORT_PATH.incr();
         let _span = bt_obs::span!("mha.fused.short");

@@ -22,11 +22,10 @@
 use crate::attention::causal::causal_fused_attention;
 use crate::attention::cross::cross_attention;
 use crate::config::BertConfig;
-use crate::encoder::{BertModel, OptLevel};
+use crate::encoder::{launch_gemm, BertModel, OptLevel};
 use crate::weights::{DecoderLayerWeights, DecoderWeights};
 use bt_device::Device;
 use bt_gemm::grouped::Scheduler;
-use bt_gemm::{gemm_kernel_spec_active, sgemm, sgemm_epilogue, GemmSpec};
 use bt_kernels::activation::bias_gelu_epilogue;
 use bt_kernels::layernorm::add_bias_residual_layernorm_fused;
 use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
@@ -116,7 +115,7 @@ impl TransformerDecoder {
         let mem_rows = mem_idx.valid_words();
 
         // --- causal self-attention -----------------------------------
-        let qkv = self.gemm(
+        let qkv = launch_gemm(
             device,
             "dec_gemm0.self_qkv",
             x.as_slice(),
@@ -129,7 +128,7 @@ impl TransformerDecoder {
         let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
         let (q, k, v) = add_bias_split_qkv_packed(device, &qkv, &w.self_qkv_bias, heads, scale);
         let sa = causal_fused_attention(device, &q, &k, &v, tgt_idx);
-        let mut attn = self.gemm(
+        let mut attn = launch_gemm(
             device,
             "dec_gemm1.self_proj",
             sa.as_slice(),
@@ -153,7 +152,7 @@ impl TransformerDecoder {
         );
 
         // --- cross-attention over the packed encoder memory ----------
-        let cq = self.gemm(
+        let cq = launch_gemm(
             device,
             "dec_gemm2.cross_q",
             &attn,
@@ -165,7 +164,7 @@ impl TransformerDecoder {
         );
         let cq = Tensor::from_vec(cq, [rows, hidden]).expect("shape consistent");
         let cq = add_bias_split_heads_packed(device, "cross_q", &cq, &w.cross_q_bias, heads, scale);
-        let ckv = self.gemm(
+        let ckv = launch_gemm(
             device,
             "dec_gemm3.cross_kv",
             memory.as_slice(),
@@ -178,7 +177,7 @@ impl TransformerDecoder {
         let ckv = Tensor::from_vec(ckv, [mem_rows, 2 * hidden]).expect("shape consistent");
         let (ck, cv) = add_bias_split_kv_packed(device, "cross_kv", &ckv, &w.cross_kv_bias, heads);
         let ca = cross_attention(device, &cq, &ck, &cv, tgt_idx, mem_idx, Scheduler::WarpPrefetch);
-        let mut cattn = self.gemm(
+        let mut cattn = launch_gemm(
             device,
             "dec_gemm4.cross_proj",
             ca.as_slice(),
@@ -204,7 +203,7 @@ impl TransformerDecoder {
         // --- FFN with fused bias + GELU epilogue ----------------------
         let inter = self.config.intermediate();
         let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-        let ffn = self.gemm(
+        let ffn = launch_gemm(
             device,
             "dec_gemm5.ffn_up",
             &cattn,
@@ -214,7 +213,7 @@ impl TransformerDecoder {
             inter,
             Some(&epi),
         );
-        let mut out = self.gemm(
+        let mut out = launch_gemm(
             device,
             "dec_gemm6.ffn_down",
             &ffn,
@@ -237,30 +236,6 @@ impl TransformerDecoder {
             hidden,
         );
         Tensor::from_vec(out, [rows, hidden]).expect("shape consistent")
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        device: &Device,
-        name: &str,
-        a: &[f32],
-        rows: usize,
-        weight: &[f32],
-        k: usize,
-        n: usize,
-        epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; rows * n];
-        let mut spec = gemm_kernel_spec_active(name, rows, n, k);
-        if epilogue.is_some() {
-            spec.cost.flops += (rows * n * 9) as u64;
-        }
-        device.launch(spec, || match epilogue {
-            None => sgemm(GemmSpec::nn(), rows, n, k, a, weight, &mut out),
-            Some(epi) => sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epi),
-        });
-        out
     }
 }
 

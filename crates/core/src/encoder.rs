@@ -18,12 +18,18 @@
 //!    which never materializes a padded tensor or a global `seq×seq`
 //!    intermediate (§III.E).
 //!
-//! **Every level computes identical activations on valid tokens** (asserted
+//! The levels are points in a larger switch space: a [`LayerPlan`] names
+//! which MHA runs and whether LayerNorm and GELU are fused, and
+//! [`BertModel::layer_forward`] is the one layer body every plan — each
+//! level above via [`OptLevel::plan`], each competitor framework of Table I
+//! via `bt-frameworks` — runs, over packed or padded rows.
+//!
+//! **Every plan computes identical activations on valid tokens** (asserted
 //! by the cross-level tests); only the cost structure changes. Padded output
-//! rows are zero at levels ≥ 4 (the final unpack zero-fills) and unspecified
-//! below (the conventional frameworks' padded garbage).
+//! rows are zero on packed rows (the final unpack zero-fills) and unspecified
+//! otherwise (the conventional frameworks' padded garbage).
 
-use crate::attention::{batched_attention, fused_attention};
+use crate::attention::{batched_attention, flash_attention, fused_attention, naive_attention};
 use crate::config::BertConfig;
 use crate::weights::{LayerWeights, ModelWeights};
 use bt_device::Device;
@@ -33,6 +39,41 @@ use bt_kernels::layernorm::{add_bias_residual_layernorm_fused, add_bias_residual
 use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv, merge_heads_pack};
 use bt_tensor::Tensor;
 use bt_varlen::{BatchMask, PackingIndex, VarlenError};
+
+/// Which MHA implementation a layer runs (the paper's Figs. 11–12 and the
+/// "MHA" column of Table I).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mha {
+    /// PyTorch-style unfused chain (nine kernels, fully padded).
+    Naive,
+    /// cuBLAS batched GEMMs; the softmax between them runs over the padded
+    /// square, or over valid tokens only with `zeropad_softmax`.
+    Batched {
+        /// Softmax skips padded rows and columns (Fig. 2c).
+        zeropad_softmax: bool,
+    },
+    /// TensorRT/FlashAttention-style fixed-shape fused MHA on padded planes.
+    FlashPadded,
+    /// ByteTransformer's fused MHA on packed rows (§III.E): the short
+    /// shared-memory kernel or the grouped-GEMM kernel. Needs packed rows.
+    FusedPacked,
+}
+
+/// The switches that tell one BERT layer apart from another across the
+/// paper's Fig. 13 levels and Table I frameworks. Whether rows are packed
+/// is not a layer property: the layer runs over whatever rows its
+/// [`PackingIndex`] describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerPlan {
+    /// MHA implementation.
+    pub mha: Mha,
+    /// Add-bias + residual + LayerNorm in one kernel (§III.C.1) instead of
+    /// the two-kernel pipeline.
+    pub layernorm_fused: bool,
+    /// Add-bias + GELU in the FFN GEMM epilogue (§III.C.2) instead of a
+    /// separate kernel after it.
+    pub gelu_fused: bool,
+}
 
 /// Cumulative optimization level (each includes all previous ones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,21 +113,54 @@ impl OptLevel {
         }
     }
 
-    fn layernorm_fused(&self) -> bool {
-        *self >= OptLevel::LayernormFusion
+    /// The layer switches this level turns on.
+    pub fn plan(&self) -> LayerPlan {
+        LayerPlan {
+            mha: match self {
+                OptLevel::FusedMha => Mha::FusedPacked,
+                _ => Mha::Batched {
+                    zeropad_softmax: self.packed(),
+                },
+            },
+            layernorm_fused: *self >= OptLevel::LayernormFusion,
+            gelu_fused: *self >= OptLevel::GeluFusion,
+        }
     }
 
-    fn gelu_fused(&self) -> bool {
-        *self >= OptLevel::GeluFusion
-    }
-
-    fn zero_padding(&self) -> bool {
+    /// Whether the level runs on packed rows (the zero-padding algorithm).
+    pub fn packed(&self) -> bool {
         *self >= OptLevel::ZeroPadding
     }
+}
 
-    fn fused_mha(&self) -> bool {
-        *self >= OptLevel::FusedMha
+/// Launches one dense GEMM of a layer stack (`a: rows×k` times
+/// `weight: k×n`), optionally with a fused element-wise epilogue. Costed by
+/// [`gemm_kernel_spec_active`], so the modeled time follows the
+/// `BYTE_GEMM_PREC` tier `sgemm` itself dispatches on. Every encoder and
+/// decoder stack in this crate launches its GEMMs through here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn launch_gemm(
+    device: &Device,
+    name: &str,
+    a: &[f32],
+    rows: usize,
+    weight: &[f32],
+    k: usize,
+    n: usize,
+    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * n];
+    let mut spec = gemm_kernel_spec_active(name, rows, n, k);
+    if epilogue.is_some() {
+        // The fused element-wise tail adds its flops but no traffic —
+        // that is the entire point of epilogue fusion.
+        spec.cost.flops += (rows * n * 9) as u64;
     }
+    device.launch(spec, || match epilogue {
+        None => sgemm(GemmSpec::nn(), rows, n, k, a, weight, &mut out),
+        Some(epi) => sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epi),
+    });
+    out
 }
 
 /// A stacked BERT encoder.
@@ -107,7 +181,25 @@ impl BertModel {
         }
     }
 
-    /// Runs the full encoder stack on a padded `[batch, seq, hidden]` input.
+    /// Checks that `input` is the padded `[batch, seq, hidden]` tensor `mask`
+    /// and the configuration describe.
+    ///
+    /// # Errors
+    /// Returns [`VarlenError::ShapeMismatch`] otherwise.
+    pub fn check_input(&self, input: &Tensor, mask: &BatchMask) -> Result<(), VarlenError> {
+        let hidden = self.config.hidden();
+        let dims = input.dims();
+        if dims.len() != 3 || dims[0] != mask.batch() || dims[1] != mask.max_seq_len() || dims[2] != hidden {
+            return Err(VarlenError::ShapeMismatch {
+                expected: format!("[{}, {}, {hidden}]", mask.batch(), mask.max_seq_len()),
+                got: format!("{dims:?}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs the full encoder stack on a padded `[batch, seq, hidden]` input
+    /// at one of the Fig. 13 levels.
     ///
     /// Returns a padded tensor of the same shape. At levels ≥
     /// [`OptLevel::ZeroPadding`] the padded rows of the output are zero.
@@ -122,84 +214,62 @@ impl BertModel {
         mask: &BatchMask,
         opt: OptLevel,
     ) -> Result<Tensor, VarlenError> {
-        let hidden = self.config.hidden();
-        let dims = input.dims();
-        if dims.len() != 3 || dims[0] != mask.batch() || dims[1] != mask.max_seq_len() || dims[2] != hidden {
-            return Err(VarlenError::ShapeMismatch {
-                expected: format!("[{}, {}, {hidden}]", mask.batch(), mask.max_seq_len()),
-                got: format!("{dims:?}"),
-            });
-        }
-
-        if opt.zero_padding() {
-            // Fig. 2(c): prefix sum once, pack once, stay packed across all
-            // layers, unpack once at the end.
-            let idx = PackingIndex::from_mask_on(device, mask);
-            let mut x = idx.pack(device, input)?;
-            for w in &self.weights.layers {
-                x = self.layer_forward_packed(device, &x, w, &idx, opt);
-            }
-            idx.unpack(device, &x)
-        } else {
-            // Fig. 2(a): padded throughout.
-            let mut x = input.clone();
-            for w in &self.weights.layers {
-                x = self.layer_forward_padded(device, &x, w, mask, opt);
-            }
-            Ok(x)
-        }
+        self.forward_plan(device, input, mask, opt.plan(), opt.packed())
     }
 
-    /// One encoder layer on the padded path. `x` is `[batch, seq, hidden]`.
-    pub fn layer_forward_padded(
+    /// [`BertModel::forward`] for any switch combination: `packed` runs the
+    /// zero-padding algorithm (Fig. 2c: prefix sum once, pack once, stay
+    /// packed across all layers, unpack once at the end, padded output rows
+    /// zero); otherwise every layer iterates over all `batch·seq` rows
+    /// (Fig. 2a) and padded output rows are unspecified.
+    ///
+    /// # Errors
+    /// Returns [`VarlenError::ShapeMismatch`] if the input does not match
+    /// the mask and configuration.
+    ///
+    /// # Panics
+    /// Panics on [`Mha::FusedPacked`] without `packed`.
+    pub fn forward_plan(
         &self,
         device: &Device,
-        x: &Tensor,
-        w: &LayerWeights,
+        input: &Tensor,
         mask: &BatchMask,
-        opt: OptLevel,
-    ) -> Tensor {
-        assert!(!opt.zero_padding(), "padded path serves levels below ZeroPadding");
+        plan: LayerPlan,
+        packed: bool,
+    ) -> Result<Tensor, VarlenError> {
+        assert!(packed || plan.mha != Mha::FusedPacked, "fused MHA runs on packed rows");
+        self.check_input(input, mask)?;
         let hidden = self.config.hidden();
         let (batch, seq) = (mask.batch(), mask.max_seq_len());
-        let rows = batch * seq;
-        // A trivial all-full index turns the fused unpack/split kernels into
-        // plain padded bias+transpose kernels with identical traffic.
-        let full_idx =
-            PackingIndex::from_mask(&BatchMask::from_lens(vec![seq; batch], seq).expect("full lengths are valid"));
 
-        // GEMM0: packed QKV position encoding.
-        let qkv = self.gemm(
-            device,
-            "gemm0.qkv",
-            x.as_slice(),
-            rows,
-            w.qkv_weight.as_slice(),
-            hidden,
-            3 * hidden,
-            None,
-        );
-        let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
-        let (q, k, v) = add_bias_unpack_split_qkv(device, &qkv, &w.qkv_bias, &full_idx, self.config.heads);
-
-        // Attention: batched GEMMs + padded softmax.
-        let ctx = batched_attention(
-            device,
-            &q,
-            &k,
-            &v,
-            mask.seq_lens(),
-            self.config.attention_scale(),
-            false,
-        );
-        let ctx = merge_heads_pack(device, &ctx, &full_idx); // full index: plain merge
-
-        self.post_attention(device, x.as_slice(), ctx.into_vec(), rows, w, opt)
-            .reshape([batch, seq, hidden])
-            .expect("row count unchanged")
+        let (idx, mut x) = if packed {
+            let idx = PackingIndex::from_mask_on(device, mask);
+            let x = idx.pack(device, input)?;
+            (idx, x)
+        } else {
+            // The padded path is the same layer under an all-full index,
+            // which turns the fused unpack/split and merge/pack kernels into
+            // plain padded bias+transpose kernels with identical traffic.
+            // Built without a launch: the padded baselines run no prefix sum.
+            let full = BatchMask::from_lens(vec![seq; batch], seq)?;
+            let x = input
+                .clone()
+                .reshape([batch * seq, hidden])
+                .expect("same element count");
+            (PackingIndex::from_mask(&full), x)
+        };
+        for w in &self.weights.layers {
+            x = self.layer_forward(device, &x, w, &idx, mask.seq_lens(), plan);
+        }
+        if packed {
+            idx.unpack(device, &x)
+        } else {
+            Ok(x.reshape([batch, seq, hidden]).expect("row count unchanged"))
+        }
     }
 
-    /// One encoder layer on the packed path. `x` is `[valid, hidden]`.
+    /// One encoder layer on packed rows at a packed level
+    /// ([`OptLevel::ZeroPadding`] and above). `x` is `[valid, hidden]`.
     pub fn layer_forward_packed(
         &self,
         device: &Device,
@@ -208,11 +278,39 @@ impl BertModel {
         idx: &PackingIndex,
         opt: OptLevel,
     ) -> Tensor {
-        assert!(opt.zero_padding(), "packed path serves ZeroPadding and above");
-        let hidden = self.config.hidden();
-        let rows = idx.valid_words();
+        assert!(opt.packed(), "packed path serves ZeroPadding and above");
+        self.layer_forward(device, x, w, idx, idx.mask().seq_lens(), opt.plan())
+    }
 
-        let qkv = self.gemm(
+    /// The encoder layer. `x` is `[rows, hidden]` with `rows` the words
+    /// `idx` counts as valid — the token count every kernel here iterates
+    /// over, which is the whole point of the zero-padding algorithm: a
+    /// packed caller passes its true index, a padded caller an all-full one
+    /// (`rows = batch·seq`). `seq_lens` are the true lengths either way; the
+    /// padded MHA variants mask by them.
+    pub fn layer_forward(
+        &self,
+        device: &Device,
+        x: &Tensor,
+        w: &LayerWeights,
+        idx: &PackingIndex,
+        seq_lens: &[usize],
+        plan: LayerPlan,
+    ) -> Tensor {
+        let hidden = self.config.hidden();
+        let inter = self.config.intermediate();
+        let heads = self.config.heads;
+        let scale = self.config.attention_scale();
+        let eps = self.config.eps;
+        let rows = idx.valid_words();
+        let layernorm = if plan.layernorm_fused {
+            add_bias_residual_layernorm_fused
+        } else {
+            add_bias_residual_layernorm_unfused
+        };
+
+        // GEMM0: packed QKV position encoding.
+        let qkv = launch_gemm(
             device,
             "gemm0.qkv",
             x.as_slice(),
@@ -224,123 +322,70 @@ impl BertModel {
         );
         let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
 
-        let ctx = if opt.fused_mha() {
-            // Fully packed fused MHA; scale folded into Q at the split.
-            let (q, k, v) = add_bias_split_qkv_packed(
-                device,
-                &qkv,
-                &w.qkv_bias,
-                self.config.heads,
-                self.config.attention_scale(),
-            );
-            fused_attention(device, &q, &k, &v, idx)
-        } else {
-            // Unpack (fused with bias+transpose) for batched MHA, then
-            // re-pack (fused with the output transpose) — Fig. 2(c).
-            let (q, k, v) = add_bias_unpack_split_qkv(device, &qkv, &w.qkv_bias, idx, self.config.heads);
-            let ctx_pad = batched_attention(
-                device,
-                &q,
-                &k,
-                &v,
-                idx.mask().seq_lens(),
-                self.config.attention_scale(),
-                true,
-            );
-            merge_heads_pack(device, &ctx_pad, idx)
+        // The padded MHA variants: unpack (fused with bias+transpose), attend
+        // on padded planes, re-pack (fused with the output transpose) —
+        // Fig. 2(c). Under an all-full index both ends are plain transposes.
+        let padded_mha = |attend: &dyn Fn(&Tensor, &Tensor, &Tensor) -> Tensor| {
+            let (q, k, v) = add_bias_unpack_split_qkv(device, &qkv, &w.qkv_bias, idx, heads);
+            merge_heads_pack(device, &attend(&q, &k, &v), idx)
+        };
+        let ctx = match plan.mha {
+            // Dispatch tax already applies device-wide, so naive gets 0 extra.
+            Mha::Naive => padded_mha(&|q, k, v| naive_attention(device, q, k, v, seq_lens, scale, 0.0)),
+            Mha::Batched { zeropad_softmax } => {
+                padded_mha(&|q, k, v| batched_attention(device, q, k, v, seq_lens, scale, zeropad_softmax))
+            }
+            Mha::FlashPadded => padded_mha(&|q, k, v| flash_attention(device, q, k, v, seq_lens, scale)),
+            Mha::FusedPacked => {
+                // Fully packed fused MHA; scale folded into Q at the split.
+                let (q, k, v) = add_bias_split_qkv_packed(device, &qkv, &w.qkv_bias, heads, scale);
+                fused_attention(device, &q, &k, &v, idx)
+            }
         };
 
-        self.post_attention(device, x.as_slice(), ctx.into_vec(), rows, w, opt)
-    }
-
-    /// Shared tail of both paths: projection, layernorm0, FFN, layernorm1.
-    /// `rows` is the token count the kernels iterate over — the whole point
-    /// of the zero-padding algorithm is that the packed path passes a
-    /// smaller `rows` here.
-    fn post_attention(
-        &self,
-        device: &Device,
-        residual0: &[f32],
-        ctx: Vec<f32>,
-        rows: usize,
-        w: &LayerWeights,
-        opt: OptLevel,
-    ) -> Tensor {
-        let hidden = self.config.hidden();
-        let inter = self.config.intermediate();
-        let eps = self.config.eps;
-
-        // GEMM1: attention output projection.
-        let mut attn = self.gemm(
+        // GEMM1: attention output projection, then layernorm0.
+        let mut attn = launch_gemm(
             device,
             "gemm1.proj",
-            &ctx,
+            ctx.as_slice(),
             rows,
             w.attn_out_weight.as_slice(),
             hidden,
             hidden,
             None,
         );
+        layernorm(
+            device,
+            "layernorm0",
+            &mut attn,
+            x.as_slice(),
+            &w.attn_out_bias,
+            &w.ln0_gamma,
+            &w.ln0_beta,
+            eps,
+            rows,
+            hidden,
+        );
 
-        // layernorm0: add bias + residual + LayerNorm (fused at level ≥ 2).
-        if opt.layernorm_fused() {
-            add_bias_residual_layernorm_fused(
-                device,
-                "layernorm0",
-                &mut attn,
-                residual0,
-                &w.attn_out_bias,
-                &w.ln0_gamma,
-                &w.ln0_beta,
-                eps,
-                rows,
-                hidden,
-            );
-        } else {
-            add_bias_residual_layernorm_unfused(
-                device,
-                "layernorm0",
-                &mut attn,
-                residual0,
-                &w.attn_out_bias,
-                &w.ln0_gamma,
-                &w.ln0_beta,
-                eps,
-                rows,
-                hidden,
-            );
+        // GEMM2: FFN up-projection, bias + GELU in its epilogue or after it.
+        let epi = bias_gelu_epilogue(&w.ffn_up_bias);
+        let epi: Option<&(dyn Fn(usize, f32) -> f32 + Sync)> = if plan.gelu_fused { Some(&epi) } else { None };
+        let mut ffn = launch_gemm(
+            device,
+            "gemm2.ffn_up",
+            &attn,
+            rows,
+            w.ffn_up_weight.as_slice(),
+            hidden,
+            inter,
+            epi,
+        );
+        if !plan.gelu_fused {
+            add_bias_gelu_unfused(device, "bias_act", &mut ffn, rows, inter, &w.ffn_up_bias);
         }
 
-        // GEMM2: FFN up-projection (+ fused bias & GELU at level ≥ 3).
-        let mut ffn = if opt.gelu_fused() {
-            let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-            self.gemm(
-                device,
-                "gemm2.ffn_up",
-                &attn,
-                rows,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                Some(&epi),
-            )
-        } else {
-            let mut ffn = self.gemm(
-                device,
-                "gemm2.ffn_up",
-                &attn,
-                rows,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                None,
-            );
-            add_bias_gelu_unfused(device, "bias_act", &mut ffn, rows, inter, &w.ffn_up_bias);
-            ffn
-        };
-
-        // GEMM3: FFN down-projection.
-        let mut out = self.gemm(
+        // GEMM3: FFN down-projection, then layernorm1.
+        let mut out = launch_gemm(
             device,
             "gemm3.ffn_down",
             &ffn,
@@ -350,66 +395,19 @@ impl BertModel {
             hidden,
             None,
         );
-        ffn.clear();
-
-        // layernorm1.
-        if opt.layernorm_fused() {
-            add_bias_residual_layernorm_fused(
-                device,
-                "layernorm1",
-                &mut out,
-                &attn,
-                &w.ffn_down_bias,
-                &w.ln1_gamma,
-                &w.ln1_beta,
-                eps,
-                rows,
-                hidden,
-            );
-        } else {
-            add_bias_residual_layernorm_unfused(
-                device,
-                "layernorm1",
-                &mut out,
-                &attn,
-                &w.ffn_down_bias,
-                &w.ln1_gamma,
-                &w.ln1_beta,
-                eps,
-                rows,
-                hidden,
-            );
-        }
+        layernorm(
+            device,
+            "layernorm1",
+            &mut out,
+            &attn,
+            &w.ffn_down_bias,
+            &w.ln1_gamma,
+            &w.ln1_beta,
+            eps,
+            rows,
+            hidden,
+        );
         Tensor::from_vec(out, [rows, hidden]).expect("shape consistent")
-    }
-
-    /// Launches one of the pipeline GEMMs, with an optional fused epilogue
-    /// (used for the add-bias+GELU fusion). `a` is `rows×k`, the weight is
-    /// `k×n`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        device: &Device,
-        name: &str,
-        a: &[f32],
-        rows: usize,
-        weight: &[f32],
-        k: usize,
-        n: usize,
-        epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; rows * n];
-        let mut spec = gemm_kernel_spec_active(name, rows, n, k);
-        if epilogue.is_some() {
-            // The fused element-wise tail adds its flops but no traffic —
-            // that is the entire point of epilogue fusion.
-            spec.cost.flops += (rows * n * 9) as u64;
-        }
-        device.launch(spec, || match epilogue {
-            None => sgemm(GemmSpec::nn(), rows, n, k, a, weight, &mut out),
-            Some(epi) => sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epi),
-        });
-        out
     }
 }
 
@@ -464,6 +462,63 @@ mod tests {
             let d = valid_diff(&baseline, &out, &mask);
             assert!(d < 5e-3, "{:?} diverges: {d}", opt);
         }
+    }
+
+    #[test]
+    fn every_plan_agrees_with_the_baseline_on_valid_tokens() {
+        // Every MHA kind × both fusion switches × packed/padded rows. The
+        // product contains every Fig. 13 level and Table I framework plan,
+        // FasterTransformer's on both sides of its 512 switch included
+        // (flash-padded / batched-zeropad, fused LN, unfused GELU, packed).
+        let (model, input, mask) = setup(&[5, 9, 2], 12, 1);
+        let dev = device();
+        let baseline = model.forward(&dev, &input, &mask, OptLevel::Baseline).unwrap();
+        let mhas = [
+            Mha::Naive,
+            Mha::Batched { zeropad_softmax: false },
+            Mha::Batched { zeropad_softmax: true },
+            Mha::FlashPadded,
+            Mha::FusedPacked,
+        ];
+        for mha in mhas {
+            for (layernorm_fused, gelu_fused) in [(false, false), (true, false), (false, true), (true, true)] {
+                let plan = LayerPlan {
+                    mha,
+                    layernorm_fused,
+                    gelu_fused,
+                };
+                for packed in [false, true] {
+                    if mha == Mha::FusedPacked && !packed {
+                        continue;
+                    }
+                    let out = model.forward_plan(&dev, &input, &mask, plan, packed).unwrap();
+                    let d = valid_diff(&baseline, &out, &mask);
+                    assert!(d < 5e-3, "{plan:?} packed={packed} diverges: {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fusion_switches_do_not_change_numerics() {
+        let (model, input, mask) = setup(&[4, 7], 8, 1);
+        let dev = device();
+        let run = |fused| {
+            let plan = LayerPlan {
+                mha: Mha::Batched { zeropad_softmax: false },
+                layernorm_fused: fused,
+                gelu_fused: fused,
+            };
+            model.forward_plan(&dev, &input, &mask, plan, false).unwrap()
+        };
+        assert!(valid_diff(&run(false), &run(true), &mask) < 1e-4);
+    }
+
+    #[test]
+    #[should_panic(expected = "fused MHA runs on packed rows")]
+    fn fused_mha_on_padded_rows_is_refused() {
+        let (model, input, mask) = setup(&[3, 6], 8, 1);
+        let _ = model.forward_plan(&device(), &input, &mask, OptLevel::FusedMha.plan(), false);
     }
 
     #[test]

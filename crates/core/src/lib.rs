@@ -9,11 +9,11 @@
 //!   sequences** (Algorithm III.1), the **grouped-GEMM fused MHA for long
 //!   sequences** (Figs. 6–8, Algorithm III.2), and a FlashAttention-style
 //!   fixed-shape baseline for the variable-length ablation.
-//! * [`encoder`] — the BERT encoder layer and stacked model with the
-//!   paper's *step-wise optimization levels* (Fig. 13): baseline →
-//!   +layernorm fusion → +bias/GELU fusion → +zero padding → +fused MHA.
-//!   Every level produces identical activations on valid tokens; only cost
-//!   changes.
+//! * [`encoder`] — the BERT encoder layer (one body, switched by a
+//!   [`encoder::LayerPlan`]) and stacked model with the paper's *step-wise
+//!   optimization levels* (Fig. 13): baseline → +layernorm fusion →
+//!   +bias/GELU fusion → +zero padding → +fused MHA. Every plan produces
+//!   identical activations on valid tokens; only cost changes.
 //! * [`flops`] — Table II's closed-form FLOP counts, cross-checked in tests
 //!   against the FLOPs the device trace actually counted.
 //! * [`config`] / [`weights`] — model hyper-parameters and deterministic

@@ -32,6 +32,7 @@
 //! layout, never math.
 
 use crate::decoder::TransformerDecoder;
+use crate::encoder::launch_gemm;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
 use bt_kernels::layernorm::normalize_row;
@@ -48,7 +49,7 @@ static KV_OOM: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_OOM);
 /// Token slots appended across all sessions (prefill + decode).
 static KV_TOKENS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_TOKENS_APPENDED);
 /// Rows pushed through the batched decode pipeline.
-static DECODE_ROWS: bt_obs::Counter = bt_obs::Counter::new("core.paged.rows");
+static DECODE_ROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::CORE_PAGED_ROWS);
 
 /// Per-layer K/V storage addressed through a [`BlockPool`].
 ///
@@ -264,20 +265,15 @@ impl<'a> PagedDecoder<'a> {
             .layers
             .iter()
             .map(|w| {
-                let mut kv = vec![0.0f32; mem_len * 2 * hidden];
-                device.launch(
-                    bt_gemm::gemm_kernel_spec("paged.cross_kv", mem_len, 2 * hidden, hidden, 4),
-                    || {
-                        bt_gemm::sgemm(
-                            bt_gemm::GemmSpec::nn(),
-                            mem_len,
-                            2 * hidden,
-                            hidden,
-                            memory.as_slice(),
-                            w.cross_kv_weight.as_slice(),
-                            &mut kv,
-                        )
-                    },
+                let kv = launch_gemm(
+                    device,
+                    "paged.cross_kv",
+                    memory.as_slice(),
+                    mem_len,
+                    w.cross_kv_weight.as_slice(),
+                    hidden,
+                    2 * hidden,
+                    None,
                 );
                 let mut kp = vec![0.0f32; heads * mem_len * head];
                 let mut vp = vec![0.0f32; heads * mem_len * head];
@@ -419,20 +415,15 @@ impl<'a> PagedDecoder<'a> {
 
         for (layer, w) in self.decoder.weights.layers.iter().enumerate() {
             // --- QKV projection for every row at once ------------------
-            let mut qkv = vec![0.0f32; r * 3 * hidden];
-            device.launch(
-                bt_gemm::gemm_kernel_spec("paged.self_qkv", r, 3 * hidden, hidden, 4),
-                || {
-                    bt_gemm::sgemm(
-                        bt_gemm::GemmSpec::nn(),
-                        r,
-                        3 * hidden,
-                        hidden,
-                        h,
-                        w.self_qkv_weight.as_slice(),
-                        &mut qkv,
-                    )
-                },
+            let mut qkv = launch_gemm(
+                device,
+                "paged.self_qkv",
+                h,
+                r,
+                w.self_qkv_weight.as_slice(),
+                hidden,
+                3 * hidden,
+                None,
             );
             for row in 0..r {
                 for (v, &b) in qkv[row * 3 * hidden..(row + 1) * 3 * hidden]
@@ -492,20 +483,15 @@ impl<'a> PagedDecoder<'a> {
                 scale,
                 grouped_cfg,
             );
-            let mut attn = vec![0.0f32; r * hidden];
-            device.launch(
-                bt_gemm::gemm_kernel_spec("paged.self_proj", r, hidden, hidden, 4),
-                || {
-                    bt_gemm::sgemm(
-                        bt_gemm::GemmSpec::nn(),
-                        r,
-                        hidden,
-                        hidden,
-                        &sa,
-                        w.self_out_weight.as_slice(),
-                        &mut attn,
-                    )
-                },
+            let mut attn = launch_gemm(
+                device,
+                "paged.self_proj",
+                &sa,
+                r,
+                w.self_out_weight.as_slice(),
+                hidden,
+                hidden,
+                None,
             );
             for row in 0..r {
                 let o = &mut attn[row * hidden..(row + 1) * hidden];
@@ -520,18 +506,16 @@ impl<'a> PagedDecoder<'a> {
             }
 
             // --- cross-attention over per-session memory planes --------
-            let mut cq = vec![0.0f32; r * hidden];
-            device.launch(bt_gemm::gemm_kernel_spec("paged.cross_q", r, hidden, hidden, 4), || {
-                bt_gemm::sgemm(
-                    bt_gemm::GemmSpec::nn(),
-                    r,
-                    hidden,
-                    hidden,
-                    &attn,
-                    w.cross_q_weight.as_slice(),
-                    &mut cq,
-                )
-            });
+            let mut cq = launch_gemm(
+                device,
+                "paged.cross_q",
+                &attn,
+                r,
+                w.cross_q_weight.as_slice(),
+                hidden,
+                hidden,
+                None,
+            );
             for row in 0..r {
                 for (v, &b) in cq[row * hidden..(row + 1) * hidden].iter_mut().zip(&w.cross_q_bias) {
                     *v += b;
@@ -553,20 +537,15 @@ impl<'a> PagedDecoder<'a> {
                 scale,
                 grouped_cfg,
             );
-            let mut cattn = vec![0.0f32; r * hidden];
-            device.launch(
-                bt_gemm::gemm_kernel_spec("paged.cross_proj", r, hidden, hidden, 4),
-                || {
-                    bt_gemm::sgemm(
-                        bt_gemm::GemmSpec::nn(),
-                        r,
-                        hidden,
-                        hidden,
-                        &ca,
-                        w.cross_out_weight.as_slice(),
-                        &mut cattn,
-                    )
-                },
+            let mut cattn = launch_gemm(
+                device,
+                "paged.cross_proj",
+                &ca,
+                r,
+                w.cross_out_weight.as_slice(),
+                hidden,
+                hidden,
+                None,
             );
             for row in 0..r {
                 let o = &mut cattn[row * hidden..(row + 1) * hidden];
@@ -581,35 +560,31 @@ impl<'a> PagedDecoder<'a> {
             }
 
             // --- FFN ----------------------------------------------------
-            let mut up = vec![0.0f32; r * inter];
-            device.launch(bt_gemm::gemm_kernel_spec("paged.ffn_up", r, inter, hidden, 4), || {
-                bt_gemm::sgemm(
-                    bt_gemm::GemmSpec::nn(),
-                    r,
-                    inter,
-                    hidden,
-                    &cattn,
-                    w.ffn_up_weight.as_slice(),
-                    &mut up,
-                )
-            });
+            let mut up = launch_gemm(
+                device,
+                "paged.ffn_up",
+                &cattn,
+                r,
+                w.ffn_up_weight.as_slice(),
+                hidden,
+                inter,
+                None,
+            );
             for row in 0..r {
                 for (v, &b) in up[row * inter..(row + 1) * inter].iter_mut().zip(&w.ffn_up_bias) {
                     *v = bt_kernels::activation::gelu_tanh(*v + b);
                 }
             }
-            let mut out = vec![0.0f32; r * hidden];
-            device.launch(bt_gemm::gemm_kernel_spec("paged.ffn_down", r, hidden, inter, 4), || {
-                bt_gemm::sgemm(
-                    bt_gemm::GemmSpec::nn(),
-                    r,
-                    hidden,
-                    inter,
-                    &up,
-                    w.ffn_down_weight.as_slice(),
-                    &mut out,
-                )
-            });
+            let mut out = launch_gemm(
+                device,
+                "paged.ffn_down",
+                &up,
+                r,
+                w.ffn_down_weight.as_slice(),
+                inter,
+                hidden,
+                None,
+            );
             for row in 0..r {
                 let o = &mut out[row * hidden..(row + 1) * hidden];
                 for ((v, &res), &b) in o

@@ -3,7 +3,7 @@
 //! These are the *only* tunables in the cross-framework comparison (DESIGN.md
 //! §6); everything else — kernel counts, padded vs packed iteration spaces,
 //! fusion structure, grouping behaviour — is encoded structurally in
-//! [`crate::SimFramework`] and [`crate::pipeline`].
+//! [`crate::SimFramework`]'s plan per framework.
 
 use bt_core::config::BertConfig;
 use bt_core::flops::{layer_flops, FlopVariant};

@@ -1,12 +1,11 @@
 //! The five simulated frameworks behind one interface.
 
-use crate::calibration::{self, TURBO_GROUP_RATIO, TURBO_MAX_SEQ};
+use crate::calibration::{self, FT_FUSED_MHA_MAX_SEQ, TURBO_GROUP_RATIO, TURBO_MAX_SEQ};
 use crate::grouping::group_by_length;
-use crate::pipeline::{packed_layer_ft, padded_layer, GeluStyle, LayerStrategy, MhaStyle};
-use bt_core::encoder::{BertModel, OptLevel};
+use bt_core::encoder::{BertModel, LayerPlan, Mha, OptLevel};
 use bt_device::{CostModel, Device, KernelSpec, LaunchTax};
 use bt_tensor::Tensor;
-use bt_varlen::{BatchMask, PackingIndex, VarlenError};
+use bt_varlen::{BatchMask, VarlenError};
 
 /// The frameworks of the paper's Fig. 14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,47 +106,43 @@ impl SimFramework {
                 max_seq_len: TURBO_MAX_SEQ,
             });
         }
-        let hidden = self.model.config.hidden();
-        let dims = input.dims();
-        if dims.len() != 3 || dims[0] != mask.batch() || dims[1] != mask.max_seq_len() || dims[2] != hidden {
-            return Err(VarlenError::ShapeMismatch {
-                expected: format!("[{}, {}, {hidden}]", mask.batch(), mask.max_seq_len()),
-                got: format!("{dims:?}"),
-            });
-        }
         match self.kind {
-            FrameworkKind::PyTorchJit => Ok(self.padded_forward(
+            // Padded end to end, nothing fused, the nine-kernel MHA chain;
+            // the two differ only in their launch tax.
+            FrameworkKind::PyTorchJit | FrameworkKind::TensorFlowXla => self.model.forward_plan(
                 device,
                 input,
                 mask,
-                &LayerStrategy {
-                    mha: MhaStyle::Naive,
+                LayerPlan {
+                    mha: Mha::Naive,
                     layernorm_fused: false,
-                    gelu: GeluStyle::Unfused,
+                    gelu_fused: false,
                 },
-            )),
-            FrameworkKind::TensorFlowXla => Ok(self.padded_forward(
-                device,
-                input,
-                mask,
-                &LayerStrategy {
-                    mha: MhaStyle::Naive,
-                    layernorm_fused: false,
-                    gelu: GeluStyle::Unfused,
-                },
-            )),
+                false,
+            ),
             FrameworkKind::TurboTransformer => self.turbo_forward(device, input, mask),
-            FrameworkKind::FasterTransformer => self.ft_forward(device, input, mask),
+            // Packed non-MHA path (FT pioneered the "effective transformer"
+            // packing), but it unpacks around MHA even for its fused kernel:
+            // the TensorRT plugin consumes padded fixed-shape batches, and
+            // only up to FT_FUSED_MHA_MAX_SEQ. FT fuses bias+LayerNorm but
+            // not the GEMM epilogue.
+            FrameworkKind::FasterTransformer => self.model.forward_plan(
+                device,
+                input,
+                mask,
+                LayerPlan {
+                    mha: if mask.max_seq_len() <= FT_FUSED_MHA_MAX_SEQ {
+                        Mha::FlashPadded
+                    } else {
+                        Mha::Batched { zeropad_softmax: true }
+                    },
+                    layernorm_fused: true,
+                    gelu_fused: false,
+                },
+                true,
+            ),
             FrameworkKind::ByteTransformer => self.model.forward(device, input, mask, OptLevel::FusedMha),
         }
-    }
-
-    fn padded_forward(&self, device: &Device, input: &Tensor, mask: &BatchMask, strat: &LayerStrategy) -> Tensor {
-        let mut x = input.clone();
-        for w in &self.model.weights.layers {
-            x = padded_layer(device, &self.model.config, w, &x, mask, strat);
-        }
-        x
     }
 
     /// TurboTransformer: sort-and-group, run each group as its own padded
@@ -155,13 +150,14 @@ impl SimFramework {
     /// are explicit launched kernels — the re-batching overhead the paper
     /// calls out.
     fn turbo_forward(&self, device: &Device, input: &Tensor, mask: &BatchMask) -> Result<Tensor, VarlenError> {
+        self.model.check_input(input, mask)?;
         let hidden = self.model.config.hidden();
         let (batch, seq) = (mask.batch(), mask.max_seq_len());
         let groups = group_by_length(mask.seq_lens(), TURBO_GROUP_RATIO);
-        let strat = LayerStrategy {
-            mha: MhaStyle::BatchedPadded,
+        let plan = LayerPlan {
+            mha: Mha::Batched { zeropad_softmax: false },
             layernorm_fused: true, // "partially" fused per Table I
-            gelu: GeluStyle::Unfused,
+            gelu_fused: false,
         };
         let mut out = Tensor::zeros([batch, seq, hidden]);
         for group in &groups {
@@ -170,7 +166,7 @@ impl SimFramework {
             let group_lens: Vec<usize> = group.members.iter().map(|&i| mask.seq_lens()[i]).collect();
             let moved: u64 = (group_lens.iter().sum::<usize>() * hidden * 4) as u64;
             // Gather the group's sequences into a compact padded sub-batch.
-            let mut gx = device.launch(
+            let gx = device.launch(
                 KernelSpec::new("turbo.regroup")
                     .reads(moved)
                     .writes((g * gmax * hidden * 4) as u64),
@@ -186,10 +182,8 @@ impl SimFramework {
                     gx
                 },
             );
-            let gmask = BatchMask::from_lens(group_lens.clone(), gmax)?;
-            for w in &self.model.weights.layers {
-                gx = padded_layer(device, &self.model.config, w, &gx, &gmask, &strat);
-            }
+            let gmask = BatchMask::from_lens(group_lens, gmax)?;
+            let gx = self.model.forward_plan(device, &gx, &gmask, plan, false)?;
             // Scatter back into the caller's padded layout.
             device.launch(KernelSpec::new("turbo.scatter").reads(moved).writes(moved), || {
                 let src = gx.as_slice();
@@ -202,17 +196,6 @@ impl SimFramework {
             });
         }
         Ok(out)
-    }
-
-    /// FasterTransformer: pack once, run packed layers (fixed-shape fused
-    /// MHA inside), unpack once.
-    fn ft_forward(&self, device: &Device, input: &Tensor, mask: &BatchMask) -> Result<Tensor, VarlenError> {
-        let idx = PackingIndex::from_mask_on(device, mask);
-        let mut x = idx.pack(device, input)?;
-        for w in &self.model.weights.layers {
-            x = packed_layer_ft(device, &self.model.config, w, &x, &idx);
-        }
-        idx.unpack(device, &x)
     }
 }
 

@@ -5,8 +5,9 @@
 //! NVIDIA FasterTransformer. Those binaries are not available here, so each
 //! framework is re-implemented as an **execution strategy over the same
 //! substrate**: its documented pipeline (what it pads, what it fuses, which
-//! MHA it runs, how it batches) drives the very same kernels, GEMMs and cost
-//! model the rest of the workspace uses. Performance differences are
+//! MHA it runs, how it batches) is a [`bt_core::encoder::LayerPlan`] over
+//! `bt-core`'s one encoder layer, so it drives the very same kernels, GEMMs
+//! and cost model the rest of the workspace uses. Performance differences are
 //! therefore *structural* — padded vs packed iteration spaces, fused vs
 //! unfused passes, per-group launch multiplication — with only a handful of
 //! per-runtime calibration constants ([`calibration`]) layered on top.
@@ -15,9 +16,8 @@
 //! tokens (asserted in tests); they differ only in declared cost and launch
 //! structure, which is exactly the comparison the paper makes.
 //!
-//! * [`SimFramework`] — the five frameworks behind one interface.
-//! * [`pipeline`] — the shared padded/packed layer pipelines the strategies
-//!   compose.
+//! * [`SimFramework`] — the five frameworks behind one interface: a plan
+//!   each, a launch tax each, and TurboTransformer's regrouping.
 //! * [`grouping`] — TurboTransformer's sort-and-group re-batching.
 //! * [`admission`] — shared batch-cutting policies (FIFO, sorted groups,
 //!   token budget) and shed reasons.
@@ -46,7 +46,6 @@ pub mod calibration;
 pub mod decode;
 mod framework;
 pub mod grouping;
-pub mod pipeline;
 pub mod server;
 pub mod serving;
 pub mod shard;

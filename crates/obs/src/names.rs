@@ -16,6 +16,8 @@
 //! | `serve.decode.` | paged decode loop (`run_decode_loop`) | `serve.decode.steps` |
 //! | `kvcache.` | paged KV cache + block pool | `kvcache.pool.high_water_blocks` |
 //! | `gemm.` | GEMM drivers (per-ISA/per-precision rates) | `gemm.flops.avx512.f32` |
+//! | `mha.` | fused-MHA dispatcher and grouped engine (`bt-core`) | `mha.path.short` |
+//! | `core.` | `bt-core` layer stacks | `core.paged.rows` |
 //! | `req.` | request-lifecycle trace marks (tagged point events) | `req.admit`, `req.shed.queue_full` |
 //!
 //! High-water counters (`record_max` semantics) contain `high_water` in the
@@ -127,6 +129,19 @@ pub const GEMM_BLOCKED_LAUNCHES_PREFIX: &str = "gemm.blocked.launches.";
 /// snapshot shows which driver each `sgemm` launch took.
 pub const GEMM_SKINNY_LAUNCHES_PREFIX: &str = "gemm.skinny.launches.";
 
+// --- mha.* / core.* — bt-core attention dispatch and decode rows ----------
+
+/// Fused-MHA calls that took the short shared-memory kernel.
+pub const MHA_PATH_SHORT: &str = "mha.path.short";
+/// Fused-MHA calls that took the grouped-GEMM kernel.
+pub const MHA_PATH_LONG: &str = "mha.path.long";
+/// Warp-prefetch scheduler visits issued by the grouped-MHA engine.
+pub const MHA_GROUPED_SCHEDULER_VISITS: &str = "mha.grouped.scheduler_visits";
+/// Attention units handed to the grouped-MHA driver.
+pub const MHA_GROUPED_PROBLEMS: &str = "mha.grouped.problems";
+/// Rows pushed through the batched paged-decode pipeline.
+pub const CORE_PAGED_ROWS: &str = "core.paged.rows";
+
 // --- req.* — request-lifecycle trace marks --------------------------------
 //
 // These are tagged point events, not counters: each carries a `TraceId` and
@@ -210,6 +225,11 @@ pub const ALL: &[&str] = &[
     KV_BLOCKS_IN_USE,
     KV_POOL_HIGH_WATER,
     KV_POOL_OOM_EVENTS,
+    MHA_PATH_SHORT,
+    MHA_PATH_LONG,
+    MHA_GROUPED_SCHEDULER_VISITS,
+    MHA_GROUPED_PROBLEMS,
+    CORE_PAGED_ROWS,
     REQ_ENQUEUE,
     REQ_ADMIT,
     REQ_ROUND,
@@ -238,6 +258,16 @@ mod tests {
         for name in ALL {
             assert!(seen.insert(name), "duplicate name in obs::names::ALL: {name}");
         }
+    }
+
+    #[test]
+    fn core_names_keep_the_strings_the_benchmark_reads() {
+        // benchmark/src/metrics.rs looks these five up by literal name.
+        assert_eq!(MHA_PATH_SHORT, "mha.path.short");
+        assert_eq!(MHA_PATH_LONG, "mha.path.long");
+        assert_eq!(MHA_GROUPED_SCHEDULER_VISITS, "mha.grouped.scheduler_visits");
+        assert_eq!(MHA_GROUPED_PROBLEMS, "mha.grouped.problems");
+        assert_eq!(CORE_PAGED_ROWS, "core.paged.rows");
     }
 
     #[test]

@@ -4,26 +4,38 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# `step <title>` closes the previous step's wall clock and opens the next;
+# the per-step summary prints after the last one.
+step_names=()
+step_secs=()
+step_t0=$SECONDS
+step() {
+  if [ "${#step_names[@]}" -gt 0 ]; then step_secs+=("$((SECONDS - step_t0))"); fi
+  step_names+=("$1")
+  step_t0=$SECONDS
+  echo "==> $1"
+}
+
+step "cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace"
+step "cargo test --workspace"
 cargo test --workspace --quiet
 
-echo "==> cargo test --workspace (BYTE_POOL_THREADS=1)"
+step "cargo test --workspace (BYTE_POOL_THREADS=1)"
 # Width-1 pool: every parallel path must also be correct fully serialized
 # (including the skinny GEMM driver's column blocks — one lane then walks
 # every block; bt-gemm's skinny_differential runs in this pass).
 BYTE_POOL_THREADS=1 cargo test --workspace --quiet
 
-echo "==> cargo test --release (standalone benchmark/ package)"
+step "cargo test --release (standalone benchmark/ package)"
 # benchmark/ is a package outside the workspace that compiles against the
 # public API of bt-frameworks (Server, ServeConfig, decode::*) and friends:
 # without this step an API break passes everything above and is first seen
 # by the benchmark pipeline.
 cargo test --release --quiet --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo test -p rayon --features interleave"
+step "cargo test -p rayon --features interleave"
 # Seeded yield points in the deque's steal/pop race windows.
 cargo test -p rayon --features interleave --quiet
 
@@ -33,7 +45,7 @@ cargo test -p rayon --features interleave --quiet
 # `-p bt-gemm` includes tests/skinny_differential.rs (skinny driver ≡ packed
 # driver, bitwise, on every tier).
 for isa in scalar auto; do
-  echo "==> cargo test -p bt-gemm (incl. skinny_differential) + differential_simd (BYTE_GEMM_ISA=$isa)"
+  step "cargo test -p bt-gemm (incl. skinny_differential) + differential_simd (BYTE_GEMM_ISA=$isa)"
   BYTE_GEMM_ISA="$isa" cargo test -p bt-gemm --quiet
   BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_simd --quiet
 done
@@ -44,9 +56,13 @@ done
 # asserts f32 tolerances that a low-precision default would rightly break.
 for prec in f32 f16 bf16 int8; do
   for isa in scalar auto; do
-    echo "==> prec_dispatch + differential_simd (BYTE_GEMM_PREC=$prec BYTE_GEMM_ISA=$isa)"
+    step "prec_dispatch + differential_simd (BYTE_GEMM_PREC=$prec BYTE_GEMM_ISA=$isa)"
     BYTE_GEMM_PREC="$prec" BYTE_GEMM_ISA="$isa" cargo test -p bt-gemm --test prec_dispatch --quiet
-    BYTE_GEMM_PREC="$prec" BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_simd --quiet
+    # f32 is the default tier: the ISA matrix above already ran
+    # differential_simd under exactly this configuration.
+    if [ "$prec" != f32 ]; then
+      BYTE_GEMM_PREC="$prec" BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_simd --quiet
+    fi
   done
 done
 
@@ -54,7 +70,7 @@ done
 # guarantees (vs contiguous cache and teacher forcing) and its allocator
 # invariants with dispatch pinned to scalar and with auto-detection.
 for isa in scalar auto; do
-  echo "==> differential_decode + paged_properties (BYTE_GEMM_ISA=$isa)"
+  step "differential_decode + paged_properties (BYTE_GEMM_ISA=$isa)"
   BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_decode --quiet
   BYTE_GEMM_ISA="$isa" cargo test -p bt-varlen --test paged_properties --quiet
 done
@@ -65,18 +81,18 @@ done
 # tier-sweeping tests re-prove sizes 1/3/64 internally per tier.
 for chunk in 1 64 whole; do
   for isa in scalar auto; do
-    echo "==> differential_streaming (BYTE_CHUNK_TOKENS=$chunk BYTE_GEMM_ISA=$isa)"
+    step "differential_streaming (BYTE_CHUNK_TOKENS=$chunk BYTE_GEMM_ISA=$isa)"
     BYTE_CHUNK_TOKENS="$chunk" BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_streaming --quiet
   done
 done
 
-echo "==> decode serving artifact (BENCH_decode.json)"
+step "decode serving artifact (BENCH_decode.json)"
 # The bench asserts >= 8 concurrent decode sessions with exact per-step
 # accounting, then emits the artifact; a missing emission fails the gate.
 BT_BENCH_FAST=1 cargo bench -p bt-bench --bench bench_decode --quiet
 test -s BENCH_decode.json || { echo "BENCH_decode.json was not emitted"; exit 1; }
 
-echo "==> shard matrix (btx serve --shards)"
+step "shard matrix (btx serve --shards)"
 # Two acceptance checks from the sharded-router contract: (1) --shards 1
 # replays the unsharded server byte-for-byte on a fixed seed (the horizon
 # rule makes one routed shard the monolithic loop); (2) a 4-shard run keeps
@@ -90,37 +106,44 @@ diff "$shard_tmp/unsharded.txt" "$shard_tmp/shard1.txt" \
 ./target/release/btx serve --seed 42 --shards 4 --route jsq --load 2.0 > /dev/null
 rm -rf "$shard_tmp"
 
-echo "==> perf-regression gate (scripts/bench_gate.sh)"
+step "perf-regression gate (scripts/bench_gate.sh)"
 # Re-emits the four BENCH_*.json artifacts and diffs them against the
 # baselines committed at HEAD with per-metric tolerance bands; a throughput
 # collapse, latency blowup, or broken accounting boolean fails the gate.
 scripts/bench_gate.sh
 
-echo "==> cargo check --workspace --all-targets (obs-off)"
+step "cargo check --workspace --all-targets (obs-off)"
 # Every new obs-layer API (trace, snapshot, btx trace/top, bench_gate) must
 # still compile with telemetry swapped for the no-op layer.
 cargo check --workspace --all-targets --quiet --features bt-obs/obs-off
 
-echo "==> cargo test --workspace (obs-off)"
+step "cargo test --workspace (obs-off)"
 # Telemetry compiled out: the no-op layer must keep the whole workspace
 # building and passing (every bt-obs call site is exercised as dead code).
 cargo test --workspace --quiet --features bt-obs/obs-off
 
-echo "==> obs overhead gate (enabled vs disabled, and compiled out)"
+step "obs overhead gate (enabled vs disabled, and compiled out)"
 # The harness exits nonzero if the instrumented empty pool launch exceeds
 # 2x the uninstrumented baseline, or if obs-off spans cost anything.
 BT_BENCH_FAST=1 cargo bench -p bt-bench --bench obs_overhead --quiet
 BT_BENCH_FAST=1 cargo bench -p bt-bench --bench obs_overhead --quiet --features bt-obs/obs-off
 
-echo "==> cargo doc --workspace --no-deps (warnings denied)"
+step "cargo doc --workspace --no-deps (warnings denied)"
 # The docs layer is a deliverable: missing_docs and broken intra-doc links
 # fail the gate, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> cargo fmt --check"
+step "cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings"
+step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step_secs+=("$((SECONDS - step_t0))")
+echo "==> wall seconds per step"
+for i in "${!step_names[@]}"; do
+  printf '%6ds  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
+done
+printf '%6ds  total\n' "$SECONDS"
 
 echo "OK"

@@ -79,6 +79,15 @@ struct Args {
     hot_tokens: usize,
 }
 
+/// A numeric flag's value, or the message-and-exit-2 of every other
+/// argument error.
+fn numeric<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("btx: {flag}: invalid value '{value}'");
+        std::process::exit(2);
+    })
+}
+
 fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
     let cmd = raw.next().unwrap_or_else(|| "help".to_string());
     let mut args = Args {
@@ -153,28 +162,28 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
             })
         };
         match flag {
-            "--batch" => args.batch = take("--batch").parse().expect("numeric --batch"),
-            "--seq" => args.seq = take("--seq").parse().expect("numeric --seq"),
-            "--alpha" => args.alpha = take("--alpha").parse().expect("numeric --alpha"),
-            "--heads" => args.heads = take("--heads").parse().expect("numeric --heads"),
-            "--head-size" => args.head_size = take("--head-size").parse().expect("numeric --head-size"),
-            "--layers" => args.layers = take("--layers").parse().expect("numeric --layers"),
-            "--load" => args.load = take("--load").parse().expect("numeric --load"),
-            "--requests" => args.requests = take("--requests").parse().expect("numeric --requests"),
-            "--sessions" => args.sessions = take("--sessions").parse().expect("numeric --sessions"),
-            "--tokens" => args.tokens = take("--tokens").parse().expect("numeric --tokens"),
-            "--prompt" => args.prompt = take("--prompt").parse().expect("numeric --prompt"),
-            "--block" => args.block = take("--block").parse().expect("numeric --block"),
-            "--blocks" => args.blocks = take("--blocks").parse().expect("numeric --blocks"),
-            "--chunk" => args.chunk = Some(take("--chunk").parse().expect("numeric --chunk")),
-            "--deadline-ms" => args.deadline_ms = take("--deadline-ms").parse().expect("numeric --deadline-ms"),
-            "--queue" => args.queue = take("--queue").parse().expect("numeric --queue"),
-            "--budget" => args.budget = take("--budget").parse().expect("numeric --budget"),
-            "--seed" => args.seed = take("--seed").parse().expect("numeric --seed"),
-            "--slowest" => args.slowest = take("--slowest").parse().expect("numeric --slowest"),
-            "--windows" => args.windows = take("--windows").parse().expect("numeric --windows"),
-            "--shards" => args.shards = take("--shards").parse().expect("numeric --shards"),
-            "--hot-tokens" => args.hot_tokens = take("--hot-tokens").parse().expect("numeric --hot-tokens"),
+            "--batch" => args.batch = numeric(flag, take(flag)),
+            "--seq" => args.seq = numeric(flag, take(flag)),
+            "--alpha" => args.alpha = numeric(flag, take(flag)),
+            "--heads" => args.heads = numeric(flag, take(flag)),
+            "--head-size" => args.head_size = numeric(flag, take(flag)),
+            "--layers" => args.layers = numeric(flag, take(flag)),
+            "--load" => args.load = numeric(flag, take(flag)),
+            "--requests" => args.requests = numeric(flag, take(flag)),
+            "--sessions" => args.sessions = numeric(flag, take(flag)),
+            "--tokens" => args.tokens = numeric(flag, take(flag)),
+            "--prompt" => args.prompt = numeric(flag, take(flag)),
+            "--block" => args.block = numeric(flag, take(flag)),
+            "--blocks" => args.blocks = numeric(flag, take(flag)),
+            "--chunk" => args.chunk = Some(numeric(flag, take(flag))),
+            "--deadline-ms" => args.deadline_ms = numeric(flag, take(flag)),
+            "--queue" => args.queue = numeric(flag, take(flag)),
+            "--budget" => args.budget = numeric(flag, take(flag)),
+            "--seed" => args.seed = numeric(flag, take(flag)),
+            "--slowest" => args.slowest = numeric(flag, take(flag)),
+            "--windows" => args.windows = numeric(flag, take(flag)),
+            "--shards" => args.shards = numeric(flag, take(flag)),
+            "--hot-tokens" => args.hot_tokens = numeric(flag, take(flag)),
             "--route" => {
                 args.route = take("--route");
                 if !["rr", "round_robin", "jsq", "p2c", "power_of_two"].contains(&args.route.as_str()) {
