@@ -45,7 +45,8 @@ fn main() {
         config.layers, scale_layers
     );
 
-    let mut avg_gain: std::collections::HashMap<&'static str, (f64, u32)> = Default::default();
+    // BTreeMap: the summary lines print in name order, the same on every run.
+    let mut avg_gain: std::collections::BTreeMap<&'static str, (f64, u32)> = Default::default();
     for &batch in &batches {
         println!("--- batch = {batch} ---");
         print!("{:>6}", "seq");

@@ -2,177 +2,31 @@
 //!
 //! The paper presents an encoder-only BERT but notes that "one can easily
 //! extend to other transformers that contain the decoder part using the
-//! optimizations and algorithm proposed in the paper" (§II). This module is
-//! that extension for the decoder's masked self-attention: the same
-//! padding-free fused kernels, with token `i` attending only to `j ≤ i`.
+//! optimizations and algorithm proposed in the paper" (§II). For the
+//! decoder's masked self-attention that extension is one value:
+//! `KeyRange::Causal` handed to the two fused kernels the encoder runs, so
+//! token `i` attends only to `j ≤ i`.
 //!
-//! * [`causal_fused_short_attention`] — the Algorithm III.1 kernel with the
-//!   per-row key range truncated at the diagonal. Because the iteration
-//!   range *is* the mask, the causal constraint costs nothing — it removes
-//!   work instead of masking it (half the logits of the square kernel).
-//! * [`causal_grouped_attention`] — the grouped-GEMM engine with a causal
-//!   epilogue: future positions are masked to `-inf` in the logits tile
-//!   before the partial softmax reduction, so the mainloop-fused
-//!   normalization in the second GEMM zeroes them exactly.
-//! * [`causal_fused_attention`] — dispatcher on the same short/long boundary
-//!   as the encoder path.
+//! * Short sequences ([`super::fused_short`]): the per-row key range *is*
+//!   the iteration space, so the causal constraint costs nothing — it
+//!   removes work instead of masking it (half the logits of the square
+//!   launch).
+//! * Long sequences ([`super::fused_grouped`]): future positions are masked
+//!   to `-inf` in the logits tile before the partial softmax reduction, so
+//!   the mainloop-fused normalization in the second GEMM zeroes them exactly.
+//!
+//! This module holds the public entry point and the host oracle.
 
-use super::fused_short::FUSED_SHORT_MAX_SEQ;
-use super::packed_dims;
-use bt_device::{Device, KernelSpec};
-use bt_gemm::grouped::Scheduler;
+use super::{dispatch, KeyRange};
+use bt_device::Device;
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
-use rayon::prelude::*;
 
-/// Causal fused MHA dispatcher over packed `[heads, valid, head]` Q/K/V
-/// (`Q` pre-scaled). Returns the packed `[valid, hidden]` context.
+/// Causal fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
+/// pre-scaled), dispatched on the same short/long boundary as
+/// [`super::fused_attention`]. Returns the packed `[valid, hidden]` context.
 pub fn causal_fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
-    if idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ {
-        causal_fused_short_attention(device, q, k, v, idx, super::fused_short::DEFAULT_SPLIT_SEQ_LEN)
-    } else {
-        causal_grouped_attention(device, q, k, v, idx, Scheduler::WarpPrefetch)
-    }
-}
-
-/// Causal variant of the short-sequence fused kernel: identical structure to
-/// [`super::fused_short_attention`], but each query row `i` loads and
-/// reduces only keys `0..=i` — the triangular iteration space.
-///
-/// # Panics
-/// Panics if `idx.max_seq_len() > FUSED_SHORT_MAX_SEQ`, `split_seq_len == 0`
-/// or on shape mismatches.
-pub fn causal_fused_short_attention(
-    device: &Device,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    idx: &PackingIndex,
-    split_seq_len: usize,
-) -> Tensor {
-    let (heads, valid, head) = packed_dims(q, k, v, idx);
-    assert!(split_seq_len > 0, "split_seq_len must be positive");
-    assert!(
-        idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ,
-        "causal fused short MHA caps at {FUSED_SHORT_MAX_SEQ}, got {}",
-        idx.max_seq_len()
-    );
-    let hidden = heads * head;
-
-    // Triangular cost: Σ_b Σ_i (i + 1) ≈ len(len+1)/2 per head per GEMM.
-    let mut flops = 0u64;
-    let mut kv_reads = 0u64;
-    for b in 0..idx.batch() {
-        let len = idx.seq_len(b) as u64;
-        let tri = len * (len + 1) / 2;
-        flops += heads as u64 * (4 * tri * head as u64 + 4 * tri);
-        // Each q-tile streams keys up to its last row.
-        let tiles = len.div_ceil(split_seq_len as u64);
-        kv_reads += heads as u64 * tiles * len * head as u64 * 4; // upper bound staging
-    }
-    let q_bytes = (valid * hidden * 4) as u64;
-
-    let out = device.launch(
-        KernelSpec::new("attention.causal_short")
-            .flops(flops)
-            .reads(q_bytes + kv_reads)
-            .writes(q_bytes),
-        || {
-            let mut out = vec![0.0f32; valid * hidden];
-            let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::new();
-            {
-                let mut rest: &mut [f32] = &mut out;
-                for b in 0..idx.batch() {
-                    let len = idx.seq_len(b);
-                    let mut t0 = 0;
-                    while t0 < len {
-                        let rows = split_seq_len.min(len - t0);
-                        let (chunk, tail) = rest.split_at_mut(rows * hidden);
-                        rest = tail;
-                        tasks.push((b, t0, chunk));
-                        t0 += rows;
-                    }
-                }
-            }
-            let qs = q.as_slice();
-            let ks = k.as_slice();
-            let vs = v.as_slice();
-            let plane = valid * head;
-            tasks.into_par_iter().for_each(|(b, t0, out_chunk)| {
-                let off = idx.seq_offset(b);
-                let rows = out_chunk.len() / hidden;
-                // Longest row of this tile attends to t0 + rows keys.
-                let reach = t0 + rows;
-                let mut logits = vec![0.0f32; reach];
-                for h in 0..heads {
-                    let qp = &qs[h * plane..(h + 1) * plane];
-                    let kp = &ks[h * plane..(h + 1) * plane];
-                    let vp = &vs[h * plane..(h + 1) * plane];
-                    for i in 0..rows {
-                        let klen = t0 + i + 1; // causal reach of this row
-                        let q_row = &qp[(off + t0 + i) * head..(off + t0 + i + 1) * head];
-                        let l_row = &mut logits[..klen];
-                        for (j, lv) in l_row.iter_mut().enumerate() {
-                            let k_row = &kp[(off + j) * head..(off + j + 1) * head];
-                            let mut dot = 0.0f32;
-                            for (&a, &bv) in q_row.iter().zip(k_row) {
-                                dot += a * bv;
-                            }
-                            *lv = dot;
-                        }
-                        bt_kernels::softmax::softmax_row(l_row);
-                        let o_row = &mut out_chunk[i * hidden + h * head..i * hidden + (h + 1) * head];
-                        o_row.fill(0.0);
-                        for (j, &p) in l_row.iter().enumerate() {
-                            let v_row = &vp[(off + j) * head..(off + j + 1) * head];
-                            for (ov, &vv) in o_row.iter_mut().zip(v_row) {
-                                *ov += p * vv;
-                            }
-                        }
-                    }
-                }
-            });
-            out
-        },
-    );
-    Tensor::from_vec(out, [valid, hidden]).expect("shape consistent")
-}
-
-/// Causal variant of the grouped-GEMM fused MHA (long sequences).
-pub fn causal_grouped_attention(
-    device: &Device,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    idx: &PackingIndex,
-    scheduler: Scheduler,
-) -> Tensor {
-    let (heads, valid, _head) = packed_dims(q, k, v, idx);
-    let units: Vec<super::fused_grouped::AttnUnit> = (0..idx.batch())
-        .flat_map(|b| (0..heads).map(move |h| (b, h)))
-        .map(|(b, h)| {
-            let off = idx.seq_offset(b);
-            let len = idx.seq_len(b);
-            super::fused_grouped::AttnUnit {
-                h,
-                q_off: off,
-                q_len: len,
-                kv_off: off,
-                kv_len: len,
-            }
-        })
-        .collect();
-    super::fused_grouped::grouped_softmax_attention_ex(
-        device,
-        "attention.causal_grouped",
-        q,
-        k,
-        v,
-        &units,
-        valid,
-        scheduler,
-        true,
-    )
+    dispatch(device, q, k, v, idx, KeyRange::Causal)
 }
 
 /// Host oracle: causal attention over padded `[batch, heads, seq, head]`
@@ -210,19 +64,40 @@ pub fn causal_reference_attention(q: &Tensor, k: &Tensor, v: &Tensor, seq_lens: 
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{fixture, pack_context};
+    use super::super::test_support::{fixture, pack_context, AttentionFixture};
     use super::*;
     use bt_device::CostModel;
+    use bt_gemm::grouped::Scheduler;
     use bt_tensor::compare::assert_close;
 
     fn device() -> Device {
         Device::with_model(CostModel::unit())
     }
 
+    /// The short kernel under the causal key range.
+    fn causal_short(dev: &Device, fx: &AttentionFixture, split: usize) -> Tensor {
+        let range = KeyRange::Causal;
+        super::super::fused_short::short_attention(dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split, range)
+    }
+
+    /// The grouped kernel under the causal key range.
+    fn causal_grouped(dev: &Device, fx: &AttentionFixture, scheduler: Scheduler) -> Tensor {
+        let range = KeyRange::Causal;
+        super::super::fused_grouped::self_attention(
+            dev,
+            &fx.q_packed,
+            &fx.k_packed,
+            &fx.v_packed,
+            &fx.idx,
+            scheduler,
+            range,
+        )
+    }
+
     fn check_short(lens: &[usize], max: usize, heads: usize, head: usize, split: usize, seed: u64) {
         let fx = fixture(lens, max, heads, head, seed);
         let dev = device();
-        let got = causal_fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split);
+        let got = causal_short(&dev, &fx, split);
         let expect_pad = causal_reference_attention(&fx.q_pad, &fx.k_pad, &fx.v_pad, lens, fx.scale);
         let expect = pack_context(&expect_pad, &fx.idx);
         assert_close(got.as_slice(), &expect, 3e-4);
@@ -241,14 +116,7 @@ mod tests {
         let lens = [90usize, 130, 40];
         let fx = fixture(&lens, 130, 2, 8, 5);
         let dev = device();
-        let got = causal_grouped_attention(
-            &dev,
-            &fx.q_packed,
-            &fx.k_packed,
-            &fx.v_packed,
-            &fx.idx,
-            Scheduler::WarpPrefetch,
-        );
+        let got = causal_grouped(&dev, &fx, Scheduler::WarpPrefetch);
         let expect_pad = causal_reference_attention(&fx.q_pad, &fx.k_pad, &fx.v_pad, &lens, fx.scale);
         let expect = pack_context(&expect_pad, &fx.idx);
         assert_close(got.as_slice(), &expect, 3e-4);
@@ -259,15 +127,8 @@ mod tests {
         let lens = [50usize, 20];
         let fx = fixture(&lens, 50, 2, 8, 6);
         let dev = device();
-        let a = causal_fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 16);
-        let b = causal_grouped_attention(
-            &dev,
-            &fx.q_packed,
-            &fx.k_packed,
-            &fx.v_packed,
-            &fx.idx,
-            Scheduler::PerTile,
-        );
+        let a = causal_short(&dev, &fx, 16);
+        let b = causal_grouped(&dev, &fx, Scheduler::PerTile);
         assert_close(a.as_slice(), b.as_slice(), 3e-4);
     }
 
@@ -276,7 +137,7 @@ mod tests {
         // With causal masking, row 0's output is exactly V[0].
         let fx = fixture(&[6], 6, 2, 4, 7);
         let dev = device();
-        let got = causal_fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 32);
+        let got = causal_short(&dev, &fx, 32);
         for h in 0..2 {
             for d in 0..4 {
                 let expect = fx.v_packed.at(&[h, 0, d]).unwrap();
@@ -292,7 +153,7 @@ mod tests {
         let dev_sq = device();
         super::super::fused_short_attention(&dev_sq, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 32);
         let dev_ca = device();
-        causal_fused_short_attention(&dev_ca, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 32);
+        causal_short(&dev_ca, &fx, 32);
         // Triangular ≈ half the square's flops.
         assert!(dev_ca.total_flops() < dev_sq.total_flops() * 6 / 10);
     }

@@ -1,13 +1,16 @@
 //! Cross-attention over packed variable-length memory — the decoder's
-//! second attention, built directly on the grouped-GEMM engine.
+//! second attention: the grouped-GEMM engine over a rectangular unit list.
 //!
 //! Cross-attention is where grouped GEMM shines brightest: every
 //! `(batch, head)` unit is a *rectangular* problem (`decoder_len ×
 //! encoder_len`), and both lengths vary per batch. A batched-GEMM
 //! implementation must pad both sides to their maxima; the grouped scheduler
-//! simply walks the true shapes — zero padding on either axis.
+//! simply walks the true shapes — zero padding on either axis. Nothing here
+//! is a kernel: the unit list pairs target sequence `b` with memory sequence
+//! `b`, and every key is visible.
 
-use super::fused_grouped::{grouped_softmax_attention, AttnUnit};
+use super::fused_grouped::grouped_softmax_attention;
+use super::{units, KeyRange};
 use bt_device::Device;
 use bt_gemm::grouped::Scheduler;
 use bt_tensor::Tensor;
@@ -29,30 +32,11 @@ pub fn cross_attention(
     mem_idx: &PackingIndex,
     scheduler: Scheduler,
 ) -> Tensor {
-    assert_eq!(tgt_idx.batch(), mem_idx.batch(), "target and memory batches must align");
-    let heads = q.dims()[0];
+    let rectangles = units(tgt_idx, mem_idx, q.dims()[0]);
     assert_eq!(q.dims()[1], tgt_idx.valid_words(), "Q rows != target valid words");
     assert_eq!(k.dims()[1], mem_idx.valid_words(), "K rows != memory valid words");
-    let units: Vec<AttnUnit> = (0..tgt_idx.batch())
-        .flat_map(|b| (0..heads).map(move |h| (b, h)))
-        .map(|(b, h)| AttnUnit {
-            h,
-            q_off: tgt_idx.seq_offset(b),
-            q_len: tgt_idx.seq_len(b),
-            kv_off: mem_idx.seq_offset(b),
-            kv_len: mem_idx.seq_len(b),
-        })
-        .collect();
-    grouped_softmax_attention(
-        device,
-        "cross_attention.grouped",
-        q,
-        k,
-        v,
-        &units,
-        tgt_idx.valid_words(),
-        scheduler,
-    )
+    let name = "cross_attention.grouped";
+    grouped_softmax_attention(device, name, q, k, v, &rectangles, KeyRange::Full, scheduler)
 }
 
 /// Host oracle for cross-attention on padded tensors: `q` is
@@ -68,7 +52,6 @@ pub fn cross_reference_attention(
     scale: f32,
 ) -> Tensor {
     let qd = q.dims();
-    let kd = k.dims();
     let (batch, heads, tgt_seq, head) = (qd[0], qd[1], qd[2], qd[3]);
     let mut out = Tensor::zeros([batch, heads, tgt_seq, head]);
     for b in 0..batch {
@@ -95,7 +78,6 @@ pub fn cross_reference_attention(
             }
         }
     }
-    let _ = kd;
     out
 }
 

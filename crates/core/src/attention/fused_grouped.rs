@@ -24,11 +24,13 @@
 //! charged to the modeled time, which is what the A1 ablation measures.
 //!
 //! The engine is shape-generic over attention units — query and key/value
-//! ranges may differ per unit — which is what lets the decoder's
-//! cross-attention (`q_len = decoder length, kv_len = encoder length`) reuse
-//! it verbatim (see [`crate::decoder`]).
+//! ranges may differ per unit, and a `KeyRange` says which keys a query
+//! row sees — so the encoder's self-attention, the decoder's causal
+//! self-attention and its cross-attention (`q_len = decoder length, kv_len =
+//! encoder length`) are this one function under three launch names (see
+//! [`crate::decoder`]).
 
-use super::packed_dims;
+use super::{packed_dims, units, AttnUnit, KeyRange};
 use bt_device::{Device, KernelSpec};
 use bt_gemm::grouped::{
     grouped_sgemm, grouped_sgemm_strided, ALoadTransform, GroupedConfig, GroupedProblem, NoTransform, Scheduler,
@@ -65,19 +67,6 @@ pub fn expected_scheduler_visits(total_tiles: u64, num_ctas: usize, scheduler: S
     }
 }
 
-/// One attention sub-problem of the grouped engine: head plane `h`, query
-/// rows `q_off .. q_off + q_len` of the packed Q tensor, key/value rows
-/// `kv_off .. kv_off + kv_len` of the packed K/V tensors. For self-attention
-/// the two ranges coincide; for cross-attention they do not.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AttnUnit {
-    pub h: usize,
-    pub q_off: usize,
-    pub q_len: usize,
-    pub kv_off: usize,
-    pub kv_len: usize,
-}
-
 /// Per-problem softmax-partial stores fed by the GEMM-1 epilogue:
 /// `max[row, col_tile]` and `sum[row, col_tile] = Σ exp(x − max)` over that
 /// tile's columns, row-major `[rows, n_tiles]`.
@@ -96,11 +85,11 @@ struct PartialStore<'a> {
 struct SoftmaxPartialEpilogue<'a> {
     partials: Vec<PartialStore<'a>>,
     tile_n: usize,
-    /// Causal self-attention: mask logits where key position > query
-    /// position (tiles are aligned, so the condition is on tile-local
-    /// global coordinates). Fully-masked tiles reduce to `-inf`/0 partials,
-    /// which the streaming merge in the full reduction handles exactly.
-    causal: bool,
+    /// Logits past a row's key range are masked to `-inf` before the
+    /// reduction (tiles carry unit-local coordinates). Fully-masked tiles
+    /// reduce to `-inf`/0 partials, which the streaming merge in the full
+    /// reduction handles exactly.
+    range: KeyRange,
 }
 
 impl TileEpilogue for SoftmaxPartialEpilogue<'_> {
@@ -109,12 +98,11 @@ impl TileEpilogue for SoftmaxPartialEpilogue<'_> {
         let tcol = col0 / self.tile_n;
         for i in 0..rows {
             let row = &mut tile[i * cols..(i + 1) * cols];
-            if self.causal {
-                for (j, x) in row.iter_mut().enumerate() {
-                    if col0 + j > row0 + i {
-                        *x = f32::NEG_INFINITY;
-                    }
-                }
+            // Tile-local count of this row's visible keys (the tile's end
+            // stands in for the unit's: a full row sees all `cols`).
+            let visible = self.range.keys(row0 + i, col0 + cols).saturating_sub(col0);
+            for x in row.iter_mut().skip(visible) {
+                *x = f32::NEG_INFINITY;
             }
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let (m_out, s_out) = if m == f32::NEG_INFINITY {
@@ -152,42 +140,27 @@ impl ALoadTransform for SoftmaxNormalize<'_> {
     }
 }
 
-/// The grouped softmax-attention engine shared by self- and cross-attention:
-/// runs the three-step pipeline over arbitrary attention units and writes a
-/// packed `[out_rows, heads·head]` context.
+/// The grouped softmax-attention engine — Algorithm III.2, once: runs the
+/// three-step pipeline over arbitrary attention units and writes a packed
+/// `[q_valid, heads·head]` context.
 ///
 /// `q` is `[heads, q_valid, head]`; `k`/`v` are `[heads, kv_valid, head]`.
 /// `Q` is assumed pre-scaled. Each unit's output lands at rows
 /// `q_off .. q_off + q_len`, columns `h·head ..`, written directly by the
-/// second GEMM's strided store.
+/// second GEMM's strided store. The three launches are named
+/// `{name}.qk`, `{name}.full_reduce` and `{name}.pv`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn grouped_softmax_attention(
+pub(super) fn grouped_softmax_attention(
     device: &Device,
     name: &str,
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     units: &[AttnUnit],
-    out_rows: usize,
+    range: KeyRange,
     scheduler: Scheduler,
 ) -> Tensor {
-    grouped_softmax_attention_ex(device, name, q, k, v, units, out_rows, scheduler, false)
-}
-
-/// [`grouped_softmax_attention`] with an optional causal mask applied in the
-/// first GEMM's epilogue (decoder self-attention).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn grouped_softmax_attention_ex(
-    device: &Device,
-    name: &str,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    units: &[AttnUnit],
-    out_rows: usize,
-    scheduler: Scheduler,
-    causal: bool,
-) -> Tensor {
+    MHA_PROBLEMS.add(units.len() as u64);
     let qd = q.dims();
     let kd = k.dims();
     assert_eq!(qd.len(), 3, "packed Q must be [heads, q_valid, head]");
@@ -247,7 +220,7 @@ pub(crate) fn grouped_softmax_attention_ex(
             })
             .collect(),
         tile_n: config.tile_n,
-        causal,
+        range,
     };
 
     let sq_sum: u64 = units.iter().map(|u| (u.q_len * u.kv_len) as u64).sum();
@@ -259,7 +232,8 @@ pub(crate) fn grouped_softmax_attention_ex(
     let visits1 = expected_scheduler_visits(tiles1, config.num_ctas, scheduler);
     let partial_elems: u64 = units
         .iter()
-        .map(|u| (u.q_len * u.kv_len.div_ceil(config.tile_n).max(1)) as u64)
+        .zip(&n_tiles_per)
+        .map(|(u, &nt)| (u.q_len * nt) as u64)
         .sum();
     let q_bytes = (q_valid * hidden * 4) as u64;
     let kv_bytes = (kv_valid * hidden * 4) as u64;
@@ -286,12 +260,13 @@ pub(crate) fn grouped_softmax_attention_ex(
     drop(epilogue); // release the partial borrows for the reduction below
 
     // ---- Full reduction: merge partials across column tiles ------------
+    let norm_bytes: u64 = units.iter().map(|u| (u.q_len * 8) as u64).sum();
     // Streaming-softmax merge: M = max_t m_t, S = Σ_t s_t · exp(m_t − M).
     let norms: Vec<RowNorms> = device.launch(
         KernelSpec::new(format!("{name}.full_reduce"))
             .flops(partial_elems * 3)
             .reads(partial_elems * 8)
-            .writes(units.iter().map(|u| (u.q_len * 8) as u64).sum()),
+            .writes(norm_bytes),
         || {
             max_bufs
                 .iter()
@@ -336,19 +311,18 @@ pub(crate) fn grouped_softmax_attention_ex(
             ld: hidden,
         })
         .collect();
-    let mut out = vec![0.0f32; out_rows * hidden];
+    let mut out = vec![0.0f32; q_valid * hidden];
     let tiles2: u64 = units
         .iter()
         .map(|u| (u.q_len.div_ceil(config.tile_m) * head.div_ceil(config.tile_n)) as u64)
         .sum();
     let visits2 = expected_scheduler_visits(tiles2, config.num_ctas, scheduler);
     let transform = SoftmaxNormalize { norms: &norms };
-    let norm_bytes: u64 = units.iter().map(|u| (u.q_len * 8) as u64).sum();
     let stats2 = device.launch(
         KernelSpec::new(format!("{name}.pv"))
             .flops(gemm_flops + 2 * sq_sum) // GEMM + exp/mul transform
             .reads(sq_sum * 4 + kv_bytes + norm_bytes)
-            .writes((out_rows * hidden * 4) as u64)
+            .writes(q_bytes)
             .host_overhead(visits2 as f64 / config.num_ctas as f64 * SCHEDULER_VISIT_COST),
         || {
             grouped_sgemm_strided(
@@ -366,7 +340,7 @@ pub(crate) fn grouped_softmax_attention_ex(
     device.bump_metric("grouped.tiles", stats2.tiles);
     MHA_SCHED_VISITS.add(stats2.scheduler_visits);
 
-    Tensor::from_vec(out, [out_rows, hidden]).expect("shape consistent")
+    Tensor::from_vec(out, [q_valid, hidden]).expect("shape consistent")
 }
 
 /// Warp-prefetch scheduler visits issued by the grouped-MHA engine (both
@@ -374,7 +348,7 @@ pub(crate) fn grouped_softmax_attention_ex(
 /// device metric into the telemetry registry.
 static MHA_SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_SCHEDULER_VISITS);
 /// Attention units (batch × heads sub-problems) handed to the grouped
-/// driver per `fused_grouped_attention` call, accumulated.
+/// engine, accumulated.
 static MHA_PROBLEMS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_PROBLEMS);
 
 /// Grouped fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
@@ -390,25 +364,26 @@ pub fn fused_grouped_attention(
     idx: &PackingIndex,
     scheduler: Scheduler,
 ) -> Tensor {
-    let (heads, valid, _head) = packed_dims(q, k, v, idx);
-    // Problem list: batch-major, heads inner — batch_size × head_num
-    // attention units (Fig. 6); self-attention: q range == kv range.
-    let units: Vec<AttnUnit> = (0..idx.batch())
-        .flat_map(|b| (0..heads).map(move |h| (b, h)))
-        .map(|(b, h)| {
-            let off = idx.seq_offset(b);
-            let len = idx.seq_len(b);
-            AttnUnit {
-                h,
-                q_off: off,
-                q_len: len,
-                kv_off: off,
-                kv_len: len,
-            }
-        })
-        .collect();
-    MHA_PROBLEMS.add(units.len() as u64);
-    grouped_softmax_attention(device, "attention.grouped", q, k, v, &units, valid, scheduler)
+    self_attention(device, q, k, v, idx, scheduler, KeyRange::Full)
+}
+
+/// Grouped self-attention under either key range: every unit's query and
+/// key/value rows are the same sequence of `idx`.
+pub(super) fn self_attention(
+    device: &Device,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    idx: &PackingIndex,
+    scheduler: Scheduler,
+    range: KeyRange,
+) -> Tensor {
+    let (heads, _valid, _head) = packed_dims(q, k, v, idx);
+    let name = match range {
+        KeyRange::Full => "attention.grouped",
+        KeyRange::Causal => "attention.causal_grouped",
+    };
+    grouped_softmax_attention(device, name, q, k, v, &units(idx, idx, heads), range, scheduler)
 }
 
 #[cfg(test)]
@@ -551,15 +526,7 @@ mod tests {
         let q = Tensor::randn([heads, q_valid, head], 1);
         let k = Tensor::randn([heads, kv_valid, head], 2);
         let v = Tensor::randn([heads, kv_valid, head], 3);
-        let units: Vec<AttnUnit> = (0..heads)
-            .map(|h| AttnUnit {
-                h,
-                q_off: 0,
-                q_len: q_valid,
-                kv_off: 0,
-                kv_len: kv_valid,
-            })
-            .collect();
+        let one = |len: usize| PackingIndex::from_mask(&bt_varlen::BatchMask::from_lens(vec![len], len).unwrap());
         let dev = device();
         let got = grouped_softmax_attention(
             &dev,
@@ -567,8 +534,8 @@ mod tests {
             &q,
             &k,
             &v,
-            &units,
-            q_valid,
+            &units(&one(q_valid), &one(kv_valid), heads),
+            KeyRange::Full,
             Scheduler::WarpPrefetch,
         );
         // Host reference.

@@ -9,13 +9,19 @@
 //! memory, and Q/K/V are addressed through the packing offsets, so neither
 //! the memory overhead nor the padded FLOPs of the baseline exist here.
 //!
+//! How many keys a query row reduces over is the kernel's `KeyRange`
+//! parameter: all `len` of its sequence for the encoder, the `i + 1` up to
+//! the diagonal for the decoder's causal self-attention. Nothing else about
+//! the kernel differs between the two — only the launch name and the
+//! declared cost follow the range.
+//!
 //! The CPU mapping: a rayon task = one threadblock = one `(batch, q-tile)`
 //! pair (looping heads inside, which keeps the packed output rows of a task
 //! disjoint); stack/`Vec` tile buffers = shared memory; per-row arrays =
 //! register files. Buffer sizes respect the same limits that bound the GPU
 //! kernel, enforced by [`FUSED_SHORT_MAX_SEQ`].
 
-use super::packed_dims;
+use super::{packed_dims, KeyRange};
 use bt_device::{Device, KernelSpec};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
@@ -46,6 +52,20 @@ pub fn fused_short_attention(
     idx: &PackingIndex,
     split_seq_len: usize,
 ) -> Tensor {
+    short_attention(device, q, k, v, idx, split_seq_len, KeyRange::Full)
+}
+
+/// The Algorithm III.1 kernel under either key range; panics as
+/// [`fused_short_attention`] does.
+pub(super) fn short_attention(
+    device: &Device,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    idx: &PackingIndex,
+    split_seq_len: usize,
+    range: KeyRange,
+) -> Tensor {
     let (heads, valid, head) = packed_dims(q, k, v, idx);
     assert!(split_seq_len > 0, "split_seq_len must be positive");
     assert!(
@@ -55,22 +75,33 @@ pub fn fused_short_attention(
     );
     let hidden = heads * head;
 
-    // Cost: the two tile GEMMs (4·len²·d per head) plus softmax transforms;
-    // K and V are re-staged once per Q tile (ceil(len/split) times), Q and
-    // the output move once. The logits matrix contributes nothing — it
-    // lives in shared memory.
+    // Cost: the two tile GEMMs (4·d per logit per head) plus softmax
+    // transforms, over the logits the range keeps — `len²`, or the
+    // `len(len+1)/2` on and under the diagonal. K and V are re-staged once
+    // per Q tile (ceil(len/split) times; the causal launch declares one
+    // `len`-row plane per tile as its upper bound for "keys up to the
+    // tile's last row"), Q and the output move once. The logits matrix
+    // contributes nothing — it lives in shared memory.
+    let (name, kv_planes) = match range {
+        KeyRange::Full => ("attention.fused_short", 2),
+        KeyRange::Causal => ("attention.causal_short", 1),
+    };
     let mut flops = 0u64;
     let mut kv_reads = 0u64;
     for b in 0..idx.batch() {
         let len = idx.seq_len(b) as u64;
+        let logits = match range {
+            KeyRange::Full => len * len,
+            KeyRange::Causal => len * (len + 1) / 2,
+        };
         let tiles = len.div_ceil(split_seq_len as u64);
-        flops += heads as u64 * (4 * len * len * head as u64 + 4 * len * len);
-        kv_reads += heads as u64 * tiles * len * head as u64 * 4 * 2;
+        flops += heads as u64 * (4 * logits * head as u64 + 4 * logits);
+        kv_reads += heads as u64 * tiles * len * head as u64 * 4 * kv_planes;
     }
     let q_bytes = (valid * hidden * 4) as u64;
 
     let out = device.launch(
-        KernelSpec::new("attention.fused_short")
+        KernelSpec::new(name)
             .flops(flops)
             .reads(q_bytes + kv_reads)
             .writes(q_bytes),
@@ -108,22 +139,26 @@ pub fn fused_short_attention(
                 let off = idx.seq_offset(b);
                 let len = idx.seq_len(b);
                 let rows = out_chunk.len() / hidden;
+                // Row stride of the strip: the tile's longest key range.
+                let reach = range.keys(t0 + rows - 1, len);
                 LOGITS.with(|cell| {
                     let mut logits_buf = cell.borrow_mut();
-                    if logits_buf.len() < rows * len {
-                        logits_buf.resize(rows * len, 0.0);
+                    if logits_buf.len() < rows * reach {
+                        logits_buf.resize(rows * reach, 0.0);
                     }
-                    let logits = &mut logits_buf[..rows * len];
+                    let logits = &mut logits_buf[..rows * reach];
                     for h in 0..heads {
                         let qp = &qs[h * plane..(h + 1) * plane];
                         let kp = &ks[h * plane..(h + 1) * plane];
                         let vp = &vs[h * plane..(h + 1) * plane];
                         let k_seq = &kp[off * head..(off + len) * head];
                         let v_seq = &vp[off * head..(off + len) * head];
-                        // P = Q_tile · Kᵀ (Q already carries the 1/√d scale).
+                        // P = Q_tile · Kᵀ (Q already carries the 1/√d scale)
+                        // over each row's key range: the range is the
+                        // iteration space, so a causal row costs its prefix.
                         for i in 0..rows {
                             let q_row = &qp[(off + t0 + i) * head..(off + t0 + i + 1) * head];
-                            let l_row = &mut logits[i * len..(i + 1) * len];
+                            let l_row = &mut logits[i * reach..i * reach + range.keys(t0 + i, len)];
                             for (j, lv) in l_row.iter_mut().enumerate() {
                                 let k_row = &k_seq[j * head..(j + 1) * head];
                                 let mut dot = 0.0f32;
@@ -138,7 +173,7 @@ pub fn fused_short_attention(
                         // O = P · V, streamed into the packed output columns of
                         // this head.
                         for i in 0..rows {
-                            let l_row = &logits[i * len..(i + 1) * len];
+                            let l_row = &logits[i * reach..i * reach + range.keys(t0 + i, len)];
                             let o_row = &mut out_chunk[i * hidden + h * head..i * hidden + (h + 1) * head];
                             o_row.fill(0.0);
                             for (j, &p) in l_row.iter().enumerate() {
@@ -236,6 +271,59 @@ mod tests {
         let fx = fixture(&[400], 400, 1, 4, 8);
         let dev = device();
         fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 32);
+    }
+
+    #[test]
+    fn causal_row_is_the_full_kernels_last_row_on_the_prefix() {
+        // One body, two key ranges: row i under `Causal` runs the same
+        // arithmetic as the last row under `Full` once the sequence is cut
+        // to i + 1 tokens — so the two agree bitwise, at any tile height.
+        let (heads, head) = (2, 4);
+        let lens = [0usize, 13, 5];
+        let fx = fixture(&lens, 13, heads, head, 11);
+        let dev = device();
+        for split in [1, 4, 5, 32] {
+            let causal = short_attention(
+                &dev,
+                &fx.q_packed,
+                &fx.k_packed,
+                &fx.v_packed,
+                &fx.idx,
+                split,
+                KeyRange::Causal,
+            );
+            for (b, &len) in lens.iter().enumerate() {
+                let off = fx.idx.seq_offset(b);
+                for i in 0..len {
+                    // The first i + 1 packed rows of sequence b, per head.
+                    let cut = |t: &Tensor| {
+                        let mut rows = Vec::with_capacity(heads * (i + 1) * head);
+                        for h in 0..heads {
+                            let from = (h * fx.idx.valid_words() + off) * head;
+                            rows.extend_from_slice(&t.as_slice()[from..from + (i + 1) * head]);
+                        }
+                        Tensor::from_vec(rows, [heads, i + 1, head]).unwrap()
+                    };
+                    let mask = bt_varlen::BatchMask::from_lens(vec![i + 1], i + 1).unwrap();
+                    let full = short_attention(
+                        &dev,
+                        &cut(&fx.q_packed),
+                        &cut(&fx.k_packed),
+                        &cut(&fx.v_packed),
+                        &PackingIndex::from_mask(&mask),
+                        split,
+                        KeyRange::Full,
+                    );
+                    let hidden = heads * head;
+                    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&causal.as_slice()[(off + i) * hidden..(off + i + 1) * hidden]),
+                        bits(&full.as_slice()[i * hidden..]),
+                        "split {split}, sequence {b}, row {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,14 @@
 //!   which never materialize a padded tensor. The `1/√d_k` scale is folded
 //!   into `Q` upstream (fused with the bias-add load, Algorithm III.1).
 //!
-//! [`fused_attention`] dispatches between the two fused kernels on the
-//! paper's sequence-length boundary.
+//! There is one kernel per fused algorithm — [`fused_short`] (Algorithm
+//! III.1) and [`fused_grouped`] (Algorithm III.2) — and the encoder's
+//! self-attention, the decoder's causal self-attention ([`causal`]) and its
+//! cross-attention ([`cross`]) are the same kernels under a different
+//! `KeyRange` and `AttnUnit` list: which K/V rows pair with which Q rows,
+//! and which of them a query row may see, is decided here and nowhere else.
+//! One dispatcher picks between the two kernels on the paper's
+//! sequence-length boundary.
 
 pub mod batched;
 pub mod causal;
@@ -63,22 +69,84 @@ pub(crate) fn packed_dims(q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex
     (d[0], d[1], d[2])
 }
 
-/// ByteTransformer's fused MHA dispatcher: the shared-memory kernel for
-/// short sequences, the grouped-GEMM kernel beyond
-/// [`FUSED_SHORT_MAX_SEQ`] (paper: "With the explicit design for both short
-/// and long sequences…"). Returns the packed `[valid, hidden]` context.
-pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
+/// Which of its unit's key/value rows a query row may attend to. Private
+/// to this module tree: the public entry points each fix one.
+#[derive(Debug, Clone, Copy)]
+enum KeyRange {
+    /// Every key row of the unit (encoder self-attention, cross-attention).
+    Full,
+    /// Query row `i` sees keys `0..=i` (decoder self-attention).
+    Causal,
+}
+
+impl KeyRange {
+    /// How many of its unit's `kv_len` keys query row `row` (unit-local)
+    /// reduces over — always a prefix of them.
+    fn keys(self, row: usize, kv_len: usize) -> usize {
+        match self {
+            KeyRange::Full => kv_len,
+            KeyRange::Causal => row + 1,
+        }
+    }
+}
+
+/// One attention sub-problem: head plane `h`, query rows
+/// `q_off .. q_off + q_len` of the packed Q tensor, key/value rows
+/// `kv_off .. kv_off + kv_len` of the packed K/V tensors. For self-attention
+/// the two ranges coincide; for cross-attention they do not.
+#[derive(Debug, Clone, Copy)]
+struct AttnUnit {
+    h: usize,
+    q_off: usize,
+    q_len: usize,
+    kv_off: usize,
+    kv_len: usize,
+}
+
+/// The grouped engine's problem list: batch-major, heads inner —
+/// `batch × heads` units (Fig. 6), sequence `b` of the target index paired
+/// with sequence `b` of the memory index. Self-attention passes one index
+/// twice.
+///
+/// # Panics
+/// Panics if the two indices hold a different number of sequences.
+fn units(tgt_idx: &PackingIndex, mem_idx: &PackingIndex, heads: usize) -> Vec<AttnUnit> {
+    assert_eq!(tgt_idx.batch(), mem_idx.batch(), "target and memory batches must align");
+    (0..tgt_idx.batch())
+        .flat_map(|b| (0..heads).map(move |h| (b, h)))
+        .map(|(b, h)| AttnUnit {
+            h,
+            q_off: tgt_idx.seq_offset(b),
+            q_len: tgt_idx.seq_len(b),
+            kv_off: mem_idx.seq_offset(b),
+            kv_len: mem_idx.seq_len(b),
+        })
+        .collect()
+}
+
+/// The one short/long dispatcher, behind [`fused_attention`] and
+/// [`causal_fused_attention`]: the shared-memory kernel for short
+/// sequences, the grouped-GEMM kernel beyond [`FUSED_SHORT_MAX_SEQ`].
+fn dispatch(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex, range: KeyRange) -> Tensor {
     static SHORT_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_SHORT);
     static LONG_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_LONG);
     if idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ {
         SHORT_PATH.incr();
         let _span = bt_obs::span!("mha.fused.short");
-        fused_short_attention(device, q, k, v, idx, DEFAULT_SPLIT_SEQ_LEN)
+        fused_short::short_attention(device, q, k, v, idx, DEFAULT_SPLIT_SEQ_LEN, range)
     } else {
         LONG_PATH.incr();
         let _span = bt_obs::span!("mha.fused.long");
-        fused_grouped_attention(device, q, k, v, idx, Scheduler::WarpPrefetch)
+        fused_grouped::self_attention(device, q, k, v, idx, Scheduler::WarpPrefetch, range)
     }
+}
+
+/// ByteTransformer's fused MHA: the shared-memory kernel for short
+/// sequences, the grouped-GEMM kernel beyond [`FUSED_SHORT_MAX_SEQ`]
+/// (paper: "With the explicit design for both short and long sequences…").
+/// Returns the packed `[valid, hidden]` context.
+pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
+    dispatch(device, q, k, v, idx, KeyRange::Full)
 }
 
 /// Straight-line host reference attention over padded inputs — the oracle

@@ -5,22 +5,21 @@
 //! transformers that contain the decoder part". This module is that
 //! extension, built entirely from the same machinery:
 //!
-//! * **causal self-attention** — the fused kernels of
-//!   [`crate::attention::causal`], packed and padding-free, with the causal
-//!   constraint expressed as a *smaller iteration space* (short path) or an
-//!   epilogue mask (grouped path);
-//! * **cross-attention** — [`crate::attention::cross`], rectangular
-//!   variable-shape attention units over the packed encoder memory, running
-//!   on the grouped-GEMM engine with softmax epilogue/mainloop fusion —
-//!   padding-free on *both* the decoder and encoder axes;
+//! * **causal self-attention** — the encoder's two fused kernels under a
+//!   causal key range ([`crate::attention::causal`]), packed and
+//!   padding-free, the constraint expressed as a *smaller iteration space*
+//!   (short kernel) or an epilogue mask (grouped kernel);
+//! * **cross-attention** — [`crate::attention::cross`], the same grouped
+//!   kernel over rectangular variable-shape attention units on the packed
+//!   encoder memory, with softmax epilogue/mainloop fusion — padding-free on
+//!   *both* the decoder and encoder axes;
 //! * the same fused add-bias+LayerNorm and bias+GELU-in-epilogue kernels.
 //!
 //! [`Seq2SeqTransformer`] composes a ByteTransformer encoder with this
 //! decoder for a full encoder-decoder forward pass (teacher-forcing style;
 //! incremental KV-cache decoding is future work, as in the paper).
 
-use crate::attention::causal::causal_fused_attention;
-use crate::attention::cross::cross_attention;
+use crate::attention::{causal_fused_attention, cross_attention};
 use crate::config::BertConfig;
 use crate::encoder::{launch_gemm, BertModel, OptLevel};
 use crate::weights::{DecoderLayerWeights, DecoderWeights};
@@ -279,8 +278,7 @@ impl Seq2SeqTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::causal::causal_reference_attention;
-    use crate::attention::cross::cross_reference_attention;
+    use crate::attention::{causal_reference_attention, cross_reference_attention};
     use bt_device::CostModel;
     use bt_kernels::activation::gelu_tanh;
     use bt_kernels::layernorm::normalize_row;

@@ -345,16 +345,16 @@ fn run_grouped(
 /// Accumulated nanoseconds spent packing micropanels in [`compute_tile`]
 /// (per-tile spans would flood the rings; a timed counter gives the same
 /// pack-vs-compute split at a fraction of the cost).
-static PACK_NS: bt_obs::Counter = bt_obs::Counter::new("gemm.grouped.pack_ns");
+static PACK_NS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_PACK_NS);
 /// Accumulated nanoseconds in the microkernel mainloop of [`compute_tile`].
-static COMPUTE_NS: bt_obs::Counter = bt_obs::Counter::new("gemm.grouped.compute_ns");
+static COMPUTE_NS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_COMPUTE_NS);
 /// High-water mark of any worker's scratch arena, in f32 elements.
-static SCRATCH_HWM: bt_obs::Counter = bt_obs::Counter::new("gemm.scratch.high_water_elems");
+static SCRATCH_HWM: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_HIGH_WATER);
 /// Total scratch-arena grow events across grouped launches.
-static SCRATCH_GROWS: bt_obs::Counter = bt_obs::Counter::new("gemm.scratch.grows");
+static SCRATCH_GROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_GROWS);
 /// Total tile-scheduler visits across grouped launches (warp-prefetch
 /// batching makes this `≈ tiles / PREFETCH_WIDTH`).
-static SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new("gemm.grouped.scheduler_visits");
+static SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_SCHEDULER_VISITS);
 
 /// Runs a grouped GEMM: every sub-problem `C_i = alpha_i * A_i·op(B_i)`,
 /// tiles distributed across `config.num_ctas` virtual CTAs by the selected

@@ -197,6 +197,62 @@ pub fn merge_heads_pack(device: &Device, ctx: &Tensor, idx: &PackingIndex) -> Te
     Tensor::from_vec(out, [valid, hidden]).expect("shape consistent")
 }
 
+/// The bias-add + head-split body behind the three packed splits below: a
+/// packed projection `[valid, P·hidden]` (`P` parts side by side in each row)
+/// plus its bias → `P` tensors `[heads, valid, head]`, part `p` multiplied by
+/// `scales[p]`. Each head plane makes one pass over the source rows.
+/// `spec` carries the launch name and flop count; the traffic is declared
+/// here.
+///
+/// # Panics
+/// Panics on shape mismatches.
+fn add_bias_split_packed<const P: usize>(
+    device: &Device,
+    spec: KernelSpec,
+    x: &Tensor,
+    bias: &[f32],
+    heads: usize,
+    scales: [f32; P],
+) -> [Tensor; P] {
+    let dims = x.dims();
+    assert_eq!(dims.len(), 2, "projection must be [valid, {P}*hidden]");
+    let (valid, width) = (dims[0], dims[1]);
+    assert_eq!(width % P, 0, "projection columns must be {P}*hidden");
+    let hidden = width / P;
+    assert_eq!(bias.len(), width, "bias length mismatch");
+    assert_eq!(hidden % heads, 0, "hidden not divisible by heads");
+    let head = hidden / heads;
+    let moved = (valid * width * 4) as u64;
+
+    let parts = device.launch(spec.reads(moved + width as u64 * 4).writes(moved), || {
+        let src = x.as_slice();
+        let plane = valid * head;
+        let mut parts: [Vec<f32>; P] = std::array::from_fn(|_| vec![0.0f32; heads * plane]);
+        // Parallelize over head planes: each (part, head) region is a
+        // disjoint chunk. (`max(1)`: empty batches have zero-sized planes,
+        // and chunk sizes must be positive.)
+        let planes = parts[0].chunks(plane.max(1)).len();
+        let mut chunks = parts.each_mut().map(|part| part.chunks_mut(plane.max(1)));
+        let tasks: Vec<[&mut [f32]; P]> = (0..planes)
+            .map(|_| chunks.each_mut().map(|c| c.next().expect("parts are the same length")))
+            .collect();
+        tasks.into_par_iter().enumerate().for_each(|(h, mut dst)| {
+            for w in 0..valid {
+                let row = &src[w * width..(w + 1) * width];
+                for (p, part) in dst.iter_mut().enumerate() {
+                    let c0 = p * hidden + h * head;
+                    let out = &mut part[w * head..(w + 1) * head];
+                    for ((o, &xv), &bv) in out.iter_mut().zip(&row[c0..c0 + head]).zip(&bias[c0..c0 + head]) {
+                        *o = (xv + bv) * scales[p];
+                    }
+                }
+            }
+        });
+        parts
+    });
+    parts.map(|part| Tensor::from_vec(part, [heads, valid, head]).expect("shape consistent"))
+}
+
 /// Fused bias + head-split **staying packed**, for the fused MHA paths:
 /// packed QKV `[valid, 3·hidden]` → three `[heads, valid, head]` tensors.
 /// Per `(batch, head)`, rows `seq_offset(b) .. seq_offset(b)+len` of plane
@@ -215,55 +271,9 @@ pub fn add_bias_split_qkv_packed(
     heads: usize,
     q_scale: f32,
 ) -> (Tensor, Tensor, Tensor) {
-    let dims = qkv.dims();
-    assert_eq!(dims.len(), 2, "qkv must be [valid, 3*hidden]");
-    let valid = dims[0];
-    let three_hidden = dims[1];
-    assert_eq!(three_hidden % 3, 0, "qkv columns must be 3*hidden");
-    let hidden = three_hidden / 3;
-    assert_eq!(qkv_bias.len(), three_hidden, "qkv bias length mismatch");
-    assert_eq!(hidden % heads, 0, "hidden not divisible by heads");
-    let head = hidden / heads;
-    let moved = (valid * three_hidden * 4) as u64;
-
-    let (q, k, v) = device.launch(
-        KernelSpec::new("layout.add_bias_split_qkv_packed")
-            .flops((valid * three_hidden) as u64)
-            .reads(moved + three_hidden as u64 * 4)
-            .writes(moved),
-        || {
-            let src = qkv.as_slice();
-            let plane = valid * head;
-            let mut q = vec![0.0f32; heads * plane];
-            let mut k = vec![0.0f32; heads * plane];
-            let mut v = vec![0.0f32; heads * plane];
-            // Parallelize over head planes: each (tensor, head) region is a
-            // disjoint chunk. (`max(1)`: empty batches have zero-sized
-            // planes, and chunk sizes must be positive.)
-            q.par_chunks_mut(plane.max(1))
-                .zip(k.par_chunks_mut(plane.max(1)))
-                .zip(v.par_chunks_mut(plane.max(1)))
-                .enumerate()
-                .for_each(|(h, ((qp, kp), vp))| {
-                    for w in 0..valid {
-                        let row = &src[w * three_hidden..(w + 1) * three_hidden];
-                        for d in 0..head {
-                            let c = h * head + d;
-                            qp[w * head + d] = (row[c] + qkv_bias[c]) * q_scale;
-                            kp[w * head + d] = row[hidden + c] + qkv_bias[hidden + c];
-                            vp[w * head + d] = row[2 * hidden + c] + qkv_bias[2 * hidden + c];
-                        }
-                    }
-                });
-            (q, k, v)
-        },
-    );
-    let shape = [heads, valid, head];
-    (
-        Tensor::from_vec(q, shape).expect("shape consistent"),
-        Tensor::from_vec(k, shape).expect("shape consistent"),
-        Tensor::from_vec(v, shape).expect("shape consistent"),
-    )
+    let spec = KernelSpec::new("layout.add_bias_split_qkv_packed").flops(qkv.numel() as u64);
+    let [q, k, v] = add_bias_split_packed(device, spec, qkv, qkv_bias, heads, [q_scale, 1.0, 1.0]);
+    (q, k, v)
 }
 
 /// Fused bias + head-split of a single packed projection `[valid, hidden]`
@@ -281,35 +291,9 @@ pub fn add_bias_split_heads_packed(
     heads: usize,
     scale: f32,
 ) -> Tensor {
-    let dims = x.dims();
-    assert_eq!(dims.len(), 2, "x must be [valid, hidden]");
-    let (valid, hidden) = (dims[0], dims[1]);
-    assert_eq!(bias.len(), hidden, "bias length mismatch");
-    assert_eq!(hidden % heads, 0, "hidden not divisible by heads");
-    let head = hidden / heads;
-    let moved = (valid * hidden * 4) as u64;
-    let out = device.launch(
-        KernelSpec::new(format!("{name}.add_bias_split_heads"))
-            .flops((valid * hidden * 2) as u64)
-            .reads(moved + hidden as u64 * 4)
-            .writes(moved),
-        || {
-            let src = x.as_slice();
-            let plane = valid * head;
-            let mut out = vec![0.0f32; heads * plane];
-            out.par_chunks_mut(plane.max(1)).enumerate().for_each(|(h, p)| {
-                for w in 0..valid {
-                    let row = &src[w * hidden..(w + 1) * hidden];
-                    for d in 0..head {
-                        let c = h * head + d;
-                        p[w * head + d] = (row[c] + bias[c]) * scale;
-                    }
-                }
-            });
-            out
-        },
-    );
-    Tensor::from_vec(out, [heads, valid, head]).expect("shape consistent")
+    let spec = KernelSpec::new(format!("{name}.add_bias_split_heads")).flops(2 * x.numel() as u64);
+    let [out] = add_bias_split_packed(device, spec, x, bias, heads, [scale]);
+    out
 }
 
 /// Fused bias + head-split of a packed KV projection `[valid, 2·hidden]`
@@ -325,47 +309,9 @@ pub fn add_bias_split_kv_packed(
     kv_bias: &[f32],
     heads: usize,
 ) -> (Tensor, Tensor) {
-    let dims = kv.dims();
-    assert_eq!(dims.len(), 2, "kv must be [valid, 2*hidden]");
-    let valid = dims[0];
-    let two_hidden = dims[1];
-    assert_eq!(two_hidden % 2, 0, "kv columns must be 2*hidden");
-    let hidden = two_hidden / 2;
-    assert_eq!(kv_bias.len(), two_hidden, "kv bias length mismatch");
-    assert_eq!(hidden % heads, 0, "hidden not divisible by heads");
-    let head = hidden / heads;
-    let moved = (valid * two_hidden * 4) as u64;
-    let (k, v) = device.launch(
-        KernelSpec::new(format!("{name}.add_bias_split_kv"))
-            .flops((valid * two_hidden) as u64)
-            .reads(moved + two_hidden as u64 * 4)
-            .writes(moved),
-        || {
-            let src = kv.as_slice();
-            let plane = valid * head;
-            let mut k = vec![0.0f32; heads * plane];
-            let mut v = vec![0.0f32; heads * plane];
-            k.par_chunks_mut(plane.max(1))
-                .zip(v.par_chunks_mut(plane.max(1)))
-                .enumerate()
-                .for_each(|(h, (kp, vp))| {
-                    for w in 0..valid {
-                        let row = &src[w * two_hidden..(w + 1) * two_hidden];
-                        for d in 0..head {
-                            let c = h * head + d;
-                            kp[w * head + d] = row[c] + kv_bias[c];
-                            vp[w * head + d] = row[hidden + c] + kv_bias[hidden + c];
-                        }
-                    }
-                });
-            (k, v)
-        },
-    );
-    let shape = [heads, valid, head];
-    (
-        Tensor::from_vec(k, shape).expect("shape consistent"),
-        Tensor::from_vec(v, shape).expect("shape consistent"),
-    )
+    let spec = KernelSpec::new(format!("{name}.add_bias_split_kv")).flops(kv.numel() as u64);
+    let [k, v] = add_bias_split_packed(device, spec, kv, kv_bias, heads, [1.0, 1.0]);
+    (k, v)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! | `serve.shard.` | multi-shard router (`run_sharded_open_loop`) | `serve.shard.routed` |
 //! | `serve.decode.` | paged decode loop (`run_decode_loop`) | `serve.decode.steps` |
 //! | `kvcache.` | paged KV cache + block pool | `kvcache.pool.high_water_blocks` |
-//! | `gemm.` | GEMM drivers (per-ISA/per-precision rates) | `gemm.flops.avx512.f32` |
+//! | `gemm.` | GEMM drivers (per-ISA/per-precision rates, grouped-driver timers and scratch) | `gemm.flops.avx512.f32`, `gemm.grouped.pack_ns` |
 //! | `mha.` | fused-MHA dispatcher and grouped engine (`bt-core`) | `mha.path.short` |
 //! | `core.` | `bt-core` layer stacks | `core.paged.rows` |
 //! | `req.` | request-lifecycle trace marks (tagged point events) | `req.admit`, `req.shed.queue_full` |
@@ -129,6 +129,20 @@ pub const GEMM_BLOCKED_LAUNCHES_PREFIX: &str = "gemm.blocked.launches.";
 /// snapshot shows which driver each `sgemm` launch took.
 pub const GEMM_SKINNY_LAUNCHES_PREFIX: &str = "gemm.skinny.launches.";
 
+// --- gemm.grouped.* / gemm.scratch.* — grouped-GEMM driver ----------------
+
+/// Accumulated nanoseconds the grouped driver spent packing micropanels.
+pub const GEMM_GROUPED_PACK_NS: &str = "gemm.grouped.pack_ns";
+/// Accumulated nanoseconds in the grouped driver's microkernel mainloop.
+pub const GEMM_GROUPED_COMPUTE_NS: &str = "gemm.grouped.compute_ns";
+/// Tile-scheduler visits across grouped launches.
+pub const GEMM_GROUPED_SCHEDULER_VISITS: &str = "gemm.grouped.scheduler_visits";
+/// High-water mark of any worker's scratch arena, in f32 elements (merges
+/// by max).
+pub const GEMM_SCRATCH_HIGH_WATER: &str = "gemm.scratch.high_water_elems";
+/// Scratch-arena grow events across grouped launches.
+pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";
+
 // --- mha.* / core.* — bt-core attention dispatch and decode rows ----------
 
 /// Fused-MHA calls that took the short shared-memory kernel.
@@ -225,6 +239,11 @@ pub const ALL: &[&str] = &[
     KV_BLOCKS_IN_USE,
     KV_POOL_HIGH_WATER,
     KV_POOL_OOM_EVENTS,
+    GEMM_GROUPED_PACK_NS,
+    GEMM_GROUPED_COMPUTE_NS,
+    GEMM_GROUPED_SCHEDULER_VISITS,
+    GEMM_SCRATCH_HIGH_WATER,
+    GEMM_SCRATCH_GROWS,
     MHA_PATH_SHORT,
     MHA_PATH_LONG,
     MHA_GROUPED_SCHEDULER_VISITS,
@@ -262,7 +281,12 @@ mod tests {
 
     #[test]
     fn core_names_keep_the_strings_the_benchmark_reads() {
-        // benchmark/src/metrics.rs looks these five up by literal name.
+        // benchmark/src/metrics.rs looks these up by literal name.
+        assert_eq!(GEMM_GROUPED_PACK_NS, "gemm.grouped.pack_ns");
+        assert_eq!(GEMM_GROUPED_COMPUTE_NS, "gemm.grouped.compute_ns");
+        assert_eq!(GEMM_GROUPED_SCHEDULER_VISITS, "gemm.grouped.scheduler_visits");
+        assert_eq!(GEMM_SCRATCH_HIGH_WATER, "gemm.scratch.high_water_elems");
+        assert_eq!(GEMM_SCRATCH_GROWS, "gemm.scratch.grows");
         assert_eq!(MHA_PATH_SHORT, "mha.path.short");
         assert_eq!(MHA_PATH_LONG, "mha.path.long");
         assert_eq!(MHA_GROUPED_SCHEDULER_VISITS, "mha.grouped.scheduler_visits");
@@ -308,5 +332,6 @@ mod tests {
     #[test]
     fn high_water_names_merge_by_max() {
         assert!(KV_POOL_HIGH_WATER.contains("high_water"));
+        assert!(GEMM_SCRATCH_HIGH_WATER.contains("high_water"));
     }
 }

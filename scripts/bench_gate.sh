@@ -27,11 +27,39 @@ for f in BENCH_gemm.json BENCH_pool.json BENCH_serve.json BENCH_decode.json; do
     || { rm -f "$BASE_DIR/$f"; echo "warning: $f not committed at HEAD; gate will skip it" >&2; }
 done
 
-echo "==> bench_gate: re-emitting artifacts (gemm full, pool/serve/decode fast)"
-cargo bench -p bt-bench --bench gemm_isa --quiet
-BT_BENCH_FAST=1 cargo bench -p bt-bench --bench pool_launch --quiet
-BT_BENCH_FAST=1 cargo bench -p bt-bench --bench bench_serve --quiet
-BT_BENCH_FAST=1 cargo bench -p bt-bench --bench bench_decode --quiet
+emit() {
+  echo "==> bench_gate: re-emitting artifacts (gemm full, pool/serve/decode fast)"
+  cargo bench -p bt-bench --bench gemm_isa --quiet
+  BT_BENCH_FAST=1 cargo bench -p bt-bench --bench pool_launch --quiet
+  BT_BENCH_FAST=1 cargo bench -p bt-bench --bench bench_serve --quiet
+  BT_BENCH_FAST=1 cargo bench -p bt-bench --bench bench_decode --quiet
+}
 
-echo "==> bench_gate: diffing against HEAD baselines"
-cargo run --release -p bt-bench --bin bench_gate --quiet -- "$BASE_DIR" .
+# Prints the gate's table and returns its exit code (1 = regression).
+diff_artifacts() {
+  echo "==> bench_gate: diffing against HEAD baselines"
+  local rc=0
+  cargo run --release -p bt-bench --bin bench_gate --quiet -- "$BASE_DIR" . > "$BASE_DIR/diff.txt" || rc=$?
+  cat "$BASE_DIR/diff.txt"
+  return "$rc"
+}
+
+# The guest's hypervisor steals CPU in episodes that put one measured row
+# at a fraction of its baseline on an untouched tree, so a failing diff is
+# re-measured once; a regression in the code fails both times. The retry's
+# wall seconds go to target/bench_gate_retry_secs for check.sh's summary.
+RETRY_SECS=target/bench_gate_retry_secs
+rm -f "$RETRY_SECS"
+emit
+rc=0
+diff_artifacts || rc=$?
+if [ "$rc" -eq 1 ]; then
+  echo "==> bench_gate: first diff failed on the rows below; re-emitting and re-diffing once"
+  grep '^FAIL' "$BASE_DIR/diff.txt" || true
+  t0=$SECONDS
+  emit
+  rc=0
+  diff_artifacts || rc=$?
+  echo "$((SECONDS - t0))" > "$RETRY_SECS"
+fi
+exit "$rc"

@@ -111,6 +111,9 @@ step "perf-regression gate (scripts/bench_gate.sh)"
 # baselines committed at HEAD with per-metric tolerance bands; a throughput
 # collapse, latency blowup, or broken accounting boolean fails the gate.
 scripts/bench_gate.sh
+if [ -s target/bench_gate_retry_secs ]; then
+  step_names[-1]+=" [first diff failed; retry took $(cat target/bench_gate_retry_secs)s of this]"
+fi
 
 step "cargo check --workspace --all-targets (obs-off)"
 # Every new obs-layer API (trace, snapshot, btx trace/top, bench_gate) must

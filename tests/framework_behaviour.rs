@@ -8,15 +8,21 @@ fn setup(lens: &[usize], max_seq: usize, layers: usize) -> (BertModel, Tensor, B
     let config = BertConfig::tiny();
     let model = BertModel::new_random(config, layers, 42);
     let mask = BatchMask::from_lens(lens.to_vec(), max_seq).unwrap();
-    let mut input = Tensor::randn([mask.batch(), max_seq, config.hidden()], 7);
+    let input = padded_input(&mask, config.hidden(), 7);
+    (model, input, mask)
+}
+
+/// Zero-padded random `[batch, max_seq, hidden]` activations for `mask`.
+fn padded_input(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
+    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
     for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..max_seq {
-            for h in 0..config.hidden() {
-                input.set(&[b, s, h], 0.0).unwrap();
+        for s in len..mask.max_seq_len() {
+            for h in 0..hidden {
+                t.set(&[b, s, h], 0.0).unwrap();
             }
         }
     }
-    (model, input, mask)
+    t
 }
 
 #[test]
@@ -221,5 +227,68 @@ fn launch_sequences_are_pinned() {
             eprintln!("        (\"{k}\", {v:#018x}),");
         }
         panic!("launch sequence moved (computed table printed above)");
+    }
+}
+
+#[test]
+fn decoder_launch_sequences_are_pinned() {
+    // The decoder's causal self-attention and cross-attention reach the two
+    // fused-MHA kernels through a key range and a unit list; these hashes
+    // were captured at commit 8b8176e, when the causal short kernel, the
+    // causal grouped wrapper and the cross unit list were separate code, so
+    // a launch that changes name, order or declared cost fails here. The
+    // paged decoder has its own attention (`paged.attn.*`) and is pinned so
+    // that sharing code with it later starts from a fixed point.
+    if bytetransformer::gemm::active_precision() != bytetransformer::gemm::Precision::F32 {
+        return;
+    }
+    let config = BertConfig::tiny();
+    let hidden = config.hidden();
+    let decoder = TransformerDecoder::new_random(config, 2, 5);
+    let mut got: Vec<(&str, u64)> = Vec::new();
+    // One target on each side of FUSED_SHORT_MAX_SEQ, each over a
+    // variable-length memory.
+    let mask = |lens: &[usize]| BatchMask::from_lens(lens.to_vec(), *lens.iter().max().unwrap()).unwrap();
+    let cases: [(&str, &[usize], &[usize]); 2] = [
+        ("decoder/short", &[6, 3, 8], &[5, 9, 2]),
+        ("decoder/long", &[390, 120], &[30, 200]),
+    ];
+    for (label, tgt_lens, mem_lens) in cases {
+        let (tgt_mask, mem_mask) = (mask(tgt_lens), mask(mem_lens));
+        let dev = Device::with_model(CostModel::a100());
+        decoder
+            .forward(
+                &dev,
+                &padded_input(&tgt_mask, hidden, 1),
+                &tgt_mask,
+                &padded_input(&mem_mask, hidden, 2),
+                &mem_mask,
+            )
+            .unwrap();
+        got.push((label, launch_hash(&dev)));
+    }
+    {
+        use bytetransformer::core::paged::PagedDecoder;
+        use bytetransformer::varlen::paged::PagedLayout;
+        let dev = Device::with_model(CostModel::a100());
+        let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(4, 32));
+        let a = paged.open_session(&dev, &Tensor::randn([5, hidden], 3));
+        let b = paged.open_session(&dev, &Tensor::randn([3, hidden], 4));
+        paged.prefill(&dev, a, &Tensor::randn([6, hidden], 5)).unwrap();
+        paged.prefill(&dev, b, &Tensor::randn([3, hidden], 6)).unwrap();
+        let step = paged.step_batch(&dev, &[a, b], Tensor::randn([2, hidden], 7).as_slice());
+        assert!(step.oom.is_empty());
+        got.push(("paged/prefill+step_batch", launch_hash(&dev)));
+    }
+    let pinned: [(&str, u64); 3] = [
+        ("decoder/short", 0xa974d956bd332d9c),
+        ("decoder/long", 0x928a691bf2702eb0),
+        ("paged/prefill+step_batch", 0x5e4e44070f76d801),
+    ];
+    if got != pinned {
+        for (k, v) in &got {
+            eprintln!("        (\"{k}\", {v:#018x}),");
+        }
+        panic!("decoder launch sequence moved (computed table printed above)");
     }
 }
