@@ -15,9 +15,18 @@
 //!   *both* the decoder and encoder axes;
 //! * the same fused add-bias+LayerNorm and bias+GELU-in-epilogue kernels.
 //!
+//! This file owns the decoder layer: `decoder_layer` is the one body
+//! (projections, §III.C's two fusions, residual wiring), and a stack supplies
+//! only two attention closures saying where its K/V live. Teacher forcing
+//! ([`TransformerDecoder`], here): self K/V are the forward's own packed rows
+//! under the causal key range, cross K/V are projected from the packed memory
+//! in every layer. [`crate::paged::PagedDecoder`]: self K/V go through a
+//! block-paged cache, cross K/V are per-session planes projected once at
+//! `open_session`. [`crate::incremental::DecoderSession`] shares none of it
+//! on purpose — it is the scalar oracle both stacks are compared to.
+//!
 //! [`Seq2SeqTransformer`] composes a ByteTransformer encoder with this
-//! decoder for a full encoder-decoder forward pass (teacher-forcing style;
-//! incremental KV-cache decoding is future work, as in the paper).
+//! decoder for a full encoder-decoder forward pass (teacher-forcing style).
 
 use crate::attention::{causal_fused_attention, cross_attention};
 use crate::config::BertConfig;
@@ -96,7 +105,9 @@ impl TransformerDecoder {
         tgt_idx.unpack(device, &x)
     }
 
-    /// One decoder layer on packed activations.
+    /// One decoder layer on packed activations: `decoder_layer` with the
+    /// self K/V taken from this forward's own packed rows under the causal
+    /// key range, and the cross K/V projected from the packed memory.
     pub fn layer_forward_packed(
         &self,
         device: &Device,
@@ -109,133 +120,137 @@ impl TransformerDecoder {
         let hidden = self.config.hidden();
         let heads = self.config.heads;
         let scale = self.config.attention_scale();
-        let eps = self.config.eps;
         let rows = tgt_idx.valid_words();
         let mem_rows = mem_idx.valid_words();
-
-        // --- causal self-attention -----------------------------------
-        let qkv = launch_gemm(
+        let tensor =
+            |data: Vec<f32>, n: usize, cols: usize| Tensor::from_vec(data, [n, cols]).expect("shape consistent");
+        let out = decoder_layer(
             device,
-            "dec_gemm0.self_qkv",
+            &self.config,
+            w,
+            &LAYER_NAMES,
             x.as_slice(),
             rows,
-            w.self_qkv_weight.as_slice(),
-            hidden,
-            3 * hidden,
-            None,
+            |qkv, bias| {
+                let (q, k, v) = add_bias_split_qkv_packed(device, &tensor(qkv, rows, 3 * hidden), bias, heads, scale);
+                causal_fused_attention(device, &q, &k, &v, tgt_idx).into_vec()
+            },
+            |cq, bias| {
+                let cq = add_bias_split_heads_packed(device, "cross_q", &tensor(cq, rows, hidden), bias, heads, scale);
+                let ckv = launch_gemm(
+                    device,
+                    "dec_gemm3.cross_kv",
+                    memory.as_slice(),
+                    mem_rows,
+                    w.cross_kv_weight.as_slice(),
+                    hidden,
+                    2 * hidden,
+                    None,
+                );
+                let ckv = tensor(ckv, mem_rows, 2 * hidden);
+                let (ck, cv) = add_bias_split_kv_packed(device, "cross_kv", &ckv, &w.cross_kv_bias, heads);
+                cross_attention(device, &cq, &ck, &cv, tgt_idx, mem_idx, Scheduler::WarpPrefetch).into_vec()
+            },
         );
-        let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
-        let (q, k, v) = add_bias_split_qkv_packed(device, &qkv, &w.self_qkv_bias, heads, scale);
-        let sa = causal_fused_attention(device, &q, &k, &v, tgt_idx);
-        let mut attn = launch_gemm(
-            device,
-            "dec_gemm1.self_proj",
-            sa.as_slice(),
-            rows,
-            w.self_out_weight.as_slice(),
-            hidden,
-            hidden,
-            None,
-        );
-        add_bias_residual_layernorm_fused(
-            device,
-            "dec_layernorm0",
-            &mut attn,
-            x.as_slice(),
-            &w.self_out_bias,
-            &w.ln0_gamma,
-            &w.ln0_beta,
-            eps,
-            rows,
-            hidden,
-        );
-
-        // --- cross-attention over the packed encoder memory ----------
-        let cq = launch_gemm(
-            device,
-            "dec_gemm2.cross_q",
-            &attn,
-            rows,
-            w.cross_q_weight.as_slice(),
-            hidden,
-            hidden,
-            None,
-        );
-        let cq = Tensor::from_vec(cq, [rows, hidden]).expect("shape consistent");
-        let cq = add_bias_split_heads_packed(device, "cross_q", &cq, &w.cross_q_bias, heads, scale);
-        let ckv = launch_gemm(
-            device,
-            "dec_gemm3.cross_kv",
-            memory.as_slice(),
-            mem_rows,
-            w.cross_kv_weight.as_slice(),
-            hidden,
-            2 * hidden,
-            None,
-        );
-        let ckv = Tensor::from_vec(ckv, [mem_rows, 2 * hidden]).expect("shape consistent");
-        let (ck, cv) = add_bias_split_kv_packed(device, "cross_kv", &ckv, &w.cross_kv_bias, heads);
-        let ca = cross_attention(device, &cq, &ck, &cv, tgt_idx, mem_idx, Scheduler::WarpPrefetch);
-        let mut cattn = launch_gemm(
-            device,
-            "dec_gemm4.cross_proj",
-            ca.as_slice(),
-            rows,
-            w.cross_out_weight.as_slice(),
-            hidden,
-            hidden,
-            None,
-        );
-        add_bias_residual_layernorm_fused(
-            device,
-            "dec_layernorm1",
-            &mut cattn,
-            &attn,
-            &w.cross_out_bias,
-            &w.ln1_gamma,
-            &w.ln1_beta,
-            eps,
-            rows,
-            hidden,
-        );
-
-        // --- FFN with fused bias + GELU epilogue ----------------------
-        let inter = self.config.intermediate();
-        let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-        let ffn = launch_gemm(
-            device,
-            "dec_gemm5.ffn_up",
-            &cattn,
-            rows,
-            w.ffn_up_weight.as_slice(),
-            hidden,
-            inter,
-            Some(&epi),
-        );
-        let mut out = launch_gemm(
-            device,
-            "dec_gemm6.ffn_down",
-            &ffn,
-            rows,
-            w.ffn_down_weight.as_slice(),
-            inter,
-            hidden,
-            None,
-        );
-        add_bias_residual_layernorm_fused(
-            device,
-            "dec_layernorm2",
-            &mut out,
-            &cattn,
-            &w.ffn_down_bias,
-            &w.ln2_gamma,
-            &w.ln2_beta,
-            eps,
-            rows,
-            hidden,
-        );
-        Tensor::from_vec(out, [rows, hidden]).expect("shape consistent")
+        tensor(out, rows, hidden)
     }
+}
+
+/// Launch names of the row-wise kernels of one stack's decoder layer.
+pub(crate) struct LayerNames {
+    pub self_qkv: &'static str,
+    pub self_proj: &'static str,
+    pub cross_q: &'static str,
+    pub cross_proj: &'static str,
+    pub ffn_up: &'static str,
+    pub ffn_down: &'static str,
+    /// After self-attention, after cross-attention, after the FFN.
+    pub layernorm: [&'static str; 3],
+}
+
+const LAYER_NAMES: LayerNames = LayerNames {
+    self_qkv: "dec_gemm0.self_qkv",
+    self_proj: "dec_gemm1.self_proj",
+    cross_q: "dec_gemm2.cross_q",
+    cross_proj: "dec_gemm4.cross_proj",
+    ffn_up: "dec_gemm5.ffn_up",
+    ffn_down: "dec_gemm6.ffn_down",
+    layernorm: ["dec_layernorm0", "dec_layernorm1", "dec_layernorm2"],
+};
+
+/// The decoder layer over `[rows, hidden]` activations `x`, written once for
+/// the teacher-forced stack above and [`crate::paged::PagedDecoder`]: six
+/// row-wise GEMMs, bias + GELU in the FFN up-projection's epilogue, and a
+/// fused add-bias + residual + LayerNorm closing each sub-layer (§III.C).
+///
+/// The stacks differ only in where attention's K/V live, so each passes two
+/// closures that take a raw projection (`[rows, 3·hidden]` self QKV,
+/// `[rows, hidden]` cross Q) with its bias and return the `[rows, hidden]`
+/// attention context.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn decoder_layer(
+    device: &Device,
+    config: &BertConfig,
+    w: &DecoderLayerWeights,
+    names: &LayerNames,
+    x: &[f32],
+    rows: usize,
+    self_attention: impl FnOnce(Vec<f32>, &[f32]) -> Vec<f32>,
+    cross_attention: impl FnOnce(Vec<f32>, &[f32]) -> Vec<f32>,
+) -> Vec<f32> {
+    let hidden = config.hidden();
+    let gemm = |name: &str, a: &[f32], weight: &Tensor, k: usize, n: usize| {
+        launch_gemm(device, name, a, rows, weight.as_slice(), k, n, None)
+    };
+    let add_layernorm = |name: &str, out: &mut [f32], residual: &[f32], bias: &[f32], gamma: &[f32], beta: &[f32]| {
+        add_bias_residual_layernorm_fused(device, name, out, residual, bias, gamma, beta, config.eps, rows, hidden);
+    };
+
+    let qkv = gemm(names.self_qkv, x, &w.self_qkv_weight, hidden, 3 * hidden);
+    let sa = self_attention(qkv, &w.self_qkv_bias);
+    let mut attn = gemm(names.self_proj, &sa, &w.self_out_weight, hidden, hidden);
+    add_layernorm(
+        names.layernorm[0],
+        &mut attn,
+        x,
+        &w.self_out_bias,
+        &w.ln0_gamma,
+        &w.ln0_beta,
+    );
+
+    let cq = gemm(names.cross_q, &attn, &w.cross_q_weight, hidden, hidden);
+    let ca = cross_attention(cq, &w.cross_q_bias);
+    let mut cattn = gemm(names.cross_proj, &ca, &w.cross_out_weight, hidden, hidden);
+    add_layernorm(
+        names.layernorm[1],
+        &mut cattn,
+        &attn,
+        &w.cross_out_bias,
+        &w.ln1_gamma,
+        &w.ln1_beta,
+    );
+
+    let epi = bias_gelu_epilogue(&w.ffn_up_bias);
+    let ffn = launch_gemm(
+        device,
+        names.ffn_up,
+        &cattn,
+        rows,
+        w.ffn_up_weight.as_slice(),
+        hidden,
+        config.intermediate(),
+        Some(&epi),
+    );
+    let mut out = gemm(names.ffn_down, &ffn, &w.ffn_down_weight, config.intermediate(), hidden);
+    add_layernorm(
+        names.layernorm[2],
+        &mut out,
+        &cattn,
+        &w.ffn_down_bias,
+        &w.ln2_gamma,
+        &w.ln2_beta,
+    );
+    out
 }
 
 /// A full encoder-decoder Transformer: a ByteTransformer BERT encoder

@@ -19,6 +19,12 @@
 //! time produces the same per-row outputs as the packed teacher-forcing
 //! forward of [`crate::decoder::TransformerDecoder`] within float tolerance
 //! (the two contract in different orders, so not bit-for-bit).
+//!
+//! This is the **differential oracle** of the decoder stacks, so it keeps
+//! its own scalar layer (bias, LayerNorm and GELU as host loops, attention as
+//! dot products, the cross-K/V head split by hand) instead of calling
+//! `crate::decoder::decoder_layer`, the body the teacher-forced and paged
+//! decoders share: an oracle that ran the code under test would prove nothing.
 
 use crate::decoder::TransformerDecoder;
 use crate::encoder::launch_gemm;
@@ -65,14 +71,15 @@ impl<'a> DecoderSession<'a> {
     /// (`[mem_len, hidden]`, packed).
     ///
     /// # Panics
-    /// Panics if `memory` is not `[mem_len, hidden]` for the decoder's
-    /// hidden size.
+    /// Panics if `memory` is not `[mem_len, hidden]` with `mem_len ≥ 1` for
+    /// the decoder's hidden size.
     pub fn new(decoder: &'a TransformerDecoder, device: &Device, memory: &Tensor) -> Self {
         let hidden = decoder.config.hidden();
         let dims = memory.dims();
         assert_eq!(dims.len(), 2, "memory must be [mem_len, hidden]");
         assert_eq!(dims[1], hidden, "memory hidden mismatch");
         let mem_len = dims[0];
+        assert!(mem_len >= 1, "memory must hold at least one row");
         let heads = decoder.config.heads;
         let head = decoder.config.head_size;
 

@@ -17,12 +17,18 @@
 //!   the time axis.
 //! * [`PagedDecoder`] — many concurrent sessions over one shared cache,
 //!   with a **batched step**: [`PagedDecoder::step_batch`] advances every
-//!   session by one token in a single pipeline per layer — one `[rows, 3h]`
-//!   QKV GEMM for all sessions, one gather of each session's K/V planes via
-//!   its block table, and one grouped-GEMM launch carrying every
-//!   `(session, head)` attention problem at its true cache length.
-//!   [`PagedDecoder::prefill`] ingests a whole prompt through the same
-//!   pipeline with causal prefix lengths.
+//!   session by one token with all sessions' rows flowing through each layer
+//!   together, and [`PagedDecoder::prefill`] ingests a whole prompt the same
+//!   way with causal prefix lengths.
+//!
+//! The layer itself is not here: it is `crate::decoder::decoder_layer`,
+//! the body the teacher-forced decoder runs too. This stack supplies its two
+//! attention closures — self-attention appends the rows' K/V through the
+//! block tables (`paged.append`), gathers each session's K/V planes
+//! (`paged.gather`) and runs one grouped-GEMM launch carrying every
+//! `(row, head)` problem at its true cache length; cross-attention runs the
+//! same grouped launches over the per-session memory planes projected at
+//! [`PagedDecoder::open_session`].
 //!
 //! Equivalence guarantee (tested here and cross-ISA in
 //! `tests/differential_decode.rs`): a paged session tracks the contiguous
@@ -31,11 +37,13 @@
 //! outputs are **bitwise invariant** to the block size — paging is memory
 //! layout, never math.
 
-use crate::decoder::TransformerDecoder;
+use crate::config::BertConfig;
+use crate::decoder::{decoder_layer, LayerNames, TransformerDecoder};
 use crate::encoder::launch_gemm;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
-use bt_kernels::layernorm::normalize_row;
+use bt_kernels::activation::add_bias;
+use bt_kernels::layout::add_bias_split_kv_packed;
 use bt_kernels::softmax::softmax_row;
 use bt_tensor::Tensor;
 use bt_varlen::paged::{BlockPool, KvOom, PagedLayout, SessionId};
@@ -50,6 +58,17 @@ static KV_OOM: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_OOM);
 static KV_TOKENS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_TOKENS_APPENDED);
 /// Rows pushed through the batched decode pipeline.
 static DECODE_ROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::CORE_PAGED_ROWS);
+
+/// Launch names of `decoder_layer`'s row-wise kernels in this stack.
+const LAYER_NAMES: LayerNames = LayerNames {
+    self_qkv: "paged.self_qkv",
+    self_proj: "paged.self_proj",
+    cross_q: "paged.cross_q",
+    cross_proj: "paged.cross_proj",
+    ffn_up: "paged.ffn_up",
+    ffn_down: "paged.ffn_down",
+    layernorm: ["paged.layernorm0", "paged.layernorm1", "paged.layernorm2"],
+};
 
 /// Per-layer K/V storage addressed through a [`BlockPool`].
 ///
@@ -257,7 +276,6 @@ impl<'a> PagedDecoder<'a> {
         let mem_len = dims[0];
         assert!(mem_len >= 1, "memory must hold at least one row");
         let heads = self.decoder.config.heads;
-        let head = self.decoder.config.head_size;
 
         let cross_kv = self
             .decoder
@@ -275,19 +293,9 @@ impl<'a> PagedDecoder<'a> {
                     2 * hidden,
                     None,
                 );
-                let mut kp = vec![0.0f32; heads * mem_len * head];
-                let mut vp = vec![0.0f32; heads * mem_len * head];
-                for s in 0..mem_len {
-                    for h in 0..heads {
-                        for d in 0..head {
-                            let c = h * head + d;
-                            kp[(h * mem_len + s) * head + d] = kv[s * 2 * hidden + c] + w.cross_kv_bias[c];
-                            vp[(h * mem_len + s) * head + d] =
-                                kv[s * 2 * hidden + hidden + c] + w.cross_kv_bias[hidden + c];
-                        }
-                    }
-                }
-                (kp, vp)
+                let kv = Tensor::from_vec(kv, [mem_len, 2 * hidden]).expect("shape consistent");
+                let (k, v) = add_bias_split_kv_packed(device, "paged.cross_kv", &kv, &w.cross_kv_bias, heads);
+                (k.into_vec(), v.into_vec())
             })
             .collect();
 
@@ -396,207 +404,103 @@ impl<'a> PagedDecoder<'a> {
         BatchStepOutput { outputs, oom }
     }
 
-    /// The shared per-layer pipeline: `rows` are token rows (flattened in
-    /// `h`, `[rows, hidden]`), each attending over a causal prefix of its
-    /// session's cache. Both prefill (many rows, one session) and batched
-    /// decode (one row per session) flow through here, so the two paths
-    /// cannot diverge numerically.
+    /// Runs token rows (flattened in `h`, `[rows, hidden]`) through every
+    /// layer, each row attending over a causal prefix of its session's
+    /// cache. Both prefill (many rows, one session) and batched decode (one
+    /// row per session) flow through here, so the two paths cannot diverge
+    /// numerically. The layer is `decoder_layer`; what this stack supplies
+    /// is the two attention closures: self K/V appended to and gathered from
+    /// the block tables, cross K/V read from the per-session memory planes.
     fn forward_rows(&mut self, device: &Device, units: &[SessionId], rows: &[RowPlan], h: &mut Vec<f32>) {
-        let config = self.decoder.config;
+        let decoder = self.decoder;
+        let config = decoder.config;
         let hidden = config.hidden();
         let heads = config.heads;
         let head = config.head_size;
-        let scale = config.attention_scale();
-        let eps = config.eps;
-        let inter = config.intermediate();
         let r = rows.len();
         DECODE_ROWS.add(r as u64);
-        let grouped_cfg = GroupedConfig::default();
 
-        for (layer, w) in self.decoder.weights.layers.iter().enumerate() {
-            // --- QKV projection for every row at once ------------------
-            let mut qkv = launch_gemm(
+        // Depth of each session's gather planes: the longest prefix any of
+        // its rows sees, the same in every layer.
+        let mut max_klen = vec![0usize; units.len()];
+        for p in rows {
+            max_klen[p.unit] = max_klen[p.unit].max(p.klen);
+        }
+        let gather_bytes: u64 = max_klen.iter().map(|&kl| (2 * kl * hidden * 4) as u64).sum();
+        let qkv_bytes = (r * 3 * hidden * 4) as u64;
+
+        let (cache, sessions) = (&mut self.cache, &self.sessions);
+        for (layer, w) in decoder.weights.layers.iter().enumerate() {
+            *h = decoder_layer(
                 device,
-                "paged.self_qkv",
+                &config,
+                w,
+                &LAYER_NAMES,
                 h,
                 r,
-                w.self_qkv_weight.as_slice(),
-                hidden,
-                3 * hidden,
-                None,
-            );
-            for row in 0..r {
-                for (v, &b) in qkv[row * 3 * hidden..(row + 1) * 3 * hidden]
-                    .iter_mut()
-                    .zip(&w.self_qkv_bias)
-                {
-                    *v += b;
-                }
-            }
-
-            // --- append K/V through the block tables -------------------
-            for (row, plan) in rows.iter().enumerate() {
-                let base = row * 3 * hidden;
-                let (k_row, v_row) = (
-                    &qkv[base + hidden..base + 2 * hidden],
-                    &qkv[base + 2 * hidden..base + 3 * hidden],
-                );
-                self.cache.write(layer, units[plan.unit], plan.pos, k_row, v_row);
-            }
-
-            // --- gather each session's K/V planes ----------------------
-            let max_klen: Vec<usize> = units
-                .iter()
-                .enumerate()
-                .map(|(u, _)| rows.iter().filter(|p| p.unit == u).map(|p| p.klen).max().unwrap_or(0))
-                .collect();
-            let gather_bytes: u64 = max_klen.iter().map(|&kl| (2 * kl * hidden * 4) as u64).sum();
-            let planes: Vec<(Vec<f32>, Vec<f32>)> = device.launch(
-                KernelSpec::new("paged.gather").reads(gather_bytes).writes(gather_bytes),
-                || {
-                    units
-                        .iter()
-                        .zip(&max_klen)
-                        .map(|(&sid, &kl)| {
-                            let mut kp = vec![0.0f32; heads * kl * head];
-                            let mut vp = vec![0.0f32; heads * kl * head];
-                            self.cache.gather(layer, sid, kl, heads, head, &mut kp, &mut vp);
-                            (kp, vp)
-                        })
-                        .collect()
+                |mut qkv, bias| {
+                    // Bias-add in place (Q stays unscaled: the grouped
+                    // problems carry the scale), K/V rows to their slots.
+                    device.launch(
+                        KernelSpec::new("paged.append")
+                            .flops((r * 3 * hidden) as u64)
+                            .reads(qkv_bytes + (3 * hidden * 4) as u64)
+                            .writes(qkv_bytes + (2 * r * hidden * 4) as u64),
+                        || {
+                            for (row, plan) in qkv.chunks_mut(3 * hidden).zip(rows) {
+                                for (v, &b) in row.iter_mut().zip(bias) {
+                                    *v += b;
+                                }
+                                let (k_row, v_row) = (&row[hidden..2 * hidden], &row[2 * hidden..]);
+                                cache.write(layer, units[plan.unit], plan.pos, k_row, v_row);
+                            }
+                        },
+                    );
+                    let planes: Vec<(Vec<f32>, Vec<f32>)> = device.launch(
+                        KernelSpec::new("paged.gather").reads(gather_bytes).writes(gather_bytes),
+                        || {
+                            units
+                                .iter()
+                                .zip(&max_klen)
+                                .map(|(&sid, &kl)| {
+                                    let mut kp = vec![0.0f32; heads * kl * head];
+                                    let mut vp = vec![0.0f32; heads * kl * head];
+                                    cache.gather(layer, sid, kl, heads, head, &mut kp, &mut vp);
+                                    (kp, vp)
+                                })
+                                .collect()
+                        },
+                    );
+                    Self::grouped_attention(
+                        device,
+                        "paged.attn",
+                        &qkv,
+                        3 * hidden,
+                        rows,
+                        |p| {
+                            let (kp, vp) = &planes[p.unit];
+                            (kp.as_slice(), vp.as_slice(), max_klen[p.unit], p.klen)
+                        },
+                        &config,
+                    )
+                },
+                |mut cq, bias| {
+                    add_bias(device, "paged.cross_q", &mut cq, r, hidden, bias);
+                    Self::grouped_attention(
+                        device,
+                        "paged.cross",
+                        &cq,
+                        hidden,
+                        rows,
+                        |p| {
+                            let state = sessions[units[p.unit].index()].as_ref().expect("session open");
+                            let (kp, vp) = &state.cross_kv[layer];
+                            (kp.as_slice(), vp.as_slice(), state.mem_len, state.mem_len)
+                        },
+                        &config,
+                    )
                 },
             );
-
-            // --- self-attention: one grouped launch per GEMM -----------
-            let sa = self.grouped_attention(
-                device,
-                "paged.attn",
-                &qkv,
-                3 * hidden,
-                rows,
-                |p| {
-                    let (kp, vp) = &planes[p.unit];
-                    (kp.as_slice(), vp.as_slice(), max_klen[p.unit], p.klen)
-                },
-                heads,
-                head,
-                scale,
-                grouped_cfg,
-            );
-            let mut attn = launch_gemm(
-                device,
-                "paged.self_proj",
-                &sa,
-                r,
-                w.self_out_weight.as_slice(),
-                hidden,
-                hidden,
-                None,
-            );
-            for row in 0..r {
-                let o = &mut attn[row * hidden..(row + 1) * hidden];
-                for ((v, &res), &b) in o
-                    .iter_mut()
-                    .zip(&h[row * hidden..(row + 1) * hidden])
-                    .zip(&w.self_out_bias)
-                {
-                    *v += res + b;
-                }
-                normalize_row(o, &w.ln0_gamma, &w.ln0_beta, eps);
-            }
-
-            // --- cross-attention over per-session memory planes --------
-            let mut cq = launch_gemm(
-                device,
-                "paged.cross_q",
-                &attn,
-                r,
-                w.cross_q_weight.as_slice(),
-                hidden,
-                hidden,
-                None,
-            );
-            for row in 0..r {
-                for (v, &b) in cq[row * hidden..(row + 1) * hidden].iter_mut().zip(&w.cross_q_bias) {
-                    *v += b;
-                }
-            }
-            let ca = self.grouped_attention(
-                device,
-                "paged.cross",
-                &cq,
-                hidden,
-                rows,
-                |p| {
-                    let state = self.sessions[units[p.unit].index()].as_ref().expect("session open");
-                    let (kp, vp) = &state.cross_kv[layer];
-                    (kp.as_slice(), vp.as_slice(), state.mem_len, state.mem_len)
-                },
-                heads,
-                head,
-                scale,
-                grouped_cfg,
-            );
-            let mut cattn = launch_gemm(
-                device,
-                "paged.cross_proj",
-                &ca,
-                r,
-                w.cross_out_weight.as_slice(),
-                hidden,
-                hidden,
-                None,
-            );
-            for row in 0..r {
-                let o = &mut cattn[row * hidden..(row + 1) * hidden];
-                for ((v, &res), &b) in o
-                    .iter_mut()
-                    .zip(&attn[row * hidden..(row + 1) * hidden])
-                    .zip(&w.cross_out_bias)
-                {
-                    *v += res + b;
-                }
-                normalize_row(o, &w.ln1_gamma, &w.ln1_beta, eps);
-            }
-
-            // --- FFN ----------------------------------------------------
-            let mut up = launch_gemm(
-                device,
-                "paged.ffn_up",
-                &cattn,
-                r,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                None,
-            );
-            for row in 0..r {
-                for (v, &b) in up[row * inter..(row + 1) * inter].iter_mut().zip(&w.ffn_up_bias) {
-                    *v = bt_kernels::activation::gelu_tanh(*v + b);
-                }
-            }
-            let mut out = launch_gemm(
-                device,
-                "paged.ffn_down",
-                &up,
-                r,
-                w.ffn_down_weight.as_slice(),
-                inter,
-                hidden,
-                None,
-            );
-            for row in 0..r {
-                let o = &mut out[row * hidden..(row + 1) * hidden];
-                for ((v, &res), &b) in o
-                    .iter_mut()
-                    .zip(&cattn[row * hidden..(row + 1) * hidden])
-                    .zip(&w.ffn_down_bias)
-                {
-                    *v += res + b;
-                }
-                normalize_row(o, &w.ln2_gamma, &w.ln2_beta, eps);
-            }
-            *h = out;
         }
     }
 
@@ -606,20 +510,17 @@ impl<'a> PagedDecoder<'a> {
     /// `(K plane, V plane, plane_klen, visible_klen)` — plane rows are
     /// `[heads, plane_klen, head]`, the problem consumes the first
     /// `visible_klen` tokens of each head (a contiguous prefix slice).
-    #[allow(clippy::too_many_arguments)]
     fn grouped_attention<'p>(
-        &self,
         device: &Device,
         name: &str,
         q: &'p [f32],
         q_stride: usize,
         rows: &[RowPlan],
         planes_of: impl Fn(&RowPlan) -> (&'p [f32], &'p [f32], usize, usize),
-        heads: usize,
-        head: usize,
-        scale: f32,
-        grouped_cfg: GroupedConfig,
+        config: &BertConfig,
     ) -> Vec<f32> {
+        let (heads, head, scale) = (config.heads, config.head_size, config.attention_scale());
+        let grouped_cfg = GroupedConfig::default();
         let r = rows.len();
         let hidden = heads * head;
         // Logits buffers, one per (row, head) problem, row-major order.
@@ -713,7 +614,6 @@ impl<'a> PagedDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BertConfig;
     use crate::incremental::DecoderSession;
     use bt_device::CostModel;
 

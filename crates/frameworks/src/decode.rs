@@ -58,6 +58,7 @@ use bt_core::decoder::TransformerDecoder;
 use bt_core::paged::PagedDecoder;
 use bt_device::Device;
 use bt_obs::{names, TraceId};
+use bt_tensor::rng::SplitMix64;
 use bt_tensor::Tensor;
 use bt_varlen::paged::{BlockPool, PagedLayout, SessionId};
 use std::collections::HashMap;
@@ -862,18 +863,11 @@ pub fn decode_workload(trace: &[TimedRequest], max_decode: usize, seed: u64) -> 
             id: r.id,
             prompt_len: r.len.max(1),
             decode_tokens: 1
-                + (splitmix64(seed ^ (r.id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize) % max_decode,
+                + (SplitMix64::new(seed ^ (r.id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64() as usize)
+                    % max_decode,
             arrival: r.arrival,
         })
         .collect()
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Pure-bookkeeping engine: a real [`BlockPool`] for capacity decisions and

@@ -42,6 +42,7 @@
 
 use bt_obs::names;
 use bt_obs::snapshot::{bucket_of, CounterDelta, HistogramWindow, MetricsSnapshot, HIST_BUCKETS};
+use bt_tensor::rng::SplitMix64;
 use bt_varlen::{BatchMask, BlockPool, PagedLayout};
 
 use crate::admission::admission_weight;
@@ -149,16 +150,6 @@ impl ShardConfig {
 /// bit-identical to the unsharded run from the same seed.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// splitmix64 step — the candidate sampler for
-/// [`RoutePolicy::PowerOfTwo`].
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Everything a sharded run observed: the global ledger plus per-shard
@@ -292,7 +283,8 @@ pub struct ShardRouter {
     /// drivers allocate from their shard's pool).
     pools: Vec<BlockPool>,
     rr_next: usize,
-    p2c_state: u64,
+    /// Candidate sampler of [`RoutePolicy::PowerOfTwo`].
+    p2c: SplitMix64,
     /// Requests placed on each shard's ingress.
     routed: Vec<usize>,
     /// Hot-shard sheds attributed to each shard.
@@ -310,16 +302,16 @@ impl ShardRouter {
         config.validate();
         let shard_kv = config.kv_layout.per_shard(config.shards);
         let pools = shard_kv.iter().map(|&l| BlockPool::new(l)).collect();
-        let p2c_state = match config.route {
+        let p2c = SplitMix64::new(match config.route {
             RoutePolicy::PowerOfTwo { seed } => seed,
             _ => 0,
-        };
+        });
         ShardRouter {
             engines: (0..config.shards).map(|_| OpenLoopShard::new(config.serve)).collect(),
             shard_kv,
             pools,
             rr_next: 0,
-            p2c_state,
+            p2c,
             routed: vec![0; config.shards],
             shed_hot: vec![0; config.shards],
             config,
@@ -358,8 +350,8 @@ impl ShardRouter {
                 best
             }
             RoutePolicy::PowerOfTwo { .. } => {
-                let a = (splitmix64(&mut self.p2c_state) % n as u64) as usize;
-                let b = (splitmix64(&mut self.p2c_state) % n as u64) as usize;
+                let a = (self.p2c.next_u64() % n as u64) as usize;
+                let b = (self.p2c.next_u64() % n as u64) as usize;
                 let (lo, hi) = (a.min(b), a.max(b));
                 let lo_load = self.engines[lo].outstanding_tokens(now);
                 let hi_load = self.engines[hi].outstanding_tokens(now);
