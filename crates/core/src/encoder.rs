@@ -33,7 +33,7 @@ use crate::attention::{batched_attention, flash_attention, fused_attention, naiv
 use crate::config::BertConfig;
 use crate::weights::{LayerWeights, ModelWeights};
 use bt_device::Device;
-use bt_gemm::{gemm_kernel_spec_active, sgemm, sgemm_epilogue, GemmSpec};
+use bt_gemm::{gemm_kernel_spec_active, sgemm, sgemm_epilogue, GemmSpec, TileEpilogue};
 use bt_kernels::activation::{add_bias_gelu_unfused, bias_gelu_epilogue};
 use bt_kernels::layernorm::{add_bias_residual_layernorm_fused, add_bias_residual_layernorm_unfused};
 use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv, merge_heads_pack};
@@ -147,7 +147,7 @@ pub(crate) fn launch_gemm(
     weight: &[f32],
     k: usize,
     n: usize,
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    epilogue: Option<&dyn TileEpilogue>,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; rows * n];
     let mut spec = gemm_kernel_spec_active(name, rows, n, k);
@@ -369,7 +369,7 @@ impl BertModel {
 
         // GEMM2: FFN up-projection, bias + GELU in its epilogue or after it.
         let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-        let epi: Option<&(dyn Fn(usize, f32) -> f32 + Sync)> = if plan.gelu_fused { Some(&epi) } else { None };
+        let epi: Option<&dyn TileEpilogue> = if plan.gelu_fused { Some(&epi) } else { None };
         let mut ffn = launch_gemm(
             device,
             "gemm2.ffn_up",

@@ -32,11 +32,15 @@
 //!   "threadblock" grid); each task packs its own `A` rows into `MR`-wide
 //!   micropanels, again straight from the `transa` layout;
 //! * each `MR×NR` output block accumulates in microkernel locals across the
-//!   *entire* `K` extent (the "register tile"), and the optional epilogue is
-//!   applied while the accumulator is still hot — which is precisely the
-//!   fusion point the paper uses to hide add-bias + GELU inside the GEMM
-//!   (§III.C.2).
+//!   *entire* `K` extent (the "register tile"), and the optional
+//!   [`TileEpilogue`] runs on the task's row panel as soon as the task has
+//!   stored it, while it is still in the core's cache — the fusion point the
+//!   paper uses to hide add-bias + GELU inside the GEMM (§III.C.2). One call
+//!   per panel rather than per `NR`-wide row segment: a dynamic call costs
+//!   as much as a 16-element GELU, and a long contiguous segment is what the
+//!   epilogue's loop vectorises best.
 
+use crate::grouped::TileEpilogue;
 use crate::isa::active_kernel;
 use crate::micro::{pack_a_panel, pack_b_panel, MR_MAX, NR_MAX};
 use crate::scratch::with_worker_scratch;
@@ -100,9 +104,11 @@ pub fn sgemm(spec: GemmSpec, m: usize, n: usize, k: usize, a: &[f32], b: &[f32],
     sgemm_inner(spec, m, n, k, a, b, c, None, None)
 }
 
-/// [`sgemm`] with a fused epilogue: each output element `x` at column `j`
-/// is stored as `epilogue(j, x)` while still in the accumulator — the
-/// register-level reuse of the paper's CUTLASS epilogue fusion.
+/// [`sgemm`] with a fused epilogue: every region of `C` a task finishes
+/// (still in cache) goes through `epilogue` in place before the task ends —
+/// the CPU form of the paper's CUTLASS epilogue fusion. The values it sees
+/// are exactly what [`sgemm`] would have stored, so `sgemm` followed by the
+/// same element-wise pass gives the same bits.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_epilogue(
     spec: GemmSpec,
@@ -112,39 +118,23 @@ pub fn sgemm_epilogue(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: &(dyn Fn(usize, f32) -> f32 + Sync),
+    epilogue: &dyn TileEpilogue,
 ) {
     sgemm_inner(spec, m, n, k, a, b, c, Some(epilogue), None)
 }
 
-/// Blends one microkernel accumulator row into a `C` row with the
-/// alpha/beta scaling and optional epilogue (`col0` is the row's first
-/// global column, passed to the epilogue hook).
+/// Blends one microkernel accumulator row into a `C` row segment with the
+/// alpha/beta scaling (`beta = 0` never reads `C`). The finish every dense
+/// driver shares; the epilogue runs after it, on what it stored.
 #[inline]
-pub(crate) fn store_row(
-    c_row: &mut [f32],
-    acc_row: &[f32],
-    col0: usize,
-    alpha: f32,
-    beta: f32,
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
-) {
-    match epilogue {
-        None if beta == 0.0 => {
-            for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                *cv = alpha * av;
-            }
+pub(crate) fn store_row(c_row: &mut [f32], acc_row: &[f32], alpha: f32, beta: f32) {
+    if beta == 0.0 {
+        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+            *cv = alpha * av;
         }
-        None => {
-            for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                *cv = alpha * av + beta * *cv;
-            }
-        }
-        Some(epi) => {
-            for (j, (cv, &av)) in c_row.iter_mut().zip(acc_row).enumerate() {
-                let x = alpha * av + beta * *cv;
-                *cv = epi(col0 + j, x);
-            }
+    } else {
+        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+            *cv = alpha * av + beta * *cv;
         }
     }
 }
@@ -201,7 +191,7 @@ pub fn sgemm_pinned(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    epilogue: Option<&dyn TileEpilogue>,
 ) {
     assert!(
         !(driver == Driver::Skinny && spec.transb),
@@ -219,7 +209,7 @@ fn sgemm_inner(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    epilogue: Option<&dyn TileEpilogue>,
     pinned: Option<Driver>,
 ) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
@@ -233,12 +223,11 @@ fn sgemm_inner(
         // Degenerate product: C = beta*C through the same store path
         // (kernel-independent — no dispatch needed).
         let zero = [0.0f32; NR_MAX];
-        for i in 0..m {
-            let row = &mut c[i * n..(i + 1) * n];
-            for j0 in (0..n).step_by(NR_MAX) {
-                let cols = NR_MAX.min(n - j0);
-                store_row(&mut row[j0..j0 + cols], &zero[..cols], j0, alpha, beta, epilogue);
-            }
+        for seg in c[..m * n].chunks_mut(NR_MAX) {
+            store_row(seg, &zero[..seg.len()], alpha, beta);
+        }
+        if let Some(epi) = epilogue {
+            epi.apply(0, 0, 0, m, n, &mut c[..m * n]);
         }
         return;
     }
@@ -330,15 +319,16 @@ fn sgemm_inner(
                             store_row(
                                 &mut c_panel[row * n + col0..row * n + col0 + cols],
                                 &acc[i * nr..i * nr + cols],
-                                col0,
                                 alpha,
                                 beta,
-                                epilogue,
                             );
                         }
                     }
                 }
             });
+            if let Some(epi) = epilogue {
+                epi.apply(0, row0, 0, rows, n, c_panel);
+            }
         });
 }
 
@@ -361,7 +351,7 @@ fn sgemm_lowp(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    epilogue: Option<&dyn TileEpilogue>,
 ) {
     use crate::lowp::{count_pack_bytes, pack_a_panel_lowp, pack_b_panel_lowp};
 
@@ -457,15 +447,16 @@ fn sgemm_lowp(
                             store_row(
                                 &mut c_panel[row * n + col0..row * n + col0 + cols],
                                 &acc[i * nr..i * nr + cols],
-                                col0,
                                 alpha,
                                 beta,
-                                epilogue,
                             );
                         }
                     }
                 }
             });
+            if let Some(epi) = epilogue {
+                epi.apply(0, row0, 0, rows, n, c_panel);
+            }
         });
 }
 
@@ -571,22 +562,45 @@ mod tests {
         sgemm(GemmSpec::nn(), 5, 0, 3, &[0.0; 15], &[], &mut c);
     }
 
+    /// Adds `1000·row + col` to every element, so an epilogue call with the
+    /// wrong global coordinates would show.
+    struct StampCoords;
+
+    impl TileEpilogue for StampCoords {
+        fn apply(&self, _: usize, row0: usize, col0: usize, rows: usize, cols: usize, tile: &mut [f32]) {
+            for i in 0..rows {
+                for j in 0..cols {
+                    tile[i * cols + j] += (1000 * (row0 + i) + col0 + j) as f32;
+                }
+            }
+        }
+    }
+
     #[test]
-    fn epilogue_applied_per_column() {
-        let m = 7;
-        let n = 9;
-        let k = 11;
-        let a = rand_vec(m * k, 4);
-        let b = rand_vec(k * n, 5);
-        let bias: Vec<f32> = (0..n).map(|j| j as f32).collect();
-        let mut c1 = vec![0.0f32; m * n];
-        let mut c2 = vec![0.0f32; m * n];
-        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c1, &|j, x| (x + bias[j]).max(0.0));
-        gemm_ref(false, false, m, n, k, 1.0, &a, &b, 0.0, &mut c2);
-        for i in 0..m {
-            for j in 0..n {
-                let expect = (c2[i * n + j] + j as f32).max(0.0);
-                assert!((c1[i * n + j] - expect).abs() < 1e-4);
+    fn epilogue_sees_global_coordinates_on_both_drivers() {
+        // Skinny (m ≤ SKINNY_MAX_M, row-major B) and packed (taller, or
+        // transb) shapes, ragged in both tile dimensions.
+        for &(m, n, k, transb) in &[
+            (7, 9, 11, false),
+            (40, 70, 13, false),
+            (300, 37, 5, false),
+            (33, 70, 9, true),
+        ] {
+            let a = rand_vec(m * k, 4);
+            let b = rand_vec(k * n, 5);
+            let spec = GemmSpec {
+                transb,
+                ..GemmSpec::nn()
+            };
+            let mut plain = vec![0.0f32; m * n];
+            let mut fused = vec![0.0f32; m * n];
+            sgemm(spec, m, n, k, &a, &b, &mut plain);
+            sgemm_epilogue(spec, m, n, k, &a, &b, &mut fused, &StampCoords);
+            for i in 0..m {
+                for j in 0..n {
+                    let want = plain[i * n + j] + (1000 * i + j) as f32;
+                    assert_eq!(fused[i * n + j].to_bits(), want.to_bits(), "{m}x{n}x{k} ({i}, {j})");
+                }
             }
         }
     }
@@ -594,10 +608,8 @@ mod tests {
     #[test]
     fn epilogue_applied_when_k_zero() {
         let mut c = vec![1.0f32, -2.0, 3.0, -4.0];
-        sgemm_epilogue(GemmSpec::nn().beta(1.0), 2, 2, 0, &[], &[], &mut c, &|j, x| {
-            x + j as f32 * 10.0
-        });
-        assert_eq!(c, vec![1.0, 8.0, 3.0, 6.0]);
+        sgemm_epilogue(GemmSpec::nn().beta(1.0), 2, 2, 0, &[], &[], &mut c, &StampCoords);
+        assert_eq!(c, vec![1.0, -1.0, 1003.0, 997.0]);
     }
 
     #[test]

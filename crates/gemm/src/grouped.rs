@@ -20,9 +20,10 @@
 //!   and also pay the real decode cost per visit, so both the metric and the
 //!   wall-clock reflect the optimization.
 //! * **Fusion hooks**: [`TileEpilogue`] runs on the accumulator tile before
-//!   it is stored (softmax partial reduction, Fig. 8), and [`ALoadTransform`]
-//!   runs on `A` fragments as they are loaded into the "register tile"
-//!   (Algorithm III.2's mainloop fusion, used to fold
+//!   it is stored (softmax partial reduction, Fig. 8; the dense drivers call
+//!   the same contract on the regions of `C` their tasks finish), and
+//!   [`ALoadTransform`] runs on `A` fragments as they are loaded into the
+//!   "register tile" (Algorithm III.2's mainloop fusion, used to fold
 //!   `exp(x - max) / sum` into the `P·V` GEMM).
 //!
 //! Both entry points ([`grouped_sgemm`], [`grouped_sgemm_strided`]) share
@@ -114,11 +115,22 @@ pub struct GroupedStats {
     pub scratch_grows: u64,
 }
 
-/// Epilogue applied to each accumulator tile before it is stored to `C`.
+/// The one output-epilogue contract of every GEMM driver: an element-wise
+/// transform of a finished output segment, run in place before the segment
+/// leaves the driver.
+///
+/// The grouped engine calls it once per `C` tile. The dense drivers
+/// ([`crate::sgemm_epilogue`], [`crate::sgemm_pinned`]) call it with
+/// `problem_idx = 0` on each region of `C` a task has just finished: the
+/// packed and low-precision drivers on the task's whole row panel
+/// (`rows × n`), the skinny driver on each row of the task's column block
+/// (`rows = 1`). Either way the values handed over are final: alpha-scaled,
+/// and in the dense drivers already blended with `beta·C`, so a GEMM with an
+/// epilogue stores exactly the bits of the GEMM followed by the same
+/// element-wise pass.
 pub trait TileEpilogue: Sync {
     /// `tile` is a dense `rows×cols` row-major buffer holding the final
-    /// (alpha-scaled) values of `C[row0.., col0..]` for problem
-    /// `problem_idx`.
+    /// values of `C[row0.., col0..]` for problem `problem_idx`.
     fn apply(&self, problem_idx: usize, row0: usize, col0: usize, rows: usize, cols: usize, tile: &mut [f32]);
 }
 

@@ -7,10 +7,10 @@
 //! 2. **Fused epilogues** (CUTLASS): element-wise transforms applied while
 //!    the result tile is still in registers — add-bias + GELU (§III.C.2) and
 //!    the softmax partial reduction of fused MHA (§III.E.2, Fig. 8).
-//!    [`sgemm_epilogue`] and the grouped-GEMM epilogue hooks reproduce these
-//!    fusion points: the transform runs on the output tile *before* it is
-//!    stored, so the unfused variant's extra global-memory round trip never
-//!    happens.
+//!    [`sgemm_epilogue`] and the grouped-GEMM entry points reproduce these
+//!    fusion points through one contract, [`TileEpilogue`]: the transform
+//!    runs on each finished output segment *before* the driver moves on, so
+//!    the unfused variant's extra global-memory round trip never happens.
 //! 3. **Grouped GEMM** (CUTLASS 2.10, which ByteTransformer itself extended):
 //!    many sub-GEMMs of *arbitrary* shapes walked tile-by-tile by a built-in
 //!    scheduler. [`grouped`] implements the round-robin problem visitor, the
@@ -55,6 +55,7 @@ mod skinny;
 pub mod store;
 
 pub use blocked::{sgemm, sgemm_epilogue, sgemm_pinned, Driver, GemmSpec};
+pub use grouped::TileEpilogue;
 pub use isa::{active_isa, available_isas, set_active_isa, Isa};
 pub use lowp::{dot_error_bound, int8_dot_error_bound, lowp_impl, resolve_lowp_kernel, Chain, LowpKernel};
 pub use prec::{active_precision, parse_prec_request, set_active_precision, Precision};

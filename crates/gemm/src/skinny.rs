@@ -38,6 +38,7 @@
 #![allow(unsafe_code)]
 
 use crate::blocked::{store_row, GemmSpec};
+use crate::grouped::TileEpilogue;
 use crate::isa::Isa;
 use crate::micro::{contract, pack_a_panel, SCALAR_FUSED_FMA};
 use crate::scratch::with_worker_scratch;
@@ -138,7 +139,7 @@ pub(crate) fn sgemm_skinny(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    epilogue: Option<&(dyn Fn(usize, f32) -> f32 + Sync)>,
+    epilogue: Option<&dyn TileEpilogue>,
 ) {
     debug_assert!(!spec.transb && m > 0 && n > 0 && k > 0);
     let kern = kernel_for(isa);
@@ -202,17 +203,21 @@ pub(crate) fn sgemm_skinny(
                     }
                 }
             }
+            // Each row's share of the block is finished strip by strip, then
+            // handed to the epilogue whole.
+            let block_cols = nb.min(n - j0);
             for g in 0..groups {
                 for i in 0..group_rows(g) {
                     let row = g * rmax + i;
-                    for s in 0..strips {
-                        let col = j0 + s * w;
-                        let cols = w.min(n - col);
-                        let acc_row = &acc[(g * strips + s) * tile_len + i * w..][..cols];
-                        writer.update(row * n + col, cols, |c_row| {
-                            store_row(c_row, acc_row, col, spec.alpha, spec.beta, epilogue)
-                        });
-                    }
+                    writer.update(row * n + j0, block_cols, |c_seg| {
+                        for (s, c_strip) in c_seg.chunks_mut(w).enumerate() {
+                            let acc_row = &acc[(g * strips + s) * tile_len + i * w..][..c_strip.len()];
+                            store_row(c_strip, acc_row, spec.alpha, spec.beta);
+                        }
+                        if let Some(epi) = epilogue {
+                            epi.apply(0, row, j0, 1, block_cols, c_seg);
+                        }
+                    });
                 }
             }
         });

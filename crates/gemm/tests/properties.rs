@@ -11,7 +11,7 @@ use bt_gemm::lowp::{
     pack_a_panel_lowp, pack_b_panel_lowp, quantize_i8,
 };
 use bt_gemm::micro::{pack_a_panel, pack_b_panel};
-use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, Precision};
+use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, Precision, TileEpilogue};
 use bt_tensor::compare::max_abs_diff;
 use bt_tensor::half::f16;
 use bt_tensor::rng::Xoshiro256StarStar;
@@ -32,6 +32,19 @@ fn lowp_expected(prec: Precision, x: f32, inv_scale: f32) -> (f32, f64) {
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()
+}
+
+/// `x ↦ tanh(x + bias[col])` through the tile contract.
+struct BiasTanh<'a>(&'a [f32]);
+
+impl TileEpilogue for BiasTanh<'_> {
+    fn apply(&self, _: usize, _: usize, col0: usize, rows: usize, cols: usize, tile: &mut [f32]) {
+        for i in 0..rows {
+            for (j, v) in tile[i * cols..(i + 1) * cols].iter_mut().enumerate() {
+                *v = (*v + self.0[col0 + j]).tanh();
+            }
+        }
+    }
 }
 
 proptest! {
@@ -96,13 +109,13 @@ proptest! {
         let b = rand_vec(k * n, seed + 1);
         let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.5).collect();
         let mut fused = vec![0.0f32; m * n];
-        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut fused, &|j, x| (x + bias[j]).tanh());
+        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut fused, &BiasTanh(&bias));
         let mut plain = vec![0.0f32; m * n];
         sgemm(GemmSpec::nn(), m, n, k, &a, &b, &mut plain);
         for i in 0..m {
             for j in 0..n {
                 let expect = (plain[i * n + j] + bias[j]).tanh();
-                prop_assert!((fused[i * n + j] - expect).abs() < 1e-5);
+                prop_assert_eq!(fused[i * n + j].to_bits(), expect.to_bits());
             }
         }
     }

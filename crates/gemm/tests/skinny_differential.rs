@@ -10,7 +10,7 @@
 //! top of that, so every tier is covered whatever the environment says.
 
 use bt_gemm::isa::{self, Isa};
-use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, sgemm_pinned, Driver, GemmSpec, SKINNY_MAX_M};
+use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, sgemm_pinned, Driver, GemmSpec, TileEpilogue, SKINNY_MAX_M};
 use bt_tensor::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -44,9 +44,18 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// A column-dependent epilogue (bias + clamp), so a store that passed the
-/// wrong global column would show.
-fn epilogue(j: usize, x: f32) -> f32 {
-    (x + j as f32 * 0.125 - 1.0).max(-0.5)
+/// wrong global column would show. (Not row-dependent: the rows under test
+/// sit at a different offset inside the tall product.)
+struct BiasClamp;
+
+impl TileEpilogue for BiasClamp {
+    fn apply(&self, _: usize, _: usize, col0: usize, rows: usize, cols: usize, tile: &mut [f32]) {
+        for i in 0..rows {
+            for (j, v) in tile[i * cols..(i + 1) * cols].iter_mut().enumerate() {
+                *v = (*v + (col0 + j) as f32 * 0.125 - 1.0).max(-0.5);
+            }
+        }
+    }
 }
 
 /// One differential case: logical `A` is `m×k`, stored transposed when
@@ -99,7 +108,7 @@ fn run_case(case: Case) -> (Vec<f32>, Vec<f32>) {
     let mut got = c0.clone();
     let a = store_a(&a_logical, m, k, spec.transa);
     if with_epilogue {
-        sgemm_epilogue(spec, m, n, k, &a, &b, &mut got, &epilogue);
+        sgemm_epilogue(spec, m, n, k, &a, &b, &mut got, &BiasClamp);
     } else {
         sgemm(spec, m, n, k, &a, &b, &mut got);
     }
@@ -110,7 +119,7 @@ fn run_case(case: Case) -> (Vec<f32>, Vec<f32>) {
     let a_tall = store_a(&a_tall, tall, k, spec.transa);
     let mut c_tall = rand_vec(tall * n, seed + 4);
     c_tall[TOP * n..(TOP + m) * n].copy_from_slice(&c0);
-    let epi: Option<&(dyn Fn(usize, f32) -> f32 + Sync)> = if with_epilogue { Some(&epilogue) } else { None };
+    let epi: Option<&dyn TileEpilogue> = if with_epilogue { Some(&BiasClamp) } else { None };
     sgemm_pinned(Driver::Packed, spec, tall, n, k, &a_tall, &b, &mut c_tall, epi);
     (got, c_tall[TOP * n..(TOP + m) * n].to_vec())
 }
@@ -255,8 +264,8 @@ fn skinny_driver_pinned_on_a_fat_shape_still_matches() {
         let c0 = rand_vec(m * n, 3);
         let (mut skinny, mut packed) = (c0.clone(), c0);
         let s = GemmSpec::nn().alpha(1.5).beta(0.5);
-        sgemm_pinned(Driver::Skinny, s, m, n, k, &a, &b, &mut skinny, Some(&epilogue));
-        sgemm_pinned(Driver::Packed, s, m, n, k, &a, &b, &mut packed, Some(&epilogue));
+        sgemm_pinned(Driver::Skinny, s, m, n, k, &a, &b, &mut skinny, Some(&BiasClamp));
+        sgemm_pinned(Driver::Packed, s, m, n, k, &a, &b, &mut packed, Some(&BiasClamp));
         assert_eq!(bits(&skinny), bits(&packed), "{tier}");
     });
 }

@@ -92,6 +92,12 @@ step "decode serving artifact (BENCH_decode.json)"
 BT_BENCH_FAST=1 cargo bench -p bt-bench --bench bench_decode --quiet
 test -s BENCH_decode.json || { echo "BENCH_decode.json was not emitted"; exit 1; }
 
+step "fig10_gelu_fusion (fused ≡ unfused GELU, bitwise)"
+# GEMM + bias + GELU in the epilogue must store exactly the bits of the GEMM
+# followed by the standalone bias and GELU kernels; the bench asserts it per
+# row of its sweep and exits nonzero otherwise.
+BT_BENCH_FAST=1 cargo bench -p bt-bench --bench fig10_gelu_fusion --quiet
+
 step "shard matrix (btx serve --shards)"
 # Two acceptance checks from the sharded-router contract: (1) --shards 1
 # replays the unsharded server byte-for-byte on a fixed seed (the horizon

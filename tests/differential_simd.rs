@@ -23,6 +23,11 @@
 //! Tiers the host lacks are **skipped with a logged reason** (stderr), not
 //! silently: the suite's log always accounts for all three tiers.
 //!
+//! One test is not tier-against-tier: GEMM + bias + GELU fused into the
+//! epilogue must equal the GEMM followed by the standalone fused kernel,
+//! bitwise, on every driver and under every precision tier —
+//! `scripts/check.sh` runs this file across its ISA and precision matrices.
+//!
 //! [`MicroKernel::fused_fma`]: bt_gemm::micro::MicroKernel::fused_fma
 
 use bt_core::attention::{fused_grouped_attention, fused_short_attention, DEFAULT_SPLIT_SEQ_LEN};
@@ -34,9 +39,10 @@ use bt_gemm::grouped::{
 use bt_gemm::isa::{self, Isa};
 use bt_gemm::lowp::{lowp_impl, lowp_impl_isas};
 use bt_gemm::{
-    active_precision, dot_error_bound, int8_dot_error_bound, set_active_precision, sgemm, sgemm_epilogue, GemmSpec,
-    Precision,
+    active_precision, dot_error_bound, int8_dot_error_bound, set_active_precision, sgemm, sgemm_epilogue, sgemm_pinned,
+    Driver, GemmSpec, Precision, TileEpilogue,
 };
+use bt_kernels::activation::{add_bias_gelu_fused, bias_gelu_epilogue};
 use bt_tensor::rng::Xoshiro256StarStar;
 use bt_tensor::Tensor;
 use bt_varlen::{BatchMask, PackingIndex};
@@ -146,14 +152,60 @@ fn blocked_sgemm_all_tiers() {
 #[test]
 fn blocked_epilogue_all_tiers() {
     let (m, n, k) = (23, 19, 41);
-    differential("sgemm_epilogue gelu-ish", k, || {
+    differential("sgemm_epilogue bias_gelu", k, || {
         let a = rand_vec(m * k, 7);
         let b = rand_vec(k * n, 8);
         let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.5).collect();
         let mut c = vec![0.0f32; m * n];
-        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c, &|j, x| (x + bias[j]).tanh());
+        sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, &mut c, &bias_gelu_epilogue(&bias));
         c
     });
+}
+
+/// One GEMM launch into `c`, with or without an epilogue.
+type GemmLaunch<'a> = &'a dyn Fn(&mut [f32], Option<&dyn TileEpilogue>);
+
+/// §III.C.2's fusion is exact: a GEMM followed by the standalone fused
+/// bias + GELU kernel stores the same bits as the GEMM with the bias + GELU
+/// epilogue. Checked on the shape-chosen path under whatever ISA and
+/// `BYTE_GEMM_PREC` tier the environment selects (the low-precision driver
+/// finishes through the same store path), and on both f32 drivers pinned,
+/// at row counts around the skinny crossover and a ragged `n`.
+#[test]
+fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
+    let _g = ISA_LOCK.lock().unwrap();
+    let dev = Device::new();
+    let (n, k) = (77, 40);
+    let bias = rand_vec(n, 0x61);
+    let epi = bias_gelu_epilogue(&bias);
+    for m in [1usize, 7, 8, 255, 256, 257, 1024] {
+        let a = rand_vec(m * k, 0x62 + m as u64);
+        let b = rand_vec(k * n, 0x63);
+        let compare = |label: &str, gemm: GemmLaunch| {
+            let mut unfused = vec![0.0f32; m * n];
+            gemm(&mut unfused, None);
+            add_bias_gelu_fused(&dev, "bias_act", &mut unfused, m, n, &bias);
+            let mut fused = vec![0.0f32; m * n];
+            gemm(&mut fused, Some(&epi));
+            for (i, (u, f)) in unfused.iter().zip(&fused).enumerate() {
+                assert!(
+                    u.to_bits() == f.to_bits(),
+                    "{label} m={m} [{i}]: unfused {u:?} != fused {f:?} ({}, {})",
+                    active_precision(),
+                    isa::active_isa()
+                );
+            }
+        };
+        compare("shape-chosen", &|c, e| match e {
+            None => sgemm(GemmSpec::nn(), m, n, k, &a, &b, c),
+            Some(e) => sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, c, e),
+        });
+        for driver in [Driver::Packed, Driver::Skinny] {
+            compare(driver.name(), &|c, e| {
+                sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, &b, c, e)
+            });
+        }
+    }
 }
 
 // --- grouped ---------------------------------------------------------------
