@@ -81,7 +81,7 @@ struct Row {
 
 const SHAPES: [&str; 4] = ["square_768", "ffn_up", "ffn_down", "grouped_qk"];
 const DENSE_SHAPES: [&str; 3] = ["square_768", "ffn_up", "ffn_down"];
-const LOW_PRECS: [Precision; 3] = [Precision::F16, Precision::Bf16, Precision::Int8];
+const LOW_PRECS: [Precision; 2] = [Precision::F16, Precision::Int8];
 
 /// Runs all four paper shapes on the currently active dispatch path
 /// (ISA tier × precision) and appends one row per shape tagged `tier`/`prec`.
@@ -325,7 +325,7 @@ fn main() {
     println!("shapes at >= 1.5x over the scalar tier: {wins}/{}", SHAPES.len());
 
     // §III.C gate: at the dense paper shapes, the best same-tier speedup of
-    // each low precision over f32 must reach 1.4x (f16/bf16) or 2x (int8)
+    // each low precision over f32 must reach 1.4x (f16) or 2x (int8)
     // on at least one ISA tier.
     let tier_names: Vec<&str> = available.iter().map(|t| t.name()).collect();
     let mut lowp_speedups: Vec<(&str, &str, f64, &str)> = Vec::new();

@@ -365,7 +365,6 @@ mod tests {
         assert!((max_gflops_for_prec(json, "f32").unwrap() - 97.8).abs() < 1e-9);
         assert!((max_gflops_for_prec(json, "f16").unwrap() - 180.3).abs() < 1e-9);
         assert!((max_gflops_for_prec(json, "int8").unwrap() - 410.0).abs() < 1e-9);
-        assert_eq!(max_gflops_for_prec(json, "bf16"), None);
         // The precision-agnostic ceiling still sees everything.
         assert!((max_gflops_in_bench_json(json).unwrap() - 410.0).abs() < 1e-9);
         // Capacity planning uses the f32 row, NOT the faster int8 row.

@@ -42,9 +42,11 @@
 
 use crate::grouped::TileEpilogue;
 use crate::isa::active_kernel;
-use crate::micro::{pack_a_panel, pack_b_panel, MR_MAX, NR_MAX};
+use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
+use crate::prec::Precision;
 use crate::scratch::with_worker_scratch;
 use crate::skinny::SKINNY_MAX_M;
+use bt_obs::names::{GEMM_BLOCKED_LAUNCHES_PREFIX, GEMM_SKINNY_LAUNCHES_PREFIX};
 use rayon::prelude::*;
 
 /// Rows of `C` per parallel task (a multiple of every kernel's `MR`).
@@ -139,14 +141,19 @@ pub(crate) fn store_row(c_row: &mut [f32], acc_row: &[f32], alpha: f32, beta: f3
     }
 }
 
-/// Records the per-dispatch-path rate inputs `gemm.calls.<isa>.<prec>` and
-/// `gemm.flops.<isa>.<prec>` (2·m·n·k flops per launch); the windowed
-/// snapshot divides the flops delta by the window to report GFLOP/s per
-/// dispatch path.
-fn record_dispatch(isa: &str, prec: &str, m: usize, n: usize, k: usize) {
+/// Records one launch of every engine on `kern`'s dispatch path: the rate
+/// inputs `gemm.calls.<isa>.<prec>` and `gemm.flops.<isa>.<prec>` (`flops` =
+/// 2·m·n·k summed over the launch's problems; the windowed snapshot divides
+/// its delta by the window to report GFLOP/s per path), and `units` on the
+/// driver's own counter `<driver><isa>` (f32) or `<driver><isa>.<prec>`.
+pub(crate) fn record_dispatch<K: PanelKernel>(kern: &K, flops: u64, driver: &str, units: u64) {
     if bt_obs::enabled() {
-        bt_obs::counter(&format!("{}{isa}.{prec}", bt_obs::names::GEMM_CALLS_PREFIX)).incr();
-        bt_obs::counter(&format!("{}{isa}.{prec}", bt_obs::names::GEMM_FLOPS_PREFIX)).add(2 * (m * n * k) as u64);
+        let (isa, prec) = kern.path();
+        let path = format!("{}.{prec}", isa.name());
+        bt_obs::counter(&format!("{}{path}", bt_obs::names::GEMM_CALLS_PREFIX)).incr();
+        bt_obs::counter(&format!("{}{path}", bt_obs::names::GEMM_FLOPS_PREFIX)).add(flops);
+        let suffix = if prec == Precision::F32 { isa.name() } else { &path };
+        bt_obs::counter(&format!("{driver}{suffix}")).add(units);
     }
 }
 
@@ -234,22 +241,19 @@ fn sgemm_inner(
 
     // The precision axis: a non-f32 active precision resolves to a
     // low-precision kernel (possibly ISA-degraded, with a warn_once) and
-    // routes the launch through the packed-bytes driver. `None` means f32 —
-    // the two drivers below. A pinned driver (tests, benches) is by
-    // definition an f32 launch.
+    // takes the packed driver with byte panels. `None` means f32 — the two
+    // drivers below. A pinned driver (tests, benches) is by definition an
+    // f32 launch.
     if pinned.is_none() {
         let prec = crate::prec::active_precision();
         if let Some(lk) = crate::lowp::resolve_lowp_kernel(prec, crate::isa::active_isa()) {
-            record_dispatch(lk.isa.name(), lk.prec.name(), m, n, k);
-            return sgemm_lowp(lk, spec, m, n, k, a, b, c, epilogue);
+            return sgemm_packed(lk, spec, m, n, k, a, b, c, epilogue);
         }
     }
 
     // One kernel per launch: the geometry below must stay consistent even
     // if the process-wide selection changes mid-flight.
     let kern = active_kernel();
-    record_dispatch(kern.isa.name(), "f32", m, n, k);
-
     // The driver is a function of the shape alone: few rows against a
     // row-major B stream the weights in place; everything else amortises a
     // repack. Both produce the same bits (see `crate::skinny`).
@@ -258,92 +262,22 @@ fn sgemm_inner(
     } else {
         Driver::Packed
     });
-    if bt_obs::enabled() {
-        let prefix = match driver {
-            Driver::Packed => bt_obs::names::GEMM_BLOCKED_LAUNCHES_PREFIX,
-            Driver::Skinny => bt_obs::names::GEMM_SKINNY_LAUNCHES_PREFIX,
-        };
-        bt_obs::counter(&format!("{prefix}{}", kern.isa.name())).incr();
+    if driver == Driver::Packed {
+        return sgemm_packed(kern, spec, m, n, k, a, b, c, epilogue);
     }
-    if driver == Driver::Skinny {
-        return crate::skinny::sgemm_skinny(kern.isa, spec, m, n, k, a, b, c, epilogue);
-    }
-    let (mr, nr) = (kern.mr, kern.nr);
-    debug_assert_eq!(PANEL_ROWS % mr, 0, "row panels must hold whole micropanels");
-
-    // Pack B once into k-major micropanels, straight from the transb layout.
-    let n_panels = n.div_ceil(nr);
-    let mut b_pack = vec![0.0f32; n_panels * k * nr];
-    b_pack.par_chunks_mut(k * nr).enumerate().for_each(|(jb, dst)| {
-        let col0 = jb * nr;
-        pack_b_panel(dst, b, spec.transb, col0, nr.min(n - col0), n, k, nr);
-    });
-    let b_pack = &b_pack;
-
-    c[..m * n]
-        .par_chunks_mut(PANEL_ROWS * n)
-        .enumerate()
-        .for_each(|(chunk_idx, c_panel)| {
-            let row0 = chunk_idx * PANEL_ROWS;
-            let rows = c_panel.len() / n;
-            let m_panels = rows.div_ceil(mr);
-            // Packed A rows (the task's full K extent, reused across every
-            // column panel) live in the worker's persistent arena — no heap
-            // allocation once the worker has seen this panel size.
-            // `pack_a_panel` overwrites every lane including the zero pads,
-            // so stale contents are harmless.
-            with_worker_scratch(|scratch| {
-                let a_pack = scratch.a_panels(m_panels * k * mr);
-                for ib in 0..m_panels {
-                    pack_a_panel(
-                        &mut a_pack[ib * k * mr..(ib + 1) * k * mr],
-                        a,
-                        spec.transa,
-                        row0 + ib * mr,
-                        mr.min(rows - ib * mr),
-                        m,
-                        k,
-                        mr,
-                    );
-                }
-                for jb in 0..n_panels {
-                    let col0 = jb * nr;
-                    let cols = nr.min(n - col0);
-                    let b_panel = &b_pack[jb * k * nr..(jb + 1) * k * nr];
-                    for ib in 0..m_panels {
-                        let r = mr.min(rows - ib * mr);
-                        let mut acc = [0.0f32; MR_MAX * NR_MAX];
-                        kern.run(k, &a_pack[ib * k * mr..(ib + 1) * k * mr], b_panel, &mut acc);
-                        for i in 0..r {
-                            let row = ib * mr + i;
-                            store_row(
-                                &mut c_panel[row * n + col0..row * n + col0 + cols],
-                                &acc[i * nr..i * nr + cols],
-                                alpha,
-                                beta,
-                            );
-                        }
-                    }
-                }
-            });
-            if let Some(epi) = epilogue {
-                epi.apply(0, row0, 0, rows, n, c_panel);
-            }
-        });
+    record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_SKINNY_LAUNCHES_PREFIX, 1);
+    crate::skinny::sgemm_skinny(kern.isa, spec, m, n, k, a, b, c, epilogue)
 }
 
-/// The low-precision twin of the packed f32 driver above: same decomposition
-/// (B packed once per launch, one rayon task per `C` row panel, register
-/// tile accumulation over the full `K` extent, same alpha/beta/epilogue
-/// store path) — but micropanels are packed *bytes* in the kernel's own
-/// layout, with per-row/per-column scales riding alongside.
-///
-/// `B` is packed serially: conversion/quantization is vectorized inside the
-/// packers, and per-panel scale slices would need a zip the rayon shim does
-/// not offer.
+/// The packed driver, one body for every precision: `B` packed once per
+/// launch into `kern`'s panel format (in parallel, each panel with its
+/// scale lanes), one rayon task per `C` row panel packing its own `A` rows,
+/// register-tile accumulation over the full `K` extent, and the shared
+/// alpha/beta store and epilogue. Monomorphised per kernel type, so the f32
+/// instance is the plain f32 loop.
 #[allow(clippy::too_many_arguments)]
-fn sgemm_lowp(
-    kern: &'static crate::lowp::LowpKernel,
+fn sgemm_packed<K: PanelKernel>(
+    kern: &K,
     spec: GemmSpec,
     m: usize,
     n: usize,
@@ -353,52 +287,37 @@ fn sgemm_lowp(
     c: &mut [f32],
     epilogue: Option<&dyn TileEpilogue>,
 ) {
-    use crate::lowp::{count_pack_bytes, pack_a_panel_lowp, pack_b_panel_lowp};
-
+    record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_BLOCKED_LAUNCHES_PREFIX, 1);
     let (alpha, beta) = (spec.alpha, spec.beta);
-    if bt_obs::enabled() {
-        bt_obs::counter(&format!(
-            "{}{}.{}",
-            bt_obs::names::GEMM_BLOCKED_LAUNCHES_PREFIX,
-            kern.isa.name(),
-            kern.prec.name()
-        ))
-        .incr();
-    }
-    let (mr, nr) = (kern.mr, kern.nr);
+    let (mr, nr) = kern.tile();
+    let (apl, bpl) = kern.panel_lens(k);
     debug_assert_eq!(PANEL_ROWS % mr, 0, "row panels must hold whole micropanels");
 
-    // Pack + quantize B once into k-major byte micropanels.
+    // Pack B once into k-major micropanels, straight from the transb layout.
+    // Every panel carries `nr` scale / code-sum lanes so the three buffers
+    // zip chunk for chunk; f32 panels leave them untouched.
     let n_panels = n.div_ceil(nr);
-    let bpb = kern.b_panel_bytes(k);
-    let mut b_pack = vec![0u8; n_panels * bpb];
+    let mut b_pack = vec![K::Elem::default(); n_panels * bpl];
     let mut sb = vec![0.0f32; n_panels * nr];
     let mut colsum = vec![0i32; n_panels * nr];
-    {
-        let mut cvt = vec![0u16; k.max(nr)];
-        for jb in 0..n_panels {
+    b_pack
+        .par_chunks_mut(bpl)
+        .zip(sb.par_chunks_mut(nr))
+        .zip(colsum.par_chunks_mut(nr))
+        .enumerate()
+        .for_each(|(jb, ((dst, sb), colsum))| {
             let col0 = jb * nr;
-            pack_b_panel_lowp(
-                kern,
-                &mut b_pack[jb * bpb..(jb + 1) * bpb],
-                &mut sb[jb * nr..(jb + 1) * nr],
-                &mut colsum[jb * nr..(jb + 1) * nr],
-                b,
-                spec.transb,
-                col0,
-                nr.min(n - col0),
-                n,
-                k,
-                &mut cvt,
-            );
-        }
-    }
-    if bt_obs::enabled() {
-        count_pack_bytes(kern.prec, (n_panels * bpb) as u64);
-    }
+            with_worker_scratch(|scratch| {
+                let cvt = scratch.panels(kern, k, 0, 0, 0, 0).cvt;
+                kern.pack_b_panel(dst, sb, colsum, b, spec.transb, col0, nr.min(n - col0), n, k, cvt);
+            });
+        });
+    kern.count_pack_bytes(n_panels * bpl);
     let (b_pack, sb, colsum) = (&b_pack, &sb, &colsum);
 
-    let apb = kern.a_panel_bytes(k);
+    let (sa_lanes, _) = kern.scale_lanes();
+    // Transposed A rows are staged contiguous before packing.
+    let row_len = if spec.transa { k } else { 0 };
     c[..m * n]
         .par_chunks_mut(PANEL_ROWS * n)
         .enumerate()
@@ -406,39 +325,41 @@ fn sgemm_lowp(
             let row0 = chunk_idx * PANEL_ROWS;
             let rows = c_panel.len() / n;
             let m_panels = rows.div_ceil(mr);
+            // Packed A rows (the task's full K extent, reused across every
+            // column panel) live in the worker's persistent arena — no heap
+            // allocation once the worker has seen this panel size. The
+            // packers overwrite every lane including the pads, so stale
+            // contents are harmless.
             with_worker_scratch(|scratch| {
-                let (a_pack, sa, row_buf, cvt) = scratch.lowp_a_panels(m_panels * apb, m_panels * mr, k, k.max(nr));
+                let s = scratch.panels(kern, k, m_panels, 0, 0, row_len);
                 for ib in 0..m_panels {
-                    pack_a_panel_lowp(
-                        kern,
-                        &mut a_pack[ib * apb..(ib + 1) * apb],
-                        &mut sa[ib * mr..(ib + 1) * mr],
+                    kern.pack_a_panel(
+                        &mut s.a[ib * apl..(ib + 1) * apl],
+                        &mut s.sa[ib * sa_lanes..(ib + 1) * sa_lanes],
                         a,
                         spec.transa,
                         row0 + ib * mr,
                         mr.min(rows - ib * mr),
                         m,
                         k,
-                        row_buf,
-                        cvt,
+                        s.row,
+                        s.cvt,
                     );
                 }
-                if bt_obs::enabled() {
-                    count_pack_bytes(kern.prec, (m_panels * apb) as u64);
-                }
+                kern.count_pack_bytes(m_panels * apl);
                 for jb in 0..n_panels {
                     let col0 = jb * nr;
                     let cols = nr.min(n - col0);
-                    let b_panel = &b_pack[jb * bpb..(jb + 1) * bpb];
+                    let b_panel = &b_pack[jb * bpl..(jb + 1) * bpl];
                     for ib in 0..m_panels {
                         let r = mr.min(rows - ib * mr);
                         let mut acc = [0.0f32; MR_MAX * NR_MAX];
-                        kern.run(
+                        kern.run_block(
                             k,
-                            &a_pack[ib * apb..(ib + 1) * apb],
+                            &s.a[ib * apl..(ib + 1) * apl],
                             b_panel,
                             &mut acc,
-                            &sa[ib * mr..(ib + 1) * mr],
+                            &s.sa[ib * sa_lanes..(ib + 1) * sa_lanes],
                             &sb[jb * nr..(jb + 1) * nr],
                             &colsum[jb * nr..(jb + 1) * nr],
                         );

@@ -36,8 +36,9 @@
 //! been seen) — and stores go through lock-free [`DisjointWriter`]s —
 //! tiles partition the output, so CTAs never serialize on a mutex.
 
+use crate::blocked::record_dispatch;
 use crate::isa::active_kernel;
-use crate::micro::{pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
+use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
 use crate::scratch::{with_worker_scratch, Scratch};
 use crate::store::DisjointWriter;
 use rayon::prelude::*;
@@ -122,7 +123,7 @@ pub struct GroupedStats {
 /// The grouped engine calls it once per `C` tile. The dense drivers
 /// ([`crate::sgemm_epilogue`], [`crate::sgemm_pinned`]) call it with
 /// `problem_idx = 0` on each region of `C` a task has just finished: the
-/// packed and low-precision drivers on the task's whole row panel
+/// packed driver (every precision) on the task's whole row panel
 /// (`rows × n`), the skinny driver on each row of the task's column block
 /// (`rows = 1`). Either way the values handed over are final: alpha-scaled,
 /// and in the dense drivers already blended with `beta·C`, so a GEMM with an
@@ -257,10 +258,29 @@ impl TileStore for StridedStore<'_> {
 /// The shared CTA walk: virtual CTAs pull tile batches from the scheduler
 /// (one assignment per visit under [`Scheduler::PerTile`],
 /// [`PREFETCH_WIDTH`] under [`Scheduler::WarpPrefetch`]), compute each tile
-/// on the microkernel out of a per-CTA scratch arena, and store through the
-/// policy. Both public entry points funnel here, so the two paths cannot
+/// on the launch's kernel out of a per-CTA scratch arena, and store through
+/// the policy. Both public entry points funnel here, so the two paths cannot
 /// drift.
 fn run_grouped(
+    problems: &[GroupedProblem<'_>],
+    config: GroupedConfig,
+    epilogue: &dyn TileEpilogue,
+    a_transform: &dyn ALoadTransform,
+    store: &dyn TileStore,
+) -> GroupedStats {
+    // One kernel per launch, shared by every CTA: tile geometry must stay
+    // consistent even if the process-wide selection changes mid-flight. The
+    // same holds for the precision axis — resolved once here, so every CTA
+    // of a launch agrees on the panel format.
+    let kern = active_kernel();
+    match crate::lowp::resolve_lowp_kernel(crate::prec::active_precision(), kern.isa) {
+        Some(lk) => run_ctas(lk, problems, config, epilogue, a_transform, store),
+        None => run_ctas(kern, problems, config, epilogue, a_transform, store),
+    }
+}
+
+fn run_ctas<K: PanelKernel>(
+    kern: &K,
     problems: &[GroupedProblem<'_>],
     config: GroupedConfig,
     epilogue: &dyn TileEpilogue,
@@ -278,26 +298,9 @@ fn run_grouped(
     }
     let visits = AtomicU64::new(0);
     let grows = AtomicU64::new(0);
-    // One kernel per launch, shared by every CTA: tile geometry must stay
-    // consistent even if the process-wide selection changes mid-flight. The
-    // same holds for the precision axis — resolved once here, so every CTA
-    // of a launch agrees on the low-precision tier (or its absence).
-    let kern = active_kernel();
-    let lowp = crate::lowp::resolve_lowp_kernel(crate::prec::active_precision(), kern.isa);
     if bt_obs::enabled() {
-        match lowp {
-            Some(lk) => bt_obs::counter(&format!("gemm.grouped.tiles.{}.{}", lk.isa.name(), lk.prec.name())).add(total),
-            None => bt_obs::counter(&format!("gemm.grouped.tiles.{}", kern.isa.name())).add(total),
-        }
-        // Per-dispatch-path rate inputs: the windowed snapshot divides the
-        // flops delta by the window to report GFLOP/s per `<isa>.<prec>`.
-        let (isa, prec) = match lowp {
-            Some(lk) => (lk.isa.name(), lk.prec.name()),
-            None => (kern.isa.name(), "f32"),
-        };
-        let flops: u64 = problems.iter().map(|p| 2 * (p.m * p.n * p.k) as u64).sum();
-        bt_obs::counter(&format!("{}{isa}.{prec}", bt_obs::names::GEMM_CALLS_PREFIX)).incr();
-        bt_obs::counter(&format!("{}{isa}.{prec}", bt_obs::names::GEMM_FLOPS_PREFIX)).add(flops);
+        let flops = problems.iter().map(|p| 2 * (p.m * p.n * p.k) as u64).sum();
+        record_dispatch(kern, flops, bt_obs::names::GEMM_GROUPED_TILES_PREFIX, total);
     }
     let batch_width = match config.scheduler {
         Scheduler::PerTile => 1,
@@ -330,12 +333,7 @@ fn run_grouped(
                     linear += step;
                 }
                 for asg in &batch[..count] {
-                    match lowp {
-                        Some(lk) => {
-                            compute_tile_lowp(problems, &config, lk, *asg, epilogue, a_transform, store, scratch)
-                        }
-                        None => compute_tile(problems, &config, kern, *asg, epilogue, a_transform, store, scratch),
-                    }
+                    compute_tile(problems, &config, kern, *asg, epilogue, a_transform, store, scratch);
                 }
             }
             visits.fetch_add(local_visits, Ordering::Relaxed);
@@ -454,16 +452,17 @@ fn tile_bounds(p: &GroupedProblem<'_>, config: &GroupedConfig, asg: TileAssignme
 }
 
 /// Computes one `C` tile in the CTA's scratch arena: packs `A` micropanels
-/// (running the mainloop transform on each contiguous row fragment before
-/// interleaving) and `B` micropanels at the launch kernel's `mr×nr`
-/// geometry, accumulates every `mr×nr` block in microkernel registers
-/// across the full `K` extent, then applies alpha, the tile epilogue, and
-/// the store policy.
+/// (running the mainloop transform on each staged f32 row fragment before
+/// the kernel's packer narrows and interleaves it, so fused softmax
+/// normalization composes with every precision) and `B` micropanels at the
+/// launch kernel's `mr×nr` geometry and panel format, accumulates every
+/// `mr×nr` block in registers across the full `K` extent, then applies
+/// alpha, the tile epilogue, and the store policy.
 #[allow(clippy::too_many_arguments)]
-fn compute_tile(
+fn compute_tile<K: PanelKernel>(
     problems: &[GroupedProblem<'_>],
     config: &GroupedConfig,
-    kern: &MicroKernel,
+    kern: &K,
     asg: TileAssignment,
     epilogue: &dyn TileEpilogue,
     a_transform: &dyn ALoadTransform,
@@ -473,167 +472,69 @@ fn compute_tile(
     let p = &problems[asg.problem];
     let (row0, col0, rows, cols) = tile_bounds(p, config, asg);
     let k = p.k;
-    let (mr, nr) = (kern.mr, kern.nr);
+    let (mr, nr) = kern.tile();
+    let (apl, bpl) = kern.panel_lens(k);
+    let (sal, sbl) = kern.scale_lanes();
     let m_panels = rows.div_ceil(mr);
     let n_panels = cols.div_ceil(nr);
-    let (a_pack, b_pack, tile, row_buf) = scratch.panels(m_panels * k * mr, n_panels * k * nr, rows * cols, k);
+    let s = scratch.panels(kern, k, m_panels, n_panels, rows * cols, k);
 
     bt_obs::timed(&PACK_NS, || {
         for ib in 0..m_panels {
             let r = mr.min(rows - ib * mr);
-            let dst = &mut a_pack[ib * k * mr..(ib + 1) * k * mr];
-            for i in 0..r {
-                let g_row = row0 + ib * mr + i;
-                // Stage the contiguous row fragment, run the mainloop fusion
-                // hook on it (Algorithm III.2), then interleave k-major.
-                row_buf.copy_from_slice(&p.a[g_row * k..g_row * k + k]);
-                a_transform.transform(asg.problem, g_row, 0, row_buf);
-                for (kp, &v) in row_buf.iter().enumerate() {
-                    dst[kp * mr + i] = v;
-                }
-            }
-            // Scratch is reused across tiles: stale pad lanes must be re-zeroed.
-            for i in r..mr {
-                for kp in 0..k {
-                    dst[kp * mr + i] = 0.0;
-                }
+            let dst = &mut s.a[ib * apl..(ib + 1) * apl];
+            let sa = &mut s.sa[ib * sal..(ib + 1) * sal];
+            for i in 0..mr {
+                // Stage the contiguous row fragment and run the mainloop
+                // fusion hook on it (Algorithm III.2). Scratch is reused
+                // across tiles, so pad lanes are re-set to the neutral code.
+                let row = if i < r {
+                    let g_row = row0 + ib * mr + i;
+                    s.row.copy_from_slice(&p.a[g_row * k..g_row * k + k]);
+                    a_transform.transform(asg.problem, g_row, 0, s.row);
+                    Some(&*s.row)
+                } else {
+                    None
+                };
+                kern.pack_a_lane(dst, sa, i, k, row, s.cvt);
             }
         }
         for jb in 0..n_panels {
-            pack_b_panel(
-                &mut b_pack[jb * k * nr..(jb + 1) * k * nr],
+            kern.pack_b_panel(
+                &mut s.b[jb * bpl..(jb + 1) * bpl],
+                &mut s.sb[jb * sbl..(jb + 1) * sbl],
+                &mut s.colsum[jb * sbl..(jb + 1) * sbl],
                 p.b,
                 p.transb,
                 col0 + jb * nr,
                 nr.min(cols - jb * nr),
                 p.n,
                 k,
-                nr,
+                s.cvt,
             );
         }
     });
+    kern.count_pack_bytes(m_panels * apl + n_panels * bpl);
 
     bt_obs::timed(&COMPUTE_NS, || {
         for jb in 0..n_panels {
-            let b_panel = &b_pack[jb * k * nr..(jb + 1) * k * nr];
+            let b_panel = &s.b[jb * bpl..(jb + 1) * bpl];
             let cseg = nr.min(cols - jb * nr);
             for ib in 0..m_panels {
                 let r = mr.min(rows - ib * mr);
                 let mut acc = [0.0f32; MR_MAX * NR_MAX];
-                kern.run(k, &a_pack[ib * k * mr..(ib + 1) * k * mr], b_panel, &mut acc);
-                for i in 0..r {
-                    let trow = ib * mr + i;
-                    tile[trow * cols + jb * nr..trow * cols + jb * nr + cseg]
-                        .copy_from_slice(&acc[i * nr..i * nr + cseg]);
-                }
-            }
-        }
-    });
-
-    if p.alpha != 1.0 {
-        for v in tile.iter_mut() {
-            *v *= p.alpha;
-        }
-    }
-    epilogue.apply(asg.problem, row0, col0, rows, cols, tile);
-    store.store(asg.problem, row0, col0, rows, cols, tile);
-}
-
-/// [`compute_tile`]'s low-precision twin: identical tile walk, but `A` rows
-/// are quantized/narrowed as they are staged (the mainloop transform still
-/// runs on the f32 staging row *before* conversion, so fused softmax
-/// normalization composes with every precision tier) and the inner blocks
-/// run on the [`crate::lowp`] kernel, which dequantizes into the same f32
-/// accumulator the epilogue and store paths already consume.
-#[allow(clippy::too_many_arguments)]
-fn compute_tile_lowp(
-    problems: &[GroupedProblem<'_>],
-    config: &GroupedConfig,
-    lk: &'static crate::lowp::LowpKernel,
-    asg: TileAssignment,
-    epilogue: &dyn TileEpilogue,
-    a_transform: &dyn ALoadTransform,
-    store: &dyn TileStore,
-    scratch: &mut Scratch,
-) {
-    use crate::lowp::{count_pack_bytes, pack_a_pad_row_lowp, pack_a_row_lowp, pack_b_panel_lowp};
-    let p = &problems[asg.problem];
-    let (row0, col0, rows, cols) = tile_bounds(p, config, asg);
-    let k = p.k;
-    let (mr, nr) = (lk.mr, lk.nr);
-    let m_panels = rows.div_ceil(mr);
-    let n_panels = cols.div_ceil(nr);
-    let apb = lk.a_panel_bytes(k);
-    let bpb = lk.b_panel_bytes(k);
-    let (a_pack, b_pack, tile, row_buf, sa, sb, colsum, cvt) = scratch.lowp_tile_panels(
-        m_panels * apb,
-        n_panels * bpb,
-        rows * cols,
-        k,
-        m_panels * mr,
-        n_panels * nr,
-        n_panels * nr,
-        k.max(nr),
-    );
-
-    bt_obs::timed(&PACK_NS, || {
-        for ib in 0..m_panels {
-            let r = mr.min(rows - ib * mr);
-            let dst = &mut a_pack[ib * apb..(ib + 1) * apb];
-            for i in 0..r {
-                let g_row = row0 + ib * mr + i;
-                // Stage the contiguous row fragment, run the mainloop fusion
-                // hook on it (Algorithm III.2), then narrow and interleave.
-                row_buf.copy_from_slice(&p.a[g_row * k..g_row * k + k]);
-                a_transform.transform(asg.problem, g_row, 0, row_buf);
-                sa[ib * mr + i] = pack_a_row_lowp(lk, dst, row_buf, i, cvt);
-            }
-            // Scratch is reused across tiles: stale pad lanes must be re-set
-            // to the format's neutral code.
-            for i in r..mr {
-                pack_a_pad_row_lowp(lk, dst, i, k);
-                sa[ib * mr + i] = 1.0;
-            }
-        }
-        for jb in 0..n_panels {
-            pack_b_panel_lowp(
-                lk,
-                &mut b_pack[jb * bpb..(jb + 1) * bpb],
-                &mut sb[jb * nr..(jb + 1) * nr],
-                &mut colsum[jb * nr..(jb + 1) * nr],
-                p.b,
-                p.transb,
-                col0 + jb * nr,
-                nr.min(cols - jb * nr),
-                p.n,
-                k,
-                cvt,
-            );
-        }
-    });
-    if bt_obs::enabled() {
-        count_pack_bytes(lk.prec, (m_panels * apb + n_panels * bpb) as u64);
-    }
-
-    bt_obs::timed(&COMPUTE_NS, || {
-        for jb in 0..n_panels {
-            let b_panel = &b_pack[jb * bpb..(jb + 1) * bpb];
-            let cseg = nr.min(cols - jb * nr);
-            for ib in 0..m_panels {
-                let r = mr.min(rows - ib * mr);
-                let mut acc = [0.0f32; MR_MAX * NR_MAX];
-                lk.run(
+                kern.run_block(
                     k,
-                    &a_pack[ib * apb..(ib + 1) * apb],
+                    &s.a[ib * apl..(ib + 1) * apl],
                     b_panel,
                     &mut acc,
-                    &sa[ib * mr..(ib + 1) * mr],
-                    &sb[jb * nr..(jb + 1) * nr],
-                    &colsum[jb * nr..(jb + 1) * nr],
+                    &s.sa[ib * sal..(ib + 1) * sal],
+                    &s.sb[jb * sbl..(jb + 1) * sbl],
+                    &s.colsum[jb * sbl..(jb + 1) * sbl],
                 );
                 for i in 0..r {
                     let trow = ib * mr + i;
-                    tile[trow * cols + jb * nr..trow * cols + jb * nr + cseg]
+                    s.tile[trow * cols + jb * nr..trow * cols + jb * nr + cseg]
                         .copy_from_slice(&acc[i * nr..i * nr + cseg]);
                 }
             }
@@ -641,12 +542,12 @@ fn compute_tile_lowp(
     });
 
     if p.alpha != 1.0 {
-        for v in tile.iter_mut() {
+        for v in s.tile.iter_mut() {
             *v *= p.alpha;
         }
     }
-    epilogue.apply(asg.problem, row0, col0, rows, cols, tile);
-    store.store(asg.problem, row0, col0, rows, cols, tile);
+    epilogue.apply(asg.problem, row0, col0, rows, cols, s.tile);
+    store.store(asg.problem, row0, col0, rows, cols, s.tile);
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! of runtime dispatch.
 //!
 //! This is the measured CPU realization of the paper's §III.C SIMD2
-//! `half2` path: packed panels are stored half-width (f16/bf16) or
+//! `half2` path: packed panels are stored half-width (f16) or
 //! quarter-width (int8) and expanded *in-register* inside the microkernel,
 //! so the bytes streaming through the cache hierarchy shrink by 2–4× while
 //! the accumulation stays f32 (or exact i32 for int8). Packing always uses
@@ -16,7 +16,6 @@
 //! | precision | scalar (8×8)        | avx2 (8×8)                  | avx512 tier                         |
 //! |-----------|---------------------|-----------------------------|-------------------------------------|
 //! | `f16`     | sw convert + f32 acc| F16C `vcvtph2ps` + f32 FMA  | 16×32 `vfmadd231ph` (AVX512-FP16)   |
-//! | `bf16`    | `<<16` widen + f32  | `vpmovzxwd`+`<<16` + f32 FMA| 16×16 `vpmovzxwd`+`<<16` + f32 FMA  |
 //! | `int8`    | i32 dots            | 8×8 `pmaddwd` (i16 pairs)   | 16×16 `vpdpbusd` (AVX512-VNNI)      |
 //!
 //! Numeric contract (what the differential suite asserts):
@@ -39,13 +38,17 @@
 //! needs unsigned A operands, so A codes are stored biased (`q+128` as u8,
 //! zero-pad code 128) and the bias is removed exactly with per-column code
 //! sums: `dot = acc_u − 128·colsum[j]`.
+//!
+//! Precision is only a panel format: [`LowpKernel`] implements the same
+//! pack/kernel trait as the f32 [`crate::micro::MicroKernel`], so the packed
+//! driver and the grouped tile body are one generic body for every tier.
 
 // Unsafe is confined to the `#[target_feature]` intrinsic kernels, one
 // `asm!` kernel, and the raw-slice plumbing of the scalar kernels.
 #![allow(unsafe_code)]
 
 use crate::isa::Isa;
-use crate::micro::SCALAR_FUSED_FMA;
+use crate::micro::{contract, PanelKernel, SCALAR_FUSED_FMA};
 use crate::prec::Precision;
 use bt_tensor::half::f16;
 
@@ -67,7 +70,7 @@ pub enum Chain {
     ChunkedF16,
 }
 
-/// The chain of the scalar f16/bf16 kernels, pinned at crate compile time
+/// The chain of the scalar f16 kernel, pinned at crate compile time
 /// exactly like [`SCALAR_FUSED_FMA`].
 const fn scalar_chain() -> Chain {
     if SCALAR_FUSED_FMA {
@@ -86,8 +89,6 @@ enum AFmt {
     F16Dup,
     /// Plain f16 bits: u16 at `p*mr + i`.
     F16,
-    /// bfloat16 bits: u16 at `p*mr + i`.
-    Bf16,
     /// Biased int8 codes (`q+128`) in k-quads for `vpdpbusd`: u8 at
     /// `(p/4)*mr*4 + i*4 + p%4`, zero-pad code 128.
     U8Quads,
@@ -103,8 +104,6 @@ enum AFmt {
 enum BFmt {
     /// f16 bits: u16 at `p*nr + j`.
     F16,
-    /// bfloat16 bits: u16 at `p*nr + j`.
-    Bf16,
     /// Signed codes in k-groups of `k_step`: i8 at
     /// `(p/ks)*nr*ks + j*ks + p%ks` (`ks = 1` degenerates to `p*nr + j`).
     I8Quads,
@@ -144,61 +143,81 @@ pub struct LowpKernel {
 }
 
 impl LowpKernel {
-    #[allow(clippy::too_many_arguments)] // the table constructor
-    const fn new(
-        prec: Precision,
-        isa: Isa,
-        mr: usize,
-        nr: usize,
-        k_step: usize,
-        chain: Chain,
-        a_fmt: AFmt,
-        b_fmt: BFmt,
-        func: LowpKernelFn,
-    ) -> Self {
-        Self {
-            prec,
-            isa,
-            mr,
-            nr,
-            k_step,
-            chain,
-            a_fmt,
-            b_fmt,
-            func,
-        }
-    }
-
     /// `k` rounded up to a whole number of k-groups.
     pub fn padded_k(&self, k: usize) -> usize {
         k.div_ceil(self.k_step) * self.k_step
     }
 
-    /// Bytes per packed `A` element.
-    pub fn a_elem_bytes(&self) -> usize {
-        match self.a_fmt {
-            AFmt::F16Dup => 4,
-            AFmt::F16 | AFmt::Bf16 | AFmt::I16Pairs => 2,
-            AFmt::U8Quads | AFmt::I8 => 1,
-        }
-    }
-
-    /// Bytes per packed `B` element.
-    pub fn b_elem_bytes(&self) -> usize {
-        match self.b_fmt {
-            BFmt::F16 | BFmt::Bf16 => 2,
-            BFmt::I8Quads => 1,
-        }
-    }
-
     /// Byte length of one packed `A` micropanel for depth `k`.
     pub fn a_panel_bytes(&self, k: usize) -> usize {
-        self.padded_k(k) * self.mr * self.a_elem_bytes()
+        let elem_bytes = match self.a_fmt {
+            AFmt::F16Dup => 4,
+            AFmt::F16 | AFmt::I16Pairs => 2,
+            AFmt::U8Quads | AFmt::I8 => 1,
+        };
+        self.padded_k(k) * self.mr * elem_bytes
     }
 
     /// Byte length of one packed `B` micropanel for depth `k`.
     pub fn b_panel_bytes(&self, k: usize) -> usize {
-        self.padded_k(k) * self.nr * self.b_elem_bytes()
+        let elem_bytes = if self.b_fmt == BFmt::F16 { 2 } else { 1 };
+        self.padded_k(k) * self.nr * elem_bytes
+    }
+}
+
+impl std::fmt::Debug for LowpKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LowpKernel")
+            .field("prec", &self.prec)
+            .field("isa", &self.isa)
+            .field("mr", &self.mr)
+            .field("nr", &self.nr)
+            .field("k_step", &self.k_step)
+            .field("chain", &self.chain)
+            .finish()
+    }
+}
+
+impl PanelKernel for LowpKernel {
+    type Elem = u8;
+    const NARROW: bool = true;
+
+    fn path(&self) -> (Isa, Precision) {
+        (self.isa, self.prec)
+    }
+
+    fn tile(&self) -> (usize, usize) {
+        (self.mr, self.nr)
+    }
+
+    fn panel_lens(&self, k: usize) -> (usize, usize) {
+        (self.a_panel_bytes(k), self.b_panel_bytes(k))
+    }
+
+    fn pack_a_lane(&self, dst: &mut [u8], sa: &mut [f32], i: usize, k: usize, row: Option<&[f32]>, cvt: &mut [u16]) {
+        sa[i] = match row {
+            Some(row) => pack_a_row_lowp(self, dst, row, i, cvt),
+            None => {
+                pack_a_pad_row_lowp(self, dst, i, k);
+                1.0
+            }
+        };
+    }
+
+    fn pack_b_panel(
+        &self,
+        dst: &mut [u8],
+        sb: &mut [f32],
+        colsum: &mut [i32],
+        src: &[f32],
+        trans: bool,
+        col0: usize,
+        c: usize,
+        n: usize,
+        k: usize,
+        cvt: &mut [u16],
+    ) {
+        pack_b_panel_lowp(self, dst, sb, colsum, src, trans, col0, c, n, k, cvt);
     }
 
     /// Runs the kernel over `k` (unpadded) steps:
@@ -207,9 +226,7 @@ impl LowpKernel {
     /// # Panics
     /// Panics if a panel, the accumulator, or (for int8) a scale/colsum
     /// slice is shorter than the geometry requires.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // the full kernel operand set is the point
-    pub fn run(&self, k: usize, a: &[u8], b: &[u8], acc: &mut [f32], sa: &[f32], sb: &[f32], colsum: &[i32]) {
+    fn run_block(&self, k: usize, a: &[u8], b: &[u8], acc: &mut [f32], sa: &[f32], sb: &[f32], colsum: &[i32]) {
         if k == 0 {
             return;
         }
@@ -236,18 +253,12 @@ impl LowpKernel {
             )
         }
     }
-}
 
-impl std::fmt::Debug for LowpKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LowpKernel")
-            .field("prec", &self.prec)
-            .field("isa", &self.isa)
-            .field("mr", &self.mr)
-            .field("nr", &self.nr)
-            .field("k_step", &self.k_step)
-            .field("chain", &self.chain)
-            .finish()
+    fn count_pack_bytes(&self, elems: usize) {
+        if bt_obs::enabled() {
+            let name = format!("{}{}", bt_obs::names::GEMM_LOWP_PACK_BYTES_PREFIX, self.prec);
+            bt_obs::counter(&name).add(elems as u64);
+        }
     }
 }
 
@@ -259,22 +270,6 @@ impl std::fmt::Debug for LowpKernel {
 /// `vcvtps2ph` (the slice variant below uses the instruction when present).
 pub fn f16_bits(x: f32) -> u16 {
     f16::from_f32(x).to_bits()
-}
-
-/// f32 → bfloat16 bits, round-to-nearest-even on the discarded 16 bits.
-/// NaNs are quieted and keep their top payload bits (mirroring the f16
-/// conversion's NaN contract).
-pub fn bf16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    ((bits + 0x7FFF + ((bits >> 16) & 1)) >> 16) as u16
-}
-
-/// Exact bfloat16 → f32 widening.
-pub fn bf16_to_f32(bits: u16) -> f32 {
-    f32::from_bits((bits as u32) << 16)
 }
 
 /// The int8 symmetric scale for a vector with absolute maximum `maxabs`:
@@ -310,16 +305,6 @@ pub fn f32_to_f16_bits_slice(dst: &mut [u16], src: &[f32]) {
     }
     for (d, &x) in dst.iter_mut().zip(src) {
         *d = f16_bits(x);
-    }
-}
-
-/// Converts an f32 slice to bfloat16 bits (round-to-nearest-even truncate —
-/// an add and a shift per element, branch-free except for NaNs, so the
-/// plain loop autovectorizes).
-pub fn f32_to_bf16_bits_slice(dst: &mut [u16], src: &[f32]) {
-    assert!(dst.len() >= src.len());
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = bf16_bits(x);
     }
 }
 
@@ -579,13 +564,6 @@ pub fn pack_a_row_lowp(kern: &LowpKernel, dst: &mut [u8], row: &[f32], i: usize,
             }
             1.0
         }
-        AFmt::Bf16 => {
-            f32_to_bf16_bits_slice(cvt, row);
-            for (p, &h) in cvt[..k].iter().enumerate() {
-                put_u16(dst, p * mr + i, h);
-            }
-            1.0
-        }
         AFmt::U8Quads | AFmt::I16Pairs | AFmt::I8 => {
             let sa = int8_scale(maxabs_f32(row));
             let inv = sa.recip();
@@ -648,7 +626,7 @@ pub fn pack_a_pad_row_lowp(kern: &LowpKernel, dst: &mut [u8], i: usize, k: usize
                 put_u32(dst, p * mr + i, 0);
             }
         }
-        AFmt::F16 | AFmt::Bf16 => {
+        AFmt::F16 => {
             for p in 0..pk {
                 put_u16(dst, p * mr + i, 0);
             }
@@ -691,24 +669,7 @@ pub fn pack_a_panel_lowp(
     cvt: &mut [u16],
 ) {
     debug_assert!(r <= kern.mr);
-    debug_assert!(sa.len() >= kern.mr);
-    for i in 0..r {
-        let row: &[f32] = if trans {
-            // src is k×m: A[row, p] = src[p*m + row].
-            for p in 0..k {
-                row_buf[p] = src[p * m + row0 + i];
-            }
-            &row_buf[..k]
-        } else {
-            // Row-major rows are already contiguous — no staging copy.
-            &src[(row0 + i) * k..(row0 + i) * k + k]
-        };
-        sa[i] = pack_a_row_lowp(kern, dst, row, i, cvt);
-    }
-    for (i, s) in sa.iter_mut().enumerate().take(kern.mr).skip(r) {
-        pack_a_pad_row_lowp(kern, dst, i, k);
-        *s = 1.0;
-    }
+    kern.pack_a_panel(dst, sa, src, trans, row0, r, m, k, row_buf, cvt);
 }
 
 /// Low-precision counterpart of [`crate::micro::pack_b_panel`]: packs
@@ -735,18 +696,12 @@ pub fn pack_b_panel_lowp(
     debug_assert!(dst.len() >= kern.b_panel_bytes(k));
     debug_assert!(sb.len() >= nr && colsum.len() >= nr);
     match kern.b_fmt {
-        BFmt::F16 | BFmt::Bf16 => {
-            let is_f16 = kern.b_fmt == BFmt::F16;
+        BFmt::F16 => {
             if trans {
                 // Columns are contiguous in the source: convert each whole
                 // column vector, then scatter down the panel.
                 for j in 0..c {
-                    let col = &src[(col0 + j) * k..(col0 + j) * k + k];
-                    if is_f16 {
-                        f32_to_f16_bits_slice(cvt, col);
-                    } else {
-                        f32_to_bf16_bits_slice(cvt, col);
-                    }
+                    f32_to_f16_bits_slice(cvt, &src[(col0 + j) * k..(col0 + j) * k + k]);
                     for (p, &h) in cvt[..k].iter().enumerate() {
                         put_u16(dst, p * nr + j, h);
                     }
@@ -761,12 +716,7 @@ pub fn pack_b_panel_lowp(
                 // The destination lanes `p*nr..p*nr+c` are consecutive u16s,
                 // so the converted row stores as one contiguous image.
                 for p in 0..k {
-                    let seg = &src[p * n + col0..p * n + col0 + c];
-                    if is_f16 {
-                        f32_to_f16_bits_slice(cvt, seg);
-                    } else {
-                        f32_to_bf16_bits_slice(cvt, seg);
-                    }
+                    f32_to_f16_bits_slice(cvt, &src[p * n + col0..p * n + col0 + c]);
                     store_u16_run(dst, p * nr, &cvt[..c]);
                     for j in c..nr {
                         put_u16(dst, p * nr + j, 0);
@@ -867,7 +817,6 @@ pub fn a_panel_code(kern: &LowpKernel, panel: &[u8], p: usize, i: usize) -> f32 
             f16::from_bits(lo).to_f32()
         }
         AFmt::F16 => f16::from_bits(get_u16(panel, p * mr + i)).to_f32(),
-        AFmt::Bf16 => bf16_to_f32(get_u16(panel, p * mr + i)),
         AFmt::U8Quads => (panel[(p / 4) * mr * 4 + i * 4 + p % 4] as i32 - 128) as f32,
         AFmt::I16Pairs => get_u16(panel, (p / 2) * mr * 2 + i * 2 + p % 2) as i16 as f32,
         AFmt::I8 => panel[p * mr + i] as i8 as f32,
@@ -879,7 +828,6 @@ pub fn b_panel_code(kern: &LowpKernel, panel: &[u8], p: usize, j: usize) -> f32 
     let nr = kern.nr;
     match kern.b_fmt {
         BFmt::F16 => f16::from_bits(get_u16(panel, p * nr + j)).to_f32(),
-        BFmt::Bf16 => bf16_to_f32(get_u16(panel, p * nr + j)),
         BFmt::I8Quads => {
             let ks = kern.k_step;
             panel[(p / ks) * nr * ks + j * ks + p % ks] as i8 as f32
@@ -890,17 +838,6 @@ pub fn b_panel_code(kern: &LowpKernel, panel: &[u8], p: usize, j: usize) -> f32 
 // ---------------------------------------------------------------------------
 // Scalar kernels (universal fallbacks; one per precision)
 // ---------------------------------------------------------------------------
-
-/// One contraction step with the mode pinned by the const parameter (the
-/// same discipline as [`crate::micro`]'s scalar kernel).
-#[inline(always)]
-fn contract<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
-    if FUSED {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
 
 unsafe fn f16_scalar_8x8<const FUSED: bool>(
     kq: usize,
@@ -926,37 +863,6 @@ unsafe fn f16_scalar_8x8<const FUSED: bool>(
         }
         for i in 0..8 {
             let ai = f16::from_bits(get_u16(a, p * 8 + i)).to_f32();
-            for j in 0..8 {
-                acc[i * 8 + j] = contract::<FUSED>(ai, bp[j], acc[i * 8 + j]);
-            }
-        }
-    }
-}
-
-unsafe fn bf16_scalar_8x8<const FUSED: bool>(
-    kq: usize,
-    a: *const u8,
-    b: *const u8,
-    acc: *mut f32,
-    _sa: *const f32,
-    _sb: *const f32,
-    _cs: *const i32,
-) {
-    // SAFETY: caller guarantees the panel/accumulator extents.
-    let (a, b, acc) = unsafe {
-        (
-            std::slice::from_raw_parts(a, kq * 8 * 2),
-            std::slice::from_raw_parts(b, kq * 8 * 2),
-            std::slice::from_raw_parts_mut(acc, 64),
-        )
-    };
-    for p in 0..kq {
-        let mut bp = [0.0f32; 8];
-        for (j, v) in bp.iter_mut().enumerate() {
-            *v = bf16_to_f32(get_u16(b, p * 8 + j));
-        }
-        for i in 0..8 {
-            let ai = bf16_to_f32(get_u16(a, p * 8 + i));
             for j in 0..8 {
                 acc[i * 8 + j] = contract::<FUSED>(ai, bp[j], acc[i * 8 + j]);
             }
@@ -1030,46 +936,6 @@ unsafe fn f16_avx2_8x8(
         for p in 0..kq {
             let bv = _mm256_cvtph_ps(_mm_loadu_si128(b.add(p * 16) as *const _));
             let av = _mm256_cvtph_ps(_mm_loadu_si128(a.add(p * 16) as *const _));
-            _mm256_storeu_ps(abuf.as_mut_ptr(), av);
-            for (i, row) in c.iter_mut().enumerate() {
-                *row = _mm256_fmadd_ps(_mm256_set1_ps(abuf[i]), bv, *row);
-            }
-        }
-        for (i, row) in c.iter().enumerate() {
-            _mm256_storeu_ps(acc.add(i * 8), *row);
-        }
-    }
-}
-
-/// # Safety
-/// [`LowpKernelFn`] extents; CPU must support AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn bf16_avx2_8x8(
-    kq: usize,
-    a: *const u8,
-    b: *const u8,
-    acc: *mut f32,
-    _sa: *const f32,
-    _sb: *const f32,
-    _cs: *const i32,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: extents guaranteed by the caller contract.
-    unsafe {
-        let mut c = [_mm256_setzero_ps(); 8];
-        for (i, row) in c.iter_mut().enumerate() {
-            *row = _mm256_loadu_ps(acc.add(i * 8));
-        }
-        let widen = |p: *const u8| {
-            _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(_mm_loadu_si128(
-                p as *const _,
-            ))))
-        };
-        let mut abuf = [0.0f32; 8];
-        for p in 0..kq {
-            let bv = widen(b.add(p * 16));
-            let av = widen(a.add(p * 16));
             _mm256_storeu_ps(abuf.as_mut_ptr(), av);
             for (i, row) in c.iter_mut().enumerate() {
                 *row = _mm256_fmadd_ps(_mm256_set1_ps(abuf[i]), bv, *row);
@@ -1275,48 +1141,6 @@ unsafe fn f16_avx512fp16_16x32(
     }
 }
 
-/// # Safety
-/// [`LowpKernelFn`] extents; CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn bf16_avx512_16x16(
-    kq: usize,
-    a: *const u8,
-    b: *const u8,
-    acc: *mut f32,
-    _sa: *const f32,
-    _sb: *const f32,
-    _cs: *const i32,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: extents guaranteed by the caller contract.
-    unsafe {
-        let mut c = [_mm512_setzero_ps(); 16];
-        for (i, row) in c.iter_mut().enumerate() {
-            *row = _mm512_loadu_ps(acc.add(i * 16));
-        }
-        // Widen 16 bf16 codes to f32: zero-extend to dwords, shift into the
-        // high half. Exact — bf16 is the top half of an f32.
-        let widen = |p: *const u8| {
-            _mm512_castsi512_ps(_mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(_mm256_loadu_si256(
-                p as *const _,
-            ))))
-        };
-        let mut abuf = [0.0f32; 16];
-        for p in 0..kq {
-            let bv = widen(b.add(p * 32));
-            let av = widen(a.add(p * 32));
-            _mm512_storeu_ps(abuf.as_mut_ptr(), av);
-            for (i, row) in c.iter_mut().enumerate() {
-                *row = _mm512_fmadd_ps(_mm512_set1_ps(abuf[i]), bv, *row);
-            }
-        }
-        for (i, row) in c.iter().enumerate() {
-            _mm512_storeu_ps(acc.add(i * 16), *row);
-        }
-    }
-}
-
 /// AVX512-VNNI int8: `vpdpbusd` consumes unsigned A × signed B k-quads, so
 /// A codes are stored biased (`q+128`); the bias is removed exactly in the
 /// epilogue with the per-column code sums (`dot = acc_u − 128·colsum[j]`).
@@ -1363,119 +1187,81 @@ unsafe fn int8_avx512vnni_16x16(
 // Kernel table, detection, resolution
 // ---------------------------------------------------------------------------
 
-static F16_SCALAR: LowpKernel = LowpKernel::new(
-    Precision::F16,
-    Isa::Scalar,
-    8,
-    8,
-    1,
-    scalar_chain(),
-    AFmt::F16,
-    BFmt::F16,
-    f16_scalar_8x8::<SCALAR_FUSED_FMA>,
-);
+static F16_SCALAR: LowpKernel = LowpKernel {
+    prec: Precision::F16,
+    isa: Isa::Scalar,
+    mr: 8,
+    nr: 8,
+    k_step: 1,
+    chain: scalar_chain(),
+    a_fmt: AFmt::F16,
+    b_fmt: BFmt::F16,
+    func: f16_scalar_8x8::<SCALAR_FUSED_FMA>,
+};
 
-static BF16_SCALAR: LowpKernel = LowpKernel::new(
-    Precision::Bf16,
-    Isa::Scalar,
-    8,
-    8,
-    1,
-    scalar_chain(),
-    AFmt::Bf16,
-    BFmt::Bf16,
-    bf16_scalar_8x8::<SCALAR_FUSED_FMA>,
-);
-
-static INT8_SCALAR: LowpKernel = LowpKernel::new(
-    Precision::Int8,
-    Isa::Scalar,
-    8,
-    8,
-    1,
-    Chain::ExactInt,
-    AFmt::I8,
-    BFmt::I8Quads,
-    int8_scalar_8x8,
-);
+static INT8_SCALAR: LowpKernel = LowpKernel {
+    prec: Precision::Int8,
+    isa: Isa::Scalar,
+    mr: 8,
+    nr: 8,
+    k_step: 1,
+    chain: Chain::ExactInt,
+    a_fmt: AFmt::I8,
+    b_fmt: BFmt::I8Quads,
+    func: int8_scalar_8x8,
+};
 
 #[cfg(target_arch = "x86_64")]
-static F16_AVX2: LowpKernel = LowpKernel::new(
-    Precision::F16,
-    Isa::Avx2,
-    8,
-    8,
-    1,
-    Chain::FusedF32,
-    AFmt::F16,
-    BFmt::F16,
-    f16_avx2_8x8,
-);
+static F16_AVX2: LowpKernel = LowpKernel {
+    prec: Precision::F16,
+    isa: Isa::Avx2,
+    mr: 8,
+    nr: 8,
+    k_step: 1,
+    chain: Chain::FusedF32,
+    a_fmt: AFmt::F16,
+    b_fmt: BFmt::F16,
+    func: f16_avx2_8x8,
+};
 
 #[cfg(target_arch = "x86_64")]
-static BF16_AVX2: LowpKernel = LowpKernel::new(
-    Precision::Bf16,
-    Isa::Avx2,
-    8,
-    8,
-    1,
-    Chain::FusedF32,
-    AFmt::Bf16,
-    BFmt::Bf16,
-    bf16_avx2_8x8,
-);
+static INT8_AVX2: LowpKernel = LowpKernel {
+    prec: Precision::Int8,
+    isa: Isa::Avx2,
+    mr: 8,
+    nr: 8,
+    k_step: 2,
+    chain: Chain::ExactInt,
+    a_fmt: AFmt::I16Pairs,
+    b_fmt: BFmt::I8Quads,
+    func: int8_avx2_8x8,
+};
 
 #[cfg(target_arch = "x86_64")]
-static INT8_AVX2: LowpKernel = LowpKernel::new(
-    Precision::Int8,
-    Isa::Avx2,
-    8,
-    8,
-    2,
-    Chain::ExactInt,
-    AFmt::I16Pairs,
-    BFmt::I8Quads,
-    int8_avx2_8x8,
-);
+static F16_AVX512: LowpKernel = LowpKernel {
+    prec: Precision::F16,
+    isa: Isa::Avx512,
+    mr: 16,
+    nr: 32,
+    k_step: 1,
+    chain: Chain::ChunkedF16,
+    a_fmt: AFmt::F16Dup,
+    b_fmt: BFmt::F16,
+    func: f16_avx512fp16_16x32,
+};
 
 #[cfg(target_arch = "x86_64")]
-static F16_AVX512: LowpKernel = LowpKernel::new(
-    Precision::F16,
-    Isa::Avx512,
-    16,
-    32,
-    1,
-    Chain::ChunkedF16,
-    AFmt::F16Dup,
-    BFmt::F16,
-    f16_avx512fp16_16x32,
-);
-
-#[cfg(target_arch = "x86_64")]
-static BF16_AVX512: LowpKernel = LowpKernel::new(
-    Precision::Bf16,
-    Isa::Avx512,
-    16,
-    16,
-    1,
-    Chain::FusedF32,
-    AFmt::Bf16,
-    BFmt::Bf16,
-    bf16_avx512_16x16,
-);
-
-#[cfg(target_arch = "x86_64")]
-static INT8_AVX512: LowpKernel = LowpKernel::new(
-    Precision::Int8,
-    Isa::Avx512,
-    16,
-    16,
-    4,
-    Chain::ExactInt,
-    AFmt::U8Quads,
-    BFmt::I8Quads,
-    int8_avx512vnni_16x16,
-);
+static INT8_AVX512: LowpKernel = LowpKernel {
+    prec: Precision::Int8,
+    isa: Isa::Avx512,
+    mr: 16,
+    nr: 16,
+    k_step: 4,
+    chain: Chain::ExactInt,
+    a_fmt: AFmt::U8Quads,
+    b_fmt: BFmt::I8Quads,
+    func: int8_avx512vnni_16x16,
+};
 
 /// Whether this host can run the `prec × isa` implementation. F32 rows are
 /// always `false` — that precision is served by [`crate::isa`]'s family.
@@ -1489,10 +1275,6 @@ fn impl_detected(prec: Precision, isa: Isa) -> bool {
         }
         #[cfg(target_arch = "x86_64")]
         (Precision::F16, Isa::Avx512) => is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512fp16"),
-        #[cfg(target_arch = "x86_64")]
-        (Precision::Bf16, Isa::Avx2) => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
-        #[cfg(target_arch = "x86_64")]
-        (Precision::Bf16, Isa::Avx512) => is_x86_feature_detected!("avx512f"),
         #[cfg(target_arch = "x86_64")]
         (Precision::Int8, Isa::Avx2) => is_x86_feature_detected!("avx2"),
         #[cfg(target_arch = "x86_64")]
@@ -1514,18 +1296,13 @@ pub fn lowp_impl(prec: Precision, isa: Isa) -> Option<&'static LowpKernel> {
     }
     match (prec, isa) {
         (Precision::F16, Isa::Scalar) => Some(&F16_SCALAR),
-        (Precision::Bf16, Isa::Scalar) => Some(&BF16_SCALAR),
         (Precision::Int8, Isa::Scalar) => Some(&INT8_SCALAR),
         #[cfg(target_arch = "x86_64")]
         (Precision::F16, Isa::Avx2) => Some(&F16_AVX2),
         #[cfg(target_arch = "x86_64")]
-        (Precision::Bf16, Isa::Avx2) => Some(&BF16_AVX2),
-        #[cfg(target_arch = "x86_64")]
         (Precision::Int8, Isa::Avx2) => Some(&INT8_AVX2),
         #[cfg(target_arch = "x86_64")]
         (Precision::F16, Isa::Avx512) => Some(&F16_AVX512),
-        #[cfg(target_arch = "x86_64")]
-        (Precision::Bf16, Isa::Avx512) => Some(&BF16_AVX512),
         #[cfg(target_arch = "x86_64")]
         (Precision::Int8, Isa::Avx512) => Some(&INT8_AVX512),
         _ => None,
@@ -1588,20 +1365,11 @@ fn degrade_warn_key(prec: Precision, isa: Isa) -> &'static str {
         (Precision::F16, Isa::Scalar) => "bt-gemm.prec.f16.scalar",
         (Precision::F16, Isa::Avx2) => "bt-gemm.prec.f16.avx2",
         (Precision::F16, Isa::Avx512) => "bt-gemm.prec.f16.avx512",
-        (Precision::Bf16, Isa::Scalar) => "bt-gemm.prec.bf16.scalar",
-        (Precision::Bf16, Isa::Avx2) => "bt-gemm.prec.bf16.avx2",
-        (Precision::Bf16, Isa::Avx512) => "bt-gemm.prec.bf16.avx512",
         (Precision::Int8, Isa::Scalar) => "bt-gemm.prec.int8.scalar",
         (Precision::Int8, Isa::Avx2) => "bt-gemm.prec.int8.avx2",
         (Precision::Int8, Isa::Avx512) => "bt-gemm.prec.int8.avx512",
         (Precision::F32, _) => "bt-gemm.prec.f32",
     }
-}
-
-/// Counts packed panel bytes written for a precision — the byte-traffic
-/// telemetry the precision axis exists to shrink.
-pub(crate) fn count_pack_bytes(prec: Precision, bytes: u64) {
-    bt_obs::counter(&format!("gemm.lowp.pack_bytes.{}", prec.name())).add(bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -1616,9 +1384,6 @@ pub(crate) fn count_pack_bytes(prec: Precision, bytes: u64) {
 /// * `f16`: operand conversion (2 roundings per product at ≤ 2⁻¹¹ relative)
 ///   plus at most `min(k, 128)` steps of f16 accumulation per chunk —
 ///   `S·(min(k,128)+2)·2⁻¹¹`.
-/// * `bf16`: operand conversion at ≤ 2⁻⁸ relative per element (·1.01 slack
-///   for the product of two roundings) plus f32 accumulation —
-///   `S·(2⁻⁸·1.01 + k·2⁻²³)`.
 ///
 /// A `1e-8` absolute floor covers zero-sum cases. int8 error depends on the
 /// scales, not `sum_abs` — use [`int8_dot_error_bound`].
@@ -1627,7 +1392,6 @@ pub fn dot_error_bound(prec: Precision, k: usize, sum_abs: f64) -> f64 {
     let rel = match prec {
         Precision::F32 => kf * 2f64.powi(-23),
         Precision::F16 => (kf.min(128.0) + 2.0) * 2f64.powi(-11),
-        Precision::Bf16 => 2f64.powi(-8) * 1.01 + kf * 2f64.powi(-23),
         Precision::Int8 => panic!("int8 bound depends on scales: use int8_dot_error_bound"),
     };
     sum_abs * rel + 1e-8
@@ -1655,7 +1419,7 @@ pub fn int8_dot_error_bound(a_row: &[f32], b_col: &[f32], sa: f32, sb: f32) -> f
 mod tests {
     use super::*;
 
-    const LOWP: [Precision; 3] = [Precision::F16, Precision::Bf16, Precision::Int8];
+    const LOWP: [Precision; 2] = [Precision::F16, Precision::Int8];
 
     #[test]
     fn scalar_impl_exists_for_every_low_precision() {
@@ -1681,7 +1445,7 @@ mod tests {
         assert!(w.is_none());
         // Never resolve *above* the request: a scalar pin stays scalar even
         // when wider implementations exist.
-        let (isa, _) = resolve_lowp_tier(Precision::Bf16, Isa::Scalar, &[Isa::Scalar, Isa::Avx512]);
+        let (isa, _) = resolve_lowp_tier(Precision::Int8, Isa::Scalar, &[Isa::Scalar, Isa::Avx512]);
         assert_eq!(isa, Isa::Scalar);
     }
 
@@ -1733,25 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn bf16_round_to_nearest_even() {
-        // 1 + 2^-8 ties between 1.0 and the next bf16 (1 + 2^-7): even wins.
-        assert_eq!(bf16_to_f32(bf16_bits(1.0 + (2.0f32).powi(-8))), 1.0);
-        // 1 + 3·2^-8 ties upward to 1 + 2^-6.
-        assert_eq!(
-            bf16_to_f32(bf16_bits(1.0 + 3.0 * (2.0f32).powi(-8))),
-            1.0 + (2.0f32).powi(-6)
-        );
-        // bf16 values are exact fixed points.
-        for v in [1.0f32, -2.5, 0.15625, 3.0e20, -7.0e-30] {
-            let r = bf16_to_f32(bf16_bits(v));
-            assert_eq!(bf16_bits(r), bf16_bits(v));
-        }
-        // NaN stays NaN, infinity stays infinity.
-        assert!(bf16_to_f32(bf16_bits(f32::NAN)).is_nan());
-        assert_eq!(bf16_to_f32(bf16_bits(f32::INFINITY)), f32::INFINITY);
-    }
-
-    #[test]
     fn quantization_edge_cases() {
         assert_eq!(int8_scale(0.0), 1.0, "all-zero row must keep a usable scale");
         assert_eq!(int8_scale(f32::NAN), 1.0);
@@ -1790,7 +1535,7 @@ mod tests {
         );
         pack_b_panel_lowp(kern, &mut b_panel, &mut sb, &mut colsum, b, false, 0, n, n, k, &mut cvt);
         let mut acc = vec![0.0f32; kern.mr * kern.nr];
-        kern.run(k, &a_panel, &b_panel, &mut acc, &sa, &sb, &colsum);
+        kern.run_block(k, &a_panel, &b_panel, &mut acc, &sa, &sb, &colsum);
         acc
     }
 
@@ -1883,7 +1628,7 @@ mod tests {
             for isa in lowp_impl_isas(prec) {
                 let kern = lowp_impl(prec, isa).unwrap();
                 let mut acc = vec![3.0f32; kern.mr * kern.nr];
-                kern.run(0, &[], &[], &mut acc, &[], &[], &[]);
+                kern.run_block(0, &[], &[], &mut acc, &[], &[], &[]);
                 assert!(acc.iter().all(|&v| v == 3.0), "{prec}/{isa} k=0 must be identity");
             }
         }

@@ -38,6 +38,8 @@
 #![allow(unsafe_code)]
 
 use crate::isa::Isa;
+use crate::prec::Precision;
+use crate::scratch::PanelElem;
 
 /// Largest `MR` of any kernel in the family (the AVX-512 tile height).
 /// Stack accumulators in the drivers are sized `MR_MAX × NR_MAX`.
@@ -123,6 +125,162 @@ impl MicroKernel {
         // constructed for an ISA that `crate::isa` verified present on this
         // CPU (scalar is universally valid).
         unsafe { (self.func)(kc, a.as_ptr(), b.as_ptr(), acc.as_mut_ptr()) }
+    }
+}
+
+/// What a GEMM driver body needs from a kernel: its geometry, its packed
+/// panel format, and its register-block kernel. Precision is only a panel
+/// format — [`MicroKernel`] packs f32 panels and ignores scales,
+/// [`crate::lowp::LowpKernel`] packs byte panels with per-row / per-column
+/// scales and code sums — so the packed driver and the grouped tile body
+/// are one generic body each, monomorphised per implementation.
+///
+/// Scale slices hold [`PanelKernel::scale_lanes`] entries per panel (none
+/// for f32); every packer overwrites all lanes of its panel and scales,
+/// pads included, so reused scratch needs no clearing.
+pub(crate) trait PanelKernel: Sync {
+    /// Element of a packed micropanel.
+    type Elem: PanelElem;
+    /// Whether panels carry scales and stage through conversion buffers.
+    const NARROW: bool;
+    /// The dispatch path: ISA tier and panel precision.
+    fn path(&self) -> (Isa, Precision);
+    /// The register tile, `(mr, nr)`.
+    fn tile(&self) -> (usize, usize);
+    /// Elements of one packed `A` and one packed `B` micropanel of depth `k`.
+    fn panel_lens(&self, k: usize) -> (usize, usize);
+    /// Packs lane `i` of an `A` panel from one staged row of length `k`, or
+    /// with the format's neutral code when `row` is `None` (a pad lane),
+    /// and records its scale in `sa`.
+    fn pack_a_lane(
+        &self,
+        dst: &mut [Self::Elem],
+        sa: &mut [f32],
+        i: usize,
+        k: usize,
+        row: Option<&[f32]>,
+        cvt: &mut [u16],
+    );
+    /// Packs rows `row0 .. row0 + r` of a row-major `m×k` `A` (`k×m` when
+    /// `trans`, each row then staged through `row_buf`) into one panel, lane
+    /// by lane.
+    #[allow(clippy::too_many_arguments)] // geometry params are the point
+    fn pack_a_panel(
+        &self,
+        dst: &mut [Self::Elem],
+        sa: &mut [f32],
+        src: &[f32],
+        trans: bool,
+        row0: usize,
+        r: usize,
+        m: usize,
+        k: usize,
+        row_buf: &mut [f32],
+        cvt: &mut [u16],
+    ) {
+        for i in 0..self.tile().0 {
+            let row = if i >= r {
+                None
+            } else if trans {
+                for (p, v) in row_buf[..k].iter_mut().enumerate() {
+                    *v = src[p * m + row0 + i];
+                }
+                Some(&row_buf[..k])
+            } else {
+                // Row-major rows are already contiguous — no staging copy.
+                Some(&src[(row0 + i) * k..(row0 + i) * k + k])
+            };
+            self.pack_a_lane(dst, sa, i, k, row, cvt);
+        }
+    }
+    /// Packs columns `col0 .. col0 + c` of a row-major `k×n` `B` (`n×k`
+    /// when `trans`) into one panel; see [`pack_b_panel`].
+    #[allow(clippy::too_many_arguments)] // geometry params are the point
+    fn pack_b_panel(
+        &self,
+        dst: &mut [Self::Elem],
+        sb: &mut [f32],
+        colsum: &mut [i32],
+        src: &[f32],
+        trans: bool,
+        col0: usize,
+        c: usize,
+        n: usize,
+        k: usize,
+        cvt: &mut [u16],
+    );
+    /// Accumulates one register block over depth `k` into `acc`.
+    #[allow(clippy::too_many_arguments)] // the full kernel operand set is the point
+    fn run_block(
+        &self,
+        k: usize,
+        a: &[Self::Elem],
+        b: &[Self::Elem],
+        acc: &mut [f32],
+        sa: &[f32],
+        sb: &[f32],
+        colsum: &[i32],
+    );
+    /// Counts packed panel elements for telemetry (narrow formats only).
+    fn count_pack_bytes(&self, _elems: usize) {}
+
+    /// Scale lanes per `A` and per `B` panel.
+    fn scale_lanes(&self) -> (usize, usize) {
+        if Self::NARROW {
+            self.tile()
+        } else {
+            (0, 0)
+        }
+    }
+}
+
+impl PanelKernel for MicroKernel {
+    type Elem = f32;
+    const NARROW: bool = false;
+
+    fn path(&self) -> (Isa, Precision) {
+        (self.isa, Precision::F32)
+    }
+
+    fn tile(&self) -> (usize, usize) {
+        (self.mr, self.nr)
+    }
+
+    fn panel_lens(&self, k: usize) -> (usize, usize) {
+        (k * self.mr, k * self.nr)
+    }
+
+    fn pack_a_lane(&self, dst: &mut [f32], _: &mut [f32], i: usize, k: usize, row: Option<&[f32]>, _: &mut [u16]) {
+        let mr = self.mr;
+        if let Some(row) = row {
+            for (p, &v) in row.iter().enumerate() {
+                dst[p * mr + i] = v;
+            }
+        } else {
+            for p in 0..k {
+                dst[p * mr + i] = 0.0;
+            }
+        }
+    }
+
+    fn pack_b_panel(
+        &self,
+        dst: &mut [f32],
+        _: &mut [f32],
+        _: &mut [i32],
+        src: &[f32],
+        trans: bool,
+        col0: usize,
+        c: usize,
+        n: usize,
+        k: usize,
+        _: &mut [u16],
+    ) {
+        pack_b_panel(dst, src, trans, col0, c, n, k, self.nr);
+    }
+
+    fn run_block(&self, k: usize, a: &[f32], b: &[f32], acc: &mut [f32], _: &[f32], _: &[f32], _: &[i32]) {
+        self.run(k, a, b, acc);
     }
 }
 

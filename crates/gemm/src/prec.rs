@@ -5,17 +5,17 @@
 //! of the paper's §III.C SIMD2 `half2` path: panels are written half-width
 //! (or quarter-width) at pack time and expanded in-register inside the
 //! microkernel, so the bytes crossing the cache hierarchy shrink while the
-//! arithmetic stays (mostly) f32.
+//! arithmetic stays (mostly) f32. A precision changes only the panel format:
+//! every tier runs through the same packed-driver and grouped-tile bodies.
 //!
 //! | precision | packed elems        | accumulation                        |
 //! |-----------|---------------------|-------------------------------------|
 //! | `f32`     | f32 (4 B)           | f32 FMA (the [`crate::isa`] family) |
 //! | `f16`     | IEEE binary16 (2 B) | `vfmadd231ph` or convert + f32 FMA  |
-//! | `bf16`    | bfloat16 (2 B)      | widen (`<<16`) + f32 FMA            |
 //! | `int8`    | symmetric i8 (1 B)  | i32 dot, dequantized per tile       |
 //!
 //! Selection mirrors the ISA axis exactly: lazy process-wide init from
-//! `BYTE_GEMM_PREC` (`f32|f16|bf16|int8`, unknown values panic with the
+//! `BYTE_GEMM_PREC` (`f32|f16|int8`, unknown values panic with the
 //! accepted set), a strict programmatic setter for tests and benches, and
 //! one read per GEMM launch so a launch is internally consistent. Every
 //! precision has a scalar implementation, so unlike the ISA axis a
@@ -34,31 +34,28 @@ pub enum Precision {
     F32,
     /// IEEE binary16 panels, round-to-nearest-even conversion at pack time.
     F16,
-    /// bfloat16 panels, round-to-nearest-even truncation at pack time.
-    Bf16,
     /// Symmetric per-row/per-column int8 quantization, exact i32 dots.
     Int8,
 }
 
 impl Precision {
     /// Every precision, widest storage first.
-    pub const ALL: [Precision; 4] = [Precision::F32, Precision::F16, Precision::Bf16, Precision::Int8];
+    pub const ALL: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Int8];
 
     /// Canonical lowercase name (the `BYTE_GEMM_PREC` spelling).
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
             Precision::F16 => "f16",
-            Precision::Bf16 => "bf16",
             Precision::Int8 => "int8",
         }
     }
 
-    /// Bytes per packed panel element (the byte-traffic lever: 4/2/2/1).
+    /// Bytes per packed panel element (the byte-traffic lever: 4/2/1).
     pub fn elem_bytes(self) -> usize {
         match self {
             Precision::F32 => 4,
-            Precision::F16 | Precision::Bf16 => 2,
+            Precision::F16 => 2,
             Precision::Int8 => 1,
         }
     }
@@ -67,8 +64,7 @@ impl Precision {
         match self {
             Precision::F32 => 0,
             Precision::F16 => 1,
-            Precision::Bf16 => 2,
-            Precision::Int8 => 3,
+            Precision::Int8 => 2,
         }
     }
 
@@ -93,10 +89,9 @@ pub fn parse_prec_request(s: &str) -> Result<Precision, String> {
     match s.trim().to_ascii_lowercase().as_str() {
         "f32" => Ok(Precision::F32),
         "f16" => Ok(Precision::F16),
-        "bf16" => Ok(Precision::Bf16),
         "int8" => Ok(Precision::Int8),
         _ => Err(format!(
-            "BYTE_GEMM_PREC: unknown value `{s}` (expected one of `f32`, `f16`, `bf16`, `int8`)"
+            "BYTE_GEMM_PREC: unknown value `{s}` (expected one of `f32`, `f16`, `int8`)"
         )),
     }
 }
@@ -169,7 +164,7 @@ mod tests {
     fn elem_bytes_shrink_monotonically() {
         assert_eq!(
             Precision::ALL.map(Precision::elem_bytes),
-            [4, 2, 2, 1],
+            [4, 2, 1],
             "precision axis exists to shrink panel bytes"
         );
     }

@@ -12,9 +12,10 @@
 //! via [`crate::grouped::GroupedStats::scratch_grows`].
 //!
 //! Requested lengths are geometry-dependent — callers size panels from the
-//! active microkernel's `mr×nr` tile (see [`crate::isa`]) — so switching
-//! dispatch tiers mid-process at most ratchets a new high-water mark once;
-//! the arenas themselves are geometry-agnostic byte pools.
+//! launch kernel's `mr×nr` tile and panel format (see
+//! [`PanelKernel`]) — so switching dispatch tiers mid-process at most
+//! ratchets a new high-water mark once; the arenas themselves are
+//! geometry-agnostic pools.
 //!
 //! Borrow discipline: [`with_worker_scratch`] hands out the arena for the
 //! span of one closure. The closure must not re-enter the parallel runtime
@@ -22,6 +23,7 @@
 //! borrow ever happens anyway, the fallback is a fresh one-shot arena —
 //! correct, just not amortized.
 
+use crate::micro::PanelKernel;
 use std::cell::RefCell;
 
 thread_local! {
@@ -38,19 +40,55 @@ pub(crate) fn with_worker_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
-/// Reusable packing + accumulation buffers for one virtual CTA.
-///
-/// The f32 buffers serve the [`crate::isa`] family; the byte/scale/colsum
-/// buffers serve the [`crate::lowp`] family (packed low-precision panels
-/// are byte pools — per-kernel layouts are imposed by the packers, and the
-/// `cvt` buffer stages one row's f16/bf16 conversion).
+/// Element type of a packed micropanel — `f32`, or the bytes of a narrow
+/// format ([`crate::lowp`]) — each with its own `[A, B]` pool pair.
+pub(crate) trait PanelElem: Copy + Default + Send + Sync {
+    /// This element type's `[A, B]` panel pools.
+    fn pools(pools: &mut PanelPools) -> &mut [Vec<Self>; 2];
+}
+
+/// The arena's packed-panel pools, one `[A, B]` pair per element type.
+#[derive(Default)]
+pub(crate) struct PanelPools {
+    f32: [Vec<f32>; 2],
+    bytes: [Vec<u8>; 2],
+}
+
+impl PanelElem for f32 {
+    fn pools(pools: &mut PanelPools) -> &mut [Vec<f32>; 2] {
+        &mut pools.f32
+    }
+}
+
+impl PanelElem for u8 {
+    fn pools(pools: &mut PanelPools) -> &mut [Vec<u8>; 2] {
+        &mut pools.bytes
+    }
+}
+
+/// One task's working set, every slice at exactly its requested length
+/// (contents are stale, callers overwrite fully): packed `A` / `B`
+/// micropanels, the accumulator tile, one staged f32 row of `A`, and — for
+/// narrow formats only — the panels' scales, `B` code sums and conversion
+/// staging.
+pub(crate) struct Panels<'s, E> {
+    pub a: &'s mut [E],
+    pub b: &'s mut [E],
+    pub tile: &'s mut [f32],
+    pub row: &'s mut [f32],
+    pub sa: &'s mut [f32],
+    pub sb: &'s mut [f32],
+    pub colsum: &'s mut [i32],
+    pub cvt: &'s mut [u16],
+}
+
+/// Reusable packing + accumulation buffers for one virtual CTA: panel
+/// pools per element type, plus the f32 tile / staging row and the scale,
+/// code-sum and conversion buffers only narrow formats ask for.
 pub(crate) struct Scratch {
-    a_pack: Vec<f32>,
-    b_pack: Vec<f32>,
+    pools: PanelPools,
     tile: Vec<f32>,
     row_buf: Vec<f32>,
-    lowp_a: Vec<u8>,
-    lowp_b: Vec<u8>,
     scale_a: Vec<f32>,
     scale_b: Vec<f32>,
     colsum: Vec<i32>,
@@ -61,12 +99,9 @@ pub(crate) struct Scratch {
 impl Scratch {
     pub(crate) fn new() -> Self {
         Self {
-            a_pack: Vec::new(),
-            b_pack: Vec::new(),
+            pools: PanelPools::default(),
             tile: Vec::new(),
             row_buf: Vec::new(),
-            lowp_a: Vec::new(),
-            lowp_b: Vec::new(),
             scale_a: Vec::new(),
             scale_b: Vec::new(),
             colsum: Vec::new(),
@@ -85,23 +120,17 @@ impl Scratch {
     /// the arena's high-water mark (buffers only ever grow), reported to
     /// telemetry. Sub-f32 buffers are rounded up to whole elements.
     pub(crate) fn high_water_elems(&self) -> usize {
-        self.a_pack.len()
-            + self.b_pack.len()
+        let [a, b] = &self.pools.f32;
+        let [la, lb] = &self.pools.bytes;
+        a.len()
+            + b.len()
             + self.tile.len()
             + self.row_buf.len()
             + self.scale_a.len()
             + self.scale_b.len()
             + self.colsum.len()
-            + (self.lowp_a.len() + self.lowp_b.len()).div_ceil(4)
+            + (la.len() + lb.len()).div_ceil(4)
             + (self.cvt.len() * 2).div_ceil(4)
-    }
-
-    /// Returns just the `A`-micropanel buffer at the requested length (the
-    /// blocked-GEMM row-panel tasks pack only `A` per task; `B` is packed
-    /// once per launch and shared).
-    pub(crate) fn a_panels(&mut self, len: usize) -> &mut [f32] {
-        grow(&mut self.a_pack, len, &mut self.grows);
-        &mut self.a_pack[..len]
     }
 
     /// Returns just the accumulator-tile buffer at the requested length (the
@@ -113,91 +142,45 @@ impl Scratch {
         &mut self.tile[..len]
     }
 
-    /// Returns `(a_pack, b_pack, tile, row_buf)` slices of at least the
-    /// requested lengths, growing the backing buffers only on a new
-    /// high-water mark. Contents are stale — callers overwrite fully.
-    pub(crate) fn panels(
+    /// The working set of one task of `kern` at depth `k`: `a_panels` `A`
+    /// and `b_panels` `B` micropanels with their scale lanes, a `tile_len`
+    /// accumulator tile and a `row_len` staging row. Buffers grow only on a
+    /// new high-water mark, and an f32 kernel asks for no scale or
+    /// conversion space at all.
+    pub(crate) fn panels<K: PanelKernel>(
         &mut self,
-        a_len: usize,
-        b_len: usize,
+        kern: &K,
+        k: usize,
+        a_panels: usize,
+        b_panels: usize,
         tile_len: usize,
         row_len: usize,
-    ) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
-        grow(&mut self.a_pack, a_len, &mut self.grows);
-        grow(&mut self.b_pack, b_len, &mut self.grows);
-        grow(&mut self.tile, tile_len, &mut self.grows);
-        grow(&mut self.row_buf, row_len, &mut self.grows);
-        (
-            &mut self.a_pack[..a_len],
-            &mut self.b_pack[..b_len],
-            &mut self.tile[..tile_len],
-            &mut self.row_buf[..row_len],
-        )
-    }
-
-    /// Low-precision blocked-GEMM task buffers: `(a_bytes, scale_a,
-    /// row_buf, cvt)` — the packed `A` byte panels, their per-row scales,
-    /// and the f32/u16 staging rows for conversion.
-    pub(crate) fn lowp_a_panels(
-        &mut self,
-        a_bytes: usize,
-        sa_len: usize,
-        row_len: usize,
-        cvt_len: usize,
-    ) -> (&mut [u8], &mut [f32], &mut [f32], &mut [u16]) {
-        grow(&mut self.lowp_a, a_bytes, &mut self.grows);
-        grow(&mut self.scale_a, sa_len, &mut self.grows);
-        grow(&mut self.row_buf, row_len, &mut self.grows);
-        grow(&mut self.cvt, cvt_len, &mut self.grows);
-        (
-            &mut self.lowp_a[..a_bytes],
-            &mut self.scale_a[..sa_len],
-            &mut self.row_buf[..row_len],
-            &mut self.cvt[..cvt_len],
-        )
-    }
-
-    /// Low-precision grouped-GEMM tile buffers: `(a_bytes, b_bytes, tile,
-    /// row_buf, scale_a, scale_b, colsum, cvt)`.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)] // one tile's full working set
-    pub(crate) fn lowp_tile_panels(
-        &mut self,
-        a_bytes: usize,
-        b_bytes: usize,
-        tile_len: usize,
-        row_len: usize,
-        sa_len: usize,
-        sb_len: usize,
-        cs_len: usize,
-        cvt_len: usize,
-    ) -> (
-        &mut [u8],
-        &mut [u8],
-        &mut [f32],
-        &mut [f32],
-        &mut [f32],
-        &mut [f32],
-        &mut [i32],
-        &mut [u16],
-    ) {
-        grow(&mut self.lowp_a, a_bytes, &mut self.grows);
-        grow(&mut self.lowp_b, b_bytes, &mut self.grows);
-        grow(&mut self.tile, tile_len, &mut self.grows);
-        grow(&mut self.row_buf, row_len, &mut self.grows);
-        grow(&mut self.scale_a, sa_len, &mut self.grows);
-        grow(&mut self.scale_b, sb_len, &mut self.grows);
-        grow(&mut self.colsum, cs_len, &mut self.grows);
-        grow(&mut self.cvt, cvt_len, &mut self.grows);
-        (
-            &mut self.lowp_a[..a_bytes],
-            &mut self.lowp_b[..b_bytes],
-            &mut self.tile[..tile_len],
-            &mut self.row_buf[..row_len],
-            &mut self.scale_a[..sa_len],
-            &mut self.scale_b[..sb_len],
-            &mut self.colsum[..cs_len],
-            &mut self.cvt[..cvt_len],
-        )
+    ) -> Panels<'_, K::Elem> {
+        let (sa_lanes, sb_lanes) = kern.scale_lanes();
+        let (apl, bpl) = kern.panel_lens(k);
+        let (a_len, b_len) = (a_panels * apl, b_panels * bpl);
+        let (sa_len, sb_len) = (a_panels * sa_lanes, b_panels * sb_lanes);
+        let cvt_len = if K::NARROW { k.max(kern.tile().1) } else { 0 };
+        let [a, b] = K::Elem::pools(&mut self.pools);
+        let g = &mut self.grows;
+        grow(a, a_len, g);
+        grow(b, b_len, g);
+        grow(&mut self.tile, tile_len, g);
+        grow(&mut self.row_buf, row_len, g);
+        grow(&mut self.scale_a, sa_len, g);
+        grow(&mut self.scale_b, sb_len, g);
+        grow(&mut self.colsum, sb_len, g);
+        grow(&mut self.cvt, cvt_len, g);
+        Panels {
+            a: &mut a[..a_len],
+            b: &mut b[..b_len],
+            tile: &mut self.tile[..tile_len],
+            row: &mut self.row_buf[..row_len],
+            sa: &mut self.scale_a[..sa_len],
+            sb: &mut self.scale_b[..sb_len],
+            colsum: &mut self.colsum[..sb_len],
+            cvt: &mut self.cvt[..cvt_len],
+        }
     }
 }
 
@@ -214,26 +197,30 @@ fn grow<T: Default + Clone>(buf: &mut Vec<T>, len: usize, grows: &mut u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{kernel_for, Isa};
 
     #[test]
     fn steady_state_stops_growing() {
+        let kern = kernel_for(Isa::Scalar).unwrap();
         let mut s = Scratch::new();
-        s.panels(100, 200, 64, 32);
+        s.panels(kern, 8, 3, 4, 64, 32);
         let after_first = s.grow_count();
         assert!(after_first > 0);
         for _ in 0..1000 {
-            let (a, b, t, r) = s.panels(100, 200, 64, 32);
-            assert_eq!((a.len(), b.len(), t.len(), r.len()), (100, 200, 64, 32));
+            let p = s.panels(kern, 8, 3, 4, 64, 32);
+            assert_eq!((p.a.len(), p.b.len(), p.tile.len(), p.row.len()), (192, 256, 64, 32));
+            assert_eq!((p.sa.len(), p.sb.len(), p.colsum.len(), p.cvt.len()), (0, 0, 0, 0));
         }
         assert_eq!(s.grow_count(), after_first, "reuse must not reallocate");
     }
 
     #[test]
     fn smaller_requests_reuse_high_water() {
+        let kern = kernel_for(Isa::Scalar).unwrap();
         let mut s = Scratch::new();
-        s.panels(512, 512, 512, 512);
+        s.panels(kern, 64, 8, 8, 512, 512);
         let g = s.grow_count();
-        s.panels(8, 8, 8, 8);
+        s.panels(kern, 8, 1, 1, 8, 8);
         assert_eq!(s.grow_count(), g);
     }
 }

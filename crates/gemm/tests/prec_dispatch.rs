@@ -21,6 +21,14 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
 }
 
 #[test]
+fn removed_tier_name_is_rejected_with_the_accepted_set() {
+    let err = parse_prec_request("bf16").expect_err("the bf16 tier was removed");
+    for name in ["f32", "f16", "int8"] {
+        assert!(err.contains(&format!("`{name}`")), "error must list `{name}`: {err}");
+    }
+}
+
+#[test]
 fn f32_never_resolves_a_lowp_kernel() {
     for isa in Isa::ALL {
         assert!(resolve_lowp_kernel(Precision::F32, isa).is_none());
@@ -29,7 +37,7 @@ fn f32_never_resolves_a_lowp_kernel() {
 
 #[test]
 fn every_low_precision_has_a_scalar_implementation() {
-    for prec in [Precision::F16, Precision::Bf16, Precision::Int8] {
+    for prec in [Precision::F16, Precision::Int8] {
         let isas = lowp_impl_isas(prec);
         assert!(isas.contains(&Isa::Scalar), "{prec}: {isas:?}");
         let kern = lowp_impl(prec, Isa::Scalar).unwrap();
@@ -46,17 +54,17 @@ fn resolution_degrades_downward_never_upward() {
     assert!(warn.is_none());
     // A wide request with only scalar available degrades with a warning
     // that names the precision, the request, and the substitute.
-    let (isa, warn) = resolve_lowp_tier(Precision::Bf16, Isa::Avx512, &[Isa::Scalar]);
+    let (isa, warn) = resolve_lowp_tier(Precision::Int8, Isa::Avx512, &[Isa::Scalar]);
     assert_eq!(isa, Isa::Scalar);
     let warn = warn.expect("degrade must warn");
-    assert!(warn.contains("bf16"), "warning names the precision: {warn}");
+    assert!(warn.contains("int8"), "warning names the precision: {warn}");
     assert!(warn.contains("avx512"), "warning names the request: {warn}");
     assert!(warn.contains("scalar"), "warning names the substitute: {warn}");
 }
 
 #[test]
 fn resolved_kernel_matches_requested_precision_on_this_host() {
-    for prec in [Precision::F16, Precision::Bf16, Precision::Int8] {
+    for prec in [Precision::F16, Precision::Int8] {
         for isa in bt_gemm::available_isas() {
             let kern = resolve_lowp_kernel(prec, isa).expect("every precision has at least the scalar tier");
             assert_eq!(kern.prec, prec);

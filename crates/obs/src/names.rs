@@ -128,6 +128,12 @@ pub const GEMM_BLOCKED_LAUNCHES_PREFIX: &str = "gemm.blocked.launches.";
 /// `gemm.skinny.launches.<isa>` (f32 only). With the prefix above, a
 /// snapshot shows which driver each `sgemm` launch took.
 pub const GEMM_SKINNY_LAUNCHES_PREFIX: &str = "gemm.skinny.launches.";
+/// Prefix for tiles computed by the grouped driver:
+/// `gemm.grouped.tiles.<isa>` (f32) or `…<isa>.<prec>` (low precision).
+pub const GEMM_GROUPED_TILES_PREFIX: &str = "gemm.grouped.tiles.";
+/// Prefix for packed low-precision panel bytes: `gemm.lowp.pack_bytes.<prec>`
+/// — the byte traffic the precision axis exists to shrink.
+pub const GEMM_LOWP_PACK_BYTES_PREFIX: &str = "gemm.lowp.pack_bytes.";
 
 // --- gemm.grouped.* / gemm.scratch.* — grouped-GEMM driver ----------------
 
@@ -292,6 +298,9 @@ mod tests {
         assert_eq!(MHA_GROUPED_SCHEDULER_VISITS, "mha.grouped.scheduler_visits");
         assert_eq!(MHA_GROUPED_PROBLEMS, "mha.grouped.problems");
         assert_eq!(CORE_PAGED_ROWS, "core.paged.rows");
+        // Snapshot readers filter on these prefix spellings.
+        assert_eq!(GEMM_GROUPED_TILES_PREFIX, "gemm.grouped.tiles.");
+        assert_eq!(GEMM_LOWP_PACK_BYTES_PREFIX, "gemm.lowp.pack_bytes.");
     }
 
     #[test]
@@ -319,6 +328,8 @@ mod tests {
             GEMM_FLOPS_PREFIX,
             GEMM_BLOCKED_LAUNCHES_PREFIX,
             GEMM_SKINNY_LAUNCHES_PREFIX,
+            GEMM_GROUPED_TILES_PREFIX,
+            GEMM_LOWP_PACK_BYTES_PREFIX,
         ];
         for (i, a) in prefixes.iter().enumerate() {
             assert!(a.starts_with("gemm.") && a.ends_with('.'), "{a}");

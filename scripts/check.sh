@@ -54,7 +54,7 @@ done
 # BYTE_GEMM_PREC value at both ends of the ISA range. Only the suites that
 # pin or sweep precision themselves run here — the full bt-gemm suite
 # asserts f32 tolerances that a low-precision default would rightly break.
-for prec in f32 f16 bf16 int8; do
+for prec in f32 f16 int8; do
   for isa in scalar auto; do
     step "prec_dispatch + differential_simd (BYTE_GEMM_PREC=$prec BYTE_GEMM_ISA=$isa)"
     BYTE_GEMM_PREC="$prec" BYTE_GEMM_ISA="$isa" cargo test -p bt-gemm --test prec_dispatch --quiet

@@ -168,8 +168,8 @@ type GemmLaunch<'a> = &'a dyn Fn(&mut [f32], Option<&dyn TileEpilogue>);
 /// §III.C.2's fusion is exact: a GEMM followed by the standalone fused
 /// bias + GELU kernel stores the same bits as the GEMM with the bias + GELU
 /// epilogue. Checked on the shape-chosen path under whatever ISA and
-/// `BYTE_GEMM_PREC` tier the environment selects (the low-precision driver
-/// finishes through the same store path), and on both f32 drivers pinned,
+/// `BYTE_GEMM_PREC` tier the environment selects (every precision runs the
+/// one packed driver and its store path), and on both f32 drivers pinned,
 /// at row counts around the skinny crossover and a ragged `n`.
 #[test]
 fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
@@ -384,7 +384,7 @@ fn fused_grouped_mha_all_tiers() {
 //
 // [`Chain`]: bt_gemm::Chain
 
-const LOW_PRECS: [Precision; 3] = [Precision::F16, Precision::Bf16, Precision::Int8];
+const LOW_PRECS: [Precision; 2] = [Precision::F16, Precision::Int8];
 
 /// Implementations of `prec` this host can actually dispatch to, with the
 /// missing ones logged (never silently dropped) — every precision × ISA
@@ -632,11 +632,7 @@ fn lowp_fused_mha_every_precision_stays_close_to_f32() {
     let reference: Vec<f32> = fused_grouped_attention(&dev, &q, &k, &v, &idx, Scheduler::WarpPrefetch)
         .as_slice()
         .to_vec();
-    for (prec, envelope) in [
-        (Precision::F16, 0.02f32),
-        (Precision::Bf16, 0.1),
-        (Precision::Int8, 0.1),
-    ] {
+    for (prec, envelope) in [(Precision::F16, 0.02f32), (Precision::Int8, 0.1)] {
         set_active_precision(prec);
         for tier in [Isa::Scalar, *lowp_tiers_logged(prec, "fused MHA").last().unwrap()] {
             isa::set_active_isa(tier).unwrap();
@@ -650,6 +646,79 @@ fn lowp_fused_mha_every_precision_stays_close_to_f32() {
                 worst <= envelope,
                 "fused MHA {prec}/{tier}: max drift {worst} exceeds the {envelope} envelope"
             );
+        }
+    }
+    isa::set_active_isa(prev_isa).unwrap();
+    set_active_precision(prev_prec);
+}
+
+/// Precision is only a panel format: `sgemm` and a one-problem grouped GEMM
+/// pack the same codes and run the same kernel, one chain per element, so
+/// at alpha 1 they store the same bits — under every precision on every
+/// tier, on shapes ragged against every tile geometry (8×8, 8×16, 16×16,
+/// 16×32, the grouped 64×64 tile and the packed driver's 32-row panels),
+/// across the int8 k-groups and the f16 accumulation chunk, both `B`
+/// layouts, and past the skinny crossover.
+#[test]
+fn grouped_and_packed_agree_bitwise_at_every_precision() {
+    let _g = ISA_LOCK.lock().unwrap();
+    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let shapes: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (7, 9, 5),
+        (5, 7, 0),
+        (16, 32, 64),
+        (17, 33, 31),
+        (33, 65, 130),
+        (70, 17, 3),
+        (257, 37, 40),
+    ];
+    for prec in Precision::ALL {
+        set_active_precision(prec);
+        for tier in isa::available_isas() {
+            isa::set_active_isa(tier).unwrap();
+            for &(m, n, k) in shapes {
+                for transb in [false, true] {
+                    let a = rand_vec(m * k, 0x71 + k as u64);
+                    let b = rand_vec(k * n, 0x72 + n as u64);
+                    let mut packed = vec![f32::NAN; m * n];
+                    sgemm(
+                        GemmSpec {
+                            transb,
+                            ..GemmSpec::nn()
+                        },
+                        m,
+                        n,
+                        k,
+                        &a,
+                        &b,
+                        &mut packed,
+                    );
+                    let problem = GroupedProblem {
+                        m,
+                        n,
+                        k,
+                        transb,
+                        alpha: 1.0,
+                        a: &a,
+                        b: &b,
+                    };
+                    let mut grouped = vec![f32::NAN; m * n];
+                    grouped_sgemm(
+                        &[problem],
+                        vec![grouped.as_mut_slice()],
+                        GroupedConfig::default(),
+                        &NoEpilogue,
+                        &NoTransform,
+                    );
+                    for (i, (p, g)) in packed.iter().zip(&grouped).enumerate() {
+                        assert!(
+                            p.to_bits() == g.to_bits(),
+                            "{prec}/{tier} {m}x{n}x{k} transb={transb} [{i}]: sgemm {p:?} != grouped {g:?}"
+                        );
+                    }
+                }
+            }
         }
     }
     isa::set_active_isa(prev_isa).unwrap();
