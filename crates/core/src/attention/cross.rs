@@ -35,8 +35,10 @@ pub fn cross_attention(
     let rectangles = units(tgt_idx, mem_idx, q.dims()[0]);
     assert_eq!(q.dims()[1], tgt_idx.valid_words(), "Q rows != target valid words");
     assert_eq!(k.dims()[1], mem_idx.valid_words(), "K rows != memory valid words");
+    assert_eq!(k.dims(), v.dims(), "K/V shape mismatch");
+    let kv = [(k.as_slice(), v.as_slice())];
     let name = "cross_attention.grouped";
-    grouped_softmax_attention(device, name, q, k, v, &rectangles, KeyRange::Full, scheduler)
+    grouped_softmax_attention(device, name, q, &kv, &rectangles, KeyRange::Full, scheduler)
 }
 
 /// Host oracle for cross-attention on padded tensors: `q` is

@@ -24,11 +24,13 @@
 //! charged to the modeled time, which is what the A1 ablation measures.
 //!
 //! The engine is shape-generic over attention units — query and key/value
-//! ranges may differ per unit, and a `KeyRange` says which keys a query
-//! row sees — so the encoder's self-attention, the decoder's causal
-//! self-attention and its cross-attention (`q_len = decoder length, kv_len =
-//! encoder length`) are this one function under three launch names (see
-//! [`crate::decoder`]).
+//! ranges may differ per unit, a unit reads its K/V from one of a list of
+//! `[heads, rows, head]` plane sets, and a `KeyRange` says which keys a query
+//! row sees — so it has four callers under their own launch names: the
+//! encoder's self-attention, the decoder's causal self-attention, its
+//! cross-attention (`q_len = decoder length, kv_len = encoder length`; see
+//! [`crate::decoder`]), and the paged decoder's self- and cross-attention
+//! (one plane set per session, `super::session_attention`).
 
 use super::{packed_dims, units, AttnUnit, KeyRange};
 use bt_device::{Device, KernelSpec};
@@ -84,6 +86,7 @@ struct PartialStore<'a> {
 /// reduction of row max and exp-sum, stored to global partials.
 struct SoftmaxPartialEpilogue<'a> {
     partials: Vec<PartialStore<'a>>,
+    units: &'a [AttnUnit],
     tile_n: usize,
     /// Logits past a row's key range are masked to `-inf` before the
     /// reduction (tiles carry unit-local coordinates). Fully-masked tiles
@@ -95,12 +98,12 @@ struct SoftmaxPartialEpilogue<'a> {
 impl TileEpilogue for SoftmaxPartialEpilogue<'_> {
     fn apply(&self, problem: usize, row0: usize, col0: usize, rows: usize, cols: usize, tile: &mut [f32]) {
         let pb = &self.partials[problem];
+        let u = &self.units[problem];
         let tcol = col0 / self.tile_n;
         for i in 0..rows {
             let row = &mut tile[i * cols..(i + 1) * cols];
-            // Tile-local count of this row's visible keys (the tile's end
-            // stands in for the unit's: a full row sees all `cols`).
-            let visible = self.range.keys(row0 + i, col0 + cols).saturating_sub(col0);
+            // Tile-local count of this row's visible keys.
+            let visible = self.range.keys(row0 + i, u.q_len, u.kv_len).saturating_sub(col0);
             for x in row.iter_mut().skip(visible) {
                 *x = f32::NEG_INFINITY;
             }
@@ -144,42 +147,43 @@ impl ALoadTransform for SoftmaxNormalize<'_> {
 /// three-step pipeline over arbitrary attention units and writes a packed
 /// `[q_valid, heads·head]` context.
 ///
-/// `q` is `[heads, q_valid, head]`; `k`/`v` are `[heads, kv_valid, head]`.
-/// `Q` is assumed pre-scaled. Each unit's output lands at rows
+/// `q` is `[heads, q_valid, head]`, pre-scaled; `kv` is a list of K/V plane
+/// sets, each a `[heads, rows, head]` K and V pair, and a unit reads its keys
+/// and values from set `set` (the packed callers pass one set, the paged
+/// decoder one per session). Each unit's output lands at rows
 /// `q_off .. q_off + q_len`, columns `h·head ..`, written directly by the
 /// second GEMM's strided store. The three launches are named
 /// `{name}.qk`, `{name}.full_reduce` and `{name}.pv`.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn grouped_softmax_attention(
     device: &Device,
     name: &str,
     q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
+    kv: &[(&[f32], &[f32])],
     units: &[AttnUnit],
     range: KeyRange,
     scheduler: Scheduler,
 ) -> Tensor {
     MHA_PROBLEMS.add(units.len() as u64);
     let qd = q.dims();
-    let kd = k.dims();
     assert_eq!(qd.len(), 3, "packed Q must be [heads, q_valid, head]");
-    assert_eq!(k.dims(), v.dims(), "K/V shape mismatch");
-    assert_eq!(qd[0], kd[0], "head count mismatch");
-    assert_eq!(qd[2], kd[2], "head size mismatch");
     let (heads, q_valid, head) = (qd[0], qd[1], qd[2]);
-    let kv_valid = kd[1];
     let hidden = heads * head;
+    for (k, v) in kv {
+        assert_eq!(k.len(), v.len(), "K/V shape mismatch");
+        assert_eq!(k.len() % hidden, 0, "K/V planes must be [heads, rows, head]");
+    }
     let config = GroupedConfig {
         scheduler,
         ..Default::default()
     };
 
     let qs = q.as_slice();
-    let ks = k.as_slice();
-    let vs = v.as_slice();
     let q_plane = q_valid * head;
-    let kv_plane = kv_valid * head;
+    // Unit `u`'s key (or value) rows in its set's `[heads, rows, head]` plane.
+    let kv_rows = |u: &AttnUnit, t: &[f32]| {
+        let plane = t.len() / heads;
+        u.h * plane + u.kv_off * head..u.h * plane + (u.kv_off + u.kv_len) * head
+    };
 
     // ---- Grouped GEMM 1: P = Q·Kᵀ with fused partial softmax ----------
     let problems1: Vec<GroupedProblem<'_>> = units
@@ -191,7 +195,7 @@ pub(super) fn grouped_softmax_attention(
             transb: true,
             alpha: 1.0,
             a: &qs[u.h * q_plane + u.q_off * head..u.h * q_plane + (u.q_off + u.q_len) * head],
-            b: &ks[u.h * kv_plane + u.kv_off * head..u.h * kv_plane + (u.kv_off + u.kv_len) * head],
+            b: &kv[u.set].0[kv_rows(u, kv[u.set].0)],
         })
         .collect();
     let mut p_bufs: Vec<Vec<f32>> = units.iter().map(|u| vec![0.0f32; u.q_len * u.kv_len]).collect();
@@ -219,6 +223,7 @@ pub(super) fn grouped_softmax_attention(
                 sum: DisjointWriter::new(s),
             })
             .collect(),
+        units,
         tile_n: config.tile_n,
         range,
     };
@@ -236,7 +241,7 @@ pub(super) fn grouped_softmax_attention(
         .map(|(u, &nt)| (u.q_len * nt) as u64)
         .sum();
     let q_bytes = (q_valid * hidden * 4) as u64;
-    let kv_bytes = (kv_valid * hidden * 4) as u64;
+    let kv_bytes: u64 = kv.iter().map(|(k, _)| k.len() as u64 * 4).sum();
     let stats1 = device.launch(
         KernelSpec::new(format!("{name}.qk"))
             .flops(gemm_flops + 3 * sq_sum) // GEMM + epilogue max/exp/sum
@@ -301,7 +306,7 @@ pub(super) fn grouped_softmax_attention(
             transb: false,
             alpha: 1.0,
             a: p,
-            b: &vs[u.h * kv_plane + u.kv_off * head..u.h * kv_plane + (u.kv_off + u.kv_len) * head],
+            b: &kv[u.set].1[kv_rows(u, kv[u.set].1)],
         })
         .collect();
     let placements: Vec<StridedOutput> = units
@@ -344,11 +349,12 @@ pub(super) fn grouped_softmax_attention(
 }
 
 /// Warp-prefetch scheduler visits issued by the grouped-MHA engine (both
-/// the Q·Kᵀ and P·V stages), mirroring the `grouped.scheduler_visits`
-/// device metric into the telemetry registry.
+/// the Q·Kᵀ and P·V stages, every caller including the paged decoder),
+/// mirroring the `grouped.scheduler_visits` device metric into the
+/// telemetry registry.
 static MHA_SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_SCHEDULER_VISITS);
-/// Attention units (batch × heads sub-problems) handed to the grouped
-/// engine, accumulated.
+/// Attention units handed to the grouped engine, accumulated: batch × heads
+/// per packed call, sessions × heads per paged one.
 static MHA_PROBLEMS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_PROBLEMS);
 
 /// Grouped fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
@@ -383,7 +389,8 @@ pub(super) fn self_attention(
         KeyRange::Full => "attention.grouped",
         KeyRange::Causal => "attention.causal_grouped",
     };
-    grouped_softmax_attention(device, name, q, k, v, &units(idx, idx, heads), range, scheduler)
+    let kv = [(k.as_slice(), v.as_slice())];
+    grouped_softmax_attention(device, name, q, &kv, &units(idx, idx, heads), range, scheduler)
 }
 
 #[cfg(test)]
@@ -516,6 +523,41 @@ mod tests {
     }
 
     #[test]
+    fn bottom_right_causal_rows_are_the_square_units_last_rows() {
+        // `KeyRange::keys`: row r of a causal unit with q_len ≤ kv_len sees
+        // kv_len − q_len + r + 1 keys — the same keys, tiles and arithmetic as
+        // row kv_len − q_len + r of the square unit, so the two agree bitwise
+        // (kv_len = 150 spans three 64-wide tiles).
+        let (heads, head) = (2, 8);
+        let hidden = heads * head;
+        let dev = device();
+        for (kv_len, q_lens) in [(150usize, [1usize, 37, 149]), (64, [1, 63, 64]), (5, [1, 2, 4])] {
+            let q = Tensor::randn([heads, kv_len, head], 1);
+            let k = Tensor::randn([heads, kv_len, head], 2);
+            let v = Tensor::randn([heads, kv_len, head], 3);
+            let run = |q: &Tensor, q_len: usize| {
+                let sessions = [(q_len, k.as_slice(), v.as_slice())];
+                super::super::session_attention(&dev, "attention.causal_grouped", q, &sessions, KeyRange::Causal)
+            };
+            let square = run(&q, kv_len);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for q_len in q_lens {
+                // The last q_len query rows of every head plane.
+                let tail: Vec<f32> = (0..heads)
+                    .flat_map(|h| &q.as_slice()[(h * kv_len + kv_len - q_len) * head..(h + 1) * kv_len * head])
+                    .copied()
+                    .collect();
+                let got = run(&Tensor::from_vec(tail, [heads, q_len, head]).unwrap(), q_len);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(&square.as_slice()[(kv_len - q_len) * hidden..]),
+                    "kv_len {kv_len}, q_len {q_len}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn cross_shaped_units_match_host_reference() {
         // Rectangular attention: 7 query rows against 19 key/value rows in
         // one head plane — the cross-attention shape.
@@ -532,8 +574,7 @@ mod tests {
             &dev,
             "attention.grouped",
             &q,
-            &k,
-            &v,
+            &[(k.as_slice(), v.as_slice())],
             &units(&one(q_valid), &one(kv_valid), heads),
             KeyRange::Full,
             Scheduler::WarpPrefetch,

@@ -140,7 +140,7 @@ pub(super) fn short_attention(
                 let len = idx.seq_len(b);
                 let rows = out_chunk.len() / hidden;
                 // Row stride of the strip: the tile's longest key range.
-                let reach = range.keys(t0 + rows - 1, len);
+                let reach = range.keys(t0 + rows - 1, len, len);
                 LOGITS.with(|cell| {
                     let mut logits_buf = cell.borrow_mut();
                     if logits_buf.len() < rows * reach {
@@ -158,7 +158,7 @@ pub(super) fn short_attention(
                         // iteration space, so a causal row costs its prefix.
                         for i in 0..rows {
                             let q_row = &qp[(off + t0 + i) * head..(off + t0 + i + 1) * head];
-                            let l_row = &mut logits[i * reach..i * reach + range.keys(t0 + i, len)];
+                            let l_row = &mut logits[i * reach..i * reach + range.keys(t0 + i, len, len)];
                             for (j, lv) in l_row.iter_mut().enumerate() {
                                 let k_row = &k_seq[j * head..(j + 1) * head];
                                 let mut dot = 0.0f32;
@@ -173,7 +173,7 @@ pub(super) fn short_attention(
                         // O = P · V, streamed into the packed output columns of
                         // this head.
                         for i in 0..rows {
-                            let l_row = &logits[i * reach..i * reach + range.keys(t0 + i, len)];
+                            let l_row = &logits[i * reach..i * reach + range.keys(t0 + i, len, len)];
                             let o_row = &mut out_chunk[i * hidden + h * head..i * hidden + (h + 1) * head];
                             o_row.fill(0.0);
                             for (j, &p) in l_row.iter().enumerate() {

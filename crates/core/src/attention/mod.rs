@@ -15,12 +15,15 @@
 //!
 //! There is one kernel per fused algorithm — [`fused_short`] (Algorithm
 //! III.1) and [`fused_grouped`] (Algorithm III.2) — and the encoder's
-//! self-attention, the decoder's causal self-attention ([`causal`]) and its
-//! cross-attention ([`cross`]) are the same kernels under a different
-//! `KeyRange` and `AttnUnit` list: which K/V rows pair with which Q rows,
-//! and which of them a query row may see, is decided here and nowhere else.
-//! One dispatcher picks between the two kernels on the paper's
-//! sequence-length boundary.
+//! self-attention, the decoder's causal self-attention ([`causal`]), its
+//! cross-attention ([`cross`]) and the paged decoder's two attentions are
+//! the same kernels under a different `KeyRange` and `AttnUnit` list: which
+//! K/V rows pair with which Q rows, and which of them a query row may see,
+//! is decided here and nowhere else. A unit list is built from packing
+//! indices (`units`) or from per-session K/V planes (`session_attention`,
+//! the paged decoder's K/V gathered from its block tables or projected from
+//! its memory). One dispatcher picks between the two kernels on the paper's
+//! sequence-length boundary for the packed self-attention callers.
 
 pub mod batched;
 pub mod causal;
@@ -69,36 +72,43 @@ pub(crate) fn packed_dims(q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex
     (d[0], d[1], d[2])
 }
 
-/// Which of its unit's key/value rows a query row may attend to. Private
-/// to this module tree: the public entry points each fix one.
+/// Which of its unit's key/value rows a query row may attend to. Crate
+/// private: the public entry points and the paged decoder each fix one.
 #[derive(Debug, Clone, Copy)]
-enum KeyRange {
+pub(crate) enum KeyRange {
     /// Every key row of the unit (encoder self-attention, cross-attention).
     Full,
-    /// Query row `i` sees keys `0..=i` (decoder self-attention).
+    /// Bottom-right causal: the unit's query rows are its last `q_len` key
+    /// positions (decoder self-attention, prefill onto a cache, one step).
     Causal,
 }
 
 impl KeyRange {
-    /// How many of its unit's `kv_len` keys query row `row` (unit-local)
-    /// reduces over — always a prefix of them.
-    fn keys(self, row: usize, kv_len: usize) -> usize {
+    /// How many of its unit's `kv_len` keys query row `row` (unit-local, of
+    /// `q_len ≤ kv_len`) reduces over — always a prefix of them. Causal is
+    /// bottom-right aligned: row `r` sees `kv_len − q_len + r + 1` keys, so a
+    /// square unit gives `0..=r`, a prefill of `q_len` rows onto a cache
+    /// holding `kv_len − q_len` tokens gives each row its own prefix, and a
+    /// one-row step sees every key. A unit's rows therefore equal, bitwise,
+    /// the last `q_len` rows of the square unit over the same keys.
+    fn keys(self, row: usize, q_len: usize, kv_len: usize) -> usize {
         match self {
             KeyRange::Full => kv_len,
-            KeyRange::Causal => row + 1,
+            KeyRange::Causal => kv_len - q_len + row + 1,
         }
     }
 }
 
 /// One attention sub-problem: head plane `h`, query rows
 /// `q_off .. q_off + q_len` of the packed Q tensor, key/value rows
-/// `kv_off .. kv_off + kv_len` of the packed K/V tensors. For self-attention
+/// `kv_off .. kv_off + kv_len` of K/V plane set `set`. For self-attention
 /// the two ranges coincide; for cross-attention they do not.
 #[derive(Debug, Clone, Copy)]
 struct AttnUnit {
     h: usize,
     q_off: usize,
     q_len: usize,
+    set: usize,
     kv_off: usize,
     kv_len: usize,
 }
@@ -118,10 +128,44 @@ fn units(tgt_idx: &PackingIndex, mem_idx: &PackingIndex, heads: usize) -> Vec<At
             h,
             q_off: tgt_idx.seq_offset(b),
             q_len: tgt_idx.seq_len(b),
+            set: 0,
             kv_off: mem_idx.seq_offset(b),
             kv_len: mem_idx.seq_len(b),
         })
         .collect()
+}
+
+/// The grouped engine over per-session K/V planes — the paged decoder's unit
+/// list. `q` is `[heads, rows, head]` (pre-scaled) holding each session's
+/// query rows consecutively, in `sessions` order; a session is its query-row
+/// count and its own `[heads, kv_len, head]` K and V planes. One unit per
+/// `(session, head)`, session-major like [`units`]; launches
+/// `{name}.{qk,full_reduce,pv}` and returns the packed `[rows, hidden]`
+/// context.
+pub(crate) fn session_attention(
+    device: &Device,
+    name: &str,
+    q: &Tensor,
+    sessions: &[(usize, &[f32], &[f32])],
+    range: KeyRange,
+) -> Tensor {
+    let (heads, head) = (q.dims()[0], q.dims()[2]);
+    let mut q_off = 0;
+    let mut units = Vec::with_capacity(sessions.len() * heads);
+    for (set, &(q_len, k, _)) in sessions.iter().enumerate() {
+        let kv_len = k.len() / (heads * head);
+        units.extend((0..heads).map(|h| AttnUnit {
+            h,
+            q_off,
+            q_len,
+            set,
+            kv_off: 0,
+            kv_len,
+        }));
+        q_off += q_len;
+    }
+    let kv: Vec<_> = sessions.iter().map(|&(_, k, v)| (k, v)).collect();
+    fused_grouped::grouped_softmax_attention(device, name, q, &kv, &units, range, Scheduler::WarpPrefetch)
 }
 
 /// The one short/long dispatcher, behind [`fused_attention`] and

@@ -22,8 +22,11 @@
 //! under the causal key range, cross K/V are projected from the packed memory
 //! in every layer. [`crate::paged::PagedDecoder`]: self K/V go through a
 //! block-paged cache, cross K/V are per-session planes projected once at
-//! `open_session`. [`crate::incremental::DecoderSession`] shares none of it
-//! on purpose — it is the scalar oracle both stacks are compared to.
+//! `open_session`. Both stacks split Q with the same kernels and run the same
+//! grouped attention engine (the paged one over per-session planes), so past
+//! the short kernel's cap their outputs agree bitwise.
+//! [`crate::incremental::DecoderSession`] shares none of it on purpose — it
+//! is the scalar oracle both stacks are compared to.
 //!
 //! [`Seq2SeqTransformer`] composes a ByteTransformer encoder with this
 //! decoder for a full encoder-decoder forward pass (teacher-forcing style).

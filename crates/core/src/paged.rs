@@ -23,28 +23,28 @@
 //!
 //! The layer itself is not here: it is `crate::decoder::decoder_layer`,
 //! the body the teacher-forced decoder runs too. This stack supplies its two
-//! attention closures — self-attention appends the rows' K/V through the
-//! block tables (`paged.append`), gathers each session's K/V planes
-//! (`paged.gather`) and runs one grouped-GEMM launch carrying every
-//! `(row, head)` problem at its true cache length; cross-attention runs the
-//! same grouped launches over the per-session memory planes projected at
-//! [`PagedDecoder::open_session`].
+//! attention closures, and both end in the one grouped engine (Algorithm
+//! III.2) through `crate::attention::session_attention`: one unit per
+//! `(session, head)` at that session's true length. Self-attention splits the
+//! rows' QKV as the teacher-forced stack does (Q pre-scaled), writes their
+//! K/V rows to the block-table slots and gathers each session's K/V planes
+//! (one `paged.gather` launch), and attends under the bottom-right causal key
+//! range; cross-attention attends over the per-session memory planes
+//! projected at [`PagedDecoder::open_session`].
 //!
 //! Equivalence guarantee (tested here and cross-ISA in
-//! `tests/differential_decode.rs`): a paged session tracks the contiguous
-//! [`crate::incremental::DecoderSession`] within documented float tolerance
-//! (different contraction order through the grouped microkernel), and its
-//! outputs are **bitwise invariant** to the block size — paging is memory
-//! layout, never math.
+//! `tests/differential_decode.rs`): a prefill is **bitwise** ≡ the
+//! teacher-forced stack wherever that stack takes the grouped kernel (past
+//! `FUSED_SHORT_MAX_SEQ`), **bitwise** ≡ the same tokens stepped one at a
+//! time, and **bitwise invariant** to the block size — paging is memory
+//! layout, never math. The scalar [`crate::incremental::DecoderSession`]
+//! tracks it within documented float tolerance.
 
-use crate::config::BertConfig;
+use crate::attention::{session_attention, KeyRange};
 use crate::decoder::{decoder_layer, LayerNames, TransformerDecoder};
 use crate::encoder::launch_gemm;
 use bt_device::{Device, KernelSpec};
-use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
-use bt_kernels::activation::add_bias;
-use bt_kernels::layout::add_bias_split_kv_packed;
-use bt_kernels::softmax::softmax_row;
+use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
 use bt_tensor::Tensor;
 use bt_varlen::paged::{BlockPool, KvOom, PagedLayout, SessionId};
 
@@ -78,7 +78,8 @@ const LAYER_NAMES: LayerNames = LayerNames {
 /// therefore checked once per appended token, not once per layer.
 pub struct PagedKvCache {
     pool: BlockPool,
-    hidden: usize,
+    heads: usize,
+    head: usize,
     /// Per-layer key storage, `[pool_blocks × block_tokens × hidden]`.
     k: Vec<Vec<f32>>,
     /// Per-layer value storage, same geometry.
@@ -86,13 +87,14 @@ pub struct PagedKvCache {
 }
 
 impl PagedKvCache {
-    /// Allocates storage for `layers` decoder layers of width `hidden` over
-    /// the given pool geometry.
-    pub fn new(layout: PagedLayout, layers: usize, hidden: usize) -> Self {
-        let elems = layout.pool_blocks * layout.block_tokens * hidden;
+    /// Allocates storage for `layers` decoder layers of `heads × head`
+    /// columns over the given pool geometry.
+    pub fn new(layout: PagedLayout, layers: usize, heads: usize, head: usize) -> Self {
+        let elems = layout.pool_blocks * layout.block_tokens * heads * head;
         Self {
             pool: BlockPool::new(layout),
-            hidden,
+            heads,
+            head,
             k: (0..layers).map(|_| vec![0.0; elems]).collect(),
             v: (0..layers).map(|_| vec![0.0; elems]).collect(),
         }
@@ -144,67 +146,53 @@ impl PagedKvCache {
         self.pool.is_empty(sid)
     }
 
-    /// Stores one token's K and V rows (`[hidden]` each, head-interleaved as
-    /// produced by the QKV projection) at the session's token `pos`.
-    ///
-    /// # Panics
-    /// Panics if `pos` has no reserved slot (append first) or row widths
-    /// mismatch `hidden`.
-    pub fn write(&mut self, layer: usize, sid: SessionId, pos: usize, k_row: &[f32], v_row: &[f32]) {
-        assert_eq!(k_row.len(), self.hidden, "k row width mismatch");
-        assert_eq!(v_row.len(), self.hidden, "v row width mismatch");
+    /// Start of the session's token `pos` in a layer's storage.
+    fn base(&self, sid: SessionId, pos: usize) -> usize {
         let slot = self.pool.slot(sid, pos);
-        let base = (slot.block * self.pool.layout().block_tokens + slot.slot) * self.hidden;
-        self.k[layer][base..base + self.hidden].copy_from_slice(k_row);
-        self.v[layer][base..base + self.hidden].copy_from_slice(v_row);
+        (slot.block * self.pool.layout().block_tokens + slot.slot) * self.heads * self.head
     }
 
-    /// Gathers the session's first `klen` K and V rows for one layer into
-    /// contiguous `[heads, klen, head]` planes — the layout every attention
-    /// kernel in the repo consumes ([`crate::incremental`] uses it for cross
-    /// K/V). This is the block-table indirection made dense: downstream
-    /// grouped-GEMM problems slice token prefixes of a head's plane
-    /// contiguously.
+    /// Stores row `row` of `[heads, rows, head]` K and V planes — the packed
+    /// head split's layout — as the session's token `pos`.
     ///
     /// # Panics
-    /// Panics if `klen` exceeds the session length, `heads × head` ≠ hidden,
-    /// or the output planes are not `heads × klen × head` long.
-    #[allow(clippy::too_many_arguments)] // gather geometry is the point
-    pub fn gather(
-        &self,
-        layer: usize,
-        sid: SessionId,
-        klen: usize,
-        heads: usize,
-        head: usize,
-        kp: &mut [f32],
-        vp: &mut [f32],
-    ) {
-        assert!(klen <= self.pool.len(sid), "gather past session length");
-        assert_eq!(heads * head, self.hidden, "head split mismatch");
-        assert_eq!(kp.len(), heads * klen * head, "k plane size mismatch");
-        assert_eq!(vp.len(), heads * klen * head, "v plane size mismatch");
-        let bt = self.pool.layout().block_tokens;
-        for idx in 0..klen {
-            let slot = self.pool.slot(sid, idx);
-            let base = (slot.block * bt + slot.slot) * self.hidden;
+    /// Panics if `pos` has no reserved slot (append first) or the planes are
+    /// not `heads × rows × head` long.
+    pub fn write(&mut self, layer: usize, sid: SessionId, pos: usize, k: &[f32], v: &[f32], row: usize) {
+        let (heads, head) = (self.heads, self.head);
+        assert_eq!(k.len(), v.len(), "k/v plane size mismatch");
+        assert_eq!(k.len() % (heads * head), 0, "planes must be [heads, rows, head]");
+        let plane = k.len() / heads;
+        let base = self.base(sid, pos);
+        for h in 0..heads {
+            let (src, dst) = (h * plane + row * head, base + h * head);
+            self.k[layer][dst..dst + head].copy_from_slice(&k[src..src + head]);
+            self.v[layer][dst..dst + head].copy_from_slice(&v[src..src + head]);
+        }
+    }
+
+    /// Gathers every K and V row the session holds for one layer into
+    /// contiguous `[heads, len, head]` planes — the layout the grouped
+    /// attention engine reads. This is the block-table indirection made
+    /// dense.
+    pub fn gather(&self, layer: usize, sid: SessionId) -> Planes {
+        let (heads, head, len) = (self.heads, self.head, self.pool.len(sid));
+        let mut kp = vec![0.0f32; heads * len * head];
+        let mut vp = vec![0.0f32; heads * len * head];
+        for idx in 0..len {
+            let base = self.base(sid, idx);
             for h in 0..heads {
-                let src = base + h * head;
-                let dst = (h * klen + idx) * head;
+                let (src, dst) = (base + h * head, (h * len + idx) * head);
                 kp[dst..dst + head].copy_from_slice(&self.k[layer][src..src + head]);
                 vp[dst..dst + head].copy_from_slice(&self.v[layer][src..src + head]);
             }
         }
+        (kp, vp)
     }
 }
 
-/// Cross-attention state of one live session: per-layer memory K/V planes
-/// (`[heads, mem_len, head]`), projected once at session open exactly like
-/// [`crate::incremental::DecoderSession`].
-struct SessionState {
-    cross_kv: Vec<(Vec<f32>, Vec<f32>)>,
-    mem_len: usize,
-}
+/// One layer's `[heads, len, head]` K and V planes.
+type Planes = (Vec<f32>, Vec<f32>);
 
 /// Result of one batched decode step.
 pub struct BatchStepOutput {
@@ -217,26 +205,16 @@ pub struct BatchStepOutput {
     pub oom: Vec<(SessionId, KvOom)>,
 }
 
-/// One row flowing through the batched per-layer pipeline: which gather
-/// plane it attends through, where its K/V row lands, and how many cache
-/// tokens it may see (causal prefix).
-struct RowPlan {
-    /// Index into the step's distinct-session list.
-    unit: usize,
-    /// Token position of this row in its session.
-    pos: usize,
-    /// Cache tokens visible to this row (`pos + 1`).
-    klen: usize,
-}
-
 /// Many concurrent decoding sessions over one shared [`PagedKvCache`],
 /// advanced in batched token steps through the grouped-GEMM engine.
 pub struct PagedDecoder<'a> {
     decoder: &'a TransformerDecoder,
     cache: PagedKvCache,
-    /// Cross-attention state, indexed by [`SessionId::index`] (slots are
-    /// recycled with the pool's session slots).
-    sessions: Vec<Option<SessionState>>,
+    /// Each live session's per-layer cross-attention memory K/V planes
+    /// (`[heads, mem_len, head]`), projected once at session open exactly
+    /// like [`crate::incremental::DecoderSession`]; indexed by
+    /// [`SessionId::index`] (slots are recycled with the pool's).
+    cross_kv: Vec<Option<Vec<Planes>>>,
 }
 
 impl<'a> PagedDecoder<'a> {
@@ -244,11 +222,11 @@ impl<'a> PagedDecoder<'a> {
     /// geometry.
     pub fn new(decoder: &'a TransformerDecoder, layout: PagedLayout) -> Self {
         let layers = decoder.weights.layers.len();
-        let hidden = decoder.config.hidden();
+        let config = decoder.config;
         Self {
             decoder,
-            cache: PagedKvCache::new(layout, layers, hidden),
-            sessions: Vec::new(),
+            cache: PagedKvCache::new(layout, layers, config.heads, config.head_size),
+            cross_kv: Vec::new(),
         }
     }
 
@@ -300,10 +278,10 @@ impl<'a> PagedDecoder<'a> {
             .collect();
 
         let sid = self.cache.create();
-        if self.sessions.len() <= sid.index() {
-            self.sessions.resize_with(sid.index() + 1, || None);
+        if self.cross_kv.len() <= sid.index() {
+            self.cross_kv.resize_with(sid.index() + 1, || None);
         }
-        self.sessions[sid.index()] = Some(SessionState { cross_kv, mem_len });
+        self.cross_kv[sid.index()] = Some(cross_kv);
         sid
     }
 
@@ -315,7 +293,7 @@ impl<'a> PagedDecoder<'a> {
     /// Frees the session's blocks and cross-attention state; returns how
     /// many blocks came back to the pool.
     pub fn free_session(&mut self, sid: SessionId) -> usize {
-        self.sessions[sid.index()] = None;
+        self.cross_kv[sid.index()] = None;
         self.cache.free(sid)
     }
 
@@ -337,17 +315,9 @@ impl<'a> PagedDecoder<'a> {
         assert_eq!(dims[1], hidden, "prompt hidden mismatch");
         let len = dims[0];
         assert!(len >= 1, "prompt must hold at least one token");
-        let start = self.cache.len(sid);
         self.cache.append(sid, len)?;
-        let rows: Vec<RowPlan> = (0..len)
-            .map(|i| RowPlan {
-                unit: 0,
-                pos: start + i,
-                klen: start + i + 1,
-            })
-            .collect();
         let mut h = tokens.as_slice().to_vec();
-        self.forward_rows(device, &[sid], &rows, &mut h);
+        self.forward_rows(device, &[(sid, len)], &mut h);
         Ok(h.chunks(hidden).map(|r| r.to_vec()).collect())
     }
 
@@ -365,7 +335,7 @@ impl<'a> PagedDecoder<'a> {
         assert_eq!(inputs.len(), ids.len() * hidden, "inputs must be [sessions, hidden]");
         for (i, a) in ids.iter().enumerate() {
             assert!(
-                self.sessions.get(a.index()).is_some_and(Option::is_some),
+                self.cross_kv.get(a.index()).is_some_and(Option::is_some),
                 "session {} is not open",
                 a.index()
             );
@@ -375,28 +345,21 @@ impl<'a> PagedDecoder<'a> {
         // Phase 0: claim capacity per session; survivors proceed together.
         let mut oom = Vec::new();
         let mut outputs: Vec<Option<Vec<f32>>> = (0..ids.len()).map(|_| None).collect();
-        let mut units: Vec<SessionId> = Vec::with_capacity(ids.len());
-        let mut rows: Vec<RowPlan> = Vec::with_capacity(ids.len());
+        let mut sessions: Vec<(SessionId, usize)> = Vec::with_capacity(ids.len());
         let mut h: Vec<f32> = Vec::with_capacity(ids.len() * hidden);
         let mut survivor_at: Vec<usize> = Vec::with_capacity(ids.len());
         for (i, &sid) in ids.iter().enumerate() {
             match self.cache.append(sid, 1) {
                 Ok(()) => {
-                    let len = self.cache.len(sid);
-                    rows.push(RowPlan {
-                        unit: units.len(),
-                        pos: len - 1,
-                        klen: len,
-                    });
-                    units.push(sid);
+                    sessions.push((sid, 1));
                     h.extend_from_slice(&inputs[i * hidden..(i + 1) * hidden]);
                     survivor_at.push(i);
                 }
                 Err(e) => oom.push((sid, e)),
             }
         }
-        if !units.is_empty() {
-            self.forward_rows(device, &units, &rows, &mut h);
+        if !sessions.is_empty() {
+            self.forward_rows(device, &sessions, &mut h);
             for (r, &i) in survivor_at.iter().enumerate() {
                 outputs[i] = Some(h[r * hidden..(r + 1) * hidden].to_vec());
             }
@@ -405,31 +368,34 @@ impl<'a> PagedDecoder<'a> {
     }
 
     /// Runs token rows (flattened in `h`, `[rows, hidden]`) through every
-    /// layer, each row attending over a causal prefix of its session's
-    /// cache. Both prefill (many rows, one session) and batched decode (one
+    /// layer. `sessions` pairs each session with its count of rows —
+    /// consecutive in `h`, in order — which are its newest, already appended
+    /// tokens. Both prefill (many rows, one session) and batched decode (one
     /// row per session) flow through here, so the two paths cannot diverge
     /// numerically. The layer is `decoder_layer`; what this stack supplies
-    /// is the two attention closures: self K/V appended to and gathered from
+    /// is the two attention closures: self K/V written to and gathered from
     /// the block tables, cross K/V read from the per-session memory planes.
-    fn forward_rows(&mut self, device: &Device, units: &[SessionId], rows: &[RowPlan], h: &mut Vec<f32>) {
+    fn forward_rows(&mut self, device: &Device, sessions: &[(SessionId, usize)], h: &mut Vec<f32>) {
         let decoder = self.decoder;
         let config = decoder.config;
-        let hidden = config.hidden();
-        let heads = config.heads;
-        let head = config.head_size;
-        let r = rows.len();
+        let (hidden, heads, scale) = (config.hidden(), config.heads, config.attention_scale());
+        let r = h.len() / hidden;
         DECODE_ROWS.add(r as u64);
 
-        // Depth of each session's gather planes: the longest prefix any of
-        // its rows sees, the same in every layer.
-        let mut max_klen = vec![0usize; units.len()];
-        for p in rows {
-            max_klen[p.unit] = max_klen[p.unit].max(p.klen);
-        }
-        let gather_bytes: u64 = max_klen.iter().map(|&kl| (2 * kl * hidden * 4) as u64).sum();
-        let qkv_bytes = (r * 3 * hidden * 4) as u64;
+        // Each row's cache slot, and the bytes the gather launch moves: the
+        // rows' K/V in, every session's whole K/V planes out.
+        let slots: Vec<(SessionId, usize)> = sessions
+            .iter()
+            .flat_map(|&(sid, n)| {
+                let len = self.cache.len(sid);
+                (len - n..len).map(move |pos| (sid, pos))
+            })
+            .collect();
+        let cached: usize = sessions.iter().map(|&(sid, _)| self.cache.len(sid)).sum();
+        let moved = (2 * (r + cached) * hidden * 4) as u64;
+        let tensor = |data: Vec<f32>, cols: usize| Tensor::from_vec(data, [r, cols]).expect("shape consistent");
 
-        let (cache, sessions) = (&mut self.cache, &self.sessions);
+        let (cache, cross_kv) = (&mut self.cache, &self.cross_kv);
         for (layer, w) in decoder.weights.layers.iter().enumerate() {
             *h = decoder_layer(
                 device,
@@ -438,182 +404,43 @@ impl<'a> PagedDecoder<'a> {
                 &LAYER_NAMES,
                 h,
                 r,
-                |mut qkv, bias| {
-                    // Bias-add in place (Q stays unscaled: the grouped
-                    // problems carry the scale), K/V rows to their slots.
-                    device.launch(
-                        KernelSpec::new("paged.append")
-                            .flops((r * 3 * hidden) as u64)
-                            .reads(qkv_bytes + (3 * hidden * 4) as u64)
-                            .writes(qkv_bytes + (2 * r * hidden * 4) as u64),
-                        || {
-                            for (row, plan) in qkv.chunks_mut(3 * hidden).zip(rows) {
-                                for (v, &b) in row.iter_mut().zip(bias) {
-                                    *v += b;
-                                }
-                                let (k_row, v_row) = (&row[hidden..2 * hidden], &row[2 * hidden..]);
-                                cache.write(layer, units[plan.unit], plan.pos, k_row, v_row);
+                |qkv, bias| {
+                    let (q, k, v) = add_bias_split_qkv_packed(device, &tensor(qkv, 3 * hidden), bias, heads, scale);
+                    let planes: Vec<Planes> =
+                        device.launch(KernelSpec::new("paged.gather").reads(moved).writes(moved), || {
+                            for (row, &(sid, pos)) in slots.iter().enumerate() {
+                                cache.write(layer, sid, pos, k.as_slice(), v.as_slice(), row);
                             }
-                        },
-                    );
-                    let planes: Vec<(Vec<f32>, Vec<f32>)> = device.launch(
-                        KernelSpec::new("paged.gather").reads(gather_bytes).writes(gather_bytes),
-                        || {
-                            units
-                                .iter()
-                                .zip(&max_klen)
-                                .map(|(&sid, &kl)| {
-                                    let mut kp = vec![0.0f32; heads * kl * head];
-                                    let mut vp = vec![0.0f32; heads * kl * head];
-                                    cache.gather(layer, sid, kl, heads, head, &mut kp, &mut vp);
-                                    (kp, vp)
-                                })
-                                .collect()
-                        },
-                    );
-                    Self::grouped_attention(
-                        device,
-                        "paged.attn",
-                        &qkv,
-                        3 * hidden,
-                        rows,
-                        |p| {
-                            let (kp, vp) = &planes[p.unit];
-                            (kp.as_slice(), vp.as_slice(), max_klen[p.unit], p.klen)
-                        },
-                        &config,
-                    )
+                            sessions.iter().map(|&(sid, _)| cache.gather(layer, sid)).collect()
+                        });
+                    let units: Vec<_> = sessions
+                        .iter()
+                        .zip(&planes)
+                        .map(|(&(_, n), (kp, vp))| (n, kp.as_slice(), vp.as_slice()))
+                        .collect();
+                    session_attention(device, "paged.attn", &q, &units, KeyRange::Causal).into_vec()
                 },
-                |mut cq, bias| {
-                    add_bias(device, "paged.cross_q", &mut cq, r, hidden, bias);
-                    Self::grouped_attention(
-                        device,
-                        "paged.cross",
-                        &cq,
-                        hidden,
-                        rows,
-                        |p| {
-                            let state = sessions[units[p.unit].index()].as_ref().expect("session open");
-                            let (kp, vp) = &state.cross_kv[layer];
-                            (kp.as_slice(), vp.as_slice(), state.mem_len, state.mem_len)
-                        },
-                        &config,
-                    )
+                |cq, bias| {
+                    let cq =
+                        add_bias_split_heads_packed(device, "paged.cross_q", &tensor(cq, hidden), bias, heads, scale);
+                    let units: Vec<_> = sessions
+                        .iter()
+                        .map(|&(sid, n)| {
+                            let (kp, vp) = &cross_kv[sid.index()].as_ref().expect("session open")[layer];
+                            (n, kp.as_slice(), vp.as_slice())
+                        })
+                        .collect();
+                    session_attention(device, "paged.cross", &cq, &units, KeyRange::Full).into_vec()
                 },
             );
         }
-    }
-
-    /// One attention pass as two grouped-GEMM launches: `Q·Kᵀ` over every
-    /// `(row, head)` problem at its causal length, a softmax per logits row,
-    /// then `P·V` back into `[rows, hidden]`. `planes_of` maps a row to its
-    /// `(K plane, V plane, plane_klen, visible_klen)` — plane rows are
-    /// `[heads, plane_klen, head]`, the problem consumes the first
-    /// `visible_klen` tokens of each head (a contiguous prefix slice).
-    fn grouped_attention<'p>(
-        device: &Device,
-        name: &str,
-        q: &'p [f32],
-        q_stride: usize,
-        rows: &[RowPlan],
-        planes_of: impl Fn(&RowPlan) -> (&'p [f32], &'p [f32], usize, usize),
-        config: &BertConfig,
-    ) -> Vec<f32> {
-        let (heads, head, scale) = (config.heads, config.head_size, config.attention_scale());
-        let grouped_cfg = GroupedConfig::default();
-        let r = rows.len();
-        let hidden = heads * head;
-        // Logits buffers, one per (row, head) problem, row-major order.
-        let mut logits: Vec<Vec<f32>> = Vec::with_capacity(r * heads);
-        let mut qk_problems = Vec::with_capacity(r * heads);
-        let mut total_flops = 0u64;
-        let mut k_bytes = 0u64;
-        for (row, p) in rows.iter().enumerate() {
-            let (kp, _vp, plane_kl, kl) = planes_of(p);
-            for hh in 0..heads {
-                logits.push(vec![0.0f32; kl]);
-                qk_problems.push(GroupedProblem {
-                    m: 1,
-                    n: kl,
-                    k: head,
-                    transb: true,
-                    alpha: scale,
-                    a: &q[row * q_stride + hh * head..row * q_stride + (hh + 1) * head],
-                    b: &kp[hh * plane_kl * head..hh * plane_kl * head + kl * head],
-                });
-            }
-            total_flops += (2 * heads * kl * head) as u64;
-            k_bytes += (heads * kl * head * 4) as u64;
-        }
-        let logit_elems: u64 = logits.iter().map(|l| l.len() as u64).sum();
-        device.launch(
-            KernelSpec::new(format!("{name}.qk"))
-                .flops(total_flops)
-                .reads((r * hidden * 4) as u64 + k_bytes)
-                .writes(logit_elems * 4),
-            || {
-                grouped_sgemm(
-                    &qk_problems,
-                    logits.iter_mut().map(Vec::as_mut_slice).collect(),
-                    grouped_cfg,
-                    &NoEpilogue,
-                    &NoTransform,
-                )
-            },
-        );
-        drop(qk_problems);
-        device.launch(
-            KernelSpec::new(format!("{name}.softmax"))
-                .flops(logit_elems * 3)
-                .reads(logit_elems * 4)
-                .writes(logit_elems * 4),
-            || {
-                for l in logits.iter_mut() {
-                    softmax_row(l);
-                }
-            },
-        );
-
-        let mut out = vec![0.0f32; r * hidden];
-        let mut pv_problems = Vec::with_capacity(r * heads);
-        let mut li = 0;
-        for p in rows.iter() {
-            let (_kp, vp, plane_kl, kl) = planes_of(p);
-            for hh in 0..heads {
-                pv_problems.push(GroupedProblem {
-                    m: 1,
-                    n: head,
-                    k: kl,
-                    transb: false,
-                    alpha: 1.0,
-                    a: logits[li].as_slice(),
-                    b: &vp[hh * plane_kl * head..hh * plane_kl * head + kl * head],
-                });
-                li += 1;
-            }
-        }
-        device.launch(
-            KernelSpec::new(format!("{name}.pv"))
-                .flops(total_flops)
-                .reads(logit_elems * 4 + k_bytes)
-                .writes((r * hidden * 4) as u64),
-            || {
-                grouped_sgemm(
-                    &pv_problems,
-                    out.chunks_mut(head).collect(),
-                    grouped_cfg,
-                    &NoEpilogue,
-                    &NoTransform,
-                )
-            },
-        );
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BertConfig;
     use crate::incremental::DecoderSession;
     use bt_device::CostModel;
 
@@ -691,10 +518,7 @@ mod tests {
         let sb = b.open_session(&dev, &memory);
         for (i, row) in prompt.as_slice().chunks(hidden).enumerate() {
             let out = b.step_batch(&dev, &[sb], row);
-            let got = out.outputs[0].as_ref().unwrap();
-            for (d, (&p, &s)) in prefilled[i].iter().zip(got).enumerate() {
-                assert!((p - s).abs() < 1e-5, "token {i}, dim {d}: prefill {p} vs step {s}");
-            }
+            assert_eq!(&prefilled[i], out.outputs[0].as_ref().unwrap(), "token {i}");
         }
     }
 
@@ -761,18 +585,17 @@ mod tests {
 
     #[test]
     fn gather_walks_block_tables() {
-        let mut cache = PagedKvCache::new(PagedLayout::new(2, 8), 1, 4);
+        let mut cache = PagedKvCache::new(PagedLayout::new(2, 8), 1, 2, 2);
         let s = cache.create();
         cache.append(s, 5).unwrap();
         for pos in 0..5 {
             let row: Vec<f32> = (0..4).map(|d| (pos * 10 + d) as f32).collect();
             let neg: Vec<f32> = row.iter().map(|v| -v).collect();
-            cache.write(0, s, pos, &row, &neg);
+            // One row is a `[heads, 1, head]` plane.
+            cache.write(0, s, pos, &row, &neg, 0);
         }
         // heads=2, head=2: plane [2, 5, 2].
-        let mut kp = vec![0.0f32; 2 * 5 * 2];
-        let mut vp = vec![0.0f32; 2 * 5 * 2];
-        cache.gather(0, s, 5, 2, 2, &mut kp, &mut vp);
+        let (kp, vp) = cache.gather(0, s);
         for pos in 0..5 {
             for h in 0..2 {
                 for d in 0..2 {

@@ -176,30 +176,6 @@ impl TileEpilogue for BiasGelu<'_> {
     }
 }
 
-/// Plain add-bias kernel (no activation) — used after the attention output
-/// projection where the bias is folded into the fused layernorm instead.
-///
-/// # Panics
-/// Panics on shape mismatches.
-pub fn add_bias(device: &Device, name: &str, data: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
-    assert_eq!(data.len(), rows * cols, "data shape mismatch");
-    assert_eq!(bias.len(), cols, "bias length mismatch");
-    let nbytes = (rows * cols * 4) as u64;
-    device.launch(
-        KernelSpec::new(format!("{name}.add"))
-            .flops((rows * cols) as u64)
-            .reads(nbytes + (cols * 4) as u64)
-            .writes(nbytes),
-        || {
-            data.par_chunks_mut(cols).for_each(|row| {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            });
-        },
-    );
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // oracle-style index loops
 mod tests {
@@ -348,14 +324,6 @@ mod tests {
             epi.apply(0, i, col0, 1, cols, row);
         }
         assert_eq!(bits(&by_row), bits(&want));
-    }
-
-    #[test]
-    fn add_bias_only() {
-        let dev = device();
-        let mut x = vec![1.0f32; 6];
-        add_bias(&dev, "bias", &mut x, 2, 3, &[1.0, 2.0, 3.0]);
-        assert_eq!(x, vec![2.0, 3.0, 4.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

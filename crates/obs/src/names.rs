@@ -155,9 +155,11 @@ pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";
 pub const MHA_PATH_SHORT: &str = "mha.path.short";
 /// Fused-MHA calls that took the grouped-GEMM kernel.
 pub const MHA_PATH_LONG: &str = "mha.path.long";
-/// Warp-prefetch scheduler visits issued by the grouped-MHA engine.
+/// Warp-prefetch scheduler visits issued by the grouped-MHA engine, paged
+/// decoder attention included.
 pub const MHA_GROUPED_SCHEDULER_VISITS: &str = "mha.grouped.scheduler_visits";
-/// Attention units handed to the grouped-MHA driver.
+/// Attention units handed to the grouped-MHA driver: `(sequence, head)` units
+/// of the packed callers and `(session, head)` units of the paged decoder.
 pub const MHA_GROUPED_PROBLEMS: &str = "mha.grouped.problems";
 /// Rows pushed through the batched paged-decode pipeline.
 pub const CORE_PAGED_ROWS: &str = "core.paged.rows";

@@ -33,6 +33,10 @@
 //! relations above keep holding, bitwise wherever the two sides run the same
 //! arithmetic.
 //!
+//! Past `FUSED_SHORT_MAX_SEQ` the teacher-forcing forward leaves the short
+//! kernel and both stacks run the same attention units through the one
+//! grouped engine, so there a paged prefill is **bitwise** the forward.
+//!
 //! Tiers the host lacks are skipped with a logged reason (stderr), never
 //! silently: the log always accounts for all tiers.
 //!
@@ -40,6 +44,7 @@
 //! [`DecoderSession`]: bt_core::incremental::DecoderSession
 //! [`PagedDecoder::step_batch`]: bt_core::paged::PagedDecoder::step_batch
 
+use bt_core::attention::FUSED_SHORT_MAX_SEQ;
 use bt_core::incremental::DecoderSession;
 use bt_core::paged::PagedDecoder;
 use bt_gemm::isa::{self, Isa};
@@ -184,7 +189,7 @@ fn paged_tracks_contiguous_and_teacher_forcing_on_every_tier() {
 }
 
 /// Prefill and token-by-token stepping are the same pipeline at different
-/// row counts; they must agree tightly on every tier (the only difference
+/// row counts; they must agree bitwise on every tier (the only difference
 /// is batch composition inside identical grouped launches).
 #[test]
 fn prefill_equals_stepping_on_every_tier() {
@@ -205,10 +210,7 @@ fn prefill_equals_stepping_on_every_tier() {
         let sb = b.open_session(&dev, &memory);
         for (i, row) in prompt.as_slice().chunks(hidden).enumerate() {
             let out = b.step_batch(&dev, &[sb], row);
-            let got = out.outputs[0].as_ref().unwrap();
-            for (d, (&p, &s)) in prefilled[i].iter().zip(got).enumerate() {
-                assert!((p - s).abs() < 1e-5, "token {i}, dim {d}: prefill {p} vs step {s}");
-            }
+            assert_bitwise(&format!("token {i}"), &prefilled[i], out.outputs[0].as_ref().unwrap());
         }
         prefilled.into_iter().flatten().collect()
     });
@@ -463,5 +465,48 @@ fn teacher_forcing_prefixes_across_the_gemm_driver_boundary_agree() {
             }
         }
         full
+    });
+}
+
+/// Past [`FUSED_SHORT_MAX_SEQ`] the teacher-forcing forward takes the grouped
+/// kernel, and so does every paged attention: one unit per head, the same
+/// split, the same engine. A paged prefill of `n` tokens over a 9-row memory
+/// is then **bitwise** [`TransformerDecoder::forward`] on every tier. (At or
+/// below the cap the forward takes the short kernel; `framework_behaviour`'s
+/// `both_decoder_stacks_run_one_layer_body` holds the two within 5e-3 there.)
+#[test]
+fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
+    let config = BertConfig::tiny();
+    let decoder = TransformerDecoder::new_random(config, 2, 29);
+    let hidden = config.hidden();
+    let mem_len = 9;
+    let memory = Tensor::randn([mem_len, hidden], 8);
+
+    decode_differential("paged_vs_teacher_forcing_long", || {
+        let dev = device();
+        let mut payload = Vec::new();
+        for n in [FUSED_SHORT_MAX_SEQ + 16, FUSED_SHORT_MAX_SEQ + 136] {
+            let prompt = Tensor::randn([n, hidden], n as u64);
+            let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(16, n.div_ceil(16)));
+            let sid = paged.open_session(&dev, &memory);
+            let rows: Vec<f32> = paged
+                .prefill(&dev, sid, &prompt)
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .collect();
+            let forward = decoder
+                .forward(
+                    &dev,
+                    &prompt.reshape([1, n, hidden]).unwrap(),
+                    &BatchMask::from_lens(vec![n], n).unwrap(),
+                    &memory.clone().reshape([1, mem_len, hidden]).unwrap(),
+                    &BatchMask::from_lens(vec![mem_len], mem_len).unwrap(),
+                )
+                .unwrap();
+            assert_bitwise(&format!("paged prefill of {n}"), &rows, forward.as_slice());
+            payload.extend(rows);
+        }
+        payload
     });
 }
