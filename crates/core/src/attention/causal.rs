@@ -7,10 +7,12 @@
 //! `KeyRange::Causal` handed to the two fused kernels the encoder runs, so
 //! token `i` attends only to `j ≤ i`.
 //!
-//! * Short sequences ([`super::fused_short`]): the per-row key range *is*
-//!   the iteration space, so the causal constraint costs nothing — it
-//!   removes work instead of masking it (half the logits of the square
-//!   launch).
+//! * Short sequences ([`super::fused_short`]): per register-tile `A` panel,
+//!   `Q·Kᵀ` covers and `P·V` reduces over the panel's longest key range —
+//!   the last row's — so the causal constraint removes work instead of
+//!   masking it (about half the logits of the square launch). Rows shorter
+//!   than their panel's range add zero probabilities past their own, which
+//!   leaves every context element's bits unchanged.
 //! * Long sequences ([`super::fused_grouped`]): future positions are masked
 //!   to `-inf` in the logits tile before the partial softmax reduction, so
 //!   the mainloop-fused normalization in the second GEMM zeroes them exactly.

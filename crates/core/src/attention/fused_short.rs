@@ -17,15 +17,29 @@
 //!
 //! The CPU mapping: a rayon task = one threadblock = one `(batch, q-tile)`
 //! pair (looping heads inside, which keeps the packed output rows of a task
-//! disjoint); stack/`Vec` tile buffers = shared memory; per-row arrays =
-//! register files. Buffer sizes respect the same limits that bound the GPU
-//! kernel, enforced by [`FUSED_SHORT_MAX_SEQ`].
+//! disjoint). The tensor-core fragments are bt-gemm's [`MicroKernel`]
+//! register tiles, resolved once per launch: `Q·Kᵀ` runs on the Q tile
+//! packed as `A` panels against `K` packed as transposed `B` panels, and
+//! `P·V` on the probabilities packed as `A` panels against `V` as `B`
+//! panels, each `A` panel reducing over its own longest key range. The
+//! `rows × reach` logits strip between the two products is the shared
+//! memory; the softmax runs in place over each row's keys. Panels and strip
+//! live in one per-worker scratch that grows and is reused, never freed.
+//! Every stored logit and context element is one multiply-accumulate chain
+//! in `p`-order whatever the tile geometry (a causal row's chain past its
+//! range only adds `0·v` terms), so results are bitwise independent of
+//! `split_seq_len` and equal across kernels of equal
+//! [`MicroKernel::fused_fma`]. Buffer sizes respect the same limits that
+//! bound the GPU kernel, enforced by [`FUSED_SHORT_MAX_SEQ`].
 
 use super::{packed_dims, KeyRange};
 use bt_device::{Device, KernelSpec};
+use bt_gemm::isa::active_kernel;
+use bt_gemm::micro::{pack_a_panel, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// Upper sequence-length bound of the shared-memory kernel. The paper's
 /// Fig. 11 evaluates this path below 384 and switches to grouped GEMM past
@@ -124,65 +138,26 @@ pub(super) fn short_attention(
                     }
                 }
             }
-            let qs = q.as_slice();
-            let ks = k.as_slice();
-            let vs = v.as_slice();
-            let plane = valid * head;
-            // "s_logits": the per-tile intermediate, shared-memory sized.
-            // Thread-local so each worker allocates it once and reuses it
-            // across every tile it processes — like a threadblock's fixed
-            // shared-memory carve-out, and zero heap traffic per tile.
-            thread_local! {
-                static LOGITS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-            }
+            // One kernel per launch: every task agrees on the tile geometry
+            // even if the process-wide selection changes mid-flight.
+            let kern = active_kernel();
+            let qkv = [q.as_slice(), k.as_slice(), v.as_slice()];
             tasks.into_par_iter().for_each(|(b, t0, out_chunk)| {
-                let off = idx.seq_offset(b);
-                let len = idx.seq_len(b);
-                let rows = out_chunk.len() / hidden;
-                // Row stride of the strip: the tile's longest key range.
-                let reach = range.keys(t0 + rows - 1, len, len);
-                LOGITS.with(|cell| {
-                    let mut logits_buf = cell.borrow_mut();
-                    if logits_buf.len() < rows * reach {
-                        logits_buf.resize(rows * reach, 0.0);
-                    }
-                    let logits = &mut logits_buf[..rows * reach];
+                let (off, len) = (idx.seq_offset(b), idx.seq_len(b));
+                let tile = Tile {
+                    t0,
+                    rows: out_chunk.len() / hidden,
+                    len,
+                    head,
+                    range,
+                };
+                SMEM.with(|cell| {
+                    let smem = &mut *cell.borrow_mut();
                     for h in 0..heads {
-                        let qp = &qs[h * plane..(h + 1) * plane];
-                        let kp = &ks[h * plane..(h + 1) * plane];
-                        let vp = &vs[h * plane..(h + 1) * plane];
-                        let k_seq = &kp[off * head..(off + len) * head];
-                        let v_seq = &vp[off * head..(off + len) * head];
-                        // P = Q_tile · Kᵀ (Q already carries the 1/√d scale)
-                        // over each row's key range: the range is the
-                        // iteration space, so a causal row costs its prefix.
-                        for i in 0..rows {
-                            let q_row = &qp[(off + t0 + i) * head..(off + t0 + i + 1) * head];
-                            let l_row = &mut logits[i * reach..i * reach + range.keys(t0 + i, len, len)];
-                            for (j, lv) in l_row.iter_mut().enumerate() {
-                                let k_row = &k_seq[j * head..(j + 1) * head];
-                                let mut dot = 0.0f32;
-                                for (&a, &bv) in q_row.iter().zip(k_row) {
-                                    dot += a * bv;
-                                }
-                                *lv = dot;
-                            }
-                            // Softmax with the whole row in "registers".
-                            bt_kernels::softmax::softmax_row(l_row);
-                        }
-                        // O = P · V, streamed into the packed output columns of
-                        // this head.
-                        for i in 0..rows {
-                            let l_row = &logits[i * reach..i * reach + range.keys(t0 + i, len, len)];
-                            let o_row = &mut out_chunk[i * hidden + h * head..i * hidden + (h + 1) * head];
-                            o_row.fill(0.0);
-                            for (j, &p) in l_row.iter().enumerate() {
-                                let v_row = &v_seq[j * head..(j + 1) * head];
-                                for (ov, &vv) in o_row.iter_mut().zip(v_row) {
-                                    *ov += p * vv;
-                                }
-                            }
-                        }
+                        // The sequence's rows of head plane `h` of Q, K, V.
+                        let span = (h * valid + off) * head..(h * valid + off + len) * head;
+                        let seqs = qkv.map(|t| &t[span.clone()]);
+                        tile.run(kern, smem, seqs, out_chunk, h * head, hidden);
                     }
                 });
             });
@@ -190,6 +165,132 @@ pub(super) fn short_attention(
         },
     );
     Tensor::from_vec(out, [valid, hidden]).expect("shape consistent")
+}
+
+/// The per-worker "shared memory": the staged operand panels and the logits
+/// strip. It grows geometrically to the largest tile a worker has seen and
+/// is reused for every later tile — like a threadblock's fixed shared-memory
+/// carve-out, with zero heap traffic per tile.
+#[derive(Default)]
+struct Smem {
+    /// The Q tile as `A` panels of depth `head`.
+    q: Vec<f32>,
+    /// `Kᵀ` as `B` panels of depth `head`, one per `nr` keys.
+    k: Vec<f32>,
+    /// `V` as `B` panels of depth `reach`, one per `nr` head columns.
+    v: Vec<f32>,
+    /// One `P` row panel as an `A` panel of depth `reach`.
+    p: Vec<f32>,
+    /// `s_logits`: the `rows × reach` strip.
+    logits: Vec<f32>,
+}
+
+thread_local! {
+    static SMEM: RefCell<Smem> = RefCell::new(Smem::default());
+}
+
+/// The first `n` elements of `buf`, growing it (geometrically, as `Vec`
+/// does) when it is shorter.
+fn grow(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if buf.len() < n {
+        buf.resize(n, 0.0);
+    }
+    &mut buf[..n]
+}
+
+/// One Q tile of one sequence: rows `t0 .. t0 + rows` of a `len`-token
+/// unit, under `range`.
+struct Tile {
+    t0: usize,
+    rows: usize,
+    len: usize,
+    head: usize,
+    range: KeyRange,
+}
+
+impl Tile {
+    /// Keys tile row `i` reduces over.
+    fn keys(&self, i: usize) -> usize {
+        self.range.keys(self.t0 + i, self.len, self.len)
+    }
+
+    /// Algorithm III.1 for one head: `[q, k, v]` are the sequence's
+    /// `len × head` planes (Q pre-scaled); the context lands in columns
+    /// `col .. col + head` of the `ld`-wide packed output rows of `out`.
+    fn run(&self, kern: &MicroKernel, smem: &mut Smem, [q, k, v]: [&[f32]; 3], out: &mut [f32], col: usize, ld: usize) {
+        let (mr, nr, rows, head) = (kern.mr, kern.nr, self.rows, self.head);
+        // Row stride of the strip: the tile's longest key range.
+        let reach = self.keys(rows - 1);
+        let (qa_len, kb_len, vb_len) = (head * mr, head * nr, reach * nr);
+        let Smem {
+            q: qa,
+            k: kb,
+            v: vb,
+            p: pa,
+            logits,
+        } = smem;
+        let qa = grow(qa, rows.div_ceil(mr) * qa_len);
+        let kb = grow(kb, reach.div_ceil(nr) * kb_len);
+        let vb = grow(vb, head.div_ceil(nr) * vb_len);
+        let pa = grow(pa, reach * mr);
+        let logits = grow(logits, rows * reach);
+
+        // Stage the operands: Q rows, the first `reach` rows of K (as
+        // columns of Kᵀ) and of V.
+        let q_tile = &q[self.t0 * head..(self.t0 + rows) * head];
+        for (i, r0) in (0..rows).step_by(mr).enumerate() {
+            let panel = &mut qa[i * qa_len..(i + 1) * qa_len];
+            pack_a_panel(panel, q_tile, false, r0, mr.min(rows - r0), rows, head, mr);
+        }
+        for (j, c0) in (0..reach).step_by(nr).enumerate() {
+            let panel = &mut kb[j * kb_len..(j + 1) * kb_len];
+            pack_b_panel(panel, &k[..reach * head], true, c0, nr.min(reach - c0), reach, head, nr);
+        }
+        for (j, c0) in (0..head).step_by(nr).enumerate() {
+            let panel = &mut vb[j * vb_len..(j + 1) * vb_len];
+            pack_b_panel(panel, &v[..reach * head], false, c0, nr.min(head - c0), head, reach, nr);
+        }
+
+        let mut acc = [0.0f32; MR_MAX * NR_MAX];
+        let acc = &mut acc[..mr * nr];
+        // S = Q_tile · Kᵀ (Q already carries the 1/√d scale), one register
+        // block at a time, over the keys the panel's last row sees.
+        for (i, r0) in (0..rows).step_by(mr).enumerate() {
+            let r = mr.min(rows - r0);
+            let cols = self.keys(r0 + r - 1);
+            let a = &qa[i * qa_len..(i + 1) * qa_len];
+            for (j, c0) in (0..cols).step_by(nr).enumerate() {
+                let c = nr.min(cols - c0);
+                acc.fill(0.0);
+                kern.run(head, a, &kb[j * kb_len..(j + 1) * kb_len], acc);
+                for (l_row, a_row) in logits[r0 * reach..].chunks_mut(reach).zip(acc.chunks(nr)).take(r) {
+                    l_row[c0..c0 + c].copy_from_slice(&a_row[..c]);
+                }
+            }
+        }
+        // Softmax in place over each row's keys; the rest of the strip row
+        // becomes the zeros P·V reduces over past a causal row's range.
+        for (i, l_row) in logits.chunks_mut(reach).enumerate() {
+            let (p, tail) = l_row.split_at_mut(self.keys(i));
+            bt_kernels::softmax::softmax_row(p);
+            tail.fill(0.0);
+        }
+        // O = P · V, each P panel reducing over its longest key range, the
+        // blocks stored straight into this head's packed output columns.
+        for r0 in (0..rows).step_by(mr) {
+            let r = mr.min(rows - r0);
+            let kc = self.keys(r0 + r - 1);
+            pack_a_panel(pa, logits, false, r0, r, rows, reach, mr);
+            for (j, c0) in (0..head).step_by(nr).enumerate() {
+                let c = nr.min(head - c0);
+                acc.fill(0.0);
+                kern.run(kc, pa, &vb[j * vb_len..(j + 1) * vb_len], acc);
+                for (o_row, a_row) in out[r0 * ld..].chunks_mut(ld).zip(acc.chunks(nr)).take(r) {
+                    o_row[col + c0..col + c0 + c].copy_from_slice(&a_row[..c]);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -328,11 +429,19 @@ mod tests {
 
     #[test]
     fn split_seq_len_does_not_change_results() {
+        // Every stored element is one chain in `p`-order whatever the tile
+        // height, so the results agree bitwise — splits that are not a
+        // multiple of any `mr` included.
         let lens = [13usize, 29];
         let fx = fixture(&lens, 32, 2, 4, 9);
         let dev = device();
-        let a = fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 4);
-        let b = fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 48);
-        assert_close(a.as_slice(), b.as_slice(), 1e-6);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for range in [KeyRange::Full, KeyRange::Causal] {
+            let run = |split| short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split, range);
+            let base = bits(&run(1));
+            for split in [5, 16, 32, 48] {
+                assert_eq!(bits(&run(split)), base, "{range:?}, split {split} vs 1");
+            }
+        }
     }
 }

@@ -359,6 +359,21 @@ fn fused_short_mha_all_tiers() {
         let out = fused_short_attention(&dev, &q, &k, &v, &idx, DEFAULT_SPLIT_SEQ_LEN);
         out.as_slice().to_vec()
     });
+    // BERT width: Q tiles and key counts crossing every `MR`/`NR` remainder
+    // of the 8×8, 8×16 and 16×16 register tiles, full and causal.
+    let lens = [33usize, 1, 17, 64, 0];
+    for split in [32, 48] {
+        differential(&format!("fused_short_attention head 64 split {split}"), 64, || {
+            let (idx, [q, k, v]) = packed_qkv(&lens, 64, 2, 64, 47);
+            let dev = Device::new();
+            fused_short_attention(&dev, &q, &k, &v, &idx, split).as_slice().to_vec()
+        });
+    }
+    differential("causal_fused_attention head 64", 64, || {
+        let (idx, [q, k, v]) = packed_qkv(&lens, 64, 2, 64, 53);
+        let dev = Device::new();
+        causal_fused_attention(&dev, &q, &k, &v, &idx).as_slice().to_vec()
+    });
 }
 
 #[test]
