@@ -3,15 +3,25 @@
 //!
 //! Paper reading: grouped fused MHA beats PyTorch / cuBLAS / cuBLAS+zeropad
 //! by ~451% / 110% / 79%; the separate full-reduction kernel costs ~2% of
-//! fused MHA (reported in the last column).
+//! fused MHA (`reduce_pct`). Every column but the last is modeled; the last,
+//! `fused_wall_ms(measured)`, is the median host wall time of
+//! [`WALL_REPS`] fused runs after one warm-up. The fused output must match
+//! the cuBLAS-style baseline on every valid row within [`TOL`], or the bench
+//! exits nonzero.
 
-use bt_bench::{banner, bench_config, pct_faster};
+use bt_bench::{banner, bench_config, pct_faster, wall};
 use bt_core::attention::{batched_attention, fused_grouped_attention, naive_attention};
 use bt_device::Device;
 use bt_gemm::grouped::Scheduler;
 use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv};
 use bt_tensor::Tensor;
 use bt_varlen::{workload, PackingIndex};
+
+/// Timed fused runs per row; the median is reported.
+const WALL_REPS: usize = 5;
+/// Largest |fused − batched| allowed on a valid row (the cross-level
+/// tolerance of `tests/cross_level_equivalence.rs`).
+const TOL: f32 = 5e-3;
 
 fn main() {
     banner(
@@ -37,8 +47,17 @@ fn main() {
     };
     println!("batch {batch}, {heads} heads × {head}, avg len = 0.6·max\n");
     println!(
-        "{:>6} {:>12} {:>12} {:>13} {:>11} {:>12} {:>12} {:>12} {:>11}",
-        "seq", "pytorch_µs", "cublas_µs", "cublas+zp_µs", "fused_µs", "vs_pytorch", "vs_cublas", "vs_zp", "reduce_pct"
+        "{:>6} {:>12} {:>12} {:>13} {:>11} {:>12} {:>12} {:>12} {:>11} {:>24}",
+        "seq",
+        "pytorch_µs",
+        "cublas_µs",
+        "cublas+zp_µs",
+        "fused_µs",
+        "vs_pytorch",
+        "vs_cublas",
+        "vs_zp",
+        "reduce_pct",
+        "fused_wall_ms(measured)"
     );
 
     for &seq in &seqs {
@@ -53,11 +72,36 @@ fn main() {
         let dev_pt = Device::new();
         naive_attention(&dev_pt, &q_pad, &k_pad, &v_pad, mask.seq_lens(), scale, 8e-6);
         let dev_cb = Device::new();
-        batched_attention(&dev_cb, &q_pad, &k_pad, &v_pad, mask.seq_lens(), scale, false);
+        let batched = batched_attention(&dev_cb, &q_pad, &k_pad, &v_pad, mask.seq_lens(), scale, false);
         let dev_zp = Device::new();
         batched_attention(&dev_zp, &q_pad, &k_pad, &v_pad, mask.seq_lens(), scale, true);
         let dev_f = Device::new();
-        fused_grouped_attention(&dev_f, &q_pk, &k_pk, &v_pk, &idx, Scheduler::WarpPrefetch);
+        let fused = fused_grouped_attention(&dev_f, &q_pk, &k_pk, &v_pk, &idx, Scheduler::WarpPrefetch);
+
+        // Valid rows: packed row `offset_b + s` ≡ padded `[b, h, s, ..]`.
+        let (fs, bs, pad) = (fused.as_slice(), batched.as_slice(), batched.dims()[2]);
+        let mut worst = 0.0f32;
+        for b in 0..idx.batch() {
+            for s in 0..idx.seq_len(b) {
+                let row = &fs[(idx.seq_offset(b) + s) * hidden..][..hidden];
+                for (h, got) in row.chunks(head).enumerate() {
+                    let want = &bs[((b * heads + h) * pad + s) * head..][..head];
+                    for (g, w) in got.iter().zip(want) {
+                        worst = worst.max((g - w).abs());
+                    }
+                }
+            }
+        }
+        assert!(
+            worst <= TOL,
+            "seq {seq}: fused grouped MHA differs from batched attention by {worst} > {TOL}"
+        );
+
+        // Measured: median of WALL_REPS fused runs after one warm-up.
+        let run = || fused_grouped_attention(&Device::new(), &q_pk, &k_pk, &v_pk, &idx, Scheduler::WarpPrefetch);
+        run();
+        let mut walls: Vec<f64> = (0..WALL_REPS).map(|_| wall(run).1).collect();
+        walls.sort_by(f64::total_cmp);
 
         let f = dev_f.modeled_total();
         let reduce: f64 = dev_f
@@ -67,7 +111,7 @@ fn main() {
             .map(|r| r.modeled)
             .sum();
         println!(
-            "{:>6} {:>12.1} {:>12.1} {:>13.1} {:>11.1} {:>12} {:>12} {:>12} {:>10.1}%",
+            "{:>6} {:>12.1} {:>12.1} {:>13.1} {:>11.1} {:>12} {:>12} {:>12} {:>10.1}% {:>24.2}",
             seq,
             dev_pt.modeled_total() * 1e6,
             dev_cb.modeled_total() * 1e6,
@@ -77,6 +121,7 @@ fn main() {
             pct_faster(dev_cb.modeled_total(), f),
             pct_faster(dev_zp.modeled_total(), f),
             reduce / f * 100.0,
+            walls[WALL_REPS / 2] * 1e3,
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the substrate kernels (real CPU wall time):
 //! SGEMM, grouped GEMM under both schedulers, fused vs unfused LayerNorm,
-//! softmax variants, and the two fused MHA kernels.
+//! softmax variants (and the one-row softmax every fused kernel runs), and
+//! the two fused MHA kernels.
 //!
 //! These measure the *host implementation* — useful for tracking regressions
 //! in this repository; the paper-figure harnesses report modeled A100 time.
@@ -11,7 +12,7 @@ use bt_gemm::grouped::Scheduler;
 use bt_gemm::{sgemm, GemmSpec};
 use bt_kernels::layernorm::{add_bias_residual_layernorm_fused, add_bias_residual_layernorm_unfused};
 use bt_kernels::layout::add_bias_split_qkv_packed;
-use bt_kernels::softmax::{masked_softmax_padded, masked_softmax_zeropad};
+use bt_kernels::softmax::{masked_softmax_padded, masked_softmax_zeropad, softmax_row};
 use bt_tensor::Tensor;
 use bt_varlen::{workload, PackingIndex};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -79,6 +80,24 @@ fn bench_softmax(c: &mut Criterion) {
             black_box(&x);
         })
     });
+    group.finish();
+}
+
+/// `softmax_row` at the row widths the kernels produce: a grouped epilogue
+/// tile (64), an `enc_short` row (256) and an `enc_long` row (1024).
+fn bench_softmax_row(c: &mut Criterion) {
+    let mut group = c.benchmark_group("softmax_row");
+    for len in [64usize, 256, 1024] {
+        let row = Tensor::randn([len], 4).into_vec();
+        let mut x = row.clone();
+        group.bench_function(&len.to_string(), |bench| {
+            bench.iter(|| {
+                x.copy_from_slice(&row);
+                softmax_row(black_box(&mut x));
+                black_box(&x);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -158,6 +177,6 @@ fn criterion_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = criterion_config();
-    targets = bench_sgemm, bench_layernorm, bench_softmax, bench_fused_mha, bench_varlen, bench_scan
+    targets = bench_sgemm, bench_layernorm, bench_softmax, bench_softmax_row, bench_fused_mha, bench_varlen, bench_scan
 }
 criterion_main!(benches);

@@ -50,7 +50,7 @@ pub fn causal_reference_attention(q: &Tensor, k: &Tensor, v: &Tensor, seq_lens: 
                     }
                     *l = dot * scale;
                 }
-                bt_kernels::softmax::softmax_row(&mut logits);
+                super::oracle_softmax(&mut logits);
                 for d in 0..head {
                     let mut acc = 0.0f32;
                     for (j, &p) in logits.iter().enumerate() {

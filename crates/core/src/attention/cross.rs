@@ -69,7 +69,7 @@ pub fn cross_reference_attention(
                     }
                     *l = dot * scale;
                 }
-                bt_kernels::softmax::softmax_row(&mut logits);
+                super::oracle_softmax(&mut logits);
                 for d in 0..head {
                     let mut acc = 0.0f32;
                     for (j, &p) in logits.iter().enumerate() {

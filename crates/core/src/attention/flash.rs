@@ -13,6 +13,7 @@
 
 use super::padded_dims;
 use bt_device::{Device, KernelSpec};
+use bt_kernels::softmax::exp;
 use bt_tensor::Tensor;
 use rayon::prelude::*;
 
@@ -87,7 +88,7 @@ pub fn flash_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, seq_
                                 let correction = if run_max[i] == f32::NEG_INFINITY {
                                     0.0
                                 } else {
-                                    (run_max[i] - new_max).exp()
+                                    exp(run_max[i] - new_max)
                                 };
                                 run_sum[i] *= correction;
                                 for a in &mut acc[i * head..(i + 1) * head] {
@@ -97,7 +98,7 @@ pub fn flash_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, seq_
                                     if s == f32::NEG_INFINITY {
                                         continue;
                                     }
-                                    let p = (s - new_max).exp();
+                                    let p = exp(s - new_max);
                                     run_sum[i] += p;
                                     let v_row = &v_plane[(kt + j) * head..(kt + j + 1) * head];
                                     for (a, &vv) in acc[i * head..(i + 1) * head].iter_mut().zip(v_row) {

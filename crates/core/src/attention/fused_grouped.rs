@@ -39,6 +39,7 @@ use bt_gemm::grouped::{
     StridedOutput, TileEpilogue, PREFETCH_WIDTH,
 };
 use bt_gemm::DisjointWriter;
+use bt_kernels::softmax::{exp, exp_sum, row_max};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 
@@ -107,12 +108,12 @@ impl TileEpilogue for SoftmaxPartialEpilogue<'_> {
             for x in row.iter_mut().skip(visible) {
                 *x = f32::NEG_INFINITY;
             }
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let m = row_max(row);
             let (m_out, s_out) = if m == f32::NEG_INFINITY {
                 // Fully masked tile row: identity element of the merge.
                 (f32::NEG_INFINITY, 0.0)
             } else {
-                (m, row.iter().map(|&x| (x - m).exp()).sum())
+                (m, exp_sum(row, m))
             };
             pb.max.write_at((row0 + i) * pb.n_tiles + tcol, m_out);
             pb.sum.write_at((row0 + i) * pb.n_tiles + tcol, s_out);
@@ -138,7 +139,7 @@ impl ALoadTransform for SoftmaxNormalize<'_> {
         let m = n.max[row];
         let inv = n.inv_sum[row];
         for x in chunk {
-            *x = (*x - m).exp() * inv;
+            *x = exp(*x - m) * inv;
         }
     }
 }
@@ -285,7 +286,7 @@ pub(super) fn grouped_softmax_attention(
                         let row_m = &maxes[r * nt..(r + 1) * nt];
                         let row_s = &sums[r * nt..(r + 1) * nt];
                         let big = row_m.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                        let total: f32 = row_m.iter().zip(row_s).map(|(&m, &s)| s * (m - big).exp()).sum();
+                        let total: f32 = row_m.iter().zip(row_s).map(|(&m, &s)| s * exp(m - big)).sum();
                         max[r] = big;
                         inv_sum[r] = if total > 0.0 { 1.0 / total } else { 0.0 };
                     }
@@ -592,7 +593,7 @@ mod tests {
                     }
                     *l = dot;
                 }
-                bt_kernels::softmax::softmax_row(&mut logits);
+                super::super::oracle_softmax(&mut logits);
                 for d in 0..head {
                     let mut acc = 0.0;
                     for (j, &p) in logits.iter().enumerate() {

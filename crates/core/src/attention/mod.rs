@@ -193,6 +193,23 @@ pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx:
     dispatch(device, q, k, v, idx, KeyRange::Full)
 }
 
+/// The oracles' softmax (the reference attentions here and in `causal` /
+/// `cross`, and `incremental::DecoderSession`): libm `exp` and serial folds,
+/// deliberately not [`bt_kernels::softmax::softmax_row`] — an oracle that ran
+/// the code under test would prove nothing.
+pub(crate) fn oracle_softmax(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
 /// Straight-line host reference attention over padded inputs — the oracle
 /// every variant is tested against. `scale` is applied to the logits;
 /// padded key columns are masked; padded query rows produce zeros.
@@ -218,7 +235,7 @@ pub fn reference_attention(q: &Tensor, k: &Tensor, v: &Tensor, seq_lens: &[usize
                     }
                     *lj = dot * scale;
                 }
-                bt_kernels::softmax::softmax_row(&mut logits);
+                oracle_softmax(&mut logits);
                 for dd in 0..head {
                     let mut acc = 0.0f32;
                     for (j, &lj) in logits.iter().enumerate() {

@@ -26,12 +26,12 @@
 //! `crate::decoder::decoder_layer`, the body the teacher-forced and paged
 //! decoders share: an oracle that ran the code under test would prove nothing.
 
+use crate::attention::oracle_softmax;
 use crate::decoder::TransformerDecoder;
 use crate::encoder::launch_gemm;
 use crate::weights::DecoderLayerWeights;
 use bt_device::{Device, KernelSpec};
 use bt_kernels::layernorm::normalize_row;
-use bt_kernels::softmax::softmax_row;
 use bt_tensor::Tensor;
 
 /// Per-layer self-attention cache: keys and values of every generated
@@ -189,7 +189,7 @@ impl<'a> DecoderSession<'a> {
                             }
                             *l = dot * scale;
                         }
-                        softmax_row(&mut logits);
+                        oracle_softmax(&mut logits);
                         let out = &mut sa[h * head..(h + 1) * head];
                         for (j, &p) in logits.iter().enumerate() {
                             let v_row = &cache.v[j * hidden + h * head..j * hidden + (h + 1) * head];
@@ -247,7 +247,7 @@ impl<'a> DecoderSession<'a> {
                             }
                             *l = dot * scale;
                         }
-                        softmax_row(&mut logits);
+                        oracle_softmax(&mut logits);
                         let out = &mut ca[h * head..(h + 1) * head];
                         for (j, &p) in logits.iter().enumerate() {
                             let v_row = &cv[(h * mem_len + j) * head..(h * mem_len + j + 1) * head];

@@ -29,17 +29,34 @@
 //! Both entry points ([`grouped_sgemm`], [`grouped_sgemm_strided`]) share
 //! one generic CTA-walk driver parameterized by a store policy, so the
 //! contiguous and strided paths cannot drift. Tiles compute on the
-//! register-blocked microkernel of [`crate::micro`] out of the worker's
-//! persistent `Scratch` arena — the pool's workers outlive launches, so
-//! a CTA borrows an arena that is already warm from previous launches
-//! (zero heap allocations per tile, and zero per launch once shapes have
-//! been seen) — and stores go through lock-free [`DisjointWriter`]s —
-//! tiles partition the output, so CTAs never serialize on a mutex.
+//! register-blocked microkernel of [`crate::micro`], and stores go through
+//! lock-free [`DisjointWriter`]s — tiles partition the output, so CTAs
+//! never serialize on a mutex.
+//!
+//! **Pack once.** An `A` row-panel is read by every tile column of its
+//! problem and a `B` column-panel by every tile row, so the rule is a
+//! function of shape alone: a problem with more than one tile column has
+//! its whole `A` packed once, a problem with more than one tile row its
+//! whole `B`, in one parallel pass before the CTA walk (the `ALoadTransform`
+//! runs once per element, in that pass). Tiles read those panels and pack
+//! only their single-use operands (`P` in `P·V`, a decode step's keys)
+//! into worker scratch. Panel contents are the per-tile packers' bits, so
+//! the output does not depend on which side packed them. `Q·Kᵀ` at
+//! `L = 1024` used to pack `Q` and `K` 16 times each.
+//!
+//! **Zero allocations once shapes have been seen.** Both kinds of panel
+//! live in grow-only `Scratch` arenas: the pre-packed ones in the launching
+//! thread's launch arena, the per-tile ones (and the accumulator tile) in
+//! the persistent arena of the pool worker running the CTA — workers
+//! outlive launches, so a CTA borrows an arena that is already warm. No
+//! arena grows per tile, and none at all in a launch whose shapes the
+//! threads have already seen ([`GroupedStats::scratch_grows`] counts both
+//! kinds).
 
 use crate::blocked::record_dispatch;
 use crate::isa::active_kernel;
 use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
-use crate::scratch::{with_worker_scratch, Scratch};
+use crate::scratch::{with_launch_arena, with_worker_scratch, Panels, Scratch};
 use crate::store::DisjointWriter;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,10 +126,11 @@ pub struct GroupedStats {
     /// Scheduler interactions performed (tiles / 32, rounded up per CTA,
     /// under warp prefetch).
     pub scheduler_visits: u64,
-    /// Scratch-arena growth events this launch caused, summed over CTAs.
-    /// Bounded by per-worker shape high-water marks — *not* by tile count —
-    /// and **zero** for a launch whose shapes the workers have already
-    /// seen, because the arenas persist across launches.
+    /// Scratch-arena growth events this launch caused, summed over CTAs,
+    /// the pre-pack pass and the launch arena. Bounded by shape high-water
+    /// marks — *not* by tile count — and **zero** for a launch whose shapes
+    /// the threads have already seen, because the arenas persist across
+    /// launches.
     pub scratch_grows: u64,
 }
 
@@ -146,7 +164,8 @@ impl TileEpilogue for NoEpilogue {
 /// (Algorithm III.2's `elementwise_transform` on `warp_loaded_frag_A`).
 pub trait ALoadTransform: Sync {
     /// `a_chunk` holds `A[global_row, k0 .. k0 + a_chunk.len()]` of problem
-    /// `problem_idx`, already copied into the register tile.
+    /// `problem_idx`, already copied into the register tile — a whole row
+    /// for narrow panel formats, consecutive L1-sized chunks of it for f32.
     fn transform(&self, problem_idx: usize, global_row: usize, k0: usize, a_chunk: &mut [f32]);
 }
 
@@ -307,39 +326,69 @@ fn run_ctas<K: PanelKernel>(
         Scheduler::WarpPrefetch => PREFETCH_WIDTH,
     };
 
-    (0..config.num_ctas).into_par_iter().for_each(|cta| {
-        // The CTA's "shared memory" is its worker's persistent arena: the
-        // pool workers outlive launches, so the buffers are usually warm
-        // already. Grows are reported as this launch's delta so the stat
-        // stays per-launch even though the arena is not.
-        with_worker_scratch(|scratch| {
-            let _span = bt_obs::span!("gemm.grouped.cta");
-            let grows_before = scratch.grow_count();
-            let mut cursor = 0usize;
-            let mut local_visits = 0u64;
-            let mut batch = [TileAssignment {
-                problem: 0,
-                tile_row: 0,
-                tile_col: 0,
-            }; PREFETCH_WIDTH];
-            let step = config.num_ctas as u64;
-            let mut linear = cta as u64;
-            while linear < total {
-                local_visits += 1;
-                let mut count = 0;
-                while count < batch_width && linear < total {
-                    batch[count] = visitor.decode(linear, &mut cursor);
-                    count += 1;
-                    linear += step;
+    // The panels more than one tile reads live in the launching thread's
+    // arena; one parallel pass packs them before any CTA runs.
+    with_launch_arena(|arena| {
+        let (starts, [a_len, b_len]) = plan_prepack(kern, problems, &config);
+        let arena_grows = arena.grow_count();
+        let (sal, sbl) = kern.scale_lanes();
+        let mut s = arena.packed::<K::Elem>(a_len.elems, b_len.elems, a_len.panel * sal, b_len.panel * sbl);
+        prepack(kern, problems, &config, a_transform, &starts, &mut s, &grows);
+        let pre = Prepacked {
+            a: s.a,
+            sa: s.sa,
+            b: s.b,
+            sb: s.sb,
+            colsum: s.colsum,
+            starts: &starts,
+        };
+
+        (0..config.num_ctas).into_par_iter().for_each(|cta| {
+            // The CTA's "shared memory" is its worker's persistent arena: the
+            // pool workers outlive launches, so the buffers are usually warm
+            // already. Grows are reported as this launch's delta so the stat
+            // stays per-launch even though the arena is not.
+            with_worker_scratch(|scratch| {
+                let _span = bt_obs::span!("gemm.grouped.cta");
+                let grows_before = scratch.grow_count();
+                let mut cursor = 0usize;
+                let mut local_visits = 0u64;
+                let mut batch = [TileAssignment {
+                    problem: 0,
+                    tile_row: 0,
+                    tile_col: 0,
+                }; PREFETCH_WIDTH];
+                let step = config.num_ctas as u64;
+                let mut linear = cta as u64;
+                while linear < total {
+                    local_visits += 1;
+                    let mut count = 0;
+                    while count < batch_width && linear < total {
+                        batch[count] = visitor.decode(linear, &mut cursor);
+                        count += 1;
+                        linear += step;
+                    }
+                    for asg in &batch[..count] {
+                        compute_tile(
+                            problems,
+                            &config,
+                            kern,
+                            *asg,
+                            &pre,
+                            epilogue,
+                            a_transform,
+                            store,
+                            scratch,
+                        );
+                    }
                 }
-                for asg in &batch[..count] {
-                    compute_tile(problems, &config, kern, *asg, epilogue, a_transform, store, scratch);
-                }
-            }
-            visits.fetch_add(local_visits, Ordering::Relaxed);
-            grows.fetch_add(scratch.grow_count() - grows_before, Ordering::Relaxed);
-            SCRATCH_HWM.record_max(scratch.high_water_elems() as u64);
+                visits.fetch_add(local_visits, Ordering::Relaxed);
+                grows.fetch_add(scratch.grow_count() - grows_before, Ordering::Relaxed);
+                SCRATCH_HWM.record_max(scratch.high_water_elems() as u64);
+            });
         });
+        grows.fetch_add(arena.grow_count() - arena_grows, Ordering::Relaxed);
+        SCRATCH_HWM.record_max(arena.high_water_elems() as u64);
     });
 
     let stats = GroupedStats {
@@ -352,13 +401,15 @@ fn run_ctas<K: PanelKernel>(
     stats
 }
 
-/// Accumulated nanoseconds spent packing micropanels in [`compute_tile`]
-/// (per-tile spans would flood the rings; a timed counter gives the same
-/// pack-vs-compute split at a fraction of the cost).
+/// Accumulated nanoseconds spent packing micropanels, summed over threads:
+/// the pre-pack pass ([`prepack`], per job) and the single-use panels of
+/// [`compute_tile`] (per-tile spans would flood the rings; a timed counter
+/// gives the same pack-vs-compute split at a fraction of the cost).
 static PACK_NS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_PACK_NS);
 /// Accumulated nanoseconds in the microkernel mainloop of [`compute_tile`].
 static COMPUTE_NS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_COMPUTE_NS);
-/// High-water mark of any worker's scratch arena, in f32 elements.
+/// High-water mark of any worker's scratch arena or launch arena, in f32
+/// elements.
 static SCRATCH_HWM: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_HIGH_WATER);
 /// Total scratch-arena grow events across grouped launches.
 static SCRATCH_GROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_GROWS);
@@ -451,19 +502,285 @@ fn tile_bounds(p: &GroupedProblem<'_>, config: &GroupedConfig, asg: TileAssignme
     (row0, col0, config.tile_m.min(p.m - row0), config.tile_n.min(p.n - col0))
 }
 
-/// Computes one `C` tile in the CTA's scratch arena: packs `A` micropanels
-/// (running the mainloop transform on each staged f32 row fragment before
-/// the kernel's packer narrows and interleaves it, so fused softmax
-/// normalization composes with every precision) and `B` micropanels at the
-/// launch kernel's `mr×nr` geometry and panel format, accumulates every
-/// `mr×nr` block in registers across the full `K` extent, then applies
-/// alpha, the tile epilogue, and the store policy.
+/// Micropanels covering `extent` rows (or columns) cut into `tile`-sized
+/// tiles, each tile into `r`-wide panels.
+fn panels_in(extent: usize, tile: usize, r: usize) -> usize {
+    extent / tile * tile.div_ceil(r) + (extent % tile).div_ceil(r)
+}
+
+/// Where one problem's pre-packed panels of one operand start in the launch
+/// arena: an element offset, and a panel index (its scale lanes start at
+/// `panel · lanes`).
+#[derive(Debug, Clone, Copy, Default)]
+struct PanelStart {
+    elems: usize,
+    panel: usize,
+}
+
+/// The pack-once rule, from shape alone: an `A` row-panel is re-read by
+/// every tile column of its problem and a `B` column-panel by every tile
+/// row, so a problem with more than one tile column has its whole `A`
+/// packed once before the CTA walk, and one with more than one tile row its
+/// whole `B`; single-use operands stay per tile. Returns each problem's
+/// `[A, B]` start in the launch arena (`None`: packed per tile), laid out
+/// problem by problem and tile by tile, and the `[A, B]` totals.
+fn plan_prepack<K: PanelKernel>(
+    kern: &K,
+    problems: &[GroupedProblem<'_>],
+    config: &GroupedConfig,
+) -> (Vec<[Option<PanelStart>; 2]>, [PanelStart; 2]) {
+    let (mr, nr) = kern.tile();
+    let mut next = [PanelStart::default(); 2];
+    let starts = problems
+        .iter()
+        .map(|p| {
+            let (apl, bpl) = kern.panel_lens(p.k);
+            let (tiles_m, tiles_n) = (p.m.div_ceil(config.tile_m), p.n.div_ceil(config.tile_n));
+            let mut claim = |side: usize, reused: bool, panels: usize, len: usize| {
+                reused.then(|| {
+                    let at = next[side];
+                    next[side].elems += panels * len;
+                    next[side].panel += panels;
+                    at
+                })
+            };
+            [
+                claim(0, tiles_n > 1, panels_in(p.m, config.tile_m, mr), apl),
+                claim(1, tiles_m > 1, panels_in(p.n, config.tile_n, nr), bpl),
+            ]
+        })
+        .collect();
+    (starts, next)
+}
+
+/// One unit of the pre-pack pass: one tile row of a problem's `A`, or one
+/// tile column of its `B`, with its destination in the launch arena.
+enum PackJob<'s, E> {
+    A {
+        problem: usize,
+        row0: usize,
+        rows: usize,
+        dst: &'s mut [E],
+        sa: &'s mut [f32],
+    },
+    B {
+        problem: usize,
+        col0: usize,
+        cols: usize,
+        dst: &'s mut [E],
+        sb: &'s mut [f32],
+        colsum: &'s mut [i32],
+    },
+}
+
+/// Splits the first `n` elements off a mutable slice cursor.
+fn take_front<'s, T>(rest: &mut &'s mut [T], n: usize) -> &'s mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
+/// The pre-pack pass: every panel `plan_prepack` placed in the arena,
+/// packed in parallel, one job per tile row of `A` / tile column of `B`,
+/// through the same packers a tile uses (so the contents are the per-tile
+/// panels' bits). Timed into `PACK_NS`; worker-scratch grows add to `grows`.
+fn prepack<K: PanelKernel>(
+    kern: &K,
+    problems: &[GroupedProblem<'_>],
+    config: &GroupedConfig,
+    a_transform: &dyn ALoadTransform,
+    starts: &[[Option<PanelStart>; 2]],
+    arena: &mut Panels<'_, K::Elem>,
+    grows: &AtomicU64,
+) {
+    let (mr, nr) = kern.tile();
+    let (sal, sbl) = kern.scale_lanes();
+    let packed_elems = arena.a.len() + arena.b.len();
+    let (mut a, mut sa) = (&mut *arena.a, &mut *arena.sa);
+    let (mut b, mut sb, mut colsum) = (&mut *arena.b, &mut *arena.sb, &mut *arena.colsum);
+    let mut jobs = Vec::new();
+    for (problem, (p, [pre_a, pre_b])) in problems.iter().zip(starts).enumerate() {
+        let (apl, bpl) = kern.panel_lens(p.k);
+        if pre_a.is_some() {
+            for row0 in (0..p.m).step_by(config.tile_m) {
+                let rows = config.tile_m.min(p.m - row0);
+                let panels = rows.div_ceil(mr);
+                jobs.push(PackJob::A {
+                    problem,
+                    row0,
+                    rows,
+                    dst: take_front(&mut a, panels * apl),
+                    sa: take_front(&mut sa, panels * sal),
+                });
+            }
+        }
+        if pre_b.is_some() {
+            for col0 in (0..p.n).step_by(config.tile_n) {
+                let cols = config.tile_n.min(p.n - col0);
+                let panels = cols.div_ceil(nr);
+                jobs.push(PackJob::B {
+                    problem,
+                    col0,
+                    cols,
+                    dst: take_front(&mut b, panels * bpl),
+                    sb: take_front(&mut sb, panels * sbl),
+                    colsum: take_front(&mut colsum, panels * sbl),
+                });
+            }
+        }
+    }
+    if jobs.is_empty() {
+        return;
+    }
+    kern.count_pack_bytes(packed_elems);
+    jobs.into_par_iter().for_each(|job| {
+        with_worker_scratch(|scratch| {
+            let grows_before = scratch.grow_count();
+            let problem = match job {
+                PackJob::A { problem, .. } | PackJob::B { problem, .. } => problem,
+            };
+            let p = &problems[problem];
+            let s = scratch.panels(kern, p.k, 0, 0, 0, mr * a_stage_depth::<K>(p.k));
+            bt_obs::timed(&PACK_NS, || match job {
+                PackJob::A {
+                    row0, rows, dst, sa, ..
+                } => pack_a_rows(kern, p, problem, a_transform, row0, rows, dst, sa, s.row, s.cvt),
+                PackJob::B {
+                    col0,
+                    cols,
+                    dst,
+                    sb,
+                    colsum,
+                    ..
+                } => pack_b_cols(kern, p, col0, cols, dst, sb, colsum, s.cvt),
+            });
+            grows.fetch_add(scratch.grow_count() - grows_before, Ordering::Relaxed);
+        });
+    });
+}
+
+/// The operand panels a launch packed once (see [`plan_prepack`]), read by
+/// every tile of their problem.
+struct Prepacked<'s, E> {
+    a: &'s [E],
+    sa: &'s [f32],
+    b: &'s [E],
+    sb: &'s [f32],
+    colsum: &'s [i32],
+    starts: &'s [[Option<PanelStart>; 2]],
+}
+
+/// Staging depth of an f32 `A` panel: `mr` rows of it (8 KiB at `mr = 16`)
+/// and the panel stretch it fills stay in L1 together.
+const A_STAGE_K: usize = 128;
+
+/// Depth of one staged `A` chunk. Narrow formats scale each row as a whole,
+/// so they stage whole rows; an f32 panel's `k`-chunk `[k0, k0 + kc)` is
+/// itself a `kc`-deep panel, so f32 rows stage [`A_STAGE_K`] at a time (the
+/// load hook's `k0` contract).
+fn a_stage_depth<K: PanelKernel>(k: usize) -> usize {
+    if K::NARROW {
+        k
+    } else {
+        k.min(A_STAGE_K)
+    }
+}
+
+/// Packs rows `row0 .. row0 + rows` of problem `pi`'s `A` into
+/// `⌈rows / mr⌉` panels of the kernel's format. Each panel's rows are
+/// staged in `staging` (`mr` rows of [`a_stage_depth`]) and run through the
+/// mainloop fusion hook (Algorithm III.2) before the packer narrows and
+/// interleaves them, so fused softmax normalization composes with every
+/// precision; pad lanes get the format's neutral code, so reused buffers
+/// need no clearing.
+#[allow(clippy::too_many_arguments)]
+fn pack_a_rows<K: PanelKernel>(
+    kern: &K,
+    p: &GroupedProblem<'_>,
+    pi: usize,
+    a_transform: &dyn ALoadTransform,
+    row0: usize,
+    rows: usize,
+    dst: &mut [K::Elem],
+    sa: &mut [f32],
+    staging: &mut [f32],
+    cvt: &mut [u16],
+) {
+    let k = p.k;
+    let (mr, _) = kern.tile();
+    let (apl, _) = kern.panel_lens(k);
+    let (sal, _) = kern.scale_lanes();
+    let chunk = a_stage_depth::<K>(k).max(1);
+    for ib in 0..rows.div_ceil(mr) {
+        let r = mr.min(rows - ib * mr);
+        let first = row0 + ib * mr;
+        let (dst, sa) = (&mut dst[ib * apl..(ib + 1) * apl], &mut sa[ib * sal..(ib + 1) * sal]);
+        if k == 0 {
+            kern.pack_a_rows(dst, sa, &[], r, 0, cvt);
+        }
+        for k0 in (0..k).step_by(chunk) {
+            let kc = chunk.min(k - k0);
+            let staged = &mut staging[..r * kc];
+            for (i, row) in staged.chunks_exact_mut(kc).enumerate() {
+                let g_row = first + i;
+                row.copy_from_slice(&p.a[g_row * k + k0..g_row * k + k0 + kc]);
+                a_transform.transform(pi, g_row, k0, row);
+            }
+            // Narrow formats take the whole row (`k0 = 0`, `kc = k`).
+            let panel = if K::NARROW {
+                &mut *dst
+            } else {
+                &mut dst[k0 * mr..(k0 + kc) * mr]
+            };
+            kern.pack_a_rows(panel, sa, staged, r, kc, cvt);
+        }
+    }
+}
+
+/// Packs columns `col0 .. col0 + cols` of a problem's `B` into
+/// `⌈cols / nr⌉` panels of the kernel's format, each with its scale lanes.
+#[allow(clippy::too_many_arguments)]
+fn pack_b_cols<K: PanelKernel>(
+    kern: &K,
+    p: &GroupedProblem<'_>,
+    col0: usize,
+    cols: usize,
+    dst: &mut [K::Elem],
+    sb: &mut [f32],
+    colsum: &mut [i32],
+    cvt: &mut [u16],
+) {
+    let (_, nr) = kern.tile();
+    let (_, bpl) = kern.panel_lens(p.k);
+    let (_, sbl) = kern.scale_lanes();
+    for jb in 0..cols.div_ceil(nr) {
+        kern.pack_b_panel(
+            &mut dst[jb * bpl..(jb + 1) * bpl],
+            &mut sb[jb * sbl..(jb + 1) * sbl],
+            &mut colsum[jb * sbl..(jb + 1) * sbl],
+            p.b,
+            p.transb,
+            col0 + jb * nr,
+            nr.min(cols - jb * nr),
+            p.n,
+            p.k,
+            cvt,
+        );
+    }
+}
+
+/// Computes one `C` tile: takes its `A` / `B` micropanels from the launch's
+/// pre-packed panels, or packs the single-use ones into the CTA's scratch
+/// arena at the launch kernel's `mr×nr` geometry and panel format;
+/// accumulates every `mr×nr` block in registers across the full `K` extent,
+/// then applies alpha, the tile epilogue, and the store policy.
 #[allow(clippy::too_many_arguments)]
 fn compute_tile<K: PanelKernel>(
     problems: &[GroupedProblem<'_>],
     config: &GroupedConfig,
     kern: &K,
     asg: TileAssignment,
+    pre: &Prepacked<'_, K::Elem>,
     epilogue: &dyn TileEpilogue,
     a_transform: &dyn ALoadTransform,
     store: &dyn TileStore,
@@ -477,60 +794,67 @@ fn compute_tile<K: PanelKernel>(
     let (sal, sbl) = kern.scale_lanes();
     let m_panels = rows.div_ceil(mr);
     let n_panels = cols.div_ceil(nr);
-    let s = scratch.panels(kern, k, m_panels, n_panels, rows * cols, k);
+    let [pre_a, pre_b] = pre.starts[asg.problem];
+    let s = scratch.panels(
+        kern,
+        k,
+        if pre_a.is_some() { 0 } else { m_panels },
+        if pre_b.is_some() { 0 } else { n_panels },
+        rows * cols,
+        if pre_a.is_some() { 0 } else { mr * a_stage_depth::<K>(k) },
+    );
 
-    bt_obs::timed(&PACK_NS, || {
-        for ib in 0..m_panels {
-            let r = mr.min(rows - ib * mr);
-            let dst = &mut s.a[ib * apl..(ib + 1) * apl];
-            let sa = &mut s.sa[ib * sal..(ib + 1) * sal];
-            for i in 0..mr {
-                // Stage the contiguous row fragment and run the mainloop
-                // fusion hook on it (Algorithm III.2). Scratch is reused
-                // across tiles, so pad lanes are re-set to the neutral code.
-                let row = if i < r {
-                    let g_row = row0 + ib * mr + i;
-                    s.row.copy_from_slice(&p.a[g_row * k..g_row * k + k]);
-                    a_transform.transform(asg.problem, g_row, 0, s.row);
-                    Some(&*s.row)
-                } else {
-                    None
-                };
-                kern.pack_a_lane(dst, sa, i, k, row, s.cvt);
-            }
+    let (a, sa): (&[K::Elem], &[f32]) = match pre_a {
+        Some(at) => {
+            let first = asg.tile_row * config.tile_m.div_ceil(mr);
+            let e0 = at.elems + first * apl;
+            let s0 = (at.panel + first) * sal;
+            (&pre.a[e0..e0 + m_panels * apl], &pre.sa[s0..s0 + m_panels * sal])
         }
-        for jb in 0..n_panels {
-            kern.pack_b_panel(
-                &mut s.b[jb * bpl..(jb + 1) * bpl],
-                &mut s.sb[jb * sbl..(jb + 1) * sbl],
-                &mut s.colsum[jb * sbl..(jb + 1) * sbl],
-                p.b,
-                p.transb,
-                col0 + jb * nr,
-                nr.min(cols - jb * nr),
-                p.n,
-                k,
-                s.cvt,
-            );
+        None => {
+            bt_obs::timed(&PACK_NS, || {
+                pack_a_rows(kern, p, asg.problem, a_transform, row0, rows, s.a, s.sa, s.row, s.cvt)
+            });
+            kern.count_pack_bytes(m_panels * apl);
+            (&*s.a, &*s.sa)
         }
-    });
-    kern.count_pack_bytes(m_panels * apl + n_panels * bpl);
+    };
+    let (b, sb, colsum): (&[K::Elem], &[f32], &[i32]) = match pre_b {
+        Some(at) => {
+            let first = asg.tile_col * config.tile_n.div_ceil(nr);
+            let e0 = at.elems + first * bpl;
+            let s0 = (at.panel + first) * sbl;
+            let lanes = s0..s0 + n_panels * sbl;
+            (
+                &pre.b[e0..e0 + n_panels * bpl],
+                &pre.sb[lanes.clone()],
+                &pre.colsum[lanes],
+            )
+        }
+        None => {
+            bt_obs::timed(&PACK_NS, || {
+                pack_b_cols(kern, p, col0, cols, s.b, s.sb, s.colsum, s.cvt)
+            });
+            kern.count_pack_bytes(n_panels * bpl);
+            (&*s.b, &*s.sb, &*s.colsum)
+        }
+    };
 
     bt_obs::timed(&COMPUTE_NS, || {
         for jb in 0..n_panels {
-            let b_panel = &s.b[jb * bpl..(jb + 1) * bpl];
+            let b_panel = &b[jb * bpl..(jb + 1) * bpl];
             let cseg = nr.min(cols - jb * nr);
             for ib in 0..m_panels {
                 let r = mr.min(rows - ib * mr);
                 let mut acc = [0.0f32; MR_MAX * NR_MAX];
                 kern.run_block(
                     k,
-                    &s.a[ib * apl..(ib + 1) * apl],
+                    &a[ib * apl..(ib + 1) * apl],
                     b_panel,
                     &mut acc,
-                    &s.sa[ib * sal..(ib + 1) * sal],
-                    &s.sb[jb * sbl..(jb + 1) * sbl],
-                    &s.colsum[jb * sbl..(jb + 1) * sbl],
+                    &sa[ib * sal..(ib + 1) * sal],
+                    &sb[jb * sbl..(jb + 1) * sbl],
+                    &colsum[jb * sbl..(jb + 1) * sbl],
                 );
                 for i in 0..r {
                     let trow = ib * mr + i;
@@ -657,14 +981,16 @@ mod tests {
     fn scratch_reused_across_tiles_and_launches() {
         // Steady-state allocation invariants: within a launch, scratch
         // growth is bounded by shape high-water marks, never by the tile
-        // count; and across launches the worker arenas persist, so an
-        // identical second launch allocates nothing at all. Run under
+        // count; and across launches the worker arenas and the launch arena
+        // persist, so an identical second launch allocates nothing at all.
+        // Every problem spans ≥ 2 × 2 tiles at a different depth, so both
+        // of its operands go through the launch arena. Run under
         // `sequential` so both launches execute on this one thread (under
         // a wide pool the dynamic scheduler could hand a still-cold worker
         // its first task during the second launch).
         rayon::sequential(|| {
             let num_ctas = 4;
-            let shapes: Vec<(usize, usize, usize)> = (0..12).map(|i| (40 + i * 17, 50 + i * 13, 64)).collect();
+            let shapes: Vec<(usize, usize, usize)> = (0..12).map(|i| (70 + i * 17, 65 + i * 13, 16 + i * 24)).collect();
             let cold = run_and_check_ctas(&shapes, false, Scheduler::WarpPrefetch, num_ctas);
             assert!(cold.tiles > 60, "want many tiles, got {}", cold.tiles);
             // The test harness gives each #[test] a fresh thread, so this

@@ -161,9 +161,18 @@ pub(crate) trait PanelKernel: Sync {
         row: Option<&[f32]>,
         cvt: &mut [u16],
     );
+    /// Packs `r ≤ mr` contiguous rows of length `k` (row `i` at
+    /// `rows[i*k ..]`) into one `A` panel, pad lanes neutral. The default
+    /// goes lane by lane through [`PanelKernel::pack_a_lane`].
+    fn pack_a_rows(&self, dst: &mut [Self::Elem], sa: &mut [f32], rows: &[f32], r: usize, k: usize, cvt: &mut [u16]) {
+        for i in 0..self.tile().0 {
+            let row = (i < r).then(|| &rows[i * k..(i + 1) * k]);
+            self.pack_a_lane(dst, sa, i, k, row, cvt);
+        }
+    }
     /// Packs rows `row0 .. row0 + r` of a row-major `m×k` `A` (`k×m` when
-    /// `trans`, each row then staged through `row_buf`) into one panel, lane
-    /// by lane.
+    /// `trans`, each row then staged through `row_buf` and packed lane by
+    /// lane) into one panel.
     #[allow(clippy::too_many_arguments)] // geometry params are the point
     fn pack_a_panel(
         &self,
@@ -178,18 +187,17 @@ pub(crate) trait PanelKernel: Sync {
         row_buf: &mut [f32],
         cvt: &mut [u16],
     ) {
+        if !trans {
+            // Row-major rows are already contiguous — no staging copy.
+            return self.pack_a_rows(dst, sa, &src[row0 * k..(row0 + r) * k], r, k, cvt);
+        }
         for i in 0..self.tile().0 {
-            let row = if i >= r {
-                None
-            } else if trans {
+            let row = (i < r).then(|| {
                 for (p, v) in row_buf[..k].iter_mut().enumerate() {
                     *v = src[p * m + row0 + i];
                 }
-                Some(&row_buf[..k])
-            } else {
-                // Row-major rows are already contiguous — no staging copy.
-                Some(&src[(row0 + i) * k..(row0 + i) * k + k])
-            };
+                &row_buf[..k]
+            });
             self.pack_a_lane(dst, sa, i, k, row, cvt);
         }
     }
@@ -248,6 +256,10 @@ impl PanelKernel for MicroKernel {
 
     fn panel_lens(&self, k: usize) -> (usize, usize) {
         (k * self.mr, k * self.nr)
+    }
+
+    fn pack_a_rows(&self, dst: &mut [f32], _: &mut [f32], rows: &[f32], r: usize, k: usize, _: &mut [u16]) {
+        interleave_rows(dst, rows, r, k, self.mr);
     }
 
     fn pack_a_lane(&self, dst: &mut [f32], _: &mut [f32], i: usize, k: usize, row: Option<&[f32]>, _: &mut [u16]) {
@@ -359,17 +371,25 @@ pub fn pack_a_panel(dst: &mut [f32], src: &[f32], trans: bool, row0: usize, r: u
             d[r..].fill(0.0);
         }
     } else {
-        for i in 0..r {
-            let s = &src[(row0 + i) * k..(row0 + i) * k + k];
-            for (p, &v) in s.iter().enumerate() {
-                dst[p * mr + i] = v;
-            }
+        interleave_rows(dst, &src[row0 * k..(row0 + r) * k], r, k, mr);
+    }
+}
+
+/// Interleaves `r ≤ width` contiguous rows of length `k` (row `i` at
+/// `rows[i*k ..]`) into a `k`-deep micropanel of `width` lanes, element
+/// `(p, i)` at `dst[p*width + i]`, zeroing lanes `r..width` — an `A` panel's
+/// rows, or a transposed `B` panel's columns. Panel order: each `k` step
+/// reads one element of every row (`r` sequential streams) and writes one
+/// contiguous stretch, so every panel cache line is written once — a
+/// lane-by-lane scatter revisits each line `width` times, and a panel deeper
+/// than L1 loses it in between.
+pub(crate) fn interleave_rows(dst: &mut [f32], rows: &[f32], r: usize, k: usize, width: usize) {
+    debug_assert!(r <= width && rows.len() >= r * k);
+    for (p, lanes) in dst[..k * width].chunks_exact_mut(width).enumerate() {
+        for (i, v) in lanes[..r].iter_mut().enumerate() {
+            *v = rows[i * k + p];
         }
-        for i in r..mr {
-            for p in 0..k {
-                dst[p * mr + i] = 0.0;
-            }
-        }
+        lanes[r..].fill(0.0);
     }
 }
 
@@ -382,18 +402,8 @@ pub fn pack_b_panel(dst: &mut [f32], src: &[f32], trans: bool, col0: usize, c: u
     debug_assert!(dst.len() >= k * nr);
     debug_assert!(c <= nr);
     if trans {
-        // src is n×k: B[p, col] = src[col*k + p].
-        for j in 0..c {
-            let s = &src[(col0 + j) * k..(col0 + j) * k + k];
-            for (p, &v) in s.iter().enumerate() {
-                dst[p * nr + j] = v;
-            }
-        }
-        for j in c..nr {
-            for p in 0..k {
-                dst[p * nr + j] = 0.0;
-            }
-        }
+        // src is n×k: column `col` of B is the contiguous row src[col*k ..].
+        interleave_rows(dst, &src[col0 * k..(col0 + c) * k], c, k, nr);
     } else {
         for p in 0..k {
             let s = &src[p * n + col0..p * n + col0 + c];

@@ -11,6 +11,11 @@
 //! been seen**; the grow counter makes both properties assertable in tests
 //! via [`crate::grouped::GroupedStats::scratch_grows`].
 //!
+//! A second, equally grow-only [`Scratch`] per thread is the **launch
+//! arena** ([`with_launch_arena`]): the thread that launches a grouped GEMM
+//! keeps the operand panels it packs once per problem there, for every CTA
+//! of the launch to read.
+//!
 //! Requested lengths are geometry-dependent — callers size panels from the
 //! launch kernel's `mr×nr` tile and panel format (see
 //! [`PanelKernel`]) — so switching dispatch tiers mid-process at most
@@ -25,19 +30,33 @@
 
 use crate::micro::PanelKernel;
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 thread_local! {
     static WORKER_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+    static LAUNCH_ARENA: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
-/// Runs `f` with this worker's persistent scratch arena.
-pub(crate) fn with_worker_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    WORKER_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+fn with_arena<R>(key: &'static LocalKey<RefCell<Scratch>>, f: impl FnOnce(&mut Scratch) -> R) -> R {
+    key.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         // Re-entrant borrow (nested GEMM on one worker): fall back to a
         // temporary arena rather than aliasing or panicking.
         Err(_) => f(&mut Scratch::new()),
     })
+}
+
+/// Runs `f` with this worker's persistent scratch arena.
+pub(crate) fn with_worker_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    with_arena(&WORKER_SCRATCH, f)
+}
+
+/// Runs `f` with the calling thread's persistent launch arena: the operand
+/// panels a grouped launch packs once before its CTA walk and every CTA then
+/// reads (see [`crate::grouped`]). A second arena per thread, so a launch
+/// that runs CTAs on its own thread never aliases the worker scratch.
+pub(crate) fn with_launch_arena<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    with_arena(&LAUNCH_ARENA, f)
 }
 
 /// Element type of a packed micropanel — `f32`, or the bytes of a narrow
@@ -68,7 +87,7 @@ impl PanelElem for u8 {
 
 /// One task's working set, every slice at exactly its requested length
 /// (contents are stale, callers overwrite fully): packed `A` / `B`
-/// micropanels, the accumulator tile, one staged f32 row of `A`, and — for
+/// micropanels, the accumulator tile, f32 staging for `A` rows, and — for
 /// narrow formats only — the panels' scales, `B` code sums and conversion
 /// staging.
 pub(crate) struct Panels<'s, E> {
@@ -158,30 +177,64 @@ impl Scratch {
     ) -> Panels<'_, K::Elem> {
         let (sa_lanes, sb_lanes) = kern.scale_lanes();
         let (apl, bpl) = kern.panel_lens(k);
-        let (a_len, b_len) = (a_panels * apl, b_panels * bpl);
-        let (sa_len, sb_len) = (a_panels * sa_lanes, b_panels * sb_lanes);
-        let cvt_len = if K::NARROW { k.max(kern.tile().1) } else { 0 };
-        let [a, b] = K::Elem::pools(&mut self.pools);
+        self.take(Lens {
+            a: a_panels * apl,
+            b: b_panels * bpl,
+            sa: a_panels * sa_lanes,
+            sb: b_panels * sb_lanes,
+            tile: tile_len,
+            row: row_len,
+            cvt: if K::NARROW { k.max(kern.tile().1) } else { 0 },
+        })
+    }
+
+    /// A grouped launch's pre-packed operand store: `a` / `b` panel
+    /// elements with `sa` / `sb` scale lanes (and as many `B` code sums); no
+    /// tile, staging row or conversion space.
+    pub(crate) fn packed<E: PanelElem>(&mut self, a: usize, b: usize, sa: usize, sb: usize) -> Panels<'_, E> {
+        self.take(Lens {
+            a,
+            b,
+            sa,
+            sb,
+            ..Lens::default()
+        })
+    }
+
+    fn take<E: PanelElem>(&mut self, len: Lens) -> Panels<'_, E> {
+        let [a, b] = E::pools(&mut self.pools);
         let g = &mut self.grows;
-        grow(a, a_len, g);
-        grow(b, b_len, g);
-        grow(&mut self.tile, tile_len, g);
-        grow(&mut self.row_buf, row_len, g);
-        grow(&mut self.scale_a, sa_len, g);
-        grow(&mut self.scale_b, sb_len, g);
-        grow(&mut self.colsum, sb_len, g);
-        grow(&mut self.cvt, cvt_len, g);
+        grow(a, len.a, g);
+        grow(b, len.b, g);
+        grow(&mut self.tile, len.tile, g);
+        grow(&mut self.row_buf, len.row, g);
+        grow(&mut self.scale_a, len.sa, g);
+        grow(&mut self.scale_b, len.sb, g);
+        grow(&mut self.colsum, len.sb, g);
+        grow(&mut self.cvt, len.cvt, g);
         Panels {
-            a: &mut a[..a_len],
-            b: &mut b[..b_len],
-            tile: &mut self.tile[..tile_len],
-            row: &mut self.row_buf[..row_len],
-            sa: &mut self.scale_a[..sa_len],
-            sb: &mut self.scale_b[..sb_len],
-            colsum: &mut self.colsum[..sb_len],
-            cvt: &mut self.cvt[..cvt_len],
+            a: &mut a[..len.a],
+            b: &mut b[..len.b],
+            tile: &mut self.tile[..len.tile],
+            row: &mut self.row_buf[..len.row],
+            sa: &mut self.scale_a[..len.sa],
+            sb: &mut self.scale_b[..len.sb],
+            colsum: &mut self.colsum[..len.sb],
+            cvt: &mut self.cvt[..len.cvt],
         }
     }
+}
+
+/// Buffer lengths of one [`Panels`] request (`colsum` has `sb`'s length).
+#[derive(Default)]
+struct Lens {
+    a: usize,
+    b: usize,
+    sa: usize,
+    sb: usize,
+    tile: usize,
+    row: usize,
+    cvt: usize,
 }
 
 fn grow<T: Default + Clone>(buf: &mut Vec<T>, len: usize, grows: &mut u64) {

@@ -143,8 +143,8 @@ pub const GEMM_GROUPED_PACK_NS: &str = "gemm.grouped.pack_ns";
 pub const GEMM_GROUPED_COMPUTE_NS: &str = "gemm.grouped.compute_ns";
 /// Tile-scheduler visits across grouped launches.
 pub const GEMM_GROUPED_SCHEDULER_VISITS: &str = "gemm.grouped.scheduler_visits";
-/// High-water mark of any worker's scratch arena, in f32 elements (merges
-/// by max).
+/// High-water mark of any worker's scratch arena or grouped-GEMM launch
+/// arena, in f32 elements (merges by max).
 pub const GEMM_SCRATCH_HIGH_WATER: &str = "gemm.scratch.high_water_elems";
 /// Scratch-arena grow events across grouped launches.
 pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";

@@ -673,7 +673,10 @@ fn lowp_fused_mha_every_precision_stays_close_to_f32() {
 /// tier, on shapes ragged against every tile geometry (8×8, 8×16, 16×16,
 /// 16×32, the grouped 64×64 tile and the packed driver's 32-row panels),
 /// across the int8 k-groups and the f16 accumulation chunk, both `B`
-/// layouts, and past the skinny crossover.
+/// layouts, and past the skinny crossover. The grid covers every side of
+/// the grouped engine's pack-once rule: one tile, `A` re-read (> 1 tile
+/// column), `B` re-read (> 1 tile row), and both (≥ 2 × 2 tiles, with an
+/// f32 `A` deeper than one staging chunk).
 #[test]
 fn grouped_and_packed_agree_bitwise_at_every_precision() {
     let _g = ISA_LOCK.lock().unwrap();
@@ -687,6 +690,9 @@ fn grouped_and_packed_agree_bitwise_at_every_precision() {
         (33, 65, 130),
         (70, 17, 3),
         (257, 37, 40),
+        (65, 65, 1),
+        (130, 129, 70),
+        (200, 150, 300),
     ];
     for prec in Precision::ALL {
         set_active_precision(prec);
@@ -730,6 +736,93 @@ fn grouped_and_packed_agree_bitwise_at_every_precision() {
                         assert!(
                             p.to_bits() == g.to_bits(),
                             "{prec}/{tier} {m}x{n}x{k} transb={transb} [{i}]: sgemm {p:?} != grouped {g:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    isa::set_active_isa(prev_isa).unwrap();
+    set_active_precision(prev_prec);
+}
+
+/// One launch mixing problems whose panels are packed once before the CTA
+/// walk (> 1 tile column: `A`; > 1 tile row: `B`) with single-use ones
+/// packed per tile, empty ones and `k = 0`, so the launch arena holds
+/// panels of several depths side by side: every problem is still bitwise
+/// its own `sgemm`, under every precision on every tier, both `B` layouts.
+#[test]
+fn grouped_mixed_reuse_list_is_bitwise_per_problem_sgemm() {
+    let _g = ISA_LOCK.lock().unwrap();
+    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let shapes: &[(usize, usize, usize)] = &[
+        (130, 129, 70),
+        (17, 33, 31),
+        (0, 10, 8),
+        (257, 37, 40),
+        (33, 65, 130),
+        (5, 7, 0),
+        (70, 70, 1),
+        (64, 64, 16),
+        (65, 200, 9),
+    ];
+    let a_bufs: Vec<Vec<f32>> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(m, _, k))| rand_vec(m * k, 0x81 + i as u64))
+        .collect();
+    let b_bufs: Vec<Vec<f32>> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, n, k))| rand_vec(k * n, 0x91 + i as u64))
+        .collect();
+    for prec in Precision::ALL {
+        set_active_precision(prec);
+        for tier in isa::available_isas() {
+            isa::set_active_isa(tier).unwrap();
+            for transb in [false, true] {
+                let problems: Vec<GroupedProblem<'_>> = shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(m, n, k))| GroupedProblem {
+                        m,
+                        n,
+                        k,
+                        transb,
+                        alpha: 1.0,
+                        a: &a_bufs[i],
+                        b: &b_bufs[i],
+                    })
+                    .collect();
+                let mut grouped: Vec<Vec<f32>> = shapes.iter().map(|&(m, n, _)| vec![f32::NAN; m * n]).collect();
+                grouped_sgemm(
+                    &problems,
+                    grouped.iter_mut().map(|c| c.as_mut_slice()).collect(),
+                    GroupedConfig {
+                        num_ctas: 7,
+                        ..Default::default()
+                    },
+                    &NoEpilogue,
+                    &NoTransform,
+                );
+                for (i, (&(m, n, k), got)) in shapes.iter().zip(&grouped).enumerate() {
+                    let mut want = vec![f32::NAN; m * n];
+                    sgemm(
+                        GemmSpec {
+                            transb,
+                            ..GemmSpec::nn()
+                        },
+                        m,
+                        n,
+                        k,
+                        &a_bufs[i],
+                        &b_bufs[i],
+                        &mut want,
+                    );
+                    for (e, (w, g)) in want.iter().zip(got).enumerate() {
+                        assert!(
+                            w.to_bits() == g.to_bits(),
+                            "{prec}/{tier} #{i} {m}x{n}x{k} transb={transb} [{e}]: sgemm {w:?} != grouped {g:?}"
                         );
                     }
                 }
