@@ -17,7 +17,7 @@
 //! off.
 //!
 //! Owns `BENCH_gemm.json` at the repo root (every entry carries a `tier`
-//! field); `bench_gemm` keeps the console-only microkernel-vs-seed view.
+//! field).
 //!
 //! Run with `cargo bench -p bt-bench --bench gemm_isa` (`BT_BENCH_FAST=1`
 //! shrinks the shapes for smoke runs).

@@ -98,9 +98,9 @@ fn validate(ids: &[u32], segments: &[u32], mask: &BatchMask, w: &EmbeddingWeight
 }
 
 /// Embeds one token into `row`: token + position + segment, then LayerNorm.
-/// Shared with [`crate::chunked::ChunkedEmbeddings`], whose chunks carry an
-/// explicit position offset instead of deriving it from a padded slot.
-pub(crate) fn embed_row(row: &mut [f32], w: &EmbeddingWeights, token: usize, pos: usize, seg: usize) {
+/// Shared by the padded and packed front-ends, which differ only in how
+/// they map a slot to its token and position.
+fn embed_row(row: &mut [f32], w: &EmbeddingWeights, token: usize, pos: usize, seg: usize) {
     let hidden = row.len();
     let t = &w.token.as_slice()[token * hidden..(token + 1) * hidden];
     let p = &w.position.as_slice()[pos * hidden..(pos + 1) * hidden];

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod attention;
-pub mod chunked;
 pub mod config;
 pub mod decoder;
 pub mod embeddings;

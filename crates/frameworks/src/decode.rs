@@ -23,15 +23,19 @@
 //!   the distinct [`ShedReason::CacheOom`] and their blocks returned, so
 //!   "pool too small" is visible separately from "host too slow".
 //!
-//! With [`DecodeConfig::chunk_tokens`] set (the `BYTE_CHUNK_TOKENS` knob),
-//! prompts prefill in **fixed token-budget chunks** that interleave with
-//! in-flight decode steps instead of monopolising whole steps — the
-//! streaming schedule of `bt_core::chunked`, whose differential suite
-//! proves chunking never changes an output bit. Chunking adds a third
-//! guard: the deadline is re-checked at **every chunk boundary**, and a
-//! half-ingested prompt that runs out of time is cancelled with the
-//! distinct [`ShedReason::CancelledMidRequest`] (its ingested tokens stay
-//! in the ledger via [`DecodeOutcome::Shed::prefilled_tokens`]).
+//! With [`DecodeConfig::chunk_tokens`] set (`btx decode --chunk`), prompts
+//! prefill in **fixed token-budget chunks** that interleave with in-flight
+//! decode steps instead of monopolising whole steps. A chunk is one
+//! [`PagedDecoder::prefill`] call that resumes at the session's cached
+//! length, so chunking is purely a schedule: `tests/differential_streaming.rs`
+//! proves prefill in pieces is bitwise one whole prefill on every ISA tier,
+//! and this module's `real_paged_engine_serves_chunked_prefill` proves
+//! every request's outputs are bitwise the same at every chunk size.
+//! Chunking adds a third guard: the deadline is re-checked at **every
+//! chunk boundary**, and a half-ingested prompt that runs out of time is
+//! cancelled with the distinct [`ShedReason::CancelledMidRequest`] (its
+//! ingested tokens stay in the ledger via
+//! [`DecodeOutcome::Shed::prefilled_tokens`]).
 //!
 //! Accounting is exact at **two** granularities, both asserted by the
 //! stress suite: per request (`served + shed == offered`) and per token
@@ -121,8 +125,7 @@ pub struct DecodeConfig {
     /// Most sessions allowed live at once (decode slots).
     pub max_sessions: usize,
     /// Prompt tokens ingested per prefill chunk; `0` disables chunking and
-    /// prompts prefill whole (the `BYTE_CHUNK_TOKENS` knob —
-    /// [`bt_varlen::chunk_tokens_from_env`]). With chunking on, the
+    /// prompts prefill whole (`btx decode --chunk`). With chunking on, the
     /// deadline is re-checked at every chunk boundary and an expired
     /// half-ingested prompt is cancelled with
     /// [`ShedReason::CancelledMidRequest`].
@@ -1042,7 +1045,12 @@ impl DecodeEngine for PagedDecodeEngine<'_> {
                 "chunk continuation out of order for request {}",
                 c.id
             );
-            let rows = bt_core::chunked::row_chunk(&s.prompt, c.done, c.chunk);
+            let hidden = s.prompt.dims()[1];
+            let rows = Tensor::from_vec(
+                s.prompt.as_slice()[c.done * hidden..(c.done + c.chunk) * hidden].to_vec(),
+                [c.chunk, hidden],
+            )
+            .expect("chunk rows lie inside the prompt");
             match self.decoder.prefill(&self.device, s.sid, &rows) {
                 Ok(outs) => s.last = outs.last().expect("chunk >= 1 row").clone(),
                 Err(_) => {
@@ -1324,12 +1332,47 @@ mod tests {
 
     #[test]
     fn real_paged_engine_serves_chunked_prefill() {
+        /// Delegates to the engine and records, per request, its last
+        /// prefill row and then every decode step's output, as bits.
+        struct Recorder<'e, 'a> {
+            engine: &'e mut PagedDecodeEngine<'a>,
+            outputs: HashMap<usize, Vec<Vec<u32>>>,
+        }
+        impl DecodeEngine for Recorder<'_, '_> {
+            fn run_step(&mut self, step: &PlannedStep<'_>) -> StepResult {
+                let result = self.engine.run_step(step);
+                assert!(
+                    result.failed_prefill.is_empty() && result.failed_decode.is_empty(),
+                    "pool sized to serve everything"
+                );
+                let prefilled = step.prefill.iter().filter(|c| c.done + c.chunk == c.prompt_len);
+                for id in prefilled.map(|c| c.id).chain(step.decode.iter().copied()) {
+                    let last = &self.engine.sessions[&id].last;
+                    self.outputs
+                        .entry(id)
+                        .or_default()
+                        .push(last.iter().map(|x| x.to_bits()).collect());
+                }
+                result
+            }
+            fn free(&mut self, id: usize) {
+                self.engine.free(id);
+            }
+            fn high_water_blocks(&self) -> usize {
+                self.engine.high_water_blocks()
+            }
+        }
+
         let config = bt_core::config::BertConfig::tiny();
         let decoder = TransformerDecoder::new_random(config, 1, 17);
+        let requests = workload(8, 300.0, 19);
         let run = |chunk| {
             let device = Device::with_model(bt_device::CostModel::unit());
             let mut engine = PagedDecodeEngine::new(&decoder, device, PagedLayout::new(4, 128), 3, 23);
-            let requests = workload(8, 300.0, 19);
+            let mut recorder = Recorder {
+                engine: &mut engine,
+                outputs: HashMap::new(),
+            };
             let report = run_decode_loop(
                 &requests,
                 &DecodeConfig {
@@ -1340,27 +1383,31 @@ mod tests {
                     max_sessions: 8,
                     chunk_tokens: chunk,
                 },
-                &mut engine,
+                &mut recorder,
             );
+            let outputs = recorder.outputs;
             assert_eq!(engine.decoder.cache().pool().blocks_in_use(), 0, "drained clean");
-            report
-        };
-        let whole = run(0);
-        let chunked = run(5);
-        for r in [&whole, &chunked] {
-            let s = r.summary();
-            assert!(s.accounting_is_exact(), "{s:?}");
-            assert!(r.ledger_is_exact());
+            let s = report.summary();
+            assert!(s.accounting_is_exact(), "chunk {chunk}: {s:?}");
+            assert!(report.ledger_is_exact());
             assert_eq!(s.served, 8, "pool sized to serve everything");
-        }
-        // The real engine feeds identical prompt rows either way, so the
-        // served outcomes must agree request-for-request.
-        let digest = |r: &DecodeReport| {
-            let mut d: Vec<_> = r.outcomes.iter().map(|o| (o.id, o.generated())).collect();
-            d.sort_unstable();
-            d
+            for o in &report.outcomes {
+                assert_eq!(outputs[&o.id].len(), 1 + o.generated(), "request {}", o.id);
+            }
+            outputs
         };
-        assert_eq!(digest(&whole), digest(&chunked));
+        // The real engine slices the same prompt rows whatever the chunk
+        // size, so every request's outputs must agree bit for bit.
+        let whole = run(0);
+        for chunk in [1, 3, 64] {
+            let chunked = run(chunk);
+            for (id, outs) in &whole {
+                assert!(
+                    chunked[id] == *outs,
+                    "chunk {chunk}: request {id} outputs diverged from whole prefill"
+                );
+            }
+        }
     }
 
     #[test]

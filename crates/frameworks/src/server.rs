@@ -154,9 +154,13 @@ pub struct ServeConfig {
     /// Chunked execution: split each cut batch into rounds of at most this
     /// many valid tokens, shortest request first, re-checking deadlines
     /// between rounds ([`ShedReason::CancelledMidRequest`]). `0` executes
-    /// the whole batch in one round (the pre-chunking behavior). Deployments
-    /// read this from `BYTE_CHUNK_TOKENS` via
-    /// [`bt_varlen::chunk_tokens_from_env`].
+    /// the whole batch in one round (the pre-chunking behavior); `btx serve
+    /// --chunk` sets it. A round is a sub-batch of whole requests, and the
+    /// packed forward computes each request independently of its batch
+    /// mates, so rounds change latency, not output bits
+    /// (`tests/differential_streaming.rs`) — provided a round takes the
+    /// same MHA kernel as its cut, which holds whenever `max_len` is at
+    /// most `bt_core::attention::FUSED_SHORT_MAX_SEQ`.
     pub chunk_tokens: usize,
 }
 

@@ -26,14 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunk;
 mod mask;
 mod packing;
 pub mod paged;
 pub mod scan;
 pub mod workload;
 
-pub use chunk::chunk_tokens_from_env;
 pub use mask::{BatchMask, VarlenError};
 pub use packing::PackingIndex;
 pub use paged::{BlockPool, KvOom, PagedLayout, SessionId, Slot};

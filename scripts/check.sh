@@ -75,17 +75,6 @@ for isa in scalar auto; do
   BYTE_GEMM_ISA="$isa" cargo test -p bt-varlen --test paged_properties --quiet
 done
 
-# Chunk-size matrix: streaming chunked execution must be bitwise identical
-# to whole-input execution at every chunk size on both ends of the ISA
-# range. BYTE_CHUNK_TOKENS drives the env-seam test in the suite; the
-# tier-sweeping tests re-prove sizes 1/3/64 internally per tier.
-for chunk in 1 64 whole; do
-  for isa in scalar auto; do
-    step "differential_streaming (BYTE_CHUNK_TOKENS=$chunk BYTE_GEMM_ISA=$isa)"
-    BYTE_CHUNK_TOKENS="$chunk" BYTE_GEMM_ISA="$isa" cargo test -p bytetransformer --test differential_streaming --quiet
-  done
-done
-
 step "decode serving artifact (BENCH_decode.json)"
 # The bench asserts >= 8 concurrent decode sessions with exact per-step
 # accounting, then emits the artifact; a missing emission fails the gate.

@@ -9,12 +9,12 @@
 //! btx profile    [--batch 4] [--seq 256] [--format tree|chrome|prom|json]
 //! btx serve      [--policy fifo|sorted|budget] [--load 1.0] [--requests 512]
 //!                [--deadline-ms 0(auto)] [--queue 64] [--budget 0(auto)]
-//!                [--chunk 0(env)] [--burst] [--trace] [--seed 42]
+//!                [--chunk 0(whole)] [--burst] [--trace] [--seed 42]
 //!                [--shards 0(unsharded)] [--route rr|jsq|p2c]
 //!                [--hot-tokens 0(gate off)]
 //! btx decode     [--sessions 8] [--tokens 24] [--prompt 16] [--requests 0(auto)]
 //!                [--block 0(env)] [--blocks 0(env)] [--budget 0(auto)]
-//!                [--deadline-ms 0(off)] [--queue 0(auto)] [--chunk 0(env)]
+//!                [--deadline-ms 0(off)] [--queue 0(auto)] [--chunk 0(whole)]
 //!                [--trace] [--seed 42]
 //! btx trace      [--slowest 5] [--shed-only] [--deadline-missed]
 //!                [serve flags: --policy --load --requests --seed ...]
@@ -69,7 +69,7 @@ struct Args {
     prompt: usize,
     block: usize,
     blocks: usize,
-    chunk: Option<usize>,
+    chunk: usize,
     slowest: usize,
     shed_only: bool,
     deadline_missed: bool,
@@ -114,8 +114,8 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
         prompt: 16,
         block: 0,
         blocks: 0,
-        // None = fall back to BYTE_CHUNK_TOKENS (whole-batch when unset).
-        chunk: None,
+        // 0 = whole prompts (decode) / whole batches (serve).
+        chunk: 0,
         slowest: 5,
         shed_only: false,
         deadline_missed: false,
@@ -175,7 +175,7 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
             "--prompt" => args.prompt = numeric(flag, take(flag)),
             "--block" => args.block = numeric(flag, take(flag)),
             "--blocks" => args.blocks = numeric(flag, take(flag)),
-            "--chunk" => args.chunk = Some(numeric(flag, take(flag))),
+            "--chunk" => args.chunk = numeric(flag, take(flag)),
             "--deadline-ms" => args.deadline_ms = numeric(flag, take(flag)),
             "--queue" => args.queue = numeric(flag, take(flag)),
             "--budget" => args.budget = numeric(flag, take(flag)),
@@ -323,18 +323,13 @@ fn cmd_decode(a: &Args) {
         a.seed,
     );
     let workload = decode_workload(&trace, a.tokens.max(1), a.seed);
-    // --chunk wins over BYTE_CHUNK_TOKENS; both default to whole prompts.
-    let chunk = a
-        .chunk
-        .or_else(bytetransformer::varlen::chunk_tokens_from_env)
-        .unwrap_or(0);
     let decode_config = DecodeConfig {
         budget_tokens: budget,
         queue_capacity: queue,
         deadline,
         max_prompt_len: a.prompt,
         max_sessions: a.sessions,
-        chunk_tokens: chunk,
+        chunk_tokens: a.chunk,
     };
     if a.trace {
         obs::set_enabled(true);
@@ -351,8 +346,8 @@ fn cmd_decode(a: &Args) {
         layout.capacity_tokens(),
         budget,
         a.sessions,
-        if chunk > 0 {
-            format!("prefill chunks of {chunk} tokens")
+        if a.chunk > 0 {
+            format!("prefill chunks of {} tokens", a.chunk)
         } else {
             "whole-prompt prefill".to_string()
         }
@@ -448,11 +443,6 @@ fn serve_setup(a: &Args) -> ServeSetup {
     } else {
         poisson_arrivals(requests, rate, dist, a.seq, a.seed)
     };
-    // --chunk wins over BYTE_CHUNK_TOKENS; both default to whole batches.
-    let chunk = a
-        .chunk
-        .or_else(bytetransformer::varlen::chunk_tokens_from_env)
-        .unwrap_or(0);
     ServeSetup {
         fw,
         arrivals,
@@ -461,7 +451,7 @@ fn serve_setup(a: &Args) -> ServeSetup {
             queue_capacity: a.queue,
             deadline,
             max_len: a.seq,
-            chunk_tokens: chunk,
+            chunk_tokens: a.chunk,
         },
         tokens_per_sec: capacity.tokens_per_sec,
         budget,

@@ -1,43 +1,48 @@
-//! Chunked-vs-whole differential suite for the streaming pipeline.
+//! Chunking is a schedule: the serving loops split work into pieces, and
+//! this suite proves the pieces compute **bitwise** what the whole does —
+//! not "close", identical.
 //!
-//! The `bt_core::chunked` stages claim that feeding an input in chunks is a
-//! pure *scheduling* decision: every packed row is computed independently of
-//! which other rows share its launch, so the chunked outputs must be
-//! **bitwise** identical to the whole-input outputs — not "close", identical.
-//! This suite holds each stage to that claim on **every** `BYTE_GEMM_ISA`
-//! tier the host supports, invariant across chunk sizes 1 / 3 / 64:
+//! The zero-padding design computes every packed row independently of which
+//! other rows share its launch. Two serving paths rely on that:
 //!
-//! * [`ChunkedPrefill`] vs [`PagedDecoder::prefill`] of the whole prompt,
-//! * [`ChunkedEmbeddings`] vs the packed embedding front-end,
-//! * [`ChunkedEncoder`] (sub-batches of whole sequences) vs one batch.
+//! * `run_decode_loop`'s chunked prefill hands a prompt to
+//!   [`PagedDecoder::prefill`] a chunk at a time, each call resuming at the
+//!   session's cached length. Proven here: prefill in pieces of 1 / 3 / 64
+//!   rows ≡ one whole prefill, on a 7-row prompt (inside one 64-key tile of
+//!   the grouped engine) and on a 160-row prompt (three key tiles: at 3 the
+//!   chunk edges fall inside tiles, at 64 they line up with them).
+//! * `Server`'s chunk rounds (`plan_rounds`) run a cut batch as sub-batches
+//!   of whole requests through [`BertModel::forward`]. Proven here:
+//!   sub-batches of 1 / 3 / 64 sequences ≡ one batch, although the padded
+//!   geometry of each sub-batch differs from the whole batch's. The short
+//!   and the long MHA kernel are each covered; the dispatcher picks one per
+//!   batch by its longest sequence, so the claim is per kernel: a round
+//!   only keeps its bits when it takes the same kernel as the cut. The same
+//!   holds from token ids: the packed embedding and the packed encoder
+//!   layers on sub-batches ≡ one batch.
 //!
-//! Within a tier every comparison is bitwise unconditionally — chunking never
-//! changes the arithmetic chain. Across tiers the whole-input outputs are the
-//! harness payload, compared bitwise when the tiers share a contraction mode
-//! ([`MicroKernel::fused_fma`]) and within the documented `5e-3` tolerance
-//! otherwise — the same discipline as `tests/differential_decode.rs`. Tiers
-//! the host lacks are skipped with a logged reason, never silently.
-//!
-//! On top of the equivalences, each stage's explicit save/restore contract is
-//! property-tested: interrupt a stream at a random point, snapshot, resume a
-//! fresh stage from the snapshot, and the remaining outputs must be bitwise
-//! what the uninterrupted stage produces.
-//!
-//! `env_chunk_tokens_prefill_matches_whole` reads `BYTE_CHUNK_TOKENS`, so
-//! `scripts/check.sh` can sweep the chunk-size × ISA matrix externally.
+//! Every equivalence runs on **every** `BYTE_GEMM_ISA` tier the host
+//! supports; tiers it lacks are skipped with a logged reason, never
+//! silently. Within a tier the comparison is bitwise unconditionally.
+//! Across tiers the whole-input outputs are compared bitwise when the tiers
+//! share a contraction mode ([`MicroKernel::fused_fma`]) and within the
+//! documented `5e-3` otherwise — the same discipline as
+//! `tests/differential_decode.rs`. Three proptests add random splits on the
+//! active tier: two `prefill` calls at a random split ≡ one, and a batch
+//! forwarded — from hidden states or from token ids — as two sub-batches at
+//! a random split ≡ one batch.
 //!
 //! [`MicroKernel::fused_fma`]: bt_gemm::micro::MicroKernel::fused_fma
 //! [`PagedDecoder::prefill`]: bt_core::paged::PagedDecoder::prefill
 
-use bt_core::chunked::{chunk_spans, row_chunk, ChunkedEmbeddings, ChunkedEncoder, ChunkedPrefill, ChunkedStage};
+use bt_core::attention::FUSED_SHORT_MAX_SEQ;
 use bt_core::embeddings::{embed_packed, EmbeddingWeights};
 use bt_core::paged::PagedDecoder;
 use bt_gemm::isa::{self, Isa};
 use bt_gemm::{active_precision, set_active_precision, Precision};
-use bt_tensor::rng::Xoshiro256StarStar;
-use bt_tensor::Tensor;
 use bt_varlen::paged::PagedLayout;
 use bytetransformer::prelude::*;
+use bytetransformer::tensor::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -49,24 +54,30 @@ static ISA_LOCK: Mutex<()> = Mutex::new(());
 /// bitwise; this only bounds scalar-vs-SIMD drift of the payload.
 const TOL: f32 = 5e-3;
 
-/// The ISSUE's chunk-size matrix: single token, ragged small, larger than
-/// any test input (one chunk — must degenerate to the whole path).
+/// Single row, ragged small, and one grouped-engine key tile (larger than
+/// the short inputs, so there it degenerates to the whole path).
 const CHUNK_SIZES: [usize; 3] = [1, 3, 64];
+
+/// One layout for every prefill here: 4-token blocks, room for 256 tokens.
+const LAYOUT: PagedLayout = PagedLayout {
+    block_tokens: 4,
+    pool_blocks: 64,
+};
 
 fn device() -> Device {
     Device::with_model(CostModel::unit())
 }
 
-fn bits(rows: &[Vec<f32>]) -> Vec<u32> {
-    rows.iter().flatten().map(|x| x.to_bits()).collect()
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Runs `case` once per available tier, scalar first as the reference, and
 /// logs (never silently drops) unavailable tiers. Pins f32 precision so a
 /// `BYTE_GEMM_PREC` selection doesn't reroute through the low-precision
-/// kernels. `case` asserts chunked == whole bitwise internally and returns
+/// kernels. `case` asserts pieces == whole bitwise internally and returns
 /// the whole-input outputs as the cross-tier payload.
-fn streaming_differential(label: &str, case: impl Fn() -> Vec<f32>) {
+fn on_every_tier(label: &str, case: impl Fn() -> Vec<f32>) {
     let _g = ISA_LOCK.lock().unwrap();
     let prev = isa::active_isa();
     let prev_prec = active_precision();
@@ -103,205 +114,218 @@ fn streaming_differential(label: &str, case: impl Fn() -> Vec<f32>) {
     set_active_precision(prev_prec);
 }
 
-/// Chunked causal prefill vs one whole-prompt prefill, per tier: bitwise at
-/// every chunk size, including a ragged last chunk (7 % 3 != 0) and the
-/// oversized chunk that degenerates to the whole path.
-#[test]
-fn chunked_prefill_matches_whole_bitwise_on_every_tier() {
-    let config = BertConfig::tiny();
-    let decoder = TransformerDecoder::new_random(config, 2, 17);
-    let hidden = config.hidden();
-    let memory = Tensor::randn([3, hidden], 5);
-    let prompt = Tensor::randn([7, hidden], 9);
-    let layout = PagedLayout::new(4, 64);
-
-    streaming_differential("chunked_prefill", || {
-        let dev = device();
-        let mut whole = PagedDecoder::new(&decoder, layout);
-        let sid = whole.open_session(&dev, &memory);
-        let reference = whole.prefill(&dev, sid, &prompt).unwrap();
-
-        for chunk_tokens in CHUNK_SIZES {
-            let mut stage = ChunkedPrefill::new(&dev, &decoder, layout, memory.clone());
-            let spans = chunk_spans(prompt.dims()[0], chunk_tokens);
-            let mut outs: Vec<Vec<f32>> = Vec::new();
-            for (i, &(start, len)) in spans.iter().enumerate() {
-                outs.extend(stage.transform(row_chunk(&prompt, start, len), i + 1 == spans.len()));
-            }
-            assert_eq!(stage.tokens_ingested(), prompt.dims()[0]);
-            assert_eq!(
-                bits(&outs),
-                bits(&reference),
-                "chunk_tokens={chunk_tokens} diverged from whole prefill on {}",
-                isa::active_isa()
-            );
-        }
-        reference.into_iter().flatten().collect()
-    });
+/// Start of every piece when `total` items are cut every `chunk` items.
+fn every(chunk: usize, total: usize) -> Vec<usize> {
+    (chunk..total).step_by(chunk).collect()
 }
 
-/// Chunked embeddings vs the packed front-end, per tier: the stage carries
-/// the position offset in its state, so every chunk size must reproduce the
-/// packed layout's position arithmetic bit for bit.
-#[test]
-fn chunked_embeddings_match_packed_bitwise_on_every_tier() {
-    let config = BertConfig::tiny();
-    let w = EmbeddingWeights::new_random(&config, 50, 16, 3);
-    let len = 7usize;
-    let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-    let ids: Vec<u32> = (0..len).map(|_| rng.below(50) as u32).collect();
-    let segments: Vec<u32> = (0..len).map(|_| rng.below(2) as u32).collect();
-
-    streaming_differential("chunked_embeddings", || {
-        let dev = device();
-        let mask = BatchMask::from_lens(vec![len], len).unwrap();
-        let idx = PackingIndex::from_mask(&mask);
-        let reference = embed_packed(&dev, &ids, &segments, &idx, &w).unwrap();
-
-        for chunk_tokens in CHUNK_SIZES {
-            let mut stage = ChunkedEmbeddings::new(&dev, &w);
-            let mut out: Vec<f32> = Vec::new();
-            let spans = chunk_spans(len, chunk_tokens);
-            for (i, &(start, n)) in spans.iter().enumerate() {
-                let t = stage.transform(
-                    (ids[start..start + n].to_vec(), segments[start..start + n].to_vec()),
-                    i + 1 == spans.len(),
-                );
-                out.extend_from_slice(t.as_slice());
-            }
-            assert_eq!(stage.position(), len);
-            let a: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = reference.as_slice().iter().map(|x| x.to_bits()).collect();
-            assert_eq!(
-                a,
-                b,
-                "chunk_tokens={chunk_tokens} diverged from embed_packed on {}",
-                isa::active_isa()
-            );
-        }
-        reference.as_slice().to_vec()
-    });
-}
-
-/// Builds a zero-padded `[batch, max, hidden]` batch from packed per-sequence
-/// rows (padding rows zeroed so whole and sub-batch runs see identical data).
-fn padded_batch(seqs: &[Vec<f32>], hidden: usize) -> (Tensor, BatchMask) {
-    let lens: Vec<usize> = seqs.iter().map(|s| s.len() / hidden).collect();
-    let max = lens.iter().copied().max().unwrap_or(0).max(1);
-    let mask = BatchMask::from_lens(lens, max).unwrap();
-    let mut data = vec![0.0f32; seqs.len() * max * hidden];
-    for (b, s) in seqs.iter().enumerate() {
-        data[b * max * hidden..b * max * hidden + s.len()].copy_from_slice(s);
+/// Prefills `prompt` into a fresh session, one [`PagedDecoder::prefill`]
+/// call per piece between consecutive `cuts` (no cuts: one whole call), and
+/// returns every prompt row's output, flattened in order.
+fn prefill_pieces(
+    dev: &Device,
+    decoder: &TransformerDecoder,
+    memory: &Tensor,
+    prompt: &Tensor,
+    cuts: &[usize],
+) -> Vec<f32> {
+    let (total, hidden) = (prompt.dims()[0], prompt.dims()[1]);
+    let mut paged = PagedDecoder::new(decoder, LAYOUT);
+    let sid = paged.open_session(dev, memory);
+    let mut out = Vec::with_capacity(total * hidden);
+    let mut start = 0;
+    for end in cuts.iter().copied().chain([total]) {
+        let rows = Tensor::from_vec(
+            prompt.as_slice()[start * hidden..end * hidden].to_vec(),
+            [end - start, hidden],
+        )
+        .unwrap();
+        out.extend(paged.prefill(dev, sid, &rows).unwrap().concat());
+        start = end;
     }
-    let t = Tensor::from_vec(data, [seqs.len(), max, hidden]).expect("shape consistent");
-    (t, mask)
+    assert_eq!(paged.session_len(sid), total);
+    out
 }
 
-/// Valid (unpadded) output rows of a `[batch, max, hidden]` tensor, as bits.
-fn valid_bits(t: &Tensor, mask: &BatchMask) -> Vec<u32> {
-    let hidden = t.dims()[2];
-    let max = t.dims()[1];
+/// Forwards `seqs` (packed `[len, hidden]` rows each) as zero-padded
+/// sub-batches split at `cuts` (no cuts: one batch) and returns every valid
+/// output row, flattened in sequence order.
+fn forward_sub_batches(dev: &Device, model: &BertModel, seqs: &[Tensor], cuts: &[usize]) -> Vec<f32> {
+    let hidden = model.config.hidden();
     let mut out = Vec::new();
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        let o = b * max * hidden;
-        out.extend(t.as_slice()[o..o + len * hidden].iter().map(|x| x.to_bits()));
+    let mut start = 0;
+    for end in cuts.iter().copied().chain([seqs.len()]) {
+        let sub = &seqs[start..end];
+        let lens: Vec<usize> = sub.iter().map(|s| s.dims()[0]).collect();
+        let max = lens.iter().copied().max().unwrap();
+        let mut padded = vec![0.0f32; sub.len() * max * hidden];
+        for (b, s) in sub.iter().enumerate() {
+            padded[b * max * hidden..][..s.numel()].copy_from_slice(s.as_slice());
+        }
+        let input = Tensor::from_vec(padded, [sub.len(), max, hidden]).unwrap();
+        let mask = BatchMask::from_lens(lens.clone(), max).unwrap();
+        let y = model.forward(dev, &input, &mask, OptLevel::FusedMha).unwrap();
+        for (b, &len) in lens.iter().enumerate() {
+            out.extend_from_slice(&y.as_slice()[b * max * hidden..][..len * hidden]);
+        }
+        start = end;
     }
     out
 }
 
-/// Chunked encoder (streaming whole sequences in sub-batches) vs one batch,
-/// per tier: sub-batch boundaries land mid-batch at every chunk size, and
-/// the padded geometry differs between the whole batch (max 7) and the
-/// sub-batches (their own max) — the packed math must not notice either.
-#[test]
-fn chunked_encoder_matches_whole_batch_bitwise_on_every_tier() {
+/// Token ids and segment ids of one request.
+type Tokens = (Vec<u32>, Vec<u32>);
+
+/// Random token and segment ids for sequences of `lens`.
+fn random_tokens(lens: &[usize], vocab: usize, seed: u64) -> Vec<Tokens> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    lens.iter()
+        .map(|&len| {
+            let ids = (0..len).map(|_| rng.below(vocab as u64) as u32).collect();
+            let segments = (0..len).map(|_| rng.below(2) as u32).collect();
+            (ids, segments)
+        })
+        .collect()
+}
+
+/// Embeds `seqs` straight into the packed layout and runs the packed
+/// encoder layers, as zero-padded sub-batches split at `cuts` (no cuts: one
+/// batch); returns every packed output row, flattened in sequence order.
+fn embed_forward_sub_batches(
+    dev: &Device,
+    model: &BertModel,
+    weights: &EmbeddingWeights,
+    seqs: &[Tokens],
+    cuts: &[usize],
+) -> Vec<f32> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for end in cuts.iter().copied().chain([seqs.len()]) {
+        let sub = &seqs[start..end];
+        let lens: Vec<usize> = sub.iter().map(|(ids, _)| ids.len()).collect();
+        let max = lens.iter().copied().max().unwrap();
+        let (mut ids, mut segments) = (vec![0u32; sub.len() * max], vec![0u32; sub.len() * max]);
+        for (b, (i, s)) in sub.iter().enumerate() {
+            ids[b * max..][..i.len()].copy_from_slice(i);
+            segments[b * max..][..s.len()].copy_from_slice(s);
+        }
+        let idx = PackingIndex::from_mask(&BatchMask::from_lens(lens, max).unwrap());
+        let mut x = embed_packed(dev, &ids, &segments, &idx, weights).unwrap();
+        for w in &model.weights.layers {
+            x = model.layer_forward_packed(dev, &x, w, &idx, OptLevel::FusedMha);
+        }
+        out.extend_from_slice(x.as_slice());
+        start = end;
+    }
+    out
+}
+
+/// Prefill in pieces of 1 / 3 / 64 rows vs one whole prefill, per tier.
+fn prefill_case(len: usize, seed: u64) {
     let config = BertConfig::tiny();
-    let model = BertModel::new_random(config, 2, 42);
+    let decoder = TransformerDecoder::new_random(config, 2, 17);
     let hidden = config.hidden();
-    let lens = [5usize, 2, 7, 1];
-    let seqs: Vec<Vec<f32>> = lens
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| Tensor::randn([l, hidden], 13 + i as u64).as_slice().to_vec())
-        .collect();
-
-    streaming_differential("chunked_encoder", || {
+    let memory = Tensor::randn([3, hidden], 5);
+    let prompt = Tensor::randn([len, hidden], seed);
+    on_every_tier(&format!("prefill_{len}"), || {
         let dev = device();
-        let (input, mask) = padded_batch(&seqs, hidden);
-        let whole = model.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
-        let reference = valid_bits(&whole, &mask);
-
-        // Chunk sizes count *sequences* here: the encoder's streaming unit.
-        for chunk_seqs in CHUNK_SIZES {
-            let mut stage = ChunkedEncoder::new(&dev, &model, OptLevel::FusedMha);
-            let spans = chunk_spans(seqs.len(), chunk_seqs);
-            let mut streamed: Vec<u32> = Vec::new();
-            for (i, &(start, n)) in spans.iter().enumerate() {
-                let (sub, sub_mask) = padded_batch(&seqs[start..start + n], hidden);
-                let out = stage.transform((sub, sub_mask.clone()), i + 1 == spans.len());
-                streamed.extend(valid_bits(&out, &sub_mask));
-            }
-            assert_eq!(stage.sequences_done(), seqs.len());
+        let whole = prefill_pieces(&dev, &decoder, &memory, &prompt, &[]);
+        for chunk in CHUNK_SIZES {
+            let pieces = prefill_pieces(&dev, &decoder, &memory, &prompt, &every(chunk, len));
             assert_eq!(
-                streamed,
-                reference,
-                "chunk_seqs={chunk_seqs} diverged from the whole batch on {}",
+                bits(&pieces),
+                bits(&whole),
+                "{len}-row prompt in pieces of {chunk} diverged from whole prefill on {}",
                 isa::active_isa()
             );
         }
-        reference.iter().map(|b| f32::from_bits(*b)).collect()
+        whole
     });
 }
 
-/// Reads `BYTE_CHUNK_TOKENS` (the serving knob) and proves prefill at that
-/// chunk size is bitwise the whole-prompt prefill on the *active* tier —
-/// `scripts/check.sh` sweeps this test across its chunk × `BYTE_GEMM_ISA`
-/// matrix. Unset defaults to 3 so the test always exercises a real split.
+/// A 7-row prompt: every piece sits inside one 64-key tile.
 #[test]
-fn env_chunk_tokens_prefill_matches_whole() {
-    let _g = ISA_LOCK.lock().unwrap();
-    let prev_prec = active_precision();
-    set_active_precision(Precision::F32);
-    let chunk_tokens = bytetransformer::varlen::chunk_tokens_from_env().unwrap_or(3);
-    eprintln!(
-        "differential_streaming: BYTE_CHUNK_TOKENS -> chunk_tokens={chunk_tokens} on {}",
-        isa::active_isa()
-    );
+fn prefill_in_pieces_matches_whole_bitwise_on_every_tier() {
+    prefill_case(7, 9);
+}
 
+/// A 160-row prompt spanning three key tiles: pieces of 3 put chunk edges
+/// inside tiles, pieces of 64 line them up with tile edges.
+#[test]
+fn prefill_across_key_tiles_matches_whole_bitwise_on_every_tier() {
+    prefill_case(160, 10);
+}
+
+/// Sub-batches of whole sequences vs one batch, per tier: of 1 / 3 / 64 on
+/// the short MHA kernel, and of 1 on the long one (both sequences past
+/// [`FUSED_SHORT_MAX_SEQ`], so each sub-batch takes the kernel the whole
+/// batch takes; with two sequences that is the only real split).
+#[test]
+fn sub_batches_match_one_batch_bitwise_on_every_tier() {
     let config = BertConfig::tiny();
-    let decoder = TransformerDecoder::new_random(config, 2, 29);
-    let dev = device();
-    let memory = Tensor::randn([2, config.hidden()], 4);
-    let prompt = Tensor::randn([9, config.hidden()], 8);
-    let layout = PagedLayout::new(4, 64);
-
-    let mut whole = PagedDecoder::new(&decoder, layout);
-    let sid = whole.open_session(&dev, &memory);
-    let reference = whole.prefill(&dev, sid, &prompt).unwrap();
-
-    let mut stage = ChunkedPrefill::new(&dev, &decoder, layout, memory);
-    let spans = chunk_spans(prompt.dims()[0], chunk_tokens);
-    let mut outs: Vec<Vec<f32>> = Vec::new();
-    for (i, &(start, len)) in spans.iter().enumerate() {
-        outs.extend(stage.transform(row_chunk(&prompt, start, len), i + 1 == spans.len()));
+    let model = BertModel::new_random(config, 2, 42);
+    let hidden = config.hidden();
+    let long = FUSED_SHORT_MAX_SEQ;
+    for (label, lens, chunks) in [
+        ("short", vec![37usize, 5, 120, 1, 64, 9, 200], &CHUNK_SIZES[..]),
+        ("long", vec![long + 6, long + 70], &[1][..]),
+    ] {
+        let seqs: Vec<Tensor> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| Tensor::randn([l, hidden], 13 + i as u64))
+            .collect();
+        on_every_tier(&format!("sub_batches_{label}"), || {
+            let dev = device();
+            let whole = forward_sub_batches(&dev, &model, &seqs, &[]);
+            for &chunk in chunks {
+                let pieces = forward_sub_batches(&dev, &model, &seqs, &every(chunk, seqs.len()));
+                assert_eq!(
+                    bits(&pieces),
+                    bits(&whole),
+                    "{label} batch in sub-batches of {chunk} diverged from one batch on {}",
+                    isa::active_isa()
+                );
+            }
+            whole
+        });
     }
-    assert_eq!(
-        bits(&outs),
-        bits(&reference),
-        "BYTE_CHUNK_TOKENS={chunk_tokens} diverged from whole prefill"
-    );
-    set_active_precision(prev_prec);
+}
+
+/// Token ids through the packed embedding and the packed encoder layers,
+/// as sub-batches of 1 / 3 / 64 whole sequences vs one batch, per tier:
+/// positions restart per sequence, so no row depends on its batch-mates.
+#[test]
+fn embedded_sub_batches_match_one_batch_bitwise_on_every_tier() {
+    let config = BertConfig::tiny();
+    let model = BertModel::new_random(config, 2, 42);
+    let (vocab, max_position) = (30, 256);
+    let weights = EmbeddingWeights::new_random(&config, vocab, max_position, 5);
+    let seqs = random_tokens(&[37, 5, 120, 1, 64, 9, 200], vocab, 6);
+    on_every_tier("embedded_sub_batches", || {
+        let dev = device();
+        let whole = embed_forward_sub_batches(&dev, &model, &weights, &seqs, &[]);
+        for chunk in CHUNK_SIZES {
+            let pieces = embed_forward_sub_batches(&dev, &model, &weights, &seqs, &every(chunk, seqs.len()));
+            assert_eq!(
+                bits(&pieces),
+                bits(&whole),
+                "embedded batch in sub-batches of {chunk} diverged from one batch on {}",
+                isa::active_isa()
+            );
+        }
+        whole
+    });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Save/restore is exact for the prefill stage: interrupt at a random
-    /// split, snapshot, resume a *fresh* stage from the snapshot, and the
-    /// tail outputs must be bitwise the uninterrupted stage's.
+    /// Two `prefill` calls at a random split ≡ one call, for prompts that
+    /// may span several key tiles.
     #[test]
-    fn prop_prefill_state_roundtrip_is_bitwise(
-        len in 2usize..9,
+    fn prop_prefill_split_anywhere_is_bitwise(
+        len in 2usize..160,
         split_pick in 0usize..1000,
         seed in 0u64..1000,
     ) {
@@ -312,68 +336,15 @@ proptest! {
         let dev = device();
         let memory = Tensor::randn([2, config.hidden()], seed);
         let prompt = Tensor::randn([len, config.hidden()], seed + 1);
-        let layout = PagedLayout::new(4, 64);
-
-        let mut base = ChunkedPrefill::new(&dev, &decoder, layout, memory.clone());
-        let mut base_out = base.transform(row_chunk(&prompt, 0, split), false);
-        base_out.extend(base.transform(row_chunk(&prompt, split, len - split), true));
-
-        let mut first = ChunkedPrefill::new(&dev, &decoder, layout, memory.clone());
-        let mut out = first.transform(row_chunk(&prompt, 0, split), false);
-        let snap = first.state();
-        drop(first);
-        let mut resumed = ChunkedPrefill::new(&dev, &decoder, layout, memory).with_state(&snap);
-        prop_assert_eq!(resumed.tokens_ingested(), split);
-        out.extend(resumed.transform(row_chunk(&prompt, split, len - split), true));
-
-        prop_assert_eq!(bits(&out), bits(&base_out));
-        prop_assert_eq!(resumed.state(), base.state());
+        let whole = prefill_pieces(&dev, &decoder, &memory, &prompt, &[]);
+        let split_run = prefill_pieces(&dev, &decoder, &memory, &prompt, &[split]);
+        prop_assert_eq!(bits(&split_run), bits(&whole), "split at {} of {}", split, len);
     }
 
-    /// Save/restore is exact for the embeddings stage: the state is the
-    /// position offset, and a restored stage must continue the position
-    /// sequence (and therefore the output bits) exactly.
+    /// A batch forwarded as two sub-batches at a random split ≡ one batch.
     #[test]
-    fn prop_embeddings_state_roundtrip_is_bitwise(
-        len in 2usize..12,
-        split_pick in 0usize..1000,
-        seed in 0u64..1000,
-    ) {
-        let _g = ISA_LOCK.lock().unwrap();
-        let split = 1 + split_pick % (len - 1);
-        let config = BertConfig::tiny();
-        let w = EmbeddingWeights::new_random(&config, 50, 16, 3);
-        let dev = device();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let ids: Vec<u32> = (0..len).map(|_| rng.below(50) as u32).collect();
-        let segs: Vec<u32> = (0..len).map(|_| rng.below(2) as u32).collect();
-        let feed = |stage: &mut ChunkedEmbeddings<'_>, r: std::ops::Range<usize>, last: bool| {
-            stage.transform((ids[r.clone()].to_vec(), segs[r].to_vec()), last).as_slice().to_vec()
-        };
-
-        let mut base = ChunkedEmbeddings::new(&dev, &w);
-        let mut base_out = feed(&mut base, 0..split, false);
-        base_out.extend(feed(&mut base, split..len, true));
-
-        let mut first = ChunkedEmbeddings::new(&dev, &w);
-        let mut out = feed(&mut first, 0..split, false);
-        let snap = first.state();
-        let mut resumed = ChunkedEmbeddings::new(&dev, &w).with_state(&snap);
-        prop_assert_eq!(resumed.position(), split);
-        out.extend(feed(&mut resumed, split..len, true));
-
-        let a: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-        let b: Vec<u32> = base_out.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(resumed.state(), base.state());
-    }
-
-    /// Save/restore is exact for the encoder stage: random sequence lengths,
-    /// random split into two sub-batches; the restored stage's outputs and
-    /// progress counter must match the uninterrupted stream bitwise.
-    #[test]
-    fn prop_encoder_state_roundtrip_is_bitwise(
-        lens in proptest::collection::vec(1usize..8, 2..6),
+    fn prop_sub_batch_split_anywhere_is_bitwise(
+        lens in proptest::collection::vec(1usize..130, 2..6),
         split_pick in 0usize..1000,
         seed in 0u64..1000,
     ) {
@@ -381,31 +352,34 @@ proptest! {
         let split = 1 + split_pick % (lens.len() - 1);
         let config = BertConfig::tiny();
         let model = BertModel::new_random(config, 1, 42);
-        let hidden = config.hidden();
         let dev = device();
-        let seqs: Vec<Vec<f32>> = lens
+        let seqs: Vec<Tensor> = lens
             .iter()
             .enumerate()
-            .map(|(i, &l)| Tensor::randn([l, hidden], seed + i as u64).as_slice().to_vec())
+            .map(|(i, &l)| Tensor::randn([l, config.hidden()], seed + i as u64))
             .collect();
-        let feed = |stage: &mut ChunkedEncoder<'_>, r: std::ops::Range<usize>, last: bool| {
-            let (sub, sub_mask) = padded_batch(&seqs[r], hidden);
-            let out = stage.transform((sub, sub_mask.clone()), last);
-            valid_bits(&out, &sub_mask)
-        };
+        let whole = forward_sub_batches(&dev, &model, &seqs, &[]);
+        let split_run = forward_sub_batches(&dev, &model, &seqs, &[split]);
+        prop_assert_eq!(bits(&split_run), bits(&whole), "lens {:?} split at {}", lens, split);
+    }
 
-        let mut base = ChunkedEncoder::new(&dev, &model, OptLevel::FusedMha);
-        let mut base_out = feed(&mut base, 0..split, false);
-        base_out.extend(feed(&mut base, split..lens.len(), true));
-
-        let mut first = ChunkedEncoder::new(&dev, &model, OptLevel::FusedMha);
-        let mut out = feed(&mut first, 0..split, false);
-        let snap = first.state();
-        let mut resumed = ChunkedEncoder::new(&dev, &model, OptLevel::FusedMha).with_state(&snap);
-        prop_assert_eq!(resumed.sequences_done(), split);
-        out.extend(feed(&mut resumed, split..lens.len(), true));
-
-        prop_assert_eq!(out, base_out);
-        prop_assert_eq!(resumed.state(), base.state());
+    /// Token ids embedded and encoded as two sub-batches at a random split
+    /// ≡ one batch.
+    #[test]
+    fn prop_embedded_sub_batch_split_anywhere_is_bitwise(
+        lens in proptest::collection::vec(1usize..130, 2..6),
+        split_pick in 0usize..1000,
+        seed in 0u64..1000,
+    ) {
+        let _g = ISA_LOCK.lock().unwrap();
+        let split = 1 + split_pick % (lens.len() - 1);
+        let config = BertConfig::tiny();
+        let model = BertModel::new_random(config, 1, 42);
+        let weights = EmbeddingWeights::new_random(&config, 30, 130, 5);
+        let dev = device();
+        let seqs = random_tokens(&lens, 30, seed);
+        let whole = embed_forward_sub_batches(&dev, &model, &weights, &seqs, &[]);
+        let split_run = embed_forward_sub_batches(&dev, &model, &weights, &seqs, &[split]);
+        prop_assert_eq!(bits(&split_run), bits(&whole), "lens {:?} split at {}", lens, split);
     }
 }
