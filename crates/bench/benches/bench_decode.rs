@@ -16,7 +16,7 @@
 //!
 //! Emits `BENCH_decode.json` at the repo root. Run with
 //! `cargo bench --bench bench_decode` (`BT_BENCH_FAST=1` shrinks the
-//! sweep). `BYTE_KV_BLOCK` / `BYTE_KV_BLOCKS` select the pool geometry.
+//! sweep). The pool geometry is [`PagedLayout::default`].
 
 use bt_bench::{banner, fast_mode};
 use bt_core::config::BertConfig;
@@ -48,7 +48,7 @@ fn main() {
         ">= 8 concurrent decode sessions sustained with exact per-step accounting",
     );
     let session_sweep: &[usize] = if fast_mode() { &[2, 8] } else { &[1, 2, 4, 8, 16] };
-    let layout = PagedLayout::from_env();
+    let layout = PagedLayout::default();
 
     let config = BertConfig::tiny();
     let decoder = TransformerDecoder::new_random(config, config.layers, SEED);

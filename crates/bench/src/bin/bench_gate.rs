@@ -12,13 +12,13 @@
 //! full-mode baseline instead of nonsense ratios — the gate reports that
 //! as a mode mismatch). A baseline that predates a newer section skips that
 //! section with a warning instead of failing — the next committed artifact
-//! picks it up. Per-metric tolerance bands, overridable via env:
+//! picks it up. Per-metric tolerance bands:
 //!
-//! * `BT_GATE_MIN_RATE_RATIO` (default `0.5`) — throughput-like metrics
-//!   (GFLOP/s, goodput, decode tokens/s) must stay at or above this
-//!   fraction of baseline.
-//! * `BT_GATE_MAX_LATENCY_RATIO` (default `2.0`) — latency-like metrics
-//!   (p99, pool launch µs) must stay at or below this multiple of baseline.
+//! * `MIN_RATE_RATIO` (`0.5`) — throughput-like metrics (GFLOP/s,
+//!   goodput, decode tokens/s) must stay at or above this fraction of
+//!   baseline.
+//! * `MAX_LATENCY_RATIO` (`2.0`) — latency-like metrics (p99, pool
+//!   launch µs) must stay at or below this multiple of baseline.
 //!
 //! Accounting booleans (`accounting_exact`, `step_ledger_exact`) have no
 //! band: a baseline `true` must stay `true`. Rows present on only one side
@@ -26,6 +26,11 @@
 //! gate (exit 1).
 
 use std::process::exit;
+
+/// Throughput floor as a fraction of the committed baseline.
+const MIN_RATE_RATIO: f64 = 0.5;
+/// Latency ceiling as a multiple of the committed baseline.
+const MAX_LATENCY_RATIO: f64 = 2.0;
 
 // --- minimal JSON value parser --------------------------------------------
 // The artifacts are machine-emitted (see the benches' `fs::write` calls),
@@ -336,16 +341,6 @@ const SPECS: &[Spec] = &[
     },
 ];
 
-fn env_ratio(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bench_gate: {name}={v} is not a number");
-            exit(2);
-        }),
-        Err(_) => default,
-    }
-}
-
 /// The spec's row array, or `None` when the document predates the section
 /// (the caller decides whether that skips or fails).
 fn rows(doc: &Json, section: &str) -> Option<Vec<Json>> {
@@ -384,9 +379,7 @@ fn main() {
             exit(2);
         }
     };
-    let min_rate = env_ratio("BT_GATE_MIN_RATE_RATIO", 0.5);
-    let max_latency = env_ratio("BT_GATE_MAX_LATENCY_RATIO", 2.0);
-    println!("bench_gate: rate floor {min_rate:.2}x baseline, latency ceiling {max_latency:.2}x baseline");
+    println!("bench_gate: rate floor {MIN_RATE_RATIO:.2}x baseline, latency ceiling {MAX_LATENCY_RATIO:.2}x baseline");
 
     let mut failures = 0usize;
     let mut warnings = 0usize;
@@ -469,8 +462,10 @@ fn main() {
                             continue;
                         };
                         let (ok, bound) = match band {
-                            Band::RateMin => (c >= min_rate * b, format!(">= {:.3}", min_rate * b)),
-                            Band::LatencyMax => (c <= max_latency * b, format!("<= {:.3}", max_latency * b)),
+                            Band::RateMin => (c >= MIN_RATE_RATIO * b, format!(">= {:.3}", MIN_RATE_RATIO * b)),
+                            Band::LatencyMax => {
+                                (c <= MAX_LATENCY_RATIO * b, format!("<= {:.3}", MAX_LATENCY_RATIO * b))
+                            }
                             _ => (c >= b, format!(">= {b:.3}")),
                         };
                         if !ok {

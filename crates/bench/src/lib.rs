@@ -6,7 +6,7 @@
 //! trace — the primary, paper-comparable metric) and the measured CPU wall
 //! time of the real kernels (single host machine, shape-only comparable).
 //!
-//! Environment knobs:
+//! Environment knobs (`1` on, `0` or unset off; any other value panics):
 //!
 //! * `BT_BENCH_FAST=1` — shrink every sweep for smoke runs/CI.
 //! * `BT_BENCH_FULL=1` — run the paper's full batch-16 / 12-layer shapes
@@ -20,14 +20,23 @@ use std::time::Instant;
 
 pub mod report;
 
-/// True when `BT_BENCH_FAST=1`.
+/// True when `BT_BENCH_FAST=1`; panics on a value other than `1` or `0`.
 pub fn fast_mode() -> bool {
-    std::env::var("BT_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
+    std::env::var("BT_BENCH_FAST").is_ok_and(|v| parse_switch("BT_BENCH_FAST", &v).unwrap_or_else(|e| panic!("{e}")))
 }
 
-/// True when `BT_BENCH_FULL=1`.
+/// True when `BT_BENCH_FULL=1`; panics on a value other than `1` or `0`.
 pub fn full_mode() -> bool {
-    std::env::var("BT_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
+    std::env::var("BT_BENCH_FULL").is_ok_and(|v| parse_switch("BT_BENCH_FULL", &v).unwrap_or_else(|e| panic!("{e}")))
+}
+
+/// A `BT_BENCH_*` switch value: `1` is on, `0` is off.
+fn parse_switch(name: &str, v: &str) -> Result<bool, String> {
+    match v.trim() {
+        "1" => Ok(true),
+        "0" => Ok(false),
+        _ => Err(format!("{name}: invalid value `{v}` (expected `1` or `0`)")),
+    }
 }
 
 /// The benchmark model configuration: the paper's standard BERT
@@ -118,6 +127,19 @@ mod tests {
             assert_eq!(bench_config().hidden(), 768);
             assert_eq!(bench_batch(), 4);
             assert!(seq_sweep().contains(&1024));
+        }
+    }
+
+    #[test]
+    fn bench_switches_accept_one_and_zero_only() {
+        assert_eq!(parse_switch("BT_BENCH_FAST", "1"), Ok(true));
+        assert_eq!(parse_switch("BT_BENCH_FAST", "0"), Ok(false));
+        for bad in ["true", "yes", "", "2"] {
+            let err = parse_switch("BT_BENCH_FULL", bad).unwrap_err();
+            assert!(
+                err.contains("BT_BENCH_FULL") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
         }
     }
 

@@ -4,9 +4,8 @@
 //! ByteTransformer's serving layer (paper §I) is a single-instance runtime;
 //! a deployment scales it out by running N instances behind a router. This
 //! module reproduces that topology deterministically: each shard owns its
-//! own ingress queue, paged KV block budget (a [`PagedLayout::per_shard`]
-//! slice of the fleet pool), and batch-cutting loop, while the router
-//! spreads an open-loop arrival trace across them with a pluggable
+//! own ingress queue and batch-cutting loop, while the router spreads an
+//! open-loop arrival trace across them with a pluggable
 //! [`RoutePolicy`] and an optional hot-shard work-shedding gate
 //! ([`ShardConfig::hot_shard_tokens`],
 //! [`ShedReason::HotShard`](crate::admission::ShedReason::HotShard)).
@@ -43,7 +42,7 @@
 use bt_obs::names;
 use bt_obs::snapshot::{bucket_of, CounterDelta, HistogramWindow, MetricsSnapshot, HIST_BUCKETS};
 use bt_tensor::rng::SplitMix64;
-use bt_varlen::{BatchMask, BlockPool, PagedLayout};
+use bt_varlen::BatchMask;
 
 use crate::admission::admission_weight;
 use crate::server::{
@@ -120,22 +119,17 @@ pub struct ShardConfig {
     /// instead of being enqueued. `0` disables the gate (the default, which
     /// also preserves `--shards 1` bit-identity with the unsharded server).
     pub hot_shard_tokens: usize,
-    /// Fleet-wide paged KV layout; the router splits its block budget
-    /// evenly across shards with [`PagedLayout::per_shard`], so each shard
-    /// owns a private [`BlockPool`].
-    pub kv_layout: PagedLayout,
 }
 
 impl ShardConfig {
     /// A config with the router knobs defaulted: JSQ routing, hot-shard
-    /// gate off, default KV layout.
+    /// gate off.
     pub fn new(shards: usize, serve: ServeConfig) -> ShardConfig {
         ShardConfig {
             shards,
             route: RoutePolicy::JoinShortestQueue,
             serve,
             hot_shard_tokens: 0,
-            kv_layout: PagedLayout::default(),
         }
     }
 
@@ -164,8 +158,6 @@ pub struct ShardedReport {
     pub assignment: Vec<usize>,
     /// One [`ServeReport`] per shard over the requests attributed to it.
     pub shard_reports: Vec<ServeReport>,
-    /// Per-shard KV layouts split from [`ShardConfig::kv_layout`].
-    pub shard_kv: Vec<PagedLayout>,
     /// Routing policy label (for artifacts).
     pub route: &'static str,
 }
@@ -192,9 +184,9 @@ impl ShardedReport {
     /// fleet summary balances. `tests/shard_stress.rs` enforces this on
     /// every run, including skewed traces that force hot-shard sheds.
     pub fn accounting_is_exact_across_shards(&self) -> bool {
-        let per_shard: Vec<ServeSummary> = self.shard_summaries();
-        let offered_sum: usize = per_shard.iter().map(|s| s.offered).sum();
-        per_shard.iter().all(|s| s.accounting_is_exact())
+        let shards: Vec<ServeSummary> = self.shard_summaries();
+        let offered_sum: usize = shards.iter().map(|s| s.offered).sum();
+        shards.iter().all(|s| s.accounting_is_exact())
             && offered_sum == self.outcomes.len()
             && self.summary().accounting_is_exact()
     }
@@ -271,17 +263,12 @@ impl ShardedReport {
     }
 }
 
-/// The sharded router: N `OpenLoopShard` engines, their private KV block
-/// pools, and the routing state. Construct with [`ShardRouter::new`], run
-/// a trace with [`ShardRouter::run`].
+/// The sharded router: N `OpenLoopShard` engines and the routing state.
+/// Construct with [`ShardRouter::new`], run a trace with
+/// [`ShardRouter::run`].
 pub struct ShardRouter {
     config: ShardConfig,
     engines: Vec<OpenLoopShard>,
-    shard_kv: Vec<PagedLayout>,
-    /// Per-shard KV block pools (owned here so each shard's cache budget is
-    /// physically separate; encoder-only serving leaves them idle, decode
-    /// drivers allocate from their shard's pool).
-    pools: Vec<BlockPool>,
     rr_next: usize,
     /// Candidate sampler of [`RoutePolicy::PowerOfTwo`].
     p2c: SplitMix64,
@@ -292,40 +279,25 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Builds the router: validates the config, instantiates one engine
-    /// per shard and splits the fleet KV block budget across them.
+    /// Builds the router: validates the config and instantiates one engine
+    /// per shard.
     ///
     /// # Panics
-    /// Panics on a zero shard count, an invalid [`ServeConfig`], or a KV
-    /// pool too small to give every shard at least one block.
+    /// Panics on a zero shard count or an invalid [`ServeConfig`].
     pub fn new(config: ShardConfig) -> ShardRouter {
         config.validate();
-        let shard_kv = config.kv_layout.per_shard(config.shards);
-        let pools = shard_kv.iter().map(|&l| BlockPool::new(l)).collect();
         let p2c = SplitMix64::new(match config.route {
             RoutePolicy::PowerOfTwo { seed } => seed,
             _ => 0,
         });
         ShardRouter {
             engines: (0..config.shards).map(|_| OpenLoopShard::new(config.serve)).collect(),
-            shard_kv,
-            pools,
             rr_next: 0,
             p2c,
             routed: vec![0; config.shards],
             shed_hot: vec![0; config.shards],
             config,
         }
-    }
-
-    /// The per-shard KV layouts (even split of [`ShardConfig::kv_layout`]).
-    pub fn shard_kv_layouts(&self) -> &[PagedLayout] {
-        &self.shard_kv
-    }
-
-    /// Mutable access to one shard's private KV block pool.
-    pub fn shard_pool(&mut self, shard: usize) -> &mut BlockPool {
-        &mut self.pools[shard]
     }
 
     /// Picks a shard for the arrival at `now` under the configured policy.
@@ -415,11 +387,11 @@ impl ShardRouter {
             .into_iter()
             .map(|o| o.expect("every offered request has exactly one outcome"))
             .collect();
-        let mut per_shard: Vec<Vec<RequestOutcome>> = vec![Vec::new(); shards];
+        let mut by_shard: Vec<Vec<RequestOutcome>> = vec![Vec::new(); shards];
         for o in &outcomes {
-            per_shard[assignment[o.id]].push(*o);
+            by_shard[assignment[o.id]].push(*o);
         }
-        let shard_reports: Vec<ServeReport> = per_shard
+        let shard_reports: Vec<ServeReport> = by_shard
             .into_iter()
             .zip(&self.engines)
             .map(|(outcomes, engine)| engine.report(outcomes))
@@ -432,7 +404,6 @@ impl ShardRouter {
             outcomes,
             assignment,
             shard_reports,
-            shard_kv: self.shard_kv,
             route: self.config.route.label(),
         }
     }
@@ -572,18 +543,6 @@ mod tests {
             .histogram(names::SERVE_LATENCY_US)
             .expect("fleet latency histogram present");
         assert_eq!(lat.count(), served);
-    }
-
-    #[test]
-    fn kv_budget_splits_across_shards() {
-        let cfg = ShardConfig {
-            kv_layout: PagedLayout::new(16, 33),
-            ..ShardConfig::new(4, test_serve_config())
-        };
-        let router = ShardRouter::new(cfg);
-        let blocks: Vec<usize> = router.shard_kv_layouts().iter().map(|l| l.pool_blocks).collect();
-        assert_eq!(blocks.iter().sum::<usize>(), 33);
-        assert_eq!(blocks, vec![9, 8, 8, 8]);
     }
 
     #[test]

@@ -29,14 +29,13 @@
 //!   counters, windowed percentiles from raw bucket deltas, GEMM rates,
 //!   shed breakdown) that merge across shards and export as JSON or
 //!   Prometheus text; [`snapshot::SnapshotLoop`] runs the periodic loop at
-//!   the `BYTE_OBS_WINDOW_MS` cadence.
+//!   a caller-chosen cadence.
 //!
-//! Recording is gated at runtime by the `BYTE_OBS` environment variable
-//! (`BYTE_OBS=off` disables it; [`set_enabled`] overrides programmatically)
-//! and at compile time by the `obs-off` cargo feature, which swaps the
-//! whole layer for inline no-ops — same API, zero cost (asserted by the
-//! `obs_overhead` bench). [`warn_once`] works in **both** modes so
-//! diagnostics never vanish.
+//! Recording is on from process start. It is gated at run time by
+//! [`set_enabled`] and at compile time by the `obs-off` cargo feature,
+//! which swaps the whole layer for inline no-ops — same API, zero cost
+//! (asserted by the `obs_overhead` bench). [`warn_once`] works in **both**
+//! modes so diagnostics never vanish.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@ use crate::snapshot::{bucket_of, HistogramWindow, HIST_BUCKETS};
 use crate::trace::TraceId;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{LazyLock, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -30,39 +30,18 @@ const KIND_MASK: u64 = 3;
 // enable switch
 // ---------------------------------------------------------------------------
 
-const EN_UNINIT: u8 = 0;
-const EN_ON: u8 = 1;
-const EN_OFF: u8 = 2;
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-static ENABLED: AtomicU8 = AtomicU8::new(EN_UNINIT);
-
-/// True when recording is active. First call reads `BYTE_OBS` (values
-/// `0`/`off`/`false`/`no` disable recording; anything else — including
-/// unset — enables it).
+/// True when recording is active: on from process start until
+/// [`set_enabled`] turns it off.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        EN_ON => true,
-        EN_OFF => false,
-        _ => init_enabled(),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_enabled() -> bool {
-    let on = match std::env::var("BYTE_OBS") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "0" | "off" | "false" | "no"),
-        Err(_) => true,
-    };
-    let want = if on { EN_ON } else { EN_OFF };
-    // Racing initializers agree (same env), and set_enabled may win — reread.
-    let _ = ENABLED.compare_exchange(EN_UNINIT, want, Ordering::Relaxed, Ordering::Relaxed);
-    ENABLED.load(Ordering::Relaxed) == EN_ON
-}
-
-/// Programmatically force recording on or off, overriding `BYTE_OBS`.
+/// Turns recording on or off at run time.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { EN_ON } else { EN_OFF }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@
 //! shed-reason breakdown. Snapshots serialize to JSON and Prometheus text
 //! and [`merge`] so N shards can be rolled up into one fleet view.
 //!
-//! The snapshot cadence is `BYTE_OBS_WINDOW_MS` (default 1000);
-//! [`SnapshotLoop`] runs the periodic loop on a background thread.
+//! [`SnapshotLoop`] runs the periodic loop on a background thread at a
+//! cadence its caller chooses (`btx top` uses 1000 ms).
 //!
 //! This module is compiled identically with and without the `obs-off`
 //! feature; under `obs-off` the registries read empty and every snapshot
@@ -449,24 +449,6 @@ impl Aggregator {
     }
 }
 
-/// The snapshot cadence from `BYTE_OBS_WINDOW_MS` (default 1000 ms; zero
-/// or unparsable values warn once and fall back to the default).
-pub fn window_ms_from_env() -> u64 {
-    match std::env::var("BYTE_OBS_WINDOW_MS") {
-        Err(_) => 1000,
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => ms,
-            _ => {
-                crate::warn_once(
-                    "obs.window_ms.invalid",
-                    &format!("BYTE_OBS_WINDOW_MS={v:?} is not a positive integer; using 1000"),
-                );
-                1000
-            }
-        },
-    }
-}
-
 /// A background thread that emits one [`MetricsSnapshot`] per window to a
 /// sink callback. Stopping (or dropping) the loop flushes a final partial
 /// window so short runs still produce at least one snapshot.
@@ -661,15 +643,6 @@ mod tests {
         let prom = s.to_prometheus();
         assert!(prom.contains("bt_counter_window{name=\"serve.served\",shard=\"shard0\"} 4"));
         assert!(prom.contains("bt_histogram_window{name=\"serve.queue_wait_us\",shard=\"shard0\",quantile=\"0.99\"} 9"));
-    }
-
-    #[test]
-    fn window_env_parses_and_defaults() {
-        // Not exercising the env var itself (process-global); just the
-        // default path.
-        if std::env::var("BYTE_OBS_WINDOW_MS").is_err() {
-            assert_eq!(window_ms_from_env(), 1000);
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `warn_once` — deduplicated diagnostics that tests can capture.
 //!
 //! Unlike spans and counters this facility is active in **both** build
-//! modes and regardless of `BYTE_OBS`: a degraded-configuration warning
-//! (e.g. "requested ISA tier unavailable") must never be silently lost.
+//! modes and regardless of [`set_enabled`](crate::set_enabled): a
+//! degraded-configuration warning (e.g. "requested ISA tier unavailable")
+//! must never be silently lost.
 //! Each key prints to stderr at most once per process; every emission is
 //! also appended to an in-memory log that [`warnings`] exposes so tests
 //! can assert on diagnostics instead of scraping stderr.

@@ -40,9 +40,10 @@ static POOL_HIGH_WATER: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV
 /// Appends refused with [`KvOom`] across every pool in the process.
 static POOL_OOM_EVENTS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_POOL_OOM_EVENTS);
 
-/// Default tokens per block (`BYTE_KV_BLOCK` overrides).
+/// Tokens per block of [`PagedLayout::default`] (and of `btx decode --block`).
 pub const DEFAULT_BLOCK_TOKENS: usize = 16;
-/// Default pool capacity in blocks (`BYTE_KV_BLOCKS` overrides).
+/// Pool capacity in blocks of [`PagedLayout::default`] (and of `btx decode
+/// --blocks`).
 pub const DEFAULT_POOL_BLOCKS: usize = 512;
 
 /// Geometry of a paged KV cache: tokens per block × blocks in the pool.
@@ -68,30 +69,6 @@ impl PagedLayout {
         }
     }
 
-    /// Reads the layout from the environment: `BYTE_KV_BLOCK` (tokens per
-    /// block, default [`DEFAULT_BLOCK_TOKENS`]) and `BYTE_KV_BLOCKS` (pool
-    /// capacity, default [`DEFAULT_POOL_BLOCKS`]).
-    ///
-    /// # Panics
-    /// Panics on an unparseable or zero value, naming the offending
-    /// variable — same contract as `BYTE_GEMM_ISA`: a typo'd knob must not
-    /// silently fall back.
-    pub fn from_env() -> Self {
-        let read = |name: &str, default: usize| -> usize {
-            match std::env::var(name) {
-                Ok(raw) => match raw.trim().parse::<usize>() {
-                    Ok(v) if v > 0 => v,
-                    _ => panic!("{name}={raw:?} is not a positive integer"),
-                },
-                Err(_) => default,
-            }
-        };
-        Self::new(
-            read("BYTE_KV_BLOCK", DEFAULT_BLOCK_TOKENS),
-            read("BYTE_KV_BLOCKS", DEFAULT_POOL_BLOCKS),
-        )
-    }
-
     /// Blocks needed to hold `tokens` token slots.
     pub fn blocks_for(&self, tokens: usize) -> usize {
         tokens.div_ceil(self.block_tokens)
@@ -100,31 +77,6 @@ impl PagedLayout {
     /// Total token slots the pool can hold.
     pub fn capacity_tokens(&self) -> usize {
         self.block_tokens * self.pool_blocks
-    }
-
-    /// Splits one shared block budget into `shards` per-shard layouts: the
-    /// block size is preserved (bitwise block-size invariance holds per
-    /// shard) and `pool_blocks` is divided as evenly as possible, with the
-    /// first `pool_blocks % shards` shards taking one extra block. The
-    /// shard router sizes each shard's private [`BlockPool`] from these, so
-    /// N shards never hold more cache memory than the single-instance
-    /// budget they replaced.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero or exceeds `pool_blocks` (a shard with an
-    /// empty pool could never admit a decode request).
-    pub fn per_shard(&self, shards: usize) -> Vec<PagedLayout> {
-        assert!(shards > 0, "shards must be positive");
-        assert!(
-            shards <= self.pool_blocks,
-            "cannot split {} blocks across {shards} shards: every shard needs at least one block",
-            self.pool_blocks
-        );
-        let base = self.pool_blocks / shards;
-        let extra = self.pool_blocks % shards;
-        (0..shards)
-            .map(|i| PagedLayout::new(self.block_tokens, base + usize::from(i < extra)))
-            .collect()
     }
 }
 
@@ -418,32 +370,6 @@ impl BlockPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn per_shard_split_conserves_the_block_budget() {
-        let layout = PagedLayout::new(16, 511);
-        for shards in [1usize, 2, 3, 4, 8] {
-            let split = layout.per_shard(shards);
-            assert_eq!(split.len(), shards);
-            assert_eq!(
-                split.iter().map(|l| l.pool_blocks).sum::<usize>(),
-                layout.pool_blocks,
-                "split must conserve the shared budget exactly"
-            );
-            for l in &split {
-                assert_eq!(l.block_tokens, layout.block_tokens);
-                assert!(l.pool_blocks >= layout.pool_blocks / shards);
-            }
-            // Remainder blocks go to the lowest-indexed shards.
-            assert!(split.windows(2).all(|w| w[0].pool_blocks >= w[1].pool_blocks));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "every shard needs at least one block")]
-    fn per_shard_refuses_empty_shard_pools() {
-        let _ = PagedLayout::new(16, 2).per_shard(3);
-    }
 
     #[test]
     fn append_grows_by_whole_blocks() {

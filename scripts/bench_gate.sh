@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Perf-regression gate: re-emit the four BENCH_*.json artifacts and diff
 # them against the baselines committed at HEAD with per-metric tolerance
-# bands (see crates/bench/src/bin/bench_gate.rs for the bands and their
-# BT_GATE_* env overrides).
+# bands (see crates/bench/src/bin/bench_gate.rs for the bands).
 #
 # Mode discipline — row keys include workload shape, so each bench must
 # re-run in the same mode its committed baseline used:

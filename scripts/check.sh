@@ -16,6 +16,17 @@ step() {
   echo "==> $1"
 }
 
+step "env knob table (README) matches the env::var names in code"
+# Every literal `env::var("NAME")` under the crates, shims and the root
+# binary must have a row in README's knob table, and every row must still
+# be read somewhere.
+knobs_code="$(grep -rhoE 'env::var\("[A-Za-z0-9_]+"\)' crates/*/src crates/*/benches shims/*/src src \
+  | sed -E 's/.*\("([^"]+)"\)/\1/' | sort -u)"
+knobs_readme="$(sed -n '/^### Environment variables/,/^## /p' README.md \
+  | sed -nE 's/^\| `([A-Za-z0-9_]+)` \|.*/\1/p' | sort -u)"
+diff <(echo "$knobs_code") <(echo "$knobs_readme") \
+  || { echo "README knob table (>) and env::var names in code (<) differ"; exit 1; }
+
 step "cargo build --release"
 cargo build --release
 

@@ -73,12 +73,22 @@ thread_local! {
     static FORCE_SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Total parallelism `T` from `BYTE_POOL_THREADS` (≥ 1, capped at 256),
-/// falling back to the host parallelism.
+/// Total parallelism `T` from `BYTE_POOL_THREADS` (panicking on a value
+/// [`parse_threads`] rejects), falling back to the host parallelism.
 fn configured_threads() -> usize {
     match std::env::var("BYTE_POOL_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).clamp(1, 256),
+        Ok(v) => parse_threads(&v).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+    }
+}
+
+/// A `BYTE_POOL_THREADS` value: a positive integer, capped at 256.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n.min(256)),
+        _ => Err(format!(
+            "BYTE_POOL_THREADS: invalid value `{v}` (expected a positive integer)"
+        )),
     }
 }
 
@@ -675,6 +685,30 @@ where
         Ok(value) => {
             s.panic.rethrow_if_armed();
             value
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_threads;
+
+    #[test]
+    fn pool_threads_accepts_positive_integers_and_caps_at_256() {
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 4 "), Ok(4));
+        assert_eq!(parse_threads("256"), Ok(256));
+        assert_eq!(parse_threads("10000"), Ok(256));
+    }
+
+    #[test]
+    fn pool_threads_rejects_zero_and_non_integers_by_name() {
+        for bad in ["0", "two", "", "-1", "2.5"] {
+            let err = parse_threads(bad).unwrap_err();
+            assert!(
+                err.contains("BYTE_POOL_THREADS") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
         }
     }
 }

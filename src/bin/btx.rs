@@ -13,7 +13,7 @@
 //!                [--shards 0(unsharded)] [--route rr|jsq|p2c]
 //!                [--hot-tokens 0(gate off)]
 //! btx decode     [--sessions 8] [--tokens 24] [--prompt 16] [--requests 0(auto)]
-//!                [--block 0(env)] [--blocks 0(env)] [--budget 0(auto)]
+//!                [--block 16] [--blocks 512] [--budget 0(auto)]
 //!                [--deadline-ms 0(off)] [--queue 0(auto)] [--chunk 0(whole)]
 //!                [--trace] [--seed 42]
 //! btx trace      [--slowest 5] [--shed-only] [--deadline-missed]
@@ -27,7 +27,7 @@
 //! end-to-end latency, shed-only, or deadline-missed). `btx top` drives
 //! the same workload continuously on a background thread and refreshes a
 //! windowed metrics snapshot (rates, shed breakdown, queue-wait
-//! percentiles, per-path GEMM GFLOP/s) every `BYTE_OBS_WINDOW_MS`.
+//! percentiles, per-path GEMM GFLOP/s) every second.
 //!
 //! `btx serve --shards N` routes the same calibrated open-loop trace
 //! through the multi-shard router instead of one server: `--load` is the
@@ -44,6 +44,7 @@
 use bytetransformer::core::flops::{layer_flops, FlopVariant};
 use bytetransformer::frameworks::calibration::render_feature_matrix;
 use bytetransformer::prelude::*;
+use bytetransformer::varlen::paged::{PagedLayout, DEFAULT_BLOCK_TOKENS, DEFAULT_POOL_BLOCKS};
 
 #[derive(Debug)]
 struct Args {
@@ -79,13 +80,23 @@ struct Args {
     hot_tokens: usize,
 }
 
-/// A numeric flag's value, or the message-and-exit-2 of every other
-/// argument error.
+/// A numeric flag's value; an unparsable one is [`invalid`].
 fn numeric<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("btx: {flag}: invalid value '{value}'");
-        std::process::exit(2);
-    })
+    value.parse().unwrap_or_else(|_| invalid(flag, &value))
+}
+
+/// A numeric flag that must be positive (a KV pool dimension).
+fn positive(flag: &str, value: String) -> usize {
+    match value.parse() {
+        Ok(n) if n > 0 => n,
+        _ => invalid(flag, &value),
+    }
+}
+
+/// Prints a bad flag value and exits 2, like every other argument error.
+fn invalid(flag: &str, value: &str) -> ! {
+    eprintln!("btx: {flag}: invalid value '{value}'");
+    std::process::exit(2);
 }
 
 fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
@@ -112,8 +123,8 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
         sessions: 8,
         tokens: 24,
         prompt: 16,
-        block: 0,
-        blocks: 0,
+        block: DEFAULT_BLOCK_TOKENS,
+        blocks: DEFAULT_POOL_BLOCKS,
         // 0 = whole prompts (decode) / whole batches (serve).
         chunk: 0,
         slowest: 5,
@@ -173,8 +184,8 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
             "--sessions" => args.sessions = numeric(flag, take(flag)),
             "--tokens" => args.tokens = numeric(flag, take(flag)),
             "--prompt" => args.prompt = numeric(flag, take(flag)),
-            "--block" => args.block = numeric(flag, take(flag)),
-            "--blocks" => args.blocks = numeric(flag, take(flag)),
+            "--block" => args.block = positive(flag, take(flag)),
+            "--blocks" => args.blocks = positive(flag, take(flag)),
             "--chunk" => args.chunk = numeric(flag, take(flag)),
             "--deadline-ms" => args.deadline_ms = numeric(flag, take(flag)),
             "--queue" => args.queue = numeric(flag, take(flag)),
@@ -286,18 +297,10 @@ fn cmd_decode(a: &Args) {
     use bytetransformer::frameworks::decode::{decode_workload, run_decode_loop, DecodeConfig, PagedDecodeEngine};
     use bytetransformer::frameworks::serving::poisson_arrivals;
     use bytetransformer::obs;
-    use bytetransformer::varlen::paged::PagedLayout;
 
     let config = config_of(a);
     let decoder = bytetransformer::core::decoder::TransformerDecoder::new_random(config, a.layers, a.seed);
-
-    // Pool geometry: env knobs (BYTE_KV_BLOCK / BYTE_KV_BLOCKS) unless the
-    // flags override them.
-    let env = PagedLayout::from_env();
-    let layout = PagedLayout::new(
-        if a.block > 0 { a.block } else { env.block_tokens },
-        if a.blocks > 0 { a.blocks } else { env.pool_blocks },
-    );
+    let layout = PagedLayout::new(a.block, a.blocks);
     // Budget: every live session decodes one token per step; leave room to
     // weave in about two max-length prefills alongside.
     let budget = if a.budget > 0 {
@@ -464,7 +467,6 @@ fn cmd_serve(a: &Args) {
     use bytetransformer::frameworks::shard::{run_sharded_open_loop, shard_seed, RoutePolicy, ShardConfig};
     use bytetransformer::obs;
     use bytetransformer::obs::names;
-    use bytetransformer::varlen::paged::PagedLayout;
 
     let setup = serve_setup(a);
     let serve_config = setup.config;
@@ -546,7 +548,6 @@ fn cmd_serve(a: &Args) {
             route,
             serve: serve_config,
             hot_shard_tokens: a.hot_tokens,
-            kv_layout: PagedLayout::from_env(),
         };
         let report = run_sharded_open_loop(&setup.arrivals, &cfg, |i| {
             modeled_forward_executor(&setup.fw, CostModel::a100(), shard_seed(a.seed, i))
@@ -570,20 +571,19 @@ fn cmd_serve(a: &Args) {
                 }
             );
             println!(
-                "{:>5} {:>8} {:>7} {:>6} {:>8} {:>12} {:>14} {:>10}",
-                "shard", "offered", "served", "shed", "batches", "makespan_ms", "goodput_tok/s", "kv_blocks"
+                "{:>5} {:>8} {:>7} {:>6} {:>8} {:>12} {:>14}",
+                "shard", "offered", "served", "shed", "batches", "makespan_ms", "goodput_tok/s"
             );
-            for (i, (p, kv)) in report.shard_summaries().iter().zip(&report.shard_kv).enumerate() {
+            for (i, p) in report.shard_summaries().iter().enumerate() {
                 println!(
-                    "{:>5} {:>8} {:>7} {:>6} {:>8} {:>12.2} {:>14.0} {:>10}",
+                    "{:>5} {:>8} {:>7} {:>6} {:>8} {:>12.2} {:>14.0}",
                     i,
                     p.offered,
                     p.served,
                     p.shed(),
                     p.batches,
                     p.makespan * 1e3,
-                    p.goodput_tokens_per_sec(),
-                    kv.pool_blocks
+                    p.goodput_tokens_per_sec()
                 );
             }
             let fleet = report.fleet_snapshot();
@@ -666,7 +666,7 @@ fn cmd_top(a: &Args) {
     use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop};
     use bytetransformer::obs;
     use bytetransformer::obs::names;
-    use bytetransformer::obs::snapshot::{window_ms_from_env, Aggregator, MetricsSnapshot};
+    use bytetransformer::obs::snapshot::{Aggregator, MetricsSnapshot};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -677,7 +677,7 @@ fn cmd_top(a: &Args) {
     let setup = serve_setup(a);
     obs::set_enabled(true);
     let _ = obs::drain();
-    let window_ms = window_ms_from_env();
+    let window_ms = 1000;
 
     // Drive the seeded serve workload continuously on a worker thread so
     // each window has live traffic to aggregate; the seed is perturbed per
@@ -748,7 +748,7 @@ fn cmd_top(a: &Args) {
     };
 
     println!(
-        "btx top — {} windows of {} ms (BYTE_OBS_WINDOW_MS), load {:.2}×, policy {}\n",
+        "btx top — {} windows of {} ms, load {:.2}×, policy {}\n",
         a.windows,
         window_ms,
         a.load,

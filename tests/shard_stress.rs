@@ -22,7 +22,6 @@ use bytetransformer::frameworks::serving::{poisson_arrivals, TimedRequest};
 use bytetransformer::frameworks::shard::{run_sharded_open_loop, shard_seed, RoutePolicy, ShardConfig};
 use bytetransformer::obs::names;
 use bytetransformer::prelude::*;
-use bytetransformer::varlen::paged::PagedLayout;
 
 /// Synthetic batch cost, same shape as `serve_stress.rs`: fixed launch
 /// overhead plus linear token cost — deterministic and fast.
@@ -122,7 +121,6 @@ fn sharded_accounting_is_exact_and_partitions_the_trace() {
         ] {
             let cfg = ShardConfig {
                 route,
-                kv_layout: PagedLayout::new(16, 64 * shards),
                 ..ShardConfig::new(shards, serve_config(256, 0.6))
             };
             let report = run_sharded_open_loop(&reqs, &cfg, make_synthetic_exec);
@@ -137,8 +135,8 @@ fn sharded_accounting_is_exact_and_partitions_the_trace() {
 
             // Per-shard offered counts partition the global trace, and the
             // assignment maps every id to a real shard.
-            let per_shard = report.shard_summaries();
-            assert_eq!(per_shard.iter().map(|p| p.offered).sum::<usize>(), reqs.len());
+            let summaries = report.shard_summaries();
+            assert_eq!(summaries.iter().map(|p| p.offered).sum::<usize>(), reqs.len());
             assert_eq!(report.assignment.len(), reqs.len());
             assert!(report.assignment.iter().all(|&a| a < shards));
 
@@ -209,9 +207,9 @@ fn skewed_zipf_trace_forces_hot_shard_sheds_with_exact_accounting() {
     }
 
     // The per-reason breakdown survives the per-shard split.
-    let per_shard = report.shard_summaries();
+    let summaries = report.shard_summaries();
     assert_eq!(
-        per_shard.iter().map(|p| p.shed_hot_shard).sum::<usize>(),
+        summaries.iter().map(|p| p.shed_hot_shard).sum::<usize>(),
         s.shed_hot_shard
     );
 }
