@@ -5,9 +5,10 @@
 //! widens as α falls (linearly for the projection/FFN GEMMs, quadratically
 //! for attention).
 
-use bt_bench::{banner, bench_batch, bench_config, masked_input, pct_faster};
+use bt_bench::{banner, bench_batch, bench_config, pct_faster};
 use bt_core::encoder::{BertModel, OptLevel};
 use bt_device::Device;
+use bt_varlen::workload::masked_randn;
 use bt_varlen::BatchMask;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
         // not sampling noise).
         let len = ((alpha * seq as f64).round() as usize).clamp(1, seq);
         let mask = BatchMask::from_lens(vec![len; batch], seq).expect("bounded lengths");
-        let input = masked_input(&mask, config.hidden(), 5);
+        let input = masked_randn(&mask, config.hidden(), 5);
         let run = |opt: OptLevel| {
             let dev = Device::new();
             model.forward(&dev, &input, &mask, opt).expect("validated shapes");

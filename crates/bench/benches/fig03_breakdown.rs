@@ -7,7 +7,7 @@
 //! modeled time and are batch-invariant, so the default batch-4 run
 //! reproduces the paper's percentages.
 
-use bt_bench::{banner, bench_batch, bench_config, masked_input};
+use bt_bench::{banner, bench_batch, bench_config};
 use bt_core::encoder::{BertModel, OptLevel};
 use bt_device::{Device, TraceReport};
 use bt_varlen::workload;
@@ -32,7 +32,7 @@ fn main() {
         // Fig. 3 profiles the fixed-length baseline (padding is the default
         // regime being diagnosed).
         let mask = workload::fixed_workload(batch, seq);
-        let input = masked_input(&mask, config.hidden(), 3);
+        let input = workload::masked_randn(&mask, config.hidden(), 3);
         let dev = Device::new();
         model
             .forward(&dev, &input, &mask, OptLevel::Baseline)

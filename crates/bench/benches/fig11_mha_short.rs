@@ -5,10 +5,10 @@
 //! GEMM, cuBLAS + zero-padding softmax, and our fused MHA. Paper reading:
 //! fused beats them by ~617% / 42% / 30% on average.
 
-use bt_bench::{banner, bench_config, masked_input, pct_faster};
+use bt_bench::{banner, bench_config, pct_faster};
 use bt_core::attention::{batched_attention, fused_short_attention, naive_attention};
 use bt_device::Device;
-use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv, split_heads};
+use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv};
 use bt_tensor::Tensor;
 use bt_varlen::{workload, PackingIndex};
 
@@ -42,10 +42,6 @@ fn main() {
         let bias = vec![0.0f32; 3 * hidden];
         let (q_pad, k_pad, v_pad) = add_bias_unpack_split_qkv(&setup, &qkv, &bias, &idx, heads);
         let (q_pk, k_pk, v_pk) = add_bias_split_qkv_packed(&setup, &qkv, &bias, heads, scale);
-        // Touch split_heads/masked_input so the padded baselines use the same
-        // pipeline as real frameworks would (cost parity of the setup phase
-        // is not part of this figure).
-        let _ = (&split_heads, masked_input(&mask, 1, 0));
 
         let dev_pt = Device::new();
         naive_attention(&dev_pt, &q_pad, &k_pad, &v_pad, mask.seq_lens(), scale, 8e-6);

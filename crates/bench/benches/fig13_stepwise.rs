@@ -6,7 +6,7 @@
 //! GELU fusion +3.8% (together +7.1%), zero padding +24%, fused MHA +20%,
 //! for a total of ~60% over the baseline.
 
-use bt_bench::{banner, bench_batch, bench_config, masked_input, seq_sweep};
+use bt_bench::{banner, bench_batch, bench_config, seq_sweep};
 use bt_core::encoder::{BertModel, OptLevel};
 use bt_device::Device;
 use bt_varlen::workload;
@@ -29,7 +29,7 @@ fn main() {
 
     for seq in seq_sweep() {
         let mask = workload::paper_workload(batch, seq, 13);
-        let input = masked_input(&mask, config.hidden(), 3);
+        let input = workload::masked_randn(&mask, config.hidden(), 3);
         let mut times = Vec::new();
         print!("{seq:>6}");
         for opt in OptLevel::all() {

@@ -13,7 +13,7 @@
 //! measured separately and added once. `BT_BENCH_FULL=1` runs all 12 layers
 //! for real instead.
 
-use bt_bench::{banner, bench_config, masked_input};
+use bt_bench::{banner, bench_config};
 use bt_core::encoder::BertModel;
 use bt_device::CostModel;
 use bt_frameworks::{FrameworkKind, SimFramework};
@@ -62,7 +62,7 @@ fn main() {
                 continue;
             }
             let mask = workload::paper_workload(batch, seq, 17);
-            let input = masked_input(&mask, config.hidden(), 3);
+            let input = workload::masked_randn(&mask, config.hidden(), 3);
             print!("{seq:>6}");
             let mut bt_time = None;
             let mut row: Vec<(FrameworkKind, Option<f64>)> = Vec::new();

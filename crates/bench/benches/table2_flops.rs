@@ -2,7 +2,7 @@
 //! under the three variants, cross-checked against the FLOPs the executed
 //! pipeline actually declared.
 
-use bt_bench::{banner, bench_batch, bench_config, masked_input};
+use bt_bench::{banner, bench_batch, bench_config};
 use bt_core::encoder::{BertModel, OptLevel};
 use bt_core::flops::{layer_flops, FlopVariant};
 use bt_device::Device;
@@ -53,7 +53,7 @@ fn main() {
     // Cross-check against the executed pipeline's declared GEMM flops.
     println!("\ncross-check vs executed trace (GEMM-portion of each pipeline):");
     let model = BertModel::new_random(config, 1, 7);
-    let input = masked_input(&mask, config.hidden(), 3);
+    let input = workload::masked_randn(&mask, config.hidden(), 3);
     for (variant, opt, expect) in [
         ("baseline", OptLevel::Baseline, b.total()),
         ("zero padding", OptLevel::ZeroPadding, z.total()),

@@ -14,8 +14,6 @@
 //!   on one core and are documented in EXPERIMENTS.md).
 
 use bt_core::config::BertConfig;
-use bt_tensor::Tensor;
-use bt_varlen::BatchMask;
 use std::time::Instant;
 
 pub mod report;
@@ -79,19 +77,6 @@ pub fn bench_batch() -> usize {
     }
 }
 
-/// A padded input tensor whose valid rows are random and padded rows zero.
-pub fn masked_input(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut input = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                input.set(&[b, s, h], 0.0).expect("within shape");
-            }
-        }
-    }
-    input
-}
-
 /// Times one invocation, returning seconds.
 pub fn wall<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
@@ -141,15 +126,6 @@ mod tests {
                 "{err}"
             );
         }
-    }
-
-    #[test]
-    fn masked_input_zeroes_padding() {
-        let mask = BatchMask::from_lens(vec![2, 1], 3).unwrap();
-        let t = masked_input(&mask, 4, 1);
-        assert_eq!(t.at(&[0, 2, 0]).unwrap(), 0.0);
-        assert_eq!(t.at(&[1, 1, 3]).unwrap(), 0.0);
-        assert_ne!(t.at(&[0, 0, 0]).unwrap(), 0.0);
     }
 
     #[test]

@@ -300,6 +300,7 @@ mod tests {
     use bt_device::CostModel;
     use bt_kernels::activation::gelu_tanh;
     use bt_kernels::layernorm::normalize_row;
+    use bt_varlen::workload::masked_randn;
 
     fn device() -> Device {
         Device::with_model(CostModel::unit())
@@ -422,26 +423,14 @@ mod tests {
         out
     }
 
-    fn zeroed(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-        let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-        for (b, &len) in mask.seq_lens().iter().enumerate() {
-            for s in len..mask.max_seq_len() {
-                for h in 0..hidden {
-                    t.set(&[b, s, h], 0.0).unwrap();
-                }
-            }
-        }
-        t
-    }
-
     #[test]
     fn decoder_matches_independent_reference() {
         let config = BertConfig::tiny();
         let dec = TransformerDecoder::new_random(config, 2, 7);
         let tgt_mask = BatchMask::from_lens(vec![5, 2], 6).unwrap();
         let mem_mask = BatchMask::from_lens(vec![3, 8], 8).unwrap();
-        let tgt = zeroed(&tgt_mask, config.hidden(), 1);
-        let memory = zeroed(&mem_mask, config.hidden(), 2);
+        let tgt = masked_randn(&tgt_mask, config.hidden(), 1);
+        let memory = masked_randn(&mem_mask, config.hidden(), 2);
         let dev = device();
         let got = dec.forward(&dev, &tgt, &tgt_mask, &memory, &mem_mask).unwrap();
 
@@ -482,9 +471,9 @@ mod tests {
         let got = dec
             .forward(
                 &dev,
-                &zeroed(&tgt_mask, 16, 1),
+                &masked_randn(&tgt_mask, 16, 1),
                 &tgt_mask,
-                &zeroed(&mem_mask, 16, 2),
+                &masked_randn(&mem_mask, 16, 2),
                 &mem_mask,
             )
             .unwrap();
@@ -501,8 +490,8 @@ mod tests {
         let model = Seq2SeqTransformer::new_random(config, 2, 2, 11);
         let src_mask = BatchMask::from_lens(vec![6, 3], 8).unwrap();
         let tgt_mask = BatchMask::from_lens(vec![4, 7], 7).unwrap();
-        let src = zeroed(&src_mask, config.hidden(), 5);
-        let tgt = zeroed(&tgt_mask, config.hidden(), 6);
+        let src = masked_randn(&src_mask, config.hidden(), 5);
+        let tgt = masked_randn(&tgt_mask, config.hidden(), 6);
         let dev = device();
         let a = model.forward(&dev, &src, &src_mask, &tgt, &tgt_mask).unwrap();
         let b = model.forward(&dev, &src, &src_mask, &tgt, &tgt_mask).unwrap();
@@ -518,8 +507,8 @@ mod tests {
         let dec = TransformerDecoder::new_random(config, 2, 13);
         let tgt_mask = BatchMask::from_lens(vec![6], 6).unwrap();
         let mem_mask = BatchMask::from_lens(vec![4], 4).unwrap();
-        let memory = zeroed(&mem_mask, config.hidden(), 2);
-        let tgt_a = zeroed(&tgt_mask, config.hidden(), 3);
+        let memory = masked_randn(&mem_mask, config.hidden(), 2);
+        let tgt_a = masked_randn(&tgt_mask, config.hidden(), 3);
         let mut tgt_b = tgt_a.clone();
         for h in 0..config.hidden() {
             tgt_b.set(&[0, 5, h], 9.0).unwrap(); // perturb the last token

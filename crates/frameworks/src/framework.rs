@@ -210,14 +210,7 @@ mod tests {
         let config = BertConfig::tiny();
         let model = BertModel::new_random(config, layers, 42);
         let mask = BatchMask::from_lens(lens.to_vec(), max_seq).unwrap();
-        let mut input = Tensor::randn([mask.batch(), max_seq, config.hidden()], 7);
-        for (b, &len) in mask.seq_lens().iter().enumerate() {
-            for s in len..max_seq {
-                for h in 0..config.hidden() {
-                    input.set(&[b, s, h], 0.0).unwrap();
-                }
-            }
-        }
+        let input = workload::masked_randn(&mask, config.hidden(), 7);
         (model, input, mask)
     }
 

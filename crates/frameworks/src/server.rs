@@ -96,6 +96,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::time::Instant;
 
+pub use bt_varlen::workload::masked_randn;
+
 /// Requests offered to the server (admitted or not).
 static OFFERED: bt_obs::Counter = bt_obs::Counter::new(names::SERVE_OFFERED);
 /// Requests served to completion.
@@ -319,22 +321,6 @@ impl ServeSummary {
         }
         self.served_tokens as f64 / self.makespan
     }
-}
-
-/// Zero-padded random input for a masked batch (`[batch, max_seq, hidden]`
-/// with rows past each sequence's length zeroed) — the standard request
-/// synthesis for serving paths, shared by the capacity probe, the serving
-/// executors, and `btx`.
-pub fn masked_randn(mask: &BatchMask, hidden: usize, seed: u64) -> bt_tensor::Tensor {
-    let mut t = bt_tensor::Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).expect("within shape");
-            }
-        }
-    }
-    t
 }
 
 /// An executor for [`run_open_loop`] that runs **real** framework forwards:

@@ -40,7 +40,7 @@
 //! `serve.shard.*` names.
 
 use bt_obs::names;
-use bt_obs::snapshot::{bucket_of, CounterDelta, HistogramWindow, MetricsSnapshot, HIST_BUCKETS};
+use bt_obs::snapshot::{bucket_of, merge, CounterDelta, HistogramWindow, MetricsSnapshot, HIST_BUCKETS};
 use bt_tensor::rng::SplitMix64;
 use bt_varlen::BatchMask;
 
@@ -255,11 +255,11 @@ impl ShardedReport {
             .collect()
     }
 
-    /// The fleet view: all per-shard snapshots folded through
-    /// [`MetricsSnapshot::merge`] — counters sum, histogram buckets
-    /// absorb, percentiles recompute over the union.
+    /// The fleet view: all per-shard snapshots folded through [`merge`] —
+    /// counters sum, histogram buckets absorb, percentiles recompute over
+    /// the union.
     pub fn fleet_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::merge(&self.shard_snapshots())
+        merge(&self.shard_snapshots())
     }
 }
 

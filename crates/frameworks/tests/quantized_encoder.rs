@@ -9,22 +9,8 @@ use bt_core::config::BertConfig;
 use bt_core::encoder::{BertModel, OptLevel};
 use bt_device::Device;
 use bt_gemm::{active_precision, set_active_precision, Precision};
-use bt_tensor::Tensor;
+use bt_varlen::workload::masked_randn;
 use bt_varlen::BatchMask;
-
-/// Random input with padded positions zeroed (the packed pipeline never
-/// reads them, but the baseline comparison path must see the same words).
-fn masked_input(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).unwrap();
-            }
-        }
-    }
-    t
-}
 
 #[test]
 fn quantized_forward_tracks_f32_and_lights_lowp_counters() {
@@ -35,7 +21,7 @@ fn quantized_forward_tracks_f32_and_lights_lowp_counters() {
     let model = BertModel::new_random(config, 2, 11);
     // Variable lengths incl. a 1-token sequence — the serving shape mix.
     let mask = BatchMask::from_lens(vec![13, 1, 9, 16], 16).unwrap();
-    let input = masked_input(&mask, config.hidden(), 5);
+    let input = masked_randn(&mask, config.hidden(), 5);
 
     set_active_precision(Precision::F32);
     let dev = Device::new();
@@ -70,32 +56,30 @@ fn quantized_forward_tracks_f32_and_lights_lowp_counters() {
             "{prec}: bitwise-identical output means the lowp path did not run"
         );
 
-        if bt_obs::compiled() {
-            let profile = bt_obs::drain();
-            let of = |name: &str| {
-                profile
-                    .counters
-                    .iter()
-                    .filter(|(n, _)| n == name || (n.starts_with("gemm.") && n.ends_with(&format!(".{prec}"))))
-                    .map(|(_, v)| *v)
-                    .sum::<u64>()
-            };
-            assert!(
-                of(&format!("{}{prec}", bt_obs::names::GEMM_LOWP_PACK_BYTES_PREFIX)) > 0,
-                "{prec}: no packed low-precision bytes counted"
-            );
-            let launches: u64 = profile
+        let profile = bt_obs::drain();
+        let of = |name: &str| {
+            profile
                 .counters
                 .iter()
-                .filter(|(n, _)| {
-                    (n.starts_with(bt_obs::names::GEMM_BLOCKED_LAUNCHES_PREFIX)
-                        || n.starts_with(bt_obs::names::GEMM_GROUPED_TILES_PREFIX))
-                        && n.ends_with(&format!(".{prec}"))
-                })
+                .filter(|(n, _)| n == name || (n.starts_with("gemm.") && n.ends_with(&format!(".{prec}"))))
                 .map(|(_, v)| *v)
-                .sum();
-            assert!(launches > 0, "{prec}: no per-precision launch/tile counters lit");
-        }
+                .sum::<u64>()
+        };
+        assert!(
+            of(&format!("{}{prec}", bt_obs::names::GEMM_LOWP_PACK_BYTES_PREFIX)) > 0,
+            "{prec}: no packed low-precision bytes counted"
+        );
+        let launches: u64 = profile
+            .counters
+            .iter()
+            .filter(|(n, _)| {
+                (n.starts_with(bt_obs::names::GEMM_BLOCKED_LAUNCHES_PREFIX)
+                    || n.starts_with(bt_obs::names::GEMM_GROUPED_TILES_PREFIX))
+                    && n.ends_with(&format!(".{prec}"))
+            })
+            .map(|(_, v)| *v)
+            .sum();
+        assert!(launches > 0, "{prec}: no per-precision launch/tile counters lit");
     }
     set_active_precision(prev);
 }

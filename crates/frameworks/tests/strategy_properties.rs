@@ -5,21 +5,9 @@ use bt_core::config::BertConfig;
 use bt_core::encoder::{BertModel, OptLevel};
 use bt_device::{CostModel, Device};
 use bt_frameworks::{FrameworkKind, SimFramework};
-use bt_tensor::Tensor;
+use bt_varlen::workload::masked_randn;
 use bt_varlen::BatchMask;
 use proptest::prelude::*;
-
-fn zeroed(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).unwrap();
-            }
-        }
-    }
-    t
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -33,7 +21,7 @@ proptest! {
         let model = BertModel::new_random(config, 1, 42);
         let max = lens.iter().copied().max().unwrap();
         let mask = BatchMask::from_lens(lens, max).unwrap();
-        let input = zeroed(&mask, config.hidden(), seed);
+        let input = masked_randn(&mask, config.hidden(), seed);
         let dev = Device::with_model(CostModel::unit());
         let reference = model.forward(&dev, &input, &mask, OptLevel::Baseline).unwrap();
         for kind in FrameworkKind::all() {

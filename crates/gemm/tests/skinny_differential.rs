@@ -272,9 +272,6 @@ fn skinny_driver_pinned_on_a_fat_shape_still_matches() {
 
 #[test]
 fn selection_is_by_shape_alone() {
-    if !bt_obs::compiled() {
-        return;
-    }
     // m ≤ crossover without transb → skinny; one row more, or transb →
     // packed; either way the launch is one `gemm.calls` entry, so a snapshot
     // splits the call count by driver.

@@ -2,9 +2,8 @@
 //!
 //! A [`Profile`] is what [`drain`](crate::drain) returns: every span event
 //! from every thread in one time-ordered list, plus counter and histogram
-//! snapshots. This module is compiled identically with and without the
-//! `obs-off` feature (all fields are public so tests and tools can build
-//! synthetic profiles), and renders three views:
+//! snapshots. All fields are public so tests and tools can build synthetic
+//! profiles. A profile renders three views:
 //!
 //! * [`Profile::render_tree`] — hierarchical span tree, human-readable.
 //! * [`Profile::chrome_trace`] — `chrome://tracing` / Perfetto JSON.

@@ -10,10 +10,6 @@
 //!
 //! [`SnapshotLoop`] runs the periodic loop on a background thread at a
 //! cadence its caller chooses (`btx top` uses 1000 ms).
-//!
-//! This module is compiled identically with and without the `obs-off`
-//! feature; under `obs-off` the registries read empty and every snapshot
-//! is empty.
 
 use crate::names;
 use crate::profile::{json_escape, HistogramSnapshot};
@@ -334,6 +330,9 @@ impl MetricsSnapshot {
 /// are summed by name (percentiles recomputed from the summed buckets, so
 /// the merged quantiles are exact), high-water counters (name contains
 /// `high_water`) merge by max, and the window is the widest input window.
+/// The operation is associative and commutative up to the synthesized
+/// `shard` label `merge(N)` (pinned by the property suite), so shards can
+/// be folded in any order or grouping.
 pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
     let mut counters: HashMap<String, CounterDelta> = HashMap::new();
     let mut histograms: HashMap<String, HistogramWindow> = HashMap::new();
@@ -372,16 +371,6 @@ pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
         window_ms: shards.iter().map(|s| s.window_ms).max().unwrap_or(0),
         counters,
         histograms,
-    }
-}
-
-impl MetricsSnapshot {
-    /// Associated-function spelling of the free [`merge`]: rolls N shard
-    /// snapshots into one fleet view. The operation is associative and
-    /// commutative up to the synthesized `shard` label (pinned by the
-    /// property suite), so shards can be folded in any order or grouping.
-    pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
-        merge(shards)
     }
 }
 
@@ -581,6 +570,7 @@ mod tests {
             histograms: vec![window_of(&[97, 98, 99], "lat")],
         };
         let m = merge(&[a, b]);
+        assert_eq!(m.shard, "merge(2)");
         assert_eq!(m.window_ms, 1000);
         assert_eq!(m.delta("serve.served"), 15);
         assert_eq!(m.total("serve.served"), Some(150));
@@ -647,8 +637,9 @@ mod tests {
 
     #[test]
     fn aggregator_and_loop_produce_snapshots() {
-        // Under obs-off the registries are empty; the machinery must still
-        // run and emit (empty) snapshots.
+        // A snapshot and the periodic loop must work with no traffic at
+        // all: whatever the registries hold, a fresh aggregator emits a
+        // labelled window and the loop flushes at least once on stop.
         let mut agg = Aggregator::new("t");
         let s = agg.snapshot();
         assert_eq!(s.shard, "t");

@@ -170,14 +170,3 @@ fn high_water_counters_merge_by_max_while_flows_sum() {
         pick(&a, "kv.pool.blocks.high_water").max(pick(&b, "kv.pool.blocks.high_water"))
     );
 }
-
-#[test]
-fn associated_fn_is_the_free_fn() {
-    let mut rng = 7u64;
-    let (a, _) = random_snapshot(&mut rng, 0);
-    let (b, _) = random_snapshot(&mut rng, 1);
-    let via_assoc = MetricsSnapshot::merge(&[a.clone(), b.clone()]);
-    let via_free = merge(&[a, b]);
-    assert!(eq_modulo_label(&via_assoc, &via_free));
-    assert_eq!(via_assoc.shard, "merge(2)");
-}

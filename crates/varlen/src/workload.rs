@@ -8,6 +8,7 @@
 
 use crate::mask::{BatchMask, VarlenError};
 use bt_tensor::rng::Xoshiro256StarStar;
+use bt_tensor::Tensor;
 
 /// A distribution over sequence lengths, all bounded by a maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,9 +117,34 @@ pub fn custom_workload(lens: Vec<usize>, max_seq_len: usize) -> Result<BatchMask
     BatchMask::from_lens(lens, max_seq_len)
 }
 
+/// Zero-padded random input for a masked batch: a `[batch, max_seq,
+/// hidden]` [`Tensor::randn`] draw with every row past a sequence's length
+/// zeroed. The packed pipeline never reads padded rows, but padded
+/// baselines do, so every path compared on one input sees the same words.
+pub fn masked_randn(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
+    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
+    for (b, &len) in mask.seq_lens().iter().enumerate() {
+        for s in len..mask.max_seq_len() {
+            for h in 0..hidden {
+                t.set(&[b, s, h], 0.0).expect("within shape");
+            }
+        }
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn masked_randn_zeroes_padding() {
+        let mask = BatchMask::from_lens(vec![2, 1], 3).unwrap();
+        let t = masked_randn(&mask, 4, 1);
+        assert_eq!(t.at(&[0, 2, 0]).unwrap(), 0.0);
+        assert_eq!(t.at(&[1, 1, 3]).unwrap(), 0.0);
+        assert_ne!(t.at(&[0, 0, 0]).unwrap(), 0.0);
+    }
 
     #[test]
     fn fixed_is_all_max() {

@@ -9,6 +9,7 @@
 
 use bytetransformer::device::trace_to_csv;
 use bytetransformer::prelude::*;
+use bytetransformer::varlen::workload::masked_randn;
 
 fn main() {
     let config = BertConfig {
@@ -28,8 +29,8 @@ fn main() {
     println!("source lengths: {:?}", src_mask.seq_lens());
     println!("target lengths: {:?}\n", tgt_mask.seq_lens());
 
-    let src = zeroed_input(&src_mask, config.hidden(), 5);
-    let tgt = zeroed_input(&tgt_mask, config.hidden(), 6);
+    let src = masked_randn(&src_mask, config.hidden(), 5);
+    let tgt = masked_randn(&tgt_mask, config.hidden(), 6);
 
     let device = Device::new();
     let out = model
@@ -68,16 +69,4 @@ fn main() {
     let path = std::env::temp_dir().join("bytetransformer_seq2seq_trace.csv");
     std::fs::write(&path, csv).expect("temp dir writable");
     println!("full kernel trace written to {}", path.display());
-}
-
-fn zeroed_input(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).expect("in range");
-            }
-        }
-    }
-    t
 }

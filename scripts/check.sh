@@ -127,21 +127,11 @@ if [ -s target/bench_gate_retry_secs ]; then
   step_names[-1]+=" [first diff failed; retry took $(cat target/bench_gate_retry_secs)s of this]"
 fi
 
-step "cargo check --workspace --all-targets (obs-off)"
-# Every new obs-layer API (trace, snapshot, btx trace/top, bench_gate) must
-# still compile with telemetry swapped for the no-op layer.
-cargo check --workspace --all-targets --quiet --features bt-obs/obs-off
-
-step "cargo test --workspace (obs-off)"
-# Telemetry compiled out: the no-op layer must keep the whole workspace
-# building and passing (every bt-obs call site is exercised as dead code).
-cargo test --workspace --quiet --features bt-obs/obs-off
-
-step "obs overhead gate (enabled vs disabled, and compiled out)"
+step "obs overhead gate (enabled vs disabled at run time)"
 # The harness exits nonzero if the instrumented empty pool launch exceeds
-# 2x the uninstrumented baseline, or if obs-off spans cost anything.
+# 2x the uninstrumented baseline, or if a span! + counter increment costs
+# 5 ns or more with recording turned off by bt_obs::set_enabled(false).
 BT_BENCH_FAST=1 cargo bench -p bt-bench --bench obs_overhead --quiet
-BT_BENCH_FAST=1 cargo bench -p bt-bench --bench obs_overhead --quiet --features bt-obs/obs-off
 
 step "cargo doc --workspace --no-deps (warnings denied)"
 # The docs layer is a deliverable: missing_docs and broken intra-doc links

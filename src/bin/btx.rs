@@ -45,6 +45,7 @@ use bytetransformer::core::flops::{layer_flops, FlopVariant};
 use bytetransformer::frameworks::calibration::render_feature_matrix;
 use bytetransformer::prelude::*;
 use bytetransformer::varlen::paged::{PagedLayout, DEFAULT_BLOCK_TOKENS, DEFAULT_POOL_BLOCKS};
+use bytetransformer::varlen::workload::masked_randn;
 
 #[derive(Debug)]
 struct Args {
@@ -251,18 +252,6 @@ fn config_of(a: &Args) -> BertConfig {
 
 fn workload_of(a: &Args) -> BatchMask {
     LengthDistribution::PaperUniform { alpha: a.alpha }.sample_mask(a.batch, a.seq, 42)
-}
-
-fn masked_input(mask: &BatchMask, hidden: usize) -> Tensor {
-    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], 7);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).expect("in range");
-            }
-        }
-    }
-    t
 }
 
 fn main() {
@@ -612,10 +601,6 @@ fn cmd_trace(a: &Args) {
     use bytetransformer::obs;
     use bytetransformer::obs::trace::TraceOutcome;
 
-    if !obs::compiled() {
-        eprintln!("btx trace needs the recording layer; rebuild without `--features obs-off`");
-        std::process::exit(2);
-    }
     let setup = serve_setup(a);
     obs::set_enabled(true);
     let _ = obs::drain();
@@ -670,10 +655,6 @@ fn cmd_top(a: &Args) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    if !obs::compiled() {
-        eprintln!("btx top needs the recording layer; rebuild without `--features obs-off`");
-        std::process::exit(2);
-    }
     let setup = serve_setup(a);
     obs::set_enabled(true);
     let _ = obs::drain();
@@ -799,7 +780,7 @@ fn cmd_breakdown(a: &Args) {
     let config = config_of(a);
     let mask = workload_of(a);
     let model = BertModel::new_random(config, a.layers, 1);
-    let input = masked_input(&mask, config.hidden());
+    let input = masked_randn(&mask, config.hidden(), 7);
     let dev = Device::new();
     model.forward(&dev, &input, &mask, a.opt).expect("validated shapes");
     println!(
@@ -822,7 +803,7 @@ fn cmd_compare(a: &Args) {
     let config = config_of(a);
     let mask = workload_of(a);
     let model = BertModel::new_random(config, a.layers, 1);
-    let input = masked_input(&mask, config.hidden());
+    let input = masked_randn(&mask, config.hidden(), 7);
     println!(
         "{} layer(s), batch {} × seq {} (α = {:.3})\n",
         a.layers,
@@ -867,7 +848,7 @@ fn cmd_compare(a: &Args) {
 
 fn cmd_profile(a: &Args) {
     use bytetransformer::frameworks::admission::CutPolicy;
-    use bytetransformer::frameworks::server::{masked_randn, run_open_loop, ServeConfig};
+    use bytetransformer::frameworks::server::{run_open_loop, ServeConfig};
     use bytetransformer::frameworks::serving::poisson_arrivals;
     use bytetransformer::obs;
     use std::collections::{BTreeMap, HashSet};
@@ -889,7 +870,7 @@ fn cmd_profile(a: &Args) {
     let config = config_of(a);
     let mask = workload_of(a);
     let model = BertModel::new_random(config, a.layers, 1);
-    let input = masked_input(&mask, config.hidden());
+    let input = masked_randn(&mask, config.hidden(), 7);
     let dev = Device::new();
     let mut forward = None;
     rayon::scope(|s| {

@@ -6,18 +6,7 @@
 use bytetransformer::core::embeddings::{embed_packed, embed_padded, EmbeddingWeights};
 use bytetransformer::core::incremental::DecoderSession;
 use bytetransformer::prelude::*;
-
-fn zeroed(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).unwrap();
-            }
-        }
-    }
-    t
-}
+use bytetransformer::varlen::workload::masked_randn;
 
 #[test]
 fn seq2seq_respects_source_lengths() {
@@ -26,10 +15,10 @@ fn seq2seq_respects_source_lengths() {
     let config = BertConfig::tiny();
     let model = Seq2SeqTransformer::new_random(config, 1, 1, 3);
     let tgt_mask = BatchMask::from_lens(vec![4], 4).unwrap();
-    let tgt = zeroed(&tgt_mask, config.hidden(), 1);
+    let tgt = masked_randn(&tgt_mask, config.hidden(), 1);
 
     let src_small = BatchMask::from_lens(vec![5], 5).unwrap();
-    let src_a = zeroed(&src_small, config.hidden(), 2);
+    let src_a = masked_randn(&src_small, config.hidden(), 2);
     let src_big = BatchMask::from_lens(vec![5], 9).unwrap();
     let mut src_b = Tensor::zeros([1, 9, config.hidden()]);
     for s in 0..5 {
@@ -58,7 +47,7 @@ fn incremental_session_matches_batch_decoder_through_facade() {
 
     // Encode a source and extract the packed memory for one sequence.
     let src_mask = BatchMask::from_lens(vec![6], 6).unwrap();
-    let src = zeroed(&src_mask, hidden, 4);
+    let src = masked_randn(&src_mask, hidden, 4);
     let memory = model
         .encoder
         .forward(&dev, &src, &src_mask, OptLevel::FusedMha)
@@ -67,7 +56,7 @@ fn incremental_session_matches_batch_decoder_through_facade() {
 
     // Full teacher-forcing decode of a 5-token target.
     let tgt_mask = BatchMask::from_lens(vec![5], 5).unwrap();
-    let tgt = zeroed(&tgt_mask, hidden, 5);
+    let tgt = masked_randn(&tgt_mask, hidden, 5);
     let full = model
         .decoder
         .forward(

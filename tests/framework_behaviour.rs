@@ -5,26 +5,14 @@ use bytetransformer::core::paged::PagedDecoder;
 use bytetransformer::frameworks::calibration::FT_FUSED_MHA_MAX_SEQ;
 use bytetransformer::prelude::*;
 use bytetransformer::varlen::paged::PagedLayout;
+use bytetransformer::varlen::workload::masked_randn;
 
 fn setup(lens: &[usize], max_seq: usize, layers: usize) -> (BertModel, Tensor, BatchMask) {
     let config = BertConfig::tiny();
     let model = BertModel::new_random(config, layers, 42);
     let mask = BatchMask::from_lens(lens.to_vec(), max_seq).unwrap();
-    let input = padded_input(&mask, config.hidden(), 7);
+    let input = masked_randn(&mask, config.hidden(), 7);
     (model, input, mask)
-}
-
-/// Zero-padded random `[batch, max_seq, hidden]` activations for `mask`.
-fn padded_input(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut t = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                t.set(&[b, s, h], 0.0).unwrap();
-            }
-        }
-    }
-    t
 }
 
 #[test]
@@ -115,14 +103,7 @@ fn fig14_shape_framework_ordering_at_scale() {
     };
     let model = BertModel::new_random(config, 2, 3);
     let mask = bytetransformer::varlen::workload::paper_workload(16, 128, 9);
-    let mut input = Tensor::randn([16, 128, config.hidden()], 11);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..128 {
-            for h in 0..config.hidden() {
-                input.set(&[b, s, h], 0.0).unwrap();
-            }
-        }
-    }
+    let input = masked_randn(&mask, config.hidden(), 11);
     let time = |kind: FrameworkKind| -> f64 {
         let fw = SimFramework::new(kind, model.clone());
         let dev = fw.device(CostModel::a100());
@@ -277,9 +258,9 @@ fn decoder_launch_sequences_are_pinned() {
         decoder
             .forward(
                 &dev,
-                &padded_input(&tgt_mask, hidden, 1),
+                &masked_randn(&tgt_mask, hidden, 1),
                 &tgt_mask,
-                &padded_input(&mem_mask, hidden, 2),
+                &masked_randn(&mem_mask, hidden, 2),
                 &mem_mask,
             )
             .unwrap();

@@ -12,6 +12,7 @@ use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
 use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop, Outcome, ServeConfig};
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
+use bytetransformer::varlen::workload::masked_randn;
 use std::sync::{Mutex, Once, OnceLock};
 
 /// Pool width must be set before the pool's lazy init; the CI host may
@@ -42,14 +43,7 @@ fn forward_once(seq: usize) -> (Device, BatchMask) {
     let config = BertConfig::tiny();
     let mask = LengthDistribution::PaperUniform { alpha: 0.6 }.sample_mask(4, seq, 42);
     let model = BertModel::new_random(config, 1, 7);
-    let mut input = Tensor::randn([4, mask.max_seq_len(), config.hidden()], 3);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..config.hidden() {
-                input.set(&[b, s, h], 0.0).expect("in range");
-            }
-        }
-    }
+    let input = masked_randn(&mask, config.hidden(), 3);
     let dev = Device::new();
     model.forward(&dev, &input, &mask, OptLevel::FusedMha).expect("valid");
     (dev, mask)
@@ -57,9 +51,6 @@ fn forward_once(seq: usize) -> (Device, BatchMask) {
 
 #[test]
 fn forward_spans_reconcile_with_device_trace() {
-    if !obs::compiled() {
-        return;
-    }
     let _guard = setup();
     // Warm-up: first use pays one-time telemetry init (label interning,
     // ring registration) inside the trace's wall timer but outside the
@@ -110,9 +101,6 @@ fn forward_spans_reconcile_with_device_trace() {
 
 #[test]
 fn pool_counters_show_multi_worker_scheduling() {
-    if !obs::compiled() {
-        return;
-    }
     let _guard = setup();
     if rayon::current_num_threads() < 2 {
         // check.sh's BYTE_POOL_THREADS=1 pass: a width-1 pool has no
@@ -155,9 +143,6 @@ fn pool_counters_show_multi_worker_scheduling() {
 
 #[test]
 fn long_sequences_take_the_grouped_path() {
-    if !obs::compiled() {
-        return;
-    }
     let _guard = setup();
     let before = obs::drain();
     let _ = forward_once(512);
@@ -178,9 +163,6 @@ fn long_sequences_take_the_grouped_path() {
 
 #[test]
 fn serving_records_latency_and_shed_telemetry() {
-    if !obs::compiled() {
-        return;
-    }
     let _guard = setup();
     let model = BertModel::new_random(BertConfig::tiny(), 1, 42);
     // TurboTransformer rejects seq > 512; with `max_len` at that limit the
@@ -228,9 +210,6 @@ fn serving_records_latency_and_shed_telemetry() {
 
 #[test]
 fn disabling_telemetry_stops_recording() {
-    if !obs::compiled() {
-        return;
-    }
     let _guard = setup();
     obs::set_enabled(false);
     let _ = forward_once(32);

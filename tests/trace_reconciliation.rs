@@ -5,9 +5,8 @@
 //! nanosecond rounding of the virtual clock.
 //!
 //! Every test drains the same process-global telemetry state, so they
-//! serialize on one lock; under the `obs-off` feature the recording tests
-//! early-return and the disabled-path test still proves the ledger is
-//! unaffected.
+//! serialize on one lock; the disabled-path test proves that turning
+//! recording off at run time leaves the ledger unaffected.
 
 use bytetransformer::frameworks::admission::CutPolicy;
 use bytetransformer::frameworks::server::{run_open_loop, Outcome, ServeConfig};
@@ -83,9 +82,6 @@ fn matches_ns(ns: u64, secs: f64, what: &str, id: usize) {
 /// ledger's end-to-end latency.
 #[test]
 fn every_offered_request_reconstructs_exactly_at_double_load() {
-    if !obs::compiled() {
-        return;
-    }
     let _guard = lock();
     for (seed, chunk) in [(7u64, 0usize), (1234, 0), (0xdead_beef, 96)] {
         let config = stress_config(256, 0.6, chunk);
@@ -180,14 +176,12 @@ fn disabled_tracing_leaves_the_ledger_bit_identical() {
     assert_eq!(on.outcomes, off.outcomes, "tracing must not perturb outcomes");
     assert_eq!(on.makespan.to_bits(), off.makespan.to_bits());
 
-    if obs::compiled() {
-        // Sanity: the enabled twin really did record.
-        obs::set_enabled(true);
-        let _ = obs::drain();
-        let again = run_open_loop(&requests, &config, synthetic_exec);
-        let profile = obs::drain();
-        obs::set_enabled(false);
-        assert_eq!(timelines_by_id(reconstruct(&profile), 400).len(), 400);
-        assert_eq!(again.outcomes, off.outcomes);
-    }
+    // Sanity: the enabled twin really did record.
+    obs::set_enabled(true);
+    let _ = obs::drain();
+    let again = run_open_loop(&requests, &config, synthetic_exec);
+    let profile = obs::drain();
+    obs::set_enabled(false);
+    assert_eq!(timelines_by_id(reconstruct(&profile), 400).len(), 400);
+    assert_eq!(again.outcomes, off.outcomes);
 }

@@ -2,22 +2,11 @@
 //! paths and property-based cross-level equivalence on random shapes.
 
 use bytetransformer::prelude::*;
+use bytetransformer::varlen::workload::masked_randn;
 use proptest::prelude::*;
 
 fn model() -> BertModel {
     BertModel::new_random(BertConfig::tiny(), 1, 42)
-}
-
-fn zeroed_input(mask: &BatchMask, hidden: usize, seed: u64) -> Tensor {
-    let mut input = Tensor::randn([mask.batch(), mask.max_seq_len(), hidden], seed);
-    for (b, &len) in mask.seq_lens().iter().enumerate() {
-        for s in len..mask.max_seq_len() {
-            for h in 0..hidden {
-                input.set(&[b, s, h], 0.0).unwrap();
-            }
-        }
-    }
-    input
 }
 
 fn valid_diff(a: &Tensor, b: &Tensor, mask: &BatchMask) -> f32 {
@@ -37,7 +26,7 @@ fn valid_diff(a: &Tensor, b: &Tensor, mask: &BatchMask) -> f32 {
 fn single_token_sequences() {
     let m = model();
     let mask = BatchMask::from_lens(vec![1, 1, 1], 8).unwrap();
-    let input = zeroed_input(&mask, m.config.hidden(), 1);
+    let input = masked_randn(&mask, m.config.hidden(), 1);
     let dev = Device::new();
     let a = m.forward(&dev, &input, &mask, OptLevel::Baseline).unwrap();
     let b = m.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
@@ -48,7 +37,7 @@ fn single_token_sequences() {
 fn batch_with_empty_sequences() {
     let m = model();
     let mask = BatchMask::from_lens(vec![0, 6, 0, 3], 8).unwrap();
-    let input = zeroed_input(&mask, m.config.hidden(), 2);
+    let input = masked_randn(&mask, m.config.hidden(), 2);
     let dev = Device::new();
     let a = m.forward(&dev, &input, &mask, OptLevel::ZeroPadding).unwrap();
     let b = m.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
@@ -66,7 +55,7 @@ fn fully_packed_batch_has_alpha_one() {
     let m = model();
     let mask = BatchMask::from_lens(vec![8; 3], 8).unwrap();
     assert_eq!(mask.alpha(), 1.0);
-    let input = zeroed_input(&mask, m.config.hidden(), 3);
+    let input = masked_randn(&mask, m.config.hidden(), 3);
     let dev_zp = Device::new();
     m.forward(&dev_zp, &input, &mask, OptLevel::ZeroPadding).unwrap();
     let dev_base = Device::new();
@@ -88,7 +77,7 @@ fn extreme_length_skew() {
     // One max-length sequence among tiny ones — the worst case for padding.
     let m = model();
     let mask = BatchMask::from_lens(vec![64, 1, 2, 1], 64).unwrap();
-    let input = zeroed_input(&mask, m.config.hidden(), 4);
+    let input = masked_randn(&mask, m.config.hidden(), 4);
     let dev = Device::new();
     let a = m.forward(&dev, &input, &mask, OptLevel::Baseline).unwrap();
     let b = m.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
@@ -124,7 +113,7 @@ fn forward_is_deterministic_one_vs_n_workers() {
     }
     let m = model();
     let mask = BatchMask::from_lens(vec![7, 1, 0, 5], 8).unwrap();
-    let input = zeroed_input(&mask, m.config.hidden(), 99);
+    let input = masked_randn(&mask, m.config.hidden(), 99);
     for level in [OptLevel::Baseline, OptLevel::FusedMha] {
         let run = || {
             let dev = Device::new();
@@ -188,7 +177,7 @@ fn regression_batch_of_one_empty_sequence() {
     let m = model();
     // Exactly the prop body's shape derivation: max(lens) clamped to >= 1.
     let mask = BatchMask::from_lens(vec![0], 1).unwrap();
-    let input = zeroed_input(&mask, m.config.hidden(), 0);
+    let input = masked_randn(&mask, m.config.hidden(), 0);
     let dev = Device::new();
     let base = m.forward(&dev, &input, &mask, OptLevel::Baseline).unwrap();
     let fused = m.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
@@ -211,7 +200,7 @@ proptest! {
         let m = model();
         let max = lens.iter().copied().max().unwrap_or(0).max(1);
         let mask = BatchMask::from_lens(lens, max).unwrap();
-        let input = zeroed_input(&mask, m.config.hidden(), seed);
+        let input = masked_randn(&mask, m.config.hidden(), seed);
         let dev = Device::new();
         let base = m.forward(&dev, &input, &mask, OptLevel::Baseline).unwrap();
         let fused = m.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
