@@ -30,7 +30,10 @@
 //! encoder's self-attention, the decoder's causal self-attention, its
 //! cross-attention (`q_len = decoder length, kv_len = encoder length`; see
 //! [`crate::decoder`]), and the paged decoder's self- and cross-attention
-//! (one plane set per session, `super::session_attention`).
+//! of a prefill (one plane set per session, `super::session_attention`). A
+//! decode step's one-row units take `super::rows`, the same arithmetic at
+//! `m = 1`, which shares this engine's tile partials, merge and
+//! normalisation (`tile_partials`, `merge_partials`, `normalize`).
 
 use super::{packed_dims, units, AttnUnit, KeyRange};
 use bt_device::{Device, KernelSpec};
@@ -108,17 +111,37 @@ impl TileEpilogue for SoftmaxPartialEpilogue<'_> {
             for x in row.iter_mut().skip(visible) {
                 *x = f32::NEG_INFINITY;
             }
-            let m = row_max(row);
-            let (m_out, s_out) = if m == f32::NEG_INFINITY {
-                // Fully masked tile row: identity element of the merge.
-                (f32::NEG_INFINITY, 0.0)
-            } else {
-                (m, exp_sum(row, m))
-            };
+            let (m_out, s_out) = tile_partials(row);
             pb.max.write_at((row0 + i) * pb.n_tiles + tcol, m_out);
             pb.sum.write_at((row0 + i) * pb.n_tiles + tcol, s_out);
         }
     }
+}
+
+/// One tile row's softmax partials `(max, Σ exp(x − max))` — or `(−∞, 0)`,
+/// the merge's identity, when every logit of the row is masked.
+pub(super) fn tile_partials(row: &[f32]) -> (f32, f32) {
+    let m = row_max(row);
+    if m == f32::NEG_INFINITY {
+        (f32::NEG_INFINITY, 0.0)
+    } else {
+        (m, exp_sum(row, m))
+    }
+}
+
+/// The full reduction of one row's tile partials, the streaming-softmax
+/// merge `M = max_t m_t`, `S = Σ_t s_t · exp(m_t − M)`: returns `(M, 1/S)`,
+/// with `1/S = 0` for a row that saw no key.
+pub(super) fn merge_partials(maxes: &[f32], sums: &[f32]) -> (f32, f32) {
+    let big = maxes.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let total: f32 = maxes.iter().zip(sums).map(|(&m, &s)| s * exp(m - big)).sum();
+    (big, if total > 0.0 { 1.0 / total } else { 0.0 })
+}
+
+/// Algorithm III.2's normalisation of one logit, `exp(x − M) / S`.
+#[inline(always)]
+pub(super) fn normalize(x: f32, max: f32, inv_sum: f32) -> f32 {
+    exp(x - max) * inv_sum
 }
 
 /// Fully reduced per-row softmax statistics for one problem.
@@ -139,7 +162,7 @@ impl ALoadTransform for SoftmaxNormalize<'_> {
         let m = n.max[row];
         let inv = n.inv_sum[row];
         for x in chunk {
-            *x = exp(*x - m) * inv;
+            *x = normalize(*x, m, inv);
         }
     }
 }
@@ -283,12 +306,8 @@ pub(super) fn grouped_softmax_attention(
                     let mut max = vec![f32::NEG_INFINITY; u.q_len];
                     let mut inv_sum = vec![0.0f32; u.q_len];
                     for r in 0..u.q_len {
-                        let row_m = &maxes[r * nt..(r + 1) * nt];
-                        let row_s = &sums[r * nt..(r + 1) * nt];
-                        let big = row_m.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                        let total: f32 = row_m.iter().zip(row_s).map(|(&m, &s)| s * exp(m - big)).sum();
-                        max[r] = big;
-                        inv_sum[r] = if total > 0.0 { 1.0 / total } else { 0.0 };
+                        (max[r], inv_sum[r]) =
+                            merge_partials(&maxes[r * nt..(r + 1) * nt], &sums[r * nt..(r + 1) * nt]);
                     }
                     RowNorms { max, inv_sum }
                 })

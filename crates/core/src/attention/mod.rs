@@ -20,10 +20,17 @@
 //! the same kernels under a different `KeyRange` and `AttnUnit` list: which
 //! K/V rows pair with which Q rows, and which of them a query row may see,
 //! is decided here and nowhere else. A unit list is built from packing
-//! indices (`units`) or from per-session K/V planes (`session_attention`,
-//! the paged decoder's K/V gathered from its block tables or projected from
-//! its memory). One dispatcher picks between the two kernels on the paper's
-//! sequence-length boundary for the packed self-attention callers.
+//! indices (`units`) or from per-session K/V (`session_attention`). One
+//! dispatcher picks between the two kernels on the paper's sequence-length
+//! boundary for the packed self-attention callers.
+//!
+//! The paged decoder's calls have one more rule (`rows_form`): when
+//! every unit is one query row at f32 — a decode step — Algorithm III.2
+//! runs at `m = 1` as row dots (`rows`), reading each key and value row in
+//! place, from the cache's block storage through the session's block table
+//! or from its memory planes: no gather, no pack, no 64-row tile, and the
+//! engine's bits. Every other call gathers per-session planes for the
+//! grouped engine. No attention code lives outside this module.
 
 pub mod batched;
 pub mod causal;
@@ -32,6 +39,7 @@ pub mod flash;
 pub mod fused_grouped;
 pub mod fused_short;
 pub mod naive;
+mod rows;
 
 pub use batched::batched_attention;
 pub use causal::{causal_fused_attention, causal_reference_attention};
@@ -41,8 +49,11 @@ pub use fused_grouped::{fused_grouped_attention, SCHEDULER_VISIT_COST};
 pub use fused_short::{fused_short_attention, DEFAULT_SPLIT_SEQ_LEN, FUSED_SHORT_MAX_SEQ};
 pub use naive::naive_attention;
 
+pub(crate) use rows::{session_rows, SessionKv};
+
 use bt_device::Device;
 use bt_gemm::grouped::Scheduler;
+use bt_gemm::{active_precision, Precision};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 
@@ -166,6 +177,52 @@ pub(crate) fn session_attention(
     }
     let kv: Vec<_> = sessions.iter().map(|&(_, k, v)| (k, v)).collect();
     fused_grouped::grouped_softmax_attention(device, name, q, &kv, &units, range, Scheduler::WarpPrefetch)
+}
+
+/// The one rule between the two forms of a session-list call: when every
+/// unit is one query row (a decode step) at f32, [`session_rows`] reads the
+/// K/V rows in place; otherwise [`session_attention`] runs the grouped
+/// engine on contiguous planes. Low precision keeps the engine, whose panel
+/// formats are the precision tiers.
+pub(crate) fn rows_form(q_lens: impl IntoIterator<Item = usize>) -> bool {
+    active_precision() == Precision::F32 && q_lens.into_iter().all(|n| n == 1)
+}
+
+/// Both forms of one-row paged attention on the same units, for the
+/// differential suites: session `s` of `sessions` attends with query row
+/// `s` of `q` (`[heads, sessions, head]`, pre-scaled) over its keys in
+/// `layer` of `cache`. Returns the rows form's context, read through the
+/// block tables, and the grouped engine's over the sessions' gathered
+/// planes, under bottom-right causal keys when `causal`, else full.
+#[doc(hidden)]
+pub fn one_row_forms(
+    cache: &crate::paged::PagedKvCache,
+    layer: usize,
+    q: &Tensor,
+    sessions: &[bt_varlen::paged::SessionId],
+    causal: bool,
+) -> (Tensor, Tensor) {
+    let device = Device::with_model(bt_device::CostModel::unit());
+    let kv_lens: Vec<usize> = sessions.iter().map(|&sid| cache.len(sid)).collect();
+    let mut rows = Vec::new();
+    for &sid in sessions {
+        cache.extend_rows(sid, &mut rows);
+    }
+    let in_place = session_rows(&device, "rows", q, &kv_lens, 0, || {
+        let mut rest = &rows[..];
+        kv_lens
+            .iter()
+            .map(|&n| {
+                let session;
+                (session, rest) = rest.split_at(n);
+                cache.blocks(layer, session)
+            })
+            .collect()
+    });
+    let planes: Vec<_> = sessions.iter().map(|&sid| cache.gather(layer, sid)).collect();
+    let units: Vec<_> = planes.iter().map(|(k, v)| (1, k.as_slice(), v.as_slice())).collect();
+    let range = if causal { KeyRange::Causal } else { KeyRange::Full };
+    (in_place, session_attention(&device, "engine", q, &units, range))
 }
 
 /// The one short/long dispatcher, behind [`fused_attention`] and

@@ -23,14 +23,23 @@
 //!
 //! The layer itself is not here: it is `crate::decoder::decoder_layer`,
 //! the body the teacher-forced decoder runs too. This stack supplies its two
-//! attention closures, and both end in the one grouped engine (Algorithm
-//! III.2) through `crate::attention::session_attention`: one unit per
-//! `(session, head)` at that session's true length. Self-attention splits the
-//! rows' QKV as the teacher-forced stack does (Q pre-scaled), writes their
-//! K/V rows to the block-table slots and gathers each session's K/V planes
-//! (one `paged.gather` launch), and attends under the bottom-right causal key
-//! range; cross-attention attends over the per-session memory planes
-//! projected at [`PagedDecoder::open_session`].
+//! attention closures, and no attention arithmetic lives here: both hand
+//! one unit per `(session, head)`, at that session's true length, to
+//! `crate::attention`, whose one rule (`rows_form`) picks the form. Self-
+//! attention splits the rows' QKV as the teacher-forced stack does (Q
+//! pre-scaled) and attends under the bottom-right causal key range;
+//! cross-attention attends over the per-session memory planes projected at
+//! [`PagedDecoder::open_session`]. Who reads K/V how:
+//!
+//! * **A decode step** (one row per session, f32): Algorithm III.2 at
+//!   `m = 1`, row dots over K/V read in place (`attention::session_rows`).
+//!   `paged.attn.rows` stores the rows' K/V in their block-table slots and
+//!   reads every key through the table, with no gather; `paged.cross.rows`
+//!   reads the memory planes.
+//! * **Any other forward** (a prefill, or low precision): the rows' K/V are
+//!   stored and each session's K/V gathered into contiguous planes
+//!   ([`PagedKvCache::gather`], one `paged.gather` launch), and the grouped
+//!   engine attends over the planes (`attention::session_attention`).
 //!
 //! Equivalence guarantee (tested here and cross-ISA in
 //! `tests/differential_decode.rs`): a prefill is **bitwise** ≡ the
@@ -40,7 +49,7 @@
 //! layout, never math. The scalar [`crate::incremental::DecoderSession`]
 //! tracks it within documented float tolerance.
 
-use crate::attention::{session_attention, KeyRange};
+use crate::attention::{rows_form, session_attention, session_rows, KeyRange, SessionKv};
 use crate::decoder::{decoder_layer, LayerNames, TransformerDecoder};
 use crate::encoder::launch_gemm;
 use bt_device::{Device, KernelSpec};
@@ -152,6 +161,29 @@ impl PagedKvCache {
         (slot.block * self.pool.layout().block_tokens + slot.slot) * self.heads * self.head
     }
 
+    /// Appends the start of each of the session's token rows in a layer's
+    /// storage to `out`, in token order: its block table resolved once, for
+    /// every layer (all layers share the table).
+    pub(crate) fn extend_rows(&self, sid: SessionId, out: &mut Vec<usize>) {
+        let (tokens, row) = (self.pool.layout().block_tokens, self.heads * self.head);
+        let blocks = self.pool.block_table(sid).iter().map(|&b| b as usize);
+        out.extend(
+            blocks
+                .flat_map(|b| (b * tokens..(b + 1) * tokens).map(move |slot| slot * row))
+                .take(self.pool.len(sid)),
+        );
+    }
+
+    /// One session's K/V for one layer, read in place: `rows` are the
+    /// starts of its token rows ([`PagedKvCache::extend_rows`]).
+    pub(crate) fn blocks<'a>(&'a self, layer: usize, rows: &'a [usize]) -> SessionKv<'a> {
+        SessionKv::Blocks {
+            k: &self.k[layer],
+            v: &self.v[layer],
+            rows,
+        }
+    }
+
     /// Stores row `row` of `[heads, rows, head]` K and V planes — the packed
     /// head split's layout — as the session's token `pos`.
     ///
@@ -174,7 +206,8 @@ impl PagedKvCache {
     /// Gathers every K and V row the session holds for one layer into
     /// contiguous `[heads, len, head]` planes — the layout the grouped
     /// attention engine reads. This is the block-table indirection made
-    /// dense.
+    /// dense; only a forward with a multi-row unit (a prefill) needs it, as
+    /// decode rows read the blocks in place.
     pub fn gather(&self, layer: usize, sid: SessionId) -> Planes {
         let (heads, head, len) = (self.heads, self.head, self.pool.len(sid));
         let mut kp = vec![0.0f32; heads * len * head];
@@ -373,8 +406,12 @@ impl<'a> PagedDecoder<'a> {
     /// tokens. Both prefill (many rows, one session) and batched decode (one
     /// row per session) flow through here, so the two paths cannot diverge
     /// numerically. The layer is `decoder_layer`; what this stack supplies
-    /// is the two attention closures: self K/V written to and gathered from
-    /// the block tables, cross K/V read from the per-session memory planes.
+    /// is the two attention closures: self K/V written to the block tables,
+    /// cross K/V read from the per-session memory planes. A forward of one
+    /// row per session (a decode step) reads both in place, one launch each
+    /// (`paged.attn.rows`, which also stores the rows' K/V, and
+    /// `paged.cross.rows`); any other forward gathers its self K/V into
+    /// planes (`paged.gather`) for the grouped engine.
     fn forward_rows(&mut self, device: &Device, sessions: &[(SessionId, usize)], h: &mut Vec<f32>) {
         let decoder = self.decoder;
         let config = decoder.config;
@@ -382,8 +419,7 @@ impl<'a> PagedDecoder<'a> {
         let r = h.len() / hidden;
         DECODE_ROWS.add(r as u64);
 
-        // Each row's cache slot, and the bytes the gather launch moves: the
-        // rows' K/V in, every session's whole K/V planes out.
+        // Each row's cache slot, and every session's key count.
         let slots: Vec<(SessionId, usize)> = sessions
             .iter()
             .flat_map(|&(sid, n)| {
@@ -391,11 +427,27 @@ impl<'a> PagedDecoder<'a> {
                 (len - n..len).map(move |pos| (sid, pos))
             })
             .collect();
-        let cached: usize = sessions.iter().map(|&(sid, _)| self.cache.len(sid)).sum();
-        let moved = (2 * (r + cached) * hidden * 4) as u64;
+        let kv_lens: Vec<usize> = sessions.iter().map(|&(sid, _)| self.cache.len(sid)).collect();
+        let in_place = rows_form(sessions.iter().map(|&(_, n)| n));
+        // In place: every session's token rows in a layer's block storage,
+        // consecutively. Otherwise: the bytes the gather launch moves, the
+        // rows' K/V in and every session's whole K/V planes out.
+        let mut token_rows = Vec::new();
+        if in_place {
+            for &(sid, _) in sessions {
+                self.cache.extend_rows(sid, &mut token_rows);
+            }
+        }
+        let moved = (2 * (r + kv_lens.iter().sum::<usize>()) * hidden * 4) as u64;
         let tensor = |data: Vec<f32>, cols: usize| Tensor::from_vec(data, [r, cols]).expect("shape consistent");
 
+        let (kv_lens, token_rows) = (&kv_lens[..], &token_rows[..]);
         let (cache, cross_kv) = (&mut self.cache, &self.cross_kv);
+        let cross_planes = |sid: SessionId| &cross_kv[sid.index()].as_ref().expect("session open")[..];
+        let mem_lens: Vec<usize> = sessions
+            .iter()
+            .map(|&(sid, _)| cross_planes(sid)[0].0.len() / hidden)
+            .collect();
         for (layer, w) in decoder.weights.layers.iter().enumerate() {
             *h = decoder_layer(
                 device,
@@ -406,11 +458,31 @@ impl<'a> PagedDecoder<'a> {
                 r,
                 |qkv, bias| {
                     let (q, k, v) = add_bias_split_qkv_packed(device, &tensor(qkv, 3 * hidden), bias, heads, scale);
+                    let store = |cache: &mut PagedKvCache| {
+                        for (row, &(sid, pos)) in slots.iter().enumerate() {
+                            cache.write(layer, sid, pos, k.as_slice(), v.as_slice(), row);
+                        }
+                    };
+                    if in_place {
+                        let cache = &mut *cache;
+                        return session_rows(device, "paged.attn.rows", &q, kv_lens, r, move || {
+                            store(cache);
+                            let cache: &PagedKvCache = cache;
+                            let mut rest = token_rows;
+                            kv_lens
+                                .iter()
+                                .map(|&n| {
+                                    let rows;
+                                    (rows, rest) = rest.split_at(n);
+                                    cache.blocks(layer, rows)
+                                })
+                                .collect()
+                        })
+                        .into_vec();
+                    }
                     let planes: Vec<Planes> =
                         device.launch(KernelSpec::new("paged.gather").reads(moved).writes(moved), || {
-                            for (row, &(sid, pos)) in slots.iter().enumerate() {
-                                cache.write(layer, sid, pos, k.as_slice(), v.as_slice(), row);
-                            }
+                            store(cache);
                             sessions.iter().map(|&(sid, _)| cache.gather(layer, sid)).collect()
                         });
                     let units: Vec<_> = sessions
@@ -423,10 +495,22 @@ impl<'a> PagedDecoder<'a> {
                 |cq, bias| {
                     let cq =
                         add_bias_split_heads_packed(device, "paged.cross_q", &tensor(cq, hidden), bias, heads, scale);
+                    if in_place {
+                        return session_rows(device, "paged.cross.rows", &cq, &mem_lens, 0, || {
+                            sessions
+                                .iter()
+                                .map(|&(sid, _)| {
+                                    let (k, v) = &cross_planes(sid)[layer];
+                                    SessionKv::Planes { k, v }
+                                })
+                                .collect()
+                        })
+                        .into_vec();
+                    }
                     let units: Vec<_> = sessions
                         .iter()
                         .map(|&(sid, n)| {
-                            let (kp, vp) = &cross_kv[sid.index()].as_ref().expect("session open")[layer];
+                            let (kp, vp) = &cross_planes(sid)[layer];
                             (n, kp.as_slice(), vp.as_slice())
                         })
                         .collect();

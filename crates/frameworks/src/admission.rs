@@ -196,18 +196,24 @@ impl CutPolicy {
     }
 }
 
-/// Builds the [`BatchMask`] for one cut batch: lengths clamped to at least
-/// one, padded length equal to the batch's own maximum.
+/// The padded width of a cut batch: its longest length, clamped to at
+/// least one like every length of its masks.
+pub fn cut_width(cut: &[Pending]) -> usize {
+    cut.iter().map(|p| admission_weight(p.len)).max().unwrap_or(1)
+}
+
+/// Builds the [`BatchMask`] for `batch` — a cut batch, or one execution
+/// round of one — at padded length `width`, its cut's [`cut_width`]:
+/// lengths clamped to at least one. The MHA dispatcher picks its kernel by
+/// the padded width, so padding every round to its cut's width keeps the
+/// round on the kernel the whole cut takes, and a round computes the bits
+/// the whole cut would.
 ///
 /// # Errors
-/// Propagates [`VarlenError`] from mask construction. With every length
-/// clamped to at least 1 and `max_seq_len` taken as the maximum over the
-/// same clamped lengths, construction cannot currently fail; the `Result`
-/// is kept so the signature stays honest if [`BatchMask`] gains invariants.
-pub fn batch_mask(batch: &[Pending]) -> Result<BatchMask, VarlenError> {
-    let lens: Vec<usize> = batch.iter().map(|p| admission_weight(p.len)).collect();
-    let max = lens.iter().copied().max().unwrap_or(1);
-    BatchMask::from_lens(lens, max)
+/// Propagates [`VarlenError`] from mask construction: a length past
+/// `width`, which a round of the cut `width` was taken from cannot have.
+pub fn batch_mask(batch: &[Pending], width: usize) -> Result<BatchMask, VarlenError> {
+    BatchMask::from_lens(batch.iter().map(|p| admission_weight(p.len)).collect(), width)
 }
 
 #[cfg(test)]
@@ -317,7 +323,7 @@ mod tests {
         let padded = |policy| -> usize {
             drain(policy, queue_of(&lens))
                 .iter()
-                .map(|cut| batch_mask(cut).expect("mask").padded_words())
+                .map(|cut| batch_mask(cut, cut_width(cut)).expect("mask").padded_words())
                 .sum()
         };
         assert!(padded(CutPolicy::SortedGroups { max_batch: 8 }) < padded(CutPolicy::Fifo { max_batch: 8 }));
@@ -326,7 +332,10 @@ mod tests {
     #[test]
     fn masks_clamp_lengths_and_pad_to_their_own_maximum() {
         let cuts = drain(CutPolicy::SortedGroups { max_batch: 2 }, queue_of(&[100, 0, 90, 7]));
-        let masks: Vec<BatchMask> = cuts.iter().map(|cut| batch_mask(cut).expect("mask")).collect();
+        let masks: Vec<BatchMask> = cuts
+            .iter()
+            .map(|cut| batch_mask(cut, cut_width(cut)).expect("mask"))
+            .collect();
         assert_eq!(masks[0].seq_lens(), &[100, 90]);
         assert_eq!(masks[1].seq_lens(), &[7, 1]);
         assert_eq!(masks[1].max_seq_len(), 7);

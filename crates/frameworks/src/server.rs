@@ -88,7 +88,7 @@
 //! assert_eq!(summary.offered, 64);
 //! ```
 
-use crate::admission::{admission_weight, batch_mask, CutPolicy, Pending, ShedReason};
+use crate::admission::{admission_weight, batch_mask, cut_width, CutPolicy, Pending, ShedReason};
 use crate::serving::{latency_stats, LatencyStats, TimedRequest};
 use bt_obs::{names, LabelId, TraceId};
 use bt_varlen::BatchMask;
@@ -159,10 +159,9 @@ pub struct ServeConfig {
     /// the whole batch in one round (the pre-chunking behavior); `btx serve
     /// --chunk` sets it. A round is a sub-batch of whole requests, and the
     /// packed forward computes each request independently of its batch
-    /// mates, so rounds change latency, not output bits
-    /// (`tests/differential_streaming.rs`) — provided a round takes the
-    /// same MHA kernel as its cut, which holds whenever `max_len` is at
-    /// most `bt_core::attention::FUSED_SHORT_MAX_SEQ`.
+    /// mates, and every round is padded to its cut's width so it takes the
+    /// cut's MHA kernel: rounds change latency, not output bits
+    /// (`tests/differential_streaming.rs`).
     pub chunk_tokens: usize,
 }
 
@@ -555,6 +554,7 @@ impl Engine {
             }
             let _batch_span = bt_obs::span!("serve.batch");
             let cut = config.policy.cut_next_batch(&mut self.queue);
+            let width = cut_width(&cut);
             let rounds = plan_rounds(cut, config.chunk_tokens);
             if config.chunk_tokens != 0 {
                 CHUNK_ROUNDS.add(rounds.len() as u64);
@@ -581,7 +581,7 @@ impl Engine {
                     continue;
                 }
                 let _chunk_span = bt_obs::span!("serve.chunk");
-                let mask = batch_mask(&round).expect("per-batch mask invariants hold");
+                let mask = batch_mask(&round, width).expect("a round fits its cut's width");
                 BATCHES.incr();
                 OCCUPANCY.record(round.len() as u64);
                 BATCH_TOKENS.record(mask.valid_words() as u64);

@@ -46,7 +46,7 @@
 
 use bt_core::attention::FUSED_SHORT_MAX_SEQ;
 use bt_core::incremental::DecoderSession;
-use bt_core::paged::PagedDecoder;
+use bt_core::paged::{PagedDecoder, PagedKvCache};
 use bt_gemm::isa::{self, Isa};
 use bt_gemm::{active_precision, set_active_precision, Precision};
 use bt_tensor::Tensor;
@@ -506,6 +506,77 @@ fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
                 .unwrap();
             assert_bitwise(&format!("paged prefill of {n}"), &rows, forward.as_slice());
             payload.extend(rows);
+        }
+        payload
+    });
+}
+
+/// A decode step's attention units are one query row each, and they take
+/// the rows form (`bt_core::attention::one_row_forms`): Algorithm III.2 at
+/// `m = 1` as row dots over K/V read in place through the block table,
+/// with no gather, no pack and no 64-row tile. Its contract is that it *is*
+/// the grouped engine on the same units: per tier, its context is
+/// **bitwise** the engine's over the planes `PagedKvCache::gather` copies
+/// out of the same blocks, under bottom-right causal and full keys alike,
+/// at key counts on both sides of the 16-lane chain block and the 64-key
+/// softmax tile, with head widths on both sides of the 64-column `P·V`
+/// block, through block tables fragmented at 1, 3 and 16 tokens per block.
+#[test]
+fn one_row_units_read_in_place_equal_the_grouped_engine_on_every_tier() {
+    const KV_LENS: [usize; 9] = [1, 15, 16, 17, 63, 64, 65, 130, 400];
+    let mut rng = bytetransformer::tensor::rng::Xoshiro256StarStar::seed_from_u64(31);
+    let cases: Vec<_> = [(1usize, 2usize, 64usize), (3, 3, 72), (16, 4, 8)]
+        .into_iter()
+        .map(|(block_tokens, heads, head)| {
+            let tokens: usize = KV_LENS.iter().sum();
+            let layout = PagedLayout::new(block_tokens, tokens.div_ceil(block_tokens) + KV_LENS.len() + 5);
+            let mut cache = PagedKvCache::new(layout, 1, heads, head);
+            // Sessions grow a block at a time in turns, and a session freed
+            // after the first turn hands its blocks back in reverse: every
+            // block table interleaves with the others and runs out of order.
+            let sids: Vec<SessionId> = KV_LENS.iter().map(|_| cache.create()).collect();
+            let scrap = cache.create();
+            cache.append(scrap, 5 * block_tokens).unwrap();
+            for turn in 0.. {
+                let mut grew = false;
+                for (&sid, &len) in sids.iter().zip(&KV_LENS) {
+                    let n = block_tokens.min(len - cache.len(sid));
+                    if n > 0 {
+                        cache.append(sid, n).unwrap();
+                        grew = true;
+                    }
+                }
+                if turn == 0 {
+                    cache.free(scrap);
+                }
+                if !grew {
+                    break;
+                }
+            }
+            let mut draw = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+            for &sid in &sids {
+                for pos in 0..cache.len(sid) {
+                    let (k, v) = (draw(heads * head), draw(heads * head));
+                    cache.write(0, sid, pos, &k, &v, 0);
+                }
+            }
+            let q = Tensor::from_vec(draw(heads * KV_LENS.len() * head), [heads, KV_LENS.len(), head]).unwrap();
+            (block_tokens, cache, sids, q)
+        })
+        .collect();
+
+    decode_differential("one_row_rows_vs_engine", || {
+        let mut payload = Vec::new();
+        for (block_tokens, cache, sids, q) in &cases {
+            for causal in [true, false] {
+                let (in_place, engine) = bt_core::attention::one_row_forms(cache, 0, q, sids, causal);
+                assert_bitwise(
+                    &format!("rows form vs engine, {block_tokens}-token blocks, causal {causal}"),
+                    in_place.as_slice(),
+                    engine.as_slice(),
+                );
+                payload.extend_from_slice(in_place.as_slice());
+            }
         }
         payload
     });

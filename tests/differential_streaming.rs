@@ -16,8 +16,10 @@
 //!   sub-batches of 1 / 3 / 64 sequences ≡ one batch, although the padded
 //!   geometry of each sub-batch differs from the whole batch's. The short
 //!   and the long MHA kernel are each covered; the dispatcher picks one per
-//!   batch by its longest sequence, so the claim is per kernel: a round
-//!   only keeps its bits when it takes the same kernel as the cut. The same
+//!   batch by its padded width, so the claim is per kernel. The server pads
+//!   every round to its cut's width, so a round takes its cut's kernel:
+//!   proven through `run_open_loop` on a cut of 390 / 5 / 120 tokens,
+//!   whose short rounds would otherwise leave the grouped kernel. The same
 //!   holds from token ids: the packed embedding and the packed encoder
 //!   layers on sub-batches ≡ one batch.
 //!
@@ -38,6 +40,9 @@
 use bt_core::attention::FUSED_SHORT_MAX_SEQ;
 use bt_core::embeddings::{embed_packed, EmbeddingWeights};
 use bt_core::paged::PagedDecoder;
+use bt_frameworks::admission::CutPolicy;
+use bt_frameworks::server::{run_open_loop, ServeConfig};
+use bt_frameworks::serving::TimedRequest;
 use bt_gemm::isa::{self, Isa};
 use bt_gemm::{active_precision, set_active_precision, Precision};
 use bt_varlen::paged::PagedLayout;
@@ -290,6 +295,72 @@ fn sub_batches_match_one_batch_bitwise_on_every_tier() {
             whole
         });
     }
+}
+
+/// The server's chunk rounds keep their cut's MHA kernel: one cut of 390 /
+/// 5 / 120 tokens (one request past [`FUSED_SHORT_MAX_SEQ`]) served whole,
+/// in rounds of 5 + 120 and 390 tokens, and one request per round, through
+/// `run_open_loop`. The executor forwards each round's mask as it is
+/// handed over, every request's rows drawn from its length, so each
+/// request's output bits are compared across the three schedules. Padded
+/// to their own longest request the short rounds took the short kernel and
+/// drifted within 5e-3; padded to the cut's width they are bitwise.
+#[test]
+fn chunk_rounds_keep_their_cuts_mha_kernel_bitwise_on_every_tier() {
+    let config = BertConfig::tiny();
+    let model = BertModel::new_random(config, 2, 42);
+    let hidden = config.hidden();
+    let lens = [FUSED_SHORT_MAX_SEQ + 6, 5, 120];
+    let requests: Vec<TimedRequest> = lens
+        .iter()
+        .enumerate()
+        .map(|(id, &len)| TimedRequest { id, len, arrival: 0.0 })
+        .collect();
+    on_every_tier("chunk_rounds_across_the_mha_crossover", || {
+        let dev = device();
+        // Every request's output rows, by length, under one chunk budget.
+        let serve = |chunk_tokens: usize| -> Vec<Vec<f32>> {
+            let serve_config = ServeConfig {
+                policy: CutPolicy::Fifo { max_batch: lens.len() },
+                queue_capacity: lens.len(),
+                deadline: f64::INFINITY,
+                max_len: FUSED_SHORT_MAX_SEQ + 6,
+                chunk_tokens,
+            };
+            let mut outputs = vec![Vec::new(); lens.len()];
+            let report = run_open_loop(&requests, &serve_config, |mask| {
+                let max = mask.max_seq_len();
+                let mut padded = vec![0.0f32; mask.batch() * max * hidden];
+                for (b, &len) in mask.seq_lens().iter().enumerate() {
+                    let rows = Tensor::randn([len, hidden], len as u64);
+                    padded[b * max * hidden..][..len * hidden].copy_from_slice(rows.as_slice());
+                }
+                let input = Tensor::from_vec(padded, [mask.batch(), max, hidden]).unwrap();
+                let y = model.forward(&dev, &input, mask, OptLevel::FusedMha).unwrap();
+                for (b, &len) in mask.seq_lens().iter().enumerate() {
+                    let id = lens.iter().position(|&l| l == len).unwrap();
+                    outputs[id] = y.as_slice()[b * max * hidden..][..len * hidden].to_vec();
+                }
+                1e-3
+            });
+            assert!(report.outcomes.iter().all(|o| o.served()), "every request is served");
+            outputs
+        };
+        let whole = serve(0);
+        for chunk_tokens in [1, 128] {
+            let rounds = serve(chunk_tokens);
+            for (id, (r, w)) in rounds.iter().zip(&whole).enumerate() {
+                assert_eq!(
+                    bits(r),
+                    bits(w),
+                    "{}-token request in rounds of {chunk_tokens} tokens diverged from the whole cut on {}",
+                    lens[id],
+                    isa::active_isa()
+                );
+            }
+        }
+        whole.concat()
+    });
 }
 
 /// Token ids through the packed embedding and the packed encoder layers,

@@ -238,6 +238,16 @@ fn decoder_launch_sequences_are_pinned() {
     // → `.full_reduce`, `paged.cross_q.add` →
     // `paged.cross_q.add_bias_split_heads`, and `paged.{attn,cross}.{qk,pv}`
     // carry the engine's cost formulas. The count per layer stays 18.
+    //
+    // Re-captured once more (from 0xbce0d01ebd97b731 at a005cb9) when decode
+    // rows began to attend in place. Per layer of the `step_batch`, the seven
+    // launches `paged.gather` + `paged.{attn,cross}.{qk,full_reduce,pv}`
+    // became `paged.attn.rows` (which also stores the rows' K/V) +
+    // `paged.cross.rows`: 18 launches per layer → 13. Each rows launch
+    // declares the flops of the three it replaces (826 and 604 here) and
+    // reads only the K/V rows, Q and the stored rows (1792 / 1152 bytes
+    // against the gather's 1664 plus the engine's 1688 / 1280). The prefill
+    // launches are unchanged.
     if bytetransformer::gemm::active_precision() != bytetransformer::gemm::Precision::F32 {
         return;
     }
@@ -273,14 +283,27 @@ fn decoder_launch_sequences_are_pinned() {
         let b = paged.open_session(&dev, &Tensor::randn([3, hidden], 4));
         paged.prefill(&dev, a, &Tensor::randn([6, hidden], 5)).unwrap();
         paged.prefill(&dev, b, &Tensor::randn([3, hidden], 6)).unwrap();
+        let prefill_launches = dev.trace().len();
         let step = paged.step_batch(&dev, &[a, b], Tensor::randn([2, hidden], 7).as_slice());
         assert!(step.oom.is_empty());
+        // A pure decode step reads K/V in place: no gather, no grouped GEMM.
+        let step_names: Vec<String> = dev.trace()[prefill_launches..].iter().map(|r| r.name.clone()).collect();
+        assert!(
+            !step_names
+                .iter()
+                .any(|n| n == "paged.gather" || n.ends_with(".qk") || n.ends_with(".pv")),
+            "step_batch launched a gather or a grouped GEMM: {step_names:?}"
+        );
+        assert_eq!(
+            step_names.iter().filter(|n| n.ends_with(".rows")).count(),
+            2 * decoder.weights.layers.len()
+        );
         got.push(("paged/prefill+step_batch", launch_hash(&dev)));
     }
     let pinned: [(&str, u64); 3] = [
         ("decoder/short", 0xa974d956bd332d9c),
         ("decoder/long", 0x928a691bf2702eb0),
-        ("paged/prefill+step_batch", 0xbce0d01ebd97b731),
+        ("paged/prefill+step_batch", 0x98d2ba295419971d),
     ];
     if got != pinned {
         for (k, v) in &got {

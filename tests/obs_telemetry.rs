@@ -7,11 +7,13 @@
 //! serialize on one lock and assert on **deltas** (counters are cumulative
 //! across drains).
 
+use bytetransformer::core::paged::PagedDecoder;
 use bytetransformer::frameworks::admission::{CutPolicy, ShedReason};
 use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
 use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop, Outcome, ServeConfig};
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
+use bytetransformer::varlen::paged::PagedLayout;
 use bytetransformer::varlen::workload::masked_randn;
 use std::sync::{Mutex, Once, OnceLock};
 
@@ -139,6 +141,39 @@ fn pool_counters_show_multi_worker_scheduling() {
     assert!(launches > 0, "parallel_for launches must be counted");
     assert!(steals > 0, "multi-worker pool must record deque steals");
     assert!(parks > 0, "idle workers must record parks");
+}
+
+#[test]
+fn decode_steps_hand_the_grouped_engine_no_problem() {
+    // A pure decode step is one query row per session, and at f32 its
+    // attention reads K/V in place (the rows form): it adds nothing to
+    // `mha.grouped.problems`, while prefilling the same sessions does.
+    let _guard = setup();
+    if bytetransformer::gemm::active_precision() != bytetransformer::gemm::Precision::F32 {
+        return;
+    }
+    let config = BertConfig::tiny();
+    let hidden = config.hidden();
+    let decoder = TransformerDecoder::new_random(config, 2, 5);
+    let dev = Device::with_model(CostModel::unit());
+    let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(4, 32));
+    let ids: Vec<_> = (0..3)
+        .map(|i| paged.open_session(&dev, &Tensor::randn([4, hidden], i)))
+        .collect();
+    let problems = || counter_of(&obs::drain(), "mha.grouped.problems");
+    let before = problems();
+    for (i, &sid) in ids.iter().enumerate() {
+        paged
+            .prefill(&dev, sid, &Tensor::randn([5, hidden], 10 + i as u64))
+            .unwrap();
+    }
+    let prefilled = problems();
+    assert!(prefilled > before, "a prefill runs the grouped engine");
+    for t in 0..3 {
+        let step = paged.step_batch(&dev, &ids, Tensor::randn([ids.len(), hidden], 20 + t).as_slice());
+        assert!(step.oom.is_empty());
+    }
+    assert_eq!(problems(), prefilled, "decode steps must not reach the grouped engine");
 }
 
 #[test]
