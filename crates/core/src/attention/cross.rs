@@ -36,9 +36,9 @@ pub fn cross_attention(
     assert_eq!(q.dims()[1], tgt_idx.valid_words(), "Q rows != target valid words");
     assert_eq!(k.dims()[1], mem_idx.valid_words(), "K rows != memory valid words");
     assert_eq!(k.dims(), v.dims(), "K/V shape mismatch");
-    let kv = [(k.as_slice(), v.as_slice())];
+    let kv = (k.as_slice(), v.as_slice());
     let name = "cross_attention.grouped";
-    grouped_softmax_attention(device, name, q, &kv, &rectangles, KeyRange::Full, scheduler)
+    grouped_softmax_attention(device, name, q, kv, &rectangles, KeyRange::Full, scheduler)
 }
 
 /// Host oracle for cross-attention on padded tensors: `q` is

@@ -24,16 +24,14 @@
 //! charged to the modeled time, which is what the A1 ablation measures.
 //!
 //! The engine is shape-generic over attention units — query and key/value
-//! ranges may differ per unit, a unit reads its K/V from one of a list of
-//! `[heads, rows, head]` plane sets, and a `KeyRange` says which keys a query
-//! row sees — so it has four callers under their own launch names: the
-//! encoder's self-attention, the decoder's causal self-attention, its
+//! ranges may differ per unit, and a `KeyRange` says which keys a query row
+//! sees — so it has three callers under their own launch names: the
+//! encoder's self-attention, the decoder's causal self-attention and its
 //! cross-attention (`q_len = decoder length, kv_len = encoder length`; see
-//! [`crate::decoder`]), and the paged decoder's self- and cross-attention
-//! of a prefill (one plane set per session, `super::session_attention`). A
-//! decode step's one-row units take `super::rows`, the same arithmetic at
-//! `m = 1`, which shares this engine's tile partials, merge and
-//! normalisation (`tile_partials`, `merge_partials`, `normalize`).
+//! [`crate::decoder`]). The paged decoder's units take `super::rows`, the
+//! same arithmetic as row dots over K/V read in place, which shares this
+//! engine's tile partials, merge and normalisation (`tile_partials`,
+//! `merge_partials`, `normalize`).
 
 use super::{packed_dims, units, AttnUnit, KeyRange};
 use bt_device::{Device, KernelSpec};
@@ -171,10 +169,9 @@ impl ALoadTransform for SoftmaxNormalize<'_> {
 /// three-step pipeline over arbitrary attention units and writes a packed
 /// `[q_valid, heads·head]` context.
 ///
-/// `q` is `[heads, q_valid, head]`, pre-scaled; `kv` is a list of K/V plane
-/// sets, each a `[heads, rows, head]` K and V pair, and a unit reads its keys
-/// and values from set `set` (the packed callers pass one set, the paged
-/// decoder one per session). Each unit's output lands at rows
+/// `q` is `[heads, q_valid, head]`, pre-scaled; `kv` is the `[heads, rows,
+/// head]` K and V planes every unit reads its keys and values from. Each
+/// unit's output lands at rows
 /// `q_off .. q_off + q_len`, columns `h·head ..`, written directly by the
 /// second GEMM's strided store. The three launches are named
 /// `{name}.qk`, `{name}.full_reduce` and `{name}.pv`.
@@ -182,7 +179,7 @@ pub(super) fn grouped_softmax_attention(
     device: &Device,
     name: &str,
     q: &Tensor,
-    kv: &[(&[f32], &[f32])],
+    (k, v): (&[f32], &[f32]),
     units: &[AttnUnit],
     range: KeyRange,
     scheduler: Scheduler,
@@ -192,10 +189,8 @@ pub(super) fn grouped_softmax_attention(
     assert_eq!(qd.len(), 3, "packed Q must be [heads, q_valid, head]");
     let (heads, q_valid, head) = (qd[0], qd[1], qd[2]);
     let hidden = heads * head;
-    for (k, v) in kv {
-        assert_eq!(k.len(), v.len(), "K/V shape mismatch");
-        assert_eq!(k.len() % hidden, 0, "K/V planes must be [heads, rows, head]");
-    }
+    assert_eq!(k.len(), v.len(), "K/V shape mismatch");
+    assert_eq!(k.len() % hidden, 0, "K/V planes must be [heads, rows, head]");
     let config = GroupedConfig {
         scheduler,
         ..Default::default()
@@ -203,11 +198,9 @@ pub(super) fn grouped_softmax_attention(
 
     let qs = q.as_slice();
     let q_plane = q_valid * head;
-    // Unit `u`'s key (or value) rows in its set's `[heads, rows, head]` plane.
-    let kv_rows = |u: &AttnUnit, t: &[f32]| {
-        let plane = t.len() / heads;
-        u.h * plane + u.kv_off * head..u.h * plane + (u.kv_off + u.kv_len) * head
-    };
+    // Unit `u`'s key (or value) rows in the `[heads, rows, head]` planes.
+    let kv_plane = k.len() / heads;
+    let kv_rows = |u: &AttnUnit| u.h * kv_plane + u.kv_off * head..u.h * kv_plane + (u.kv_off + u.kv_len) * head;
 
     // ---- Grouped GEMM 1: P = Q·Kᵀ with fused partial softmax ----------
     let problems1: Vec<GroupedProblem<'_>> = units
@@ -219,7 +212,7 @@ pub(super) fn grouped_softmax_attention(
             transb: true,
             alpha: 1.0,
             a: &qs[u.h * q_plane + u.q_off * head..u.h * q_plane + (u.q_off + u.q_len) * head],
-            b: &kv[u.set].0[kv_rows(u, kv[u.set].0)],
+            b: &k[kv_rows(u)],
         })
         .collect();
     let mut p_bufs: Vec<Vec<f32>> = units.iter().map(|u| vec![0.0f32; u.q_len * u.kv_len]).collect();
@@ -265,7 +258,7 @@ pub(super) fn grouped_softmax_attention(
         .map(|(u, &nt)| (u.q_len * nt) as u64)
         .sum();
     let q_bytes = (q_valid * hidden * 4) as u64;
-    let kv_bytes: u64 = kv.iter().map(|(k, _)| k.len() as u64 * 4).sum();
+    let kv_bytes = k.len() as u64 * 4;
     let stats1 = device.launch(
         KernelSpec::new(format!("{name}.qk"))
             .flops(gemm_flops + 3 * sq_sum) // GEMM + epilogue max/exp/sum
@@ -326,7 +319,7 @@ pub(super) fn grouped_softmax_attention(
             transb: false,
             alpha: 1.0,
             a: p,
-            b: &kv[u.set].1[kv_rows(u, kv[u.set].1)],
+            b: &v[kv_rows(u)],
         })
         .collect();
     let placements: Vec<StridedOutput> = units
@@ -369,12 +362,12 @@ pub(super) fn grouped_softmax_attention(
 }
 
 /// Warp-prefetch scheduler visits issued by the grouped-MHA engine (both
-/// the Q·Kᵀ and P·V stages, every caller including the paged decoder),
+/// the Q·Kᵀ and P·V stages, every caller),
 /// mirroring the `grouped.scheduler_visits` device metric into the
 /// telemetry registry.
 static MHA_SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_SCHEDULER_VISITS);
 /// Attention units handed to the grouped engine, accumulated: batch × heads
-/// per packed call, sessions × heads per paged one.
+/// per call.
 static MHA_PROBLEMS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_GROUPED_PROBLEMS);
 
 /// Grouped fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
@@ -409,8 +402,8 @@ pub(super) fn self_attention(
         KeyRange::Full => "attention.grouped",
         KeyRange::Causal => "attention.causal_grouped",
     };
-    let kv = [(k.as_slice(), v.as_slice())];
-    grouped_softmax_attention(device, name, q, &kv, &units(idx, idx, heads), range, scheduler)
+    let kv = (k.as_slice(), v.as_slice());
+    grouped_softmax_attention(device, name, q, kv, &units(idx, idx, heads), range, scheduler)
 }
 
 #[cfg(test)]
@@ -556,8 +549,19 @@ mod tests {
             let k = Tensor::randn([heads, kv_len, head], 2);
             let v = Tensor::randn([heads, kv_len, head], 3);
             let run = |q: &Tensor, q_len: usize| {
-                let sessions = [(q_len, k.as_slice(), v.as_slice())];
-                super::super::session_attention(&dev, "attention.causal_grouped", q, &sessions, KeyRange::Causal)
+                let one =
+                    |len: usize| PackingIndex::from_mask(&bt_varlen::BatchMask::from_lens(vec![len], len).unwrap());
+                let list = units(&one(q_len), &one(kv_len), heads);
+                let kv = (k.as_slice(), v.as_slice());
+                grouped_softmax_attention(
+                    &dev,
+                    "attention.causal_grouped",
+                    q,
+                    kv,
+                    &list,
+                    KeyRange::Causal,
+                    Scheduler::WarpPrefetch,
+                )
             };
             let square = run(&q, kv_len);
             let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -594,7 +598,7 @@ mod tests {
             &dev,
             "attention.grouped",
             &q,
-            &[(k.as_slice(), v.as_slice())],
+            (k.as_slice(), v.as_slice()),
             &units(&one(q_valid), &one(kv_valid), heads),
             KeyRange::Full,
             Scheduler::WarpPrefetch,

@@ -15,22 +15,21 @@
 //!
 //! There is one kernel per fused algorithm — [`fused_short`] (Algorithm
 //! III.1) and [`fused_grouped`] (Algorithm III.2) — and the encoder's
-//! self-attention, the decoder's causal self-attention ([`causal`]), its
-//! cross-attention ([`cross`]) and the paged decoder's two attentions are
-//! the same kernels under a different `KeyRange` and `AttnUnit` list: which
-//! K/V rows pair with which Q rows, and which of them a query row may see,
-//! is decided here and nowhere else. A unit list is built from packing
-//! indices (`units`) or from per-session K/V (`session_attention`). One
-//! dispatcher picks between the two kernels on the paper's sequence-length
-//! boundary for the packed self-attention callers.
+//! self-attention, the decoder's causal self-attention ([`causal`]) and its
+//! cross-attention ([`cross`]) are the same kernels under a different
+//! `KeyRange` and `AttnUnit` list: which K/V rows pair with which Q rows,
+//! and which of them a query row may see, is decided here and nowhere else.
+//! A unit list is built from packing indices (`units`). One dispatcher picks
+//! between the two kernels on the paper's sequence-length boundary for the
+//! packed self-attention callers.
 //!
-//! The paged decoder's calls have one more rule (`rows_form`): when
-//! every unit is one query row at f32 — a decode step — Algorithm III.2
-//! runs at `m = 1` as row dots (`rows`), reading each key and value row in
-//! place, from the cache's block storage through the session's block table
-//! or from its memory planes: no gather, no pack, no 64-row tile, and the
-//! engine's bits. Every other call gathers per-session planes for the
-//! grouped engine. No attention code lives outside this module.
+//! The paged decoder's two attentions have one form, at every precision
+//! and whatever mix of prefill chunks and decode rows a forward carries:
+//! Algorithm III.2 as row dots (`rows`), one unit per `(session, head)`,
+//! every query row reading its keys and values in place — from the cache's
+//! block storage through the session's block table, or from its memory
+//! planes — with no gather, no pack and no 64-row tile, and the grouped
+//! engine's bits. No attention code lives outside this module.
 
 pub mod batched;
 pub mod causal;
@@ -53,7 +52,6 @@ pub(crate) use rows::{session_rows, SessionKv};
 
 use bt_device::Device;
 use bt_gemm::grouped::Scheduler;
-use bt_gemm::{active_precision, Precision};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 
@@ -112,14 +110,13 @@ impl KeyRange {
 
 /// One attention sub-problem: head plane `h`, query rows
 /// `q_off .. q_off + q_len` of the packed Q tensor, key/value rows
-/// `kv_off .. kv_off + kv_len` of K/V plane set `set`. For self-attention
-/// the two ranges coincide; for cross-attention they do not.
+/// `kv_off .. kv_off + kv_len` of the packed K/V. For self-attention the two
+/// ranges coincide; for cross-attention they do not.
 #[derive(Debug, Clone, Copy)]
 struct AttnUnit {
     h: usize,
     q_off: usize,
     q_len: usize,
-    set: usize,
     kv_off: usize,
     kv_len: usize,
 }
@@ -139,90 +136,65 @@ fn units(tgt_idx: &PackingIndex, mem_idx: &PackingIndex, heads: usize) -> Vec<At
             h,
             q_off: tgt_idx.seq_offset(b),
             q_len: tgt_idx.seq_len(b),
-            set: 0,
             kv_off: mem_idx.seq_offset(b),
             kv_len: mem_idx.seq_len(b),
         })
         .collect()
 }
 
-/// The grouped engine over per-session K/V planes — the paged decoder's unit
-/// list. `q` is `[heads, rows, head]` (pre-scaled) holding each session's
-/// query rows consecutively, in `sessions` order; a session is its query-row
-/// count and its own `[heads, kv_len, head]` K and V planes. One unit per
-/// `(session, head)`, session-major like [`units`]; launches
-/// `{name}.{qk,full_reduce,pv}` and returns the packed `[rows, hidden]`
-/// context.
-pub(crate) fn session_attention(
-    device: &Device,
-    name: &str,
-    q: &Tensor,
-    sessions: &[(usize, &[f32], &[f32])],
-    range: KeyRange,
-) -> Tensor {
-    let (heads, head) = (q.dims()[0], q.dims()[2]);
-    let mut q_off = 0;
-    let mut units = Vec::with_capacity(sessions.len() * heads);
-    for (set, &(q_len, k, _)) in sessions.iter().enumerate() {
-        let kv_len = k.len() / (heads * head);
-        units.extend((0..heads).map(|h| AttnUnit {
-            h,
-            q_off,
-            q_len,
-            set,
-            kv_off: 0,
-            kv_len,
-        }));
-        q_off += q_len;
-    }
-    let kv: Vec<_> = sessions.iter().map(|&(_, k, v)| (k, v)).collect();
-    fused_grouped::grouped_softmax_attention(device, name, q, &kv, &units, range, Scheduler::WarpPrefetch)
-}
-
-/// The one rule between the two forms of a session-list call: when every
-/// unit is one query row (a decode step) at f32, [`session_rows`] reads the
-/// K/V rows in place; otherwise [`session_attention`] runs the grouped
-/// engine on contiguous planes. Low precision keeps the engine, whose panel
-/// formats are the precision tiers.
-pub(crate) fn rows_form(q_lens: impl IntoIterator<Item = usize>) -> bool {
-    active_precision() == Precision::F32 && q_lens.into_iter().all(|n| n == 1)
-}
-
-/// Both forms of one-row paged attention on the same units, for the
-/// differential suites: session `s` of `sessions` attends with query row
-/// `s` of `q` (`[heads, sessions, head]`, pre-scaled) over its keys in
-/// `layer` of `cache`. Returns the rows form's context, read through the
-/// block tables, and the grouped engine's over the sessions' gathered
-/// planes, under bottom-right causal keys when `causal`, else full.
+/// Both forms of paged attention on the same units, for the differential
+/// suites: session `sessions[s].0` attends with its `sessions[s].1` query
+/// rows, consecutive in `q` (`[heads, rows, head]`, pre-scaled) in session
+/// order, over its keys in `layer` of `cache`, under bottom-right causal keys
+/// when `causal`, else full. `k` and `v` (`[heads, Σ kv_len, head]`) hold
+/// the same keys and values packed, session after session. Returns the rows
+/// form's context, read through the block tables, and the grouped engine's
+/// over the packed planes.
 #[doc(hidden)]
-pub fn one_row_forms(
+pub fn paged_forms(
     cache: &crate::paged::PagedKvCache,
     layer: usize,
     q: &Tensor,
-    sessions: &[bt_varlen::paged::SessionId],
+    k: &Tensor,
+    v: &Tensor,
+    sessions: &[(bt_varlen::paged::SessionId, usize)],
     causal: bool,
 ) -> (Tensor, Tensor) {
     let device = Device::with_model(bt_device::CostModel::unit());
-    let kv_lens: Vec<usize> = sessions.iter().map(|&sid| cache.len(sid)).collect();
+    let range = if causal { KeyRange::Causal } else { KeyRange::Full };
+    let heads = q.dims()[0];
+    let shape: Vec<(usize, usize)> = sessions.iter().map(|&(sid, n)| (n, cache.len(sid))).collect();
     let mut rows = Vec::new();
-    for &sid in sessions {
+    for &(sid, _) in sessions {
         cache.extend_rows(sid, &mut rows);
     }
-    let in_place = session_rows(&device, "rows", q, &kv_lens, 0, || {
+    let in_place = session_rows(&device, "rows", q, &shape, range, 0, || {
         let mut rest = &rows[..];
-        kv_lens
+        shape
             .iter()
-            .map(|&n| {
+            .map(|&(_, n)| {
                 let session;
                 (session, rest) = rest.split_at(n);
                 cache.blocks(layer, session)
             })
             .collect()
     });
-    let planes: Vec<_> = sessions.iter().map(|&sid| cache.gather(layer, sid)).collect();
-    let units: Vec<_> = planes.iter().map(|(k, v)| (1, k.as_slice(), v.as_slice())).collect();
-    let range = if causal { KeyRange::Causal } else { KeyRange::Full };
-    (in_place, session_attention(&device, "engine", q, &units, range))
+    let (mut q_off, mut kv_off) = (0, 0);
+    let mut units = Vec::with_capacity(shape.len() * heads);
+    for &(q_len, kv_len) in &shape {
+        units.extend((0..heads).map(|h| AttnUnit {
+            h,
+            q_off,
+            q_len,
+            kv_off,
+            kv_len,
+        }));
+        (q_off, kv_off) = (q_off + q_len, kv_off + kv_len);
+    }
+    let kv = (k.as_slice(), v.as_slice());
+    let engine =
+        fused_grouped::grouped_softmax_attention(&device, "engine", q, kv, &units, range, Scheduler::WarpPrefetch);
+    (in_place, engine)
 }
 
 /// The one short/long dispatcher, behind [`fused_attention`] and

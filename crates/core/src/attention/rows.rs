@@ -1,13 +1,15 @@
-//! Algorithm III.2 at `m = 1`: the paged decoder's one-row units, with
-//! their keys and values read where they lie.
+//! Algorithm III.2 as row dots: the paged decoder's attention, each query
+//! row reading its keys and values where they lie.
 //!
-//! A decode step's attention unit is one query row against one session's
-//! keys. On the grouped engine ([`super::fused_grouped`]) that row fills a
-//! 64 × 64 tile and an `mr`-row micropanel, each tile packs 64 single-use
-//! keys, and the session's K/V must first be gathered out of the cache
-//! blocks into contiguous planes. This form does the same arithmetic with
-//! none of that padding or copying (the paper's first rule, §III.B–E,
-//! applied to the M dimension):
+//! A paged attention unit is one session's `q_len ≥ 1` newest query rows
+//! against its keys: one row in a decode step, a chunk of rows in a
+//! prefill, both side by side in a mixed step. On the grouped engine
+//! ([`super::fused_grouped`]) the session's K/V would first be gathered out
+//! of the cache blocks into contiguous planes, a short unit would fill a
+//! 64 × 64 tile and an `mr`-row micropanel, and each tile would pack 64
+//! single-use keys. This form does the same arithmetic per row with none of
+//! that copying or padding (the paper's first rule, §III.B–E, applied to
+//! the M dimension):
 //!
 //! * **Logits.** Each `q·k_j` is one `p`-ascending multiply-accumulate chain
 //!   from `0.0`, fused or not per the launch kernel's
@@ -24,14 +26,18 @@
 //!   `exp(x − M) / S`, as the engine's mainloop-normalised second GEMM
 //!   forms it; each value row is read once, in place.
 //!
-//! Every output is therefore **bitwise** the engine's on the same units
-//! (`tests/differential_decode.rs` checks it on every ISA tier), so the
-//! paged decoder's prefill ≡ steps, paged ≡ teacher-forced and block-size
-//! invariance hold whichever form a forward takes. A one-row unit sees every
-//! key under either `KeyRange` (bottom-right causal gives its only row
-//! `kv_len` keys), so no key is ever masked here.
+//! A row reduces over exactly the keys its `KeyRange` lets it see, a prefix
+//! of its unit's, and stops there; the engine masks the rest to `-inf`,
+//! which adds exact zeros to every fold. A row's bits therefore do not
+//! depend on how many rows share its unit, and every output is **bitwise**
+//! the engine's on the same units (`tests/differential_decode.rs` checks
+//! units of 1 … `kv_len` rows under both key ranges on every ISA tier), so
+//! the paged decoder's prefill ≡ steps, paged ≡ teacher-forced and
+//! block-size invariance hold. The arithmetic is f32 at every precision
+//! tier, as Algorithm III.1's ([`super::fused_short`]) is.
 
 use super::fused_grouped::{merge_partials, normalize, tile_partials};
+use super::KeyRange;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::grouped::GroupedConfig;
 use bt_gemm::isa::active_kernel;
@@ -60,11 +66,12 @@ pub(crate) enum SessionKv<'a> {
     },
 }
 
-/// Algorithm III.2 at `m = 1` — the form `super::rows_form` picks — in one
-/// launch named `name`: session `s` is query row `s` of `q` (`[heads,
-/// sessions, head]`, pre-scaled) against its `kv_lens[s]` keys, one unit
-/// per `(session, head)`, and the context comes back packed `[sessions,
-/// heads · head]`, bitwise `super::session_attention` on the same units.
+/// Algorithm III.2 as row dots, in one launch named `name`: `units` holds
+/// each session's `(q_len, kv_len)`, its query rows consecutive in `q`
+/// (`[heads, rows, head]`, pre-scaled) in session order; one unit per
+/// `(session, head)`, row `r` of a unit reducing over the first
+/// `range.keys(r, q_len, kv_len)` keys. Returns the packed `[rows, heads ·
+/// head]` context, bitwise the grouped engine's on the same units.
 ///
 /// `kv` runs first inside the launch and says where each session's K/V
 /// lie; the paged decoder stores this forward's `stored` new K/V rows into
@@ -73,27 +80,34 @@ pub(crate) fn session_rows<'s>(
     device: &Device,
     name: &str,
     q: &Tensor,
-    kv_lens: &[usize],
+    units: &[(usize, usize)],
+    range: KeyRange,
     stored: usize,
     kv: impl FnOnce() -> Vec<SessionKv<'s>>,
 ) -> Tensor {
     let qd = q.dims();
-    assert_eq!(qd.len(), 3, "Q must be [heads, sessions, head]");
-    let (heads, sessions, head) = (qd[0], qd[1], qd[2]);
-    assert_eq!(sessions, kv_lens.len(), "one query row per session");
+    assert_eq!(qd.len(), 3, "Q must be [heads, rows, head]");
+    let (heads, rows, head) = (qd[0], qd[1], qd[2]);
     let hidden = heads * head;
     let tile_n = GroupedConfig::default().tile_n;
+    // Each query row's session and key count.
+    let row_keys: Vec<(usize, usize)> = units
+        .iter()
+        .enumerate()
+        .flat_map(|(s, &(q_len, kv_len))| (0..q_len).map(move |r| (s, range.keys(r, q_len, kv_len))))
+        .collect();
+    assert_eq!(row_keys.len(), rows, "units must cover Q's rows");
 
-    // The engine's arithmetic per unit (two row GEMMs, the epilogue's
-    // max / exp / sum, the merge, the normalisation); the K/V rows read, Q,
-    // the context and the rows the launch stores.
-    let (mut flops, mut kv_bytes) = (0u64, 0u64);
-    for &n in kv_lens {
-        let tiles = n.div_ceil(tile_n).max(1);
-        flops += (heads * (4 * n * head + 5 * n + 3 * tiles)) as u64;
-        kv_bytes += (2 * n * hidden * 4) as u64;
-    }
-    let (row_bytes, stored_bytes) = ((sessions * hidden * 4) as u64, (2 * stored * hidden * 4) as u64);
+    // The engine's arithmetic per row over the keys it sees (two row GEMMs,
+    // the epilogue's max / exp / sum, the merge, the normalisation); every
+    // session's K/V rows read once, Q, the context and the rows the launch
+    // stores.
+    let flops: u64 = row_keys
+        .iter()
+        .map(|&(_, n)| (heads * (4 * n * head + 5 * n + 3 * n.div_ceil(tile_n).max(1))) as u64)
+        .sum();
+    let kv_bytes: u64 = units.iter().map(|&(_, n)| (2 * n * hidden * 4) as u64).sum();
+    let (row_bytes, stored_bytes) = ((rows * hidden * 4) as u64, (2 * stored * hidden * 4) as u64);
     let spec = KernelSpec::new(name)
         .flops(flops)
         .reads(row_bytes + kv_bytes + stored_bytes)
@@ -101,42 +115,46 @@ pub(crate) fn session_rows<'s>(
 
     let out = device.launch(spec, || {
         let kv = kv();
-        assert_eq!(kv.len(), sessions, "one K/V source per session");
+        assert_eq!(kv.len(), units.len(), "one K/V source per session");
         // One kernel per launch: every task agrees on the contraction mode
         // even if the process-wide selection changes mid-flight.
-        let fused = active_kernel().fused_fma;
+        let launch = Launch {
+            fused: active_kernel().fused_fma,
+            tile_n,
+            heads,
+        };
         let qs = q.as_slice();
-        let mut out = vec![0.0f32; sessions * hidden];
-        // One task per session, its heads inside.
-        out.par_chunks_mut(hidden).enumerate().for_each(|(s, ctx)| {
+        let mut out = vec![0.0f32; rows * hidden];
+        // One task per query row, its heads inside.
+        out.par_chunks_mut(hidden).enumerate().for_each(|(i, ctx)| {
             SMEM.with(|cell| {
                 let smem = &mut *cell.borrow_mut();
-                // The session's query row, heads side by side.
+                // The query row, heads side by side.
                 let q = grow(&mut smem.q, hidden);
                 for (h, q) in q.chunks_exact_mut(head).enumerate() {
-                    q.copy_from_slice(&qs[(h * sessions + s) * head..][..head]);
+                    q.copy_from_slice(&qs[(h * rows + i) * head..][..head]);
                 }
-                let launch = Launch { fused, tile_n, heads };
+                let (s, n) = row_keys[i];
                 match kv[s] {
                     SessionKv::Planes { k, v } => {
                         let plane = k.len() / heads;
-                        launch.run(smem, [k, v], plane / head, |h, j| h * plane + j * head, ctx);
+                        launch.run(smem, [k, v], n, |h, j| h * plane + j * head, ctx);
                     }
-                    SessionKv::Blocks { k, v, rows } => {
-                        launch.run(smem, [k, v], rows.len(), |h, j| rows[j] + h * head, ctx);
+                    SessionKv::Blocks { k, v, rows: starts } => {
+                        launch.run(smem, [k, v], n, |h, j| starts[j] + h * head, ctx);
                     }
                 }
             });
         });
         out
     });
-    Tensor::from_vec(out, [sessions, hidden]).expect("shape consistent")
+    Tensor::from_vec(out, [rows, hidden]).expect("shape consistent")
 }
 
-/// A worker's scratch: the session's query row, its logits (then its
-/// probabilities) head by head, and one head's per-tile partials. It grows
-/// to the longest session the worker has seen and is reused for every
-/// later one, with no heap traffic per unit.
+/// A worker's scratch: the query row, its logits (then its probabilities)
+/// head by head, and one head's per-tile partials. It grows to the most
+/// keys a row of the worker's has seen and is reused for every later row,
+/// with no heap traffic per unit.
 #[derive(Default)]
 struct Smem {
     q: Vec<f32>,
@@ -167,8 +185,8 @@ fn mac<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// What every session of a launch shares: the contraction mode, the
-/// softmax key tile and the head count.
+/// What every row of a launch shares: the contraction mode, the softmax
+/// key tile and the head count.
 struct Launch {
     fused: bool,
     tile_n: usize,
@@ -176,20 +194,20 @@ struct Launch {
 }
 
 impl Launch {
-    /// One session's units, one per head: the query row in `smem.q`
-    /// against `n` keys, key / value `j` of head `h` at `kv[0][at(h, j)..]`
+    /// One query row's units, one per head: the row in `smem.q` against its
+    /// first `n` keys, key / value `j` of head `h` at `kv[0][at(h, j)..]`
     /// / `kv[1][at(h, j)..]`; writes the packed context row to `out`.
     fn run(&self, smem: &mut Smem, kv: [&[f32]; 2], n: usize, at: impl Fn(usize, usize) -> usize, out: &mut [f32]) {
         if self.fused {
-            self.session::<true>(smem, kv, n, at, out);
+            self.row::<true>(smem, kv, n, at, out);
         } else {
-            self.session::<false>(smem, kv, n, at, out);
+            self.row::<false>(smem, kv, n, at, out);
         }
     }
 
     /// [`Launch::run`] at a fixed contraction mode. Keys run outermost, so a
     /// block-table row is read front to back across the heads.
-    fn session<const FUSED: bool>(
+    fn row<const FUSED: bool>(
         &self,
         smem: &mut Smem,
         [k, v]: [&[f32]; 2],

@@ -4,8 +4,8 @@
 //! against a contiguous, privately owned cache. A serving system runs
 //! *hundreds* of such sessions concurrently, and their per-step work — a
 //! pile of `1×n` GEMVs and one attention per `(session, head)` at that
-//! session's current length — is exactly the variable-shape problem the
-//! grouped-GEMM engine was built for (paper Fig. 5). This module supplies
+//! session's current length — is the variable-shape problem of paper
+//! Fig. 5, with the time axis as the variable length. This module supplies
 //! the two pieces that turn the single-sequence path into a batched one:
 //!
 //! * [`PagedKvCache`] — K/V storage indexed through `bt-varlen`'s
@@ -25,34 +25,29 @@
 //! the body the teacher-forced decoder runs too. This stack supplies its two
 //! attention closures, and no attention arithmetic lives here: both hand
 //! one unit per `(session, head)`, at that session's true length, to
-//! `crate::attention`, whose one rule (`rows_form`) picks the form. Self-
-//! attention splits the rows' QKV as the teacher-forced stack does (Q
-//! pre-scaled) and attends under the bottom-right causal key range;
-//! cross-attention attends over the per-session memory planes projected at
-//! [`PagedDecoder::open_session`]. Who reads K/V how:
-//!
-//! * **A decode step** (one row per session, f32): Algorithm III.2 at
-//!   `m = 1`, row dots over K/V read in place (`attention::session_rows`).
-//!   `paged.attn.rows` stores the rows' K/V in their block-table slots and
-//!   reads every key through the table, with no gather; `paged.cross.rows`
-//!   reads the memory planes.
-//! * **Any other forward** (a prefill, or low precision): the rows' K/V are
-//!   stored and each session's K/V gathered into contiguous planes
-//!   ([`PagedKvCache::gather`], one `paged.gather` launch), and the grouped
-//!   engine attends over the planes (`attention::session_attention`).
+//! `crate::attention`'s one paged form, Algorithm III.2 as row dots over
+//! K/V read in place (`attention::session_rows`), at every precision and
+//! for any mix of prefill chunks and decode rows. Self-attention splits the
+//! rows' QKV as the teacher-forced stack does (Q pre-scaled) and attends
+//! under the bottom-right causal key range in one `paged.attn.rows` launch,
+//! which stores the rows' K/V in their block-table slots and reads every key
+//! through the table; cross-attention attends over the per-session memory
+//! planes projected at [`PagedDecoder::open_session`] in one
+//! `paged.cross.rows` launch. No K/V is ever gathered into planes.
 //!
 //! Equivalence guarantee (tested here and cross-ISA in
-//! `tests/differential_decode.rs`): a prefill is **bitwise** ≡ the
+//! `tests/differential_decode.rs`): at f32 a prefill is **bitwise** ≡ the
 //! teacher-forced stack wherever that stack takes the grouped kernel (past
-//! `FUSED_SHORT_MAX_SEQ`), **bitwise** ≡ the same tokens stepped one at a
-//! time, and **bitwise invariant** to the block size — paging is memory
-//! layout, never math. The scalar [`crate::incremental::DecoderSession`]
+//! `FUSED_SHORT_MAX_SEQ`; at f16 / int8 that kernel's panels are low
+//! precision and the rows form's are not), and at every precision **bitwise** ≡ the same
+//! tokens stepped one at a time and **bitwise invariant** to the block size
+//! — paging is memory layout, never math. The scalar [`crate::incremental::DecoderSession`]
 //! tracks it within documented float tolerance.
 
-use crate::attention::{rows_form, session_attention, session_rows, KeyRange, SessionKv};
+use crate::attention::{session_rows, KeyRange, SessionKv};
 use crate::decoder::{decoder_layer, LayerNames, TransformerDecoder};
 use crate::encoder::launch_gemm;
-use bt_device::{Device, KernelSpec};
+use bt_device::Device;
 use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
 use bt_tensor::Tensor;
 use bt_varlen::paged::{BlockPool, KvOom, PagedLayout, SessionId};
@@ -202,26 +197,6 @@ impl PagedKvCache {
             self.v[layer][dst..dst + head].copy_from_slice(&v[src..src + head]);
         }
     }
-
-    /// Gathers every K and V row the session holds for one layer into
-    /// contiguous `[heads, len, head]` planes — the layout the grouped
-    /// attention engine reads. This is the block-table indirection made
-    /// dense; only a forward with a multi-row unit (a prefill) needs it, as
-    /// decode rows read the blocks in place.
-    pub fn gather(&self, layer: usize, sid: SessionId) -> Planes {
-        let (heads, head, len) = (self.heads, self.head, self.pool.len(sid));
-        let mut kp = vec![0.0f32; heads * len * head];
-        let mut vp = vec![0.0f32; heads * len * head];
-        for idx in 0..len {
-            let base = self.base(sid, idx);
-            for h in 0..heads {
-                let (src, dst) = (base + h * head, (h * len + idx) * head);
-                kp[dst..dst + head].copy_from_slice(&self.k[layer][src..src + head]);
-                vp[dst..dst + head].copy_from_slice(&self.v[layer][src..src + head]);
-            }
-        }
-        (kp, vp)
-    }
 }
 
 /// One layer's `[heads, len, head]` K and V planes.
@@ -239,7 +214,8 @@ pub struct BatchStepOutput {
 }
 
 /// Many concurrent decoding sessions over one shared [`PagedKvCache`],
-/// advanced in batched token steps through the grouped-GEMM engine.
+/// advanced in batched token steps: every session's rows share each
+/// layer's GEMMs and one rows launch per attention.
 pub struct PagedDecoder<'a> {
     decoder: &'a TransformerDecoder,
     cache: PagedKvCache,
@@ -403,15 +379,13 @@ impl<'a> PagedDecoder<'a> {
     /// Runs token rows (flattened in `h`, `[rows, hidden]`) through every
     /// layer. `sessions` pairs each session with its count of rows —
     /// consecutive in `h`, in order — which are its newest, already appended
-    /// tokens. Both prefill (many rows, one session) and batched decode (one
-    /// row per session) flow through here, so the two paths cannot diverge
-    /// numerically. The layer is `decoder_layer`; what this stack supplies
-    /// is the two attention closures: self K/V written to the block tables,
-    /// cross K/V read from the per-session memory planes. A forward of one
-    /// row per session (a decode step) reads both in place, one launch each
-    /// (`paged.attn.rows`, which also stores the rows' K/V, and
-    /// `paged.cross.rows`); any other forward gathers its self K/V into
-    /// planes (`paged.gather`) for the grouped engine.
+    /// tokens. Prefill (many rows, one session), batched decode (one row per
+    /// session) and any mix of the two flow through here, so the paths
+    /// cannot diverge numerically. The layer is `decoder_layer`; what this
+    /// stack supplies is the two attention closures, one rows launch each:
+    /// `paged.attn.rows` stores the rows' self K/V in their block-table
+    /// slots and reads every key through the tables, and `paged.cross.rows`
+    /// reads the per-session memory planes.
     fn forward_rows(&mut self, device: &Device, sessions: &[(SessionId, usize)], h: &mut Vec<f32>) {
         let decoder = self.decoder;
         let config = decoder.config;
@@ -419,7 +393,9 @@ impl<'a> PagedDecoder<'a> {
         let r = h.len() / hidden;
         DECODE_ROWS.add(r as u64);
 
-        // Each row's cache slot, and every session's key count.
+        // Each row's cache slot; every session's query rows and key count
+        // over its cache and over its memory; and every session's token rows
+        // in a layer's block storage, consecutively.
         let slots: Vec<(SessionId, usize)> = sessions
             .iter()
             .flat_map(|&(sid, n)| {
@@ -427,27 +403,19 @@ impl<'a> PagedDecoder<'a> {
                 (len - n..len).map(move |pos| (sid, pos))
             })
             .collect();
-        let kv_lens: Vec<usize> = sessions.iter().map(|&(sid, _)| self.cache.len(sid)).collect();
-        let in_place = rows_form(sessions.iter().map(|&(_, n)| n));
-        // In place: every session's token rows in a layer's block storage,
-        // consecutively. Otherwise: the bytes the gather launch moves, the
-        // rows' K/V in and every session's whole K/V planes out.
-        let mut token_rows = Vec::new();
-        if in_place {
-            for &(sid, _) in sessions {
-                self.cache.extend_rows(sid, &mut token_rows);
-            }
-        }
-        let moved = (2 * (r + kv_lens.iter().sum::<usize>()) * hidden * 4) as u64;
-        let tensor = |data: Vec<f32>, cols: usize| Tensor::from_vec(data, [r, cols]).expect("shape consistent");
-
-        let (kv_lens, token_rows) = (&kv_lens[..], &token_rows[..]);
         let (cache, cross_kv) = (&mut self.cache, &self.cross_kv);
         let cross_planes = |sid: SessionId| &cross_kv[sid.index()].as_ref().expect("session open")[..];
-        let mem_lens: Vec<usize> = sessions
+        let self_units: Vec<(usize, usize)> = sessions.iter().map(|&(sid, n)| (n, cache.len(sid))).collect();
+        let cross_units: Vec<(usize, usize)> = sessions
             .iter()
-            .map(|&(sid, _)| cross_planes(sid)[0].0.len() / hidden)
+            .map(|&(sid, n)| (n, cross_planes(sid)[0].0.len() / hidden))
             .collect();
+        let mut token_rows = Vec::new();
+        for &(sid, _) in sessions {
+            cache.extend_rows(sid, &mut token_rows);
+        }
+        let tensor = |data: Vec<f32>, cols: usize| Tensor::from_vec(data, [r, cols]).expect("shape consistent");
+
         for (layer, w) in decoder.weights.layers.iter().enumerate() {
             *h = decoder_layer(
                 device,
@@ -458,63 +426,37 @@ impl<'a> PagedDecoder<'a> {
                 r,
                 |qkv, bias| {
                     let (q, k, v) = add_bias_split_qkv_packed(device, &tensor(qkv, 3 * hidden), bias, heads, scale);
-                    let store = |cache: &mut PagedKvCache| {
+                    let cache = &mut *cache;
+                    session_rows(device, "paged.attn.rows", &q, &self_units, KeyRange::Causal, r, || {
                         for (row, &(sid, pos)) in slots.iter().enumerate() {
                             cache.write(layer, sid, pos, k.as_slice(), v.as_slice(), row);
                         }
-                    };
-                    if in_place {
-                        let cache = &mut *cache;
-                        return session_rows(device, "paged.attn.rows", &q, kv_lens, r, move || {
-                            store(cache);
-                            let cache: &PagedKvCache = cache;
-                            let mut rest = token_rows;
-                            kv_lens
-                                .iter()
-                                .map(|&n| {
-                                    let rows;
-                                    (rows, rest) = rest.split_at(n);
-                                    cache.blocks(layer, rows)
-                                })
-                                .collect()
-                        })
-                        .into_vec();
-                    }
-                    let planes: Vec<Planes> =
-                        device.launch(KernelSpec::new("paged.gather").reads(moved).writes(moved), || {
-                            store(cache);
-                            sessions.iter().map(|&(sid, _)| cache.gather(layer, sid)).collect()
-                        });
-                    let units: Vec<_> = sessions
-                        .iter()
-                        .zip(&planes)
-                        .map(|(&(_, n), (kp, vp))| (n, kp.as_slice(), vp.as_slice()))
-                        .collect();
-                    session_attention(device, "paged.attn", &q, &units, KeyRange::Causal).into_vec()
+                        let cache: &PagedKvCache = cache;
+                        let mut rest = &token_rows[..];
+                        self_units
+                            .iter()
+                            .map(|&(_, n)| {
+                                let rows;
+                                (rows, rest) = rest.split_at(n);
+                                cache.blocks(layer, rows)
+                            })
+                            .collect()
+                    })
+                    .into_vec()
                 },
                 |cq, bias| {
                     let cq =
                         add_bias_split_heads_packed(device, "paged.cross_q", &tensor(cq, hidden), bias, heads, scale);
-                    if in_place {
-                        return session_rows(device, "paged.cross.rows", &cq, &mem_lens, 0, || {
-                            sessions
-                                .iter()
-                                .map(|&(sid, _)| {
-                                    let (k, v) = &cross_planes(sid)[layer];
-                                    SessionKv::Planes { k, v }
-                                })
-                                .collect()
-                        })
-                        .into_vec();
-                    }
-                    let units: Vec<_> = sessions
-                        .iter()
-                        .map(|&(sid, n)| {
-                            let (kp, vp) = &cross_planes(sid)[layer];
-                            (n, kp.as_slice(), vp.as_slice())
-                        })
-                        .collect();
-                    session_attention(device, "paged.cross", &cq, &units, KeyRange::Full).into_vec()
+                    session_rows(device, "paged.cross.rows", &cq, &cross_units, KeyRange::Full, 0, || {
+                        sessions
+                            .iter()
+                            .map(|&(sid, _)| {
+                                let (k, v) = &cross_planes(sid)[layer];
+                                SessionKv::Planes { k, v }
+                            })
+                            .collect()
+                    })
+                    .into_vec()
                 },
             );
         }
@@ -533,8 +475,9 @@ mod tests {
     }
 
     /// Documented tolerance of the paged path vs the contiguous cache: the
-    /// grouped microkernel contracts in a different order than the scalar
-    /// attention loops (same bound as teacher-forcing vs incremental).
+    /// GEMM microkernels and the tiled softmax contract in a different order
+    /// than the scalar attention loops (same bound as teacher-forcing vs
+    /// incremental).
     const TOL: f32 = 5e-3;
 
     #[test]
@@ -668,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_walks_block_tables() {
+    fn token_rows_walk_block_tables() {
         let mut cache = PagedKvCache::new(PagedLayout::new(2, 8), 1, 2, 2);
         let s = cache.create();
         cache.append(s, 5).unwrap();
@@ -678,15 +621,18 @@ mod tests {
             // One row is a `[heads, 1, head]` plane.
             cache.write(0, s, pos, &row, &neg, 0);
         }
-        // heads=2, head=2: plane [2, 5, 2].
-        let (kp, vp) = cache.gather(0, s);
-        for pos in 0..5 {
-            for h in 0..2 {
-                for d in 0..2 {
-                    let want = (pos * 10 + h * 2 + d) as f32;
-                    assert_eq!(kp[(h * 5 + pos) * 2 + d], want);
-                    assert_eq!(vp[(h * 5 + pos) * 2 + d], -want);
-                }
+        let mut rows = Vec::new();
+        cache.extend_rows(s, &mut rows);
+        assert_eq!(rows.len(), 5);
+        let SessionKv::Blocks { k, v, rows } = cache.blocks(0, &rows) else {
+            panic!("a session's K/V lie in the blocks");
+        };
+        // heads=2, head=2: token `pos`, head `h` at `rows[pos] + h * 2`.
+        for (pos, &at) in rows.iter().enumerate() {
+            for hd in 0..4 {
+                let want = (pos * 10 + hd) as f32;
+                assert_eq!(k[at + hd], want);
+                assert_eq!(v[at + hd], -want);
             }
         }
     }

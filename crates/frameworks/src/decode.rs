@@ -27,10 +27,12 @@
 //! prefill in **fixed token-budget chunks** that interleave with in-flight
 //! decode steps instead of monopolising whole steps. A chunk is one
 //! [`PagedDecoder::prefill`] call that resumes at the session's cached
-//! length, so chunking is purely a schedule: `tests/differential_streaming.rs`
-//! proves prefill in pieces is bitwise one whole prefill on every ISA tier,
-//! and this module's `real_paged_engine_serves_chunked_prefill` proves
-//! every request's outputs are bitwise the same at every chunk size.
+//! length, so chunking is purely a schedule, at every precision (paged
+//! attention is f32 row dots whatever `BYTE_GEMM_PREC` selects, and each
+//! row's GEMM chains are its own): `tests/differential_streaming.rs` proves
+//! prefill in pieces is bitwise one whole prefill on every ISA tier at f32,
+//! f16 and int8, and this module's `real_paged_engine_serves_chunked_prefill`
+//! proves every request's outputs are bitwise the same at every chunk size.
 //! Chunking adds a third guard: the deadline is re-checked at **every
 //! chunk boundary**, and a half-ingested prompt that runs out of time is
 //! cancelled with the distinct [`ShedReason::CancelledMidRequest`] (its

@@ -16,13 +16,14 @@
 //! All three run the same weights, so any disagreement beyond the
 //! documented contraction-order tolerance (`5e-3`, same bound the
 //! incremental-vs-teacher-forcing test documents) is a bug in the cache
-//! indirection, the gather, or the grouped problem construction — exactly
-//! the layers this PR adds. On top of the per-tier three-way check, each
+//! indirection or the attention unit construction. On top of the per-tier
+//! three-way check, each
 //! tier's paged output is compared against the scalar tier's: **bitwise**
 //! when the tiers share a contraction mode ([`MicroKernel::fused_fma`] —
 //! paging adds no ISA-dependent code outside the GEMMs), tolerance
-//! otherwise. Block-size invariance is asserted bitwise *per tier*
-//! unconditionally: paging is memory layout, never math.
+//! otherwise. Block-size invariance and prefill ≡ steps are asserted
+//! bitwise *per tier* unconditionally, at every precision: paging and
+//! chunking are memory layout and schedule, never math.
 //!
 //! The row count of a launch also picks the f32 GEMM **driver**
 //! (`bt_gemm::SKINNY_MAX_M`: in-place-`B` skinny driver at or below it,
@@ -34,8 +35,9 @@
 //! arithmetic.
 //!
 //! Past `FUSED_SHORT_MAX_SEQ` the teacher-forcing forward leaves the short
-//! kernel and both stacks run the same attention units through the one
-//! grouped engine, so there a paged prefill is **bitwise** the forward.
+//! kernel for the grouped engine, whose rows the paged stack's rows form
+//! reproduces bit for bit, so there a paged prefill is **bitwise** the
+//! forward.
 //!
 //! Tiers the host lacks are skipped with a logged reason (stderr), never
 //! silently: the log always accounts for all tiers.
@@ -107,6 +109,19 @@ fn decode_differential(label: &str, case: impl Fn() -> Vec<f32>) {
     }
     isa::set_active_isa(prev).unwrap();
     set_active_precision(prev_prec);
+}
+
+/// Runs `case` at every precision tier, f32 last, and returns the f32
+/// run's output as the cross-tier payload; each precision's own bitwise
+/// assertions run inside `case`. (Only f32 is compared across ISA tiers: a
+/// low-precision GEMM's bits legitimately differ from tier to tier.)
+fn at_every_precision(case: impl Fn() -> Vec<f32>) -> Vec<f32> {
+    for prec in Precision::ALL.into_iter().filter(|&p| p != Precision::F32) {
+        set_active_precision(prec);
+        case();
+    }
+    set_active_precision(Precision::F32);
+    case()
 }
 
 /// Per-tier three-way check: batched paged decode vs contiguous
@@ -189,8 +204,10 @@ fn paged_tracks_contiguous_and_teacher_forcing_on_every_tier() {
 }
 
 /// Prefill and token-by-token stepping are the same pipeline at different
-/// row counts; they must agree bitwise on every tier (the only difference
-/// is batch composition inside identical grouped launches).
+/// row counts; they must agree bitwise on every tier and at every precision
+/// (the only difference is batch composition inside identical launches:
+/// each row's GEMM chains and attention row are the same whatever else
+/// shares them, and attention is f32 at every precision).
 #[test]
 fn prefill_equals_stepping_on_every_tier() {
     let config = BertConfig::tiny();
@@ -201,24 +218,31 @@ fn prefill_equals_stepping_on_every_tier() {
     let prompt = Tensor::randn([prompt_len, hidden], 6);
 
     decode_differential("prefill_vs_steps", || {
-        let dev = device();
-        let mut a = PagedDecoder::new(&decoder, PagedLayout::new(2, 16));
-        let sa = a.open_session(&dev, &memory);
-        let prefilled = a.prefill(&dev, sa, &prompt).unwrap();
+        at_every_precision(|| {
+            let dev = device();
+            let mut a = PagedDecoder::new(&decoder, PagedLayout::new(2, 16));
+            let sa = a.open_session(&dev, &memory);
+            let prefilled = a.prefill(&dev, sa, &prompt).unwrap();
 
-        let mut b = PagedDecoder::new(&decoder, PagedLayout::new(2, 16));
-        let sb = b.open_session(&dev, &memory);
-        for (i, row) in prompt.as_slice().chunks(hidden).enumerate() {
-            let out = b.step_batch(&dev, &[sb], row);
-            assert_bitwise(&format!("token {i}"), &prefilled[i], out.outputs[0].as_ref().unwrap());
-        }
-        prefilled.into_iter().flatten().collect()
+            let mut b = PagedDecoder::new(&decoder, PagedLayout::new(2, 16));
+            let sb = b.open_session(&dev, &memory);
+            for (i, row) in prompt.as_slice().chunks(hidden).enumerate() {
+                let out = b.step_batch(&dev, &[sb], row);
+                assert_bitwise(
+                    &format!("token {i} at {}", active_precision()),
+                    &prefilled[i],
+                    out.outputs[0].as_ref().unwrap(),
+                );
+            }
+            prefilled.into_iter().flatten().collect()
+        })
     });
 }
 
 /// Block size is memory layout, never math: outputs must be **bitwise**
-/// identical across block geometries on every single tier — no tolerance,
-/// because within one tier the arithmetic sequence is literally the same.
+/// identical across block geometries on every single tier and at every
+/// precision — no tolerance, because within one tier the arithmetic
+/// sequence is literally the same.
 #[test]
 fn block_size_invariance_holds_on_every_tier() {
     let config = BertConfig::tiny();
@@ -228,23 +252,26 @@ fn block_size_invariance_holds_on_every_tier() {
     let prompt = Tensor::randn([7, hidden], 9);
 
     decode_differential("block_size_invariance", || {
-        let dev = device();
-        let mut outs: Vec<Vec<f32>> = Vec::new();
-        for block_tokens in [1usize, 3, 16] {
-            let mut d = PagedDecoder::new(&decoder, PagedLayout::new(block_tokens, 64));
-            let sid = d.open_session(&dev, &memory);
-            let rows = d.prefill(&dev, sid, &prompt).unwrap();
-            outs.push(rows.into_iter().flatten().collect());
-        }
-        for (i, alt) in outs[1..].iter().enumerate() {
-            let bits_match = outs[0].iter().zip(alt).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                bits_match,
-                "block geometry {i} changed the math on {}",
-                isa::active_isa()
-            );
-        }
-        outs.swap_remove(0)
+        at_every_precision(|| {
+            let dev = device();
+            let mut outs: Vec<Vec<f32>> = Vec::new();
+            for block_tokens in [1usize, 3, 16] {
+                let mut d = PagedDecoder::new(&decoder, PagedLayout::new(block_tokens, 64));
+                let sid = d.open_session(&dev, &memory);
+                let rows = d.prefill(&dev, sid, &prompt).unwrap();
+                outs.push(rows.into_iter().flatten().collect());
+            }
+            for (i, alt) in outs[1..].iter().enumerate() {
+                let bits_match = outs[0].iter().zip(alt).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(
+                    bits_match,
+                    "block geometry {i} changed the math on {} at {}",
+                    isa::active_isa(),
+                    active_precision()
+                );
+            }
+            outs.swap_remove(0)
+        })
     });
 }
 
@@ -511,24 +538,27 @@ fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
     });
 }
 
-/// A decode step's attention units are one query row each, and they take
-/// the rows form (`bt_core::attention::one_row_forms`): Algorithm III.2 at
-/// `m = 1` as row dots over K/V read in place through the block table,
-/// with no gather, no pack and no 64-row tile. Its contract is that it *is*
-/// the grouped engine on the same units: per tier, its context is
-/// **bitwise** the engine's over the planes `PagedKvCache::gather` copies
-/// out of the same blocks, under bottom-right causal and full keys alike,
-/// at key counts on both sides of the 16-lane chain block and the 64-key
-/// softmax tile, with head widths on both sides of the 64-column `P·V`
-/// block, through block tables fragmented at 1, 3 and 16 tokens per block.
+/// Every paged attention unit takes the rows form
+/// (`bt_core::attention::paged_forms`): Algorithm III.2 as row dots over K/V
+/// read in place through the block table, with no gather, no pack and no
+/// 64-row tile. Its contract is that it *is* the grouped engine on the same
+/// units: per tier, its context is **bitwise** the engine's over the same
+/// keys and values packed into planes, for units of 1, 2, 17, 64, 65 and
+/// `kv_len` query rows (fewer where a session holds fewer keys, so most
+/// launches mix prefill-sized and step-sized units), under bottom-right
+/// causal and full keys alike, at key counts on both sides of the 16-lane
+/// chain block and the 64-key softmax tile, with head widths on both sides
+/// of the 64-column `P·V` block, through block tables fragmented at 1, 3 and
+/// 16 tokens per block.
 #[test]
-fn one_row_units_read_in_place_equal_the_grouped_engine_on_every_tier() {
+fn paged_units_read_in_place_equal_the_grouped_engine_on_every_tier() {
     const KV_LENS: [usize; 9] = [1, 15, 16, 17, 63, 64, 65, 130, 400];
+    const Q_LENS: [usize; 6] = [1, 2, 17, 64, 65, usize::MAX];
+    let tokens: usize = KV_LENS.iter().sum();
     let mut rng = bytetransformer::tensor::rng::Xoshiro256StarStar::seed_from_u64(31);
     let cases: Vec<_> = [(1usize, 2usize, 64usize), (3, 3, 72), (16, 4, 8)]
         .into_iter()
         .map(|(block_tokens, heads, head)| {
-            let tokens: usize = KV_LENS.iter().sum();
             let layout = PagedLayout::new(block_tokens, tokens.div_ceil(block_tokens) + KV_LENS.len() + 5);
             let mut cache = PagedKvCache::new(layout, 1, heads, head);
             // Sessions grow a block at a time in turns, and a session freed
@@ -553,29 +583,57 @@ fn one_row_units_read_in_place_equal_the_grouped_engine_on_every_tier() {
                     break;
                 }
             }
-            let mut draw = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect() };
-            for &sid in &sids {
-                for pos in 0..cache.len(sid) {
-                    let (k, v) = (draw(heads * head), draw(heads * head));
-                    cache.write(0, sid, pos, &k, &v, 0);
+            // K, V and one query row per key position, packed `[heads,
+            // Σ kv_len, head]` session after session; the cache holds the
+            // same K/V rows at the sessions' block-table slots.
+            let mut draw = |n: usize| -> Tensor {
+                let data = (0..heads * n * head).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                Tensor::from_vec(data, [heads, n, head]).unwrap()
+            };
+            let (k, v, q) = (draw(tokens), draw(tokens), draw(tokens));
+            let mut kv_off = 0;
+            for (&sid, &len) in sids.iter().zip(&KV_LENS) {
+                for pos in 0..len {
+                    cache.write(0, sid, pos, k.as_slice(), v.as_slice(), kv_off + pos);
                 }
+                kv_off += len;
             }
-            let q = Tensor::from_vec(draw(heads * KV_LENS.len() * head), [heads, KV_LENS.len(), head]).unwrap();
-            (block_tokens, cache, sids, q)
+            (block_tokens, cache, sids, q, k, v)
         })
         .collect();
 
-    decode_differential("one_row_rows_vs_engine", || {
+    decode_differential("paged_rows_vs_engine", || {
         let mut payload = Vec::new();
-        for (block_tokens, cache, sids, q) in &cases {
-            for causal in [true, false] {
-                let (in_place, engine) = bt_core::attention::one_row_forms(cache, 0, q, sids, causal);
-                assert_bitwise(
-                    &format!("rows form vs engine, {block_tokens}-token blocks, causal {causal}"),
-                    in_place.as_slice(),
-                    engine.as_slice(),
-                );
-                payload.extend_from_slice(in_place.as_slice());
+        for (block_tokens, cache, sids, q, k, v) in &cases {
+            let (heads, head) = (q.dims()[0], q.dims()[2]);
+            for q_len in Q_LENS {
+                // Each session's queries are the last `q_len` of its key
+                // positions, as a prefill chunk's rows are.
+                let units: Vec<(SessionId, usize)> = sids
+                    .iter()
+                    .zip(&KV_LENS)
+                    .map(|(&sid, &len)| (sid, q_len.min(len)))
+                    .collect();
+                let mut q_rows = Vec::new();
+                for h in 0..heads {
+                    let mut end = 0;
+                    for (&(_, n), &len) in units.iter().zip(&KV_LENS) {
+                        end += len;
+                        q_rows
+                            .extend_from_slice(&q.as_slice()[(h * tokens + end - n) * head..(h * tokens + end) * head]);
+                    }
+                }
+                let rows = q_rows.len() / (heads * head);
+                let q_units = Tensor::from_vec(q_rows, [heads, rows, head]).unwrap();
+                for causal in [true, false] {
+                    let (in_place, engine) = bt_core::attention::paged_forms(cache, 0, &q_units, k, v, &units, causal);
+                    assert_bitwise(
+                        &format!("rows form vs engine, {block_tokens}-token blocks, q_len {q_len}, causal {causal}"),
+                        in_place.as_slice(),
+                        engine.as_slice(),
+                    );
+                    payload.extend_from_slice(in_place.as_slice());
+                }
             }
         }
         payload

@@ -8,9 +8,9 @@
 //! * `run_decode_loop`'s chunked prefill hands a prompt to
 //!   [`PagedDecoder::prefill`] a chunk at a time, each call resuming at the
 //!   session's cached length. Proven here: prefill in pieces of 1 / 3 / 64
-//!   rows ≡ one whole prefill, on a 7-row prompt (inside one 64-key tile of
-//!   the grouped engine) and on a 160-row prompt (three key tiles: at 3 the
-//!   chunk edges fall inside tiles, at 64 they line up with them).
+//!   rows ≡ one whole prefill, at every precision, on a 7-row prompt (inside
+//!   one 64-key softmax tile) and on a 160-row prompt (three key tiles: at 3
+//!   the chunk edges fall inside tiles, at 64 they line up with them).
 //! * `Server`'s chunk rounds (`plan_rounds`) run a cut batch as sub-batches
 //!   of whole requests through [`BertModel::forward`]. Proven here:
 //!   sub-batches of 1 / 3 / 64 sequences ≡ one batch, although the padded
@@ -59,8 +59,8 @@ static ISA_LOCK: Mutex<()> = Mutex::new(());
 /// bitwise; this only bounds scalar-vs-SIMD drift of the payload.
 const TOL: f32 = 5e-3;
 
-/// Single row, ragged small, and one grouped-engine key tile (larger than
-/// the short inputs, so there it degenerates to the whole path).
+/// Single row, ragged small, and one 64-key softmax tile (larger than the
+/// short inputs, so there it degenerates to the whole path).
 const CHUNK_SIZES: [usize; 3] = [1, 3, 64];
 
 /// One layout for every prefill here: 4-token blocks, room for 256 tokens.
@@ -225,7 +225,9 @@ fn embed_forward_sub_batches(
     out
 }
 
-/// Prefill in pieces of 1 / 3 / 64 rows vs one whole prefill, per tier.
+/// Prefill in pieces of 1 / 3 / 64 rows vs one whole prefill, per tier and
+/// at every precision; the f32 whole prefill is the cross-tier payload (a
+/// low-precision GEMM's bits legitimately differ from tier to tier).
 fn prefill_case(len: usize, seed: u64) {
     let config = BertConfig::tiny();
     let decoder = TransformerDecoder::new_random(config, 2, 17);
@@ -234,17 +236,25 @@ fn prefill_case(len: usize, seed: u64) {
     let prompt = Tensor::randn([len, hidden], seed);
     on_every_tier(&format!("prefill_{len}"), || {
         let dev = device();
-        let whole = prefill_pieces(&dev, &decoder, &memory, &prompt, &[]);
-        for chunk in CHUNK_SIZES {
-            let pieces = prefill_pieces(&dev, &decoder, &memory, &prompt, &every(chunk, len));
-            assert_eq!(
-                bits(&pieces),
-                bits(&whole),
-                "{len}-row prompt in pieces of {chunk} diverged from whole prefill on {}",
-                isa::active_isa()
-            );
+        let mut payload = Vec::new();
+        for prec in Precision::ALL {
+            set_active_precision(prec);
+            let whole = prefill_pieces(&dev, &decoder, &memory, &prompt, &[]);
+            for chunk in CHUNK_SIZES {
+                let pieces = prefill_pieces(&dev, &decoder, &memory, &prompt, &every(chunk, len));
+                assert_eq!(
+                    bits(&pieces),
+                    bits(&whole),
+                    "{len}-row prompt in pieces of {chunk} diverged from whole prefill on {} at {prec}",
+                    isa::active_isa()
+                );
+            }
+            if prec == Precision::F32 {
+                payload = whole;
+            }
         }
-        whole
+        set_active_precision(Precision::F32);
+        payload
     });
 }
 

@@ -6,6 +6,16 @@ use bytetransformer::frameworks::calibration::FT_FUSED_MHA_MAX_SEQ;
 use bytetransformer::prelude::*;
 use bytetransformer::varlen::paged::PagedLayout;
 use bytetransformer::varlen::workload::masked_randn;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this suite's tests: one of them flips the process-wide GEMM
+/// precision, which the others' launch costs and pins are priced at.
+fn precision_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panics holding it may leave the precision flipped: fail
+    // the rest loudly rather than let a pin skip itself.
+    LOCK.lock().expect("a test panicked while holding the precision lock")
+}
 
 fn setup(lens: &[usize], max_seq: usize, layers: usize) -> (BertModel, Tensor, BatchMask) {
     let config = BertConfig::tiny();
@@ -17,6 +27,7 @@ fn setup(lens: &[usize], max_seq: usize, layers: usize) -> (BertModel, Tensor, B
 
 #[test]
 fn pytorch_runs_the_unfused_padded_chain() {
+    let _serial = precision_lock();
     let (model, input, mask) = setup(&[6, 3], 8, 1);
     let fw = SimFramework::new(FrameworkKind::PyTorchJit, model);
     let dev = fw.device(CostModel::a100());
@@ -30,6 +41,7 @@ fn pytorch_runs_the_unfused_padded_chain() {
 
 #[test]
 fn faster_transformer_switches_mha_at_512() {
+    let _serial = precision_lock();
     let (model, input, mask) = setup(&[100, 60], 100, 1);
     let fw = SimFramework::new(FrameworkKind::FasterTransformer, model.clone());
     let dev = fw.device(CostModel::a100());
@@ -56,6 +68,7 @@ fn faster_transformer_switches_mha_at_512() {
 
 #[test]
 fn turbo_regroups_and_pads_within_groups() {
+    let _serial = precision_lock();
     let (model, input, mask) = setup(&[12, 12, 3, 3], 12, 1);
     let fw = SimFramework::new(FrameworkKind::TurboTransformer, model);
     let dev = fw.device(CostModel::a100());
@@ -77,6 +90,7 @@ fn turbo_regroups_and_pads_within_groups() {
 
 #[test]
 fn bytetransformer_never_materializes_padded_attention() {
+    let _serial = precision_lock();
     let (model, input, mask) = setup(&[6, 3], 8, 2);
     let fw = SimFramework::new(FrameworkKind::ByteTransformer, model);
     let dev = fw.device(CostModel::a100());
@@ -91,6 +105,7 @@ fn bytetransformer_never_materializes_padded_attention() {
 
 #[test]
 fn fig14_shape_framework_ordering_at_scale() {
+    let _serial = precision_lock();
     // A larger α=0.6 batch on the A100 model: ByteTransformer < Faster-
     // Transformer < {PyTorch, TensorFlow}; Turbo degrades with batch — the
     // qualitative shape of Fig. 14.
@@ -142,6 +157,7 @@ fn launch_hash(dev: &Device) -> u64 {
 
 #[test]
 fn launch_sequences_are_pinned() {
+    let _serial = precision_lock();
     // Every Fig. 13 level and Table I framework is a `LayerPlan` over one
     // layer body; these hashes were captured from the per-level and
     // per-framework layer bodies that body replaced (commit 23f3ef6), so a
@@ -215,6 +231,7 @@ fn launch_sequences_are_pinned() {
 
 #[test]
 fn decoder_launch_sequences_are_pinned() {
+    let _serial = precision_lock();
     // The decoder's causal self-attention and cross-attention reach the two
     // fused-MHA kernels through a key range and a unit list; these hashes
     // were captured at commit 8b8176e, when the causal short kernel, the
@@ -247,7 +264,20 @@ fn decoder_launch_sequences_are_pinned() {
     // declares the flops of the three it replaces (826 and 604 here) and
     // reads only the K/V rows, Q and the stored rows (1792 / 1152 bytes
     // against the gather's 1664 plus the engine's 1688 / 1280). The prefill
-    // launches are unchanged.
+    // launches were unchanged.
+    //
+    // Re-captured once more (from 0x98d2ba295419971d at 8daca18) when
+    // prefills moved onto the rows form too. Per layer of each prefill, the
+    // seven launches `paged.gather` + `paged.{attn,cross}.{qk,full_reduce,pv}`
+    // became `paged.attn.rows` + `paged.cross.rows`: 18 launches per layer
+    // → 13, as in the step. `paged.cross.rows` declares exactly the flops of
+    // the three it replaces (2256 / 684 for the 6- / 3-row prefill);
+    // `paged.attn.rows` declares only the keys each causal row sees (1590 /
+    // 462, against the engine's 2700 / 684 over every logit, masked ones
+    // included). Each reads the session's K/V once, Q and the stored rows
+    // (1920 / 960 and 1024 / 576 bytes, against the gather's 1536 / 768 plus
+    // the engine's 1632 / 744 and 1456 / 744). The step launches are
+    // unchanged.
     if bytetransformer::gemm::active_precision() != bytetransformer::gemm::Precision::F32 {
         return;
     }
@@ -278,32 +308,13 @@ fn decoder_launch_sequences_are_pinned() {
     }
     {
         let dev = Device::with_model(CostModel::a100());
-        let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(4, 32));
-        let a = paged.open_session(&dev, &Tensor::randn([5, hidden], 3));
-        let b = paged.open_session(&dev, &Tensor::randn([3, hidden], 4));
-        paged.prefill(&dev, a, &Tensor::randn([6, hidden], 5)).unwrap();
-        paged.prefill(&dev, b, &Tensor::randn([3, hidden], 6)).unwrap();
-        let prefill_launches = dev.trace().len();
-        let step = paged.step_batch(&dev, &[a, b], Tensor::randn([2, hidden], 7).as_slice());
-        assert!(step.oom.is_empty());
-        // A pure decode step reads K/V in place: no gather, no grouped GEMM.
-        let step_names: Vec<String> = dev.trace()[prefill_launches..].iter().map(|r| r.name.clone()).collect();
-        assert!(
-            !step_names
-                .iter()
-                .any(|n| n == "paged.gather" || n.ends_with(".qk") || n.ends_with(".pv")),
-            "step_batch launched a gather or a grouped GEMM: {step_names:?}"
-        );
-        assert_eq!(
-            step_names.iter().filter(|n| n.ends_with(".rows")).count(),
-            2 * decoder.weights.layers.len()
-        );
+        paged_prefills_and_step(&dev, &decoder);
         got.push(("paged/prefill+step_batch", launch_hash(&dev)));
     }
     let pinned: [(&str, u64); 3] = [
         ("decoder/short", 0xa974d956bd332d9c),
         ("decoder/long", 0x928a691bf2702eb0),
-        ("paged/prefill+step_batch", 0x98d2ba295419971d),
+        ("paged/prefill+step_batch", 0x7f5c678279685325),
     ];
     if got != pinned {
         for (k, v) in &got {
@@ -313,15 +324,57 @@ fn decoder_launch_sequences_are_pinned() {
     }
 }
 
+/// Two sessions prefilled and stepped once together on `dev`; asserts that
+/// every forward's attention took the rows form, two `*.rows` launches per
+/// layer, and that nothing in the trace gathered K/V or ran a grouped GEMM.
+fn paged_prefills_and_step(dev: &Device, decoder: &TransformerDecoder) {
+    let hidden = decoder.config.hidden();
+    let mut paged = PagedDecoder::new(decoder, PagedLayout::new(4, 32));
+    let a = paged.open_session(dev, &Tensor::randn([5, hidden], 3));
+    let b = paged.open_session(dev, &Tensor::randn([3, hidden], 4));
+    paged.prefill(dev, a, &Tensor::randn([6, hidden], 5)).unwrap();
+    paged.prefill(dev, b, &Tensor::randn([3, hidden], 6)).unwrap();
+    let step = paged.step_batch(dev, &[a, b], Tensor::randn([2, hidden], 7).as_slice());
+    assert!(step.oom.is_empty());
+    let names: Vec<String> = dev.trace().iter().map(|r| r.name.clone()).collect();
+    assert!(
+        !names
+            .iter()
+            .any(|n| n == "paged.gather" || n.ends_with(".qk") || n.ends_with(".full_reduce") || n.ends_with(".pv")),
+        "a paged forward gathered K/V or launched a grouped GEMM: {names:?}"
+    );
+    assert_eq!(
+        names.iter().filter(|n| n.ends_with(".rows")).count(),
+        2 * decoder.weights.layers.len() * 3,
+        "two rows launches per layer of each of the three forwards"
+    );
+}
+
+#[test]
+fn paged_forwards_launch_no_grouped_gemm_at_every_precision() {
+    // Paged attention has one form at every precision: prefills and steps
+    // alike read K/V in place through the block tables.
+    let _serial = precision_lock();
+    let prev = bytetransformer::gemm::active_precision();
+    let decoder = TransformerDecoder::new_random(BertConfig::tiny(), 2, 5);
+    for prec in bytetransformer::gemm::Precision::ALL {
+        bytetransformer::gemm::set_active_precision(prec);
+        paged_prefills_and_step(&Device::with_model(CostModel::a100()), &decoder);
+    }
+    bytetransformer::gemm::set_active_precision(prev);
+}
+
 #[test]
 fn both_decoder_stacks_run_one_layer_body() {
+    let _serial = precision_lock();
     // A paged prefill of one `n`-token prompt and a teacher-forced forward of
     // one `n`-token target over the same memory run the same layer function,
     // so the kernels it launches itself — six GEMMs, three LayerNorms per
     // layer — carry the same declared cost under either stack's names. At
     // these lengths the teacher-forced stack takes the short kernel, so the
-    // outputs agree within 5e-3; past FUSED_SHORT_MAX_SEQ both run the grouped
-    // engine and agree bitwise (`differential_decode`).
+    // outputs agree within 5e-3; past FUSED_SHORT_MAX_SEQ it takes the grouped
+    // engine, whose rows the paged rows form reproduces, and they agree
+    // bitwise (`differential_decode`).
     if bytetransformer::gemm::active_precision() != bytetransformer::gemm::Precision::F32 {
         return;
     }

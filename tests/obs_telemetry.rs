@@ -144,14 +144,11 @@ fn pool_counters_show_multi_worker_scheduling() {
 }
 
 #[test]
-fn decode_steps_hand_the_grouped_engine_no_problem() {
-    // A pure decode step is one query row per session, and at f32 its
-    // attention reads K/V in place (the rows form): it adds nothing to
-    // `mha.grouped.problems`, while prefilling the same sessions does.
+fn paged_forwards_hand_the_grouped_engine_no_problem() {
+    // Every paged attention unit, a prefill chunk's or a decode step's, at
+    // any precision, reads K/V in place (the rows form): neither prefilling
+    // sessions nor stepping them adds to `mha.grouped.problems`.
     let _guard = setup();
-    if bytetransformer::gemm::active_precision() != bytetransformer::gemm::Precision::F32 {
-        return;
-    }
     let config = BertConfig::tiny();
     let hidden = config.hidden();
     let decoder = TransformerDecoder::new_random(config, 2, 5);
@@ -160,20 +157,34 @@ fn decode_steps_hand_the_grouped_engine_no_problem() {
     let ids: Vec<_> = (0..3)
         .map(|i| paged.open_session(&dev, &Tensor::randn([4, hidden], i)))
         .collect();
-    let problems = || counter_of(&obs::drain(), "mha.grouped.problems");
-    let before = problems();
+    // (grouped-engine problems, paged rows), cumulative.
+    let counts = || {
+        let profile = obs::drain();
+        (
+            counter_of(&profile, "mha.grouped.problems"),
+            counter_of(&profile, "core.paged.rows"),
+        )
+    };
+    let (problems, rows) = counts();
     for (i, &sid) in ids.iter().enumerate() {
         paged
             .prefill(&dev, sid, &Tensor::randn([5, hidden], 10 + i as u64))
             .unwrap();
     }
-    let prefilled = problems();
-    assert!(prefilled > before, "a prefill runs the grouped engine");
+    assert_eq!(
+        counts(),
+        (problems, rows + 15),
+        "prefills must not reach the grouped engine"
+    );
     for t in 0..3 {
         let step = paged.step_batch(&dev, &ids, Tensor::randn([ids.len(), hidden], 20 + t).as_slice());
         assert!(step.oom.is_empty());
     }
-    assert_eq!(problems(), prefilled, "decode steps must not reach the grouped engine");
+    assert_eq!(
+        counts(),
+        (problems, rows + 24),
+        "decode steps must not reach the grouped engine"
+    );
 }
 
 #[test]
