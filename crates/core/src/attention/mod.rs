@@ -23,13 +23,18 @@
 //! between the two kernels on the paper's sequence-length boundary for the
 //! packed self-attention callers.
 //!
-//! The paged decoder's two attentions have one form, at every precision
-//! and whatever mix of prefill chunks and decode rows a forward carries:
-//! Algorithm III.2 as row dots (`rows`), one unit per `(session, head)`,
-//! every query row reading its keys and values in place — from the cache's
-//! block storage through the session's block table, or from its memory
-//! planes — with no gather, no pack and no 64-row tile, and the grouped
-//! engine's bits. No attention code lives outside this module.
+//! The paged decoder's two attentions have one form, whatever mix of
+//! prefill chunks and decode rows a forward carries: Algorithm III.2 as row
+//! dots (`rows`), one unit per `(session, head)`, every query row reading
+//! its keys and values in place — from the cache's block storage through
+//! the session's block table, or from its memory planes — with no gather,
+//! no pack and no 64-row tile, and the grouped engine's bits. No attention
+//! code lives outside this module.
+//!
+//! Attention is f32 at every precision, in all three forms (III.1, the
+//! III.2 engine, the III.2 rows): `BYTE_GEMM_PREC` narrows the dense GEMMs
+//! around it, never its own two GEMMs or its softmax. So the paged prefill
+//! is bitwise the teacher-forced forward at f32, f16 and int8 alike.
 
 pub mod batched;
 pub mod causal;

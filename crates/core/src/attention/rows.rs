@@ -34,7 +34,7 @@
 //! units of 1 … `kv_len` rows under both key ranges on every ISA tier), so
 //! the paged decoder's prefill ≡ steps, paged ≡ teacher-forced and
 //! block-size invariance hold. The arithmetic is f32 at every precision
-//! tier, as Algorithm III.1's ([`super::fused_short`]) is.
+//! tier, as Algorithm III.1's ([`super::fused_short`]) and the engine's are.
 
 use super::fused_grouped::{merge_partials, normalize, tile_partials};
 use super::KeyRange;

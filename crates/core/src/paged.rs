@@ -36,12 +36,12 @@
 //! `paged.cross.rows` launch. No K/V is ever gathered into planes.
 //!
 //! Equivalence guarantee (tested here and cross-ISA in
-//! `tests/differential_decode.rs`): at f32 a prefill is **bitwise** ≡ the
-//! teacher-forced stack wherever that stack takes the grouped kernel (past
-//! `FUSED_SHORT_MAX_SEQ`; at f16 / int8 that kernel's panels are low
-//! precision and the rows form's are not), and at every precision **bitwise** ≡ the same
-//! tokens stepped one at a time and **bitwise invariant** to the block size
-//! — paging is memory layout, never math. The scalar [`crate::incremental::DecoderSession`]
+//! `tests/differential_decode.rs`), at every precision, because attention
+//! is f32 at every precision: a prefill is **bitwise** ≡ the teacher-forced
+//! stack wherever that stack takes the grouped kernel (past
+//! `FUSED_SHORT_MAX_SEQ`), **bitwise** ≡ the same tokens stepped one at a
+//! time, and **bitwise invariant** to the block size — paging is memory
+//! layout, never math. The scalar [`crate::incremental::DecoderSession`]
 //! tracks it within documented float tolerance.
 
 use crate::attention::{session_rows, KeyRange, SessionKv};

@@ -932,16 +932,19 @@ impl DecodeEngine for ModeledDecodeEngine {
                 }
             }
         }
+        // Every decode append is tried before any refused session is freed,
+        // as `PagedDecoder::step_batch` claims capacity for the whole batch
+        // first: blocks a refused session holds never rescue a later one.
         for &id in step.decode {
             let sid = *self.sessions.get(&id).expect("decode of unknown session");
             match self.pool.append(sid, 1) {
                 Ok(()) => tokens += 1,
-                Err(_) => {
-                    self.pool.free(sid);
-                    self.sessions.remove(&id);
-                    failed_decode.push(id);
-                }
+                Err(_) => failed_decode.push(id),
             }
+        }
+        for id in &failed_decode {
+            let sid = self.sessions.remove(id).expect("refused session is live");
+            self.pool.free(sid);
         }
         StepResult {
             duration: self.step_overhead + tokens as f64 * self.per_token,
@@ -1217,6 +1220,55 @@ mod tests {
         assert!(s.served > 0);
         assert!(engine.device().modeled_total() > 0.0, "real forwards ran");
         assert_eq!(engine.decoder.cache().pool().blocks_in_use(), 0, "drained clean");
+    }
+
+    /// The modeled engine stands in for the paged one in the stress suite,
+    /// so under pool pressure it must shed exactly the sessions the real
+    /// engine sheds: two one-block sessions fill a two-block pool, and
+    /// neither can take the block its next token needs — freeing the first
+    /// refused session early would hand its block to the second.
+    #[test]
+    fn modeled_and_paged_engines_shed_the_same_sessions_under_pool_pressure() {
+        let layout = PagedLayout::new(2, 2);
+        let chunk = |id| PrefillChunk {
+            id,
+            prompt_len: 2,
+            done: 0,
+            chunk: 2,
+        };
+        let prefill = [chunk(0), chunk(1)];
+        let steps = [
+            PlannedStep {
+                decode: &[],
+                prefill: &prefill,
+            },
+            PlannedStep {
+                decode: &[0, 1],
+                prefill: &[],
+            },
+        ];
+        let run = |engine: &mut dyn DecodeEngine| -> Vec<(Vec<usize>, Vec<usize>, usize)> {
+            steps
+                .iter()
+                .map(|step| {
+                    let r = engine.run_step(step);
+                    (r.failed_prefill, r.failed_decode, r.blocks_in_use)
+                })
+                .collect()
+        };
+        let modeled = run(&mut ModeledDecodeEngine::new(layout, 20e-6, 1e-6));
+        let decoder = TransformerDecoder::new_random(bt_core::config::BertConfig::tiny(), 1, 17);
+        let device = Device::with_model(bt_device::CostModel::unit());
+        let paged = run(&mut PagedDecodeEngine::new(&decoder, device, layout, 3, 23));
+        assert_eq!(
+            modeled, paged,
+            "(failed_prefill, failed_decode, blocks_in_use) per step"
+        );
+        assert_eq!(
+            paged[1],
+            (vec![], vec![0, 1], 0),
+            "both refused sessions shed, pool empty"
+        );
     }
 
     #[test]

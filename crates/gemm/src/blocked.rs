@@ -315,7 +315,7 @@ fn sgemm_packed<K: PanelKernel>(
     kern.count_pack_bytes(n_panels * bpl);
     let (b_pack, sb, colsum) = (&b_pack, &sb, &colsum);
 
-    let (sa_lanes, _) = kern.scale_lanes();
+    let sa_lanes = kern.a_scale_lanes();
     // Transposed A rows are staged contiguous before packing.
     let row_len = if spec.transa { k } else { 0 };
     c[..m * n]

@@ -27,11 +27,21 @@
 //!   `exp(x - max) / sum` into the `P·V` GEMM).
 //!
 //! Both entry points ([`grouped_sgemm`], [`grouped_sgemm_strided`]) share
-//! one generic CTA-walk driver parameterized by a store policy, so the
-//! contiguous and strided paths cannot drift. Tiles compute on the
+//! one CTA-walk driver parameterized by a store policy, so the contiguous
+//! and strided paths cannot drift. Tiles compute on the f32
 //! register-blocked microkernel of [`crate::micro`], and stores go through
 //! lock-free [`DisjointWriter`]s — tiles partition the output, so CTAs
 //! never serialize on a mutex.
+//!
+//! **f32 at every precision.** The engine's callers are attention's two
+//! GEMMs, and attention is f32 whatever `BYTE_GEMM_PREC` selects: the paper
+//! keeps softmax and its statistics in full precision (§III.C,
+//! Algorithm III.2), and the short kernel (Algorithm III.1) and the paged
+//! rows form are f32 too. So the engine never reads the precision axis, and
+//! all three attention forms store the same bits at f32, f16 and int8 —
+//! paged prefill is bitwise the teacher-forced forward at every precision.
+//! Low precision trades accuracy on the dense GEMMs only
+//! ([`crate::sgemm`]'s packed driver).
 //!
 //! **Pack once.** An `A` row-panel is read by every tile column of its
 //! problem and a `B` column-panel by every tile row, so the rule is a
@@ -39,8 +49,8 @@
 //! its whole `A` packed once, a problem with more than one tile row its
 //! whole `B`, in one parallel pass before the CTA walk (the `ALoadTransform`
 //! runs once per element, in that pass). Tiles read those panels and pack
-//! only their single-use operands (`P` in `P·V`, a decode step's keys)
-//! into worker scratch. Panel contents are the per-tile packers' bits, so
+//! only their single-use operands (`P` in `P·V`, the keys of a unit with
+//! one tile row) into worker scratch. Panel contents are the per-tile packers' bits, so
 //! the output does not depend on which side packed them. `Q·Kᵀ` at
 //! `L = 1024` used to pack `Q` and `K` 16 times each.
 //!
@@ -55,7 +65,7 @@
 
 use crate::blocked::record_dispatch;
 use crate::isa::active_kernel;
-use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
+use crate::micro::{interleave_rows, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
 use crate::scratch::{with_launch_arena, with_worker_scratch, Panels, Scratch};
 use crate::store::DisjointWriter;
 use rayon::prelude::*;
@@ -164,8 +174,8 @@ impl TileEpilogue for NoEpilogue {
 /// (Algorithm III.2's `elementwise_transform` on `warp_loaded_frag_A`).
 pub trait ALoadTransform: Sync {
     /// `a_chunk` holds `A[global_row, k0 .. k0 + a_chunk.len()]` of problem
-    /// `problem_idx`, already copied into the register tile — a whole row
-    /// for narrow panel formats, consecutive L1-sized chunks of it for f32.
+    /// `problem_idx`, already copied into the register tile: a row arrives
+    /// as consecutive L1-sized chunks of it.
     fn transform(&self, problem_idx: usize, global_row: usize, k0: usize, a_chunk: &mut [f32]);
 }
 
@@ -279,7 +289,8 @@ impl TileStore for StridedStore<'_> {
 /// [`PREFETCH_WIDTH`] under [`Scheduler::WarpPrefetch`]), compute each tile
 /// on the launch's kernel out of a per-CTA scratch arena, and store through
 /// the policy. Both public entry points funnel here, so the two paths cannot
-/// drift.
+/// drift. The kernel is the active ISA tier's f32 one at every precision
+/// (see the module doc).
 fn run_grouped(
     problems: &[GroupedProblem<'_>],
     config: GroupedConfig,
@@ -288,24 +299,8 @@ fn run_grouped(
     store: &dyn TileStore,
 ) -> GroupedStats {
     // One kernel per launch, shared by every CTA: tile geometry must stay
-    // consistent even if the process-wide selection changes mid-flight. The
-    // same holds for the precision axis — resolved once here, so every CTA
-    // of a launch agrees on the panel format.
+    // consistent even if the process-wide selection changes mid-flight.
     let kern = active_kernel();
-    match crate::lowp::resolve_lowp_kernel(crate::prec::active_precision(), kern.isa) {
-        Some(lk) => run_ctas(lk, problems, config, epilogue, a_transform, store),
-        None => run_ctas(kern, problems, config, epilogue, a_transform, store),
-    }
-}
-
-fn run_ctas<K: PanelKernel>(
-    kern: &K,
-    problems: &[GroupedProblem<'_>],
-    config: GroupedConfig,
-    epilogue: &dyn TileEpilogue,
-    a_transform: &dyn ALoadTransform,
-    store: &dyn TileStore,
-) -> GroupedStats {
     let visitor = ProblemVisitor::new(problems, config.tile_m, config.tile_n);
     let total = visitor.total;
     if total == 0 {
@@ -331,15 +326,11 @@ fn run_ctas<K: PanelKernel>(
     with_launch_arena(|arena| {
         let (starts, [a_len, b_len]) = plan_prepack(kern, problems, &config);
         let arena_grows = arena.grow_count();
-        let (sal, sbl) = kern.scale_lanes();
-        let mut s = arena.packed::<K::Elem>(a_len.elems, b_len.elems, a_len.panel * sal, b_len.panel * sbl);
+        let mut s = arena.packed(a_len, b_len);
         prepack(kern, problems, &config, a_transform, &starts, &mut s, &grows);
         let pre = Prepacked {
             a: s.a,
-            sa: s.sa,
             b: s.b,
-            sb: s.sb,
-            colsum: s.colsum,
             starts: &starts,
         };
 
@@ -508,45 +499,33 @@ fn panels_in(extent: usize, tile: usize, r: usize) -> usize {
     extent / tile * tile.div_ceil(r) + (extent % tile).div_ceil(r)
 }
 
-/// Where one problem's pre-packed panels of one operand start in the launch
-/// arena: an element offset, and a panel index (its scale lanes start at
-/// `panel · lanes`).
-#[derive(Debug, Clone, Copy, Default)]
-struct PanelStart {
-    elems: usize,
-    panel: usize,
-}
-
 /// The pack-once rule, from shape alone: an `A` row-panel is re-read by
 /// every tile column of its problem and a `B` column-panel by every tile
 /// row, so a problem with more than one tile column has its whole `A`
 /// packed once before the CTA walk, and one with more than one tile row its
 /// whole `B`; single-use operands stay per tile. Returns each problem's
-/// `[A, B]` start in the launch arena (`None`: packed per tile), laid out
-/// problem by problem and tile by tile, and the `[A, B]` totals.
-fn plan_prepack<K: PanelKernel>(
-    kern: &K,
+/// `[A, B]` element offset in the launch arena (`None`: packed per tile),
+/// laid out problem by problem and tile by tile, and the `[A, B]` totals.
+fn plan_prepack(
+    kern: &MicroKernel,
     problems: &[GroupedProblem<'_>],
     config: &GroupedConfig,
-) -> (Vec<[Option<PanelStart>; 2]>, [PanelStart; 2]) {
-    let (mr, nr) = kern.tile();
-    let mut next = [PanelStart::default(); 2];
+) -> (Vec<[Option<usize>; 2]>, [usize; 2]) {
+    let mut next = [0usize; 2];
     let starts = problems
         .iter()
         .map(|p| {
-            let (apl, bpl) = kern.panel_lens(p.k);
             let (tiles_m, tiles_n) = (p.m.div_ceil(config.tile_m), p.n.div_ceil(config.tile_n));
-            let mut claim = |side: usize, reused: bool, panels: usize, len: usize| {
+            let mut claim = |side: usize, reused: bool, elems: usize| {
                 reused.then(|| {
                     let at = next[side];
-                    next[side].elems += panels * len;
-                    next[side].panel += panels;
+                    next[side] += elems;
                     at
                 })
             };
             [
-                claim(0, tiles_n > 1, panels_in(p.m, config.tile_m, mr), apl),
-                claim(1, tiles_m > 1, panels_in(p.n, config.tile_n, nr), bpl),
+                claim(0, tiles_n > 1, panels_in(p.m, config.tile_m, kern.mr) * p.k * kern.mr),
+                claim(1, tiles_m > 1, panels_in(p.n, config.tile_n, kern.nr) * p.k * kern.nr),
             ]
         })
         .collect();
@@ -555,21 +534,18 @@ fn plan_prepack<K: PanelKernel>(
 
 /// One unit of the pre-pack pass: one tile row of a problem's `A`, or one
 /// tile column of its `B`, with its destination in the launch arena.
-enum PackJob<'s, E> {
+enum PackJob<'s> {
     A {
         problem: usize,
         row0: usize,
         rows: usize,
-        dst: &'s mut [E],
-        sa: &'s mut [f32],
+        dst: &'s mut [f32],
     },
     B {
         problem: usize,
         col0: usize,
         cols: usize,
-        dst: &'s mut [E],
-        sb: &'s mut [f32],
-        colsum: &'s mut [i32],
+        dst: &'s mut [f32],
     },
 }
 
@@ -584,47 +560,40 @@ fn take_front<'s, T>(rest: &mut &'s mut [T], n: usize) -> &'s mut [T] {
 /// packed in parallel, one job per tile row of `A` / tile column of `B`,
 /// through the same packers a tile uses (so the contents are the per-tile
 /// panels' bits). Timed into `PACK_NS`; worker-scratch grows add to `grows`.
-fn prepack<K: PanelKernel>(
-    kern: &K,
+fn prepack(
+    kern: &MicroKernel,
     problems: &[GroupedProblem<'_>],
     config: &GroupedConfig,
     a_transform: &dyn ALoadTransform,
-    starts: &[[Option<PanelStart>; 2]],
-    arena: &mut Panels<'_, K::Elem>,
+    starts: &[[Option<usize>; 2]],
+    arena: &mut Panels<'_, f32>,
     grows: &AtomicU64,
 ) {
-    let (mr, nr) = kern.tile();
-    let (sal, sbl) = kern.scale_lanes();
-    let packed_elems = arena.a.len() + arena.b.len();
-    let (mut a, mut sa) = (&mut *arena.a, &mut *arena.sa);
-    let (mut b, mut sb, mut colsum) = (&mut *arena.b, &mut *arena.sb, &mut *arena.colsum);
+    let (mr, nr) = (kern.mr, kern.nr);
+    let (mut a, mut b) = (&mut *arena.a, &mut *arena.b);
     let mut jobs = Vec::new();
     for (problem, (p, [pre_a, pre_b])) in problems.iter().zip(starts).enumerate() {
-        let (apl, bpl) = kern.panel_lens(p.k);
         if pre_a.is_some() {
             for row0 in (0..p.m).step_by(config.tile_m) {
                 let rows = config.tile_m.min(p.m - row0);
-                let panels = rows.div_ceil(mr);
+                let dst = take_front(&mut a, rows.div_ceil(mr) * p.k * mr);
                 jobs.push(PackJob::A {
                     problem,
                     row0,
                     rows,
-                    dst: take_front(&mut a, panels * apl),
-                    sa: take_front(&mut sa, panels * sal),
+                    dst,
                 });
             }
         }
         if pre_b.is_some() {
             for col0 in (0..p.n).step_by(config.tile_n) {
                 let cols = config.tile_n.min(p.n - col0);
-                let panels = cols.div_ceil(nr);
+                let dst = take_front(&mut b, cols.div_ceil(nr) * p.k * nr);
                 jobs.push(PackJob::B {
                     problem,
                     col0,
                     cols,
-                    dst: take_front(&mut b, panels * bpl),
-                    sb: take_front(&mut sb, panels * sbl),
-                    colsum: take_front(&mut colsum, panels * sbl),
+                    dst,
                 });
             }
         }
@@ -632,92 +601,66 @@ fn prepack<K: PanelKernel>(
     if jobs.is_empty() {
         return;
     }
-    kern.count_pack_bytes(packed_elems);
-    jobs.into_par_iter().for_each(|job| {
-        with_worker_scratch(|scratch| {
+    jobs.into_par_iter().for_each(|job| match job {
+        PackJob::A {
+            problem,
+            row0,
+            rows,
+            dst,
+        } => with_worker_scratch(|scratch| {
             let grows_before = scratch.grow_count();
-            let problem = match job {
-                PackJob::A { problem, .. } | PackJob::B { problem, .. } => problem,
-            };
             let p = &problems[problem];
-            let s = scratch.panels(kern, p.k, 0, 0, 0, mr * a_stage_depth::<K>(p.k));
-            bt_obs::timed(&PACK_NS, || match job {
-                PackJob::A {
-                    row0, rows, dst, sa, ..
-                } => pack_a_rows(kern, p, problem, a_transform, row0, rows, dst, sa, s.row, s.cvt),
-                PackJob::B {
-                    col0,
-                    cols,
-                    dst,
-                    sb,
-                    colsum,
-                    ..
-                } => pack_b_cols(kern, p, col0, cols, dst, sb, colsum, s.cvt),
+            let staging = scratch.panels(kern, p.k, 0, 0, 0, mr * p.k.min(A_STAGE_K)).row;
+            bt_obs::timed(&PACK_NS, || {
+                pack_a_rows(kern, p, problem, a_transform, row0, rows, dst, staging)
             });
             grows.fetch_add(scratch.grow_count() - grows_before, Ordering::Relaxed);
-        });
+        }),
+        PackJob::B {
+            problem,
+            col0,
+            cols,
+            dst,
+        } => bt_obs::timed(&PACK_NS, || pack_b_cols(kern, &problems[problem], col0, cols, dst)),
     });
 }
 
 /// The operand panels a launch packed once (see [`plan_prepack`]), read by
 /// every tile of their problem.
-struct Prepacked<'s, E> {
-    a: &'s [E],
-    sa: &'s [f32],
-    b: &'s [E],
-    sb: &'s [f32],
-    colsum: &'s [i32],
-    starts: &'s [[Option<PanelStart>; 2]],
+struct Prepacked<'s> {
+    a: &'s [f32],
+    b: &'s [f32],
+    starts: &'s [[Option<usize>; 2]],
 }
 
-/// Staging depth of an f32 `A` panel: `mr` rows of it (8 KiB at `mr = 16`)
-/// and the panel stretch it fills stay in L1 together.
+/// Staging depth of an `A` panel: `mr` rows of it (8 KiB at `mr = 16`) and
+/// the panel stretch it fills stay in L1 together. A panel's `k`-chunk
+/// `[k0, k0 + kc)` is itself a `kc`-deep panel, so rows stage this deep at
+/// a time (the load hook's `k0` contract).
 const A_STAGE_K: usize = 128;
 
-/// Depth of one staged `A` chunk. Narrow formats scale each row as a whole,
-/// so they stage whole rows; an f32 panel's `k`-chunk `[k0, k0 + kc)` is
-/// itself a `kc`-deep panel, so f32 rows stage [`A_STAGE_K`] at a time (the
-/// load hook's `k0` contract).
-fn a_stage_depth<K: PanelKernel>(k: usize) -> usize {
-    if K::NARROW {
-        k
-    } else {
-        k.min(A_STAGE_K)
-    }
-}
-
 /// Packs rows `row0 .. row0 + rows` of problem `pi`'s `A` into
-/// `⌈rows / mr⌉` panels of the kernel's format. Each panel's rows are
-/// staged in `staging` (`mr` rows of [`a_stage_depth`]) and run through the
-/// mainloop fusion hook (Algorithm III.2) before the packer narrows and
-/// interleaves them, so fused softmax normalization composes with every
-/// precision; pad lanes get the format's neutral code, so reused buffers
-/// need no clearing.
+/// `⌈rows / mr⌉` panels. Each panel's rows are staged in `staging` (`mr`
+/// rows of up to [`A_STAGE_K`]) and run through the mainloop fusion hook
+/// (Algorithm III.2) before they are interleaved; pad lanes are zeroed, so
+/// reused buffers need no clearing.
 #[allow(clippy::too_many_arguments)]
-fn pack_a_rows<K: PanelKernel>(
-    kern: &K,
+fn pack_a_rows(
+    kern: &MicroKernel,
     p: &GroupedProblem<'_>,
     pi: usize,
     a_transform: &dyn ALoadTransform,
     row0: usize,
     rows: usize,
-    dst: &mut [K::Elem],
-    sa: &mut [f32],
+    dst: &mut [f32],
     staging: &mut [f32],
-    cvt: &mut [u16],
 ) {
-    let k = p.k;
-    let (mr, _) = kern.tile();
-    let (apl, _) = kern.panel_lens(k);
-    let (sal, _) = kern.scale_lanes();
-    let chunk = a_stage_depth::<K>(k).max(1);
+    let (k, mr) = (p.k, kern.mr);
+    let chunk = k.clamp(1, A_STAGE_K);
     for ib in 0..rows.div_ceil(mr) {
         let r = mr.min(rows - ib * mr);
         let first = row0 + ib * mr;
-        let (dst, sa) = (&mut dst[ib * apl..(ib + 1) * apl], &mut sa[ib * sal..(ib + 1) * sal]);
-        if k == 0 {
-            kern.pack_a_rows(dst, sa, &[], r, 0, cvt);
-        }
+        let panel = &mut dst[ib * k * mr..(ib + 1) * k * mr];
         for k0 in (0..k).step_by(chunk) {
             let kc = chunk.min(k - k0);
             let staged = &mut staging[..r * kc];
@@ -726,61 +669,34 @@ fn pack_a_rows<K: PanelKernel>(
                 row.copy_from_slice(&p.a[g_row * k + k0..g_row * k + k0 + kc]);
                 a_transform.transform(pi, g_row, k0, row);
             }
-            // Narrow formats take the whole row (`k0 = 0`, `kc = k`).
-            let panel = if K::NARROW {
-                &mut *dst
-            } else {
-                &mut dst[k0 * mr..(k0 + kc) * mr]
-            };
-            kern.pack_a_rows(panel, sa, staged, r, kc, cvt);
+            interleave_rows(&mut panel[k0 * mr..(k0 + kc) * mr], staged, r, kc, mr);
         }
     }
 }
 
 /// Packs columns `col0 .. col0 + cols` of a problem's `B` into
-/// `⌈cols / nr⌉` panels of the kernel's format, each with its scale lanes.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_cols<K: PanelKernel>(
-    kern: &K,
-    p: &GroupedProblem<'_>,
-    col0: usize,
-    cols: usize,
-    dst: &mut [K::Elem],
-    sb: &mut [f32],
-    colsum: &mut [i32],
-    cvt: &mut [u16],
-) {
-    let (_, nr) = kern.tile();
-    let (_, bpl) = kern.panel_lens(p.k);
-    let (_, sbl) = kern.scale_lanes();
+/// `⌈cols / nr⌉` panels.
+fn pack_b_cols(kern: &MicroKernel, p: &GroupedProblem<'_>, col0: usize, cols: usize, dst: &mut [f32]) {
+    let (nr, bpl) = (kern.nr, p.k * kern.nr);
     for jb in 0..cols.div_ceil(nr) {
-        kern.pack_b_panel(
-            &mut dst[jb * bpl..(jb + 1) * bpl],
-            &mut sb[jb * sbl..(jb + 1) * sbl],
-            &mut colsum[jb * sbl..(jb + 1) * sbl],
-            p.b,
-            p.transb,
-            col0 + jb * nr,
-            nr.min(cols - jb * nr),
-            p.n,
-            p.k,
-            cvt,
-        );
+        let c0 = col0 + jb * nr;
+        let dst = &mut dst[jb * bpl..(jb + 1) * bpl];
+        pack_b_panel(dst, p.b, p.transb, c0, nr.min(cols - jb * nr), p.n, p.k, nr);
     }
 }
 
 /// Computes one `C` tile: takes its `A` / `B` micropanels from the launch's
 /// pre-packed panels, or packs the single-use ones into the CTA's scratch
-/// arena at the launch kernel's `mr×nr` geometry and panel format;
-/// accumulates every `mr×nr` block in registers across the full `K` extent,
-/// then applies alpha, the tile epilogue, and the store policy.
+/// arena at the launch kernel's `mr×nr` geometry; accumulates every `mr×nr`
+/// block in registers across the full `K` extent, then applies alpha, the
+/// tile epilogue, and the store policy.
 #[allow(clippy::too_many_arguments)]
-fn compute_tile<K: PanelKernel>(
+fn compute_tile(
     problems: &[GroupedProblem<'_>],
     config: &GroupedConfig,
-    kern: &K,
+    kern: &MicroKernel,
     asg: TileAssignment,
-    pre: &Prepacked<'_, K::Elem>,
+    pre: &Prepacked<'_>,
     epilogue: &dyn TileEpilogue,
     a_transform: &dyn ALoadTransform,
     store: &dyn TileStore,
@@ -789,9 +705,8 @@ fn compute_tile<K: PanelKernel>(
     let p = &problems[asg.problem];
     let (row0, col0, rows, cols) = tile_bounds(p, config, asg);
     let k = p.k;
-    let (mr, nr) = kern.tile();
-    let (apl, bpl) = kern.panel_lens(k);
-    let (sal, sbl) = kern.scale_lanes();
+    let (mr, nr) = (kern.mr, kern.nr);
+    let (apl, bpl) = (k * mr, k * nr);
     let m_panels = rows.div_ceil(mr);
     let n_panels = cols.div_ceil(nr);
     let [pre_a, pre_b] = pre.starts[asg.problem];
@@ -801,42 +716,29 @@ fn compute_tile<K: PanelKernel>(
         if pre_a.is_some() { 0 } else { m_panels },
         if pre_b.is_some() { 0 } else { n_panels },
         rows * cols,
-        if pre_a.is_some() { 0 } else { mr * a_stage_depth::<K>(k) },
+        if pre_a.is_some() { 0 } else { mr * k.min(A_STAGE_K) },
     );
 
-    let (a, sa): (&[K::Elem], &[f32]) = match pre_a {
+    let a: &[f32] = match pre_a {
         Some(at) => {
-            let first = asg.tile_row * config.tile_m.div_ceil(mr);
-            let e0 = at.elems + first * apl;
-            let s0 = (at.panel + first) * sal;
-            (&pre.a[e0..e0 + m_panels * apl], &pre.sa[s0..s0 + m_panels * sal])
+            let e0 = at + asg.tile_row * config.tile_m.div_ceil(mr) * apl;
+            &pre.a[e0..e0 + m_panels * apl]
         }
         None => {
             bt_obs::timed(&PACK_NS, || {
-                pack_a_rows(kern, p, asg.problem, a_transform, row0, rows, s.a, s.sa, s.row, s.cvt)
+                pack_a_rows(kern, p, asg.problem, a_transform, row0, rows, s.a, s.row)
             });
-            kern.count_pack_bytes(m_panels * apl);
-            (&*s.a, &*s.sa)
+            &*s.a
         }
     };
-    let (b, sb, colsum): (&[K::Elem], &[f32], &[i32]) = match pre_b {
+    let b: &[f32] = match pre_b {
         Some(at) => {
-            let first = asg.tile_col * config.tile_n.div_ceil(nr);
-            let e0 = at.elems + first * bpl;
-            let s0 = (at.panel + first) * sbl;
-            let lanes = s0..s0 + n_panels * sbl;
-            (
-                &pre.b[e0..e0 + n_panels * bpl],
-                &pre.sb[lanes.clone()],
-                &pre.colsum[lanes],
-            )
+            let e0 = at + asg.tile_col * config.tile_n.div_ceil(nr) * bpl;
+            &pre.b[e0..e0 + n_panels * bpl]
         }
         None => {
-            bt_obs::timed(&PACK_NS, || {
-                pack_b_cols(kern, p, col0, cols, s.b, s.sb, s.colsum, s.cvt)
-            });
-            kern.count_pack_bytes(n_panels * bpl);
-            (&*s.b, &*s.sb, &*s.colsum)
+            bt_obs::timed(&PACK_NS, || pack_b_cols(kern, p, col0, cols, s.b));
+            &*s.b
         }
     };
 
@@ -847,15 +749,7 @@ fn compute_tile<K: PanelKernel>(
             for ib in 0..m_panels {
                 let r = mr.min(rows - ib * mr);
                 let mut acc = [0.0f32; MR_MAX * NR_MAX];
-                kern.run_block(
-                    k,
-                    &a[ib * apl..(ib + 1) * apl],
-                    b_panel,
-                    &mut acc,
-                    &sa[ib * sal..(ib + 1) * sal],
-                    &sb[jb * sbl..(jb + 1) * sbl],
-                    &colsum[jb * sbl..(jb + 1) * sbl],
-                );
+                kern.run(k, &a[ib * apl..(ib + 1) * apl], b_panel, &mut acc);
                 for i in 0..r {
                     let trow = ib * mr + i;
                     s.tile[trow * cols + jb * nr..trow * cols + jb * nr + cseg]

@@ -41,7 +41,8 @@
 //!
 //! Precision is only a panel format: [`LowpKernel`] implements the same
 //! pack/kernel trait as the f32 [`crate::micro::MicroKernel`], so the packed
-//! driver and the grouped tile body are one generic body for every tier.
+//! dense driver is one generic body for every tier. (The grouped engine is
+//! f32 only: attention never runs on these kernels.)
 
 // Unsafe is confined to the `#[target_feature]` intrinsic kernels, one
 // `asm!` kernel, and the raw-slice plumbing of the scalar kernels.

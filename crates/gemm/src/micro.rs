@@ -128,16 +128,18 @@ impl MicroKernel {
     }
 }
 
-/// What a GEMM driver body needs from a kernel: its geometry, its packed
-/// panel format, and its register-block kernel. Precision is only a panel
-/// format — [`MicroKernel`] packs f32 panels and ignores scales,
+/// What the packed dense driver needs from a kernel: its geometry, its
+/// packed panel format, and its register-block kernel. Precision is only a
+/// panel format — [`MicroKernel`] packs f32 panels and ignores scales,
 /// [`crate::lowp::LowpKernel`] packs byte panels with per-row / per-column
-/// scales and code sums — so the packed driver and the grouped tile body
-/// are one generic body each, monomorphised per implementation.
+/// scales and code sums — so the packed driver is one generic body,
+/// monomorphised per implementation. The grouped engine is f32 at every
+/// precision and calls [`MicroKernel`] and the f32 packers directly.
 ///
-/// Scale slices hold [`PanelKernel::scale_lanes`] entries per panel (none
-/// for f32); every packer overwrites all lanes of its panel and scales,
-/// pads included, so reused scratch needs no clearing.
+/// Scale slices hold one entry per panel row (`A`,
+/// [`PanelKernel::a_scale_lanes`]) or column (`B`, `nr`), which f32 never
+/// reads; every packer overwrites all lanes of its panel and scales, pads
+/// included, so reused scratch needs no clearing.
 pub(crate) trait PanelKernel: Sync {
     /// Element of a packed micropanel.
     type Elem: PanelElem;
@@ -232,12 +234,13 @@ pub(crate) trait PanelKernel: Sync {
     /// Counts packed panel elements for telemetry (narrow formats only).
     fn count_pack_bytes(&self, _elems: usize) {}
 
-    /// Scale lanes per `A` and per `B` panel.
-    fn scale_lanes(&self) -> (usize, usize) {
+    /// Scale lanes per `A` panel (one per row; a `B` panel's scales and code
+    /// sums are one per column, `nr`).
+    fn a_scale_lanes(&self) -> usize {
         if Self::NARROW {
-            self.tile()
+            self.tile().0
         } else {
-            (0, 0)
+            0
         }
     }
 }

@@ -6,7 +6,9 @@
 //! (or quarter-width) at pack time and expanded in-register inside the
 //! microkernel, so the bytes crossing the cache hierarchy shrink while the
 //! arithmetic stays (mostly) f32. A precision changes only the panel format:
-//! every tier runs through the same packed-driver and grouped-tile bodies.
+//! every tier runs through the same packed-driver body. It applies to the
+//! dense GEMMs only: the grouped engine, like every attention form, is f32
+//! at every precision (see [`crate::grouped`]).
 //!
 //! | precision | packed elems        | accumulation                        |
 //! |-----------|---------------------|-------------------------------------|

@@ -13,8 +13,10 @@
 //!
 //! A second, equally grow-only [`Scratch`] per thread is the **launch
 //! arena** ([`with_launch_arena`]): the thread that launches a grouped GEMM
-//! keeps the operand panels it packs once per problem there, for every CTA
-//! of the launch to read.
+//! keeps the f32 operand panels it packs once per problem there, for every
+//! CTA of the launch to read. The grouped engine is f32 at every precision,
+//! so only the packed dense driver ever asks for byte panels, scales or
+//! conversion space.
 //!
 //! Requested lengths are geometry-dependent — callers size panels from the
 //! launch kernel's `mr×nr` tile and panel format (see
@@ -88,29 +90,25 @@ impl PanelElem for u8 {
 /// One task's working set, every slice at exactly its requested length
 /// (contents are stale, callers overwrite fully): packed `A` / `B`
 /// micropanels, the accumulator tile, f32 staging for `A` rows, and — for
-/// narrow formats only — the panels' scales, `B` code sums and conversion
-/// staging.
+/// narrow formats only — the `A` panels' scales and conversion staging
+/// (the packed driver keeps its one packed `B` and its scales per launch).
 pub(crate) struct Panels<'s, E> {
     pub a: &'s mut [E],
     pub b: &'s mut [E],
     pub tile: &'s mut [f32],
     pub row: &'s mut [f32],
     pub sa: &'s mut [f32],
-    pub sb: &'s mut [f32],
-    pub colsum: &'s mut [i32],
     pub cvt: &'s mut [u16],
 }
 
 /// Reusable packing + accumulation buffers for one virtual CTA: panel
-/// pools per element type, plus the f32 tile / staging row and the scale,
-/// code-sum and conversion buffers only narrow formats ask for.
+/// pools per element type, plus the f32 tile / staging row and the scale
+/// and conversion buffers only narrow formats ask for.
 pub(crate) struct Scratch {
     pools: PanelPools,
     tile: Vec<f32>,
     row_buf: Vec<f32>,
     scale_a: Vec<f32>,
-    scale_b: Vec<f32>,
-    colsum: Vec<i32>,
     cvt: Vec<u16>,
     grows: u64,
 }
@@ -122,8 +120,6 @@ impl Scratch {
             tile: Vec::new(),
             row_buf: Vec::new(),
             scale_a: Vec::new(),
-            scale_b: Vec::new(),
-            colsum: Vec::new(),
             cvt: Vec::new(),
             grows: 0,
         }
@@ -146,8 +142,6 @@ impl Scratch {
             + self.tile.len()
             + self.row_buf.len()
             + self.scale_a.len()
-            + self.scale_b.len()
-            + self.colsum.len()
             + (la.len() + lb.len()).div_ceil(4)
             + (self.cvt.len() * 2).div_ceil(4)
     }
@@ -162,9 +156,9 @@ impl Scratch {
     }
 
     /// The working set of one task of `kern` at depth `k`: `a_panels` `A`
-    /// and `b_panels` `B` micropanels with their scale lanes, a `tile_len`
-    /// accumulator tile and a `row_len` staging row. Buffers grow only on a
-    /// new high-water mark, and an f32 kernel asks for no scale or
+    /// micropanels with their scale lanes, `b_panels` `B` micropanels, a
+    /// `tile_len` accumulator tile and a `row_len` staging row. Buffers grow
+    /// only on a new high-water mark, and an f32 kernel asks for no scale or
     /// conversion space at all.
     pub(crate) fn panels<K: PanelKernel>(
         &mut self,
@@ -175,28 +169,24 @@ impl Scratch {
         tile_len: usize,
         row_len: usize,
     ) -> Panels<'_, K::Elem> {
-        let (sa_lanes, sb_lanes) = kern.scale_lanes();
+        let sa_lanes = kern.a_scale_lanes();
         let (apl, bpl) = kern.panel_lens(k);
         self.take(Lens {
             a: a_panels * apl,
             b: b_panels * bpl,
             sa: a_panels * sa_lanes,
-            sb: b_panels * sb_lanes,
             tile: tile_len,
             row: row_len,
             cvt: if K::NARROW { k.max(kern.tile().1) } else { 0 },
         })
     }
 
-    /// A grouped launch's pre-packed operand store: `a` / `b` panel
-    /// elements with `sa` / `sb` scale lanes (and as many `B` code sums); no
-    /// tile, staging row or conversion space.
-    pub(crate) fn packed<E: PanelElem>(&mut self, a: usize, b: usize, sa: usize, sb: usize) -> Panels<'_, E> {
+    /// A grouped launch's pre-packed operand store: `a` / `b` f32 panel
+    /// elements; no scales, tile, staging row or conversion space.
+    pub(crate) fn packed(&mut self, a: usize, b: usize) -> Panels<'_, f32> {
         self.take(Lens {
             a,
             b,
-            sa,
-            sb,
             ..Lens::default()
         })
     }
@@ -209,8 +199,6 @@ impl Scratch {
         grow(&mut self.tile, len.tile, g);
         grow(&mut self.row_buf, len.row, g);
         grow(&mut self.scale_a, len.sa, g);
-        grow(&mut self.scale_b, len.sb, g);
-        grow(&mut self.colsum, len.sb, g);
         grow(&mut self.cvt, len.cvt, g);
         Panels {
             a: &mut a[..len.a],
@@ -218,20 +206,17 @@ impl Scratch {
             tile: &mut self.tile[..len.tile],
             row: &mut self.row_buf[..len.row],
             sa: &mut self.scale_a[..len.sa],
-            sb: &mut self.scale_b[..len.sb],
-            colsum: &mut self.colsum[..len.sb],
             cvt: &mut self.cvt[..len.cvt],
         }
     }
 }
 
-/// Buffer lengths of one [`Panels`] request (`colsum` has `sb`'s length).
+/// Buffer lengths of one [`Panels`] request.
 #[derive(Default)]
 struct Lens {
     a: usize,
     b: usize,
     sa: usize,
-    sb: usize,
     tile: usize,
     row: usize,
     cvt: usize,
@@ -262,7 +247,7 @@ mod tests {
         for _ in 0..1000 {
             let p = s.panels(kern, 8, 3, 4, 64, 32);
             assert_eq!((p.a.len(), p.b.len(), p.tile.len(), p.row.len()), (192, 256, 64, 32));
-            assert_eq!((p.sa.len(), p.sb.len(), p.colsum.len(), p.cvt.len()), (0, 0, 0, 0));
+            assert_eq!((p.sa.len(), p.cvt.len()), (0, 0));
         }
         assert_eq!(s.grow_count(), after_first, "reuse must not reallocate");
     }

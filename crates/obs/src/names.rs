@@ -129,7 +129,7 @@ pub const GEMM_BLOCKED_LAUNCHES_PREFIX: &str = "gemm.blocked.launches.";
 /// snapshot shows which driver each `sgemm` launch took.
 pub const GEMM_SKINNY_LAUNCHES_PREFIX: &str = "gemm.skinny.launches.";
 /// Prefix for tiles computed by the grouped driver:
-/// `gemm.grouped.tiles.<isa>` (f32) or `…<isa>.<prec>` (low precision).
+/// `gemm.grouped.tiles.<isa>` (f32 at every precision).
 pub const GEMM_GROUPED_TILES_PREFIX: &str = "gemm.grouped.tiles.";
 /// Prefix for packed low-precision panel bytes: `gemm.lowp.pack_bytes.<prec>`
 /// — the byte traffic the precision axis exists to shrink.

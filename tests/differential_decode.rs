@@ -496,10 +496,11 @@ fn teacher_forcing_prefixes_across_the_gemm_driver_boundary_agree() {
 }
 
 /// Past [`FUSED_SHORT_MAX_SEQ`] the teacher-forcing forward takes the grouped
-/// kernel, and so does every paged attention: one unit per head, the same
-/// split, the same engine. A paged prefill of `n` tokens over a 9-row memory
-/// is then **bitwise** [`TransformerDecoder::forward`] on every tier. (At or
-/// below the cap the forward takes the short kernel; `framework_behaviour`'s
+/// kernel, whose bits every paged attention reproduces: one unit per head,
+/// the same split. A paged prefill of `n` tokens over a 9-row memory is then
+/// **bitwise** [`TransformerDecoder::forward`] on every tier and at every
+/// precision, because attention is f32 at every precision. (At or below the
+/// cap the forward takes the short kernel; `framework_behaviour`'s
 /// `both_decoder_stacks_run_one_layer_body` holds the two within 5e-3 there.)
 #[test]
 fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
@@ -510,31 +511,37 @@ fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
     let memory = Tensor::randn([mem_len, hidden], 8);
 
     decode_differential("paged_vs_teacher_forcing_long", || {
-        let dev = device();
-        let mut payload = Vec::new();
-        for n in [FUSED_SHORT_MAX_SEQ + 16, FUSED_SHORT_MAX_SEQ + 136] {
-            let prompt = Tensor::randn([n, hidden], n as u64);
-            let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(16, n.div_ceil(16)));
-            let sid = paged.open_session(&dev, &memory);
-            let rows: Vec<f32> = paged
-                .prefill(&dev, sid, &prompt)
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .collect();
-            let forward = decoder
-                .forward(
-                    &dev,
-                    &prompt.reshape([1, n, hidden]).unwrap(),
-                    &BatchMask::from_lens(vec![n], n).unwrap(),
-                    &memory.clone().reshape([1, mem_len, hidden]).unwrap(),
-                    &BatchMask::from_lens(vec![mem_len], mem_len).unwrap(),
-                )
-                .unwrap();
-            assert_bitwise(&format!("paged prefill of {n}"), &rows, forward.as_slice());
-            payload.extend(rows);
-        }
-        payload
+        at_every_precision(|| {
+            let dev = device();
+            let mut payload = Vec::new();
+            for n in [FUSED_SHORT_MAX_SEQ + 16, FUSED_SHORT_MAX_SEQ + 136] {
+                let prompt = Tensor::randn([n, hidden], n as u64);
+                let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(16, n.div_ceil(16)));
+                let sid = paged.open_session(&dev, &memory);
+                let rows: Vec<f32> = paged
+                    .prefill(&dev, sid, &prompt)
+                    .unwrap()
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let forward = decoder
+                    .forward(
+                        &dev,
+                        &prompt.reshape([1, n, hidden]).unwrap(),
+                        &BatchMask::from_lens(vec![n], n).unwrap(),
+                        &memory.clone().reshape([1, mem_len, hidden]).unwrap(),
+                        &BatchMask::from_lens(vec![mem_len], mem_len).unwrap(),
+                    )
+                    .unwrap();
+                assert_bitwise(
+                    &format!("paged prefill of {n} at {}", active_precision()),
+                    &rows,
+                    forward.as_slice(),
+                );
+                payload.extend(rows);
+            }
+            payload
+        })
     });
 }
 

@@ -25,8 +25,8 @@
 //!
 //! One test is not tier-against-tier: GEMM + bias + GELU fused into the
 //! epilogue must equal the GEMM followed by the standalone fused kernel,
-//! bitwise, on every driver and under every precision tier —
-//! `scripts/check.sh` runs this file across its ISA and precision matrices.
+//! bitwise, on every driver and at every precision, which it sweeps itself
+//! — `scripts/check.sh` runs this file across its ISA matrix only.
 //!
 //! [`MicroKernel::fused_fma`]: bt_gemm::micro::MicroKernel::fused_fma
 
@@ -88,8 +88,8 @@ fn differential(label: &str, max_k: usize, case: impl Fn() -> Vec<f32>) {
     let prev = isa::active_isa();
     // This harness asserts the *f32 family's* bitwise contract; the
     // precision axis has its own chain-aware section below. Pin f32 so a
-    // `BYTE_GEMM_PREC` env selection (the check.sh matrix) doesn't reroute
-    // these cases through the tolerance-only low-precision kernels.
+    // `BYTE_GEMM_PREC` env selection doesn't reroute these cases through
+    // the tolerance-only low-precision kernels.
     let prev_prec = active_precision();
     set_active_precision(Precision::F32);
     let available = isa::available_isas();
@@ -167,13 +167,14 @@ type GemmLaunch<'a> = &'a dyn Fn(&mut [f32], Option<&dyn TileEpilogue>);
 
 /// §III.C.2's fusion is exact: a GEMM followed by the standalone fused
 /// bias + GELU kernel stores the same bits as the GEMM with the bias + GELU
-/// epilogue. Checked on the shape-chosen path under whatever ISA and
-/// `BYTE_GEMM_PREC` tier the environment selects (every precision runs the
-/// one packed driver and its store path), and on both f32 drivers pinned,
-/// at row counts around the skinny crossover and a ragged `n`.
+/// epilogue. Checked on the shape-chosen path at every precision (each one
+/// runs the one packed driver and its store path) under whatever ISA tier
+/// the environment selects, and on both f32 drivers pinned, at row counts
+/// around the skinny crossover and a ragged `n`.
 #[test]
 fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
     let _g = ISA_LOCK.lock().unwrap();
+    let prev_prec = active_precision();
     let dev = Device::new();
     let (n, k) = (77, 40);
     let bias = rand_vec(n, 0x61);
@@ -196,10 +197,14 @@ fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
                 );
             }
         };
-        compare("shape-chosen", &|c, e| match e {
-            None => sgemm(GemmSpec::nn(), m, n, k, &a, &b, c),
-            Some(e) => sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, c, e),
-        });
+        for prec in Precision::ALL {
+            set_active_precision(prec);
+            compare("shape-chosen", &|c, e| match e {
+                None => sgemm(GemmSpec::nn(), m, n, k, &a, &b, c),
+                Some(e) => sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, c, e),
+            });
+        }
+        set_active_precision(prev_prec);
         for driver in [Driver::Packed, Driver::Skinny] {
             compare(driver.name(), &|c, e| {
                 sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, &b, c, e)
@@ -538,12 +543,14 @@ fn lowp_blocked_every_precision_and_tier_tracks_reference() {
     set_active_precision(prev_prec);
 }
 
+/// The grouped engine is f32 at every precision: under f16 and int8 it
+/// stores bitwise the bits of the f32 run on the same tier — on mixed
+/// shapes with an empty group, a `k = 0` group, 1-token sequences and
+/// remainder-edge tiles, under both schedulers, on every tier.
 #[test]
 fn lowp_grouped_every_precision_empty_and_single_token() {
     let _g = ISA_LOCK.lock().unwrap();
     let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
-    // Mixed grouped shapes per precision: an empty group, a k = 0 group,
-    // 1-token sequences, and remainder-edge tiles.
     let shapes: &[(usize, usize, usize)] = &[(17, 23, 31), (0, 10, 8), (1, 1, 1), (5, 7, 0), (1, 64, 32), (40, 5, 70)];
     let a_bufs: Vec<Vec<f32>> = shapes
         .iter()
@@ -555,27 +562,25 @@ fn lowp_grouped_every_precision_empty_and_single_token() {
         .enumerate()
         .map(|(i, &(_, n, k))| rand_vec(k * n, i as u64 * 2 + 62))
         .collect();
-    for prec in LOW_PRECS {
-        let impls = lowp_tiers_logged(prec, "grouped");
-        set_active_precision(prec);
-        let scalar_chain = lowp_impl(prec, Isa::Scalar).unwrap().chain;
+    let problems: Vec<GroupedProblem<'_>> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(m, n, k))| GroupedProblem {
+            m,
+            n,
+            k,
+            transb: false,
+            alpha: 1.0,
+            a: &a_bufs[i],
+            b: &b_bufs[i],
+        })
+        .collect();
+    for tier in isa::available_isas() {
+        isa::set_active_isa(tier).unwrap();
         for scheduler in [Scheduler::PerTile, Scheduler::WarpPrefetch] {
-            let run = |tier: Isa| {
-                isa::set_active_isa(tier).unwrap();
-                let problems: Vec<GroupedProblem<'_>> = shapes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(m, n, k))| GroupedProblem {
-                        m,
-                        n,
-                        k,
-                        transb: false,
-                        alpha: 1.0,
-                        a: &a_bufs[i],
-                        b: &b_bufs[i],
-                    })
-                    .collect();
-                let mut cs: Vec<Vec<f32>> = shapes.iter().map(|&(m, n, _)| vec![0.0; m * n]).collect();
+            let run = |prec: Precision| {
+                set_active_precision(prec);
+                let mut cs: Vec<Vec<f32>> = shapes.iter().map(|&(m, n, _)| vec![f32::NAN; m * n]).collect();
                 grouped_sgemm(
                     &problems,
                     cs.iter_mut().map(|c| c.as_mut_slice()).collect(),
@@ -589,41 +594,14 @@ fn lowp_grouped_every_precision_empty_and_single_token() {
                 );
                 cs
             };
-            let reference = run(Isa::Scalar);
-            for (i, &(m, n, k)) in shapes.iter().enumerate() {
-                assert_tracks_f64(
-                    &format!("grouped {prec}/scalar #{i}"),
-                    prec,
-                    m,
-                    n,
-                    k,
-                    1.0,
-                    &a_bufs[i],
-                    &b_bufs[i],
-                    &reference[i],
-                );
-            }
-            for &tier in impls.iter().filter(|&&t| t != Isa::Scalar) {
-                let got = run(tier);
-                for (i, &(m, n, k)) in shapes.iter().enumerate() {
-                    assert_tracks_f64(
-                        &format!("grouped {prec}/{tier} #{i} {scheduler:?}"),
-                        prec,
-                        m,
-                        n,
-                        k,
-                        1.0,
-                        &a_bufs[i],
-                        &b_bufs[i],
-                        &got[i],
-                    );
-                    if lowp_impl(prec, tier).unwrap().chain == scalar_chain {
-                        for (e, (r, g)) in reference[i].iter().zip(&got[i]).enumerate() {
-                            assert!(
-                                r.to_bits() == g.to_bits(),
-                                "grouped {prec} #{i} [{e}]: equal chains must agree bitwise ({scheduler:?})"
-                            );
-                        }
+            let reference = run(Precision::F32);
+            for prec in LOW_PRECS {
+                for (i, (r, g)) in reference.iter().zip(run(prec)).enumerate() {
+                    for (e, (r, g)) in r.iter().zip(&g).enumerate() {
+                        assert!(
+                            r.to_bits() == g.to_bits(),
+                            "grouped {prec}/{tier} #{i} [{e}] {scheduler:?}: f32 {r:?} != {g:?}"
+                        );
                     }
                 }
             }
@@ -633,52 +611,45 @@ fn lowp_grouped_every_precision_empty_and_single_token() {
     set_active_precision(prev_prec);
 }
 
+/// Fused attention (Algorithm III.2 on the grouped engine) is f32 at every
+/// precision: under f16 and int8 it stores bitwise the f32 run's bits, on
+/// every tier.
 #[test]
-fn lowp_fused_mha_every_precision_stays_close_to_f32() {
-    // End-to-end fused attention under each precision: softmax renormalizes
-    // the logits, so documented per-dot bounds don't compose tightly — this
-    // asserts an empirical envelope (several × the observed drift) against
-    // the f32 run, per precision, on the widest available tier and scalar.
+fn lowp_fused_mha_every_precision_is_bitwise_f32() {
     let _g = ISA_LOCK.lock().unwrap();
     let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
     let (idx, [q, k, v]) = packed_qkv(&[33, 1, 96, 17], 96, 2, 32, 53);
     let dev = Device::new();
-    set_active_precision(Precision::F32);
-    let reference: Vec<f32> = fused_grouped_attention(&dev, &q, &k, &v, &idx, Scheduler::WarpPrefetch)
-        .as_slice()
-        .to_vec();
-    for (prec, envelope) in [(Precision::F16, 0.02f32), (Precision::Int8, 0.1)] {
-        set_active_precision(prec);
-        for tier in [Isa::Scalar, *lowp_tiers_logged(prec, "fused MHA").last().unwrap()] {
-            isa::set_active_isa(tier).unwrap();
-            let got = fused_grouped_attention(&dev, &q, &k, &v, &idx, Scheduler::WarpPrefetch);
-            let worst = reference
-                .iter()
-                .zip(got.as_slice())
-                .map(|(r, g)| (r - g).abs())
-                .fold(0.0f32, f32::max);
-            assert!(
-                worst <= envelope,
-                "fused MHA {prec}/{tier}: max drift {worst} exceeds the {envelope} envelope"
-            );
+    for tier in isa::available_isas() {
+        isa::set_active_isa(tier).unwrap();
+        let run = |prec: Precision| {
+            set_active_precision(prec);
+            fused_grouped_attention(&dev, &q, &k, &v, &idx, Scheduler::WarpPrefetch)
+        };
+        let reference = run(Precision::F32);
+        for prec in LOW_PRECS {
+            for (i, (r, g)) in reference.as_slice().iter().zip(run(prec).as_slice()).enumerate() {
+                assert!(
+                    r.to_bits() == g.to_bits(),
+                    "fused MHA {prec}/{tier} [{i}]: f32 {r:?} != {g:?}"
+                );
+            }
         }
     }
     isa::set_active_isa(prev_isa).unwrap();
     set_active_precision(prev_prec);
 }
 
-/// Precision is only a panel format: `sgemm` and a one-problem grouped GEMM
-/// pack the same codes and run the same kernel, one chain per element, so
-/// at alpha 1 they store the same bits — under every precision on every
-/// tier, on shapes ragged against every tile geometry (8×8, 8×16, 16×16,
-/// 16×32, the grouped 64×64 tile and the packed driver's 32-row panels),
-/// across the int8 k-groups and the f16 accumulation chunk, both `B`
-/// layouts, and past the skinny crossover. The grid covers every side of
-/// the grouped engine's pack-once rule: one tile, `A` re-read (> 1 tile
-/// column), `B` re-read (> 1 tile row), and both (≥ 2 × 2 tiles, with an
-/// f32 `A` deeper than one staging chunk).
+/// `sgemm` and a one-problem grouped GEMM pack the same f32 panels and run
+/// the same kernel, one chain per element, so at alpha 1 they store the
+/// same bits — on every tier, on shapes ragged against every tile geometry
+/// (8×8, 8×16, 16×16, the grouped 64×64 tile and the packed driver's
+/// 32-row panels), both `B` layouts, and past the skinny crossover. The
+/// grid covers every side of the grouped engine's pack-once rule: one tile,
+/// `A` re-read (> 1 tile column), `B` re-read (> 1 tile row), and both
+/// (≥ 2 × 2 tiles, with an `A` deeper than one staging chunk).
 #[test]
-fn grouped_and_packed_agree_bitwise_at_every_precision() {
+fn grouped_and_packed_agree_bitwise() {
     let _g = ISA_LOCK.lock().unwrap();
     let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
     let shapes: &[(usize, usize, usize)] = &[
@@ -694,50 +665,48 @@ fn grouped_and_packed_agree_bitwise_at_every_precision() {
         (130, 129, 70),
         (200, 150, 300),
     ];
-    for prec in Precision::ALL {
-        set_active_precision(prec);
-        for tier in isa::available_isas() {
-            isa::set_active_isa(tier).unwrap();
-            for &(m, n, k) in shapes {
-                for transb in [false, true] {
-                    let a = rand_vec(m * k, 0x71 + k as u64);
-                    let b = rand_vec(k * n, 0x72 + n as u64);
-                    let mut packed = vec![f32::NAN; m * n];
-                    sgemm(
-                        GemmSpec {
-                            transb,
-                            ..GemmSpec::nn()
-                        },
-                        m,
-                        n,
-                        k,
-                        &a,
-                        &b,
-                        &mut packed,
-                    );
-                    let problem = GroupedProblem {
-                        m,
-                        n,
-                        k,
+    set_active_precision(Precision::F32);
+    for tier in isa::available_isas() {
+        isa::set_active_isa(tier).unwrap();
+        for &(m, n, k) in shapes {
+            for transb in [false, true] {
+                let a = rand_vec(m * k, 0x71 + k as u64);
+                let b = rand_vec(k * n, 0x72 + n as u64);
+                let mut packed = vec![f32::NAN; m * n];
+                sgemm(
+                    GemmSpec {
                         transb,
-                        alpha: 1.0,
-                        a: &a,
-                        b: &b,
-                    };
-                    let mut grouped = vec![f32::NAN; m * n];
-                    grouped_sgemm(
-                        &[problem],
-                        vec![grouped.as_mut_slice()],
-                        GroupedConfig::default(),
-                        &NoEpilogue,
-                        &NoTransform,
+                        ..GemmSpec::nn()
+                    },
+                    m,
+                    n,
+                    k,
+                    &a,
+                    &b,
+                    &mut packed,
+                );
+                let problem = GroupedProblem {
+                    m,
+                    n,
+                    k,
+                    transb,
+                    alpha: 1.0,
+                    a: &a,
+                    b: &b,
+                };
+                let mut grouped = vec![f32::NAN; m * n];
+                grouped_sgemm(
+                    &[problem],
+                    vec![grouped.as_mut_slice()],
+                    GroupedConfig::default(),
+                    &NoEpilogue,
+                    &NoTransform,
+                );
+                for (i, (p, g)) in packed.iter().zip(&grouped).enumerate() {
+                    assert!(
+                        p.to_bits() == g.to_bits(),
+                        "{tier} {m}x{n}x{k} transb={transb} [{i}]: sgemm {p:?} != grouped {g:?}"
                     );
-                    for (i, (p, g)) in packed.iter().zip(&grouped).enumerate() {
-                        assert!(
-                            p.to_bits() == g.to_bits(),
-                            "{prec}/{tier} {m}x{n}x{k} transb={transb} [{i}]: sgemm {p:?} != grouped {g:?}"
-                        );
-                    }
                 }
             }
         }
@@ -750,7 +719,7 @@ fn grouped_and_packed_agree_bitwise_at_every_precision() {
 /// walk (> 1 tile column: `A`; > 1 tile row: `B`) with single-use ones
 /// packed per tile, empty ones and `k = 0`, so the launch arena holds
 /// panels of several depths side by side: every problem is still bitwise
-/// its own `sgemm`, under every precision on every tier, both `B` layouts.
+/// its own f32 `sgemm` on every tier, both `B` layouts.
 #[test]
 fn grouped_mixed_reuse_list_is_bitwise_per_problem_sgemm() {
     let _g = ISA_LOCK.lock().unwrap();
@@ -776,55 +745,53 @@ fn grouped_mixed_reuse_list_is_bitwise_per_problem_sgemm() {
         .enumerate()
         .map(|(i, &(_, n, k))| rand_vec(k * n, 0x91 + i as u64))
         .collect();
-    for prec in Precision::ALL {
-        set_active_precision(prec);
-        for tier in isa::available_isas() {
-            isa::set_active_isa(tier).unwrap();
-            for transb in [false, true] {
-                let problems: Vec<GroupedProblem<'_>> = shapes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(m, n, k))| GroupedProblem {
-                        m,
-                        n,
-                        k,
+    set_active_precision(Precision::F32);
+    for tier in isa::available_isas() {
+        isa::set_active_isa(tier).unwrap();
+        for transb in [false, true] {
+            let problems: Vec<GroupedProblem<'_>> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(m, n, k))| GroupedProblem {
+                    m,
+                    n,
+                    k,
+                    transb,
+                    alpha: 1.0,
+                    a: &a_bufs[i],
+                    b: &b_bufs[i],
+                })
+                .collect();
+            let mut grouped: Vec<Vec<f32>> = shapes.iter().map(|&(m, n, _)| vec![f32::NAN; m * n]).collect();
+            grouped_sgemm(
+                &problems,
+                grouped.iter_mut().map(|c| c.as_mut_slice()).collect(),
+                GroupedConfig {
+                    num_ctas: 7,
+                    ..Default::default()
+                },
+                &NoEpilogue,
+                &NoTransform,
+            );
+            for (i, (&(m, n, k), got)) in shapes.iter().zip(&grouped).enumerate() {
+                let mut want = vec![f32::NAN; m * n];
+                sgemm(
+                    GemmSpec {
                         transb,
-                        alpha: 1.0,
-                        a: &a_bufs[i],
-                        b: &b_bufs[i],
-                    })
-                    .collect();
-                let mut grouped: Vec<Vec<f32>> = shapes.iter().map(|&(m, n, _)| vec![f32::NAN; m * n]).collect();
-                grouped_sgemm(
-                    &problems,
-                    grouped.iter_mut().map(|c| c.as_mut_slice()).collect(),
-                    GroupedConfig {
-                        num_ctas: 7,
-                        ..Default::default()
+                        ..GemmSpec::nn()
                     },
-                    &NoEpilogue,
-                    &NoTransform,
+                    m,
+                    n,
+                    k,
+                    &a_bufs[i],
+                    &b_bufs[i],
+                    &mut want,
                 );
-                for (i, (&(m, n, k), got)) in shapes.iter().zip(&grouped).enumerate() {
-                    let mut want = vec![f32::NAN; m * n];
-                    sgemm(
-                        GemmSpec {
-                            transb,
-                            ..GemmSpec::nn()
-                        },
-                        m,
-                        n,
-                        k,
-                        &a_bufs[i],
-                        &b_bufs[i],
-                        &mut want,
+                for (e, (w, g)) in want.iter().zip(got).enumerate() {
+                    assert!(
+                        w.to_bits() == g.to_bits(),
+                        "{tier} #{i} {m}x{n}x{k} transb={transb} [{e}]: sgemm {w:?} != grouped {g:?}"
                     );
-                    for (e, (w, g)) in want.iter().zip(got).enumerate() {
-                        assert!(
-                            w.to_bits() == g.to_bits(),
-                            "{prec}/{tier} #{i} {m}x{n}x{k} transb={transb} [{e}]: sgemm {w:?} != grouped {g:?}"
-                        );
-                    }
                 }
             }
         }
