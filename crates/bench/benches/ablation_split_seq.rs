@@ -2,7 +2,8 @@
 //! fused MHA (Algorithm III.1). The paper sets it "typically to 32 or 48";
 //! this sweep shows why: small tiles re-stage K/V too often, huge tiles
 //! reduce the threadblock parallelism (staging traffic as modeled time; the
-//! wall-clock column is the CPU kernel, which re-packs K/V per Q tile too).
+//! wall-clock column is the CPU kernel, which packs K/V once per sequence
+//! and head, so only its Q-tile costs follow the tile height).
 
 use bt_bench::{banner, bench_config, wall};
 use bt_core::attention::fused_short_attention;
@@ -50,7 +51,9 @@ fn main() {
          the paper still picks 32-48 because beyond that the kernel runs out of threadblocks\n\
          to fill the GPU (an occupancy effect the roofline model deliberately does not include).\n\
          Measured on a 2-vCPU AVX-512 host (batch 16, seq 256): the register-tiled kernel\n\
-         re-packs K and V into microkernel panels per Q tile, so wall time falls with the tile\n\
-         height too -- 3.5x from 4 to 32 -- and is flat within ~10% from 32 to 256"
+         packs K and V into microkernel panels once per sequence and head, but a tile shorter\n\
+         than the microkernel's 16 rows still runs whole register tiles, so wall time falls\n\
+         2.5x from 4 to 32 (3.8x when K/V were re-packed per Q tile) and is flat within\n\
+         ~10% from 32 to 256"
     );
 }

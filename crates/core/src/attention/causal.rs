@@ -25,8 +25,9 @@ use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 
 /// Causal fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
-/// pre-scaled), dispatched on the same short/long boundary as
-/// [`super::fused_attention`]. Returns the packed `[valid, hidden]` context.
+/// pre-scaled): the shared-memory kernel up to [`super::FUSED_SHORT_MAX_SEQ`],
+/// the grouped-GEMM kernel past it. Returns the packed `[valid, hidden]`
+/// context.
 pub fn causal_fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
     dispatch(device, q, k, v, idx, KeyRange::Causal)
 }

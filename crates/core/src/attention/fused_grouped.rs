@@ -26,9 +26,12 @@
 //! The engine is shape-generic over attention units — query and key/value
 //! ranges may differ per unit, and a `KeyRange` says which keys a query row
 //! sees — so it has three callers under their own launch names: the
-//! encoder's self-attention, the decoder's causal self-attention and its
+//! decoder's causal self-attention past `FUSED_SHORT_MAX_SEQ`, its
 //! cross-attention (`q_len = decoder length, kv_len = encoder length`; see
-//! [`crate::decoder`]). The paged decoder's units take `super::rows`, the
+//! [`crate::decoder`]), and [`fused_grouped_attention`], the paper's
+//! long-sequence encoder kernel that Figs. 7 and 12 measure. The encoder
+//! itself takes the tiled Algorithm III.1 kernel at every length on the CPU
+//! (see [`super::fused_short`]). The paged decoder's units take `super::rows`, the
 //! same arithmetic as row dots over K/V read in place, which shares this
 //! engine's tile partials, merge and normalisation (`tile_partials`,
 //! `merge_partials`, `normalize`).

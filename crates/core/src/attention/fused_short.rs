@@ -1,4 +1,4 @@
-//! Unpadded fused MHA for short sequences — Algorithm III.1.
+//! Unpadded fused MHA — Algorithm III.1.
 //!
 //! One kernel computes the whole attention unit: a threadblock owns a
 //! `split_seq_len`-row tile of Q for one `(batch, head)`, stages Q/K/V tiles
@@ -21,16 +21,24 @@
 //! register tiles, resolved once per launch: `Q·Kᵀ` runs on the Q tile
 //! packed as `A` panels against `K` packed as transposed `B` panels, and
 //! `P·V` on the probabilities packed as `A` panels against `V` as `B`
-//! panels, each `A` panel reducing over its own longest key range. The
-//! `rows × reach` logits strip between the two products is the shared
-//! memory; the softmax runs in place over each row's keys. Panels and strip
-//! live in one per-worker scratch that grows and is reused, never freed.
-//! Every stored logit and context element is one multiply-accumulate chain
-//! in `p`-order whatever the tile geometry (a causal row's chain past its
-//! range only adds `0·v` terms), so results are bitwise independent of
-//! `split_seq_len` and equal across kernels of equal
-//! [`MicroKernel::fused_fma`]. Buffer sizes respect the same limits that
-//! bound the GPU kernel, enforced by [`FUSED_SHORT_MAX_SEQ`].
+//! panels, each `A` panel reducing over its own longest key range. K and V
+//! are packed once per `(sequence, head)`, in one parallel pass before the
+//! Q-tile walk, into a launch-scoped buffer every tile reads a prefix of
+//! (the GPU kernel re-stages them per threadblock; the launch still declares
+//! that traffic). The `rows × reach` logits strip between the two products
+//! is the shared memory; the softmax runs in place over each row's keys. The
+//! Q panels and the strip live in one per-worker scratch that grows and is
+//! reused, never freed. Every stored logit and context element is one
+//! multiply-accumulate chain in `p`-order whatever the tile geometry (a
+//! causal row's chain past its range only adds `0·v` terms), so results are
+//! bitwise independent of `split_seq_len` and of the batch a sequence runs
+//! in, and equal across kernels of equal [`MicroKernel::fused_fma`].
+//!
+//! The GPU kernel's shared memory bounds it at [`FUSED_SHORT_MAX_SEQ`]; the
+//! CPU has no such limit, so the encoder's self-attention runs here at every
+//! length. The causal launch keeps the bound: past it the decoder's
+//! teacher-forced self-attention takes the grouped engine, whose arithmetic
+//! the paged decoder's rows form reproduces bit for bit.
 
 use super::{packed_dims, KeyRange};
 use bt_device::{Device, KernelSpec};
@@ -40,10 +48,12 @@ use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::sync::{Mutex, TryLockError};
 
-/// Upper sequence-length bound of the shared-memory kernel. The paper's
-/// Fig. 11 evaluates this path below 384 and switches to grouped GEMM past
-/// it (TensorRT's comparable fused MHA caps at 512).
+/// Upper sequence-length bound of the shared-memory kernel on the GPU. The
+/// paper's Fig. 11 evaluates this path below 384 and switches to grouped
+/// GEMM past it (TensorRT's comparable fused MHA caps at 512). Here it
+/// bounds the causal launch only.
 pub const FUSED_SHORT_MAX_SEQ: usize = 384;
 
 /// Default `split_seq_len` — the paper sets the Q-tile height "typically
@@ -55,9 +65,7 @@ pub const DEFAULT_SPLIT_SEQ_LEN: usize = 32;
 /// context.
 ///
 /// # Panics
-/// Panics if `idx.max_seq_len() > FUSED_SHORT_MAX_SEQ` (the dispatcher in
-/// [`super::fused_attention`] routes long sequences to the grouped kernel),
-/// if `split_seq_len == 0`, or on shape mismatches.
+/// Panics if `split_seq_len == 0`, or on shape mismatches.
 pub fn fused_short_attention(
     device: &Device,
     q: &Tensor,
@@ -70,7 +78,9 @@ pub fn fused_short_attention(
 }
 
 /// The Algorithm III.1 kernel under either key range; panics as
-/// [`fused_short_attention`] does.
+/// [`fused_short_attention`] does, and under `Causal` also if
+/// `idx.max_seq_len() > FUSED_SHORT_MAX_SEQ` (the dispatcher in
+/// [`super::causal_fused_attention`] routes those to the grouped kernel).
 pub(super) fn short_attention(
     device: &Device,
     q: &Tensor,
@@ -83,8 +93,8 @@ pub(super) fn short_attention(
     let (heads, valid, head) = packed_dims(q, k, v, idx);
     assert!(split_seq_len > 0, "split_seq_len must be positive");
     assert!(
-        idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ,
-        "fused short MHA caps at {FUSED_SHORT_MAX_SEQ}, got {}",
+        matches!(range, KeyRange::Full) || idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ,
+        "causal fused short MHA caps at {FUSED_SHORT_MAX_SEQ}, got {}",
         idx.max_seq_len()
     );
     let hidden = heads * head;
@@ -92,10 +102,11 @@ pub(super) fn short_attention(
     // Cost: the two tile GEMMs (4·d per logit per head) plus softmax
     // transforms, over the logits the range keeps — `len²`, or the
     // `len(len+1)/2` on and under the diagonal. K and V are re-staged once
-    // per Q tile (ceil(len/split) times; the causal launch declares one
-    // `len`-row plane per tile as its upper bound for "keys up to the
-    // tile's last row"), Q and the output move once. The logits matrix
-    // contributes nothing — it lives in shared memory.
+    // per Q tile, as the GPU kernel's threadblocks do (ceil(len/split)
+    // times; the causal launch declares one `len`-row plane per tile as its
+    // upper bound for "keys up to the tile's last row"), Q and the output
+    // move once. The logits matrix contributes nothing — it lives in shared
+    // memory.
     let (name, kv_planes) = match range {
         KeyRange::Full => ("attention.fused_short", 2),
         KeyRange::Causal => ("attention.causal_short", 1),
@@ -141,24 +152,27 @@ pub(super) fn short_attention(
             // One kernel per launch: every task agrees on the tile geometry
             // even if the process-wide selection changes mid-flight.
             let kern = active_kernel();
-            let qkv = [q.as_slice(), k.as_slice(), v.as_slice()];
-            tasks.into_par_iter().for_each(|(b, t0, out_chunk)| {
-                let (off, len) = (idx.seq_offset(b), idx.seq_len(b));
-                let tile = Tile {
-                    t0,
-                    rows: out_chunk.len() / hidden,
-                    len,
-                    head,
-                    range,
-                };
-                SMEM.with(|cell| {
-                    let smem = &mut *cell.borrow_mut();
-                    for h in 0..heads {
-                        // The sequence's rows of head plane `h` of Q, K, V.
-                        let span = (h * valid + off) * head..(h * valid + off + len) * head;
-                        let seqs = qkv.map(|t| &t[span.clone()]);
-                        tile.run(kern, smem, seqs, out_chunk, h * head, hidden);
-                    }
+            with_staging(|buf| {
+                let staged = Staged::pack(kern, k.as_slice(), v.as_slice(), idx, heads, head, buf);
+                let q = q.as_slice();
+                tasks.into_par_iter().for_each(|(b, t0, out_chunk)| {
+                    let (off, len) = (idx.seq_offset(b), idx.seq_len(b));
+                    let tile = Tile {
+                        t0,
+                        rows: out_chunk.len() / hidden,
+                        len,
+                        head,
+                        range,
+                    };
+                    SMEM.with(|cell| {
+                        let smem = &mut *cell.borrow_mut();
+                        for h in 0..heads {
+                            // The sequence's rows of head plane `h` of Q.
+                            let q = &q[(h * valid + off) * head..(h * valid + off + len) * head];
+                            let (kb, vb) = staged.unit(b, h);
+                            tile.run(kern, smem, [q, kb, vb], out_chunk, h * head, hidden);
+                        }
+                    });
                 });
             });
             out
@@ -167,18 +181,110 @@ pub(super) fn short_attention(
     Tensor::from_vec(out, [valid, hidden]).expect("shape consistent")
 }
 
-/// The per-worker "shared memory": the staged operand panels and the logits
-/// strip. It grows geometrically to the largest tile a worker has seen and
-/// is reused for every later tile — like a threadblock's fixed shared-memory
+/// Every `(sequence, head)`'s K/V panels of the launch in flight.
+/// Process-wide and grow-only, like the grouped engine's launch arena, so a
+/// warm launch allocates nothing on whichever thread it runs — a serving
+/// thread may live for one batch only, and a thread-local buffer would be
+/// freed and re-grown with it.
+static STAGING: Mutex<Vec<f32>> = Mutex::new(Vec::new());
+
+/// Runs `f` with the staging buffer, or with a fresh one while another
+/// launch holds it (concurrent forwards).
+fn with_staging<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    match STAGING.try_lock() {
+        Ok(mut buf) => f(&mut buf),
+        // Every launch overwrites what it reads, so a panic mid-launch
+        // leaves nothing to distrust.
+        Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => f(&mut Vec::new()),
+    }
+}
+
+/// Every `(sequence, head)`'s K and V, packed once per launch as the `B`
+/// operands of the two tile products: `Kᵀ` panels of depth `head`, one per
+/// `nr` keys, then `V` panels of depth `len`, one per `nr` head columns.
+/// A tile reads the prefix it reaches — its first `reach.div_ceil(nr)` `Kᵀ`
+/// panels and the first `reach` steps of each `V` panel, which is exactly
+/// the depth-`reach` panel — so staging once per unit instead of once per
+/// Q tile changes no stored bit: `Kᵀ` lanes past a tile's reach hold keys
+/// rather than zeros, and the logits they produce are never stored.
+struct Staged<'a> {
+    buf: &'a [f32],
+    heads: usize,
+    /// Per unit, batch-major and heads inner: where its `Kᵀ` panels start,
+    /// where its `V` panels start, where it ends.
+    bounds: Vec<[usize; 3]>,
+}
+
+impl<'a> Staged<'a> {
+    /// Packs the units of `k` / `v` (`[heads, valid, head]`) into `buf`, in
+    /// one parallel pass over `(sequence, head)`.
+    fn pack(
+        kern: &MicroKernel,
+        k: &[f32],
+        v: &[f32],
+        idx: &PackingIndex,
+        heads: usize,
+        head: usize,
+        buf: &'a mut Vec<f32>,
+    ) -> Self {
+        let nr = kern.nr;
+        let mut bounds = Vec::with_capacity(idx.batch() * heads);
+        let mut end = 0;
+        for b in 0..idx.batch() {
+            let len = idx.seq_len(b);
+            for _ in 0..heads {
+                let k0 = end;
+                let v0 = k0 + len.div_ceil(nr) * head * nr;
+                end = v0 + head.div_ceil(nr) * len * nr;
+                bounds.push([k0, v0, end]);
+            }
+        }
+        let mut rest = grow(buf, end);
+        let mut units = Vec::with_capacity(bounds.len());
+        for (u, &[k0, v0, end]) in bounds.iter().enumerate() {
+            let (chunk, tail) = rest.split_at_mut(end - k0);
+            rest = tail;
+            units.push((u, chunk.split_at_mut(v0 - k0)));
+        }
+        let valid = idx.valid_words();
+        units.into_par_iter().for_each(|(u, (kb, vb))| {
+            let (b, h) = (u / heads, u % heads);
+            let (off, len) = (idx.seq_offset(b), idx.seq_len(b));
+            if len == 0 {
+                return;
+            }
+            let span = (h * valid + off) * head..(h * valid + off + len) * head;
+            let (k, v) = (&k[span.clone()], &v[span]);
+            for (panel, c0) in kb.chunks_exact_mut(head * nr).zip((0..len).step_by(nr)) {
+                pack_b_panel(panel, k, true, c0, nr.min(len - c0), len, head, nr);
+            }
+            for (panel, c0) in vb.chunks_exact_mut(len * nr).zip((0..head).step_by(nr)) {
+                pack_b_panel(panel, v, false, c0, nr.min(head - c0), head, len, nr);
+            }
+        });
+        Staged {
+            buf: &buf[..end],
+            heads,
+            bounds,
+        }
+    }
+
+    /// Unit `(b, h)`'s `Kᵀ` panels and `V` panels.
+    fn unit(&self, b: usize, h: usize) -> (&[f32], &[f32]) {
+        let [k0, v0, end] = self.bounds[b * self.heads + h];
+        (&self.buf[k0..v0], &self.buf[v0..end])
+    }
+}
+
+/// The per-worker "shared memory": the staged Q tile and the logits strip.
+/// It grows geometrically to the largest tile a worker has seen and is
+/// reused for every later tile — like a threadblock's fixed shared-memory
 /// carve-out, with zero heap traffic per tile.
 #[derive(Default)]
 struct Smem {
     /// The Q tile as `A` panels of depth `head`.
     q: Vec<f32>,
-    /// `Kᵀ` as `B` panels of depth `head`, one per `nr` keys.
-    k: Vec<f32>,
-    /// `V` as `B` panels of depth `reach`, one per `nr` head columns.
-    v: Vec<f32>,
     /// One `P` row panel as an `A` panel of depth `reach`.
     p: Vec<f32>,
     /// `s_logits`: the `rows × reach` strip.
@@ -214,41 +320,33 @@ impl Tile {
         self.range.keys(self.t0 + i, self.len, self.len)
     }
 
-    /// Algorithm III.1 for one head: `[q, k, v]` are the sequence's
-    /// `len × head` planes (Q pre-scaled); the context lands in columns
-    /// `col .. col + head` of the `ld`-wide packed output rows of `out`.
-    fn run(&self, kern: &MicroKernel, smem: &mut Smem, [q, k, v]: [&[f32]; 3], out: &mut [f32], col: usize, ld: usize) {
+    /// Algorithm III.1 for one head: `q` is the sequence's `len × head` Q
+    /// plane (pre-scaled), `kb` / `vb` its staged `Kᵀ` and `V` panels; the
+    /// context lands in columns `col .. col + head` of the `ld`-wide packed
+    /// output rows of `out`.
+    fn run(
+        &self,
+        kern: &MicroKernel,
+        smem: &mut Smem,
+        [q, kb, vb]: [&[f32]; 3],
+        out: &mut [f32],
+        col: usize,
+        ld: usize,
+    ) {
         let (mr, nr, rows, head) = (kern.mr, kern.nr, self.rows, self.head);
         // Row stride of the strip: the tile's longest key range.
         let reach = self.keys(rows - 1);
-        let (qa_len, kb_len, vb_len) = (head * mr, head * nr, reach * nr);
-        let Smem {
-            q: qa,
-            k: kb,
-            v: vb,
-            p: pa,
-            logits,
-        } = smem;
+        let (qa_len, kb_len, vb_len) = (head * mr, head * nr, self.len * nr);
+        let Smem { q: qa, p: pa, logits } = smem;
         let qa = grow(qa, rows.div_ceil(mr) * qa_len);
-        let kb = grow(kb, reach.div_ceil(nr) * kb_len);
-        let vb = grow(vb, head.div_ceil(nr) * vb_len);
         let pa = grow(pa, reach * mr);
         let logits = grow(logits, rows * reach);
 
-        // Stage the operands: Q rows, the first `reach` rows of K (as
-        // columns of Kᵀ) and of V.
+        // Stage the Q rows.
         let q_tile = &q[self.t0 * head..(self.t0 + rows) * head];
         for (i, r0) in (0..rows).step_by(mr).enumerate() {
             let panel = &mut qa[i * qa_len..(i + 1) * qa_len];
             pack_a_panel(panel, q_tile, false, r0, mr.min(rows - r0), rows, head, mr);
-        }
-        for (j, c0) in (0..reach).step_by(nr).enumerate() {
-            let panel = &mut kb[j * kb_len..(j + 1) * kb_len];
-            pack_b_panel(panel, &k[..reach * head], true, c0, nr.min(reach - c0), reach, head, nr);
-        }
-        for (j, c0) in (0..head).step_by(nr).enumerate() {
-            let panel = &mut vb[j * vb_len..(j + 1) * vb_len];
-            pack_b_panel(panel, &v[..reach * head], false, c0, nr.min(head - c0), head, reach, nr);
         }
 
         let mut acc = [0.0f32; MR_MAX * NR_MAX];
@@ -367,11 +465,44 @@ mod tests {
     }
 
     #[test]
+    fn long_sequences_match_reference() {
+        // The encoder's launch has no length cap: lengths on both sides of
+        // FUSED_SHORT_MAX_SEQ, an empty one and a single token.
+        check(&[700, 390, 0, 1], 700, 2, 4, 32, 8);
+    }
+
+    #[test]
     #[should_panic(expected = "caps at")]
-    fn long_sequences_rejected() {
+    fn long_causal_sequences_rejected() {
         let fx = fixture(&[400], 400, 1, 4, 8);
         let dev = device();
-        fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 32);
+        short_attention(
+            &dev,
+            &fx.q_packed,
+            &fx.k_packed,
+            &fx.v_packed,
+            &fx.idx,
+            32,
+            KeyRange::Causal,
+        );
+    }
+
+    #[test]
+    fn a_sequences_rows_do_not_depend_on_its_batch_mates() {
+        // Batch invariance: a 200-token sequence's context is the same bits
+        // alone at width 200 and beside a 500-token batch-mate at width 512
+        // — the encoder takes one kernel at both widths, and the kernel
+        // stages every (sequence, head) on its own.
+        let (heads, head) = (2, 8);
+        let alone = fixture(&[200], 200, heads, head, 12);
+        let paired = fixture(&[200, 500], 512, heads, head, 12);
+        let dev = device();
+        let run = |fx: &super::super::test_support::AttentionFixture| {
+            super::super::fused_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx)
+        };
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = 200 * heads * head;
+        assert_eq!(bits(&run(&paired).as_slice()[..rows]), bits(run(&alone).as_slice()));
     }
 
     #[test]
@@ -431,12 +562,15 @@ mod tests {
     fn split_seq_len_does_not_change_results() {
         // Every stored element is one chain in `p`-order whatever the tile
         // height, so the results agree bitwise — splits that are not a
-        // multiple of any `mr` included.
-        let lens = [13usize, 29];
-        let fx = fixture(&lens, 32, 2, 4, 9);
-        let dev = device();
+        // multiple of any `mr` included, and under `Full` a sequence past
+        // FUSED_SHORT_MAX_SEQ.
         let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for range in [KeyRange::Full, KeyRange::Causal] {
+        let dev = device();
+        for (range, lens, max) in [
+            (KeyRange::Full, &[13usize, 29, 400][..], 400),
+            (KeyRange::Causal, &[13, 29][..], 32),
+        ] {
+            let fx = fixture(lens, max, 2, 4, 9);
             let run = |split| short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split, range);
             let base = bits(&run(1));
             for split in [5, 16, 32, 48] {

@@ -20,8 +20,11 @@
 //! `KeyRange` and `AttnUnit` list: which K/V rows pair with which Q rows,
 //! and which of them a query row may see, is decided here and nowhere else.
 //! A unit list is built from packing indices (`units`). One dispatcher picks
-//! between the two kernels on the paper's sequence-length boundary for the
-//! packed self-attention callers.
+//! the kernel for the packed self-attention callers: the encoder's
+//! (`KeyRange::Full`) takes Algorithm III.1 at every length — the paper's
+//! 384-token boundary is a GPU shared-memory limit the CPU does not have —
+//! and the decoder's causal one switches to Algorithm III.2 on that
+//! boundary.
 //!
 //! The paged decoder's two attentions have one form, whatever mix of
 //! prefill chunks and decode rows a forward carries: Algorithm III.2 as row
@@ -203,12 +206,13 @@ pub fn paged_forms(
 }
 
 /// The one short/long dispatcher, behind [`fused_attention`] and
-/// [`causal_fused_attention`]: the shared-memory kernel for short
-/// sequences, the grouped-GEMM kernel beyond [`FUSED_SHORT_MAX_SEQ`].
+/// [`causal_fused_attention`]: the shared-memory kernel for every encoder
+/// sequence and for causal ones up to [`FUSED_SHORT_MAX_SEQ`], the
+/// grouped-GEMM kernel for causal ones beyond it.
 fn dispatch(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex, range: KeyRange) -> Tensor {
     static SHORT_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_SHORT);
     static LONG_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_LONG);
-    if idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ {
+    if matches!(range, KeyRange::Full) || idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ {
         SHORT_PATH.incr();
         let _span = bt_obs::span!("mha.fused.short");
         fused_short::short_attention(device, q, k, v, idx, DEFAULT_SPLIT_SEQ_LEN, range)
@@ -219,10 +223,12 @@ fn dispatch(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIn
     }
 }
 
-/// ByteTransformer's fused MHA: the shared-memory kernel for short
-/// sequences, the grouped-GEMM kernel beyond [`FUSED_SHORT_MAX_SEQ`]
-/// (paper: "With the explicit design for both short and long sequences…").
-/// Returns the packed `[valid, hidden]` context.
+/// ByteTransformer's fused MHA for the encoder: the shared-memory kernel
+/// (Algorithm III.1) at every length. The paper switches to grouped GEMM
+/// past [`FUSED_SHORT_MAX_SEQ`] because a GPU's shared memory bounds the
+/// logits strip; the CPU strip lives in cache at any length, and the kernel
+/// stages each `(sequence, head)`'s K/V once. Returns the packed
+/// `[valid, hidden]` context.
 pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
     dispatch(device, q, k, v, idx, KeyRange::Full)
 }

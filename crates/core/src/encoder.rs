@@ -14,7 +14,8 @@
 //!    non-MHA modules on valid tokens only, unpack/re-pack fused with the
 //!    bias/transpose kernels around batched MHA (§III.D).
 //! 5. [`OptLevel::FusedMha`] — the full ByteTransformer: zero padding plus
-//!    fused MHA (short-sequence shared-memory kernel or grouped-GEMM kernel),
+//!    fused MHA (the tiled Algorithm III.1 kernel, which on the CPU serves
+//!    every length; the paper's GPU switches to grouped GEMM past 384),
 //!    which never materializes a padded tensor or a global `seq×seq`
 //!    intermediate (§III.E).
 //!
@@ -54,8 +55,8 @@ pub enum Mha {
     },
     /// TensorRT/FlashAttention-style fixed-shape fused MHA on padded planes.
     FlashPadded,
-    /// ByteTransformer's fused MHA on packed rows (§III.E): the short
-    /// shared-memory kernel or the grouped-GEMM kernel. Needs packed rows.
+    /// ByteTransformer's fused MHA on packed rows (§III.E): the tiled
+    /// Algorithm III.1 kernel at every length. Needs packed rows.
     FusedPacked,
 }
 
@@ -529,7 +530,8 @@ mod tests {
 
     #[test]
     fn fused_mha_long_path_agrees_too() {
-        // max_seq above FUSED_SHORT_MAX_SEQ forces the grouped kernel.
+        // max_seq above FUSED_SHORT_MAX_SEQ: the tiled kernel past the
+        // paper's cap.
         let (model, input, mask) = setup(&[390, 120], 400, 1);
         let dev = device();
         let a = model.forward(&dev, &input, &mask, OptLevel::ZeroPadding).unwrap();

@@ -204,10 +204,11 @@ pub fn cut_width(cut: &[Pending]) -> usize {
 
 /// Builds the [`BatchMask`] for `batch` — a cut batch, or one execution
 /// round of one — at padded length `width`, its cut's [`cut_width`]:
-/// lengths clamped to at least one. The MHA dispatcher picks its kernel by
-/// the padded width, so padding every round to its cut's width keeps the
-/// round on the kernel the whole cut takes, and a round computes the bits
-/// the whole cut would.
+/// lengths clamped to at least one. The encoder's MHA takes one kernel at
+/// every width; the causal dispatcher picks its kernel by the padded width,
+/// so padding every round to its cut's width keeps a causal round on the
+/// kernel the whole cut takes, and a round computes the bits the whole cut
+/// would whichever attention runs.
 ///
 /// # Errors
 /// Propagates [`VarlenError`] from mask construction: a length past

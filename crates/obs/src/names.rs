@@ -151,9 +151,11 @@ pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";
 
 // --- mha.* / core.* — bt-core attention dispatch and decode rows ----------
 
-/// Fused-MHA calls that took the short shared-memory kernel.
+/// Fused-MHA calls that took the tiled Algorithm III.1 kernel (every
+/// encoder call, and causal ones up to 384 tokens).
 pub const MHA_PATH_SHORT: &str = "mha.path.short";
-/// Fused-MHA calls that took the grouped-GEMM kernel.
+/// Fused-MHA calls that took the grouped-GEMM kernel (causal ones past 384
+/// tokens).
 pub const MHA_PATH_LONG: &str = "mha.path.long";
 /// Warp-prefetch scheduler visits issued by the grouped-MHA engine, paged
 /// decoder attention included.

@@ -86,10 +86,19 @@ fn numeric<T: std::str::FromStr>(flag: &str, value: String) -> T {
     value.parse().unwrap_or_else(|_| invalid(flag, &value))
 }
 
-/// A numeric flag that must be positive (a KV pool dimension).
+/// A count flag that must be positive (a length, a head count, a KV pool
+/// dimension, a session count).
 fn positive(flag: &str, value: String) -> usize {
     match value.parse() {
         Ok(n) if n > 0 => n,
+        _ => invalid(flag, &value),
+    }
+}
+
+/// A real flag whose value `ok` must accept.
+fn real(flag: &str, value: String, ok: impl Fn(f64) -> bool) -> f64 {
+    match value.parse() {
+        Ok(x) if ok(x) => x,
         _ => invalid(flag, &value),
     }
 }
@@ -175,16 +184,16 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
         };
         match flag {
             "--batch" => args.batch = numeric(flag, take(flag)),
-            "--seq" => args.seq = numeric(flag, take(flag)),
-            "--alpha" => args.alpha = numeric(flag, take(flag)),
-            "--heads" => args.heads = numeric(flag, take(flag)),
-            "--head-size" => args.head_size = numeric(flag, take(flag)),
+            "--seq" => args.seq = positive(flag, take(flag)),
+            "--alpha" => args.alpha = real(flag, take(flag), |a| (0.5..=1.0).contains(&a)),
+            "--heads" => args.heads = positive(flag, take(flag)),
+            "--head-size" => args.head_size = positive(flag, take(flag)),
             "--layers" => args.layers = numeric(flag, take(flag)),
-            "--load" => args.load = numeric(flag, take(flag)),
+            "--load" => args.load = real(flag, take(flag), |l| l > 0.0),
             "--requests" => args.requests = numeric(flag, take(flag)),
-            "--sessions" => args.sessions = numeric(flag, take(flag)),
+            "--sessions" => args.sessions = positive(flag, take(flag)),
             "--tokens" => args.tokens = numeric(flag, take(flag)),
-            "--prompt" => args.prompt = numeric(flag, take(flag)),
+            "--prompt" => args.prompt = positive(flag, take(flag)),
             "--block" => args.block = positive(flag, take(flag)),
             "--blocks" => args.blocks = positive(flag, take(flag)),
             "--chunk" => args.chunk = numeric(flag, take(flag)),
@@ -236,6 +245,11 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> (String, Args) {
             }
         }
         i += 2;
+    }
+    // `decode` reads `--queue 0` as "room for every request"; a server
+    // needs room for one.
+    if args.queue == 0 && cmd != "decode" {
+        invalid("--queue", "0");
     }
     (cmd, args)
 }

@@ -19,11 +19,23 @@ fn btx_env(env: &[(&str, &str)], args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn argument_errors_exit_2_without_panicking() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["flops", "--batch", "abc"], "btx: --batch: invalid value 'abc'"),
         (&["serve", "--load", "fast"], "btx: --load: invalid value 'fast'"),
         (&["decode", "--block", "0"], "btx: --block: invalid value '0'"),
         (&["decode", "--blocks", "0"], "btx: --blocks: invalid value '0'"),
+        // Zero counts and out-of-range reals, each of which once reached an
+        // assertion or a division deep in the command.
+        (&["attention", "--seq", "0"], "btx: --seq: invalid value '0'"),
+        (&["decode", "--prompt", "0"], "btx: --prompt: invalid value '0'"),
+        (&["decode", "--sessions", "0"], "btx: --sessions: invalid value '0'"),
+        (&["serve", "--queue", "0"], "btx: --queue: invalid value '0'"),
+        (&["serve", "--load", "0"], "btx: --load: invalid value '0'"),
+        (&["serve", "--load", "-1"], "btx: --load: invalid value '-1'"),
+        (&["compare", "--heads", "0"], "btx: --heads: invalid value '0'"),
+        (&["compare", "--head-size", "0"], "btx: --head-size: invalid value '0'"),
+        (&["attention", "--alpha", "0.3"], "btx: --alpha: invalid value '0.3'"),
+        (&["profile", "--alpha", "2"], "btx: --alpha: invalid value '2'"),
         (&["flops", "--batch"], "missing value for --batch"),
         (&["flops", "--no-such-flag", "1"], "unknown flag --no-such-flag"),
     ];

@@ -7,6 +7,7 @@
 //! serialize on one lock and assert on **deltas** (counters are cumulative
 //! across drains).
 
+use bytetransformer::core::attention::FUSED_SHORT_MAX_SEQ;
 use bytetransformer::core::paged::PagedDecoder;
 use bytetransformer::frameworks::admission::{CutPolicy, ShedReason};
 use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
@@ -189,15 +190,38 @@ fn paged_forwards_hand_the_grouped_engine_no_problem() {
 
 #[test]
 fn long_sequences_take_the_grouped_path() {
+    // Only causal ones do: the encoder takes the tiled kernel at every
+    // length, the decoder's causal self-attention the grouped engine past
+    // FUSED_SHORT_MAX_SEQ.
     let _guard = setup();
     let before = obs::drain();
     let _ = forward_once(512);
     let after = obs::drain();
     // Counters are cumulative: assert on the delta across the forward.
-    let d = |name: &str| counter_of(&after, name) - counter_of(&before, name);
-    assert!(d("mha.path.long") > 0, "seq 512 must take the grouped MHA path");
-    assert!(d("mha.grouped.problems") > 0);
-    assert!(d("gemm.grouped.scheduler_visits") > 0);
+    let d = |before: &obs::profile::Profile, after: &obs::profile::Profile, name: &str| {
+        counter_of(after, name) - counter_of(before, name)
+    };
+    assert!(
+        d(&before, &after, "mha.path.short") > 0,
+        "the encoder takes the tiled kernel at seq 512"
+    );
+    assert_eq!(d(&before, &after, "mha.path.long"), 0);
+    assert_eq!(d(&before, &after, "mha.grouped.problems"), 0);
+
+    let (heads, head, len) = (2, 16, FUSED_SHORT_MAX_SEQ + 16);
+    let idx = PackingIndex::from_mask(&BatchMask::from_lens(vec![len, 7], len).unwrap());
+    let qkv: Vec<Tensor> = (0..3)
+        .map(|i| Tensor::randn([heads, idx.valid_words(), head], 5 + i))
+        .collect();
+    let before = after;
+    causal_fused_attention(&Device::new(), &qkv[0], &qkv[1], &qkv[2], &idx);
+    let after = obs::drain();
+    assert!(
+        d(&before, &after, "mha.path.long") > 0,
+        "causal seq {len} must take the grouped MHA path"
+    );
+    assert!(d(&before, &after, "mha.grouped.problems") > 0);
+    assert!(d(&before, &after, "gemm.grouped.scheduler_visits") > 0);
     assert!(
         after
             .counters
