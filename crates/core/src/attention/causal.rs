@@ -4,32 +4,27 @@
 //! extend to other transformers that contain the decoder part using the
 //! optimizations and algorithm proposed in the paper" (§II). For the
 //! decoder's masked self-attention that extension is one value:
-//! `KeyRange::Causal` handed to the two fused kernels the encoder runs, so
-//! token `i` attends only to `j ≤ i`.
-//!
-//! * Short sequences ([`super::fused_short`]): per register-tile `A` panel,
-//!   `Q·Kᵀ` covers and `P·V` reduces over the panel's longest key range —
-//!   the last row's — so the causal constraint removes work instead of
-//!   masking it (about half the logits of the square launch). Rows shorter
-//!   than their panel's range add zero probabilities past their own, which
-//!   leaves every context element's bits unchanged.
-//! * Long sequences ([`super::fused_grouped`]): future positions are masked
-//!   to `-inf` in the logits tile before the partial softmax reduction, so
-//!   the mainloop-fused normalization in the second GEMM zeroes them exactly.
+//! `KeyRange::Causal`, so token `i` attends only to `j ≤ i`, handed to the
+//! form the paged decoder runs — Algorithm III.2 as row dots
+//! (`super::rows`), one unit per `(sequence, head)` over the packed K/V
+//! planes, each query row reducing over exactly the `i + 1` keys it sees.
+//! The causal constraint removes work instead of masking it, and a row's
+//! bits depend neither on the padded width of its batch nor on its
+//! batch-mates, so a teacher-forced target and a paged prefill of the same
+//! tokens agree bitwise.
 //!
 //! This module holds the public entry point and the host oracle.
 
-use super::{dispatch, KeyRange};
+use super::{packed_rows, KeyRange};
 use bt_device::Device;
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 
 /// Causal fused MHA over packed `[heads, valid, head]` Q/K/V (`Q`
-/// pre-scaled): the shared-memory kernel up to [`super::FUSED_SHORT_MAX_SEQ`],
-/// the grouped-GEMM kernel past it. Returns the packed `[valid, hidden]`
-/// context.
+/// pre-scaled), at every length in one launch, `attention.causal_rows`.
+/// Returns the packed `[valid, hidden]` context.
 pub fn causal_fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
-    dispatch(device, q, k, v, idx, KeyRange::Causal)
+    packed_rows(device, "attention.causal_rows", q, k, v, idx, idx, KeyRange::Causal)
 }
 
 /// Host oracle: causal attention over padded `[batch, heads, seq, head]`
@@ -67,7 +62,9 @@ pub fn causal_reference_attention(q: &Tensor, k: &Tensor, v: &Tensor, seq_lens: 
 
 #[cfg(test)]
 mod tests {
+    use super::super::fused_grouped::grouped_softmax_attention;
     use super::super::test_support::{fixture, pack_context, AttentionFixture};
+    use super::super::units;
     use super::*;
     use bt_device::CostModel;
     use bt_gemm::grouped::Scheduler;
@@ -77,41 +74,33 @@ mod tests {
         Device::with_model(CostModel::unit())
     }
 
-    /// The short kernel under the causal key range.
-    fn causal_short(dev: &Device, fx: &AttentionFixture, split: usize) -> Tensor {
-        let range = KeyRange::Causal;
-        super::super::fused_short::short_attention(dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split, range)
+    fn causal(dev: &Device, fx: &AttentionFixture) -> Tensor {
+        causal_fused_attention(dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx)
     }
 
-    /// The grouped kernel under the causal key range.
+    /// The grouped engine under the causal key range.
     fn causal_grouped(dev: &Device, fx: &AttentionFixture, scheduler: Scheduler) -> Tensor {
-        let range = KeyRange::Causal;
-        super::super::fused_grouped::self_attention(
-            dev,
-            &fx.q_packed,
-            &fx.k_packed,
-            &fx.v_packed,
-            &fx.idx,
-            scheduler,
-            range,
-        )
+        let kv = (fx.k_packed.as_slice(), fx.v_packed.as_slice());
+        let list = units(&fx.idx, &fx.idx, fx.heads);
+        grouped_softmax_attention(dev, "engine", &fx.q_packed, kv, &list, KeyRange::Causal, scheduler)
     }
 
-    fn check_short(lens: &[usize], max: usize, heads: usize, head: usize, split: usize, seed: u64) {
+    fn check(lens: &[usize], max: usize, heads: usize, head: usize, seed: u64) {
         let fx = fixture(lens, max, heads, head, seed);
         let dev = device();
-        let got = causal_short(&dev, &fx, split);
+        let got = causal(&dev, &fx);
         let expect_pad = causal_reference_attention(&fx.q_pad, &fx.k_pad, &fx.v_pad, lens, fx.scale);
         let expect = pack_context(&expect_pad, &fx.idx);
         assert_close(got.as_slice(), &expect, 3e-4);
     }
 
     #[test]
-    fn short_kernel_matches_causal_reference() {
-        check_short(&[3, 7, 1], 8, 2, 4, 32, 1);
-        check_short(&[16, 16], 16, 3, 8, 4, 2);
-        check_short(&[33], 33, 1, 4, 8, 3); // uneven tiles
-        check_short(&[0, 5], 8, 2, 4, 32, 4); // empty sequence
+    fn matches_causal_reference() {
+        check(&[3, 7, 1], 8, 2, 4, 1);
+        check(&[16, 16], 16, 3, 8, 2);
+        check(&[33], 33, 1, 4, 3); // past a 16-key chain block
+        check(&[0, 5], 8, 2, 4, 4); // empty sequence
+        check(&[90, 130, 40], 130, 2, 8, 5); // several 64-key softmax tiles
     }
 
     #[test]
@@ -126,13 +115,18 @@ mod tests {
     }
 
     #[test]
-    fn short_and_grouped_agree() {
-        let lens = [50usize, 20];
-        let fx = fixture(&lens, 50, 2, 8, 6);
+    fn rows_equal_the_engine_bitwise() {
+        // The rows form reduces each row over exactly the keys it sees; the
+        // engine masks the rest to -inf, which adds exact zeros. Lengths on
+        // both sides of the 64-key tile and of FUSED_SHORT_MAX_SEQ.
+        let lens = [50usize, 20, 0, 130, 400];
+        let fx = fixture(&lens, 400, 2, 8, 6);
         let dev = device();
-        let a = causal_short(&dev, &fx, 16);
-        let b = causal_grouped(&dev, &fx, Scheduler::PerTile);
-        assert_close(a.as_slice(), b.as_slice(), 3e-4);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = bits(&causal(&dev, &fx));
+        for scheduler in [Scheduler::PerTile, Scheduler::WarpPrefetch] {
+            assert_eq!(rows, bits(&causal_grouped(&dev, &fx, scheduler)), "{scheduler:?}");
+        }
     }
 
     #[test]
@@ -140,7 +134,7 @@ mod tests {
         // With causal masking, row 0's output is exactly V[0].
         let fx = fixture(&[6], 6, 2, 4, 7);
         let dev = device();
-        let got = causal_short(&dev, &fx, 32);
+        let got = causal(&dev, &fx);
         for h in 0..2 {
             for d in 0..4 {
                 let expect = fx.v_packed.at(&[h, 0, d]).unwrap();
@@ -156,32 +150,21 @@ mod tests {
         let dev_sq = device();
         super::super::fused_short_attention(&dev_sq, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, 32);
         let dev_ca = device();
-        causal_short(&dev_ca, &fx, 32);
+        causal(&dev_ca, &fx);
         // Triangular ≈ half the square's flops.
         assert!(dev_ca.total_flops() < dev_sq.total_flops() * 6 / 10);
     }
 
     #[test]
-    fn dispatcher_picks_both_paths() {
-        let fx_short = fixture(&[30], 30, 1, 4, 9);
-        let dev = device();
-        causal_fused_attention(
-            &dev,
-            &fx_short.q_packed,
-            &fx_short.k_packed,
-            &fx_short.v_packed,
-            &fx_short.idx,
-        );
-        assert!(dev.trace().iter().any(|r| r.name.contains("causal_short")));
-        let fx_long = fixture(&[400], 400, 1, 4, 10);
-        let dev = device();
-        causal_fused_attention(
-            &dev,
-            &fx_long.q_packed,
-            &fx_long.k_packed,
-            &fx_long.v_packed,
-            &fx_long.idx,
-        );
-        assert!(dev.trace().iter().any(|r| r.name.contains("causal_grouped")));
+    fn one_rows_launch_at_every_length() {
+        // No length dispatch: 30 and 400 tokens alike take one rows launch
+        // and no grouped GEMM (`.qk` / `.full_reduce` / `.pv`).
+        for len in [30, 400] {
+            let fx = fixture(&[len], len, 1, 4, 9);
+            let dev = device();
+            causal(&dev, &fx);
+            let names: Vec<String> = dev.trace().iter().map(|r| r.name.clone()).collect();
+            assert_eq!(names, ["attention.causal_rows"], "{len} tokens");
+        }
     }
 }

@@ -1,24 +1,24 @@
 //! Cross-attention over packed variable-length memory — the decoder's
-//! second attention: the grouped-GEMM engine over a rectangular unit list.
+//! second attention: Algorithm III.2 as row dots over a rectangular unit
+//! list.
 //!
-//! Cross-attention is where grouped GEMM shines brightest: every
-//! `(batch, head)` unit is a *rectangular* problem (`decoder_len ×
+//! Every `(batch, head)` unit is a *rectangular* problem (`decoder_len ×
 //! encoder_len`), and both lengths vary per batch. A batched-GEMM
-//! implementation must pad both sides to their maxima; the grouped scheduler
-//! simply walks the true shapes — zero padding on either axis. Nothing here
-//! is a kernel: the unit list pairs target sequence `b` with memory sequence
-//! `b`, and every key is visible.
+//! implementation must pad both sides to their maxima; here each query row
+//! reduces over its own sequence's memory keys, read in place from the
+//! packed planes — zero padding on either axis. Nothing here is a kernel:
+//! the unit list pairs target sequence `b` with memory sequence `b`, every
+//! key is visible, and the rows form (`super::rows`) is the one the paged
+//! decoder's cross-attention runs.
 
-use super::fused_grouped::grouped_softmax_attention;
-use super::{units, KeyRange};
+use super::{packed_rows, KeyRange};
 use bt_device::Device;
-use bt_gemm::grouped::Scheduler;
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 
 /// Packed cross-attention: queries `[heads, tgt_valid, head]` (pre-scaled)
-/// against memory keys/values `[heads, mem_valid, head]`. Returns the packed
-/// `[tgt_valid, hidden]` context.
+/// against memory keys/values `[heads, mem_valid, head]`, in one launch,
+/// `cross_attention.rows`. Returns the packed `[tgt_valid, hidden]` context.
 ///
 /// # Panics
 /// Panics if the target and memory batches differ in sequence count or on
@@ -30,15 +30,17 @@ pub fn cross_attention(
     v: &Tensor,
     tgt_idx: &PackingIndex,
     mem_idx: &PackingIndex,
-    scheduler: Scheduler,
 ) -> Tensor {
-    let rectangles = units(tgt_idx, mem_idx, q.dims()[0]);
-    assert_eq!(q.dims()[1], tgt_idx.valid_words(), "Q rows != target valid words");
-    assert_eq!(k.dims()[1], mem_idx.valid_words(), "K rows != memory valid words");
-    assert_eq!(k.dims(), v.dims(), "K/V shape mismatch");
-    let kv = (k.as_slice(), v.as_slice());
-    let name = "cross_attention.grouped";
-    grouped_softmax_attention(device, name, q, kv, &rectangles, KeyRange::Full, scheduler)
+    packed_rows(
+        device,
+        "cross_attention.rows",
+        q,
+        k,
+        v,
+        tgt_idx,
+        mem_idx,
+        KeyRange::Full,
+    )
 }
 
 /// Host oracle for cross-attention on padded tensors: `q` is
@@ -163,15 +165,7 @@ mod tests {
     fn check(tgt_lens: &[usize], mem_lens: &[usize], heads: usize, head: usize, seed: u64) {
         let fx = fixture(tgt_lens, mem_lens, heads, head, seed);
         let dev = device();
-        let got = cross_attention(
-            &dev,
-            &fx.q_pk,
-            &fx.k_pk,
-            &fx.v_pk,
-            &fx.tgt_idx,
-            &fx.mem_idx,
-            Scheduler::WarpPrefetch,
-        );
+        let got = cross_attention(&dev, &fx.q_pk, &fx.k_pk, &fx.v_pk, &fx.tgt_idx, &fx.mem_idx);
         let expect_pad = cross_reference_attention(&fx.q_pad, &fx.k_pad, &fx.v_pad, tgt_lens, mem_lens, fx.scale);
         let hidden = heads * head;
         let mut expect = vec![0.0f32; fx.tgt_idx.valid_words() * hidden];
@@ -202,15 +196,7 @@ mod tests {
         // (inv_sum = 0 guard) rather than NaN.
         let fx = fixture(&[3, 2], &[4, 0], 2, 4, 5);
         let dev = device();
-        let got = cross_attention(
-            &dev,
-            &fx.q_pk,
-            &fx.k_pk,
-            &fx.v_pk,
-            &fx.tgt_idx,
-            &fx.mem_idx,
-            Scheduler::WarpPrefetch,
-        );
+        let got = cross_attention(&dev, &fx.q_pk, &fx.k_pk, &fx.v_pk, &fx.tgt_idx, &fx.mem_idx);
         assert!(got.as_slice().iter().all(|v| v.is_finite()));
         // Sequence 1 (empty memory) rows are zero.
         for w in fx.tgt_idx.seq_offset(1)..fx.tgt_idx.seq_offset(1) + 2 {
@@ -226,15 +212,7 @@ mod tests {
         let fx_big = fixture(&[8; 4], &[64; 4], 2, 8, 6);
         let run = |fx: &CrossFixture| {
             let dev = device();
-            cross_attention(
-                &dev,
-                &fx.q_pk,
-                &fx.k_pk,
-                &fx.v_pk,
-                &fx.tgt_idx,
-                &fx.mem_idx,
-                Scheduler::WarpPrefetch,
-            );
+            cross_attention(&dev, &fx.q_pk, &fx.k_pk, &fx.v_pk, &fx.tgt_idx, &fx.mem_idx);
             dev.total_flops()
         };
         let small = run(&fx_small);
@@ -248,14 +226,6 @@ mod tests {
         let fx_a = fixture(&[3], &[4], 1, 4, 7);
         let fx_b = fixture(&[3, 3], &[4, 4], 1, 4, 8);
         let dev = device();
-        cross_attention(
-            &dev,
-            &fx_a.q_pk,
-            &fx_b.k_pk,
-            &fx_b.v_pk,
-            &fx_a.tgt_idx,
-            &fx_b.mem_idx,
-            Scheduler::WarpPrefetch,
-        );
+        cross_attention(&dev, &fx_a.q_pk, &fx_b.k_pk, &fx_b.v_pk, &fx_a.tgt_idx, &fx_b.mem_idx);
     }
 }

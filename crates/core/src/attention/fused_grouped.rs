@@ -25,16 +25,14 @@
 //!
 //! The engine is shape-generic over attention units — query and key/value
 //! ranges may differ per unit, and a `KeyRange` says which keys a query row
-//! sees — so it has three callers under their own launch names: the
-//! decoder's causal self-attention past `FUSED_SHORT_MAX_SEQ`, its
-//! cross-attention (`q_len = decoder length, kv_len = encoder length`; see
-//! [`crate::decoder`]), and [`fused_grouped_attention`], the paper's
-//! long-sequence encoder kernel that Figs. 7 and 12 measure. The encoder
-//! itself takes the tiled Algorithm III.1 kernel at every length on the CPU
-//! (see [`super::fused_short`]). The paged decoder's units take `super::rows`, the
-//! same arithmetic as row dots over K/V read in place, which shares this
-//! engine's tile partials, merge and normalisation (`tile_partials`,
-//! `merge_partials`, `normalize`).
+//! sees. No forward runs it: the encoder takes the tiled Algorithm III.1
+//! kernel at every length on the CPU (see [`super::fused_short`]), and both
+//! decoders' attentions take `super::rows`, the same arithmetic as row dots
+//! over K/V read in place, which shares this engine's tile partials, merge
+//! and normalisation (`tile_partials`, `merge_partials`, `normalize`). It
+//! has two callers: [`fused_grouped_attention`], the paper's long-sequence
+//! encoder kernel that Figs. 7 and 12 measure, and `super::paged_forms`,
+//! which holds the rows form to it bitwise under both key ranges.
 
 use super::{packed_dims, units, AttnUnit, KeyRange};
 use bt_device::{Device, KernelSpec};
@@ -386,27 +384,9 @@ pub fn fused_grouped_attention(
     idx: &PackingIndex,
     scheduler: Scheduler,
 ) -> Tensor {
-    self_attention(device, q, k, v, idx, scheduler, KeyRange::Full)
-}
-
-/// Grouped self-attention under either key range: every unit's query and
-/// key/value rows are the same sequence of `idx`.
-pub(super) fn self_attention(
-    device: &Device,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    idx: &PackingIndex,
-    scheduler: Scheduler,
-    range: KeyRange,
-) -> Tensor {
     let (heads, _valid, _head) = packed_dims(q, k, v, idx);
-    let name = match range {
-        KeyRange::Full => "attention.grouped",
-        KeyRange::Causal => "attention.causal_grouped",
-    };
-    let kv = (k.as_slice(), v.as_slice());
-    grouped_softmax_attention(device, name, q, kv, &units(idx, idx, heads), range, scheduler)
+    let (kv, list) = ((k.as_slice(), v.as_slice()), units(idx, idx, heads));
+    grouped_softmax_attention(device, "attention.grouped", q, kv, &list, KeyRange::Full, scheduler)
 }
 
 #[cfg(test)]
@@ -556,15 +536,7 @@ mod tests {
                     |len: usize| PackingIndex::from_mask(&bt_varlen::BatchMask::from_lens(vec![len], len).unwrap());
                 let list = units(&one(q_len), &one(kv_len), heads);
                 let kv = (k.as_slice(), v.as_slice());
-                grouped_softmax_attention(
-                    &dev,
-                    "attention.causal_grouped",
-                    q,
-                    kv,
-                    &list,
-                    KeyRange::Causal,
-                    Scheduler::WarpPrefetch,
-                )
+                grouped_softmax_attention(&dev, "engine", q, kv, &list, KeyRange::Causal, Scheduler::WarpPrefetch)
             };
             let square = run(&q, kv_len);
             let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -8,12 +8,9 @@
 //! **packed** output tensor. The `seq×seq` intermediate never touches global
 //! memory, and Q/K/V are addressed through the packing offsets, so neither
 //! the memory overhead nor the padded FLOPs of the baseline exist here.
-//!
-//! How many keys a query row reduces over is the kernel's `KeyRange`
-//! parameter: all `len` of its sequence for the encoder, the `i + 1` up to
-//! the diagonal for the decoder's causal self-attention. Nothing else about
-//! the kernel differs between the two — only the launch name and the
-//! declared cost follow the range.
+//! Every query row reduces over all `len` keys of its sequence: this is the
+//! encoder's self-attention (the decoder's two attentions run the rows form
+//! of Algorithm III.2, `super::rows`).
 //!
 //! The CPU mapping: a rayon task = one threadblock = one `(batch, q-tile)`
 //! pair (looping heads inside, which keeps the packed output rows of a task
@@ -21,26 +18,23 @@
 //! register tiles, resolved once per launch: `Q·Kᵀ` runs on the Q tile
 //! packed as `A` panels against `K` packed as transposed `B` panels, and
 //! `P·V` on the probabilities packed as `A` panels against `V` as `B`
-//! panels, each `A` panel reducing over its own longest key range. K and V
-//! are packed once per `(sequence, head)`, in one parallel pass before the
-//! Q-tile walk, into a launch-scoped buffer every tile reads a prefix of
-//! (the GPU kernel re-stages them per threadblock; the launch still declares
-//! that traffic). The `rows × reach` logits strip between the two products
-//! is the shared memory; the softmax runs in place over each row's keys. The
-//! Q panels and the strip live in one per-worker scratch that grows and is
-//! reused, never freed. Every stored logit and context element is one
-//! multiply-accumulate chain in `p`-order whatever the tile geometry (a
-//! causal row's chain past its range only adds `0·v` terms), so results are
-//! bitwise independent of `split_seq_len` and of the batch a sequence runs
-//! in, and equal across kernels of equal [`MicroKernel::fused_fma`].
+//! panels. K and V are packed once per `(sequence, head)`, in one parallel
+//! pass before the Q-tile walk, into a launch-scoped buffer every tile
+//! reads (the GPU kernel re-stages them per threadblock; the launch still
+//! declares that traffic). The `rows × len` logits strip between the two
+//! products is the shared memory; the softmax runs in place over each row.
+//! The Q panels and the strip live in one per-worker scratch that grows and
+//! is reused, never freed. Every stored logit and context element is one
+//! multiply-accumulate chain in `p`-order whatever the tile geometry, so
+//! results are bitwise independent of `split_seq_len` and of the batch a
+//! sequence runs in, and equal across kernels of equal
+//! [`MicroKernel::fused_fma`].
 //!
 //! The GPU kernel's shared memory bounds it at [`FUSED_SHORT_MAX_SEQ`]; the
 //! CPU has no such limit, so the encoder's self-attention runs here at every
-//! length. The causal launch keeps the bound: past it the decoder's
-//! teacher-forced self-attention takes the grouped engine, whose arithmetic
-//! the paged decoder's rows form reproduces bit for bit.
+//! length.
 
-use super::{packed_dims, KeyRange};
+use super::packed_dims;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::isa::active_kernel;
 use bt_gemm::micro::{pack_a_panel, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
@@ -52,8 +46,9 @@ use std::sync::{Mutex, TryLockError};
 
 /// Upper sequence-length bound of the shared-memory kernel on the GPU. The
 /// paper's Fig. 11 evaluates this path below 384 and switches to grouped
-/// GEMM past it (TensorRT's comparable fused MHA caps at 512). Here it
-/// bounds the causal launch only.
+/// GEMM past it (TensorRT's comparable fused MHA caps at 512). No CPU
+/// kernel is bounded by it: it is the paper's boundary, which the figures,
+/// tests and examples sweep across.
 pub const FUSED_SHORT_MAX_SEQ: usize = 384;
 
 /// Default `split_seq_len` — the paper sets the Q-tile height "typically
@@ -74,59 +69,27 @@ pub fn fused_short_attention(
     idx: &PackingIndex,
     split_seq_len: usize,
 ) -> Tensor {
-    short_attention(device, q, k, v, idx, split_seq_len, KeyRange::Full)
-}
-
-/// The Algorithm III.1 kernel under either key range; panics as
-/// [`fused_short_attention`] does, and under `Causal` also if
-/// `idx.max_seq_len() > FUSED_SHORT_MAX_SEQ` (the dispatcher in
-/// [`super::causal_fused_attention`] routes those to the grouped kernel).
-pub(super) fn short_attention(
-    device: &Device,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    idx: &PackingIndex,
-    split_seq_len: usize,
-    range: KeyRange,
-) -> Tensor {
     let (heads, valid, head) = packed_dims(q, k, v, idx);
     assert!(split_seq_len > 0, "split_seq_len must be positive");
-    assert!(
-        matches!(range, KeyRange::Full) || idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ,
-        "causal fused short MHA caps at {FUSED_SHORT_MAX_SEQ}, got {}",
-        idx.max_seq_len()
-    );
     let hidden = heads * head;
 
     // Cost: the two tile GEMMs (4·d per logit per head) plus softmax
-    // transforms, over the logits the range keeps — `len²`, or the
-    // `len(len+1)/2` on and under the diagonal. K and V are re-staged once
-    // per Q tile, as the GPU kernel's threadblocks do (ceil(len/split)
-    // times; the causal launch declares one `len`-row plane per tile as its
-    // upper bound for "keys up to the tile's last row"), Q and the output
-    // move once. The logits matrix contributes nothing — it lives in shared
-    // memory.
-    let (name, kv_planes) = match range {
-        KeyRange::Full => ("attention.fused_short", 2),
-        KeyRange::Causal => ("attention.causal_short", 1),
-    };
+    // transforms over the `len²` logits. K and V are re-staged once per Q
+    // tile, as the GPU kernel's threadblocks do (ceil(len/split) times), Q
+    // and the output move once. The logits matrix contributes nothing — it
+    // lives in shared memory.
     let mut flops = 0u64;
     let mut kv_reads = 0u64;
     for b in 0..idx.batch() {
         let len = idx.seq_len(b) as u64;
-        let logits = match range {
-            KeyRange::Full => len * len,
-            KeyRange::Causal => len * (len + 1) / 2,
-        };
         let tiles = len.div_ceil(split_seq_len as u64);
-        flops += heads as u64 * (4 * logits * head as u64 + 4 * logits);
-        kv_reads += heads as u64 * tiles * len * head as u64 * 4 * kv_planes;
+        flops += heads as u64 * (4 * len * len * head as u64 + 4 * len * len);
+        kv_reads += heads as u64 * tiles * len * head as u64 * 4 * 2;
     }
     let q_bytes = (valid * hidden * 4) as u64;
 
     let out = device.launch(
-        KernelSpec::new(name)
+        KernelSpec::new("attention.fused_short")
             .flops(flops)
             .reads(q_bytes + kv_reads)
             .writes(q_bytes),
@@ -162,7 +125,6 @@ pub(super) fn short_attention(
                         rows: out_chunk.len() / hidden,
                         len,
                         head,
-                        range,
                     };
                     SMEM.with(|cell| {
                         let smem = &mut *cell.borrow_mut();
@@ -203,11 +165,8 @@ fn with_staging<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
 /// Every `(sequence, head)`'s K and V, packed once per launch as the `B`
 /// operands of the two tile products: `Kᵀ` panels of depth `head`, one per
 /// `nr` keys, then `V` panels of depth `len`, one per `nr` head columns.
-/// A tile reads the prefix it reaches — its first `reach.div_ceil(nr)` `Kᵀ`
-/// panels and the first `reach` steps of each `V` panel, which is exactly
-/// the depth-`reach` panel — so staging once per unit instead of once per
-/// Q tile changes no stored bit: `Kᵀ` lanes past a tile's reach hold keys
-/// rather than zeros, and the logits they produce are never stored.
+/// Every Q tile of the unit reads all of them, so staging once per unit
+/// instead of once per Q tile changes no stored bit.
 struct Staged<'a> {
     buf: &'a [f32],
     heads: usize,
@@ -285,9 +244,9 @@ impl<'a> Staged<'a> {
 struct Smem {
     /// The Q tile as `A` panels of depth `head`.
     q: Vec<f32>,
-    /// One `P` row panel as an `A` panel of depth `reach`.
+    /// One `P` row panel as an `A` panel of depth `len`.
     p: Vec<f32>,
-    /// `s_logits`: the `rows × reach` strip.
+    /// `s_logits`: the `rows × len` strip.
     logits: Vec<f32>,
 }
 
@@ -305,21 +264,15 @@ fn grow(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
 }
 
 /// One Q tile of one sequence: rows `t0 .. t0 + rows` of a `len`-token
-/// unit, under `range`.
+/// unit.
 struct Tile {
     t0: usize,
     rows: usize,
     len: usize,
     head: usize,
-    range: KeyRange,
 }
 
 impl Tile {
-    /// Keys tile row `i` reduces over.
-    fn keys(&self, i: usize) -> usize {
-        self.range.keys(self.t0 + i, self.len, self.len)
-    }
-
     /// Algorithm III.1 for one head: `q` is the sequence's `len × head` Q
     /// plane (pre-scaled), `kb` / `vb` its staged `Kᵀ` and `V` panels; the
     /// context lands in columns `col .. col + head` of the `ld`-wide packed
@@ -333,14 +286,12 @@ impl Tile {
         col: usize,
         ld: usize,
     ) {
-        let (mr, nr, rows, head) = (kern.mr, kern.nr, self.rows, self.head);
-        // Row stride of the strip: the tile's longest key range.
-        let reach = self.keys(rows - 1);
-        let (qa_len, kb_len, vb_len) = (head * mr, head * nr, self.len * nr);
+        let (mr, nr, rows, len, head) = (kern.mr, kern.nr, self.rows, self.len, self.head);
+        let (qa_len, kb_len, vb_len) = (head * mr, head * nr, len * nr);
         let Smem { q: qa, p: pa, logits } = smem;
         let qa = grow(qa, rows.div_ceil(mr) * qa_len);
-        let pa = grow(pa, reach * mr);
-        let logits = grow(logits, rows * reach);
+        let pa = grow(pa, len * mr);
+        let logits = grow(logits, rows * len);
 
         // Stage the Q rows.
         let q_tile = &q[self.t0 * head..(self.t0 + rows) * head];
@@ -352,37 +303,32 @@ impl Tile {
         let mut acc = [0.0f32; MR_MAX * NR_MAX];
         let acc = &mut acc[..mr * nr];
         // S = Q_tile · Kᵀ (Q already carries the 1/√d scale), one register
-        // block at a time, over the keys the panel's last row sees.
+        // block at a time.
         for (i, r0) in (0..rows).step_by(mr).enumerate() {
             let r = mr.min(rows - r0);
-            let cols = self.keys(r0 + r - 1);
             let a = &qa[i * qa_len..(i + 1) * qa_len];
-            for (j, c0) in (0..cols).step_by(nr).enumerate() {
-                let c = nr.min(cols - c0);
+            for (j, c0) in (0..len).step_by(nr).enumerate() {
+                let c = nr.min(len - c0);
                 acc.fill(0.0);
                 kern.run(head, a, &kb[j * kb_len..(j + 1) * kb_len], acc);
-                for (l_row, a_row) in logits[r0 * reach..].chunks_mut(reach).zip(acc.chunks(nr)).take(r) {
+                for (l_row, a_row) in logits[r0 * len..].chunks_mut(len).zip(acc.chunks(nr)).take(r) {
                     l_row[c0..c0 + c].copy_from_slice(&a_row[..c]);
                 }
             }
         }
-        // Softmax in place over each row's keys; the rest of the strip row
-        // becomes the zeros P·V reduces over past a causal row's range.
-        for (i, l_row) in logits.chunks_mut(reach).enumerate() {
-            let (p, tail) = l_row.split_at_mut(self.keys(i));
-            bt_kernels::softmax::softmax_row(p);
-            tail.fill(0.0);
+        // Softmax in place over each row.
+        for l_row in logits.chunks_mut(len) {
+            bt_kernels::softmax::softmax_row(l_row);
         }
-        // O = P · V, each P panel reducing over its longest key range, the
-        // blocks stored straight into this head's packed output columns.
+        // O = P · V, the blocks stored straight into this head's packed
+        // output columns.
         for r0 in (0..rows).step_by(mr) {
             let r = mr.min(rows - r0);
-            let kc = self.keys(r0 + r - 1);
-            pack_a_panel(pa, logits, false, r0, r, rows, reach, mr);
+            pack_a_panel(pa, logits, false, r0, r, rows, len, mr);
             for (j, c0) in (0..head).step_by(nr).enumerate() {
                 let c = nr.min(head - c0);
                 acc.fill(0.0);
-                kern.run(kc, pa, &vb[j * vb_len..(j + 1) * vb_len], acc);
+                kern.run(len, pa, &vb[j * vb_len..(j + 1) * vb_len], acc);
                 for (o_row, a_row) in out[r0 * ld..].chunks_mut(ld).zip(acc.chunks(nr)).take(r) {
                     o_row[col + c0..col + c0 + c].copy_from_slice(&a_row[..c]);
                 }
@@ -472,22 +418,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "caps at")]
-    fn long_causal_sequences_rejected() {
-        let fx = fixture(&[400], 400, 1, 4, 8);
-        let dev = device();
-        short_attention(
-            &dev,
-            &fx.q_packed,
-            &fx.k_packed,
-            &fx.v_packed,
-            &fx.idx,
-            32,
-            KeyRange::Causal,
-        );
-    }
-
-    #[test]
     fn a_sequences_rows_do_not_depend_on_its_batch_mates() {
         // Batch invariance: a 200-token sequence's context is the same bits
         // alone at width 200 and beside a 500-token batch-mate at width 512
@@ -506,76 +436,18 @@ mod tests {
     }
 
     #[test]
-    fn causal_row_is_the_full_kernels_last_row_on_the_prefix() {
-        // One body, two key ranges: row i under `Causal` runs the same
-        // arithmetic as the last row under `Full` once the sequence is cut
-        // to i + 1 tokens — so the two agree bitwise, at any tile height.
-        let (heads, head) = (2, 4);
-        let lens = [0usize, 13, 5];
-        let fx = fixture(&lens, 13, heads, head, 11);
-        let dev = device();
-        for split in [1, 4, 5, 32] {
-            let causal = short_attention(
-                &dev,
-                &fx.q_packed,
-                &fx.k_packed,
-                &fx.v_packed,
-                &fx.idx,
-                split,
-                KeyRange::Causal,
-            );
-            for (b, &len) in lens.iter().enumerate() {
-                let off = fx.idx.seq_offset(b);
-                for i in 0..len {
-                    // The first i + 1 packed rows of sequence b, per head.
-                    let cut = |t: &Tensor| {
-                        let mut rows = Vec::with_capacity(heads * (i + 1) * head);
-                        for h in 0..heads {
-                            let from = (h * fx.idx.valid_words() + off) * head;
-                            rows.extend_from_slice(&t.as_slice()[from..from + (i + 1) * head]);
-                        }
-                        Tensor::from_vec(rows, [heads, i + 1, head]).unwrap()
-                    };
-                    let mask = bt_varlen::BatchMask::from_lens(vec![i + 1], i + 1).unwrap();
-                    let full = short_attention(
-                        &dev,
-                        &cut(&fx.q_packed),
-                        &cut(&fx.k_packed),
-                        &cut(&fx.v_packed),
-                        &PackingIndex::from_mask(&mask),
-                        split,
-                        KeyRange::Full,
-                    );
-                    let hidden = heads * head;
-                    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&causal.as_slice()[(off + i) * hidden..(off + i + 1) * hidden]),
-                        bits(&full.as_slice()[i * hidden..]),
-                        "split {split}, sequence {b}, row {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn split_seq_len_does_not_change_results() {
         // Every stored element is one chain in `p`-order whatever the tile
         // height, so the results agree bitwise — splits that are not a
-        // multiple of any `mr` included, and under `Full` a sequence past
+        // multiple of any `mr` included, and a sequence past
         // FUSED_SHORT_MAX_SEQ.
         let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let dev = device();
-        for (range, lens, max) in [
-            (KeyRange::Full, &[13usize, 29, 400][..], 400),
-            (KeyRange::Causal, &[13, 29][..], 32),
-        ] {
-            let fx = fixture(lens, max, 2, 4, 9);
-            let run = |split| short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split, range);
-            let base = bits(&run(1));
-            for split in [5, 16, 32, 48] {
-                assert_eq!(bits(&run(split)), base, "{range:?}, split {split} vs 1");
-            }
+        let fx = fixture(&[13, 29, 400], 400, 2, 4, 9);
+        let run = |split| fused_short_attention(&dev, &fx.q_packed, &fx.k_packed, &fx.v_packed, &fx.idx, split);
+        let base = bits(&run(1));
+        for split in [5, 16, 32, 48] {
+            assert_eq!(bits(&run(split)), base, "split {split} vs 1");
         }
     }
 }

@@ -13,26 +13,28 @@
 //!   which never materialize a padded tensor. The `1/√d_k` scale is folded
 //!   into `Q` upstream (fused with the bias-add load, Algorithm III.1).
 //!
-//! There is one kernel per fused algorithm — [`fused_short`] (Algorithm
-//! III.1) and [`fused_grouped`] (Algorithm III.2) — and the encoder's
-//! self-attention, the decoder's causal self-attention ([`causal`]) and its
-//! cross-attention ([`cross`]) are the same kernels under a different
-//! `KeyRange` and `AttnUnit` list: which K/V rows pair with which Q rows,
-//! and which of them a query row may see, is decided here and nowhere else.
-//! A unit list is built from packing indices (`units`). One dispatcher picks
-//! the kernel for the packed self-attention callers: the encoder's
-//! (`KeyRange::Full`) takes Algorithm III.1 at every length — the paper's
-//! 384-token boundary is a GPU shared-memory limit the CPU does not have —
-//! and the decoder's causal one switches to Algorithm III.2 on that
-//! boundary.
+//! Each runtime attention has one form:
 //!
-//! The paged decoder's two attentions have one form, whatever mix of
-//! prefill chunks and decode rows a forward carries: Algorithm III.2 as row
-//! dots (`rows`), one unit per `(session, head)`, every query row reading
-//! its keys and values in place — from the cache's block storage through
-//! the session's block table, or from its memory planes — with no gather,
-//! no pack and no 64-row tile, and the grouped engine's bits. No attention
-//! code lives outside this module.
+//! * The encoder's self-attention ([`fused_attention`]) runs Algorithm III.1
+//!   ([`fused_short`]) at every length: the paper's 384-token boundary
+//!   ([`FUSED_SHORT_MAX_SEQ`]) is a GPU shared-memory limit the CPU does not
+//!   have.
+//! * Every decoder attention — the teacher-forced stack's causal
+//!   self-attention ([`causal`]) and cross-attention ([`cross`]), and the
+//!   paged stack's two, whatever mix of prefill chunks and decode rows a
+//!   forward carries — runs Algorithm III.2 as row dots (`rows`): one unit
+//!   per `(sequence or session, head)` under a `KeyRange` (which of its keys
+//!   a query row may see), every query row reading its keys and values in
+//!   place — from the packed planes, from the cache's block storage through
+//!   the session's block table, or from a session's memory planes — with no
+//!   gather, no pack and no 64-row tile. A decoder row's bits therefore
+//!   depend neither on its batch-mates nor on which stack runs it.
+//!
+//! The grouped engine ([`fused_grouped`]) runs Algorithm III.2 as the
+//! paper's three launches over an `AttnUnit` list built from packing
+//! indices (`units`). No forward calls it: it is the kernel Figs. 7 and 12
+//! measure, and the oracle the rows form is held to, bitwise, under both
+//! key ranges (`paged_forms`). No attention code lives outside this module.
 //!
 //! Attention is f32 at every precision, in all three forms (III.1, the
 //! III.2 engine, the III.2 rows): `BYTE_GEMM_PREC` narrows the dense GEMMs
@@ -205,24 +207,6 @@ pub fn paged_forms(
     (in_place, engine)
 }
 
-/// The one short/long dispatcher, behind [`fused_attention`] and
-/// [`causal_fused_attention`]: the shared-memory kernel for every encoder
-/// sequence and for causal ones up to [`FUSED_SHORT_MAX_SEQ`], the
-/// grouped-GEMM kernel for causal ones beyond it.
-fn dispatch(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex, range: KeyRange) -> Tensor {
-    static SHORT_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_SHORT);
-    static LONG_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_LONG);
-    if matches!(range, KeyRange::Full) || idx.max_seq_len() <= FUSED_SHORT_MAX_SEQ {
-        SHORT_PATH.incr();
-        let _span = bt_obs::span!("mha.fused.short");
-        fused_short::short_attention(device, q, k, v, idx, DEFAULT_SPLIT_SEQ_LEN, range)
-    } else {
-        LONG_PATH.incr();
-        let _span = bt_obs::span!("mha.fused.long");
-        fused_grouped::self_attention(device, q, k, v, idx, Scheduler::WarpPrefetch, range)
-    }
-}
-
 /// ByteTransformer's fused MHA for the encoder: the shared-memory kernel
 /// (Algorithm III.1) at every length. The paper switches to grouped GEMM
 /// past [`FUSED_SHORT_MAX_SEQ`] because a GPU's shared memory bounds the
@@ -230,7 +214,53 @@ fn dispatch(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIn
 /// stages each `(sequence, head)`'s K/V once. Returns the packed
 /// `[valid, hidden]` context.
 pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx: &PackingIndex) -> Tensor {
-    dispatch(device, q, k, v, idx, KeyRange::Full)
+    static SHORT_PATH: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::MHA_PATH_SHORT);
+    SHORT_PATH.incr();
+    let _span = bt_obs::span!("mha.fused.short");
+    fused_short_attention(device, q, k, v, idx, DEFAULT_SPLIT_SEQ_LEN)
+}
+
+/// The teacher-forced decoder's attention over packed operands: the rows
+/// form ([`session_rows`]) in one launch named `name`, one unit per
+/// sequence — target sequence `b`'s query rows of `q` (`[heads, tgt_valid,
+/// head]`, pre-scaled) against memory sequence `b`'s keys and values, read
+/// in place from the `[heads, mem_valid, head]` planes `k` / `v`.
+/// Self-attention passes one index twice. Returns the packed `[tgt_valid,
+/// hidden]` context.
+///
+/// # Panics
+/// Panics if the two indices hold a different number of sequences, or on
+/// shape mismatches.
+#[allow(clippy::too_many_arguments)]
+fn packed_rows(
+    device: &Device,
+    name: &str,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    tgt_idx: &PackingIndex,
+    mem_idx: &PackingIndex,
+    range: KeyRange,
+) -> Tensor {
+    let (qd, kd) = (q.dims(), k.dims());
+    assert_eq!(tgt_idx.batch(), mem_idx.batch(), "target and memory batches must align");
+    assert_eq!(qd[1], tgt_idx.valid_words(), "Q rows != target valid words");
+    assert_eq!(kd[1], mem_idx.valid_words(), "K rows != memory valid words");
+    assert_eq!([qd[0], qd[2]], [kd[0], kd[2]], "Q/K head planes differ");
+    assert_eq!(kd, v.dims(), "K/V shape mismatch");
+    let (plane, head) = (kd[1] * kd[2], kd[2]);
+    let units: Vec<(usize, usize)> = (0..tgt_idx.batch())
+        .map(|b| (tgt_idx.seq_len(b), mem_idx.seq_len(b)))
+        .collect();
+    session_rows(device, name, q, &units, range, 0, || {
+        (0..mem_idx.batch())
+            .map(|b| {
+                let at = mem_idx.seq_offset(b) * head;
+                let (k, v) = (&k.as_slice()[at..], &v.as_slice()[at..]);
+                SessionKv::Planes { k, v, plane }
+            })
+            .collect()
+    })
 }
 
 /// The oracles' softmax (the reference attentions here and in `causal` /

@@ -1,9 +1,12 @@
-//! Algorithm III.2 as row dots: the paged decoder's attention, each query
-//! row reading its keys and values where they lie.
+//! Algorithm III.2 as row dots: every decoder attention, each query row
+//! reading its keys and values where they lie.
 //!
 //! A paged attention unit is one session's `q_len ≥ 1` newest query rows
 //! against its keys: one row in a decode step, a chunk of rows in a
-//! prefill, both side by side in a mixed step. On the grouped engine
+//! prefill, both side by side in a mixed step. A teacher-forced unit is one
+//! target sequence's rows against its own keys (causal) or its memory's
+//! (cross), read from the packed `[heads, valid, head]` planes. On the
+//! grouped engine
 //! ([`super::fused_grouped`]) the session's K/V would first be gathered out
 //! of the cache blocks into contiguous planes, a short unit would fill a
 //! 64 × 64 tile and an `mr`-row micropanel, and each tile would pack 64
@@ -33,7 +36,8 @@
 //! the engine's on the same units (`tests/differential_decode.rs` checks
 //! units of 1 … `kv_len` rows under both key ranges on every ISA tier), so
 //! the paged decoder's prefill ≡ steps, paged ≡ teacher-forced and
-//! block-size invariance hold. The arithmetic is f32 at every precision
+//! block-size invariance hold, and a teacher-forced row does not depend on
+//! its batch-mates. The arithmetic is f32 at every precision
 //! tier, as Algorithm III.1's ([`super::fused_short`]) and the engine's are.
 
 use super::fused_grouped::{merge_partials, normalize, tile_partials};
@@ -54,8 +58,9 @@ const COL_BLOCK: usize = 64;
 /// Where one session's keys and values lie for one layer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SessionKv<'a> {
-    /// Contiguous `[heads, kv_len, head]` K and V planes.
-    Planes { k: &'a [f32], v: &'a [f32] },
+    /// Key / value `j` of head `h` at `h · plane + j · head` of `k` / `v`:
+    /// `[heads, ·, head]` planes, `plane` elements apart.
+    Planes { k: &'a [f32], v: &'a [f32], plane: usize },
     /// Token `t`'s `[heads · head]` K and V rows start at `rows[t]` of `k`
     /// and `v`: a layer's block storage, addressed through the session's
     /// block table.
@@ -73,8 +78,8 @@ pub(crate) enum SessionKv<'a> {
 /// `range.keys(r, q_len, kv_len)` keys. Returns the packed `[rows, heads ·
 /// head]` context, bitwise the grouped engine's on the same units.
 ///
-/// `kv` runs first inside the launch and says where each session's K/V
-/// lie; the paged decoder stores this forward's `stored` new K/V rows into
+/// `kv` runs first inside the launch and says where each session's (or
+/// sequence's) K/V lie; the paged decoder stores this forward's `stored` new K/V rows into
 /// the cache there, so the append is part of the launch that reads them.
 pub(crate) fn session_rows<'s>(
     device: &Device,
@@ -136,8 +141,7 @@ pub(crate) fn session_rows<'s>(
                 }
                 let (s, n) = row_keys[i];
                 match kv[s] {
-                    SessionKv::Planes { k, v } => {
-                        let plane = k.len() / heads;
+                    SessionKv::Planes { k, v, plane } => {
                         launch.run(smem, [k, v], n, |h, j| h * plane + j * head, ctx);
                     }
                     SessionKv::Blocks { k, v, rows: starts } => {

@@ -5,14 +5,14 @@
 //! transformers that contain the decoder part". This module is that
 //! extension, built entirely from the same machinery:
 //!
-//! * **causal self-attention** — the encoder's two fused kernels under a
-//!   causal key range ([`crate::attention::causal`]), packed and
-//!   padding-free, the constraint expressed as a *smaller iteration space*
-//!   (short kernel) or an epilogue mask (grouped kernel);
-//! * **cross-attention** — [`crate::attention::cross`], the same grouped
-//!   kernel over rectangular variable-shape attention units on the packed
-//!   encoder memory, with softmax epilogue/mainloop fusion — padding-free on
-//!   *both* the decoder and encoder axes;
+//! * **causal self-attention** — Algorithm III.2 as row dots under a causal
+//!   key range ([`crate::attention::causal`]), packed and padding-free, the
+//!   constraint expressed as a *smaller iteration space*: each row reduces
+//!   over the keys it sees and no others;
+//! * **cross-attention** — [`crate::attention::cross`], the same row dots
+//!   over rectangular variable-shape attention units on the packed encoder
+//!   memory, with Algorithm III.2's tiled softmax partials and merge —
+//!   padding-free on *both* the decoder and encoder axes;
 //! * the same fused add-bias+LayerNorm and bias+GELU-in-epilogue kernels.
 //!
 //! This file owns the decoder layer: `decoder_layer` is the one body
@@ -23,8 +23,8 @@
 //! in every layer. [`crate::paged::PagedDecoder`]: self K/V go through a
 //! block-paged cache, cross K/V are per-session planes projected once at
 //! `open_session`. Both stacks split Q with the same kernels and run the same
-//! grouped attention engine (the paged one over per-session planes), so past
-//! the short kernel's cap their outputs agree bitwise.
+//! attention form (`attention::session_rows`, the teacher-forced one over
+//! the packed planes), so their outputs agree bitwise at every length.
 //! [`crate::incremental::DecoderSession`] shares none of it on purpose — it
 //! is the scalar oracle both stacks are compared to.
 //!
@@ -36,7 +36,6 @@ use crate::config::BertConfig;
 use crate::encoder::{launch_gemm, BertModel, OptLevel};
 use crate::weights::{DecoderLayerWeights, DecoderWeights};
 use bt_device::Device;
-use bt_gemm::grouped::Scheduler;
 use bt_kernels::activation::bias_gelu_epilogue;
 use bt_kernels::layernorm::add_bias_residual_layernorm_fused;
 use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
@@ -44,8 +43,8 @@ use bt_tensor::Tensor;
 use bt_varlen::{BatchMask, PackingIndex, VarlenError};
 
 /// A stacked Transformer decoder with the full ByteTransformer optimization
-/// set (packed activations, fused causal MHA, grouped cross-attention,
-/// fused memory-bound kernels).
+/// set (packed activations, padding-free causal and cross-attention, fused
+/// memory-bound kernels).
 #[derive(Debug, Clone)]
 pub struct TransformerDecoder {
     /// Hyper-parameters (shared with the encoder in a seq2seq model).
@@ -152,7 +151,7 @@ impl TransformerDecoder {
                 );
                 let ckv = tensor(ckv, mem_rows, 2 * hidden);
                 let (ck, cv) = add_bias_split_kv_packed(device, "cross_kv", &ckv, &w.cross_kv_bias, heads);
-                cross_attention(device, &cq, &ck, &cv, tgt_idx, mem_idx, Scheduler::WarpPrefetch).into_vec()
+                cross_attention(device, &cq, &ck, &cv, tgt_idx, mem_idx).into_vec()
             },
         );
         tensor(out, rows, hidden)

@@ -38,9 +38,8 @@
 //! Equivalence guarantee (tested here and cross-ISA in
 //! `tests/differential_decode.rs`), at every precision, because attention
 //! is f32 at every precision: a prefill is **bitwise** ≡ the teacher-forced
-//! stack wherever that stack takes the grouped kernel (past
-//! `FUSED_SHORT_MAX_SEQ`), **bitwise** ≡ the same tokens stepped one at a
-//! time, and **bitwise invariant** to the block size — paging is memory
+//! stack at every length (both run the rows form), **bitwise** ≡ the same
+//! tokens stepped one at a time, and **bitwise invariant** to the block size — paging is memory
 //! layout, never math. The scalar [`crate::incremental::DecoderSession`]
 //! tracks it within documented float tolerance.
 
@@ -452,7 +451,8 @@ impl<'a> PagedDecoder<'a> {
                             .iter()
                             .map(|&(sid, _)| {
                                 let (k, v) = &cross_planes(sid)[layer];
-                                SessionKv::Planes { k, v }
+                                let plane = k.len() / heads;
+                                SessionKv::Planes { k, v, plane }
                             })
                             .collect()
                     })

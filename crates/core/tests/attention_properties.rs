@@ -149,7 +149,7 @@ proptest! {
     }
 
     #[test]
-    fn prop_causal_dispatcher_matches_causal_reference(
+    fn prop_causal_attention_matches_causal_reference(
         lens in proptest::collection::vec(1usize..30, 1..4),
         heads in 1usize..3,
         head in 1usize..9,

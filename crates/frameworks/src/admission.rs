@@ -204,11 +204,13 @@ pub fn cut_width(cut: &[Pending]) -> usize {
 
 /// Builds the [`BatchMask`] for `batch` — a cut batch, or one execution
 /// round of one — at padded length `width`, its cut's [`cut_width`]:
-/// lengths clamped to at least one. The encoder's MHA takes one kernel at
-/// every width; the causal dispatcher picks its kernel by the padded width,
-/// so padding every round to its cut's width keeps a causal round on the
-/// kernel the whole cut takes, and a round computes the bits the whole cut
-/// would whichever attention runs.
+/// lengths clamped to at least one. The encoder's MHA and every decoder
+/// attention take one form at every width, so under ByteTransformer a
+/// round's rows are the bits the whole cut would compute. The width still
+/// picks FasterTransformer's MHA (fused up to
+/// [`FT_FUSED_MHA_MAX_SEQ`](crate::calibration::FT_FUSED_MHA_MAX_SEQ)) and
+/// prices the padded baselines, so padding every round to its cut's width
+/// keeps a round on the plan and the cost the whole cut takes.
 ///
 /// # Errors
 /// Propagates [`VarlenError`] from mask construction: a length past

@@ -151,17 +151,16 @@ pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";
 
 // --- mha.* / core.* — bt-core attention dispatch and decode rows ----------
 
-/// Fused-MHA calls that took the tiled Algorithm III.1 kernel (every
-/// encoder call, and causal ones up to 384 tokens).
+/// Encoder fused-MHA calls, each of which takes the tiled Algorithm III.1
+/// kernel.
 pub const MHA_PATH_SHORT: &str = "mha.path.short";
-/// Fused-MHA calls that took the grouped-GEMM kernel (causal ones past 384
-/// tokens).
+/// Fused-MHA calls that took the grouped-GEMM kernel. No forward does any
+/// more, so it reads 0; the name stays because benchmark reports read it.
 pub const MHA_PATH_LONG: &str = "mha.path.long";
-/// Warp-prefetch scheduler visits issued by the grouped-MHA engine, paged
-/// decoder attention included.
+/// Warp-prefetch scheduler visits issued by the grouped-MHA engine.
 pub const MHA_GROUPED_SCHEDULER_VISITS: &str = "mha.grouped.scheduler_visits";
 /// Attention units handed to the grouped-MHA driver: `(sequence, head)` units
-/// of the packed callers and `(session, head)` units of the paged decoder.
+/// of `fused_grouped_attention` and of the rows form's oracle.
 pub const MHA_GROUPED_PROBLEMS: &str = "mha.grouped.problems";
 /// Rows pushed through the batched paged-decode pipeline.
 pub const CORE_PAGED_ROWS: &str = "core.paged.rows";

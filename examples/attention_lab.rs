@@ -7,8 +7,7 @@
 //! ```
 
 use bytetransformer::core::attention::{
-    batched_attention, flash_attention, fused_grouped_attention, fused_short_attention, naive_attention,
-    FUSED_SHORT_MAX_SEQ,
+    batched_attention, flash_attention, fused_attention, fused_grouped_attention, naive_attention,
 };
 use bytetransformer::gemm::grouped::Scheduler;
 use bytetransformer::kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv};
@@ -85,15 +84,16 @@ fn main() {
     let out = flash_attention(&dev, &q_pad, &k_pad, &v_pad, mask.seq_lens(), scale);
     report("FlashAttention-style", &dev, pack(&out, &idx));
 
-    if max_seq <= FUSED_SHORT_MAX_SEQ {
-        let dev = Device::new();
-        let out = fused_short_attention(&dev, &q_pk, &k_pk, &v_pk, &idx, 32);
-        report("fused MHA (short, ours)", &dev, out.into_vec());
-    }
+    // The tiled Algorithm III.1 kernel the encoder runs at every length.
+    let dev = Device::new();
+    let out = fused_attention(&dev, &q_pk, &k_pk, &v_pk, &idx);
+    report("fused MHA (tiled, ours)", &dev, out.into_vec());
 
+    // Algorithm III.2, the paper's kernel past 384 tokens (a GPU
+    // shared-memory limit); no forward here runs it.
     let dev = Device::new();
     let out = fused_grouped_attention(&dev, &q_pk, &k_pk, &v_pk, &idx, Scheduler::WarpPrefetch);
-    report("fused MHA (grouped, ours)", &dev, out.into_vec());
+    report("grouped MHA (paper, long)", &dev, out.into_vec());
 
     println!("\nAll variants agree on valid tokens; the fused kernels do it with");
     println!("no padded FLOPs and no seq² round trip through global memory.");

@@ -1,7 +1,8 @@
 //! Encoder-decoder (seq2seq) scenario: the paper's decoder extension
 //! (§II/§V) running the full padding-free optimization set on *both* sides —
-//! causal fused self-attention, grouped-GEMM cross-attention over
-//! variable-length memory, fused memory-bound kernels throughout.
+//! causal self-attention and cross-attention over variable-length memory as
+//! padding-free row dots (Algorithm III.2), fused memory-bound kernels
+//! throughout.
 //!
 //! ```text
 //! cargo run --release --example seq2seq
@@ -43,7 +44,7 @@ fn main() {
         device.launches()
     );
 
-    println!("pipeline stages (note cross_attention's rectangular grouped GEMMs):");
+    println!("pipeline stages (note cross_attention's rectangular row-dot units):");
     println!("{}", TraceReport::by_prefix(&device.trace()).render());
 
     // Demonstrate causality from the public API: perturbing the last target

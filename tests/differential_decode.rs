@@ -5,8 +5,7 @@
 //! `BYTE_GEMM_ISA` tier:
 //!
 //! 1. **Teacher-forcing forward** — [`TransformerDecoder::forward`] over the
-//!    whole target at once, the path PR 3 proved against the padded
-//!    baseline.
+//!    whole target at once, proved against the padded baseline.
 //! 2. **Contiguous incremental cache** — [`DecoderSession`], one private
 //!    contiguous cache per sequence.
 //! 3. **Paged batched decode** — [`PagedDecoder::step_batch`], many
@@ -34,10 +33,10 @@
 //! relations above keep holding, bitwise wherever the two sides run the same
 //! arithmetic.
 //!
-//! Past `FUSED_SHORT_MAX_SEQ` the teacher-forcing forward leaves the short
-//! kernel for the grouped engine, whose rows the paged stack's rows form
-//! reproduces bit for bit, so there a paged prefill is **bitwise** the
-//! forward.
+//! The teacher-forcing forward's two attentions run the rows form the paged
+//! stack runs, one unit per sequence over the packed planes, so at every
+//! length a paged prefill is **bitwise** the forward, and a teacher-forced
+//! target's rows are bitwise the same whatever sequences share its batch.
 //!
 //! Tiers the host lacks are skipped with a logged reason (stderr), never
 //! silently: the log always accounts for all tiers.
@@ -449,8 +448,8 @@ fn batched_steps_across_the_gemm_driver_boundary_equal_solo_steps() {
 /// Teacher forcing ([`TransformerDecoder::forward`], whose linears see one
 /// row per target token): a target of crossover + 1 tokens runs its GEMMs on
 /// the packed driver, its causal prefixes of 1, 8 and crossover tokens on
-/// the skinny one — the shared rows must agree **bitwise**, and the paged
-/// prefill must track the long forward within [`TOL`] on both sides.
+/// the skinny one — the shared rows must agree **bitwise**, and so must the
+/// paged prefill and the long forward.
 #[test]
 fn teacher_forcing_prefixes_across_the_gemm_driver_boundary_agree() {
     let config = BertConfig::tiny();
@@ -484,37 +483,42 @@ fn teacher_forcing_prefixes_across_the_gemm_driver_boundary_agree() {
         let s = d.open_session(&dev, &memory);
         let rows = d.prefill(&dev, s, &target).unwrap();
         for (i, row) in rows.iter().enumerate() {
-            for (dim, (g, w)) in row.iter().zip(&full[i * hidden..(i + 1) * hidden]).enumerate() {
-                assert!(
-                    (g - w).abs() < TOL,
-                    "token {i}, dim {dim}: paged {g} vs teacher-forcing {w}"
-                );
-            }
+            assert_bitwise(
+                &format!("paged vs teacher-forced token {i}"),
+                row,
+                &full[i * hidden..(i + 1) * hidden],
+            );
         }
         full
     });
 }
 
-/// Past [`FUSED_SHORT_MAX_SEQ`] the teacher-forcing forward takes the grouped
-/// kernel, whose bits every paged attention reproduces: one unit per head,
-/// the same split. A paged prefill of `n` tokens over a 9-row memory is then
-/// **bitwise** [`TransformerDecoder::forward`] on every tier and at every
-/// precision, because attention is f32 at every precision. (At or below the
-/// cap the forward takes the short kernel; `framework_behaviour`'s
-/// `both_decoder_stacks_run_one_layer_body` holds the two within 5e-3 there.)
+/// Both stacks run one attention form, the rows form over one unit per head,
+/// and the same split. A paged prefill of `n` tokens over a 9-row memory is
+/// then **bitwise** [`TransformerDecoder::forward`] on every tier and at every
+/// precision (attention is f32 at every precision), for `n` from one token to
+/// past [`FUSED_SHORT_MAX_SEQ`], the paper's short-kernel boundary, and across
+/// the skinny/packed GEMM driver boundary.
 #[test]
-fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
+fn paged_prefill_equals_teacher_forcing_at_every_length_on_every_tier() {
     let config = BertConfig::tiny();
     let decoder = TransformerDecoder::new_random(config, 2, 29);
     let hidden = config.hidden();
     let mem_len = 9;
     let memory = Tensor::randn([mem_len, hidden], 8);
 
-    decode_differential("paged_vs_teacher_forcing_long", || {
+    decode_differential("paged_vs_teacher_forcing", || {
         at_every_precision(|| {
             let dev = device();
             let mut payload = Vec::new();
-            for n in [FUSED_SHORT_MAX_SEQ + 16, FUSED_SHORT_MAX_SEQ + 136] {
+            for n in [
+                1,
+                7,
+                200,
+                FUSED_SHORT_MAX_SEQ,
+                FUSED_SHORT_MAX_SEQ + 16,
+                FUSED_SHORT_MAX_SEQ + 136,
+            ] {
                 let prompt = Tensor::randn([n, hidden], n as u64);
                 let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(16, n.div_ceil(16)));
                 let sid = paged.open_session(&dev, &memory);
@@ -542,6 +546,58 @@ fn paged_prefill_equals_teacher_forcing_past_the_short_kernel_on_every_tier() {
             }
             payload
         })
+    });
+}
+
+/// A teacher-forced target's rows do not depend on its batch-mates: a
+/// 200-token target's output is **bitwise** the same alone (padded width
+/// 200) and beside a 500-token target (padded width 500), on every tier.
+/// Every launch of the forward treats a row (GEMMs, LayerNorms) or a
+/// sequence (attention) on its own, whatever the padded width.
+#[test]
+fn teacher_forced_rows_do_not_depend_on_batch_mates_on_every_tier() {
+    let config = BertConfig::tiny();
+    let decoder = TransformerDecoder::new_random(config, 2, 37);
+    let hidden = config.hidden();
+    let (len, mate) = (200, 500);
+    let target = Tensor::randn([len, hidden], 9);
+    let mate_target = Tensor::randn([mate, hidden], 10);
+    let (memory, mate_memory) = (Tensor::randn([9, hidden], 11), Tensor::randn([13, hidden], 12));
+
+    decode_differential("teacher_forcing_batch_mates", || {
+        let dev = device();
+        let alone = decoder
+            .forward(
+                &dev,
+                &target.clone().reshape([1, len, hidden]).unwrap(),
+                &BatchMask::from_lens(vec![len], len).unwrap(),
+                &memory.clone().reshape([1, 9, hidden]).unwrap(),
+                &BatchMask::from_lens(vec![9], 9).unwrap(),
+            )
+            .unwrap();
+        // Padded `[2, 500, hidden]` target and `[2, 13, hidden]` memory.
+        let pad = |rows: &Tensor, width: usize| {
+            let mut data = rows.as_slice().to_vec();
+            data.resize(width * hidden, 0.0);
+            data
+        };
+        let tgt = [pad(&target, mate), pad(&mate_target, mate)].concat();
+        let mem = [pad(&memory, 13), pad(&mate_memory, 13)].concat();
+        let paired = decoder
+            .forward(
+                &dev,
+                &Tensor::from_vec(tgt, [2, mate, hidden]).unwrap(),
+                &BatchMask::from_lens(vec![len, mate], mate).unwrap(),
+                &Tensor::from_vec(mem, [2, 13, hidden]).unwrap(),
+                &BatchMask::from_lens(vec![9, 13], 13).unwrap(),
+            )
+            .unwrap();
+        assert_bitwise(
+            "200-token target beside a 500-token one vs alone",
+            &paired.as_slice()[..len * hidden],
+            alone.as_slice(),
+        );
+        alone.into_vec()
     });
 }
 

@@ -2,7 +2,8 @@
 //! exactly what the scalar tier computes.
 //!
 //! For each available tier this runs blocked, grouped (both schedulers,
-//! contiguous + strided), batched GEMM and both fused-MHA paths on
+//! contiguous + strided), batched GEMM, both fused-MHA kernels and the
+//! decoder's two row-dot attentions on
 //! randomized shapes — including `MR`/`NR` remainder edges, `k = 0`,
 //! empty groups and single-token sequences — and compares against the
 //! forced-`scalar` run:
@@ -365,7 +366,7 @@ fn fused_short_mha_all_tiers() {
         out.as_slice().to_vec()
     });
     // BERT width: Q tiles and key counts crossing every `MR`/`NR` remainder
-    // of the 8×8, 8×16 and 16×16 register tiles, full and causal.
+    // of the 8×8, 8×16 and 16×16 register tiles.
     let lens = [33usize, 1, 17, 64, 0];
     for split in [32, 48] {
         differential(&format!("fused_short_attention head 64 split {split}"), 64, || {
@@ -374,11 +375,32 @@ fn fused_short_mha_all_tiers() {
             fused_short_attention(&dev, &q, &k, &v, &idx, split).as_slice().to_vec()
         });
     }
-    differential("causal_fused_attention head 64", 64, || {
-        let (idx, [q, k, v]) = packed_qkv(&lens, 64, 2, 64, 53);
+}
+
+#[test]
+fn decoder_attention_all_tiers() {
+    // The teacher-forced decoder's two attentions, the rows form over the
+    // packed planes. Causal: key counts across the 16-lane chain block and
+    // the 64-key softmax tile, one sequence past FUSED_SHORT_MAX_SEQ.
+    differential("causal_fused_attention head 64", 400, || {
+        let (idx, [q, k, v]) = packed_qkv(&[33, 1, 17, 64, 0, 400], 400, 2, 64, 53);
         let dev = Device::new();
         causal_fused_attention(&dev, &q, &k, &v, &idx).as_slice().to_vec()
     });
+    // Cross: rectangular units whose target and memory lengths vary apart,
+    // empty on either axis, head widths on both sides of the 64-column P·V
+    // block.
+    for head in [64, 72] {
+        differential(&format!("cross_attention head {head}"), 130, || {
+            let (tgt, mem) = ([5usize, 1, 0, 70, 3], [17usize, 130, 9, 1, 0]);
+            let (tgt_idx, [q, ..]) = packed_qkv(&tgt, 70, 2, head, 59);
+            let (mem_idx, [k, v, _]) = packed_qkv(&mem, 130, 2, head, 61);
+            let dev = Device::new();
+            cross_attention(&dev, &q, &k, &v, &tgt_idx, &mem_idx)
+                .as_slice()
+                .to_vec()
+        });
+    }
 }
 
 #[test]

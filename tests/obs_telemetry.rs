@@ -12,6 +12,7 @@ use bytetransformer::core::paged::PagedDecoder;
 use bytetransformer::frameworks::admission::{CutPolicy, ShedReason};
 use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
 use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop, Outcome, ServeConfig};
+use bytetransformer::gemm::grouped::Scheduler;
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
 use bytetransformer::varlen::paged::PagedLayout;
@@ -189,10 +190,11 @@ fn paged_forwards_hand_the_grouped_engine_no_problem() {
 }
 
 #[test]
-fn long_sequences_take_the_grouped_path() {
-    // Only causal ones do: the encoder takes the tiled kernel at every
-    // length, the decoder's causal self-attention the grouped engine past
-    // FUSED_SHORT_MAX_SEQ.
+fn long_sequences_take_no_grouped_path() {
+    // The encoder takes the tiled kernel at every length and the decoder's
+    // causal self-attention the rows form: no forward reaches the grouped
+    // engine, which only the paper's long-sequence kernel (Figs. 7 / 12)
+    // still runs.
     let _guard = setup();
     let before = obs::drain();
     let _ = forward_once(512);
@@ -216,11 +218,17 @@ fn long_sequences_take_the_grouped_path() {
     let before = after;
     causal_fused_attention(&Device::new(), &qkv[0], &qkv[1], &qkv[2], &idx);
     let after = obs::drain();
-    assert!(
-        d(&before, &after, "mha.path.long") > 0,
-        "causal seq {len} must take the grouped MHA path"
+    assert_eq!(d(&before, &after, "mha.path.long"), 0);
+    assert_eq!(
+        d(&before, &after, "mha.grouped.problems"),
+        0,
+        "causal seq {len} must not reach the grouped engine"
     );
-    assert!(d(&before, &after, "mha.grouped.problems") > 0);
+
+    let before = after;
+    fused_grouped_attention(&Device::new(), &qkv[0], &qkv[1], &qkv[2], &idx, Scheduler::WarpPrefetch);
+    let after = obs::drain();
+    assert_eq!(d(&before, &after, "mha.grouped.problems"), 2 * heads as u64);
     assert!(d(&before, &after, "gemm.grouped.scheduler_visits") > 0);
     assert!(
         after
