@@ -16,10 +16,11 @@
 //!   same anti-padding argument as the zero-padding algorithm applied to
 //!   the time axis.
 //! * [`PagedDecoder`] — many concurrent sessions over one shared cache,
-//!   with a **batched step**: [`PagedDecoder::step_batch`] advances every
-//!   session by one token with all sessions' rows flowing through each layer
-//!   together, and [`PagedDecoder::prefill`] ingests a whole prompt the same
-//!   way with causal prefix lengths.
+//!   with **one entry**: [`PagedDecoder::forward`] takes any mix of
+//!   sessions, each with `n ≥ 1` new token rows — a whole prompt, a prompt
+//!   chunk resuming at the cached length, or one decode token — and runs
+//!   every admitted row through each layer together. A session the pool
+//!   cannot grow gets its [`KvOom`] back as a value and is left untouched.
 //!
 //! The layer itself is not here: it is `crate::decoder::decoder_layer`,
 //! the body the teacher-forced decoder runs too. This stack supplies its two
@@ -39,9 +40,12 @@
 //! `tests/differential_decode.rs`), at every precision, because attention
 //! is f32 at every precision: a prefill is **bitwise** ≡ the teacher-forced
 //! stack at every length (both run the rows form), **bitwise** ≡ the same
-//! tokens stepped one at a time, and **bitwise invariant** to the block size — paging is memory
-//! layout, never math. The scalar [`crate::incremental::DecoderSession`]
-//! tracks it within documented float tolerance.
+//! tokens stepped one at a time, and **bitwise invariant** to the block
+//! size — paging is memory layout, never math. A session's rows are
+//! **bitwise** the same whatever other sessions share its forward: each
+//! row's GEMM chains and attention row are its own. The scalar
+//! [`crate::incremental::DecoderSession`] tracks it within documented float
+//! tolerance.
 
 use crate::attention::{session_rows, KeyRange, SessionKv};
 use crate::decoder::{decoder_layer, LayerNames, TransformerDecoder};
@@ -201,19 +205,8 @@ impl PagedKvCache {
 /// One layer's `[heads, len, head]` K and V planes.
 type Planes = (Vec<f32>, Vec<f32>);
 
-/// Result of one batched decode step.
-pub struct BatchStepOutput {
-    /// Per input session, in call order: the token's output hidden state,
-    /// or `None` when that session's cache append was refused.
-    pub outputs: Vec<Option<Vec<f32>>>,
-    /// Sessions whose append failed this step, with the pool's shortfall.
-    /// They produced no token and still hold their blocks — the caller
-    /// decides whether to shed ([`PagedDecoder::free_session`]) or retry.
-    pub oom: Vec<(SessionId, KvOom)>,
-}
-
 /// Many concurrent decoding sessions over one shared [`PagedKvCache`],
-/// advanced in batched token steps: every session's rows share each
+/// advanced by [`PagedDecoder::forward`]: every session's rows share each
 /// layer's GEMMs and one rows launch per attention.
 pub struct PagedDecoder<'a> {
     decoder: &'a TransformerDecoder,
@@ -250,7 +243,7 @@ impl<'a> PagedDecoder<'a> {
 
     /// Opens a session over one encoder memory sequence
     /// (`[mem_len, hidden]`, packed), projecting cross-attention K/V once.
-    /// Never takes cache blocks — those are claimed by prefill/steps.
+    /// Never takes cache blocks — [`PagedDecoder::forward`] claims those.
     ///
     /// # Panics
     /// Panics if `memory` is not `[mem_len, hidden]` with `mem_len ≥ 1`.
@@ -305,82 +298,86 @@ impl<'a> PagedDecoder<'a> {
         self.cache.free(sid)
     }
 
-    /// Ingests a whole prompt (`[len, hidden]`, packed) through the batched
-    /// pipeline with causal prefix attention, returning every prompt
-    /// token's output hidden state. All-or-nothing on capacity: on
-    /// [`KvOom`] the session is unchanged.
-    ///
-    /// # Errors
-    /// Returns [`KvOom`] when the pool cannot hold `len` more tokens.
-    ///
-    /// # Panics
-    /// Panics if the session is not open or `tokens` is not
-    /// `[len ≥ 1, hidden]`.
-    pub fn prefill(&mut self, device: &Device, sid: SessionId, tokens: &Tensor) -> Result<Vec<Vec<f32>>, KvOom> {
-        let hidden = self.decoder.config.hidden();
-        let dims = tokens.dims();
-        assert_eq!(dims.len(), 2, "prompt must be [len, hidden]");
-        assert_eq!(dims[1], hidden, "prompt hidden mismatch");
-        let len = dims[0];
-        assert!(len >= 1, "prompt must hold at least one token");
-        self.cache.append(sid, len)?;
-        let mut h = tokens.as_slice().to_vec();
-        self.forward_rows(device, &[(sid, len)], &mut h);
-        Ok(h.chunks(hidden).map(|r| r.to_vec()).collect())
-    }
-
-    /// Advances many sessions by one token each in a single batched
-    /// pipeline. `inputs` is `[ids.len(), hidden]` flattened, row `i` being
-    /// session `ids[i]`'s new token. Sessions whose capacity append is
-    /// refused are reported in [`BatchStepOutput::oom`] (their state
-    /// untouched) and the rest proceed — explicit OOM→shed signaling, never
-    /// a partial token.
+    /// Runs every input's new token rows through the decoder in one
+    /// pipeline. Each input is an open session and its `n ≥ 1` rows
+    /// (`[n, hidden]`, flattened): its newest tokens, attending causally to
+    /// everything the session has cached. Capacity is claimed in call
+    /// order, all-or-nothing per session; the sessions the pool admits run
+    /// together, and each gets its rows' output hidden states back in its
+    /// input's place. A session refused with [`KvOom`] is left exactly as
+    /// it was — the caller decides whether to shed
+    /// ([`PagedDecoder::free_session`]) or retry.
     ///
     /// # Panics
-    /// Panics on a duplicate or unopened session id, or a width mismatch.
-    pub fn step_batch(&mut self, device: &Device, ids: &[SessionId], inputs: &[f32]) -> BatchStepOutput {
+    /// Panics on a duplicate or unopened session id, or rows that are not
+    /// `[n ≥ 1, hidden]`.
+    pub fn forward(&mut self, device: &Device, inputs: &[(SessionId, &[f32])]) -> Vec<Result<Vec<f32>, KvOom>> {
         let hidden = self.decoder.config.hidden();
-        assert_eq!(inputs.len(), ids.len() * hidden, "inputs must be [sessions, hidden]");
-        for (i, a) in ids.iter().enumerate() {
+        for (i, &(sid, rows)) in inputs.iter().enumerate() {
             assert!(
-                self.cross_kv.get(a.index()).is_some_and(Option::is_some),
+                self.cross_kv.get(sid.index()).is_some_and(Option::is_some),
                 "session {} is not open",
-                a.index()
+                sid.index()
             );
-            assert!(!ids[..i].contains(a), "session {} appears twice in one step", a.index());
+            assert!(
+                !inputs[..i].iter().any(|&(s, _)| s == sid),
+                "session {} appears twice in one forward",
+                sid.index()
+            );
+            assert!(
+                !rows.is_empty() && rows.len() % hidden == 0,
+                "session {}'s rows must be [n >= 1, hidden]",
+                sid.index()
+            );
         }
 
-        // Phase 0: claim capacity per session; survivors proceed together.
-        let mut oom = Vec::new();
-        let mut outputs: Vec<Option<Vec<f32>>> = (0..ids.len()).map(|_| None).collect();
-        let mut sessions: Vec<(SessionId, usize)> = Vec::with_capacity(ids.len());
-        let mut h: Vec<f32> = Vec::with_capacity(ids.len() * hidden);
-        let mut survivor_at: Vec<usize> = Vec::with_capacity(ids.len());
-        for (i, &sid) in ids.iter().enumerate() {
-            match self.cache.append(sid, 1) {
-                Ok(()) => {
-                    sessions.push((sid, 1));
-                    h.extend_from_slice(&inputs[i * hidden..(i + 1) * hidden]);
-                    survivor_at.push(i);
-                }
-                Err(e) => oom.push((sid, e)),
+        let (mut claims, mut sessions, mut h) = (Vec::with_capacity(inputs.len()), Vec::new(), Vec::new());
+        for &(sid, rows) in inputs {
+            let n = rows.len() / hidden;
+            let claim = self.cache.append(sid, n);
+            if claim.is_ok() {
+                sessions.push((sid, n));
+                h.extend_from_slice(rows);
             }
+            claims.push(claim.map(|()| n));
         }
         if !sessions.is_empty() {
             self.forward_rows(device, &sessions, &mut h);
-            for (r, &i) in survivor_at.iter().enumerate() {
-                outputs[i] = Some(h[r * hidden..(r + 1) * hidden].to_vec());
-            }
         }
-        BatchStepOutput { outputs, oom }
+        let mut out = h.into_iter();
+        claims
+            .into_iter()
+            .map(|c| c.map(|n| out.by_ref().take(n * hidden).collect()))
+            .collect()
+    }
+
+    /// [`PagedDecoder::forward`] of one session's rows (`tokens`,
+    /// `[len ≥ 1, hidden]`), returned one row per token.
+    ///
+    /// # Errors
+    /// Returns [`KvOom`] when the pool cannot hold `len` more tokens; the
+    /// session is unchanged.
+    ///
+    /// # Panics
+    /// As [`PagedDecoder::forward`], or if `tokens` is not two-dimensional.
+    pub fn prefill(&mut self, device: &Device, sid: SessionId, tokens: &Tensor) -> Result<Vec<Vec<f32>>, KvOom> {
+        let hidden = self.decoder.config.hidden();
+        assert!(
+            matches!(tokens.dims(), &[_, h] if h == hidden),
+            "prompt must be [len, hidden]"
+        );
+        let out = self
+            .forward(device, &[(sid, tokens.as_slice())])
+            .pop()
+            .expect("one output per input")?;
+        Ok(out.chunks(hidden).map(<[f32]>::to_vec).collect())
     }
 
     /// Runs token rows (flattened in `h`, `[rows, hidden]`) through every
     /// layer. `sessions` pairs each session with its count of rows —
     /// consecutive in `h`, in order — which are its newest, already appended
-    /// tokens. Prefill (many rows, one session), batched decode (one row per
-    /// session) and any mix of the two flow through here, so the paths
-    /// cannot diverge numerically. The layer is `decoder_layer`; what this
+    /// tokens. Prompts, prompt chunks and decode tokens, in any mix, flow
+    /// through here in one pass, so the paths cannot diverge numerically. The layer is `decoder_layer`; what this
     /// stack supplies is the two attention closures, one rows launch each:
     /// `paged.attn.rows` stores the rows' self K/V in their block-table
     /// slots and reads every key through the tables, and `paged.cross.rows`
@@ -509,11 +506,11 @@ mod tests {
             for inp in &inputs {
                 flat.extend_from_slice(&inp.as_slice()[t * hidden..(t + 1) * hidden]);
             }
-            let out = paged.step_batch(&dev, &ids, &flat);
-            assert!(out.oom.is_empty(), "pool sized to fit");
+            let rows: Vec<(SessionId, &[f32])> = ids.iter().copied().zip(flat.chunks(hidden)).collect();
+            let out = paged.forward(&dev, &rows);
             for (s, session) in reference.iter_mut().enumerate() {
                 let want = session.step(&dev, &inputs[s].as_slice()[t * hidden..(t + 1) * hidden]);
-                let got = out.outputs[s].as_ref().expect("no shed");
+                let got = out[s].as_ref().expect("pool sized to fit");
                 for (d, (&g, &w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         (g - w).abs() < TOL,
@@ -544,8 +541,8 @@ mod tests {
         let mut b = PagedDecoder::new(&decoder, PagedLayout::new(2, 16));
         let sb = b.open_session(&dev, &memory);
         for (i, row) in prompt.as_slice().chunks(hidden).enumerate() {
-            let out = b.step_batch(&dev, &[sb], row);
-            assert_eq!(&prefilled[i], out.outputs[0].as_ref().unwrap(), "token {i}");
+            let out = b.forward(&dev, &[(sb, row)]);
+            assert_eq!(&prefilled[i], out[0].as_ref().unwrap(), "token {i}");
         }
     }
 
@@ -594,18 +591,15 @@ mod tests {
         // is empty → b sheds, a still decodes.
         let mut flat = vec![0.0f32; 2 * hidden];
         flat[0] = 0.5;
-        let out = paged.step_batch(&dev, &[a, b], &flat);
-        assert!(out.outputs[0].is_some(), "session with tail-block room proceeds");
-        assert!(out.outputs[1].is_none(), "session without capacity sheds");
-        assert_eq!(out.oom.len(), 1);
-        assert_eq!(out.oom[0].0, b);
-        assert_eq!(paged.session_len(b), 2, "failed step leaves the session unchanged");
+        let out = paged.forward(&dev, &[(a, &flat[..hidden]), (b, &flat[hidden..])]);
+        assert!(out[0].is_ok(), "session with tail-block room proceeds");
+        assert!(out[1].is_err(), "session without capacity is refused");
+        assert_eq!(paged.session_len(b), 2, "a refused session is unchanged");
 
         // Freeing b returns its block; b's slot is gone but a keeps going.
         assert_eq!(paged.free_session(b), 1);
         assert_eq!(paged.cache().pool().free_blocks(), 1);
-        let out = paged.step_batch(&dev, &[a], &flat[..hidden]);
-        assert!(out.outputs[0].is_some());
+        assert!(paged.forward(&dev, &[(a, &flat[..hidden])])[0].is_ok());
         assert_eq!(paged.session_len(a), 5);
         assert!(paged.cache().pool().oom_events() >= 2);
     }
@@ -646,7 +640,7 @@ mod tests {
         let mut paged = PagedDecoder::new(&decoder, PagedLayout::default());
         let memory = Tensor::randn([2, config.hidden()], 1);
         let s = paged.open_session(&dev, &memory);
-        let flat = vec![0.0f32; 2 * config.hidden()];
-        paged.step_batch(&dev, &[s, s], &flat);
+        let row = vec![0.0f32; config.hidden()];
+        paged.forward(&dev, &[(s, &row), (s, &row)]);
     }
 }

@@ -21,13 +21,16 @@
 //! * **cache pressure** — the engine reports sessions whose KV-cache
 //!   append was refused ([`bt_varlen::paged::KvOom`]); they are shed with
 //!   the distinct [`ShedReason::CacheOom`] and their blocks returned, so
-//!   "pool too small" is visible separately from "host too slow".
+//!   "pool too small" is visible separately from "host too slow". Every
+//!   append of a step — prefill chunks in plan order, then decode rows — is
+//!   tried before any refused session is freed, so a refused session's
+//!   blocks never rescue later work of the same step.
 //!
 //! With [`DecodeConfig::chunk_tokens`] set (`btx decode --chunk`), prompts
 //! prefill in **fixed token-budget chunks** that interleave with in-flight
-//! decode steps instead of monopolising whole steps. A chunk is one
-//! [`PagedDecoder::prefill`] call that resumes at the session's cached
-//! length, so chunking is purely a schedule, at every precision (paged
+//! decode steps instead of monopolising whole steps. A chunk is one input
+//! of its step's [`PagedDecoder::forward`], resuming at the session's
+//! cached length, so chunking is purely a schedule, at every precision (paged
 //! attention is f32 row dots whatever `BYTE_GEMM_PREC` selects, and each
 //! row's GEMM chains are its own): `tests/differential_streaming.rs` proves
 //! prefill in pieces is bitwise one whole prefill on every ISA tier at f32,
@@ -46,9 +49,10 @@
 //!
 //! Two [`DecodeEngine`]s run under the loop: [`ModeledDecodeEngine`] (pure
 //! block-pool bookkeeping plus a linear cost model — deterministic, for
-//! stress tests and `btx decode`) and [`PagedDecodeEngine`] (real
-//! [`PagedDecoder`] forwards with modeled device time — what
-//! `bench_decode` measures).
+//! the stress tests) and [`PagedDecodeEngine`] (one real
+//! [`PagedDecoder::forward`] per step, holding all of the step's prefill
+//! chunks and decode rows, with modeled device time — what `btx decode`
+//! and `bench_decode` run).
 //!
 //! Like the encoder loop, every request's lifecycle is tagged with a
 //! [`bt_obs::TraceId`] at the simulated clock (`req.enqueue` → `req.admit`
@@ -877,7 +881,7 @@ pub fn decode_workload(trace: &[TimedRequest], max_decode: usize, seed: u64) -> 
 
 /// Pure-bookkeeping engine: a real [`BlockPool`] for capacity decisions and
 /// a linear cost model for durations. Deterministic, cheap, and OOM-exact —
-/// the engine the seeded stress suite and `btx decode` run against.
+/// the engine the seeded stress suite runs against.
 pub struct ModeledDecodeEngine {
     pool: BlockPool,
     sessions: HashMap<usize, SessionId>,
@@ -908,41 +912,30 @@ impl ModeledDecodeEngine {
 
 impl DecodeEngine for ModeledDecodeEngine {
     fn run_step(&mut self, step: &PlannedStep<'_>) -> StepResult {
-        let mut tokens = 0usize;
-        let mut failed_prefill = Vec::new();
-        let mut failed_decode = Vec::new();
-        for c in step.prefill {
-            let sid = if c.done == 0 {
-                let sid = self.pool.create();
-                assert!(
-                    self.sessions.insert(c.id, sid).is_none(),
-                    "request {} prefilled twice",
-                    c.id
-                );
-                sid
-            } else {
-                *self.sessions.get(&c.id).expect("continuation of unknown session")
-            };
-            match self.pool.append(sid, c.chunk) {
-                Ok(()) => tokens += c.chunk,
-                Err(_) => {
-                    self.pool.free(sid);
-                    self.sessions.remove(&c.id);
-                    failed_prefill.push(c.id);
-                }
-            }
+        for c in step.prefill.iter().filter(|c| c.done == 0) {
+            let sid = self.pool.create();
+            assert!(
+                self.sessions.insert(c.id, sid).is_none(),
+                "request {} prefilled twice",
+                c.id
+            );
         }
-        // Every decode append is tried before any refused session is freed,
-        // as `PagedDecoder::step_batch` claims capacity for the whole batch
-        // first: blocks a refused session holds never rescue a later one.
-        for &id in step.decode {
-            let sid = *self.sessions.get(&id).expect("decode of unknown session");
-            match self.pool.append(sid, 1) {
-                Ok(()) => tokens += 1,
+        // `PagedDecoder::forward`'s capacity rule: every append of the step
+        // is tried, in call order, before any refused session is freed, so
+        // blocks a refused session holds never rescue a later one.
+        let work = step.prefill.iter().map(|c| (c.id, c.chunk));
+        let work = work.chain(step.decode.iter().map(|&id| (id, 1)));
+        let (mut failed_prefill, mut failed_decode) = (Vec::new(), Vec::new());
+        let mut tokens = 0usize;
+        for (i, (id, n)) in work.enumerate() {
+            let sid = *self.sessions.get(&id).expect("step work for unknown session");
+            match self.pool.append(sid, n) {
+                Ok(()) => tokens += n,
+                Err(_) if i < step.prefill.len() => failed_prefill.push(id),
                 Err(_) => failed_decode.push(id),
             }
         }
-        for id in &failed_decode {
+        for id in failed_prefill.iter().chain(&failed_decode) {
             let sid = self.sessions.remove(id).expect("refused session is live");
             self.pool.free(sid);
         }
@@ -973,10 +966,11 @@ struct PagedEngineSession {
     last: Vec<f32>,
 }
 
-/// Real-forward engine: sessions live in a [`PagedDecoder`], prompts and
-/// memories are seeded random tensors, decode inputs feed each step's
-/// output back in, and durations are the device's modeled seconds — still
-/// fully deterministic for a fixed seed.
+/// Real-forward engine: sessions live in a [`PagedDecoder`] and every step
+/// is one [`PagedDecoder::forward`]. Prompts and memories are seeded random
+/// tensors, decode inputs feed each step's output back in, and durations
+/// are the device's modeled seconds — still fully deterministic for a fixed
+/// seed.
 pub struct PagedDecodeEngine<'a> {
     decoder: PagedDecoder<'a>,
     device: Device,
@@ -1014,74 +1008,70 @@ impl<'a> PagedDecodeEngine<'a> {
 impl DecodeEngine for PagedDecodeEngine<'_> {
     fn run_step(&mut self, step: &PlannedStep<'_>) -> StepResult {
         let before = self.device.modeled_total();
-        let mut failed_prefill = Vec::new();
-        let mut failed_decode = Vec::new();
-
-        for &c in step.prefill {
-            if c.done == 0 {
-                // First chunk: open the session and materialise the FULL
-                // prompt once. Later chunks slice rows out of the same
-                // tensor, so a chunked run feeds the decoder bit-identical
-                // rows to a whole-prompt run.
-                let memory = Tensor::randn(
-                    [self.mem_len, self.hidden()],
-                    self.seed ^ (c.id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                let sid = self.decoder.open_session(&self.device, &memory);
-                let prompt = Tensor::randn(
-                    [c.prompt_len, self.hidden()],
-                    self.seed ^ (c.id as u64).wrapping_mul(0xd1b5_4a32_d192_ed03),
-                );
-                let fresh = PagedEngineSession {
-                    sid,
-                    prompt,
-                    last: Vec::new(),
-                };
-                assert!(
-                    self.sessions.insert(c.id, fresh).is_none(),
-                    "request {} opened twice",
-                    c.id
-                );
-            }
-            let s = self.sessions.get_mut(&c.id).expect("chunk for unknown session");
-            debug_assert_eq!(
-                self.decoder.session_len(s.sid),
-                c.done,
-                "chunk continuation out of order for request {}",
+        let hidden = self.decoder.decoder().config.hidden();
+        for c in step.prefill.iter().filter(|c| c.done == 0) {
+            // First chunk: open the session and materialise the FULL prompt
+            // once. Later chunks slice rows out of the same tensor, so a
+            // chunked run feeds the decoder bit-identical rows to a
+            // whole-prompt run.
+            let memory = Tensor::randn(
+                [self.mem_len, hidden],
+                self.seed ^ (c.id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            );
+            let sid = self.decoder.open_session(&self.device, &memory);
+            let prompt = Tensor::randn(
+                [c.prompt_len, hidden],
+                self.seed ^ (c.id as u64).wrapping_mul(0xd1b5_4a32_d192_ed03),
+            );
+            let fresh = PagedEngineSession {
+                sid,
+                prompt,
+                last: Vec::new(),
+            };
+            assert!(
+                self.sessions.insert(c.id, fresh).is_none(),
+                "request {} opened twice",
                 c.id
             );
-            let hidden = s.prompt.dims()[1];
-            let rows = Tensor::from_vec(
-                s.prompt.as_slice()[c.done * hidden..(c.done + c.chunk) * hidden].to_vec(),
-                [c.chunk, hidden],
-            )
-            .expect("chunk rows lie inside the prompt");
-            match self.decoder.prefill(&self.device, s.sid, &rows) {
-                Ok(outs) => s.last = outs.last().expect("chunk >= 1 row").clone(),
-                Err(_) => {
-                    let s = self.sessions.remove(&c.id).expect("just looked up");
-                    self.decoder.free_session(s.sid);
-                    failed_prefill.push(c.id);
-                }
-            }
         }
 
-        if !step.decode.is_empty() {
-            let hidden = self.hidden();
-            let mut sids = Vec::with_capacity(step.decode.len());
-            let mut inputs = Vec::with_capacity(step.decode.len() * hidden);
-            for &id in step.decode {
-                let s = self.sessions.get(&id).expect("decode of unknown session");
-                sids.push(s.sid);
-                inputs.extend_from_slice(&s.last);
-            }
-            let out = self.decoder.step_batch(&self.device, &sids, &inputs);
-            for (i, &id) in step.decode.iter().enumerate() {
-                match &out.outputs[i] {
-                    Some(next) => self.sessions.get_mut(&id).expect("known session").last = next.clone(),
-                    None => {
-                        let s = self.sessions.remove(&id).expect("known session");
-                        self.decoder.free_session(s.sid);
+        // One forward per step: prefill chunks in plan order, then one
+        // decode row per live session, fed its last output.
+        let ids = step.prefill.iter().map(|c| c.id).chain(step.decode.iter().copied());
+        let inputs: Vec<(SessionId, &[f32])> = ids
+            .clone()
+            .enumerate()
+            .map(|(i, id)| {
+                let s = self.sessions.get(&id).expect("step work for unknown session");
+                let Some(c) = step.prefill.get(i) else {
+                    return (s.sid, &s.last[..]);
+                };
+                debug_assert_eq!(
+                    self.decoder.session_len(s.sid),
+                    c.done,
+                    "chunk continuation out of order for request {id}"
+                );
+                (
+                    s.sid,
+                    &s.prompt.as_slice()[c.done * hidden..(c.done + c.chunk) * hidden],
+                )
+            })
+            .collect();
+        let outputs = self.decoder.forward(&self.device, &inputs);
+
+        let (mut failed_prefill, mut failed_decode) = (Vec::new(), Vec::new());
+        for (i, (id, out)) in ids.zip(outputs).enumerate() {
+            match out {
+                Ok(rows) => {
+                    let s = self.sessions.get_mut(&id).expect("known session");
+                    s.last = rows[rows.len() - hidden..].to_vec();
+                }
+                Err(_) => {
+                    let s = self.sessions.remove(&id).expect("known session");
+                    self.decoder.free_session(s.sid);
+                    if i < step.prefill.len() {
+                        failed_prefill.push(id);
+                    } else {
                         failed_decode.push(id);
                     }
                 }
@@ -1103,12 +1093,6 @@ impl DecodeEngine for PagedDecodeEngine<'_> {
 
     fn high_water_blocks(&self) -> usize {
         self.decoder.cache().pool().high_water_blocks()
-    }
-}
-
-impl PagedDecodeEngine<'_> {
-    fn hidden(&self) -> usize {
-        self.decoder.decoder().config.hidden()
     }
 }
 
@@ -1224,30 +1208,32 @@ mod tests {
 
     /// The modeled engine stands in for the paged one in the stress suite,
     /// so under pool pressure it must shed exactly the sessions the real
-    /// engine sheds: two one-block sessions fill a two-block pool, and
-    /// neither can take the block its next token needs — freeing the first
-    /// refused session early would hand its block to the second.
+    /// engine sheds. Both try every append of a step, in plan order, before
+    /// freeing any refused session. In the first case two one-block
+    /// sessions fill a two-block pool and neither can take the block its
+    /// next token needs — freeing the first refused session early would hand
+    /// its block to the second. In the second, a refused continuation chunk
+    /// still holds its first chunk's block while a fresh prompt takes the
+    /// last free block, so the decode after them is refused too.
     #[test]
     fn modeled_and_paged_engines_shed_the_same_sessions_under_pool_pressure() {
-        let layout = PagedLayout::new(2, 2);
-        let chunk = |id| PrefillChunk {
+        let chunk = |id, prompt_len, done, chunk| PrefillChunk {
             id,
-            prompt_len: 2,
-            done: 0,
-            chunk: 2,
+            prompt_len,
+            done,
+            chunk,
         };
-        let prefill = [chunk(0), chunk(1)];
-        let steps = [
-            PlannedStep {
-                decode: &[],
-                prefill: &prefill,
-            },
-            PlannedStep {
-                decode: &[0, 1],
-                prefill: &[],
-            },
+        let step = |decode, prefill| PlannedStep { decode, prefill };
+        let whole = [chunk(0, 2, 0, 2), chunk(1, 2, 0, 2)];
+        let (first, continued) = (
+            [chunk(0, 6, 0, 2), chunk(1, 2, 0, 2)],
+            [chunk(0, 6, 2, 4), chunk(2, 2, 0, 2)],
+        );
+        let cases = [
+            (PagedLayout::new(2, 2), [step(&[], &whole), step(&[0, 1], &[])]),
+            (PagedLayout::new(2, 3), [step(&[], &first), step(&[1], &continued)]),
         ];
-        let run = |engine: &mut dyn DecodeEngine| -> Vec<(Vec<usize>, Vec<usize>, usize)> {
+        let run = |engine: &mut dyn DecodeEngine, steps: &[PlannedStep<'_>]| -> Vec<(Vec<usize>, Vec<usize>, usize)> {
             steps
                 .iter()
                 .map(|step| {
@@ -1256,19 +1242,56 @@ mod tests {
                 })
                 .collect()
         };
-        let modeled = run(&mut ModeledDecodeEngine::new(layout, 20e-6, 1e-6));
         let decoder = TransformerDecoder::new_random(bt_core::config::BertConfig::tiny(), 1, 17);
-        let device = Device::with_model(bt_device::CostModel::unit());
-        let paged = run(&mut PagedDecodeEngine::new(&decoder, device, layout, 3, 23));
+        let shed: Vec<_> = cases
+            .iter()
+            .map(|(layout, steps)| {
+                let modeled = run(&mut ModeledDecodeEngine::new(*layout, 20e-6, 1e-6), steps);
+                let device = Device::with_model(bt_device::CostModel::unit());
+                let paged = run(&mut PagedDecodeEngine::new(&decoder, device, *layout, 3, 23), steps);
+                assert_eq!(
+                    modeled, paged,
+                    "(failed_prefill, failed_decode, blocks_in_use) per step"
+                );
+                paged
+            })
+            .collect();
         assert_eq!(
-            modeled, paged,
-            "(failed_prefill, failed_decode, blocks_in_use) per step"
-        );
-        assert_eq!(
-            paged[1],
+            shed[0][1],
             (vec![], vec![0, 1], 0),
             "both refused sessions shed, pool empty"
         );
+        assert_eq!(
+            shed[1][1],
+            (vec![0], vec![1], 1),
+            "the refused chunk's block does not rescue the decode; the fresh prompt keeps its block"
+        );
+    }
+
+    /// A step holding prefill chunks (a fresh prompt and a continuation)
+    /// and a decode row is one `PagedDecoder::forward`: each layer's QKV
+    /// projection launches once for all of the step's rows.
+    #[test]
+    fn a_mixed_step_is_one_forward() {
+        let layers = 2;
+        let decoder = TransformerDecoder::new_random(bt_core::config::BertConfig::tiny(), layers, 17);
+        let device = Device::with_model(bt_device::CostModel::unit());
+        let mut engine = PagedDecodeEngine::new(&decoder, device, PagedLayout::new(4, 32), 3, 23);
+        let chunk = |id, done, chunk| PrefillChunk {
+            id,
+            prompt_len: 6,
+            done,
+            chunk,
+        };
+        let (opening, mixed) = ([chunk(0, 0, 6), chunk(1, 0, 3)], [chunk(1, 3, 3), chunk(2, 0, 4)]);
+        for (decode, prefill) in [(&[][..], &opening), (&[0][..], &mixed)] {
+            engine.device().reset();
+            let r = engine.run_step(&PlannedStep { decode, prefill });
+            assert!(r.failed_prefill.is_empty() && r.failed_decode.is_empty());
+        }
+        let trace = engine.device().trace();
+        let qkv = trace.iter().filter(|r| r.name == "paged.self_qkv").count();
+        assert_eq!(qkv, layers, "one QKV projection per layer for the whole step");
     }
 
     #[test]

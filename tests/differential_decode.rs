@@ -8,8 +8,8 @@
 //!    whole target at once, proved against the padded baseline.
 //! 2. **Contiguous incremental cache** — [`DecoderSession`], one private
 //!    contiguous cache per sequence.
-//! 3. **Paged batched decode** — [`PagedDecoder::step_batch`], many
-//!    sessions through one grouped-GEMM pipeline over block-table-indexed
+//! 3. **Paged batched decode** — [`PagedDecoder::forward`], many
+//!    sessions' rows through one pipeline over block-table-indexed
 //!    storage.
 //!
 //! All three run the same weights, so any disagreement beyond the
@@ -43,7 +43,7 @@
 //!
 //! [`MicroKernel::fused_fma`]: bt_gemm::micro::MicroKernel::fused_fma
 //! [`DecoderSession`]: bt_core::incremental::DecoderSession
-//! [`PagedDecoder::step_batch`]: bt_core::paged::PagedDecoder::step_batch
+//! [`PagedDecoder::forward`]: bt_core::paged::PagedDecoder::forward
 
 use bt_core::attention::FUSED_SHORT_MAX_SEQ;
 use bt_core::incremental::DecoderSession;
@@ -123,6 +123,12 @@ fn at_every_precision(case: impl Fn() -> Vec<f32>) -> Vec<f32> {
     case()
 }
 
+/// One decode row per session: row `i` of `flat` (`[ids.len(), hidden]`)
+/// is session `ids[i]`'s new token.
+fn rows_of<'a>(ids: &[SessionId], flat: &'a [f32], hidden: usize) -> Vec<(SessionId, &'a [f32])> {
+    ids.iter().copied().zip(flat.chunks(hidden)).collect()
+}
+
 /// Per-tier three-way check: batched paged decode vs contiguous
 /// [`DecoderSession`] vs teacher-forcing [`TransformerDecoder::forward`],
 /// per token, on every available tier. The paged outputs are also the
@@ -176,11 +182,10 @@ fn paged_tracks_contiguous_and_teacher_forcing_on_every_tier() {
             for inp in &inputs {
                 flat.extend_from_slice(&inp.as_slice()[t * hidden..(t + 1) * hidden]);
             }
-            let out = paged.step_batch(&dev, &ids, &flat);
-            assert!(out.oom.is_empty(), "pool sized to fit");
+            let out = paged.forward(&dev, &rows_of(&ids, &flat, hidden));
             for (s, session) in contiguous.iter_mut().enumerate() {
                 let want = session.step(&dev, &inputs[s].as_slice()[t * hidden..(t + 1) * hidden]);
-                let got = out.outputs[s].as_ref().expect("no shed");
+                let got = out[s].as_ref().expect("pool sized to fit");
                 for d in 0..hidden {
                     let teacher = full[s].at(&[0, t, d]).unwrap();
                     assert!(
@@ -226,11 +231,11 @@ fn prefill_equals_stepping_on_every_tier() {
             let mut b = PagedDecoder::new(&decoder, PagedLayout::new(2, 16));
             let sb = b.open_session(&dev, &memory);
             for (i, row) in prompt.as_slice().chunks(hidden).enumerate() {
-                let out = b.step_batch(&dev, &[sb], row);
+                let out = b.forward(&dev, &[(sb, row)]);
                 assert_bitwise(
                     &format!("token {i} at {}", active_precision()),
                     &prefilled[i],
-                    out.outputs[0].as_ref().unwrap(),
+                    out[0].as_ref().unwrap(),
                 );
             }
             prefilled.into_iter().flatten().collect()
@@ -295,14 +300,9 @@ fn oom_shedding_is_tier_invariant() {
         let b = tight.open_session(&dev, &memory);
         tight.prefill(&dev, a, &prompt_a).unwrap();
         tight.prefill(&dev, b, &prompt_b).unwrap();
-        let out = tight.step_batch(&dev, &[a, b], step_input.as_slice());
-        assert!(out.outputs[0].is_some(), "session with tail-block room proceeds");
-        assert!(
-            out.outputs[1].is_none(),
-            "starved session sheds on {}",
-            isa::active_isa()
-        );
-        assert_eq!(out.oom.len(), 1);
+        let out = tight.forward(&dev, &rows_of(&[a, b], step_input.as_slice(), hidden));
+        assert!(out[0].is_ok(), "session with tail-block room proceeds");
+        assert!(out[1].is_err(), "starved session is refused on {}", isa::active_isa());
 
         // Same step with a roomy pool: the survivor's token is bitwise the
         // same — shedding a neighbor must not perturb the batch's math.
@@ -311,9 +311,9 @@ fn oom_shedding_is_tier_invariant() {
         let rb = roomy.open_session(&dev, &memory);
         roomy.prefill(&dev, ra, &prompt_a).unwrap();
         roomy.prefill(&dev, rb, &prompt_b).unwrap();
-        let full = roomy.step_batch(&dev, &[ra, rb], step_input.as_slice());
-        let starved_out = out.outputs[0].as_ref().unwrap();
-        let roomy_out = full.outputs[0].as_ref().unwrap();
+        let full = roomy.forward(&dev, &rows_of(&[ra, rb], step_input.as_slice(), hidden));
+        let starved_out = out[0].as_ref().unwrap();
+        let roomy_out = full[0].as_ref().unwrap();
         // Grouped launches see different problem sets (1 vs 2 sessions), so
         // scheduling differs but each problem's chain is identical.
         for (d, (s, r)) in starved_out.iter().zip(roomy_out).enumerate() {
@@ -323,6 +323,105 @@ fn oom_shedding_is_tier_invariant() {
             );
         }
         starved_out.clone()
+    });
+}
+
+/// One [`PagedDecoder::forward`] call holding every kind of work a serving
+/// step mixes — a fresh prompt, a continuation chunk onto a non-empty cache,
+/// two decode rows — and a session the pool refuses, placed before one of
+/// the decode rows. Per tier and at every precision, each admitted
+/// session's output is **bitwise** what it gets from one-session calls
+/// (each row's GEMM chains and attention row are its own), and the refusal
+/// is a value that changes nothing: the refused session keeps its length
+/// and block table, and the pool gains exactly the blocks the admitted
+/// sessions grew by.
+#[test]
+fn one_mixed_forward_equals_one_session_calls_on_every_tier() {
+    let config = BertConfig::tiny();
+    let decoder = TransformerDecoder::new_random(config, 2, 41);
+    let hidden = config.hidden();
+    // Per session: (memory rows, rows cached before the call, rows in it).
+    // Fresh prompt, continuation, refused chunk, two decode rows.
+    let shapes = [(4usize, 0usize, 5usize), (3, 3, 4), (2, 2, 9), (5, 4, 1), (3, 2, 1)];
+    const REFUSED: usize = 2;
+    let memories: Vec<Tensor> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(m, ..))| Tensor::randn([m, hidden], 60 + i as u64))
+        .collect();
+    let (history, rows): (Vec<Tensor>, Vec<Tensor>) = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, before, n))| {
+            let all = Tensor::randn([before + n, hidden], 70 + i as u64);
+            let (a, b) = all.as_slice().split_at(before * hidden);
+            (
+                Tensor::from_vec(a.to_vec(), [before, hidden]).unwrap(),
+                Tensor::from_vec(b.to_vec(), [n, hidden]).unwrap(),
+            )
+        })
+        .unzip();
+
+    decode_differential("mixed_forward", || {
+        at_every_precision(|| {
+            let dev = device();
+            let prec = active_precision();
+            // 4-token blocks, 8 in the pool: the history takes 4, the fresh
+            // prompt 2 and the continuation 1, so the refused chunk's 2 do
+            // not fit and the decode row after it takes the last one.
+            let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(4, 8));
+            let ids: Vec<SessionId> = memories.iter().map(|m| paged.open_session(&dev, m)).collect();
+            for (&sid, h) in ids.iter().zip(&history) {
+                if h.dims()[0] > 0 {
+                    paged.prefill(&dev, sid, h).unwrap();
+                }
+            }
+            // Per session (length, block table), and the blocks in use.
+            let snapshot = |p: &PagedDecoder<'_>| {
+                let pool = p.cache().pool();
+                let tables: Vec<(usize, Vec<u32>)> = ids
+                    .iter()
+                    .map(|&sid| (pool.len(sid), pool.block_table(sid).to_vec()))
+                    .collect();
+                (tables, pool.blocks_in_use())
+            };
+            let (before, in_use) = snapshot(&paged);
+            let inputs: Vec<(SessionId, &[f32])> = ids.iter().copied().zip(rows.iter().map(Tensor::as_slice)).collect();
+            let out = paged.forward(&dev, &inputs);
+            let (after, now_in_use) = snapshot(&paged);
+
+            paged.cache().pool().check_invariants().unwrap();
+            assert!(
+                out[REFUSED].is_err(),
+                "the chunk that does not fit is refused at {prec}"
+            );
+            assert_eq!(
+                after[REFUSED], before[REFUSED],
+                "refused session's length and block table at {prec}"
+            );
+            let grown: usize = before.iter().zip(&after).map(|(b, a)| a.1.len() - b.1.len()).sum();
+            assert_eq!(now_in_use, in_use + grown, "the refusal took no blocks at {prec}");
+
+            let mut payload = Vec::new();
+            for (s, got) in out.iter().enumerate().filter(|&(s, _)| s != REFUSED) {
+                let got = got
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("session {s} refused at {prec}: {e}"));
+                let mut alone = PagedDecoder::new(&decoder, PagedLayout::new(4, 8));
+                let sid = alone.open_session(&dev, &memories[s]);
+                if history[s].dims()[0] > 0 {
+                    alone.prefill(&dev, sid, &history[s]).unwrap();
+                }
+                let want = alone
+                    .forward(&dev, &[(sid, rows[s].as_slice())])
+                    .pop()
+                    .unwrap()
+                    .unwrap();
+                assert_bitwise(&format!("session {s} in the mixed forward at {prec}"), got, &want);
+                payload.extend_from_slice(got);
+            }
+            payload
+        })
     });
 }
 
@@ -365,8 +464,8 @@ fn prefill_rows_across_the_gemm_driver_boundary_equal_single_steps() {
             .as_slice()
             .chunks(hidden)
             .map(|row| {
-                let out = stepper.step_batch(&dev, &[sid], row);
-                out.outputs[0].clone().expect("pool sized to fit")
+                let mut out = stepper.forward(&dev, &[(sid, row)]);
+                out.pop().unwrap().expect("pool sized to fit")
             })
             .collect();
         for r in boundary_rows() {
@@ -413,9 +512,7 @@ fn batched_steps_across_the_gemm_driver_boundary_equal_solo_steps() {
                 let mut contiguous = DecoderSession::new(&decoder, &dev, &memories[s]);
                 (0..steps)
                     .map(|t| {
-                        let got = d.step_batch(&dev, &[sid], token(s, t)).outputs[0]
-                            .clone()
-                            .expect("fits");
+                        let got = d.forward(&dev, &[(sid, token(s, t))]).pop().unwrap().expect("fits");
                         let want = contiguous.step(&dev, token(s, t));
                         for (dim, (g, w)) in got.iter().zip(&want).enumerate() {
                             assert!(
@@ -433,10 +530,9 @@ fn batched_steps_across_the_gemm_driver_boundary_equal_solo_steps() {
             let ids: Vec<SessionId> = memories[..r].iter().map(|m| d.open_session(&dev, m)).collect();
             for t in 0..steps {
                 let flat: Vec<f32> = (0..r).flat_map(|s| token(s, t).iter().copied()).collect();
-                let out = d.step_batch(&dev, &ids, &flat);
-                assert!(out.oom.is_empty(), "pool sized to fit");
-                for (s, (got, alone)) in out.outputs.iter().zip(&solo).enumerate() {
-                    let got = got.as_ref().expect("no shed");
+                let out = d.forward(&dev, &rows_of(&ids, &flat, hidden));
+                for (s, (got, alone)) in out.iter().zip(&solo).enumerate() {
+                    let got = got.as_ref().expect("pool sized to fit");
                     assert_bitwise(&format!("{r} sessions, session {s}, step {t}"), got, &alone[t]);
                 }
             }

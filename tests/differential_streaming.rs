@@ -5,23 +5,25 @@
 //! The zero-padding design computes every packed row independently of which
 //! other rows share its launch. Two serving paths rely on that:
 //!
-//! * `run_decode_loop`'s chunked prefill hands a prompt to
-//!   [`PagedDecoder::prefill`] a chunk at a time, each call resuming at the
-//!   session's cached length. Proven here: prefill in pieces of 1 / 3 / 64
-//!   rows ≡ one whole prefill, at every precision, on a 7-row prompt (inside
-//!   one 64-key softmax tile) and on a 160-row prompt (three key tiles: at 3
-//!   the chunk edges fall inside tiles, at 64 they line up with them).
+//! * `run_decode_loop`'s chunked prefill hands a prompt to the paged
+//!   decoder a chunk at a time, each chunk one input of its step's
+//!   [`PagedDecoder::forward`] resuming at the session's cached length.
+//!   Proven here through the one-session wrapper [`PagedDecoder::prefill`]:
+//!   prefill in pieces of 1 / 3 / 64 rows ≡ one whole prefill, at every
+//!   precision, on a 7-row prompt (inside one 64-key softmax tile) and on a
+//!   160-row prompt (three key tiles: at 3 the chunk edges fall inside
+//!   tiles, at 64 they line up with them).
 //! * `Server`'s chunk rounds (`plan_rounds`) run a cut batch as sub-batches
 //!   of whole requests through [`BertModel::forward`]. Proven here:
 //!   sub-batches of 1 / 3 / 64 sequences ≡ one batch, although the padded
-//!   geometry of each sub-batch differs from the whole batch's. The short
-//!   and the long MHA kernel are each covered; the dispatcher picks one per
-//!   batch by its padded width, so the claim is per kernel. The server pads
-//!   every round to its cut's width, so a round takes its cut's kernel:
-//!   proven through `run_open_loop` on a cut of 390 / 5 / 120 tokens,
-//!   whose short rounds would otherwise leave the grouped kernel. The same
-//!   holds from token ids: the packed embedding and the packed encoder
-//!   layers on sub-batches ≡ one batch.
+//!   geometry of each sub-batch differs from the whole batch's. One MHA
+//!   kernel (Algorithm III.1, tiled) serves every length; short sequences
+//!   and sequences past `FUSED_SHORT_MAX_SEQ` are each covered. Proven
+//!   through `run_open_loop` too, on a cut of 390 / 5 / 120 tokens: every
+//!   round is bitwise the whole cut, whether the executor pads it to the
+//!   cut's width as the server hands it over or re-pads it to the round's
+//!   own longest request. The same holds from token ids: the packed
+//!   embedding and the packed encoder layers on sub-batches ≡ one batch.
 //!
 //! Every equivalence runs on **every** `BYTE_GEMM_ISA` tier the host
 //! supports; tiers it lacks are skipped with a logged reason, never
@@ -271,10 +273,11 @@ fn prefill_across_key_tiles_matches_whole_bitwise_on_every_tier() {
     prefill_case(160, 10);
 }
 
-/// Sub-batches of whole sequences vs one batch, per tier: of 1 / 3 / 64 on
-/// the short MHA kernel, and of 1 on the long one (both sequences past
-/// [`FUSED_SHORT_MAX_SEQ`], so each sub-batch takes the kernel the whole
-/// batch takes; with two sequences that is the only real split).
+/// Sub-batches of whole sequences vs one batch, per tier: seven short
+/// sequences in sub-batches of 1 / 3 / 64, and the long-sequence case, two
+/// sequences past [`FUSED_SHORT_MAX_SEQ`] one per sub-batch (with two
+/// sequences the only real split). The MHA kernel is the same at every
+/// length, and a sub-batch's narrower padded width changes no valid row.
 #[test]
 fn sub_batches_match_one_batch_bitwise_on_every_tier() {
     let config = BertConfig::tiny();
@@ -307,16 +310,17 @@ fn sub_batches_match_one_batch_bitwise_on_every_tier() {
     }
 }
 
-/// The server's chunk rounds keep their cut's MHA kernel: one cut of 390 /
-/// 5 / 120 tokens (one request past [`FUSED_SHORT_MAX_SEQ`]) served whole,
-/// in rounds of 5 + 120 and 390 tokens, and one request per round, through
-/// `run_open_loop`. The executor forwards each round's mask as it is
-/// handed over, every request's rows drawn from its length, so each
-/// request's output bits are compared across the three schedules. Padded
-/// to their own longest request the short rounds took the short kernel and
-/// drifted within 5e-3; padded to the cut's width they are bitwise.
+/// The server's chunk rounds compute the whole cut's bits: one cut of 390 /
+/// 5 / 120 tokens (the long-sequence case, one request past
+/// [`FUSED_SHORT_MAX_SEQ`]) served whole, in rounds of 5 + 120 and 390
+/// tokens, and one request per round, through `run_open_loop`, every
+/// request's rows drawn from its length. The executor forwards each round
+/// under the mask it is handed (padded to the cut's width) and, as
+/// `admission::batch_mask` states, under that mask re-padded to the round's
+/// own longest request: each request's output bits are the whole cut's in
+/// every schedule and at both widths.
 #[test]
-fn chunk_rounds_keep_their_cuts_mha_kernel_bitwise_on_every_tier() {
+fn chunk_rounds_match_the_whole_cut_bitwise_on_every_tier() {
     let config = BertConfig::tiny();
     let model = BertModel::new_random(config, 2, 42);
     let hidden = config.hidden();
@@ -326,10 +330,12 @@ fn chunk_rounds_keep_their_cuts_mha_kernel_bitwise_on_every_tier() {
         .enumerate()
         .map(|(id, &len)| TimedRequest { id, len, arrival: 0.0 })
         .collect();
-    on_every_tier("chunk_rounds_across_the_mha_crossover", || {
+    on_every_tier("chunk_rounds", || {
         let dev = device();
-        // Every request's output rows, by length, under one chunk budget.
-        let serve = |chunk_tokens: usize| -> Vec<Vec<f32>> {
+        // Every request's output rows, by length, under one chunk budget;
+        // each round padded to the cut's width, or re-padded to its own
+        // longest request.
+        let serve = |chunk_tokens: usize, repad: bool| -> Vec<Vec<f32>> {
             let serve_config = ServeConfig {
                 policy: CutPolicy::Fifo { max_batch: lens.len() },
                 queue_capacity: lens.len(),
@@ -338,7 +344,10 @@ fn chunk_rounds_keep_their_cuts_mha_kernel_bitwise_on_every_tier() {
                 chunk_tokens,
             };
             let mut outputs = vec![Vec::new(); lens.len()];
-            let report = run_open_loop(&requests, &serve_config, |mask| {
+            let report = run_open_loop(&requests, &serve_config, |handed| {
+                let own = *handed.seq_lens().iter().max().unwrap();
+                let repadded = BatchMask::from_lens(handed.seq_lens().to_vec(), own).unwrap();
+                let mask = if repad { &repadded } else { handed };
                 let max = mask.max_seq_len();
                 let mut padded = vec![0.0f32; mask.batch() * max * hidden];
                 for (b, &len) in mask.seq_lens().iter().enumerate() {
@@ -356,14 +365,14 @@ fn chunk_rounds_keep_their_cuts_mha_kernel_bitwise_on_every_tier() {
             assert!(report.outcomes.iter().all(|o| o.served()), "every request is served");
             outputs
         };
-        let whole = serve(0);
-        for chunk_tokens in [1, 128] {
-            let rounds = serve(chunk_tokens);
+        let whole = serve(0, false);
+        for (chunk_tokens, repad) in [(1, false), (128, false), (1, true), (128, true)] {
+            let rounds = serve(chunk_tokens, repad);
             for (id, (r, w)) in rounds.iter().zip(&whole).enumerate() {
                 assert_eq!(
                     bits(r),
                     bits(w),
-                    "{}-token request in rounds of {chunk_tokens} tokens diverged from the whole cut on {}",
+                    "{}-token request in rounds of {chunk_tokens} tokens (re-padded: {repad}) diverged from the whole cut on {}",
                     lens[id],
                     isa::active_isa()
                 );
