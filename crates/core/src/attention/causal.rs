@@ -6,14 +6,15 @@
 //! decoder's masked self-attention that extension is one value:
 //! `KeyRange::Causal`, so token `i` attends only to `j ≤ i`, handed to the
 //! form the paged decoder runs — Algorithm III.2 as row dots
-//! (`super::rows`), one unit per `(sequence, head)` over the packed K/V
-//! planes, each query row reducing over exactly the `i + 1` keys it sees.
-//! The causal constraint removes work instead of masking it, and a row's
-//! bits depend neither on the padded width of its batch nor on its
-//! batch-mates, so a teacher-forced target and a paged prefill of the same
-//! tokens agree bitwise.
+//! (`super::rows`). The causal constraint removes work instead of masking
+//! it, and a row's bits depend neither on the padded width of its batch nor
+//! on its batch-mates.
 //!
-//! This module holds the public entry point and the host oracle.
+//! This module holds the packed entry point — the same form, one unit per
+//! `(sequence, head)` over packed K/V planes, each query row reducing over
+//! exactly the `i + 1` keys it sees; the attention-level suites reach the
+//! rows form through it — and the host oracle. The decoder itself attends
+//! through `crate::paged`.
 
 use super::{packed_rows, KeyRange};
 use bt_device::Device;

@@ -9,7 +9,9 @@
 //! packed planes — zero padding on either axis. Nothing here is a kernel:
 //! the unit list pairs target sequence `b` with memory sequence `b`, every
 //! key is visible, and the rows form (`super::rows`) is the one the paged
-//! decoder's cross-attention runs.
+//! decoder's cross-attention runs over each session's memory planes. The
+//! decoder itself attends through `crate::paged`; this entry point is how
+//! the attention-level suites reach the form over packed planes.
 
 use super::{packed_rows, KeyRange};
 use bt_device::Device;

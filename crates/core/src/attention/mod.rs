@@ -19,16 +19,18 @@
 //!   ([`fused_short`]) at every length: the paper's 384-token boundary
 //!   ([`FUSED_SHORT_MAX_SEQ`]) is a GPU shared-memory limit the CPU does not
 //!   have.
-//! * Every decoder attention — the teacher-forced stack's causal
-//!   self-attention ([`causal`]) and cross-attention ([`cross`]), and the
-//!   paged stack's two, whatever mix of prefill chunks and decode rows a
-//!   forward carries — runs Algorithm III.2 as row dots (`rows`): one unit
-//!   per `(sequence or session, head)` under a `KeyRange` (which of its keys
-//!   a query row may see), every query row reading its keys and values in
-//!   place — from the packed planes, from the cache's block storage through
-//!   the session's block table, or from a session's memory planes — with no
-//!   gather, no pack and no 64-row tile. A decoder row's bits therefore
-//!   depend neither on its batch-mates nor on which stack runs it.
+//! * Every decoder attention — the paged decoder's causal self-attention
+//!   and cross-attention, whatever mix of prefill chunks and decode rows a
+//!   forward carries (the teacher-forced forward is one paged prefill) —
+//!   runs Algorithm III.2 as row dots (`rows`): one unit per `(session,
+//!   head)` under a `KeyRange` (which of its keys a query row may see),
+//!   every query row reading its keys and values in place — from the
+//!   cache's block storage through the session's block table, or from a
+//!   session's memory planes — with no gather, no pack and no 64-row tile.
+//!   A decoder row's bits therefore do not depend on its batch-mates. The
+//!   public [`causal`] and [`cross`] entry points run the same form over
+//!   packed `[heads, valid, head]` planes, one unit per sequence: they are
+//!   how the attention-level oracle, property and SIMD suites reach it.
 //!
 //! The grouped engine ([`fused_grouped`]) runs Algorithm III.2 as the
 //! paper's three launches over an `AttnUnit` list built from packing
@@ -38,8 +40,7 @@
 //!
 //! Attention is f32 at every precision, in all three forms (III.1, the
 //! III.2 engine, the III.2 rows): `BYTE_GEMM_PREC` narrows the dense GEMMs
-//! around it, never its own two GEMMs or its softmax. So the paged prefill
-//! is bitwise the teacher-forced forward at f32, f16 and int8 alike.
+//! around it, never its own two GEMMs or its softmax.
 
 pub mod batched;
 pub mod causal;
@@ -220,8 +221,9 @@ pub fn fused_attention(device: &Device, q: &Tensor, k: &Tensor, v: &Tensor, idx:
     fused_short_attention(device, q, k, v, idx, DEFAULT_SPLIT_SEQ_LEN)
 }
 
-/// The teacher-forced decoder's attention over packed operands: the rows
-/// form ([`session_rows`]) in one launch named `name`, one unit per
+/// Decoder attention over packed operands ([`causal_fused_attention`],
+/// [`cross_attention`]): the rows form ([`session_rows`]) in one launch
+/// named `name`, one unit per
 /// sequence — target sequence `b`'s query rows of `q` (`[heads, tgt_valid,
 /// head]`, pre-scaled) against memory sequence `b`'s keys and values, read
 /// in place from the `[heads, mem_valid, head]` planes `k` / `v`.

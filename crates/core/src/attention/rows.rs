@@ -3,10 +3,11 @@
 //!
 //! A paged attention unit is one session's `q_len ≥ 1` newest query rows
 //! against its keys: one row in a decode step, a chunk of rows in a
-//! prefill, both side by side in a mixed step. A teacher-forced unit is one
-//! target sequence's rows against its own keys (causal) or its memory's
-//! (cross), read from the packed `[heads, valid, head]` planes. On the
-//! grouped engine
+//! prefill (a teacher-forced target is one), both side by side in a mixed
+//! step. A packed unit ([`super::causal`], [`super::cross`]) is one
+//! sequence's rows against its own keys (causal) or its memory's (cross),
+//! read from the packed `[heads, valid, head]` planes. On the grouped
+//! engine
 //! ([`super::fused_grouped`]) the session's K/V would first be gathered out
 //! of the cache blocks into contiguous planes, a short unit would fill a
 //! 64 × 64 tile and an `mr`-row micropanel, and each tile would pack 64
@@ -35,9 +36,9 @@
 //! depend on how many rows share its unit, and every output is **bitwise**
 //! the engine's on the same units (`tests/differential_decode.rs` checks
 //! units of 1 … `kv_len` rows under both key ranges on every ISA tier), so
-//! the paged decoder's prefill ≡ steps, paged ≡ teacher-forced and
-//! block-size invariance hold, and a teacher-forced row does not depend on
-//! its batch-mates. The arithmetic is f32 at every precision
+//! the paged decoder's prefill ≡ steps and block-size invariance hold, and
+//! a row does not depend on its batch-mates. The arithmetic is f32 at every
+//! precision
 //! tier, as Algorithm III.1's ([`super::fused_short`]) and the engine's are.
 
 use super::fused_grouped::{merge_partials, normalize, tile_partials};

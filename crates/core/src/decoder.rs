@@ -3,43 +3,39 @@
 //! The paper evaluates an encoder-only BERT but states that the zero-padding
 //! algorithm and fused-MHA strategies "can easily extend to other
 //! transformers that contain the decoder part". This module is that
-//! extension, built entirely from the same machinery:
+//! extension's model and its teacher-forced entry, built entirely from the
+//! same machinery:
 //!
 //! * **causal self-attention** — Algorithm III.2 as row dots under a causal
-//!   key range ([`crate::attention::causal`]), packed and padding-free, the
-//!   constraint expressed as a *smaller iteration space*: each row reduces
-//!   over the keys it sees and no others;
-//! * **cross-attention** — [`crate::attention::cross`], the same row dots
-//!   over rectangular variable-shape attention units on the packed encoder
-//!   memory, with Algorithm III.2's tiled softmax partials and merge —
-//!   padding-free on *both* the decoder and encoder axes;
+//!   key range, packed and padding-free, the constraint expressed as a
+//!   *smaller iteration space*: each row reduces over the keys it sees and
+//!   no others;
+//! * **cross-attention** — the same row dots over rectangular
+//!   variable-shape attention units on the encoder memory, with Algorithm
+//!   III.2's tiled softmax partials and merge — padding-free on *both* the
+//!   decoder and encoder axes;
 //! * the same fused add-bias+LayerNorm and bias+GELU-in-epilogue kernels.
 //!
-//! This file owns the decoder layer: `decoder_layer` is the one body
-//! (projections, §III.C's two fusions, residual wiring), and a stack supplies
-//! only two attention closures saying where its K/V live. Teacher forcing
-//! ([`TransformerDecoder`], here): self K/V are the forward's own packed rows
-//! under the causal key range, cross K/V are projected from the packed memory
-//! in every layer. [`crate::paged::PagedDecoder`]: self K/V go through a
-//! block-paged cache, cross K/V are per-session planes projected once at
-//! `open_session`. Both stacks split Q with the same kernels and run the same
-//! attention form (`attention::session_rows`, the teacher-forced one over
-//! the packed planes), so their outputs agree bitwise at every length.
+//! The decoder has one stack, [`crate::paged::PagedDecoder`], which owns the
+//! layer. [`TransformerDecoder::forward`] packs its padded target and memory
+//! and runs them as one paged prefill: one session per sequence over its
+//! memory rows, on a cache sized exactly to the batch, and one
+//! `PagedDecoder::forward` over every non-empty target. A teacher-forced
+//! output is therefore a paged prefill's by construction, and a target's
+//! rows do not depend on its batch-mates.
 //! [`crate::incremental::DecoderSession`] shares none of it on purpose — it
-//! is the scalar oracle both stacks are compared to.
+//! is the scalar oracle the stack is compared to.
 //!
 //! [`Seq2SeqTransformer`] composes a ByteTransformer encoder with this
 //! decoder for a full encoder-decoder forward pass (teacher-forcing style).
 
-use crate::attention::{causal_fused_attention, cross_attention};
 use crate::config::BertConfig;
-use crate::encoder::{launch_gemm, BertModel, OptLevel};
-use crate::weights::{DecoderLayerWeights, DecoderWeights};
+use crate::encoder::{BertModel, OptLevel};
+use crate::paged::PagedDecoder;
+use crate::weights::DecoderWeights;
 use bt_device::Device;
-use bt_kernels::activation::bias_gelu_epilogue;
-use bt_kernels::layernorm::add_bias_residual_layernorm_fused;
-use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
 use bt_tensor::Tensor;
+use bt_varlen::paged::{PagedLayout, SessionId};
 use bt_varlen::{BatchMask, PackingIndex, VarlenError};
 
 /// A stacked Transformer decoder with the full ByteTransformer optimization
@@ -65,7 +61,8 @@ impl TransformerDecoder {
     /// Full decoder forward. `tgt` is the padded `[batch, tgt_seq, hidden]`
     /// target-side input; `memory` is the padded `[batch, mem_seq, hidden]`
     /// encoder output. Returns a padded target-shaped tensor with zeroed
-    /// padding rows.
+    /// padding rows. Runs as one paged prefill of every target (see the
+    /// module docs); a sequence with no target rows opens no session.
     ///
     /// # Errors
     /// Returns [`VarlenError::ShapeMismatch`] on input/mask disagreement.
@@ -99,160 +96,47 @@ impl TransformerDecoder {
 
         let tgt_idx = PackingIndex::from_mask_on(device, tgt_mask);
         let mem_idx = PackingIndex::from_mask_on(device, mem_mask);
-        let mut x = tgt_idx.pack(device, tgt)?;
-        let mem_packed = mem_idx.pack(device, memory)?;
-        for w in &self.weights.layers {
-            x = self.layer_forward_packed(device, &x, &tgt_idx, &mem_packed, &mem_idx, w);
+        let x = tgt_idx.pack(device, tgt)?;
+        let mem = mem_idx.pack(device, memory)?;
+
+        // One paged prefill of every non-empty target, each its own session
+        // over its memory rows, on a cache holding exactly the batch (a pool
+        // has at least one block).
+        let block = PagedLayout::default().block_tokens;
+        let blocks = tgt_mask.seq_lens().iter().map(|len| len.div_ceil(block)).sum::<usize>();
+        let mut paged = PagedDecoder::new(self, PagedLayout::new(block, blocks.max(1)));
+        let sessions: Vec<(usize, SessionId)> = (0..tgt_idx.batch())
+            .filter(|&b| tgt_idx.seq_len(b) > 0)
+            .map(|b| {
+                let rows = seq_rows(&mem, &mem_idx, b).to_vec();
+                let memory = Tensor::from_vec(rows, [mem_idx.seq_len(b), hidden]).expect("shape consistent");
+                (b, paged.open_session(device, &memory))
+            })
+            .collect();
+        let inputs: Vec<(SessionId, &[f32])> = sessions
+            .iter()
+            .map(|&(b, sid)| (sid, seq_rows(&x, &tgt_idx, b)))
+            .collect();
+        let out: Vec<f32> = paged
+            .forward(device, &inputs)
+            .into_iter()
+            .flat_map(|out| out.expect("the cache holds the whole batch"))
+            .collect();
+        // Freed, so the KV-cache counters see every session close.
+        for &(_, sid) in &sessions {
+            paged.free_session(sid);
         }
-        tgt_idx.unpack(device, &x)
-    }
-
-    /// One decoder layer on packed activations: `decoder_layer` with the
-    /// self K/V taken from this forward's own packed rows under the causal
-    /// key range, and the cross K/V projected from the packed memory.
-    pub fn layer_forward_packed(
-        &self,
-        device: &Device,
-        x: &Tensor,
-        tgt_idx: &PackingIndex,
-        memory: &Tensor,
-        mem_idx: &PackingIndex,
-        w: &DecoderLayerWeights,
-    ) -> Tensor {
-        let hidden = self.config.hidden();
-        let heads = self.config.heads;
-        let scale = self.config.attention_scale();
-        let rows = tgt_idx.valid_words();
-        let mem_rows = mem_idx.valid_words();
-        let tensor =
-            |data: Vec<f32>, n: usize, cols: usize| Tensor::from_vec(data, [n, cols]).expect("shape consistent");
-        let out = decoder_layer(
+        tgt_idx.unpack(
             device,
-            &self.config,
-            w,
-            &LAYER_NAMES,
-            x.as_slice(),
-            rows,
-            |qkv, bias| {
-                let (q, k, v) = add_bias_split_qkv_packed(device, &tensor(qkv, rows, 3 * hidden), bias, heads, scale);
-                causal_fused_attention(device, &q, &k, &v, tgt_idx).into_vec()
-            },
-            |cq, bias| {
-                let cq = add_bias_split_heads_packed(device, "cross_q", &tensor(cq, rows, hidden), bias, heads, scale);
-                let ckv = launch_gemm(
-                    device,
-                    "dec_gemm3.cross_kv",
-                    memory.as_slice(),
-                    mem_rows,
-                    w.cross_kv_weight.as_slice(),
-                    hidden,
-                    2 * hidden,
-                    None,
-                );
-                let ckv = tensor(ckv, mem_rows, 2 * hidden);
-                let (ck, cv) = add_bias_split_kv_packed(device, "cross_kv", &ckv, &w.cross_kv_bias, heads);
-                cross_attention(device, &cq, &ck, &cv, tgt_idx, mem_idx).into_vec()
-            },
-        );
-        tensor(out, rows, hidden)
+            &Tensor::from_vec(out, [tgt_idx.valid_words(), hidden]).expect("shape consistent"),
+        )
     }
 }
 
-/// Launch names of the row-wise kernels of one stack's decoder layer.
-pub(crate) struct LayerNames {
-    pub self_qkv: &'static str,
-    pub self_proj: &'static str,
-    pub cross_q: &'static str,
-    pub cross_proj: &'static str,
-    pub ffn_up: &'static str,
-    pub ffn_down: &'static str,
-    /// After self-attention, after cross-attention, after the FFN.
-    pub layernorm: [&'static str; 3],
-}
-
-const LAYER_NAMES: LayerNames = LayerNames {
-    self_qkv: "dec_gemm0.self_qkv",
-    self_proj: "dec_gemm1.self_proj",
-    cross_q: "dec_gemm2.cross_q",
-    cross_proj: "dec_gemm4.cross_proj",
-    ffn_up: "dec_gemm5.ffn_up",
-    ffn_down: "dec_gemm6.ffn_down",
-    layernorm: ["dec_layernorm0", "dec_layernorm1", "dec_layernorm2"],
-};
-
-/// The decoder layer over `[rows, hidden]` activations `x`, written once for
-/// the teacher-forced stack above and [`crate::paged::PagedDecoder`]: six
-/// row-wise GEMMs, bias + GELU in the FFN up-projection's epilogue, and a
-/// fused add-bias + residual + LayerNorm closing each sub-layer (§III.C).
-///
-/// The stacks differ only in where attention's K/V live, so each passes two
-/// closures that take a raw projection (`[rows, 3·hidden]` self QKV,
-/// `[rows, hidden]` cross Q) with its bias and return the `[rows, hidden]`
-/// attention context.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decoder_layer(
-    device: &Device,
-    config: &BertConfig,
-    w: &DecoderLayerWeights,
-    names: &LayerNames,
-    x: &[f32],
-    rows: usize,
-    self_attention: impl FnOnce(Vec<f32>, &[f32]) -> Vec<f32>,
-    cross_attention: impl FnOnce(Vec<f32>, &[f32]) -> Vec<f32>,
-) -> Vec<f32> {
-    let hidden = config.hidden();
-    let gemm = |name: &str, a: &[f32], weight: &Tensor, k: usize, n: usize| {
-        launch_gemm(device, name, a, rows, weight.as_slice(), k, n, None)
-    };
-    let add_layernorm = |name: &str, out: &mut [f32], residual: &[f32], bias: &[f32], gamma: &[f32], beta: &[f32]| {
-        add_bias_residual_layernorm_fused(device, name, out, residual, bias, gamma, beta, config.eps, rows, hidden);
-    };
-
-    let qkv = gemm(names.self_qkv, x, &w.self_qkv_weight, hidden, 3 * hidden);
-    let sa = self_attention(qkv, &w.self_qkv_bias);
-    let mut attn = gemm(names.self_proj, &sa, &w.self_out_weight, hidden, hidden);
-    add_layernorm(
-        names.layernorm[0],
-        &mut attn,
-        x,
-        &w.self_out_bias,
-        &w.ln0_gamma,
-        &w.ln0_beta,
-    );
-
-    let cq = gemm(names.cross_q, &attn, &w.cross_q_weight, hidden, hidden);
-    let ca = cross_attention(cq, &w.cross_q_bias);
-    let mut cattn = gemm(names.cross_proj, &ca, &w.cross_out_weight, hidden, hidden);
-    add_layernorm(
-        names.layernorm[1],
-        &mut cattn,
-        &attn,
-        &w.cross_out_bias,
-        &w.ln1_gamma,
-        &w.ln1_beta,
-    );
-
-    let epi = bias_gelu_epilogue(&w.ffn_up_bias);
-    let ffn = launch_gemm(
-        device,
-        names.ffn_up,
-        &cattn,
-        rows,
-        w.ffn_up_weight.as_slice(),
-        hidden,
-        config.intermediate(),
-        Some(&epi),
-    );
-    let mut out = gemm(names.ffn_down, &ffn, &w.ffn_down_weight, config.intermediate(), hidden);
-    add_layernorm(
-        names.layernorm[2],
-        &mut out,
-        &cattn,
-        &w.ffn_down_bias,
-        &w.ln2_gamma,
-        &w.ln2_beta,
-    );
-    out
+/// Sequence `b`'s rows of a packed `[valid, hidden]` tensor.
+fn seq_rows<'t>(packed: &'t Tensor, idx: &PackingIndex, b: usize) -> &'t [f32] {
+    let hidden = packed.dims()[1];
+    &packed.as_slice()[idx.seq_offset(b) * hidden..][..idx.seq_len(b) * hidden]
 }
 
 /// A full encoder-decoder Transformer: a ByteTransformer BERT encoder
@@ -296,6 +180,7 @@ impl Seq2SeqTransformer {
 mod tests {
     use super::*;
     use crate::attention::{causal_reference_attention, cross_reference_attention};
+    use crate::weights::DecoderLayerWeights;
     use bt_device::CostModel;
     use bt_kernels::activation::gelu_tanh;
     use bt_kernels::layernorm::normalize_row;
@@ -481,6 +366,48 @@ mod tests {
                 assert_eq!(got.at(&[0, s, h]).unwrap(), 0.0);
             }
         }
+    }
+
+    #[test]
+    fn empty_sequences_keep_their_bits() {
+        // Sequence 1 has no target rows (it opens no session), sequence 2
+        // attends over an empty memory (its cross units have zero keys, so
+        // their context is zero). The digest is the output's bits from
+        // before the forward became a paged prefill; f32 only, where every
+        // ISA tier gives them.
+        if bt_gemm::active_precision() != bt_gemm::Precision::F32 {
+            return;
+        }
+        let config = BertConfig::tiny();
+        let dec = TransformerDecoder::new_random(config, 2, 5);
+        let tgt_mask = BatchMask::from_lens(vec![5, 0, 3], 5).unwrap();
+        let mem_mask = BatchMask::from_lens(vec![4, 6, 0], 6).unwrap();
+        let tgt = masked_randn(&tgt_mask, config.hidden(), 1);
+        let memory = masked_randn(&mem_mask, config.hidden(), 2);
+        let got = dec.forward(&device(), &tgt, &tgt_mask, &memory, &mem_mask).unwrap();
+        let fnv = got
+            .as_slice()
+            .iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(fnv, 0xba1f_070e_bea3_dec7, "output bits moved");
+        assert!(got.as_slice().iter().all(|v| v.is_finite()));
+        assert!((0..5).all(|s| (0..config.hidden()).all(|h| got.at(&[1, s, h]).unwrap() == 0.0)));
+
+        // A batch with no target rows at all is all padding.
+        let none = BatchMask::from_lens(vec![0, 0, 0], 2).unwrap();
+        let got = dec
+            .forward(
+                &device(),
+                &Tensor::zeros([3, 2, config.hidden()]),
+                &none,
+                &memory,
+                &mem_mask,
+            )
+            .unwrap();
+        assert!(got.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! forward of [`crate::decoder::TransformerDecoder`] within float tolerance
 //! (the two contract in different orders, so not bit-for-bit).
 //!
-//! This is the **differential oracle** of the decoder stacks, so it keeps
-//! its own scalar layer (bias, LayerNorm and GELU as host loops, attention as
-//! dot products, the cross-K/V head split by hand) instead of calling
-//! `crate::decoder::decoder_layer`, the body the teacher-forced and paged
-//! decoders share: an oracle that ran the code under test would prove nothing.
+//! This is the **differential oracle** of the decoder, so it keeps its own
+//! scalar layer (bias, LayerNorm and GELU as host loops, attention as dot
+//! products, the cross-K/V head split by hand) instead of running the layer
+//! of [`crate::paged::PagedDecoder`], the one stack every decoder forward —
+//! teacher-forced included — runs: an oracle that ran the code under test
+//! would prove nothing.
 
 use crate::attention::oracle_softmax;
 use crate::decoder::TransformerDecoder;

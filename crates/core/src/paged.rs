@@ -1,4 +1,5 @@
-//! Batched autoregressive decoding over a block-paged KV cache.
+//! Batched autoregressive decoding over a block-paged KV cache — the
+//! decoder's one stack.
 //!
 //! [`crate::incremental::DecoderSession`] decodes one sequence at a time
 //! against a contiguous, privately owned cache. A serving system runs
@@ -22,35 +23,40 @@
 //!   every admitted row through each layer together. A session the pool
 //!   cannot grow gets its [`KvOom`] back as a value and is left untouched.
 //!
-//! The layer itself is not here: it is `crate::decoder::decoder_layer`,
-//! the body the teacher-forced decoder runs too. This stack supplies its two
-//! attention closures, and no attention arithmetic lives here: both hand
-//! one unit per `(session, head)`, at that session's true length, to
-//! `crate::attention`'s one paged form, Algorithm III.2 as row dots over
-//! K/V read in place (`attention::session_rows`), at every precision and
-//! for any mix of prefill chunks and decode rows. Self-attention splits the
-//! rows' QKV as the teacher-forced stack does (Q pre-scaled) and attends
-//! under the bottom-right causal key range in one `paged.attn.rows` launch,
-//! which stores the rows' K/V in their block-table slots and reads every key
+//! The decoder layer is written once, here (`PagedDecoder::forward_rows`):
+//! six row-wise GEMMs, bias + GELU in the FFN up-projection's epilogue, a
+//! fused add-bias + residual + LayerNorm closing each sub-layer (§III.C),
+//! and two attentions. Every decoder forward runs it: the teacher-forced
+//! [`TransformerDecoder::forward`] is one paged prefill of every target over
+//! a cache sized to its batch. No attention arithmetic lives here: both
+//! attentions hand one unit per `(session, head)`, at that session's true
+//! length, to `crate::attention`'s one paged form, Algorithm III.2 as row
+//! dots over K/V read in place (`attention::session_rows`), at every
+//! precision and for any mix of prefill chunks and decode rows.
+//! Self-attention splits the rows' QKV with Q pre-scaled and attends under
+//! the bottom-right causal key range in one `paged.attn.rows` launch, which
+//! stores the rows' K/V in their block-table slots and reads every key
 //! through the table; cross-attention attends over the per-session memory
 //! planes projected at [`PagedDecoder::open_session`] in one
 //! `paged.cross.rows` launch. No K/V is ever gathered into planes.
 //!
 //! Equivalence guarantee (tested here and cross-ISA in
 //! `tests/differential_decode.rs`), at every precision, because attention
-//! is f32 at every precision: a prefill is **bitwise** ≡ the teacher-forced
-//! stack at every length (both run the rows form), **bitwise** ≡ the same
-//! tokens stepped one at a time, and **bitwise invariant** to the block
-//! size — paging is memory layout, never math. A session's rows are
-//! **bitwise** the same whatever other sessions share its forward: each
-//! row's GEMM chains and attention row are its own. The scalar
+//! is f32 at every precision: a prefill is **bitwise** ≡ the same tokens
+//! stepped one at a time and **bitwise invariant** to the block size —
+//! paging is memory layout, never math. A session's rows are **bitwise**
+//! the same whatever other sessions share its forward: each row's GEMM
+//! chains and attention row are its own, so a teacher-forced target does
+//! not depend on its batch-mates. The scalar
 //! [`crate::incremental::DecoderSession`] tracks it within documented float
 //! tolerance.
 
 use crate::attention::{session_rows, KeyRange, SessionKv};
-use crate::decoder::{decoder_layer, LayerNames, TransformerDecoder};
+use crate::decoder::TransformerDecoder;
 use crate::encoder::launch_gemm;
 use bt_device::Device;
+use bt_kernels::activation::bias_gelu_epilogue;
+use bt_kernels::layernorm::add_bias_residual_layernorm_fused;
 use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
 use bt_tensor::Tensor;
 use bt_varlen::paged::{BlockPool, KvOom, PagedLayout, SessionId};
@@ -65,17 +71,6 @@ static KV_OOM: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_OOM);
 static KV_TOKENS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::KV_TOKENS_APPENDED);
 /// Rows pushed through the batched decode pipeline.
 static DECODE_ROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::CORE_PAGED_ROWS);
-
-/// Launch names of `decoder_layer`'s row-wise kernels in this stack.
-const LAYER_NAMES: LayerNames = LayerNames {
-    self_qkv: "paged.self_qkv",
-    self_proj: "paged.self_proj",
-    cross_q: "paged.cross_q",
-    cross_proj: "paged.cross_proj",
-    ffn_up: "paged.ffn_up",
-    ffn_down: "paged.ffn_down",
-    layernorm: ["paged.layernorm0", "paged.layernorm1", "paged.layernorm2"],
-};
 
 /// Per-layer K/V storage addressed through a [`BlockPool`].
 ///
@@ -244,16 +239,17 @@ impl<'a> PagedDecoder<'a> {
     /// Opens a session over one encoder memory sequence
     /// (`[mem_len, hidden]`, packed), projecting cross-attention K/V once.
     /// Never takes cache blocks — [`PagedDecoder::forward`] claims those.
+    /// An empty memory (`mem_len = 0`) gives the session's cross-attention
+    /// units zero keys: its context rows are zero.
     ///
     /// # Panics
-    /// Panics if `memory` is not `[mem_len, hidden]` with `mem_len ≥ 1`.
+    /// Panics if `memory` is not `[mem_len, hidden]`.
     pub fn open_session(&mut self, device: &Device, memory: &Tensor) -> SessionId {
         let hidden = self.decoder.config.hidden();
         let dims = memory.dims();
         assert_eq!(dims.len(), 2, "memory must be [mem_len, hidden]");
         assert_eq!(dims[1], hidden, "memory hidden mismatch");
         let mem_len = dims[0];
-        assert!(mem_len >= 1, "memory must hold at least one row");
         let heads = self.decoder.config.heads;
 
         let cross_kv = self
@@ -377,11 +373,14 @@ impl<'a> PagedDecoder<'a> {
     /// layer. `sessions` pairs each session with its count of rows —
     /// consecutive in `h`, in order — which are its newest, already appended
     /// tokens. Prompts, prompt chunks and decode tokens, in any mix, flow
-    /// through here in one pass, so the paths cannot diverge numerically. The layer is `decoder_layer`; what this
-    /// stack supplies is the two attention closures, one rows launch each:
-    /// `paged.attn.rows` stores the rows' self K/V in their block-table
-    /// slots and reads every key through the tables, and `paged.cross.rows`
-    /// reads the per-session memory planes.
+    /// through here in one pass, so the paths cannot diverge numerically.
+    ///
+    /// This is the decoder layer: six row-wise GEMMs over all rows, bias and
+    /// GELU in the FFN up-projection's epilogue, a fused add-bias, residual
+    /// and LayerNorm closing each sub-layer (§III.C), and one rows launch
+    /// per attention — `paged.attn.rows` stores the rows' self K/V in their
+    /// block-table slots and reads every key through the tables, and
+    /// `paged.cross.rows` reads the per-session memory planes.
     fn forward_rows(&mut self, device: &Device, sessions: &[(SessionId, usize)], h: &mut Vec<f32>) {
         let decoder = self.decoder;
         let config = decoder.config;
@@ -411,51 +410,108 @@ impl<'a> PagedDecoder<'a> {
             cache.extend_rows(sid, &mut token_rows);
         }
         let tensor = |data: Vec<f32>, cols: usize| Tensor::from_vec(data, [r, cols]).expect("shape consistent");
+        let gemm = |name: &str, a: &[f32], weight: &Tensor, k: usize, n: usize| {
+            launch_gemm(device, name, a, r, weight.as_slice(), k, n, None)
+        };
+        let add_layernorm =
+            |name: &str, out: &mut [f32], residual: &[f32], bias: &[f32], gamma: &[f32], beta: &[f32]| {
+                add_bias_residual_layernorm_fused(
+                    device, name, out, residual, bias, gamma, beta, config.eps, r, hidden,
+                );
+            };
 
         for (layer, w) in decoder.weights.layers.iter().enumerate() {
-            *h = decoder_layer(
-                device,
-                &config,
-                w,
-                &LAYER_NAMES,
+            // Each attention's operands live in its own block, so they are
+            // freed before the next GEMM allocates: the peak live set of a
+            // layer holds one attention's Q / K / V at a time.
+            let sa = {
+                let qkv = gemm("paged.self_qkv", h, &w.self_qkv_weight, hidden, 3 * hidden);
+                let (q, k, v) =
+                    add_bias_split_qkv_packed(device, &tensor(qkv, 3 * hidden), &w.self_qkv_bias, heads, scale);
+                let cache = &mut *cache;
+                session_rows(device, "paged.attn.rows", &q, &self_units, KeyRange::Causal, r, || {
+                    for (row, &(sid, pos)) in slots.iter().enumerate() {
+                        cache.write(layer, sid, pos, k.as_slice(), v.as_slice(), row);
+                    }
+                    let cache: &PagedKvCache = cache;
+                    let mut rest = &token_rows[..];
+                    self_units
+                        .iter()
+                        .map(|&(_, n)| {
+                            let rows;
+                            (rows, rest) = rest.split_at(n);
+                            cache.blocks(layer, rows)
+                        })
+                        .collect()
+                })
+            };
+            let mut attn = gemm("paged.self_proj", sa.as_slice(), &w.self_out_weight, hidden, hidden);
+            add_layernorm(
+                "paged.layernorm0",
+                &mut attn,
                 h,
-                r,
-                |qkv, bias| {
-                    let (q, k, v) = add_bias_split_qkv_packed(device, &tensor(qkv, 3 * hidden), bias, heads, scale);
-                    let cache = &mut *cache;
-                    session_rows(device, "paged.attn.rows", &q, &self_units, KeyRange::Causal, r, || {
-                        for (row, &(sid, pos)) in slots.iter().enumerate() {
-                            cache.write(layer, sid, pos, k.as_slice(), v.as_slice(), row);
-                        }
-                        let cache: &PagedKvCache = cache;
-                        let mut rest = &token_rows[..];
-                        self_units
-                            .iter()
-                            .map(|&(_, n)| {
-                                let rows;
-                                (rows, rest) = rest.split_at(n);
-                                cache.blocks(layer, rows)
-                            })
-                            .collect()
-                    })
-                    .into_vec()
-                },
-                |cq, bias| {
-                    let cq =
-                        add_bias_split_heads_packed(device, "paged.cross_q", &tensor(cq, hidden), bias, heads, scale);
-                    session_rows(device, "paged.cross.rows", &cq, &cross_units, KeyRange::Full, 0, || {
-                        sessions
-                            .iter()
-                            .map(|&(sid, _)| {
-                                let (k, v) = &cross_planes(sid)[layer];
-                                let plane = k.len() / heads;
-                                SessionKv::Planes { k, v, plane }
-                            })
-                            .collect()
-                    })
-                    .into_vec()
-                },
+                &w.self_out_bias,
+                &w.ln0_gamma,
+                &w.ln0_beta,
             );
+
+            let ca = {
+                let cq = gemm("paged.cross_q", &attn, &w.cross_q_weight, hidden, hidden);
+                let cq = add_bias_split_heads_packed(
+                    device,
+                    "paged.cross_q",
+                    &tensor(cq, hidden),
+                    &w.cross_q_bias,
+                    heads,
+                    scale,
+                );
+                session_rows(device, "paged.cross.rows", &cq, &cross_units, KeyRange::Full, 0, || {
+                    sessions
+                        .iter()
+                        .map(|&(sid, _)| {
+                            let (k, v) = &cross_planes(sid)[layer];
+                            let plane = k.len() / heads;
+                            SessionKv::Planes { k, v, plane }
+                        })
+                        .collect()
+                })
+            };
+            let mut cattn = gemm("paged.cross_proj", ca.as_slice(), &w.cross_out_weight, hidden, hidden);
+            add_layernorm(
+                "paged.layernorm1",
+                &mut cattn,
+                &attn,
+                &w.cross_out_bias,
+                &w.ln1_gamma,
+                &w.ln1_beta,
+            );
+
+            let ffn = launch_gemm(
+                device,
+                "paged.ffn_up",
+                &cattn,
+                r,
+                w.ffn_up_weight.as_slice(),
+                hidden,
+                config.intermediate(),
+                Some(&bias_gelu_epilogue(&w.ffn_up_bias)),
+            );
+            let mut out = gemm(
+                "paged.ffn_down",
+                &ffn,
+                &w.ffn_down_weight,
+                config.intermediate(),
+                hidden,
+            );
+            add_layernorm(
+                "paged.layernorm2",
+                &mut out,
+                &cattn,
+                &w.ffn_down_bias,
+                &w.ln2_gamma,
+                &w.ln2_beta,
+            );
+            *h = out;
         }
     }
 }

@@ -325,7 +325,6 @@ impl DecodeReport {
             shed_too_long: 0,
             shed_cache_oom: 0,
             shed_cancelled: 0,
-            shed_hot_shard: 0,
             steps: self.steps.len(),
             decode_tokens: 0,
             prefill_tokens: 0,
@@ -352,10 +351,9 @@ impl DecodeReport {
                         ShedReason::TooLong => s.shed_too_long += 1,
                         ShedReason::CacheOom => s.shed_cache_oom += 1,
                         ShedReason::CancelledMidRequest => s.shed_cancelled += 1,
-                        // The decode loop itself never sheds for shard heat
-                        // (routing happens upstream of it); counted so the
-                        // ledger stays exact if a router ever feeds it.
-                        ShedReason::HotShard => s.shed_hot_shard += 1,
+                        ShedReason::HotShard => {
+                            unreachable!("run_decode_loop builds every shed outcome itself, none for shard heat")
+                        }
                     }
                     s.decode_tokens += generated;
                     s.prefill_tokens += prefilled_tokens;
@@ -395,9 +393,6 @@ pub struct DecodeSummary {
     /// Cancelled at a chunk boundary after prefill had started (chunked
     /// prefill only; always zero with chunking off).
     pub shed_cancelled: usize,
-    /// Shed by an upstream shard router's hot-shard gate (always zero for
-    /// the decode loop driven directly).
-    pub shed_hot_shard: usize,
     /// Token steps executed.
     pub steps: usize,
     /// Decode tokens generated across all requests (incl. partial sheds).
@@ -415,12 +410,7 @@ pub struct DecodeSummary {
 impl DecodeSummary {
     /// Total shed requests across all reasons.
     pub fn shed(&self) -> usize {
-        self.shed_queue_full
-            + self.shed_deadline
-            + self.shed_too_long
-            + self.shed_cache_oom
-            + self.shed_cancelled
-            + self.shed_hot_shard
+        self.shed_queue_full + self.shed_deadline + self.shed_too_long + self.shed_cache_oom + self.shed_cancelled
     }
 
     /// Request-level invariant: every offered request has exactly one

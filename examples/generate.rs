@@ -1,14 +1,16 @@
-//! Autoregressive generation with the KV-cache decoder session: encode a
-//! variable-length source batch, then greedily decode each sequence token
-//! by token through a toy vocabulary head.
+//! Autoregressive generation over the paged KV cache: encode a
+//! variable-length source batch, then greedily decode every sequence
+//! together, token by token, through a toy vocabulary head — one paged
+//! session per sequence and one decoder forward per step.
 //!
 //! ```text
 //! cargo run --release --example generate
 //! ```
 
-use bytetransformer::core::incremental::DecoderSession;
+use bytetransformer::core::paged::PagedDecoder;
 use bytetransformer::prelude::*;
 use bytetransformer::tensor::rng::Xoshiro256StarStar;
+use bytetransformer::varlen::paged::{PagedLayout, SessionId};
 
 fn main() {
     let config = BertConfig {
@@ -47,39 +49,49 @@ fn main() {
         device.modeled_total() * 1e3
     );
 
-    // Greedy decode each sequence with its own KV-cached session.
+    // One session per sequence over its memory rows (cross-attention K/V
+    // projected once, here), then one forward per greedy step holding every
+    // session's newest token.
+    let dev = Device::new();
+    let mut paged = PagedDecoder::new(&model.decoder, PagedLayout::default());
+    let max_seq = src_mask.max_seq_len();
+    let sessions: Vec<SessionId> = src_mask
+        .seq_lens()
+        .iter()
+        .enumerate()
+        .map(|(b, &mem_len)| {
+            let rows = memory.as_slice()[b * max_seq * hidden..][..mem_len * hidden].to_vec();
+            let mem = Tensor::from_vec(rows, [mem_len, hidden]).expect("shape consistent");
+            paged.open_session(&dev, &mem)
+        })
+        .collect();
     let max_new = 10;
-    for (b, &mem_len) in src_mask.seq_lens().iter().enumerate() {
-        // Pack this sequence's memory rows.
-        let mut mem = Tensor::zeros([mem_len, hidden]);
-        for s in 0..mem_len {
-            for h in 0..hidden {
-                mem.set(&[s, h], memory.at(&[b, s, h]).unwrap()).unwrap();
-            }
-        }
-        let dev = Device::new();
-        let mut session = DecoderSession::new(&model.decoder, &dev, &mem);
-        let mut token = 0usize; // BOS
-        let mut generated = Vec::new();
-        for _ in 0..max_new {
-            let x: Vec<f32> = embed.row(token).to_vec();
-            let h_out = session.step(&dev, &x);
+    let mut tokens = vec![0usize; sessions.len()]; // BOS
+    let mut generated = vec![Vec::new(); sessions.len()];
+    for _ in 0..max_new {
+        let rows: Vec<(SessionId, &[f32])> = sessions.iter().zip(&tokens).map(|(&s, &t)| (s, embed.row(t))).collect();
+        for (b, out) in paged.forward(&dev, &rows).into_iter().enumerate() {
+            let h_out = out.expect("the default pool holds every session");
             // Toy output head: nearest embedding by dot product.
-            token = (0..vocab)
+            tokens[b] = (0..vocab)
                 .max_by(|&a, &b| {
                     let da: f32 = embed.row(a).iter().zip(&h_out).map(|(x, y)| x * y).sum();
                     let db: f32 = embed.row(b).iter().zip(&h_out).map(|(x, y)| x * y).sum();
                     da.partial_cmp(&db).expect("finite logits")
                 })
                 .expect("non-empty vocab");
-            generated.push(token);
+            generated[b].push(tokens[b]);
         }
-        println!(
-            "seq {b} (memory {mem_len:>2} tokens): generated {:?}  ({} kernel launches, {:.3} ms modeled)",
-            generated,
-            dev.launches(),
-            dev.modeled_total() * 1e3
-        );
     }
-    println!("\neach step attends over the KV cache; cross-attention K/V were projected once per session");
+    for (b, &mem_len) in src_mask.seq_lens().iter().enumerate() {
+        println!("seq {b} (memory {mem_len:>2} tokens): generated {:?}", generated[b]);
+    }
+    println!(
+        "\n{} sessions, {max_new} steps: {} kernel launches, {:.3} ms modeled",
+        sessions.len(),
+        dev.launches(),
+        dev.modeled_total() * 1e3
+    );
+    println!("each step is one forward over every session's token, attending over its paged KV cache;");
+    println!("cross-attention K/V were projected once per session");
 }

@@ -30,13 +30,18 @@ diff <(echo "$knobs_code") <(echo "$knobs_readme") \
 step "cargo build --release"
 cargo build --release
 
-step "btx decode (real paged engine: whole prompts, chunks, a tight pool)"
+step "btx decode (real paged engine: whole prompts, chunks, a tight pool) + decoder examples"
 # run_decode_loop over PagedDecodeEngine end to end: mixed prefill + decode
 # steps, chunked prefill, and cache-OOM sheds at 10 blocks. The binary
 # asserts accounting_is_exact and ledger_is_exact and exits nonzero otherwise.
 ./target/release/btx decode > /dev/null
 ./target/release/btx decode --chunk 4 > /dev/null
 ./target/release/btx decode --chunk 4 --blocks 10 > /dev/null
+# The decoder examples: a teacher-forced seq2seq forward (one paged prefill
+# of every target) and greedy generation through one PagedDecoder. They
+# assert causality and finite logits themselves.
+cargo run --release --quiet --example seq2seq > /dev/null
+cargo run --release --quiet --example generate > /dev/null
 
 step "cargo test --workspace"
 cargo test --workspace --quiet
