@@ -13,6 +13,15 @@ use bt_kernels::layout::add_bias_split_qkv_packed;
 use bt_tensor::Tensor;
 use bt_varlen::{workload, PackingIndex};
 
+/// The grouped-MHA engine's cumulative scheduler visits (0 before its
+/// first launch registers the counter).
+fn scheduler_visits() -> u64 {
+    bt_obs::counter_values()
+        .into_iter()
+        .find(|(name, _)| name == bt_obs::names::MHA_GROUPED_SCHEDULER_VISITS)
+        .map_or(0, |(_, v)| v)
+}
+
 fn main() {
     banner(
         "Ablation: grouped-GEMM scheduler (per-tile vs warp prefetch)",
@@ -45,8 +54,9 @@ fn main() {
 
         let run = |sched: Scheduler| {
             let dev = Device::new();
+            let before = scheduler_visits();
             fused_grouped_attention(&dev, &q, &k, &v, &idx, sched);
-            (dev.modeled_total(), dev.metric("grouped.scheduler_visits"))
+            (dev.modeled_total(), scheduler_visits() - before)
         };
         let (t_pt, v_pt) = run(Scheduler::PerTile);
         let (t_wp, v_wp) = run(Scheduler::WarpPrefetch);

@@ -297,7 +297,7 @@ impl Tile {
         let q_tile = &q[self.t0 * head..(self.t0 + rows) * head];
         for (i, r0) in (0..rows).step_by(mr).enumerate() {
             let panel = &mut qa[i * qa_len..(i + 1) * qa_len];
-            pack_a_panel(panel, q_tile, false, r0, mr.min(rows - r0), rows, head, mr);
+            pack_a_panel(panel, q_tile, r0, mr.min(rows - r0), head, mr);
         }
 
         let mut acc = [0.0f32; MR_MAX * NR_MAX];
@@ -324,7 +324,7 @@ impl Tile {
         // output columns.
         for r0 in (0..rows).step_by(mr) {
             let r = mr.min(rows - r0);
-            pack_a_panel(pa, logits, false, r0, r, rows, len, mr);
+            pack_a_panel(pa, logits, r0, r, len, mr);
             for (j, c0) in (0..head).step_by(nr).enumerate() {
                 let c = nr.min(head - c0);
                 acc.fill(0.0);

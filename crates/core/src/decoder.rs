@@ -107,11 +107,7 @@ impl TransformerDecoder {
         let mut paged = PagedDecoder::new(self, PagedLayout::new(block, blocks.max(1)));
         let sessions: Vec<(usize, SessionId)> = (0..tgt_idx.batch())
             .filter(|&b| tgt_idx.seq_len(b) > 0)
-            .map(|b| {
-                let rows = seq_rows(&mem, &mem_idx, b).to_vec();
-                let memory = Tensor::from_vec(rows, [mem_idx.seq_len(b), hidden]).expect("shape consistent");
-                (b, paged.open_session(device, &memory))
-            })
+            .map(|b| (b, paged.open_session_rows(device, seq_rows(&mem, &mem_idx, b))))
             .collect();
         let inputs: Vec<(SessionId, &[f32])> = sessions
             .iter()

@@ -245,11 +245,18 @@ impl<'a> PagedDecoder<'a> {
     /// # Panics
     /// Panics if `memory` is not `[mem_len, hidden]`.
     pub fn open_session(&mut self, device: &Device, memory: &Tensor) -> SessionId {
-        let hidden = self.decoder.config.hidden();
         let dims = memory.dims();
         assert_eq!(dims.len(), 2, "memory must be [mem_len, hidden]");
-        assert_eq!(dims[1], hidden, "memory hidden mismatch");
-        let mem_len = dims[0];
+        assert_eq!(dims[1], self.decoder.config.hidden(), "memory hidden mismatch");
+        self.open_session_rows(device, memory.as_slice())
+    }
+
+    /// [`PagedDecoder::open_session`] over memory rows given as a flat
+    /// `[mem_len × hidden]` slice, read in place.
+    pub(crate) fn open_session_rows(&mut self, device: &Device, memory: &[f32]) -> SessionId {
+        let hidden = self.decoder.config.hidden();
+        let mem_len = memory.len() / hidden;
+        debug_assert_eq!(memory.len(), mem_len * hidden, "memory rows must be whole");
         let heads = self.decoder.config.heads;
 
         let cross_kv = self
@@ -261,7 +268,7 @@ impl<'a> PagedDecoder<'a> {
                 let kv = launch_gemm(
                     device,
                     "paged.cross_kv",
-                    memory.as_slice(),
+                    memory,
                     mem_len,
                     w.cross_kv_weight.as_slice(),
                     hidden,

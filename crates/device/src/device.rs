@@ -2,7 +2,6 @@
 
 use crate::cost::{CostModel, KernelCost, KernelSpec};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -60,7 +59,6 @@ pub struct Device {
     total_flops: AtomicU64,
     total_bytes: AtomicU64,
     launches: AtomicU64,
-    metrics: Mutex<HashMap<String, u64>>,
     tracing: bool,
 }
 
@@ -79,7 +77,6 @@ impl Device {
             total_flops: AtomicU64::new(0),
             total_bytes: AtomicU64::new(0),
             launches: AtomicU64::new(0),
-            metrics: Mutex::new(HashMap::new()),
             tracing: true,
         }
     }
@@ -150,18 +147,6 @@ impl Device {
         out
     }
 
-    /// Adds `n` to a named free-form metric (e.g. grouped-GEMM scheduler
-    /// visits, packed-token counts). Metrics are for diagnostics and
-    /// ablations; they do not affect modeled time.
-    pub fn bump_metric(&self, name: &str, n: u64) {
-        *self.metrics.lock().entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Reads a named metric (0 if never bumped).
-    pub fn metric(&self, name: &str) -> u64 {
-        self.metrics.lock().get(name).copied().unwrap_or(0)
-    }
-
     /// Total FLOPs declared across all launches.
     pub fn total_flops(&self) -> u64 {
         self.total_flops.load(Ordering::Relaxed)
@@ -187,18 +172,12 @@ impl Device {
         self.trace.lock().iter().map(|r| r.modeled).sum()
     }
 
-    /// Sum of measured wall times over the whole trace.
-    pub fn wall_total(&self) -> Duration {
-        self.trace.lock().iter().map(|r| r.wall).sum()
-    }
-
-    /// Clears the trace, counters, and metrics.
+    /// Clears the trace and counters.
     pub fn reset(&self) {
         self.trace.lock().clear();
         self.total_flops.store(0, Ordering::Relaxed);
         self.total_bytes.store(0, Ordering::Relaxed);
         self.launches.store(0, Ordering::Relaxed);
-        self.metrics.lock().clear();
     }
 }
 
@@ -239,20 +218,9 @@ mod tests {
     fn reset_clears_everything() {
         let dev = Device::with_model(CostModel::unit());
         dev.launch(KernelSpec::new("k").flops(1), || ());
-        dev.bump_metric("visits", 3);
         dev.reset();
         assert_eq!(dev.launches(), 0);
-        assert_eq!(dev.metric("visits"), 0);
         assert!(dev.trace().is_empty());
-    }
-
-    #[test]
-    fn metrics_accumulate() {
-        let dev = Device::new();
-        dev.bump_metric("scheduler_visits", 10);
-        dev.bump_metric("scheduler_visits", 5);
-        assert_eq!(dev.metric("scheduler_visits"), 15);
-        assert_eq!(dev.metric("missing"), 0);
     }
 
     #[test]

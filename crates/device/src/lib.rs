@@ -33,4 +33,4 @@ mod report;
 
 pub use cost::{CostModel, KernelCost, KernelSpec};
 pub use device::{Device, KernelRecord, LaunchTax};
-pub use report::{trace_to_csv, trace_to_jsonl, BucketStats, TraceReport};
+pub use report::{trace_to_csv, BucketStats, TraceReport};

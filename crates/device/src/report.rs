@@ -147,26 +147,6 @@ pub fn trace_to_csv(trace: &[KernelRecord]) -> String {
     out
 }
 
-/// Serializes a trace as JSON lines (one kernel record per line), suitable
-/// for `jq`-style processing. Kernel names in this workspace contain no
-/// characters requiring JSON escaping, but quotes, backslashes, and
-/// control characters are escaped defensively anyway.
-pub fn trace_to_jsonl(trace: &[KernelRecord]) -> String {
-    let mut out = String::new();
-    for r in trace {
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"flops\":{},\"bytes_read\":{},\"bytes_written\":{},\"wall_us\":{:.3},\"modeled_us\":{:.3}}}\n",
-            bt_obs::profile::json_escape(&r.name),
-            r.cost.flops,
-            r.cost.bytes_read,
-            r.cost.bytes_written,
-            r.wall.as_secs_f64() * 1e6,
-            r.modeled * 1e6,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,25 +220,6 @@ mod tests {
         assert!(lines[1].starts_with("gemm0.qkv,100,10,0,"));
     }
 
-    #[test]
-    fn jsonl_export_is_line_per_kernel() {
-        let dev = sample_device();
-        let jsonl = trace_to_jsonl(&dev.trace());
-        assert_eq!(jsonl.lines().count(), 4);
-        for line in jsonl.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert!(line.contains("\"flops\":"));
-        }
-    }
-
-    #[test]
-    fn jsonl_escapes_quotes() {
-        let dev = Device::with_model(CostModel::unit());
-        dev.launch(KernelSpec::new("weird\"name"), || ());
-        let jsonl = trace_to_jsonl(&dev.trace());
-        assert!(jsonl.contains("weird\\\"name"));
-    }
-
     /// Minimal RFC 4180 parser for the round-trip tests: splits one CSV
     /// line into fields, honoring quoted fields with doubled quotes.
     fn parse_csv_line(line: &str) -> Vec<String> {
@@ -323,45 +284,5 @@ mod tests {
         assert!(lines[2].starts_with("\"quote\"\"name\""));
         // Unquoted plain names stay unquoted.
         assert!(lines[3].starts_with("plain.name,"));
-    }
-
-    /// Minimal JSON string unescape for the round-trip test.
-    fn json_unescape(s: &str) -> String {
-        let mut out = String::new();
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap());
-                }
-                Some(other) => out.push(other),
-                None => {}
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn jsonl_round_trips_hostile_names() {
-        let dev = Device::with_model(CostModel::unit());
-        let hostile = "a\"b\\c\nd\te\u{1}f";
-        dev.launch(KernelSpec::new(hostile).flops(7), || ());
-        let jsonl = trace_to_jsonl(&dev.trace());
-        let line = jsonl.lines().next().unwrap();
-        // The line must stay a single line (control chars escaped)...
-        assert_eq!(jsonl.lines().count(), 1);
-        assert!(line.contains("\\u0001"));
-        // ...and the name must unescape back to the original.
-        let start = line.find("\"name\":\"").unwrap() + 8;
-        let end = line[start..].find("\",\"flops\"").unwrap() + start;
-        assert_eq!(json_unescape(&line[start..end]), hostile);
     }
 }

@@ -23,10 +23,6 @@
 //!   member of their batch; deadlines are re-checked **between rounds** and
 //!   expired requests are cancelled mid-request with the distinct
 //!   [`ShedReason::CancelledMidRequest`]. Instrumented as `serve.chunk.*`.
-//! * **Streaming egress** — [`IngressHandle::try_submit_stream`] hands the
-//!   caller a bounded per-request output channel the server pushes
-//!   [`StreamEvent`]s into, token-at-a-time, as the request's round
-//!   completes.
 //! * **Exact accounting** — every offered request gets exactly one
 //!   [`Outcome`]; `served + shed == offered` always
 //!   ([`ServeSummary::accounting_is_exact`], asserted by the seeded stress
@@ -50,10 +46,10 @@
 //!   work-shedding gate, [`ShedReason::HotShard`]).
 //! * the **wall front** (channel-driven): producers submit over a bounded
 //!   MPSC channel ([`std::sync::mpsc::sync_channel`]), time is an
-//!   [`Instant`] epoch, outcomes leave on a result channel and per-request
-//!   [`StreamEvent`] senders. [`Server`] is this front plus one thread that
-//!   calls the engine; batch execution runs on the persistent work-stealing
-//!   pool (the forwards' internal `parallel_for` fan-outs).
+//!   [`Instant`] epoch, outcomes leave on a result channel. [`Server`] is
+//!   this front plus one thread that calls the engine; batch execution runs
+//!   on the persistent work-stealing pool (the forwards' internal
+//!   `parallel_for` fan-outs).
 //!
 //! Everything is instrumented with `bt-obs`: queue-depth, batch-occupancy,
 //! batch-token and time-in-queue histograms, per-reason shed counters, and
@@ -92,7 +88,7 @@ use crate::admission::{admission_weight, batch_mask, cut_width, CutPolicy, Pendi
 use crate::serving::{latency_stats, LatencyStats, TimedRequest};
 use bt_obs::{names, LabelId, TraceId};
 use bt_varlen::BatchMask;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::time::Instant;
 
@@ -354,7 +350,6 @@ static ENQUEUE: LabelId = LabelId::new(names::REQ_ENQUEUE);
 static ADMIT: LabelId = LabelId::new(names::REQ_ADMIT);
 static ROUND: LabelId = LabelId::new(names::REQ_ROUND);
 static EXEC_DONE: LabelId = LabelId::new(names::REQ_EXEC_DONE);
-static STREAM_TOKEN: LabelId = LabelId::new(names::REQ_STREAM_TOKEN);
 static DONE: LabelId = LabelId::new(names::REQ_DONE);
 
 /// The per-reason shed counter.
@@ -800,29 +795,12 @@ pub fn run_open_loop(
     shard.report(outcomes.collect())
 }
 
-/// One event on a streaming request's bounded per-request output channel
-/// (see [`IngressHandle::try_submit_stream`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StreamEvent {
-    /// One valid token of the request completed, emitted token-at-a-time
-    /// in order once the request's chunk round finishes.
-    Token {
-        /// Zero-based token index within the request.
-        index: usize,
-    },
-    /// Terminal event: the request's final disposition. No further events
-    /// follow; the channel hangs up after it.
-    Done(Outcome),
-}
-
 /// A submission into the threaded server's bounded MPSC ingress.
 #[derive(Debug)]
 struct Submission {
     id: usize,
     len: usize,
     submitted: Instant,
-    /// Bounded per-request output channel for streaming submissions.
-    stream: Option<SyncSender<StreamEvent>>,
 }
 
 /// A cloneable producer handle onto the server's bounded ingress queue.
@@ -837,25 +815,6 @@ pub struct IngressHandle {
 }
 
 impl IngressHandle {
-    fn submit(&self, id: usize, len: usize, stream: Option<SyncSender<StreamEvent>>) -> Result<(), Option<ShedReason>> {
-        let tid = TraceId::from_request(id);
-        bt_obs::trace_mark(tid, &ENQUEUE);
-        let submitted = Instant::now();
-        match self.tx.try_send(Submission {
-            id,
-            len,
-            submitted,
-            stream,
-        }) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                bt_obs::trace_mark(tid, ShedReason::QueueFull.trace_label());
-                Err(Some(ShedReason::QueueFull))
-            }
-            Err(TrySendError::Disconnected(_)) => Err(None),
-        }
-    }
-
     /// Offers a request; rejects with [`ShedReason::QueueFull`] when the
     /// bounded ingress is full, or with a disconnect error message if the
     /// server already shut down.
@@ -864,46 +823,27 @@ impl IngressHandle {
     /// `Err(Some(QueueFull))` on backpressure, `Err(None)` if the server is
     /// gone.
     pub fn try_submit(&self, id: usize, len: usize) -> Result<(), Option<ShedReason>> {
-        self.submit(id, len, None)
-    }
-
-    /// Like [`IngressHandle::try_submit`], but returns a **bounded
-    /// per-request output channel** the server streams the request's
-    /// progress into: one [`StreamEvent::Token`] per valid token (in
-    /// order, token-at-a-time, emitted as the request's chunk round
-    /// completes) followed by a terminal [`StreamEvent::Done`], after
-    /// which the channel hangs up.
-    ///
-    /// Delivery is best-effort so a stalled consumer can never block the
-    /// server thread: events past the channel's `capacity` that the
-    /// consumer has not drained are dropped. The authoritative outcome is
-    /// always available from [`Server::finish`] regardless.
-    ///
-    /// # Errors
-    /// `Err(Some(QueueFull))` on backpressure, `Err(None)` if the server
-    /// is gone.
-    pub fn try_submit_stream(
-        &self,
-        id: usize,
-        len: usize,
-        capacity: usize,
-    ) -> Result<Receiver<StreamEvent>, Option<ShedReason>> {
-        let (stream_tx, stream_rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-        self.submit(id, len, Some(stream_tx)).map(|()| stream_rx)
+        let tid = TraceId::from_request(id);
+        bt_obs::trace_mark(tid, &ENQUEUE);
+        let submitted = Instant::now();
+        match self.tx.try_send(Submission { id, len, submitted }) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(_)) => {
+                bt_obs::trace_mark(tid, ShedReason::QueueFull.trace_label());
+                Err(Some(ShedReason::QueueFull))
+            }
+            Err(TrySendError::Disconnected(_)) => Err(None),
+        }
     }
 }
 
 /// The channel-driven [`Front`]: arrivals come off the bounded ingress
 /// channel, time is seconds since `epoch`, outcomes leave on the result
-/// channel (and the request's stream, if it has one) and marks carry the
-/// telemetry wall clock.
+/// channel and marks carry the telemetry wall clock.
 struct WallFront {
     epoch: Instant,
     ingress: Receiver<Submission>,
     results: Sender<RequestOutcome>,
-    /// Bounded per-request output channels, keyed by request id. Removed
-    /// (hanging up the channel) when the outcome is final.
-    streams: HashMap<usize, SyncSender<StreamEvent>>,
 }
 
 impl WallFront {
@@ -914,7 +854,6 @@ impl WallFront {
             epoch: Instant::now(),
             ingress,
             results,
-            streams: HashMap::new(),
         }
     }
 }
@@ -940,9 +879,6 @@ impl Front for WallFront {
                 Err(_) => return Ingress::Drained,
             }
         };
-        if let Some(stream) = s.stream {
-            self.streams.insert(s.id, stream);
-        }
         Ingress::Arrival(TimedRequest {
             id: s.id,
             len: s.len,
@@ -951,20 +887,6 @@ impl Front for WallFront {
     }
 
     fn deliver(&mut self, p: &Pending, outcome: Outcome) {
-        if let Some(s) = self.streams.remove(&p.id) {
-            if matches!(outcome, Outcome::Served { .. }) {
-                // Token-at-a-time, best-effort: a full bounded channel
-                // drops events rather than blocking the server thread on a
-                // stalled consumer.
-                for index in 0..p.len {
-                    if s.try_send(StreamEvent::Token { index }).is_err() {
-                        break;
-                    }
-                    bt_obs::trace_mark(TraceId::from_request(p.id), &STREAM_TOKEN);
-                }
-            }
-            let _ = s.try_send(StreamEvent::Done(outcome));
-        }
         let _ = self.results.send(RequestOutcome {
             id: p.id,
             len: p.len,
@@ -1400,62 +1322,6 @@ mod tests {
             (s.served, s.shed_cancelled, s.shed_deadline, s.shed_too_long),
             (3, 1, 5, 1)
         );
-    }
-
-    #[test]
-    fn streaming_submission_receives_tokens_then_done() {
-        let config = ServeConfig {
-            policy: CutPolicy::Fifo { max_batch: 4 },
-            queue_capacity: 8,
-            deadline: 10.0,
-            max_len: 64,
-            chunk_tokens: 4,
-        };
-        let server = Server::spawn(config, |_| {});
-        let handle = server.handle();
-        let stream = handle.try_submit_stream(0, 5, 16).expect("channel has room");
-        drop(handle);
-        let events: Vec<StreamEvent> = stream.iter().collect();
-        let (outcomes, _) = server.finish();
-        assert_eq!(
-            events,
-            vec![
-                StreamEvent::Token { index: 0 },
-                StreamEvent::Token { index: 1 },
-                StreamEvent::Token { index: 2 },
-                StreamEvent::Token { index: 3 },
-                StreamEvent::Token { index: 4 },
-                StreamEvent::Done(outcomes[0].outcome),
-            ],
-            "token-at-a-time in order, then the terminal outcome"
-        );
-        assert!(outcomes[0].served());
-    }
-
-    #[test]
-    fn streaming_shed_request_gets_a_terminal_event() {
-        let config = ServeConfig {
-            policy: CutPolicy::Fifo { max_batch: 4 },
-            queue_capacity: 8,
-            deadline: 10.0,
-            max_len: 16,
-            chunk_tokens: 0,
-        };
-        let server = Server::spawn(config, |_| {});
-        let handle = server.handle();
-        let stream = handle.try_submit_stream(0, 1000, 4).expect("channel has room");
-        drop(handle);
-        let events: Vec<StreamEvent> = stream.iter().collect();
-        let (outcomes, _) = server.finish();
-        assert_eq!(
-            events,
-            vec![StreamEvent::Done(Outcome::Shed {
-                reason: ShedReason::TooLong,
-                wait: 0.0
-            })],
-            "no tokens, just the terminal shed"
-        );
-        assert_eq!(outcomes.len(), 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl BatchedArgs {
     }
 }
 
-/// Strided batched GEMM: `C_i = alpha * op(A_i)·op(B_i) + beta * C_i` for
+/// Strided batched GEMM: `C_i = alpha * A_i·op(B_i)` for
 /// every sub-problem, parallel over the batch.
 ///
 /// # Panics
@@ -124,14 +124,12 @@ mod tests {
             let mut expect = vec![0.0f32; args.m * args.n];
             gemm_ref(
                 false,
-                false,
                 args.m,
                 args.n,
                 args.k,
                 1.0,
                 &a[i * args.stride_a..],
                 &b[i * args.stride_b..],
-                0.0,
                 &mut expect,
             );
             assert_close(
@@ -152,7 +150,6 @@ mod tests {
         for i in 0..args.batch {
             let mut expect = vec![0.0f32; args.m * args.n];
             gemm_ref(
-                false,
                 true,
                 args.m,
                 args.n,
@@ -160,7 +157,6 @@ mod tests {
                 0.125,
                 &a[i * args.stride_a..],
                 &b[i * args.stride_b..],
-                0.0,
                 &mut expect,
             );
             assert_close(

@@ -29,8 +29,8 @@
 //!   "shared memory" image, shared read-only by every task), consuming the
 //!   `transb` layout directly — no separate transpose pass;
 //! * `C` is split into row panels, one rayon task per panel (the
-//!   "threadblock" grid); each task packs its own `A` rows into `MR`-wide
-//!   micropanels, again straight from the `transa` layout;
+//!   "threadblock" grid); each task packs its own row-major `A` rows into
+//!   `MR`-wide micropanels;
 //! * each `MR×NR` output block accumulates in microkernel locals across the
 //!   *entire* `K` extent (the "register tile"), and the optional
 //!   [`TileEpilogue`] runs on the task's row panel as soon as the task has
@@ -52,32 +52,26 @@ use rayon::prelude::*;
 /// Rows of `C` per parallel task (a multiple of every kernel's `MR`).
 const PANEL_ROWS: usize = 32;
 
-/// GEMM configuration: operand transposes and scaling factors for
-/// `C = alpha * op(A)·op(B) + beta * C`.
+/// GEMM configuration for `C = alpha * A·op(B)`: `A` is row-major `m×k`,
+/// `B` row-major `k×n` or, transposed, `n×k`.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmSpec {
-    /// Consume `A` transposed (`A` stored `k×m`).
-    pub transa: bool,
     /// Consume `B` transposed (`B` stored `n×k`).
     pub transb: bool,
     /// Scale on the product.
     pub alpha: f32,
-    /// Scale on the existing `C` contents.
-    pub beta: f32,
 }
 
 impl GemmSpec {
-    /// No transposes, `alpha = 1`, `beta = 0`.
+    /// No transpose, `alpha = 1`.
     pub fn nn() -> Self {
         Self {
-            transa: false,
             transb: false,
             alpha: 1.0,
-            beta: 0.0,
         }
     }
 
-    /// `B` transposed (the `Q·Kᵀ` shape), `alpha = 1`, `beta = 0`.
+    /// `B` transposed (the `Q·Kᵀ` shape), `alpha = 1`.
     pub fn nt() -> Self {
         Self {
             transb: true,
@@ -90,15 +84,9 @@ impl GemmSpec {
         self.alpha = alpha;
         self
     }
-
-    /// Sets `beta`.
-    pub fn beta(mut self, beta: f32) -> Self {
-        self.beta = beta;
-        self
-    }
 }
 
-/// `C = alpha * op(A)·op(B) + beta * C`, row-major, parallel.
+/// `C = alpha * A·op(B)`, row-major, parallel; `C`'s contents are never read.
 ///
 /// # Panics
 /// Panics if a slice is shorter than its declared shape.
@@ -125,19 +113,13 @@ pub fn sgemm_epilogue(
     sgemm_inner(spec, m, n, k, a, b, c, Some(epilogue), None)
 }
 
-/// Blends one microkernel accumulator row into a `C` row segment with the
-/// alpha/beta scaling (`beta = 0` never reads `C`). The finish every dense
-/// driver shares; the epilogue runs after it, on what it stored.
+/// Stores one microkernel accumulator row into a `C` row segment scaled by
+/// `alpha`. The finish every dense driver shares; the epilogue runs after
+/// it, on what it stored.
 #[inline]
-pub(crate) fn store_row(c_row: &mut [f32], acc_row: &[f32], alpha: f32, beta: f32) {
-    if beta == 0.0 {
-        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-            *cv = alpha * av;
-        }
-    } else {
-        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-            *cv = alpha * av + beta * *cv;
-        }
+pub(crate) fn store_row(c_row: &mut [f32], acc_row: &[f32], alpha: f32) {
+    for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+        *cv = alpha * av;
     }
 }
 
@@ -225,14 +207,11 @@ fn sgemm_inner(
     if m == 0 || n == 0 {
         return;
     }
-    let (alpha, beta) = (spec.alpha, spec.beta);
     if k == 0 {
-        // Degenerate product: C = beta*C through the same store path
-        // (kernel-independent — no dispatch needed).
-        let zero = [0.0f32; NR_MAX];
-        for seg in c[..m * n].chunks_mut(NR_MAX) {
-            store_row(seg, &zero[..seg.len()], alpha, beta);
-        }
+        // Degenerate product: every element is `alpha·0`, what `store_row`
+        // stores from an empty accumulation (kernel-independent — no
+        // dispatch needed).
+        c[..m * n].fill(spec.alpha * 0.0);
         if let Some(epi) = epilogue {
             epi.apply(0, 0, 0, m, n, &mut c[..m * n]);
         }
@@ -273,7 +252,7 @@ fn sgemm_inner(
 /// launch into `kern`'s panel format (in parallel, each panel with its
 /// scale lanes), one rayon task per `C` row panel packing its own `A` rows,
 /// register-tile accumulation over the full `K` extent, and the shared
-/// alpha/beta store and epilogue. Monomorphised per kernel type, so the f32
+/// alpha store and epilogue. Monomorphised per kernel type, so the f32
 /// instance is the plain f32 loop.
 #[allow(clippy::too_many_arguments)]
 fn sgemm_packed<K: PanelKernel>(
@@ -288,7 +267,7 @@ fn sgemm_packed<K: PanelKernel>(
     epilogue: Option<&dyn TileEpilogue>,
 ) {
     record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_BLOCKED_LAUNCHES_PREFIX, 1);
-    let (alpha, beta) = (spec.alpha, spec.beta);
+    let alpha = spec.alpha;
     let (mr, nr) = kern.tile();
     let (apl, bpl) = kern.panel_lens(k);
     debug_assert_eq!(PANEL_ROWS % mr, 0, "row panels must hold whole micropanels");
@@ -316,8 +295,6 @@ fn sgemm_packed<K: PanelKernel>(
     let (b_pack, sb, colsum) = (&b_pack, &sb, &colsum);
 
     let sa_lanes = kern.a_scale_lanes();
-    // Transposed A rows are staged contiguous before packing.
-    let row_len = if spec.transa { k } else { 0 };
     c[..m * n]
         .par_chunks_mut(PANEL_ROWS * n)
         .enumerate()
@@ -331,18 +308,15 @@ fn sgemm_packed<K: PanelKernel>(
             // packers overwrite every lane including the pads, so stale
             // contents are harmless.
             with_worker_scratch(|scratch| {
-                let s = scratch.panels(kern, k, m_panels, 0, 0, row_len);
+                let s = scratch.panels(kern, k, m_panels, 0, 0, 0);
                 for ib in 0..m_panels {
-                    kern.pack_a_panel(
+                    let (r0, r) = (row0 + ib * mr, mr.min(rows - ib * mr));
+                    kern.pack_a_rows(
                         &mut s.a[ib * apl..(ib + 1) * apl],
                         &mut s.sa[ib * sa_lanes..(ib + 1) * sa_lanes],
-                        a,
-                        spec.transa,
-                        row0 + ib * mr,
-                        mr.min(rows - ib * mr),
-                        m,
+                        &a[r0 * k..(r0 + r) * k],
+                        r,
                         k,
-                        s.row,
                         s.cvt,
                     );
                 }
@@ -369,7 +343,6 @@ fn sgemm_packed<K: PanelKernel>(
                                 &mut c_panel[row * n + col0..row * n + col0 + cols],
                                 &acc[i * nr..i * nr + cols],
                                 alpha,
-                                beta,
                             );
                         }
                     }
@@ -399,18 +372,7 @@ mod tests {
         let mut c1 = rand_vec(m * n, 3);
         let mut c2 = c1.clone();
         sgemm(spec, m, n, k, &a, &b, &mut c1);
-        gemm_ref(
-            spec.transa,
-            spec.transb,
-            m,
-            n,
-            k,
-            spec.alpha,
-            &a,
-            &b,
-            spec.beta,
-            &mut c2,
-        );
+        gemm_ref(spec.transb, m, n, k, spec.alpha, &a, &b, &mut c2);
         assert_close(&c1, &c2, 1e-4 * k as f32);
     }
 
@@ -440,40 +402,19 @@ mod tests {
     #[test]
     fn matches_reference_transposed() {
         check_against_ref(GemmSpec::nt(), 33, 47, 65);
-        check_against_ref(
-            GemmSpec {
-                transa: true,
-                transb: false,
-                alpha: 1.0,
-                beta: 0.0,
-            },
-            17,
-            29,
-            31,
-        );
-        check_against_ref(
-            GemmSpec {
-                transa: true,
-                transb: true,
-                alpha: 0.5,
-                beta: 0.25,
-            },
-            19,
-            23,
-            40,
-        );
+        check_against_ref(GemmSpec::nt().alpha(0.5), 19, 23, 40);
     }
 
     #[test]
-    fn alpha_beta_respected() {
-        check_against_ref(GemmSpec::nn().alpha(2.5).beta(-0.5), 40, 40, 40);
+    fn alpha_respected() {
+        check_against_ref(GemmSpec::nn().alpha(2.5), 40, 40, 40);
     }
 
     #[test]
-    fn k_zero_scales_c_by_beta() {
+    fn k_zero_stores_zero() {
         let mut c = vec![2.0f32; 4];
-        sgemm(GemmSpec::nn().beta(0.5), 2, 2, 0, &[], &[], &mut c);
-        assert_eq!(c, vec![1.0; 4]);
+        sgemm(GemmSpec::nn(), 2, 2, 0, &[], &[], &mut c);
+        assert_eq!(c, vec![0.0; 4]);
     }
 
     #[test]
@@ -529,8 +470,8 @@ mod tests {
     #[test]
     fn epilogue_applied_when_k_zero() {
         let mut c = vec![1.0f32, -2.0, 3.0, -4.0];
-        sgemm_epilogue(GemmSpec::nn().beta(1.0), 2, 2, 0, &[], &[], &mut c, &StampCoords);
-        assert_eq!(c, vec![1.0, -1.0, 1003.0, 997.0]);
+        sgemm_epilogue(GemmSpec::nn(), 2, 2, 0, &[], &[], &mut c, &StampCoords);
+        assert_eq!(c, vec![0.0, 1.0, 1000.0, 1001.0]);
     }
 
     #[test]

@@ -153,10 +153,9 @@ pub struct GroupedStats {
 /// `problem_idx = 0` on each region of `C` a task has just finished: the
 /// packed driver (every precision) on the task's whole row panel
 /// (`rows × n`), the skinny driver on each row of the task's column block
-/// (`rows = 1`). Either way the values handed over are final: alpha-scaled,
-/// and in the dense drivers already blended with `beta·C`, so a GEMM with an
-/// epilogue stores exactly the bits of the GEMM followed by the same
-/// element-wise pass.
+/// (`rows = 1`). Either way the values handed over are final and
+/// alpha-scaled, so a GEMM with an epilogue stores exactly the bits of the
+/// GEMM followed by the same element-wise pass.
 pub trait TileEpilogue: Sync {
     /// `tile` is a dense `rows×cols` row-major buffer holding the final
     /// values of `C[row0.., col0..]` for problem `problem_idx`.
@@ -828,7 +827,7 @@ mod tests {
         );
         for (i, &(m, n, k)) in shapes.iter().enumerate() {
             let mut expect = vec![0.0f32; m * n];
-            gemm_ref(false, transb, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], 0.0, &mut expect);
+            gemm_ref(transb, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], &mut expect);
             assert_close(&c_bufs[i], &expect, 1e-3);
         }
         stats
@@ -976,7 +975,7 @@ mod tests {
             &Negate,
         );
         let mut expect = vec![0.0f32; 30];
-        gemm_ref(false, false, 6, 5, 8, -1.0, &a, &b, 0.0, &mut expect);
+        gemm_ref(false, 6, 5, 8, -1.0, &a, &b, &mut expect);
         assert_close(&c, &expect, 1e-4);
     }
 
@@ -1061,8 +1060,8 @@ mod tests {
         );
         let mut e0 = vec![0.0f32; 70 * 3];
         let mut e1 = vec![0.0f32; 70 * 5];
-        gemm_ref(false, false, 70, 3, 16, 1.0, &a0, &b0, 0.0, &mut e0);
-        gemm_ref(false, false, 70, 5, 16, 2.0, &a1, &b1, 0.0, &mut e1);
+        gemm_ref(false, 70, 3, 16, 1.0, &a0, &b0, &mut e0);
+        gemm_ref(false, 70, 5, 16, 2.0, &a1, &b1, &mut e1);
         for r in 0..70 {
             assert_close(&out[r * 8..r * 8 + 3], &e0[r * 3..(r + 1) * 3], 1e-4);
             assert_close(&out[r * 8 + 3..r * 8 + 8], &e1[r * 5..(r + 1) * 5], 1e-4);
@@ -1096,7 +1095,7 @@ mod tests {
         let mut expect_blocks: Vec<Vec<f32>> = Vec::new();
         for i in 0..n_problems {
             let mut e = vec![0.0f32; m * n];
-            gemm_ref(false, false, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], 0.0, &mut e);
+            gemm_ref(false, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], &mut e);
             expect_blocks.push(e);
         }
         for round in 0..5 {

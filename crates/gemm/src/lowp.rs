@@ -195,14 +195,15 @@ impl PanelKernel for LowpKernel {
         (self.a_panel_bytes(k), self.b_panel_bytes(k))
     }
 
-    fn pack_a_lane(&self, dst: &mut [u8], sa: &mut [f32], i: usize, k: usize, row: Option<&[f32]>, cvt: &mut [u16]) {
-        sa[i] = match row {
-            Some(row) => pack_a_row_lowp(self, dst, row, i, cvt),
-            None => {
+    fn pack_a_rows(&self, dst: &mut [u8], sa: &mut [f32], rows: &[f32], r: usize, k: usize, cvt: &mut [u16]) {
+        for (i, sa) in sa[..self.mr].iter_mut().enumerate() {
+            *sa = if i < r {
+                pack_a_row_lowp(self, dst, &rows[i * k..(i + 1) * k], i, cvt)
+            } else {
                 pack_a_pad_row_lowp(self, dst, i, k);
                 1.0
-            }
-        };
+            };
+        }
     }
 
     fn pack_b_panel(
@@ -651,26 +652,23 @@ pub fn pack_a_pad_row_lowp(kern: &LowpKernel, dst: &mut [u8], i: usize, k: usize
 }
 
 /// Low-precision counterpart of [`crate::micro::pack_a_panel`]: packs rows
-/// `row0..row0+r` of a row-major `m×k` matrix (`k×m` when `trans`) into one
-/// micropanel, converting each row through `row_buf` (≥ `k` f32) and `cvt`
-/// (≥ `k` u16) scratch, and records per-row scales in `sa[..mr]`. Every
-/// lane — including pads — is overwritten.
+/// `row0..row0+r` of a row-major matrix of row length `k` into one
+/// micropanel, converting each row through `cvt` (≥ `k` u16) scratch, and
+/// records per-row scales in `sa[..mr]`. Every lane — including pads — is
+/// overwritten.
 #[allow(clippy::too_many_arguments)] // geometry params are the point
 pub fn pack_a_panel_lowp(
     kern: &LowpKernel,
     dst: &mut [u8],
     sa: &mut [f32],
     src: &[f32],
-    trans: bool,
     row0: usize,
     r: usize,
-    m: usize,
     k: usize,
-    row_buf: &mut [f32],
     cvt: &mut [u16],
 ) {
     debug_assert!(r <= kern.mr);
-    kern.pack_a_panel(dst, sa, src, trans, row0, r, m, k, row_buf, cvt);
+    kern.pack_a_rows(dst, sa, &src[row0 * k..(row0 + r) * k], r, k, cvt);
 }
 
 /// Low-precision counterpart of [`crate::micro::pack_b_panel`]: packs
@@ -1519,21 +1517,8 @@ mod tests {
         let mut sa = vec![f32::NAN; kern.mr];
         let mut sb = vec![f32::NAN; kern.nr];
         let mut colsum = vec![i32::MAX; kern.nr];
-        let mut row_buf = vec![0.0f32; k];
         let mut cvt = vec![0u16; k.max(kern.nr)];
-        pack_a_panel_lowp(
-            kern,
-            &mut a_panel,
-            &mut sa,
-            a,
-            false,
-            0,
-            m,
-            m,
-            k,
-            &mut row_buf,
-            &mut cvt,
-        );
+        pack_a_panel_lowp(kern, &mut a_panel, &mut sa, a, 0, m, k, &mut cvt);
         pack_b_panel_lowp(kern, &mut b_panel, &mut sb, &mut colsum, b, false, 0, n, n, k, &mut cvt);
         let mut acc = vec![0.0f32; kern.mr * kern.nr];
         kern.run_block(k, &a_panel, &b_panel, &mut acc, &sa, &sb, &colsum);

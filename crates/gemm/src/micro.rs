@@ -8,7 +8,7 @@
 //! once). Operands are consumed from *packed micropanels* — k-major
 //! interleaved buffers analogous to the staged shared-memory tiles of a GPU
 //! kernel — which makes the inner loop two contiguous streams regardless of
-//! operand transposes.
+//! a `B` transpose.
 //!
 //! Since PR 3 the microkernel is a *family*: the portable scalar 8×8 kernel
 //! (autovectorized under whatever `-C target-cpu` the build used), an
@@ -151,58 +151,10 @@ pub(crate) trait PanelKernel: Sync {
     fn tile(&self) -> (usize, usize);
     /// Elements of one packed `A` and one packed `B` micropanel of depth `k`.
     fn panel_lens(&self, k: usize) -> (usize, usize);
-    /// Packs lane `i` of an `A` panel from one staged row of length `k`, or
-    /// with the format's neutral code when `row` is `None` (a pad lane),
-    /// and records its scale in `sa`.
-    fn pack_a_lane(
-        &self,
-        dst: &mut [Self::Elem],
-        sa: &mut [f32],
-        i: usize,
-        k: usize,
-        row: Option<&[f32]>,
-        cvt: &mut [u16],
-    );
     /// Packs `r ≤ mr` contiguous rows of length `k` (row `i` at
-    /// `rows[i*k ..]`) into one `A` panel, pad lanes neutral. The default
-    /// goes lane by lane through [`PanelKernel::pack_a_lane`].
-    fn pack_a_rows(&self, dst: &mut [Self::Elem], sa: &mut [f32], rows: &[f32], r: usize, k: usize, cvt: &mut [u16]) {
-        for i in 0..self.tile().0 {
-            let row = (i < r).then(|| &rows[i * k..(i + 1) * k]);
-            self.pack_a_lane(dst, sa, i, k, row, cvt);
-        }
-    }
-    /// Packs rows `row0 .. row0 + r` of a row-major `m×k` `A` (`k×m` when
-    /// `trans`, each row then staged through `row_buf` and packed lane by
-    /// lane) into one panel.
-    #[allow(clippy::too_many_arguments)] // geometry params are the point
-    fn pack_a_panel(
-        &self,
-        dst: &mut [Self::Elem],
-        sa: &mut [f32],
-        src: &[f32],
-        trans: bool,
-        row0: usize,
-        r: usize,
-        m: usize,
-        k: usize,
-        row_buf: &mut [f32],
-        cvt: &mut [u16],
-    ) {
-        if !trans {
-            // Row-major rows are already contiguous — no staging copy.
-            return self.pack_a_rows(dst, sa, &src[row0 * k..(row0 + r) * k], r, k, cvt);
-        }
-        for i in 0..self.tile().0 {
-            let row = (i < r).then(|| {
-                for (p, v) in row_buf[..k].iter_mut().enumerate() {
-                    *v = src[p * m + row0 + i];
-                }
-                &row_buf[..k]
-            });
-            self.pack_a_lane(dst, sa, i, k, row, cvt);
-        }
-    }
+    /// `rows[i*k ..]`) into one `A` panel with their scales in `sa`, pad
+    /// lanes neutral.
+    fn pack_a_rows(&self, dst: &mut [Self::Elem], sa: &mut [f32], rows: &[f32], r: usize, k: usize, cvt: &mut [u16]);
     /// Packs columns `col0 .. col0 + c` of a row-major `k×n` `B` (`n×k`
     /// when `trans`) into one panel; see [`pack_b_panel`].
     #[allow(clippy::too_many_arguments)] // geometry params are the point
@@ -263,19 +215,6 @@ impl PanelKernel for MicroKernel {
 
     fn pack_a_rows(&self, dst: &mut [f32], _: &mut [f32], rows: &[f32], r: usize, k: usize, _: &mut [u16]) {
         interleave_rows(dst, rows, r, k, self.mr);
-    }
-
-    fn pack_a_lane(&self, dst: &mut [f32], _: &mut [f32], i: usize, k: usize, row: Option<&[f32]>, _: &mut [u16]) {
-        let mr = self.mr;
-        if let Some(row) = row {
-            for (p, &v) in row.iter().enumerate() {
-                dst[p * mr + i] = v;
-            }
-        } else {
-            for p in 0..k {
-                dst[p * mr + i] = 0.0;
-            }
-        }
     }
 
     fn pack_b_panel(
@@ -357,25 +296,13 @@ pub(crate) unsafe fn scalar_kernel<const FUSED: bool>(kc: usize, a: *const f32, 
 }
 
 /// Packs one `A` micropanel of an `mr`-row kernel: rows `row0 .. row0+r`
-/// (`r ≤ mr`), the full `k` extent, from a row-major `m×k` matrix (or `k×m`
-/// when `trans`). Rows `r..mr` are zero lanes — every lane is overwritten,
-/// so reused scratch needs no pre-clearing.
-#[allow(clippy::too_many_arguments)] // geometry params are the point
-pub fn pack_a_panel(dst: &mut [f32], src: &[f32], trans: bool, row0: usize, r: usize, m: usize, k: usize, mr: usize) {
+/// (`r ≤ mr`), the full `k` extent, from a row-major matrix of row length
+/// `k`. Rows `r..mr` are zero lanes — every lane is overwritten, so reused
+/// scratch needs no pre-clearing.
+pub fn pack_a_panel(dst: &mut [f32], src: &[f32], row0: usize, r: usize, k: usize, mr: usize) {
     debug_assert!(dst.len() >= k * mr);
     debug_assert!(r <= mr);
-    if trans {
-        // src is k×m: A[row, p] = src[p*m + row]; each p step is contiguous
-        // in the source.
-        for p in 0..k {
-            let s = &src[p * m + row0..p * m + row0 + r];
-            let d = &mut dst[p * mr..p * mr + mr];
-            d[..r].copy_from_slice(s);
-            d[r..].fill(0.0);
-        }
-    } else {
-        interleave_rows(dst, &src[row0 * k..(row0 + r) * k], r, k, mr);
-    }
+    interleave_rows(dst, &src[row0 * k..(row0 + r) * k], r, k, mr);
 }
 
 /// Interleaves `r ≤ width` contiguous rows of length `k` (row `i` at
@@ -464,28 +391,6 @@ mod tests {
             let kern = isa::kernel_for(tier).unwrap();
             assert!(kern.mr <= MR_MAX, "{tier:?} mr {} > MR_MAX", kern.mr);
             assert!(kern.nr <= NR_MAX, "{tier:?} nr {} > NR_MAX", kern.nr);
-        }
-    }
-
-    #[test]
-    fn pack_a_transposed_agrees_with_plain() {
-        for mr in [8usize, 16] {
-            let (m, k) = (19, 9);
-            let a: Vec<f32> = (0..m * k).map(|i| i as f32).collect();
-            // a_t[p*m + r] = a[r*k + p]
-            let mut a_t = vec![0.0f32; m * k];
-            for r in 0..m {
-                for p in 0..k {
-                    a_t[p * m + r] = a[r * k + p];
-                }
-            }
-            let r = 3; // short strip with padding
-            let mut plain = vec![f32::NAN; k * mr];
-            let mut trans = vec![f32::NAN; k * mr];
-            pack_a_panel(&mut plain, &a, false, 16, r, m, k, mr);
-            pack_a_panel(&mut trans, &a_t, true, 16, r, m, k, mr);
-            assert_eq!(plain, trans);
-            assert_eq!(plain[r], 0.0); // padded lane of the first k-step zeroed
         }
     }
 

@@ -1,10 +1,10 @@
 //! Naive triple-loop GEMM used as the oracle in tests and property checks.
 
-/// Reference GEMM: `C = alpha * op(A) · op(B) + beta * C`.
+/// Reference GEMM: `C = alpha * A · op(B)`.
 ///
-/// * `a` is `m×k` row-major (or `k×m` if `transa`),
+/// * `a` is `m×k` row-major,
 /// * `b` is `k×n` row-major (or `n×k` if `transb`),
-/// * `c` is `m×n` row-major.
+/// * `c` is `m×n` row-major; its contents are overwritten, never read.
 ///
 /// Unoptimized by design — this is the correctness oracle for every tuned
 /// GEMM path in the crate.
@@ -12,18 +12,7 @@
 /// # Panics
 /// Panics if any slice is too short for its declared shape.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_ref(
-    transa: bool,
-    transb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
+pub fn gemm_ref(transb: bool, m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
@@ -31,11 +20,10 @@ pub fn gemm_ref(
         for j in 0..n {
             let mut acc = 0.0f32;
             for p in 0..k {
-                let av = if transa { a[p * m + i] } else { a[i * k + p] };
                 let bv = if transb { b[j * k + p] } else { b[p * n + j] };
-                acc += av * bv;
+                acc += a[i * k + p] * bv;
             }
-            c[i * n + j] = alpha * acc + beta * c[i * n + j];
+            c[i * n + j] = alpha * acc;
         }
     }
 }
@@ -49,7 +37,7 @@ mod tests {
         let a = [1.0, 0.0, 0.0, 1.0]; // I2
         let b = [1.0, 2.0, 3.0, 4.0];
         let mut c = [0.0; 4];
-        gemm_ref(false, false, 2, 2, 2, 1.0, &a, &b, 0.0, &mut c);
+        gemm_ref(false, 2, 2, 2, 1.0, &a, &b, &mut c);
         assert_eq!(c, b);
     }
 
@@ -59,7 +47,7 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0];
         let mut c = [0.0; 4];
-        gemm_ref(false, false, 2, 2, 2, 1.0, &a, &b, 0.0, &mut c);
+        gemm_ref(false, 2, 2, 2, 1.0, &a, &b, &mut c);
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -69,32 +57,20 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
         let b_t = [1.0, 0.0, 2.0, 0.0, 1.0, 1.0]; // 2x3 (n=2, k=3)
         let mut c1 = [0.0; 4];
-        gemm_ref(false, true, 2, 2, 3, 1.0, &a, &b_t, 0.0, &mut c1);
+        gemm_ref(true, 2, 2, 3, 1.0, &a, &b_t, &mut c1);
         // Manual transpose to k×n.
         let b = [1.0, 0.0, 0.0, 1.0, 2.0, 1.0]; // 3x2
         let mut c2 = [0.0; 4];
-        gemm_ref(false, false, 2, 2, 3, 1.0, &a, &b, 0.0, &mut c2);
+        gemm_ref(false, 2, 2, 3, 1.0, &a, &b, &mut c2);
         assert_eq!(c1, c2);
     }
 
     #[test]
-    fn transa_matches_manual_transpose() {
-        let a_t = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]; // 3x2 stored, consumed 2x3
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
-        let b = [1.0, 1.0, 0.0, 2.0, 1.0, 0.0]; // 3x2
-        let mut c1 = [0.0; 4];
-        let mut c2 = [0.0; 4];
-        gemm_ref(true, false, 2, 2, 3, 1.0, &a_t, &b, 0.0, &mut c1);
-        gemm_ref(false, false, 2, 2, 3, 1.0, &a, &b, 0.0, &mut c2);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn alpha_beta_blend() {
+    fn alpha_scales_the_product() {
         let a = [2.0];
         let b = [3.0];
         let mut c = [10.0];
-        gemm_ref(false, false, 1, 1, 1, 2.0, &a, &b, 0.5, &mut c);
-        assert_eq!(c, [2.0 * 6.0 + 0.5 * 10.0]);
+        gemm_ref(false, 1, 1, 1, 2.0, &a, &b, &mut c);
+        assert_eq!(c, [2.0 * 6.0]);
     }
 }

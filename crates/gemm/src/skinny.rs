@@ -126,7 +126,7 @@ pub(crate) fn kernel_for(isa: Isa) -> &'static SkinnyKernel {
     }
 }
 
-/// `C = alpha * op(A)·B + beta * C` for few rows: see the module docs.
+/// `C = alpha * A·B` for few rows: see the module docs.
 /// `isa` is the launch's dispatch tier; `B` is row-major `k×n` (`transb` is
 /// the packed driver's business). Shapes are validated by the caller.
 #[allow(clippy::too_many_arguments)]
@@ -149,7 +149,7 @@ pub(crate) fn sgemm_skinny(
 
     // Pack A once per launch: group `g` is a `k × r` k-major micropanel at
     // its own height (no zero rows) starting at `g*rmax*k`. One row is that
-    // layout already, transposed or not.
+    // layout already.
     let packed: Vec<f32>;
     let a_pack: &[f32] = if m == 1 {
         &a[..k]
@@ -157,7 +157,7 @@ pub(crate) fn sgemm_skinny(
         let mut buf = vec![0.0f32; m * k];
         for g in 0..groups {
             let r = group_rows(g);
-            pack_a_panel(&mut buf[g * rmax * k..][..r * k], a, spec.transa, g * rmax, r, m, k, r);
+            pack_a_panel(&mut buf[g * rmax * k..][..r * k], a, g * rmax, r, k, r);
         }
         packed = buf;
         &packed
@@ -212,7 +212,7 @@ pub(crate) fn sgemm_skinny(
                     writer.update(row * n + j0, block_cols, |c_seg| {
                         for (s, c_strip) in c_seg.chunks_mut(w).enumerate() {
                             let acc_row = &acc[(g * strips + s) * tile_len + i * w..][..c_strip.len()];
-                            store_row(c_strip, acc_row, spec.alpha, spec.beta);
+                            store_row(c_strip, acc_row, spec.alpha);
                         }
                         if let Some(epi) = epilogue {
                             epi.apply(0, row, j0, 1, block_cols, c_seg);

@@ -96,7 +96,7 @@ impl<'a> DisjointWriter<'a> {
 
     /// Runs `f` on elements `offset .. offset + len` as an exclusive slice —
     /// the read-modify-write form of [`DisjointWriter::write`], for stores
-    /// that blend with the existing contents (`beta != 0`, epilogues).
+    /// that rewrite what they stored (epilogues).
     ///
     /// # Panics
     /// Panics if the range is out of bounds, or (debug builds) if any

@@ -1,5 +1,5 @@
 //! Property-based tests: every tuned GEMM path agrees with the naive
-//! reference on arbitrary shapes, transposes and scaling factors.
+//! reference on arbitrary shapes, `B` transposes and scaling factors.
 
 use bt_gemm::batched::{batched_sgemm, BatchedArgs};
 use bt_gemm::grouped::{
@@ -54,19 +54,17 @@ proptest! {
         m in 1usize..48,
         n in 1usize..48,
         k in 1usize..96,
-        transa: bool,
         transb: bool,
         alpha in -2.0f32..2.0,
-        beta in -1.0f32..1.0,
         seed in 0u64..1000,
     ) {
         let a = rand_vec(m * k, seed);
         let b = rand_vec(k * n, seed + 1);
         let mut c1 = rand_vec(m * n, seed + 2);
         let mut c2 = c1.clone();
-        let spec = GemmSpec { transa, transb, alpha, beta };
+        let spec = GemmSpec { transb, alpha };
         sgemm(spec, m, n, k, &a, &b, &mut c1);
-        gemm_ref(transa, transb, m, n, k, alpha, &a, &b, beta, &mut c2);
+        gemm_ref(transb, m, n, k, alpha, &a, &b, &mut c2);
         prop_assert!(max_abs_diff(&c1, &c2) < 1e-3, "diff {}", max_abs_diff(&c1, &c2));
     }
 
@@ -78,11 +76,9 @@ proptest! {
         mr in 1usize..8,
         nq in 0usize..4,
         nr in 1usize..8,
-        k in 0usize..64, // includes the degenerate k = 0 (C = beta·C)
-        transa: bool,
+        k in 0usize..64, // includes the degenerate k = 0 (C = 0)
         transb: bool,
         alpha in -2.0f32..2.0,
-        beta in -1.0f32..1.0,
         seed in 0u64..1000,
     ) {
         let m = mq * 8 + mr;
@@ -91,9 +87,9 @@ proptest! {
         let b = rand_vec(k * n, seed + 1);
         let mut c1 = rand_vec(m * n, seed + 2);
         let mut c2 = c1.clone();
-        let spec = GemmSpec { transa, transb, alpha, beta };
+        let spec = GemmSpec { transb, alpha };
         sgemm(spec, m, n, k, &a, &b, &mut c1);
-        gemm_ref(transa, transb, m, n, k, alpha, &a, &b, beta, &mut c2);
+        gemm_ref(transb, m, n, k, alpha, &a, &b, &mut c2);
         prop_assert!(max_abs_diff(&c1, &c2) < 1e-3, "diff {}", max_abs_diff(&c1, &c2));
     }
 
@@ -132,11 +128,11 @@ proptest! {
         let a = rand_vec(batch * m * k, seed);
         let b = rand_vec(batch * k * n, seed + 1);
         let mut c = vec![0.0f32; batch * m * n];
-        let spec = GemmSpec { transa: false, transb, alpha: 1.0, beta: 0.0 };
+        let spec = GemmSpec { transb, ..GemmSpec::nn() };
         batched_sgemm(spec, args, &a, &b, &mut c);
         for i in 0..batch {
             let mut expect = vec![0.0f32; m * n];
-            gemm_ref(false, transb, m, n, k, 1.0, &a[i * m * k..], &b[i * k * n..], 0.0, &mut expect);
+            gemm_ref(transb, m, n, k, 1.0, &a[i * m * k..], &b[i * k * n..], &mut expect);
             prop_assert!(max_abs_diff(&c[i * m * n..(i + 1) * m * n], &expect) < 1e-3);
         }
     }
@@ -170,7 +166,7 @@ proptest! {
         );
         for (i, &(m, n, k)) in shapes.iter().enumerate() {
             let mut expect = vec![0.0f32; m * n];
-            gemm_ref(false, false, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], 0.0, &mut expect);
+            gemm_ref(false, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], &mut expect);
             prop_assert!(max_abs_diff(&cs[i], &expect) < 1e-3);
         }
     }
@@ -224,7 +220,6 @@ proptest! {
         mr_sel in 0usize..3,
         m in 1usize..40,
         k in 0usize..24,
-        trans: bool,
         panel in 0usize..4,
         seed in 0u64..1000,
     ) {
@@ -232,19 +227,8 @@ proptest! {
         let row0 = (panel * mr).min(m.saturating_sub(1));
         let r = mr.min(m - row0);
         let a = rand_vec(m * k, seed);
-        let src = if trans {
-            let mut t = vec![0.0f32; m * k];
-            for i in 0..m {
-                for p in 0..k {
-                    t[p * m + i] = a[i * k + p];
-                }
-            }
-            t
-        } else {
-            a.clone()
-        };
         let mut dst = vec![f32::NAN; k * mr];
-        pack_a_panel(&mut dst, &src, trans, row0, r, m, k, mr);
+        pack_a_panel(&mut dst, &a, row0, r, k, mr);
         for p in 0..k {
             for i in 0..mr {
                 let got = dst[p * mr + i];
@@ -289,7 +273,7 @@ proptest! {
         grouped_sgemm_strided(&problems, &mut out, &placements, GroupedConfig::default(), &NoEpilogue, &NoTransform);
         for (i, &(m, n, k)) in shapes.iter().enumerate() {
             let mut expect = vec![0.0f32; m * n];
-            gemm_ref(false, false, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], 0.0, &mut expect);
+            gemm_ref(false, m, n, k, 1.0, &a_bufs[i], &b_bufs[i], &mut expect);
             for r in 0..m {
                 for j in 0..n {
                     let got = out[placements[i].offset + r * ld + j];
@@ -384,23 +368,11 @@ proptest! {
         prec_sel in 0usize..2,
         m in 1usize..40,
         k in 0usize..24,
-        trans: bool,
         panel in 0usize..3,
         seed in 0u64..1000,
     ) {
         let prec = [Precision::F16, Precision::Int8][prec_sel];
         let a = rand_vec(m * k, seed);
-        let src = if trans {
-            let mut t = vec![0.0f32; k * m];
-            for i in 0..m {
-                for p in 0..k {
-                    t[p * m + i] = a[i * k + p];
-                }
-            }
-            t
-        } else {
-            a.clone()
-        };
         for isa in lowp_impl_isas(prec) {
             let kern = lowp_impl(prec, isa).unwrap();
             let mr = kern.mr;
@@ -408,9 +380,8 @@ proptest! {
             let r = mr.min(m - row0);
             let mut dst = vec![0xABu8; kern.a_panel_bytes(k)];
             let mut sa = vec![f32::NAN; mr];
-            let mut row_buf = vec![0.0f32; k];
             let mut cvt = vec![0u16; k.max(1)];
-            pack_a_panel_lowp(kern, &mut dst, &mut sa, &src, trans, row0, r, m, k, &mut row_buf, &mut cvt);
+            pack_a_panel_lowp(kern, &mut dst, &mut sa, &a, row0, r, k, &mut cvt);
             for i in 0..mr {
                 let scale = if i < r && prec == Precision::Int8 {
                     let rowmax = a[(row0 + i) * k..(row0 + i) * k + k].iter().fold(0.0f32, |x, &v| x.max(v.abs()));
@@ -462,7 +433,7 @@ proptest! {
         grouped_sgemm_strided(&problems, &mut out, &placements, GroupedConfig::default(), &NoEpilogue, &NoTransform);
         for h in 0..heads {
             let mut expect = vec![0.0f32; m * head];
-            gemm_ref(false, false, m, head, k, 1.0, &a_bufs[h], &b_bufs[h], 0.0, &mut expect);
+            gemm_ref(false, m, head, k, 1.0, &a_bufs[h], &b_bufs[h], &mut expect);
             for i in 0..m {
                 for j in 0..head {
                     prop_assert!((out[i * hidden + h * head + j] - expect[i * head + j]).abs() < 1e-4);

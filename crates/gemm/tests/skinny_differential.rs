@@ -58,8 +58,7 @@ impl TileEpilogue for BiasClamp {
     }
 }
 
-/// One differential case: logical `A` is `m×k`, stored transposed when
-/// `spec.transa`.
+/// One differential case: `A` is row-major `m×k`.
 #[derive(Debug, Clone, Copy)]
 struct Case {
     spec: GemmSpec,
@@ -75,20 +74,6 @@ struct Case {
 const TOP: usize = 5;
 const BELOW: usize = SKINNY_MAX_M + 9;
 
-/// Stores logical row-major `rows×k` data in the layout `transa` asks for.
-fn store_a(logical: &[f32], rows: usize, k: usize, transa: bool) -> Vec<f32> {
-    if !transa {
-        return logical.to_vec();
-    }
-    let mut t = vec![0.0f32; rows * k];
-    for i in 0..rows {
-        for p in 0..k {
-            t[p * rows + i] = logical[i * k + p];
-        }
-    }
-    t
-}
-
 /// Computes the case through the public entry points (shape-driven driver
 /// choice) and, for the same operands, as rows `TOP..TOP+m` of a tall
 /// product pinned to the packed driver; returns `(got, want)`.
@@ -101,12 +86,11 @@ fn run_case(case: Case) -> (Vec<f32>, Vec<f32>) {
         with_epilogue,
         seed,
     } = case;
-    let a_logical = rand_vec(m * k, seed);
+    let a = rand_vec(m * k, seed);
     let b = rand_vec(k * n, seed + 1);
     let c0 = rand_vec(m * n, seed + 2);
 
     let mut got = c0.clone();
-    let a = store_a(&a_logical, m, k, spec.transa);
     if with_epilogue {
         sgemm_epilogue(spec, m, n, k, &a, &b, &mut got, &BiasClamp);
     } else {
@@ -115,8 +99,7 @@ fn run_case(case: Case) -> (Vec<f32>, Vec<f32>) {
 
     let tall = TOP + m + BELOW;
     let mut a_tall = rand_vec(tall * k, seed + 3);
-    a_tall[TOP * k..(TOP + m) * k].copy_from_slice(&a_logical);
-    let a_tall = store_a(&a_tall, tall, k, spec.transa);
+    a_tall[TOP * k..(TOP + m) * k].copy_from_slice(&a);
     let mut c_tall = rand_vec(tall * n, seed + 4);
     c_tall[TOP * n..(TOP + m) * n].copy_from_slice(&c0);
     let epi: Option<&dyn TileEpilogue> = if with_epilogue { Some(&BiasClamp) } else { None };
@@ -127,15 +110,6 @@ fn run_case(case: Case) -> (Vec<f32>, Vec<f32>) {
 fn assert_case(tier: Isa, case: Case) {
     let (got, want) = run_case(case);
     assert_eq!(bits(&got), bits(&want), "{tier}: {case:?}");
-}
-
-fn spec(transa: bool, alpha: f32, beta: f32) -> GemmSpec {
-    GemmSpec {
-        transa,
-        transb: false,
-        alpha,
-        beta,
-    }
 }
 
 #[test]
@@ -149,7 +123,7 @@ fn every_m_up_to_the_crossover_equals_tall_packed_rows() {
             assert_case(
                 tier,
                 Case {
-                    spec: spec(m.is_multiple_of(2), 1.0, 0.0),
+                    spec: GemmSpec::nn(),
                     m,
                     n,
                     k,
@@ -173,18 +147,13 @@ fn ragged_shapes_transposes_scaling_and_epilogue() {
                 for &k in &ks {
                     seed += 1;
                     // Rotate the remaining axes instead of crossing them:
-                    // every (transa, scaling, epilogue) combination still
-                    // meets every row count and every remainder class.
-                    let transa = seed.is_multiple_of(2);
-                    let (alpha, beta) = if seed.is_multiple_of(3) {
-                        (1.0, 0.0)
-                    } else {
-                        (0.5, -0.75)
-                    };
+                    // every (scaling, epilogue) combination still meets
+                    // every row count and every remainder class.
+                    let alpha = if seed.is_multiple_of(3) { 1.0 } else { 0.5 };
                     assert_case(
                         tier,
                         Case {
-                            spec: spec(transa, alpha, beta),
+                            spec: GemmSpec::nn().alpha(alpha),
                             m,
                             n,
                             k,
@@ -209,7 +178,7 @@ fn model_shapes_at_decode_row_counts() {
                 assert_case(
                     tier,
                     Case {
-                        spec: spec(false, 1.0, 0.0),
+                        spec: GemmSpec::nn(),
                         m,
                         n,
                         k,
@@ -244,7 +213,7 @@ fn b_ending_exactly_at_k_times_n_is_never_read_past() {
                 sgemm_pinned(Driver::Packed, GemmSpec::nn(), m, n, k, &a, b, &mut packed, None);
                 assert_eq!(bits(&got), bits(&packed), "{tier}: n={n} k={k}");
                 let mut want = vec![0.0f32; m * n];
-                gemm_ref(false, false, m, n, k, 1.0, &a, b, 0.0, &mut want);
+                gemm_ref(false, m, n, k, 1.0, &a, b, &mut want);
                 for (g, w) in got.iter().zip(&want) {
                     assert!((g - w).abs() < 1e-4 * k as f32, "{tier}: n={n} k={k}: {g} vs {w}");
                 }
@@ -263,7 +232,7 @@ fn skinny_driver_pinned_on_a_fat_shape_still_matches() {
         let b = rand_vec(k * n, 2);
         let c0 = rand_vec(m * n, 3);
         let (mut skinny, mut packed) = (c0.clone(), c0);
-        let s = GemmSpec::nn().alpha(1.5).beta(0.5);
+        let s = GemmSpec::nn().alpha(1.5);
         sgemm_pinned(Driver::Skinny, s, m, n, k, &a, &b, &mut skinny, Some(&BiasClamp));
         sgemm_pinned(Driver::Packed, s, m, n, k, &a, &b, &mut packed, Some(&BiasClamp));
         assert_eq!(bits(&skinny), bits(&packed), "{tier}");
@@ -308,9 +277,7 @@ proptest! {
         m in 1usize..=SKINNY_MAX_M + 1,
         n in 1usize..200,
         k in 0usize..100,
-        transa: bool,
         alpha in -2.0f32..2.0,
-        beta in -1.0f32..1.0,
         with_epilogue: bool,
         tier_pick in 0usize..3,
         seed in 0u64..1000,
@@ -320,7 +287,7 @@ proptest! {
         let tiers = isa::available_isas();
         let tier = tiers[tier_pick % tiers.len()];
         isa::set_active_isa(tier).expect("tier reported available");
-        let case = Case { spec: spec(transa, alpha, beta), m, n, k, with_epilogue, seed };
+        let case = Case { spec: GemmSpec::nn().alpha(alpha), m, n, k, with_epilogue, seed };
         let (got, want) = run_case(case);
         isa::set_active_isa(prev).expect("previous tier was active");
         prop_assert_eq!(bits(&got), bits(&want), "{}: {:?}", tier, case);

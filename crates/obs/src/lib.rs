@@ -27,9 +27,9 @@
 //! * **Windowed snapshots** — [`snapshot::Aggregator`] diffs successive
 //!   registry reads into per-window [`snapshot::MetricsSnapshot`]s (delta
 //!   counters, windowed percentiles from raw bucket deltas, GEMM rates,
-//!   shed breakdown) that merge across shards and export as JSON or
-//!   Prometheus text; [`snapshot::SnapshotLoop`] runs the periodic loop at
-//!   a caller-chosen cadence.
+//!   shed breakdown) that merge across shards;
+//!   [`snapshot::SnapshotLoop`] runs the periodic loop at a caller-chosen
+//!   cadence.
 //!
 //! Recording is on from process start. [`set_enabled`]`(false)` is the one
 //! off switch: every span, counter and histogram call then costs a relaxed

@@ -180,7 +180,7 @@ pub const REQ_ENQUEUE: &str = "req.enqueue";
 pub const REQ_ADMIT: &str = "req.admit";
 /// Request's chunk round began executing (first one ends queue-wait).
 pub const REQ_ROUND: &str = "req.round";
-/// Request's forward work finished (last one starts stream egress).
+/// Request's forward work finished (egress to `req.done` follows).
 pub const REQ_EXEC_DONE: &str = "req.exec.done";
 /// Request left the decode queue into prefilling (ends queue-wait).
 pub const REQ_PREFILL_START: &str = "req.prefill.start";
@@ -188,8 +188,6 @@ pub const REQ_PREFILL_START: &str = "req.prefill.start";
 pub const REQ_PREFILL_CHUNK: &str = "req.prefill.chunk";
 /// One decode token generated.
 pub const REQ_DECODE_STEP: &str = "req.decode.step";
-/// One token pushed to the client stream.
-pub const REQ_STREAM_TOKEN: &str = "req.stream.token";
 /// Terminal mark: request served to completion.
 pub const REQ_DONE: &str = "req.done";
 /// Prefix shared by all terminal shed marks; the suffix is the
@@ -265,7 +263,6 @@ pub const ALL: &[&str] = &[
     REQ_PREFILL_START,
     REQ_PREFILL_CHUNK,
     REQ_DECODE_STEP,
-    REQ_STREAM_TOKEN,
     REQ_DONE,
     REQ_SHED_QUEUE_FULL,
     REQ_SHED_DEADLINE,

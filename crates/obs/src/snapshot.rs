@@ -5,16 +5,15 @@
 //! [`MetricsSnapshot`]s: delta counters, windowed p50/p95/p99 (computed
 //! from raw bucket deltas with the exact same math the live histograms
 //! use), per-ISA/per-precision GEMM rates, KV-pool high-water, and the
-//! shed-reason breakdown. Snapshots serialize to JSON and Prometheus text
-//! and [`merge`] so N shards can be rolled up into one fleet view.
+//! shed-reason breakdown. Snapshots [`merge`] so N shards can be rolled up
+//! into one fleet view.
 //!
 //! [`SnapshotLoop`] runs the periodic loop on a background thread at a
 //! cadence its caller chooses (`btx top` uses 1000 ms).
 
 use crate::names;
-use crate::profile::{json_escape, HistogramSnapshot};
+use crate::profile::HistogramSnapshot;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -225,104 +224,6 @@ impl MetricsSnapshot {
     /// The windowed view of histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<&HistogramWindow> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Serializes the snapshot as a self-contained JSON object (histograms
-    /// as percentile summaries, not raw buckets).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"shard\": \"{}\",", json_escape(&self.shard));
-        let _ = writeln!(out, "  \"window_ms\": {},", self.window_ms);
-        out.push_str("  \"counters\": {\n");
-        for (i, c) in self.counters.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"delta\": {}, \"total\": {}}}{}",
-                json_escape(&c.name),
-                c.delta,
-                c.total,
-                if i + 1 == self.counters.len() { "" } else { "," }
-            );
-        }
-        out.push_str("  },\n  \"histograms\": {\n");
-        for (i, h) in self.histograms.iter().enumerate() {
-            let s = h.snapshot();
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}",
-                json_escape(&h.name),
-                s.count,
-                s.sum,
-                s.p50,
-                s.p95,
-                s.p99,
-                if i + 1 == self.histograms.len() { "" } else { "," }
-            );
-        }
-        out.push_str("  },\n  \"gemm_gflops\": {\n");
-        let rates = self.gemm_rates();
-        for (i, (path, gf)) in rates.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    \"{}\": {gf:.3}{}",
-                json_escape(path),
-                if i + 1 == rates.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  }},\n  \"kv_pool_high_water_blocks\": {}",
-            self.kv_pool_high_water().map_or("null".to_string(), |v| v.to_string())
-        );
-        out.push_str("}\n");
-        out
-    }
-
-    /// Serializes the snapshot as Prometheus text exposition (windowed
-    /// families are suffixed `_window`; totals stay cumulative).
-    pub fn to_prometheus(&self) -> String {
-        let shard = crate::profile::json_escape(&self.shard);
-        let mut out = String::new();
-        out.push_str("# TYPE bt_counter_window gauge\n# TYPE bt_counter counter\n");
-        for c in &self.counters {
-            let name = json_escape(&c.name);
-            let _ = writeln!(
-                out,
-                "bt_counter_window{{name=\"{name}\",shard=\"{shard}\"}} {}",
-                c.delta
-            );
-            let _ = writeln!(out, "bt_counter{{name=\"{name}\",shard=\"{shard}\"}} {}", c.total);
-        }
-        out.push_str("# TYPE bt_histogram_window summary\n");
-        for h in &self.histograms {
-            let s = h.snapshot();
-            let name = json_escape(&h.name);
-            for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
-                let _ = writeln!(
-                    out,
-                    "bt_histogram_window{{name=\"{name}\",shard=\"{shard}\",quantile=\"{q}\"}} {v}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "bt_histogram_window_count{{name=\"{name}\",shard=\"{shard}\"}} {}",
-                s.count
-            );
-            let _ = writeln!(
-                out,
-                "bt_histogram_window_sum{{name=\"{name}\",shard=\"{shard}\"}} {}",
-                s.sum
-            );
-        }
-        out.push_str("# TYPE bt_gemm_gflops_window gauge\n");
-        for (path, gf) in self.gemm_rates() {
-            let _ = writeln!(
-                out,
-                "bt_gemm_gflops_window{{path=\"{}\",shard=\"{shard}\"}} {gf:.3}",
-                json_escape(&path)
-            );
-        }
-        out
     }
 }
 
@@ -611,28 +512,6 @@ mod tests {
         assert_eq!(rates[0].0, "avx512.f32");
         assert!((rates[0].1 - 2.0).abs() < 1e-9, "2 GFLOP over 1 s = 2 GFLOP/s");
         assert_eq!(s.shed_breakdown(), vec![("serve.shed.queue_full".to_string(), 3)]);
-    }
-
-    #[test]
-    fn json_and_prometheus_render_all_sections() {
-        let s = MetricsSnapshot {
-            shard: "shard0".into(),
-            window_ms: 500,
-            counters: vec![CounterDelta {
-                name: "serve.served".into(),
-                delta: 4,
-                total: 44,
-            }],
-            histograms: vec![window_of(&[7, 9], "serve.queue_wait_us")],
-        };
-        let json = s.to_json();
-        assert!(json.contains("\"shard\": \"shard0\""));
-        assert!(json.contains("\"serve.served\": {\"delta\": 4, \"total\": 44}"));
-        assert!(json.contains("\"p99\": 9"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let prom = s.to_prometheus();
-        assert!(prom.contains("bt_counter_window{name=\"serve.served\",shard=\"shard0\"} 4"));
-        assert!(prom.contains("bt_histogram_window{name=\"serve.queue_wait_us\",shard=\"shard0\",quantile=\"0.99\"} 9"));
     }
 
     #[test]

@@ -268,8 +268,7 @@ mod tests {
             mark(names::REQ_ADMIT, 100, 1, tag),
             mark(names::REQ_ROUND, 400, 2, tag),
             mark(names::REQ_EXEC_DONE, 900, 3, tag),
-            mark(names::REQ_STREAM_TOKEN, 950, 4, tag),
-            mark(names::REQ_DONE, 1000, 5, tag),
+            mark(names::REQ_DONE, 1000, 4, tag),
         ]);
         let traces = reconstruct(&p);
         assert_eq!(traces.len(), 1);

@@ -1,22 +1,22 @@
 //! Cross-ISA differential harness for the paged decode path.
 //!
 //! The block-paged KV cache and batched decode step (`bt_core::paged`) must
-//! agree with the two independently implemented references on **every**
-//! `BYTE_GEMM_ISA` tier:
+//! agree with one independently implemented reference on **every**
+//! `BYTE_GEMM_ISA` tier: [`DecoderSession`], one private contiguous cache
+//! per sequence, sharing no code with the paged stack. The paged side is
+//! [`PagedDecoder::forward`], many sessions' rows through one pipeline over
+//! block-table-indexed storage.
 //!
-//! 1. **Teacher-forcing forward** — [`TransformerDecoder::forward`] over the
-//!    whole target at once, proved against the padded baseline.
-//! 2. **Contiguous incremental cache** — [`DecoderSession`], one private
-//!    contiguous cache per sequence.
-//! 3. **Paged batched decode** — [`PagedDecoder::forward`], many
-//!    sessions' rows through one pipeline over block-table-indexed
-//!    storage.
+//! [`TransformerDecoder::forward`] appears too, but it is no independent
+//! reference: it is itself one paged prefill per sequence. Its cases check
+//! the teacher-forced wrapper — packing the padded batch, mapping each
+//! sequence to its own session over its memory rows, and unpacking.
 //!
-//! All three run the same weights, so any disagreement beyond the
+//! Both sides run the same weights, so any disagreement beyond the
 //! documented contraction-order tolerance (`5e-3`, same bound the
 //! incremental-vs-teacher-forcing test documents) is a bug in the cache
 //! indirection or the attention unit construction. On top of the per-tier
-//! three-way check, each
+//! checks, each
 //! tier's paged output is compared against the scalar tier's: **bitwise**
 //! when the tiers share a contraction mode ([`MicroKernel::fused_fma`] —
 //! paging adds no ISA-dependent code outside the GEMMs), tolerance
@@ -33,10 +33,10 @@
 //! relations above keep holding, bitwise wherever the two sides run the same
 //! arithmetic.
 //!
-//! The teacher-forcing forward's two attentions run the rows form the paged
-//! stack runs, one unit per sequence over the packed planes, so at every
-//! length a paged prefill is **bitwise** the forward, and a teacher-forced
-//! target's rows are bitwise the same whatever sequences share its batch.
+//! Because the teacher-forcing forward is a paged prefill, at every length
+//! a paged prefill is **bitwise** the forward, and a teacher-forced
+//! target's rows are bitwise the same whatever sequences share its batch;
+//! a mismatch there is the wrapper's packing or session mapping.
 //!
 //! Tiers the host lacks are skipped with a logged reason (stderr), never
 //! silently: the log always accounts for all tiers.

@@ -140,7 +140,7 @@ fn blocked_gemm_case(m: usize, n: usize, k: usize, seed: u64) {
     let c0 = rand_vec(m * n, seed ^ 7);
     differential(&format!("sgemm {m}x{n}x{k}"), || {
         let mut c = c0.clone();
-        sgemm(GemmSpec::nn().alpha(1.25).beta(0.5), m, n, k, &a, &b, &mut c);
+        sgemm(GemmSpec::nn().alpha(1.25), m, n, k, &a, &b, &mut c);
         c
     });
 }

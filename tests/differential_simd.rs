@@ -126,23 +126,15 @@ fn blocked_sgemm_all_tiers() {
         (17, 15, 33),
         (15, 17, 1),
         (33, 65, 127),
-        (9, 31, 0), // degenerate k: C = beta·C, kernel-independent
+        (9, 31, 0), // degenerate k: C = 0, kernel-independent
         (100, 30, 300),
     ] {
-        for (ti, &(transa, transb)) in [(false, false), (false, true), (true, false), (true, true)]
-            .iter()
-            .enumerate()
-        {
+        for (ti, transb) in [false, true].into_iter().enumerate() {
             differential(&format!("sgemm {m}x{n}x{k} t{ti}"), k, || {
                 let a = rand_vec(m * k, 1 + ti as u64);
                 let b = rand_vec(k * n, 2 + ti as u64);
                 let mut c = rand_vec(m * n, 3);
-                let spec = GemmSpec {
-                    transa,
-                    transb,
-                    alpha: 1.25,
-                    beta: -0.5,
-                };
+                let spec = GemmSpec { transb, alpha: 1.25 };
                 sgemm(spec, m, n, k, &a, &b, &mut c);
                 c
             });
