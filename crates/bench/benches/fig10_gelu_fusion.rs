@@ -13,7 +13,7 @@
 use bt_bench::{banner, bench_batch, bench_config, pct_faster, seq_sweep, wall};
 use bt_core::weights::LayerWeights;
 use bt_device::{Device, TraceReport};
-use bt_gemm::{gemm_kernel_spec, sgemm, sgemm_epilogue, GemmSpec};
+use bt_gemm::{gemm_kernel_spec, sgemm_prepacked};
 use bt_kernels::activation::{add_bias_gelu_unfused, bias_gelu_epilogue};
 use bt_tensor::Tensor;
 
@@ -52,7 +52,7 @@ fn main() {
         // Unfused: GEMM kernel, then the separate bias and GELU kernels.
         let unfused = |dev: &Device, out: &mut [f32]| {
             dev.launch(gemm_kernel_spec("gemm2.ffn_up", rows, inter, hidden, 4), || {
-                sgemm(GemmSpec::nn(), rows, inter, hidden, &x, w.ffn_up_weight.as_slice(), out)
+                sgemm_prepacked(rows, &x, &w.ffn_up_weight, out, None)
             });
             add_bias_gelu_unfused(dev, "bias_act", out, rows, inter, &w.ffn_up_bias);
         };
@@ -61,18 +61,7 @@ fn main() {
             let epi = bias_gelu_epilogue(&w.ffn_up_bias);
             let mut spec = gemm_kernel_spec("gemm2.ffn_up_fused", rows, inter, hidden, 4);
             spec.cost.flops += (rows * inter * 9) as u64;
-            dev.launch(spec, || {
-                sgemm_epilogue(
-                    GemmSpec::nn(),
-                    rows,
-                    inter,
-                    hidden,
-                    &x,
-                    w.ffn_up_weight.as_slice(),
-                    out,
-                    &epi,
-                )
-            });
+            dev.launch(spec, || sgemm_prepacked(rows, &x, &w.ffn_up_weight, out, Some(&epi)));
         };
 
         let dev_u = Device::new();

@@ -7,14 +7,23 @@
 //! explicit-SIMD tentpole bought over the previous PR, same process, same
 //! build flags, same run.
 //!
+//! The `weights` section times the encoder's four weight products at
+//! `enc_short`-, `enc_long`- and a short-batch height on every tier, once
+//! from a raw row-major slice (`sgemm`: the packed driver packs `B` per
+//! launch) and once from a `PackedB` laid out ahead of time
+//! (`sgemm_prepacked`: what a forward runs) — the per-launch pack the
+//! weights no longer pay.
+//!
 //! The `skinny` section sweeps the row count at the decode step's weight
-//! shapes with **both f32 drivers pinned** (`sgemm_pinned` — the packed-`B`
-//! row-panel driver and the in-place-`B` column-block driver), cycling
-//! through enough distinct weight matrices that `B` streams from memory as
-//! it does in a decode step. It reports GFLOP/s and GB/s of `B` streamed
-//! per tier, and the row count through which the skinny driver is no slower
-//! than the packed one — the measurement `bt_gemm::SKINNY_MAX_M` is read
-//! off.
+//! shapes with **both f32 drivers pinned** (the row-panel packed driver and
+//! the in-place-`B` column-block skinny driver), on raw slices
+//! (`sgemm_pinned`; the packed driver repacks `B` per launch) and on
+//! `PackedB` weights (`sgemm_prepacked_pinned`, drivers `*_prepacked`: what
+//! a forward runs), cycling through enough distinct weight matrices that
+//! `B` streams from memory as it does in a decode step. It reports GFLOP/s
+//! and GB/s of `B` streamed per tier, and the row count through which the
+//! skinny driver is no slower than the packed one, on each form — the
+//! prepacked one is the measurement `bt_gemm::SKINNY_MAX_M` is read off.
 //!
 //! Owns `BENCH_gemm.json` at the repo root (every entry carries a `tier`
 //! field).
@@ -26,8 +35,8 @@ use bt_bench::{banner, fast_mode, wall};
 use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
 use bt_gemm::isa::active_kernel;
 use bt_gemm::{
-    available_isas, resolve_lowp_kernel, set_active_isa, set_active_precision, sgemm, sgemm_pinned, Driver, GemmSpec,
-    Isa, Precision, SKINNY_MAX_M,
+    available_isas, resolve_lowp_kernel, set_active_isa, set_active_precision, sgemm, sgemm_pinned, sgemm_prepacked,
+    sgemm_prepacked_pinned, Driver, GemmSpec, Isa, PackedB, Precision, SKINNY_MAX_M,
 };
 use bt_tensor::rng::Xoshiro256StarStar;
 use rayon::prelude::*;
@@ -156,6 +165,64 @@ fn sweep(tier: &str, prec: &str, reps: usize, scale: usize, rows: &mut Vec<Row>)
     }
 }
 
+/// One point of the `weights` section: a weight product from a raw slice
+/// (`B` packed per launch) and from a `PackedB`.
+struct WeightPoint {
+    name: &'static str,
+    tier: &'static str,
+    m: usize,
+    n: usize,
+    k: usize,
+    /// Best seconds per call: `[raw, prepacked]`.
+    secs: [f64; 2],
+}
+
+const WEIGHT_FORMS: [&str; 2] = ["raw", "prepacked"];
+/// `(name, k, n)` of the encoder's four weights at BERT-base width.
+const WEIGHT_SHAPES: [(&str, usize, usize); 4] = [
+    ("qkv", 768, 2304),
+    ("proj", 768, 768),
+    ("ffn_up", 768, 3072),
+    ("ffn_down", 3072, 768),
+];
+/// Rows: a short serving batch, `enc_short` (4 × ~154) and `enc_long`
+/// (2 × ~614) forwards.
+const WEIGHT_MS: [usize; 3] = [155, 614, 1229];
+
+/// The encoder's weight products on the active tier, raw and prepacked
+/// alternating rep by rep (best of `reps` after one warm-up each).
+fn weight_sweep(tier: &'static str, reps: usize, scale: usize, points: &mut Vec<WeightPoint>) {
+    for (name, k, n) in WEIGHT_SHAPES {
+        let (k, n) = (k / scale, n / scale);
+        let b = rand_vec(k * n, 300);
+        let w = PackedB::pack(&b, false, k, n);
+        for m in WEIGHT_MS.map(|m| m / scale) {
+            let a = rand_vec(m * k, 301);
+            let mut c = vec![0.0f32; m * n];
+            let mut secs = [f64::INFINITY; 2];
+            for rep in 0..=reps {
+                for (f, best) in secs.iter_mut().enumerate() {
+                    let ((), t) = wall(|| match f {
+                        0 => sgemm(GemmSpec::nn(), m, n, k, &a, &b, &mut c),
+                        _ => sgemm_prepacked(m, &a, &w, &mut c, None),
+                    });
+                    if rep > 0 {
+                        *best = best.min(t);
+                    }
+                }
+            }
+            points.push(WeightPoint {
+                name,
+                tier,
+                m,
+                n,
+                k,
+                secs,
+            });
+        }
+    }
+}
+
 /// One point of the skinny sweep: both drivers on the same operands.
 struct SkinnyPoint {
     name: &'static str,
@@ -163,24 +230,37 @@ struct SkinnyPoint {
     m: usize,
     n: usize,
     k: usize,
-    /// Best seconds per call, indexed like [`SKINNY_DRIVERS`].
-    secs: [f64; 2],
+    /// Best seconds per call, indexed like [`SKINNY_VARIANTS`].
+    secs: [f64; 4],
 }
 
-const SKINNY_DRIVERS: [Driver; 2] = [Driver::Packed, Driver::Skinny];
+/// Both drivers on a raw slice, then on a `PackedB`: `(driver, prepacked)`.
+const SKINNY_VARIANTS: [(Driver, bool); 4] = [
+    (Driver::Packed, false),
+    (Driver::Skinny, false),
+    (Driver::Packed, true),
+    (Driver::Skinny, true),
+];
+
+fn variant_name(v: usize) -> String {
+    let (driver, prepacked) = SKINNY_VARIANTS[v];
+    format!("{}{}", driver.name(), if prepacked { "_prepacked" } else { "" })
+}
 
 impl SkinnyPoint {
-    fn gflops(&self, d: usize) -> f64 {
-        2.0 * (self.m * self.n * self.k) as f64 / self.secs[d] / 1e9
+    fn gflops(&self, v: usize) -> f64 {
+        2.0 * (self.m * self.n * self.k) as f64 / self.secs[v] / 1e9
     }
 
     /// GB/s of `B` streamed (one pass over the `k×n` weights per call).
-    fn b_gbs(&self, d: usize) -> f64 {
-        (self.k * self.n * 4) as f64 / self.secs[d] / 1e9
+    fn b_gbs(&self, v: usize) -> f64 {
+        (self.k * self.n * 4) as f64 / self.secs[v] / 1e9
     }
 
-    fn skinny_vs_packed(&self) -> f64 {
-        self.secs[0] / self.secs[1]
+    /// Packed time over skinny time on raw slices (`form` 0) or on
+    /// `PackedB` weights (`form` 1).
+    fn skinny_vs_packed(&self, form: usize) -> f64 {
+        self.secs[2 * form] / self.secs[2 * form + 1]
     }
 }
 
@@ -217,26 +297,31 @@ fn skinny_sweep(tier: &'static str, scale: usize, points: &mut Vec<SkinnyPoint>)
         let (k, n) = (k / scale, n / scale);
         let copies = (SKINNY_WORKING_SET / scale / scale).div_ceil(k * n * 4).max(2);
         let weights: Vec<Vec<f32>> = (0..copies).map(|i| rand_vec(k * n, 200 + i as u64)).collect();
+        let packed: Vec<PackedB> = weights.iter().map(|b| PackedB::pack(b, false, k, n)).collect();
         for &m in &ms {
             // Past the decode range B is reused across row groups/panels and
             // where it comes from stops mattering; two matrices keep the
             // large-m points affordable.
-            let set = if m <= SKINNY_MAX_M { &weights[..] } else { &weights[..2] };
+            let count = if m <= SKINNY_MAX_M { copies } else { 2 };
             let a = rand_vec(m * k, 1);
             let mut c = vec![0.0f32; m * n];
-            // The two drivers alternate pass by pass, so a steal episode
-            // that outlasts a pass costs both the same passes; best pass
-            // per driver after one warm-up each.
-            let mut secs = [f64::INFINITY; 2];
+            // The variants alternate pass by pass, so a steal episode that
+            // outlasts a pass costs all of them the same passes; best pass
+            // per variant after one warm-up each.
+            let mut secs = [f64::INFINITY; 4];
             for rep in 0..=SKINNY_REPS {
-                for (d, &driver) in SKINNY_DRIVERS.iter().enumerate() {
+                for (v, &(driver, prepacked)) in SKINNY_VARIANTS.iter().enumerate() {
                     let ((), pass) = wall(|| {
-                        for b in set {
-                            sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, b, &mut c, None);
+                        for (b, w) in weights.iter().zip(&packed).take(count) {
+                            if prepacked {
+                                sgemm_prepacked_pinned(driver, m, &a, w, &mut c, None);
+                            } else {
+                                sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, b, &mut c, None);
+                            }
                         }
                     });
                     if rep > 0 {
-                        secs[d] = secs[d].min(pass / set.len() as f64);
+                        secs[v] = secs[v].min(pass / count as f64);
                     }
                 }
             }
@@ -263,6 +348,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
     let mut skinny_points: Vec<SkinnyPoint> = Vec::new();
+    let mut weight_points: Vec<WeightPoint> = Vec::new();
 
     sweep("seed_scalar", "f32", reps, scale, &mut rows);
     let available = available_isas();
@@ -273,6 +359,7 @@ fn main() {
         }
         set_active_isa(tier).expect("tier just reported available");
         sweep(tier.name(), "f32", reps, scale, &mut rows);
+        weight_sweep(tier.name(), reps, scale, &mut weight_points);
         skinny_sweep(tier.name(), scale, &mut skinny_points);
         // Low-precision sweeps on this tier — only combinations the
         // dispatcher serves natively (a degraded combination would just
@@ -360,26 +447,60 @@ fn main() {
         );
     }
 
-    // Skinny section: both drivers side by side, then per tier the largest
-    // row count through which the skinny driver is no slower than the packed
-    // one at every shape. The crossover `SKINNY_MAX_M` is the smallest of
-    // those: one constant has to be right on every tier.
+    // Weights section: each encoder weight product from a raw slice (B
+    // packed per launch) and from a PackedB, side by side.
     println!(
-        "\n{:<9} {:<7} {:>5} {:>5} {:>5} | {:>10} {:>8} | {:>10} {:>8} | {:>7}",
-        "shape", "tier", "m", "n", "k", "packed GF", "B GB/s", "skinny GF", "B GB/s", "skinny/p"
+        "\n{:<9} {:<7} {:>5} {:>5} {:>5} | {:>8} {:>10} | {:>7}",
+        "weight", "tier", "m", "n", "k", "raw GF", "prepacked", "gain"
+    );
+    let wgf = |p: &WeightPoint, f: usize| 2.0 * (p.m * p.n * p.k) as f64 / p.secs[f] / 1e9;
+    for p in &weight_points {
+        println!(
+            "{:<9} {:<7} {:>5} {:>5} {:>5} | {:>8.2} {:>10.2} | {:>6.2}x",
+            p.name,
+            p.tier,
+            p.m,
+            p.n,
+            p.k,
+            wgf(p, 0),
+            wgf(p, 1),
+            p.secs[0] / p.secs[1]
+        );
+    }
+
+    // Skinny section: both drivers side by side on each form of B, then per
+    // tier and form the largest row count through which the skinny driver
+    // is no slower than the packed one at every shape. The crossover
+    // `SKINNY_MAX_M` is the smallest of the prepacked ones (every weight
+    // is a PackedB): one constant has to be right on every tier.
+    println!(
+        "\n{:<9} {:<7} {:>5} {:>5} {:>5} | {:>10} {:>8} | {:>10} {:>8} | {:>7} | {:>10} {:>10} | {:>7}",
+        "shape",
+        "tier",
+        "m",
+        "n",
+        "k",
+        "packed GF",
+        "B GB/s",
+        "skinny GF",
+        "B GB/s",
+        "skinny/p",
+        "packed_pre",
+        "skinny_pre",
+        "skinny/p"
     );
     let mut skinny_ms: Vec<usize> = skinny_points.iter().map(|p| p.m).collect();
     skinny_ms.sort_unstable();
     skinny_ms.dedup();
-    let mut no_slower_through: Vec<(&str, usize)> = Vec::new();
+    // Per form (raw, prepacked): `(tier, no slower through m)`.
+    let mut no_slower_through: [Vec<(&str, usize)>; 2] = [Vec::new(), Vec::new()];
     for tier in available.iter().map(|t| t.name()) {
-        let mut through = 0usize;
-        let mut still_level = true;
+        let mut through = [0usize; 2];
+        let mut still_level = [true; 2];
         for &m in &skinny_ms {
             for p in skinny_points.iter().filter(|p| p.tier == tier && p.m == m) {
-                let x = p.skinny_vs_packed();
                 println!(
-                    "{:<9} {:<7} {:>5} {:>5} {:>5} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} | {:>7.2}",
+                    "{:<9} {:<7} {:>5} {:>5} {:>5} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} | {:>7.2} | {:>10.2} {:>10.2} | {:>7.2}",
                     p.name,
                     tier,
                     m,
@@ -389,19 +510,31 @@ fn main() {
                     p.b_gbs(0),
                     p.gflops(1),
                     p.b_gbs(1),
-                    x
+                    p.skinny_vs_packed(0),
+                    p.gflops(2),
+                    p.gflops(3),
+                    p.skinny_vs_packed(1),
                 );
-                still_level &= x >= SKINNY_PARITY;
+                for (form, level) in still_level.iter_mut().enumerate() {
+                    *level &= p.skinny_vs_packed(form) >= SKINNY_PARITY;
+                }
             }
-            if still_level {
-                through = m;
+            for form in 0..2 {
+                if still_level[form] {
+                    through[form] = m;
+                }
             }
         }
-        println!("{tier}: skinny driver no slower (>= {SKINNY_PARITY}x) at every shape through m = {through}");
-        no_slower_through.push((tier, through));
+        println!(
+            "{tier}: skinny driver no slower (>= {SKINNY_PARITY}x) at every shape through m = {} on raw slices, {} on PackedB",
+            through[0], through[1]
+        );
+        for form in 0..2 {
+            no_slower_through[form].push((tier, through[form]));
+        }
     }
-    let measured = no_slower_through.iter().map(|&(_, m)| m).min().unwrap_or(0);
-    println!("measured crossover (smallest over tiers): {measured}; bt_gemm::SKINNY_MAX_M = {SKINNY_MAX_M}");
+    let measured = no_slower_through[1].iter().map(|&(_, m)| m).min().unwrap_or(0);
+    println!("measured crossover on PackedB (smallest over tiers): {measured}; bt_gemm::SKINNY_MAX_M = {SKINNY_MAX_M}");
 
     // BENCH_gemm.json at the repo root (hand-rolled — no serde in-tree).
     // The header is the shared RunMeta schema (host, pool, ISA, rev, time).
@@ -441,22 +574,39 @@ fn main() {
             if i + 1 == lowp_speedups.len() { "" } else { "," }
         );
     }
+    json.push_str("  ],\n  \"weights\": [\n");
+    for (i, p) in weight_points.iter().enumerate() {
+        for (f, form) in WEIGHT_FORMS.iter().enumerate() {
+            let _ = writeln!(
+                json,
+                "    {{\"name\": \"{}\", \"tier\": \"{}\", \"form\": \"{form}\", \"m\": {}, \"n\": {}, \"k\": {}, \"gflops\": {:.3}, \"secs\": {:.6}}}{}",
+                p.name,
+                p.tier,
+                p.m,
+                p.n,
+                p.k,
+                wgf(p, f),
+                p.secs[f],
+                if i + 1 == weight_points.len() && f == 1 { "" } else { "," }
+            );
+        }
+    }
     json.push_str("  ],\n  \"skinny\": [\n");
     for (i, p) in skinny_points.iter().enumerate() {
-        for (d, driver) in SKINNY_DRIVERS.iter().enumerate() {
+        for v in 0..SKINNY_VARIANTS.len() {
             let _ = writeln!(
                 json,
                 "    {{\"name\": \"{}\", \"tier\": \"{}\", \"driver\": \"{}\", \"m\": {}, \"n\": {}, \"k\": {}, \"gflops\": {:.3}, \"b_gbs\": {:.3}, \"secs\": {:.6}}}{}",
                 p.name,
                 p.tier,
-                driver.name(),
+                variant_name(v),
                 p.m,
                 p.n,
                 p.k,
-                p.gflops(d),
-                p.b_gbs(d),
-                p.secs[d],
-                if i + 1 == skinny_points.len() && d == 1 { "" } else { "," }
+                p.gflops(v),
+                p.b_gbs(v),
+                p.secs[v],
+                if i + 1 == skinny_points.len() && v + 1 == SKINNY_VARIANTS.len() { "" } else { "," }
             );
         }
     }
@@ -465,25 +615,37 @@ fn main() {
     for (i, p) in decode_points.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"tier\": \"{}\", \"m\": {}, \"skinny_vs_packed\": {:.2}, \"speedup_floor\": {SKINNY_DECODE_SPEEDUP_FLOOR:.1}}}{}",
+            "    {{\"name\": \"{}\", \"tier\": \"{}\", \"m\": {}, \"skinny_vs_packed\": {:.2}, \"skinny_vs_packed_prepacked\": {:.2}, \"speedup_floor\": {SKINNY_DECODE_SPEEDUP_FLOOR:.1}}}{}",
             p.name,
             p.tier,
             p.m,
-            p.skinny_vs_packed(),
+            p.skinny_vs_packed(0),
+            p.skinny_vs_packed(1),
             if i + 1 == decode_points.len() { "" } else { "," }
         );
     }
-    json.push_str("  ],\n  \"skinny_no_slower_through_m\": {\n");
-    for (i, (tier, m)) in no_slower_through.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{tier}\": {m}{}",
-            if i + 1 == no_slower_through.len() { "" } else { "," }
-        );
+    json.push_str("  ],\n");
+    for (form, key) in ["skinny_no_slower_through_m", "skinny_no_slower_through_m_prepacked"]
+        .iter()
+        .enumerate()
+    {
+        let _ = writeln!(json, "  \"{key}\": {{");
+        for (i, (tier, m)) in no_slower_through[form].iter().enumerate() {
+            let _ = writeln!(
+                json,
+                "    \"{tier}\": {m}{}",
+                if i + 1 == no_slower_through[form].len() {
+                    ""
+                } else {
+                    ","
+                }
+            );
+        }
+        json.push_str("  },\n");
     }
     let _ = writeln!(
         json,
-        "  }},\n  \"skinny_measured_crossover_m\": {measured},\n  \"skinny_max_m\": {SKINNY_MAX_M}\n}}"
+        "  \"skinny_measured_crossover_m\": {measured},\n  \"skinny_max_m\": {SKINNY_MAX_M}\n}}"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, &json).expect("write BENCH_gemm.json");

@@ -5,8 +5,9 @@
 //!
 //! Each artifact is a flat report: a top-level object with one or more row
 //! arrays (`results` for the headline sweep; `BENCH_serve.json` also has
-//! `sharded_scaling`, `BENCH_gemm.json` the two-driver `skinny` sweep and
-//! its `skinny_decode_speedup` floors). Rows are joined across the two directories on a
+//! `sharded_scaling`, `BENCH_gemm.json` the raw-vs-prepacked `weights`
+//! products, the two-driver `skinny` sweep and its `skinny_decode_speedup`
+//! floors). Rows are joined across the two directories on a
 //! per-bench identity key that includes the workload shape (so a FAST-mode
 //! run, which shrinks GEMM shapes, simply produces zero key overlap with a
 //! full-mode baseline instead of nonsense ratios — the gate reports that
@@ -275,6 +276,14 @@ const SPECS: &[Spec] = &[
         file: "BENCH_gemm.json",
         section: "results",
         key_fields: &["name", "tier", "prec", "m", "n", "k"],
+        metrics: &[("gflops", Band::RateMin)],
+    },
+    // The encoder's weight products from a raw slice and from a PackedB
+    // (`gemm_isa` weights section): each row holds its rate.
+    Spec {
+        file: "BENCH_gemm.json",
+        section: "weights",
+        key_fields: &["name", "tier", "form", "m", "n", "k"],
         metrics: &[("gflops", Band::RateMin)],
     },
     // Both f32 drivers at the decode weight shapes (`gemm_isa` skinny

@@ -178,6 +178,7 @@ mod tests {
     use crate::attention::{causal_reference_attention, cross_reference_attention};
     use crate::weights::DecoderLayerWeights;
     use bt_device::CostModel;
+    use bt_gemm::PackedB;
     use bt_kernels::activation::gelu_tanh;
     use bt_kernels::layernorm::normalize_row;
     use bt_varlen::workload::masked_randn;
@@ -200,9 +201,10 @@ mod tests {
         let heads = config.heads;
         let head = config.head_size;
         let scale = config.attention_scale();
-        let matmul = |a: &[f32], rows: usize, wt: &Tensor, k: usize, n: usize| -> Vec<f32> {
+        let matmul = |a: &[f32], rows: usize, wt: &PackedB| -> Vec<f32> {
+            let (k, n) = (wt.k(), wt.n());
             let mut out = vec![0.0f32; rows * n];
-            let ws = wt.as_slice();
+            let ws = wt.to_row_major();
             for i in 0..rows {
                 for p in 0..k {
                     let av = a[i * k + p];
@@ -226,7 +228,7 @@ mod tests {
         };
 
         // Self-attention (causal).
-        let mut qkv = matmul(x, tgt_len, &w.self_qkv_weight, hidden, 3 * hidden);
+        let mut qkv = matmul(x, tgt_len, &w.self_qkv_weight);
         for row in qkv.chunks_mut(3 * hidden) {
             for (v, &b) in row.iter_mut().zip(&w.self_qkv_bias) {
                 *v += b;
@@ -244,7 +246,7 @@ mod tests {
                 }
             }
         }
-        let mut attn = matmul(&sa_flat, tgt_len, &w.self_out_weight, hidden, hidden);
+        let mut attn = matmul(&sa_flat, tgt_len, &w.self_out_weight);
         for (i, row) in attn.chunks_mut(hidden).enumerate() {
             for (j, vv) in row.iter_mut().enumerate() {
                 *vv += x[i * hidden + j] + w.self_out_bias[j];
@@ -253,13 +255,13 @@ mod tests {
         }
 
         // Cross-attention.
-        let mut cq = matmul(&attn, tgt_len, &w.cross_q_weight, hidden, hidden);
+        let mut cq = matmul(&attn, tgt_len, &w.cross_q_weight);
         for row in cq.chunks_mut(hidden) {
             for (vv, &b) in row.iter_mut().zip(&w.cross_q_bias) {
                 *vv += b;
             }
         }
-        let mut ckv = matmul(mem, mem_len, &w.cross_kv_weight, hidden, 2 * hidden);
+        let mut ckv = matmul(mem, mem_len, &w.cross_kv_weight);
         for row in ckv.chunks_mut(2 * hidden) {
             for (vv, &b) in row.iter_mut().zip(&w.cross_kv_bias) {
                 *vv += b;
@@ -277,7 +279,7 @@ mod tests {
                 }
             }
         }
-        let mut cattn = matmul(&ca_flat, tgt_len, &w.cross_out_weight, hidden, hidden);
+        let mut cattn = matmul(&ca_flat, tgt_len, &w.cross_out_weight);
         for (i, row) in cattn.chunks_mut(hidden).enumerate() {
             for (j, vv) in row.iter_mut().enumerate() {
                 *vv += attn[i * hidden + j] + w.cross_out_bias[j];
@@ -287,13 +289,13 @@ mod tests {
 
         // FFN.
         let inter = config.intermediate();
-        let mut up = matmul(&cattn, tgt_len, &w.ffn_up_weight, hidden, inter);
+        let mut up = matmul(&cattn, tgt_len, &w.ffn_up_weight);
         for row in up.chunks_mut(inter) {
             for (vv, &b) in row.iter_mut().zip(&w.ffn_up_bias) {
                 *vv = gelu_tanh(*vv + b);
             }
         }
-        let mut out = matmul(&up, tgt_len, &w.ffn_down_weight, inter, hidden);
+        let mut out = matmul(&up, tgt_len, &w.ffn_down_weight);
         for (i, row) in out.chunks_mut(hidden).enumerate() {
             for (j, vv) in row.iter_mut().enumerate() {
                 *vv += cattn[i * hidden + j] + w.ffn_down_bias[j];

@@ -34,7 +34,7 @@ use crate::attention::{batched_attention, flash_attention, fused_attention, naiv
 use crate::config::BertConfig;
 use crate::weights::{LayerWeights, ModelWeights};
 use bt_device::Device;
-use bt_gemm::{gemm_kernel_spec_active, sgemm, sgemm_epilogue, GemmSpec, TileEpilogue};
+use bt_gemm::{gemm_kernel_spec_active, sgemm_prepacked, PackedB, TileEpilogue};
 use bt_kernels::activation::{add_bias_gelu_unfused, bias_gelu_epilogue};
 use bt_kernels::layernorm::{add_bias_residual_layernorm_fused, add_bias_residual_layernorm_unfused};
 use bt_kernels::layout::{add_bias_split_qkv_packed, add_bias_unpack_split_qkv, merge_heads_pack};
@@ -134,22 +134,21 @@ impl OptLevel {
     }
 }
 
-/// Launches one dense GEMM of a layer stack (`a: rows×k` times
+/// Launches one dense GEMM of a layer stack (`a: rows×k` times the packed
 /// `weight: k×n`), optionally with a fused element-wise epilogue. Costed by
 /// [`gemm_kernel_spec_active`], so the modeled time follows the
-/// `BYTE_GEMM_PREC` tier `sgemm` itself dispatches on. Every encoder and
-/// decoder stack in this crate launches its GEMMs through here.
-#[allow(clippy::too_many_arguments)]
+/// `BYTE_GEMM_PREC` tier the GEMM itself dispatches on. Every encoder and
+/// decoder stack in this crate launches its GEMMs through here, and none
+/// re-lays-out its weight (at f32; f16 / int8 quantise it per launch).
 pub(crate) fn launch_gemm(
     device: &Device,
     name: &str,
     a: &[f32],
     rows: usize,
-    weight: &[f32],
-    k: usize,
-    n: usize,
+    weight: &PackedB,
     epilogue: Option<&dyn TileEpilogue>,
 ) -> Vec<f32> {
+    let (k, n) = (weight.k(), weight.n());
     let mut out = vec![0.0f32; rows * n];
     let mut spec = gemm_kernel_spec_active(name, rows, n, k);
     if epilogue.is_some() {
@@ -157,10 +156,7 @@ pub(crate) fn launch_gemm(
         // that is the entire point of epilogue fusion.
         spec.cost.flops += (rows * n * 9) as u64;
     }
-    device.launch(spec, || match epilogue {
-        None => sgemm(GemmSpec::nn(), rows, n, k, a, weight, &mut out),
-        Some(epi) => sgemm_epilogue(GemmSpec::nn(), rows, n, k, a, weight, &mut out, epi),
-    });
+    device.launch(spec, || sgemm_prepacked(rows, a, weight, &mut out, epilogue));
     out
 }
 
@@ -311,16 +307,7 @@ impl BertModel {
         };
 
         // GEMM0: packed QKV position encoding.
-        let qkv = launch_gemm(
-            device,
-            "gemm0.qkv",
-            x.as_slice(),
-            rows,
-            w.qkv_weight.as_slice(),
-            hidden,
-            3 * hidden,
-            None,
-        );
+        let qkv = launch_gemm(device, "gemm0.qkv", x.as_slice(), rows, &w.qkv_weight, None);
         let qkv = Tensor::from_vec(qkv, [rows, 3 * hidden]).expect("shape consistent");
 
         // The padded MHA variants: unpack (fused with bias+transpose), attend
@@ -345,16 +332,7 @@ impl BertModel {
         };
 
         // GEMM1: attention output projection, then layernorm0.
-        let mut attn = launch_gemm(
-            device,
-            "gemm1.proj",
-            ctx.as_slice(),
-            rows,
-            w.attn_out_weight.as_slice(),
-            hidden,
-            hidden,
-            None,
-        );
+        let mut attn = launch_gemm(device, "gemm1.proj", ctx.as_slice(), rows, &w.attn_out_weight, None);
         layernorm(
             device,
             "layernorm0",
@@ -371,31 +349,13 @@ impl BertModel {
         // GEMM2: FFN up-projection, bias + GELU in its epilogue or after it.
         let epi = bias_gelu_epilogue(&w.ffn_up_bias);
         let epi: Option<&dyn TileEpilogue> = if plan.gelu_fused { Some(&epi) } else { None };
-        let mut ffn = launch_gemm(
-            device,
-            "gemm2.ffn_up",
-            &attn,
-            rows,
-            w.ffn_up_weight.as_slice(),
-            hidden,
-            inter,
-            epi,
-        );
+        let mut ffn = launch_gemm(device, "gemm2.ffn_up", &attn, rows, &w.ffn_up_weight, epi);
         if !plan.gelu_fused {
             add_bias_gelu_unfused(device, "bias_act", &mut ffn, rows, inter, &w.ffn_up_bias);
         }
 
         // GEMM3: FFN down-projection, then layernorm1.
-        let mut out = launch_gemm(
-            device,
-            "gemm3.ffn_down",
-            &ffn,
-            rows,
-            w.ffn_down_weight.as_slice(),
-            inter,
-            hidden,
-            None,
-        );
+        let mut out = launch_gemm(device, "gemm3.ffn_down", &ffn, rows, &w.ffn_down_weight, None);
         layernorm(
             device,
             "layernorm1",

@@ -96,9 +96,7 @@ impl<'a> DecoderSession<'a> {
                     "incremental.cross_kv",
                     memory.as_slice(),
                     mem_len,
-                    w.cross_kv_weight.as_slice(),
-                    hidden,
-                    2 * hidden,
+                    &w.cross_kv_weight,
                     None,
                 );
                 let mut kp = vec![0.0f32; heads * mem_len * head];
@@ -149,16 +147,7 @@ impl<'a> DecoderSession<'a> {
         let layers: &[DecoderLayerWeights] = &self.decoder.weights.layers;
         for (w, (cache, (ck, cv))) in layers.iter().zip(self.cache.iter_mut().zip(self.cross_kv.iter())) {
             // --- self-attention over the cache + this token -----------
-            let mut qkv = launch_gemm(
-                device,
-                "incremental.self_qkv",
-                &h_state,
-                1,
-                w.self_qkv_weight.as_slice(),
-                hidden,
-                3 * hidden,
-                None,
-            );
+            let mut qkv = launch_gemm(device, "incremental.self_qkv", &h_state, 1, &w.self_qkv_weight, None);
             for (v, &b) in qkv.iter_mut().zip(&w.self_qkv_bias) {
                 *v += b;
             }
@@ -201,32 +190,14 @@ impl<'a> DecoderSession<'a> {
                     }
                 },
             );
-            let mut attn = launch_gemm(
-                device,
-                "incremental.self_proj",
-                &sa,
-                1,
-                w.self_out_weight.as_slice(),
-                hidden,
-                hidden,
-                None,
-            );
+            let mut attn = launch_gemm(device, "incremental.self_proj", &sa, 1, &w.self_out_weight, None);
             for ((v, &r), &b) in attn.iter_mut().zip(&h_state).zip(&w.self_out_bias) {
                 *v += r + b;
             }
             normalize_row(&mut attn, &w.ln0_gamma, &w.ln0_beta, eps);
 
             // --- cross-attention over the precomputed memory K/V -------
-            let mut cq = launch_gemm(
-                device,
-                "incremental.cross_q",
-                &attn,
-                1,
-                w.cross_q_weight.as_slice(),
-                hidden,
-                hidden,
-                None,
-            );
+            let mut cq = launch_gemm(device, "incremental.cross_q", &attn, 1, &w.cross_q_weight, None);
             for (v, &b) in cq.iter_mut().zip(&w.cross_q_bias) {
                 *v += b;
             }
@@ -259,46 +230,18 @@ impl<'a> DecoderSession<'a> {
                     }
                 },
             );
-            let mut cattn = launch_gemm(
-                device,
-                "incremental.cross_proj",
-                &ca,
-                1,
-                w.cross_out_weight.as_slice(),
-                hidden,
-                hidden,
-                None,
-            );
+            let mut cattn = launch_gemm(device, "incremental.cross_proj", &ca, 1, &w.cross_out_weight, None);
             for ((v, &r), &b) in cattn.iter_mut().zip(&attn).zip(&w.cross_out_bias) {
                 *v += r + b;
             }
             normalize_row(&mut cattn, &w.ln1_gamma, &w.ln1_beta, eps);
 
             // --- FFN ----------------------------------------------------
-            let inter = config.intermediate();
-            let mut up = launch_gemm(
-                device,
-                "incremental.ffn_up",
-                &cattn,
-                1,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                inter,
-                None,
-            );
+            let mut up = launch_gemm(device, "incremental.ffn_up", &cattn, 1, &w.ffn_up_weight, None);
             for (v, &b) in up.iter_mut().zip(&w.ffn_up_bias) {
                 *v = bt_kernels::activation::gelu_tanh(*v + b);
             }
-            let mut out = launch_gemm(
-                device,
-                "incremental.ffn_down",
-                &up,
-                1,
-                w.ffn_down_weight.as_slice(),
-                inter,
-                hidden,
-                None,
-            );
+            let mut out = launch_gemm(device, "incremental.ffn_down", &up, 1, &w.ffn_down_weight, None);
             for ((v, &r), &b) in out.iter_mut().zip(&cattn).zip(&w.ffn_down_bias) {
                 *v += r + b;
             }

@@ -55,6 +55,7 @@ use crate::attention::{session_rows, KeyRange, SessionKv};
 use crate::decoder::TransformerDecoder;
 use crate::encoder::launch_gemm;
 use bt_device::Device;
+use bt_gemm::PackedB;
 use bt_kernels::activation::bias_gelu_epilogue;
 use bt_kernels::layernorm::add_bias_residual_layernorm_fused;
 use bt_kernels::layout::{add_bias_split_heads_packed, add_bias_split_kv_packed, add_bias_split_qkv_packed};
@@ -265,16 +266,7 @@ impl<'a> PagedDecoder<'a> {
             .layers
             .iter()
             .map(|w| {
-                let kv = launch_gemm(
-                    device,
-                    "paged.cross_kv",
-                    memory,
-                    mem_len,
-                    w.cross_kv_weight.as_slice(),
-                    hidden,
-                    2 * hidden,
-                    None,
-                );
+                let kv = launch_gemm(device, "paged.cross_kv", memory, mem_len, &w.cross_kv_weight, None);
                 let kv = Tensor::from_vec(kv, [mem_len, 2 * hidden]).expect("shape consistent");
                 let (k, v) = add_bias_split_kv_packed(device, "paged.cross_kv", &kv, &w.cross_kv_bias, heads);
                 (k.into_vec(), v.into_vec())
@@ -417,9 +409,7 @@ impl<'a> PagedDecoder<'a> {
             cache.extend_rows(sid, &mut token_rows);
         }
         let tensor = |data: Vec<f32>, cols: usize| Tensor::from_vec(data, [r, cols]).expect("shape consistent");
-        let gemm = |name: &str, a: &[f32], weight: &Tensor, k: usize, n: usize| {
-            launch_gemm(device, name, a, r, weight.as_slice(), k, n, None)
-        };
+        let gemm = |name: &str, a: &[f32], weight: &PackedB| launch_gemm(device, name, a, r, weight, None);
         let add_layernorm =
             |name: &str, out: &mut [f32], residual: &[f32], bias: &[f32], gamma: &[f32], beta: &[f32]| {
                 add_bias_residual_layernorm_fused(
@@ -432,7 +422,7 @@ impl<'a> PagedDecoder<'a> {
             // freed before the next GEMM allocates: the peak live set of a
             // layer holds one attention's Q / K / V at a time.
             let sa = {
-                let qkv = gemm("paged.self_qkv", h, &w.self_qkv_weight, hidden, 3 * hidden);
+                let qkv = gemm("paged.self_qkv", h, &w.self_qkv_weight);
                 let (q, k, v) =
                     add_bias_split_qkv_packed(device, &tensor(qkv, 3 * hidden), &w.self_qkv_bias, heads, scale);
                 let cache = &mut *cache;
@@ -452,7 +442,7 @@ impl<'a> PagedDecoder<'a> {
                         .collect()
                 })
             };
-            let mut attn = gemm("paged.self_proj", sa.as_slice(), &w.self_out_weight, hidden, hidden);
+            let mut attn = gemm("paged.self_proj", sa.as_slice(), &w.self_out_weight);
             add_layernorm(
                 "paged.layernorm0",
                 &mut attn,
@@ -463,7 +453,7 @@ impl<'a> PagedDecoder<'a> {
             );
 
             let ca = {
-                let cq = gemm("paged.cross_q", &attn, &w.cross_q_weight, hidden, hidden);
+                let cq = gemm("paged.cross_q", &attn, &w.cross_q_weight);
                 let cq = add_bias_split_heads_packed(
                     device,
                     "paged.cross_q",
@@ -483,7 +473,7 @@ impl<'a> PagedDecoder<'a> {
                         .collect()
                 })
             };
-            let mut cattn = gemm("paged.cross_proj", ca.as_slice(), &w.cross_out_weight, hidden, hidden);
+            let mut cattn = gemm("paged.cross_proj", ca.as_slice(), &w.cross_out_weight);
             add_layernorm(
                 "paged.layernorm1",
                 &mut cattn,
@@ -498,18 +488,10 @@ impl<'a> PagedDecoder<'a> {
                 "paged.ffn_up",
                 &cattn,
                 r,
-                w.ffn_up_weight.as_slice(),
-                hidden,
-                config.intermediate(),
+                &w.ffn_up_weight,
                 Some(&bias_gelu_epilogue(&w.ffn_up_bias)),
             );
-            let mut out = gemm(
-                "paged.ffn_down",
-                &ffn,
-                &w.ffn_down_weight,
-                config.intermediate(),
-                hidden,
-            );
+            let mut out = gemm("paged.ffn_down", &ffn, &w.ffn_down_weight);
             add_layernorm(
                 "paged.layernorm2",
                 &mut out,

@@ -1,9 +1,21 @@
 //! Encoder weights: packed QKV projection, output projection, FFN, and
 //! LayerNorm parameters.
+//!
+//! Every GEMM weight is a [`PackedB`]: laid out once, at construction, in
+//! the panel format the GEMM drivers read, as the paper's cuBLAS calls read
+//! weights laid out at load. No row-major copy is kept, and no forward
+//! re-lays-out a weight.
 
 use crate::config::BertConfig;
+use bt_gemm::PackedB;
 use bt_tensor::rng::Xoshiro256StarStar;
-use bt_tensor::Tensor;
+
+/// A `rows×cols` weight drawn `normal · 1/√rows` in row-major order, each
+/// value written straight into its panel slot.
+fn random_weight(rows: usize, cols: usize, rng: &mut Xoshiro256StarStar) -> PackedB {
+    let scale = 1.0 / (rows as f32).sqrt();
+    PackedB::from_fn(rows, cols, |_, _| rng.normal() * scale)
+}
 
 /// Weights of one encoder layer.
 ///
@@ -14,11 +26,11 @@ use bt_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     /// Packed QKV projection, `[hidden, 3·hidden]` (columns: Q | K | V).
-    pub qkv_weight: Tensor,
+    pub qkv_weight: PackedB,
     /// Packed QKV bias, `[3·hidden]`.
     pub qkv_bias: Vec<f32>,
     /// Attention output projection, `[hidden, hidden]`.
-    pub attn_out_weight: Tensor,
+    pub attn_out_weight: PackedB,
     /// Attention output bias, `[hidden]`.
     pub attn_out_bias: Vec<f32>,
     /// Post-attention LayerNorm scale, `[hidden]`.
@@ -26,11 +38,11 @@ pub struct LayerWeights {
     /// Post-attention LayerNorm shift, `[hidden]`.
     pub ln0_beta: Vec<f32>,
     /// FFN up-projection, `[hidden, intermediate]`.
-    pub ffn_up_weight: Tensor,
+    pub ffn_up_weight: PackedB,
     /// FFN up-projection bias, `[intermediate]`.
     pub ffn_up_bias: Vec<f32>,
     /// FFN down-projection, `[intermediate, hidden]`.
-    pub ffn_down_weight: Tensor,
+    pub ffn_down_weight: PackedB,
     /// FFN down-projection bias, `[hidden]`.
     pub ffn_down_bias: Vec<f32>,
     /// Post-FFN LayerNorm scale, `[hidden]`.
@@ -46,20 +58,15 @@ impl LayerWeights {
         let hidden = config.hidden();
         let inter = config.intermediate();
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mat = |rows: usize, cols: usize, rng: &mut Xoshiro256StarStar| {
-            let scale = 1.0 / (rows as f32).sqrt();
-            let data = (0..rows * cols).map(|_| rng.normal() * scale).collect();
-            Tensor::from_vec(data, [rows, cols]).expect("generated size matches")
-        };
         let vec_small =
             |n: usize, rng: &mut Xoshiro256StarStar| -> Vec<f32> { (0..n).map(|_| rng.normal() * 0.02).collect() };
-        let qkv_weight = mat(hidden, 3 * hidden, &mut rng);
+        let qkv_weight = random_weight(hidden, 3 * hidden, &mut rng);
         let qkv_bias = vec_small(3 * hidden, &mut rng);
-        let attn_out_weight = mat(hidden, hidden, &mut rng);
+        let attn_out_weight = random_weight(hidden, hidden, &mut rng);
         let attn_out_bias = vec_small(hidden, &mut rng);
-        let ffn_up_weight = mat(hidden, inter, &mut rng);
+        let ffn_up_weight = random_weight(hidden, inter, &mut rng);
         let ffn_up_bias = vec_small(inter, &mut rng);
-        let ffn_down_weight = mat(inter, hidden, &mut rng);
+        let ffn_down_weight = random_weight(inter, hidden, &mut rng);
         let ffn_down_bias = vec_small(hidden, &mut rng);
         let gamma =
             |rng: &mut Xoshiro256StarStar| -> Vec<f32> { (0..hidden).map(|_| 1.0 + rng.normal() * 0.02).collect() };
@@ -86,11 +93,11 @@ impl LayerWeights {
 #[derive(Debug, Clone)]
 pub struct DecoderLayerWeights {
     /// Packed self-attention QKV projection, `[hidden, 3·hidden]`.
-    pub self_qkv_weight: Tensor,
+    pub self_qkv_weight: PackedB,
     /// Packed self-attention QKV bias, `[3·hidden]`.
     pub self_qkv_bias: Vec<f32>,
     /// Self-attention output projection, `[hidden, hidden]`.
-    pub self_out_weight: Tensor,
+    pub self_out_weight: PackedB,
     /// Self-attention output bias, `[hidden]`.
     pub self_out_bias: Vec<f32>,
     /// Post-self-attention LayerNorm scale/shift.
@@ -98,15 +105,15 @@ pub struct DecoderLayerWeights {
     /// Post-self-attention LayerNorm shift.
     pub ln0_beta: Vec<f32>,
     /// Cross-attention query projection, `[hidden, hidden]`.
-    pub cross_q_weight: Tensor,
+    pub cross_q_weight: PackedB,
     /// Cross-attention query bias, `[hidden]`.
     pub cross_q_bias: Vec<f32>,
     /// Packed cross-attention K|V projection of the memory, `[hidden, 2·hidden]`.
-    pub cross_kv_weight: Tensor,
+    pub cross_kv_weight: PackedB,
     /// Packed cross-attention K|V bias, `[2·hidden]`.
     pub cross_kv_bias: Vec<f32>,
     /// Cross-attention output projection, `[hidden, hidden]`.
-    pub cross_out_weight: Tensor,
+    pub cross_out_weight: PackedB,
     /// Cross-attention output bias, `[hidden]`.
     pub cross_out_bias: Vec<f32>,
     /// Post-cross-attention LayerNorm scale.
@@ -114,11 +121,11 @@ pub struct DecoderLayerWeights {
     /// Post-cross-attention LayerNorm shift.
     pub ln1_beta: Vec<f32>,
     /// FFN up-projection, `[hidden, intermediate]`.
-    pub ffn_up_weight: Tensor,
+    pub ffn_up_weight: PackedB,
     /// FFN up-projection bias, `[intermediate]`.
     pub ffn_up_bias: Vec<f32>,
     /// FFN down-projection, `[intermediate, hidden]`.
-    pub ffn_down_weight: Tensor,
+    pub ffn_down_weight: PackedB,
     /// FFN down-projection bias, `[hidden]`.
     pub ffn_down_bias: Vec<f32>,
     /// Post-FFN LayerNorm scale.
@@ -134,33 +141,28 @@ impl DecoderLayerWeights {
         let hidden = config.hidden();
         let inter = config.intermediate();
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ 0xDEC0DE);
-        let mat = |rows: usize, cols: usize, rng: &mut Xoshiro256StarStar| {
-            let scale = 1.0 / (rows as f32).sqrt();
-            let data = (0..rows * cols).map(|_| rng.normal() * scale).collect();
-            Tensor::from_vec(data, [rows, cols]).expect("generated size matches")
-        };
         let vec_small =
             |n: usize, rng: &mut Xoshiro256StarStar| -> Vec<f32> { (0..n).map(|_| rng.normal() * 0.02).collect() };
         let gamma =
             |rng: &mut Xoshiro256StarStar| -> Vec<f32> { (0..hidden).map(|_| 1.0 + rng.normal() * 0.02).collect() };
         Self {
-            self_qkv_weight: mat(hidden, 3 * hidden, &mut rng),
+            self_qkv_weight: random_weight(hidden, 3 * hidden, &mut rng),
             self_qkv_bias: vec_small(3 * hidden, &mut rng),
-            self_out_weight: mat(hidden, hidden, &mut rng),
+            self_out_weight: random_weight(hidden, hidden, &mut rng),
             self_out_bias: vec_small(hidden, &mut rng),
             ln0_gamma: gamma(&mut rng),
             ln0_beta: vec_small(hidden, &mut rng),
-            cross_q_weight: mat(hidden, hidden, &mut rng),
+            cross_q_weight: random_weight(hidden, hidden, &mut rng),
             cross_q_bias: vec_small(hidden, &mut rng),
-            cross_kv_weight: mat(hidden, 2 * hidden, &mut rng),
+            cross_kv_weight: random_weight(hidden, 2 * hidden, &mut rng),
             cross_kv_bias: vec_small(2 * hidden, &mut rng),
-            cross_out_weight: mat(hidden, hidden, &mut rng),
+            cross_out_weight: random_weight(hidden, hidden, &mut rng),
             cross_out_bias: vec_small(hidden, &mut rng),
             ln1_gamma: gamma(&mut rng),
             ln1_beta: vec_small(hidden, &mut rng),
-            ffn_up_weight: mat(hidden, inter, &mut rng),
+            ffn_up_weight: random_weight(hidden, inter, &mut rng),
             ffn_up_bias: vec_small(inter, &mut rng),
-            ffn_down_weight: mat(inter, hidden, &mut rng),
+            ffn_down_weight: random_weight(inter, hidden, &mut rng),
             ffn_down_bias: vec_small(hidden, &mut rng),
             ln2_gamma: gamma(&mut rng),
             ln2_beta: vec_small(hidden, &mut rng),
@@ -210,10 +212,10 @@ mod tests {
     fn shapes_match_config() {
         let c = BertConfig::tiny();
         let w = LayerWeights::new_random(&c, 1);
-        assert_eq!(w.qkv_weight.dims(), &[16, 48]);
+        assert_eq!((w.qkv_weight.k(), w.qkv_weight.n()), (16, 48));
         assert_eq!(w.qkv_bias.len(), 48);
-        assert_eq!(w.ffn_up_weight.dims(), &[16, 64]);
-        assert_eq!(w.ffn_down_weight.dims(), &[64, 16]);
+        assert_eq!((w.ffn_up_weight.k(), w.ffn_up_weight.n()), (16, 64));
+        assert_eq!((w.ffn_down_weight.k(), w.ffn_down_weight.n()), (64, 16));
         assert_eq!(w.ln0_gamma.len(), 16);
     }
 
@@ -223,8 +225,8 @@ mod tests {
         let a = LayerWeights::new_random(&c, 5);
         let b = LayerWeights::new_random(&c, 5);
         let d = LayerWeights::new_random(&c, 6);
-        assert_eq!(a.qkv_weight.as_slice(), b.qkv_weight.as_slice());
-        assert_ne!(a.qkv_weight.as_slice(), d.qkv_weight.as_slice());
+        assert_eq!(a.qkv_weight, b.qkv_weight);
+        assert_ne!(a.qkv_weight, d.qkv_weight);
     }
 
     #[test]
@@ -232,7 +234,7 @@ mod tests {
         let c = BertConfig::tiny();
         let m = ModelWeights::new_random(&c, 3, 9);
         assert_eq!(m.layers.len(), 3);
-        assert_ne!(m.layers[0].qkv_weight.as_slice(), m.layers[1].qkv_weight.as_slice());
+        assert_ne!(m.layers[0].qkv_weight, m.layers[1].qkv_weight);
     }
 
     #[test]

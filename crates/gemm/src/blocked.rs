@@ -2,32 +2,39 @@
 //! entry points, the driver selection, and the packed driver built on the
 //! shared register-blocked microkernel in [`crate::micro`].
 //!
-//! There are two f32 drivers, and [`sgemm`] / [`sgemm_epilogue`] choose
-//! between them **from the shape alone** — no environment variable, no
-//! configuration field, nothing a caller passes:
+//! A launch's `B` is either a caller's raw slice ([`sgemm`],
+//! [`sgemm_epilogue`]) or a [`PackedB`] laid out once ahead of time
+//! ([`sgemm_prepacked`]) — every model weight, as the paper's cuBLAS calls
+//! read weights laid out at load. There are two f32 drivers, and every entry
+//! point chooses between them **from the shape alone** — no environment
+//! variable, no configuration field, nothing a caller passes:
 //!
 //! * `m ≤ SKINNY_MAX_M` and `B` not transposed → the skinny driver
-//!   ([`crate::skinny`]): `B` read in place, only the few rows of `A`
-//!   packed, parallel over column blocks of `C`. This is the decode step
-//!   (`m` = live sessions) and every other launch too short to amortise a
-//!   repack of the weights;
+//!   ([`crate::skinny`]): `B` read in place (row-major slice or panels),
+//!   only the few rows of `A` packed, parallel over column blocks of `C`.
+//!   This is the decode step (`m` = live sessions) and every other short
+//!   launch;
 //! * anything else — more rows, `transb`, and every low-precision tier —
 //!   → the packed driver below.
 //!
 //! Both accumulate every output element as one `p`-ascending chain and
 //! finish it with the same [`store_row`], so for one
 //! [`MicroKernel::fused_fma`](crate::micro::MicroKernel::fused_fma) class
-//! the stored bits do not depend on which driver ran: a row computed at
-//! `m = 1` equals the same row inside an `m = 1024` product
-//! (`tests/skinny_differential.rs`). The crossover is therefore a pure
-//! performance constant, read off the `skinny` section of `BENCH_gemm.json`.
+//! the stored bits do not depend on which driver ran, nor on whether `B`
+//! came raw or packed: a row computed at `m = 1` equals the same row inside
+//! an `m = 1024` product (`tests/skinny_differential.rs`). The crossover is
+//! therefore a pure performance constant, read off the `skinny` section of
+//! `BENCH_gemm.json`.
 //!
 //! The packed driver's layout mirrors a classic GotoBLAS/cuBLAS
 //! decomposition adapted to CPU threads standing in for threadblocks:
 //!
-//! * `B` is packed once into `NR`-wide k-major micropanels (the staged
-//!   "shared memory" image, shared read-only by every task), consuming the
-//!   `transb` layout directly — no separate transpose pass;
+//! * `B` is read as [`PackedB`]'s 16-wide k-major micropanels (the staged
+//!   "shared memory" image, shared read-only by every task). A weight is
+//!   already in that form; a raw slice is packed into it once per launch
+//!   (consuming the `transb` layout directly — no separate transpose pass),
+//!   and then the same body runs; a narrow precision quantises the panels
+//!   into its own format per launch;
 //! * `C` is split into row panels, one rayon task per panel (the
 //!   "threadblock" grid); each task packs its own row-major `A` rows into
 //!   `MR`-wide micropanels;
@@ -43,11 +50,13 @@
 use crate::grouped::TileEpilogue;
 use crate::isa::active_kernel;
 use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
+use crate::packed::{BView, PackedB};
 use crate::prec::Precision;
 use crate::scratch::with_worker_scratch;
 use crate::skinny::SKINNY_MAX_M;
-use bt_obs::names::{GEMM_BLOCKED_LAUNCHES_PREFIX, GEMM_SKINNY_LAUNCHES_PREFIX};
+use bt_obs::names::{GEMM_BLOCKED_LAUNCHES_PREFIX, GEMM_B_PACKS, GEMM_SKINNY_LAUNCHES_PREFIX};
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// Rows of `C` per parallel task (a multiple of every kernel's `MR`).
 const PANEL_ROWS: usize = 32;
@@ -91,7 +100,7 @@ impl GemmSpec {
 /// # Panics
 /// Panics if a slice is shorter than its declared shape.
 pub fn sgemm(spec: GemmSpec, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    sgemm_inner(spec, m, n, k, a, b, c, None, None)
+    sgemm_inner(spec.alpha, m, a, BOperand::raw(spec, k, n, b), c, None, None)
 }
 
 /// [`sgemm`] with a fused epilogue: every region of `C` a task finishes
@@ -110,7 +119,19 @@ pub fn sgemm_epilogue(
     c: &mut [f32],
     epilogue: &dyn TileEpilogue,
 ) {
-    sgemm_inner(spec, m, n, k, a, b, c, Some(epilogue), None)
+    sgemm_inner(spec.alpha, m, a, BOperand::raw(spec, k, n, b), c, Some(epilogue), None)
+}
+
+/// `C = A·B` against a `B` packed once ahead of time — a model weight —
+/// with an optional fused epilogue: the launch lays out no part of `B`
+/// (at f32; the f16 / int8 tiers quantise it from the panels). Same driver
+/// choice and the same stored bits as [`sgemm`] / [`sgemm_epilogue`] on
+/// `b.to_row_major()`.
+///
+/// # Panics
+/// Panics if `a` is shorter than `m × b.k()` or `c` than `m × b.n()`.
+pub fn sgemm_prepacked(m: usize, a: &[f32], b: &PackedB, c: &mut [f32], epilogue: Option<&dyn TileEpilogue>) {
+    sgemm_inner(1.0, m, a, BOperand::Packed(b), c, epilogue, None)
 }
 
 /// Stores one microkernel accumulator row into a `C` row segment scaled by
@@ -145,10 +166,10 @@ pub(crate) fn record_dispatch<K: PanelKernel>(kern: &K, flops: u64, driver: &str
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// `B` re-packed per launch, parallel over row panels of `C`.
+    /// `B` as 16-column panels, parallel over row panels of `C`.
     Packed,
-    /// `B` read in place, parallel over column blocks of `C`
-    /// ([`crate::skinny`]); requires `transb == false`.
+    /// `B` read in place, row-major or panels, parallel over column blocks
+    /// of `C` ([`crate::skinny`]); requires `transb == false`.
     Skinny,
 }
 
@@ -184,25 +205,108 @@ pub fn sgemm_pinned(
 ) {
     assert!(
         !(driver == Driver::Skinny && spec.transb),
-        "the skinny driver reads row-major B in place; transb is the packed driver's"
+        "the skinny driver reads B untransposed; transb is the packed driver's"
     );
-    sgemm_inner(spec, m, n, k, a, b, c, epilogue, Some(driver))
+    sgemm_inner(
+        spec.alpha,
+        m,
+        a,
+        BOperand::raw(spec, k, n, b),
+        c,
+        epilogue,
+        Some(driver),
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sgemm_inner(
-    spec: GemmSpec,
+/// [`sgemm_prepacked`] with the driver pinned (see [`sgemm_pinned`]).
+#[doc(hidden)]
+pub fn sgemm_prepacked_pinned(
+    driver: Driver,
     m: usize,
-    n: usize,
-    k: usize,
     a: &[f32],
-    b: &[f32],
+    b: &PackedB,
+    c: &mut [f32],
+    epilogue: Option<&dyn TileEpilogue>,
+) {
+    sgemm_inner(1.0, m, a, BOperand::Packed(b), c, epilogue, Some(driver))
+}
+
+/// A launch's `B`: a caller's raw slice, or a matrix packed ahead of time.
+#[derive(Clone, Copy)]
+enum BOperand<'b> {
+    /// Row-major `k×n` (`n×k` when `transb`).
+    Raw {
+        b: &'b [f32],
+        transb: bool,
+        k: usize,
+        n: usize,
+    },
+    Packed(&'b PackedB),
+}
+
+impl<'b> BOperand<'b> {
+    fn raw(spec: GemmSpec, k: usize, n: usize, b: &'b [f32]) -> Self {
+        assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
+        BOperand::Raw {
+            b,
+            transb: spec.transb,
+            k,
+            n,
+        }
+    }
+
+    /// `(k, n)`.
+    fn dims(self) -> (usize, usize) {
+        match self {
+            BOperand::Raw { k, n, .. } => (k, n),
+            BOperand::Packed(b) => (b.k(), b.n()),
+        }
+    }
+
+    fn transb(self) -> bool {
+        matches!(self, BOperand::Raw { transb: true, .. })
+    }
+
+    /// The panels the packed driver reads: a raw slice is packed here, once
+    /// per launch (counted on `gemm.b_packs`); a [`PackedB`] is used as is.
+    fn panels(self) -> Cow<'b, PackedB> {
+        match self {
+            BOperand::Raw { b, transb, k, n } => {
+                count_b_pack();
+                Cow::Owned(PackedB::pack(b, transb, k, n))
+            }
+            BOperand::Packed(b) => Cow::Borrowed(b),
+        }
+    }
+
+    /// The skinny driver's view (never transposed).
+    fn view(self) -> BView<'b> {
+        match self {
+            BOperand::Raw { b, n, .. } => BView::row_major(b, n),
+            BOperand::Packed(b) => BView::panels(b),
+        }
+    }
+}
+
+/// Counts one per-launch layout of a `B` operand (an f32 pack of a raw
+/// slice, or a low-precision quantisation of panels) on `gemm.b_packs`.
+pub(crate) fn count_b_pack() {
+    if bt_obs::enabled() {
+        bt_obs::counter(GEMM_B_PACKS).incr();
+    }
+}
+
+fn sgemm_inner(
+    alpha: f32,
+    m: usize,
+    a: &[f32],
+    b: BOperand<'_>,
     c: &mut [f32],
     epilogue: Option<&dyn TileEpilogue>,
     pinned: Option<Driver>,
 ) {
+    let (k, n) = b.dims();
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
-    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     if m == 0 || n == 0 {
         return;
@@ -211,7 +315,7 @@ fn sgemm_inner(
         // Degenerate product: every element is `alpha·0`, what `store_row`
         // stores from an empty accumulation (kernel-independent — no
         // dispatch needed).
-        c[..m * n].fill(spec.alpha * 0.0);
+        c[..m * n].fill(alpha * 0.0);
         if let Some(epi) = epilogue {
             epi.apply(0, 0, 0, m, n, &mut c[..m * n]);
         }
@@ -220,81 +324,59 @@ fn sgemm_inner(
 
     // The precision axis: a non-f32 active precision resolves to a
     // low-precision kernel (possibly ISA-degraded, with a warn_once) and
-    // takes the packed driver with byte panels. `None` means f32 — the two
-    // drivers below. A pinned driver (tests, benches) is by definition an
-    // f32 launch.
+    // takes the packed driver with byte panels quantised from the f32 ones.
+    // `None` means f32 — the two drivers below. A pinned driver (tests,
+    // benches) is by definition an f32 launch.
     if pinned.is_none() {
         let prec = crate::prec::active_precision();
         if let Some(lk) = crate::lowp::resolve_lowp_kernel(prec, crate::isa::active_isa()) {
-            return sgemm_packed(lk, spec, m, n, k, a, b, c, epilogue);
+            return sgemm_packed(lk, alpha, m, a, &b.panels(), c, epilogue);
         }
     }
 
     // One kernel per launch: the geometry below must stay consistent even
     // if the process-wide selection changes mid-flight.
     let kern = active_kernel();
-    // The driver is a function of the shape alone: few rows against a
-    // row-major B stream the weights in place; everything else amortises a
-    // repack. Both produce the same bits (see `crate::skinny`).
-    let driver = pinned.unwrap_or(if m <= SKINNY_MAX_M && !spec.transb {
+    // The driver is a function of the shape alone: few rows stream `B` in
+    // place; everything else runs register tiles over its panels. Both
+    // produce the same bits (see `crate::skinny`).
+    let driver = pinned.unwrap_or(if m <= SKINNY_MAX_M && !b.transb() {
         Driver::Skinny
     } else {
         Driver::Packed
     });
     if driver == Driver::Packed {
-        return sgemm_packed(kern, spec, m, n, k, a, b, c, epilogue);
+        return sgemm_packed(kern, alpha, m, a, &b.panels(), c, epilogue);
     }
     record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_SKINNY_LAUNCHES_PREFIX, 1);
-    crate::skinny::sgemm_skinny(kern.isa, spec, m, n, k, a, b, c, epilogue)
+    crate::skinny::sgemm_skinny(kern.isa, alpha, m, n, k, a, b.view(), c, epilogue)
 }
 
-/// The packed driver, one body for every precision: `B` packed once per
-/// launch into `kern`'s panel format (in parallel, each panel with its
-/// scale lanes), one rayon task per `C` row panel packing its own `A` rows,
-/// register-tile accumulation over the full `K` extent, and the shared
-/// alpha store and epilogue. Monomorphised per kernel type, so the f32
-/// instance is the plain f32 loop.
-#[allow(clippy::too_many_arguments)]
+/// The packed driver, one body for every precision: `B`'s panels in
+/// `kern`'s format (the [`PackedB`] itself for f32; quantised once per
+/// launch, each panel with its scale lanes, for a narrow format), one rayon
+/// task per `C` row panel packing its own `A` rows, register-tile
+/// accumulation over the full `K` extent, and the shared alpha store and
+/// epilogue. Monomorphised per kernel type, so the f32 instance is the
+/// plain f32 loop.
 fn sgemm_packed<K: PanelKernel>(
     kern: &K,
-    spec: GemmSpec,
+    alpha: f32,
     m: usize,
-    n: usize,
-    k: usize,
     a: &[f32],
-    b: &[f32],
+    b: &PackedB,
     c: &mut [f32],
     epilogue: Option<&dyn TileEpilogue>,
 ) {
+    let (k, n) = (b.k(), b.n());
     record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_BLOCKED_LAUNCHES_PREFIX, 1);
-    let alpha = spec.alpha;
     let (mr, nr) = kern.tile();
     let (apl, bpl) = kern.panel_lens(k);
     debug_assert_eq!(PANEL_ROWS % mr, 0, "row panels must hold whole micropanels");
-
-    // Pack B once into k-major micropanels, straight from the transb layout.
-    // Every panel carries `nr` scale / code-sum lanes so the three buffers
-    // zip chunk for chunk; f32 panels leave them untouched.
     let n_panels = n.div_ceil(nr);
-    let mut b_pack = vec![K::Elem::default(); n_panels * bpl];
-    let mut sb = vec![0.0f32; n_panels * nr];
-    let mut colsum = vec![0i32; n_panels * nr];
-    b_pack
-        .par_chunks_mut(bpl)
-        .zip(sb.par_chunks_mut(nr))
-        .zip(colsum.par_chunks_mut(nr))
-        .enumerate()
-        .for_each(|(jb, ((dst, sb), colsum))| {
-            let col0 = jb * nr;
-            with_worker_scratch(|scratch| {
-                let cvt = scratch.panels(kern, k, 0, 0, 0, 0).cvt;
-                kern.pack_b_panel(dst, sb, colsum, b, spec.transb, col0, nr.min(n - col0), n, k, cvt);
-            });
-        });
-    kern.count_pack_bytes(n_panels * bpl);
-    let (b_pack, sb, colsum) = (&b_pack, &sb, &colsum);
+    let b_panels = kern.b_panels(b);
+    let (sa_lanes, sb_lanes) = (kern.a_scale_lanes(), kern.b_scale_lanes());
 
-    let sa_lanes = kern.a_scale_lanes();
     c[..m * n]
         .par_chunks_mut(PANEL_ROWS * n)
         .enumerate()
@@ -324,7 +406,8 @@ fn sgemm_packed<K: PanelKernel>(
                 for jb in 0..n_panels {
                     let col0 = jb * nr;
                     let cols = nr.min(n - col0);
-                    let b_panel = &b_pack[jb * bpl..(jb + 1) * bpl];
+                    let b_panel = &b_panels.data[jb * bpl..(jb + 1) * bpl];
+                    let scales = jb * sb_lanes..(jb + 1) * sb_lanes;
                     for ib in 0..m_panels {
                         let r = mr.min(rows - ib * mr);
                         let mut acc = [0.0f32; MR_MAX * NR_MAX];
@@ -334,8 +417,8 @@ fn sgemm_packed<K: PanelKernel>(
                             b_panel,
                             &mut acc,
                             &s.sa[ib * sa_lanes..(ib + 1) * sa_lanes],
-                            &sb[jb * nr..(jb + 1) * nr],
-                            &colsum[jb * nr..(jb + 1) * nr],
+                            &b_panels.sb[scales.clone()],
+                            &b_panels.colsum[scales.clone()],
                         );
                         for i in 0..r {
                             let row = ib * mr + i;

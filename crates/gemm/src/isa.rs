@@ -7,14 +7,16 @@
 //!
 //! | tier     | tile (`mr×nr`) | inner step                                  |
 //! |----------|----------------|---------------------------------------------|
-//! | `scalar` | 8×8            | autovectorized loops, portable everywhere    |
+//! | `scalar` | 4×16           | autovectorized loops, portable everywhere    |
 //! | `avx2`   | 8×16           | `_mm256_fmadd_ps` on 16 `ymm` accumulators   |
 //! | `avx512` | 16×16          | `_mm512_fmadd_ps` on 16 `zmm` accumulators   |
 //!
-//! Each tier also has a family of row-count-specialised strip kernels for
-//! the skinny driver (`crate::skinny`: scalar `≤8×16`, avx2 `≤4×24`, avx512
-//! `≤8×48`, reading row-major `B` in place); the tier selected here picks
-//! those too.
+//! Every tier is 16 columns wide, the [`crate::PackedB`] panel width, so a
+//! weight packed once serves whichever tier runs. Each tier also has a
+//! family of row-count-specialised strip kernels for the skinny driver
+//! (`crate::skinny`: scalar `≤4×16`, avx2 `≤4×16`, avx512 `≤8×48`, reading
+//! `B` in place, row-major or panels); the tier selected here picks those
+//! too.
 //!
 //! Selection happens once, lazily, from `is_x86_feature_detected!` — best
 //! tier wins — and can be overridden with the `BYTE_GEMM_ISA` environment

@@ -20,14 +20,17 @@
 //!    fragments as they are loaded, used to fold softmax normalization into
 //!    the second attention GEMM).
 //!
-//! All operands are row-major `f32` slices. Matrix `B` may be consumed
-//! transposed (`transb`), which is how `Q·Kᵀ` is expressed. Parallelism maps
-//! CUDA threadblocks onto rayon tasks. Plain GEMM has two f32 drivers and
-//! picks one from the shape alone: up to `SKINNY_MAX_M` rows against a
-//! row-major `B` (the decode step's weight products) the skinny driver reads
-//! `B` in place and parallelizes over **column blocks** of `C`; every other
-//! shape (and every low-precision tier) re-packs `B` once per launch and
-//! parallelizes over **row panels** of `C`. The two are bitwise
+//! Operands are row-major `f32` slices, except a model weight: that is a
+//! [`PackedB`], laid out once at load in the 16-column panel format every
+//! f32 microkernel reads, and multiplied through [`sgemm_prepacked`]. A raw
+//! `B` may be consumed transposed (`transb`), which is how `Q·Kᵀ` is
+//! expressed. Parallelism maps CUDA threadblocks onto rayon tasks. Plain
+//! GEMM has two f32 drivers and picks one from the shape alone: up to
+//! `SKINNY_MAX_M` rows against an untransposed `B` (the decode step's
+//! weight products) the skinny driver reads `B` in place — row-major or
+//! panels — and parallelizes over **column blocks** of `C`; every other
+//! shape (and every low-precision tier) runs register tiles over `B`'s
+//! panels and parallelizes over **row panels** of `C`. The two are bitwise
 //! interchangeable, so the choice is invisible to callers. Grouped GEMM
 //! spawns a fixed number of virtual CTAs that pull tiles from the scheduler
 //! exactly as Fig. 5 describes.
@@ -48,16 +51,18 @@ pub mod grouped;
 pub mod isa;
 pub mod lowp;
 pub mod micro;
+mod packed;
 pub mod prec;
 mod reference;
 mod scratch;
 mod skinny;
 pub mod store;
 
-pub use blocked::{sgemm, sgemm_epilogue, sgemm_pinned, Driver, GemmSpec};
+pub use blocked::{sgemm, sgemm_epilogue, sgemm_pinned, sgemm_prepacked, sgemm_prepacked_pinned, Driver, GemmSpec};
 pub use grouped::TileEpilogue;
 pub use isa::{active_isa, available_isas, set_active_isa, Isa};
 pub use lowp::{dot_error_bound, int8_dot_error_bound, lowp_impl, resolve_lowp_kernel, Chain, LowpKernel};
+pub use packed::{PackedB, PANEL_NR};
 pub use prec::{active_precision, parse_prec_request, set_active_precision, Precision};
 pub use reference::gemm_ref;
 #[doc(hidden)]

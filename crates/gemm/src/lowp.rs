@@ -48,10 +48,15 @@
 // `asm!` kernel, and the raw-slice plumbing of the scalar kernels.
 #![allow(unsafe_code)]
 
+use crate::blocked::count_b_pack;
 use crate::isa::Isa;
-use crate::micro::{contract, PanelKernel, SCALAR_FUSED_FMA};
+use crate::micro::{contract, BPanels, PanelKernel, SCALAR_FUSED_FMA};
+use crate::packed::PackedB;
 use crate::prec::Precision;
+use crate::scratch::with_worker_scratch;
 use bt_tensor::half::f16;
+use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// Accumulation-chain class of a kernel. Implementations with equal chains
 /// produce bitwise-identical stored elements for identical operands;
@@ -206,20 +211,33 @@ impl PanelKernel for LowpKernel {
         }
     }
 
-    fn pack_b_panel(
-        &self,
-        dst: &mut [u8],
-        sb: &mut [f32],
-        colsum: &mut [i32],
-        src: &[f32],
-        trans: bool,
-        col0: usize,
-        c: usize,
-        n: usize,
-        k: usize,
-        cvt: &mut [u16],
-    ) {
-        pack_b_panel_lowp(self, dst, sb, colsum, src, trans, col0, c, n, k, cvt);
+    /// Quantises `b`'s f32 panels into this format, one parallel task per
+    /// panel: the per-launch `B` work a narrow precision still does.
+    fn b_panels<'b>(&self, b: &'b PackedB) -> BPanels<'b, u8> {
+        let (k, n, nr) = (b.k(), b.n(), self.nr);
+        let n_panels = n.div_ceil(nr);
+        let bpl = self.b_panel_bytes(k);
+        let mut data = vec![0u8; n_panels * bpl];
+        let mut sb = vec![0.0f32; n_panels * nr];
+        let mut colsum = vec![0i32; n_panels * nr];
+        data.par_chunks_mut(bpl)
+            .zip(sb.par_chunks_mut(nr))
+            .zip(colsum.par_chunks_mut(nr))
+            .enumerate()
+            .for_each(|(jb, ((dst, sb), colsum))| {
+                let col0 = jb * nr;
+                with_worker_scratch(|scratch| {
+                    let cvt = scratch.panels(self, k, 0, 0, 0, 0).cvt;
+                    pack_b_panel_lowp(self, dst, sb, colsum, b, col0, nr.min(n - col0), cvt);
+                });
+            });
+        self.count_pack_bytes(n_panels * bpl);
+        count_b_pack();
+        BPanels {
+            data: Cow::Owned(data),
+            sb,
+            colsum,
+        }
     }
 
     /// Runs the kernel over `k` (unpadded) steps:
@@ -671,55 +689,38 @@ pub fn pack_a_panel_lowp(
     kern.pack_a_rows(dst, sa, &src[row0 * k..(row0 + r) * k], r, k, cvt);
 }
 
-/// Low-precision counterpart of [`crate::micro::pack_b_panel`]: packs
-/// columns `col0..col0+c` of a row-major `k×n` matrix (`n×k` when `trans`)
-/// into one micropanel, recording per-column scales in `sb[..nr]` and (for
-/// int8) per-column code sums in `colsum[..nr]`. Every lane — including
-/// pads — is overwritten; pad columns get scale 1.0 and colsum 0.
+/// Quantises columns `col0..col0+c` of `src` into one micropanel,
+/// recording per-column scales in `sb[..nr]` and (for int8) per-column code
+/// sums in `colsum[..nr]`. Each k-step's row segment is read from the f32
+/// panels it lies in (one per 16-column panel it spans: two for the 32-wide
+/// AVX512-FP16 panel). Every lane — including pads — is overwritten; pad
+/// columns get scale 1.0 and colsum 0.
 #[allow(clippy::too_many_arguments)] // geometry params are the point
 pub fn pack_b_panel_lowp(
     kern: &LowpKernel,
     dst: &mut [u8],
     sb: &mut [f32],
     colsum: &mut [i32],
-    src: &[f32],
-    trans: bool,
+    src: &PackedB,
     col0: usize,
     c: usize,
-    n: usize,
-    k: usize,
     cvt: &mut [u16],
 ) {
-    let nr = kern.nr;
-    debug_assert!(c <= nr);
+    let (nr, k) = (kern.nr, src.k());
+    debug_assert!(c <= nr && col0 + c <= src.n());
     debug_assert!(dst.len() >= kern.b_panel_bytes(k));
     debug_assert!(sb.len() >= nr && colsum.len() >= nr);
     match kern.b_fmt {
         BFmt::F16 => {
-            if trans {
-                // Columns are contiguous in the source: convert each whole
-                // column vector, then scatter down the panel.
-                for j in 0..c {
-                    f32_to_f16_bits_slice(cvt, &src[(col0 + j) * k..(col0 + j) * k + k]);
-                    for (p, &h) in cvt[..k].iter().enumerate() {
-                        put_u16(dst, p * nr + j, h);
-                    }
+            // The destination lanes `p*nr..p*nr+c` are consecutive u16s, so
+            // each converted row segment stores as one contiguous image.
+            for p in 0..k {
+                for (off, seg) in src.row_pieces(p, col0, c) {
+                    f32_to_f16_bits_slice(cvt, seg);
+                    store_u16_run(dst, p * nr + off, &cvt[..seg.len()]);
                 }
                 for j in c..nr {
-                    for p in 0..k {
-                        put_u16(dst, p * nr + j, 0);
-                    }
-                }
-            } else {
-                // Rows are contiguous: convert each k-step's row segment.
-                // The destination lanes `p*nr..p*nr+c` are consecutive u16s,
-                // so the converted row stores as one contiguous image.
-                for p in 0..k {
-                    f32_to_f16_bits_slice(cvt, &src[p * n + col0..p * n + col0 + c]);
-                    store_u16_run(dst, p * nr, &cvt[..c]);
-                    for j in c..nr {
-                        put_u16(dst, p * nr + j, 0);
-                    }
+                    put_u16(dst, p * nr + j, 0);
                 }
             }
             sb[..nr].fill(1.0);
@@ -732,68 +733,35 @@ pub fn pack_b_panel_lowp(
             let have512 = is_x86_feature_detected!("avx512f");
             #[cfg(not(target_arch = "x86_64"))]
             let have512 = false;
-            // Pass 1: per-column absolute maxima → symmetric scales. Walk
-            // the source in its native order (columns when `trans`, rows
-            // otherwise) so a large-k panel streams instead of fetching a
-            // fresh cache line per element.
+            // Pass 1: per-column absolute maxima → symmetric scales, one
+            // streamed row segment per k-step.
             let mut inv = [0.0f32; crate::micro::NR_MAX];
-            if trans {
-                for j in 0..c {
-                    let col = &src[(col0 + j) * k..(col0 + j) * k + k];
-                    sb[j] = int8_scale(maxabs_f32(col));
-                    inv[j] = sb[j].recip();
+            let mut maxabs = [0.0f32; crate::micro::NR_MAX];
+            for p in 0..k {
+                for (off, seg) in src.row_pieces(p, col0, c) {
+                    maxabs_lanes(&mut maxabs[off..off + seg.len()], seg, have512);
                 }
-            } else {
-                let mut maxabs = [0.0f32; crate::micro::NR_MAX];
-                for p in 0..k {
-                    maxabs_lanes(&mut maxabs[..c], &src[p * n + col0..p * n + col0 + c], have512);
-                }
-                for j in 0..c {
-                    sb[j] = int8_scale(maxabs[j]);
-                    inv[j] = sb[j].recip();
-                }
+            }
+            for j in 0..c {
+                sb[j] = int8_scale(maxabs[j]);
+                inv[j] = sb[j].recip();
             }
             sb[c..nr].fill(1.0);
             // Pass 2: quantize (vectorized), scatter into k-groups,
             // accumulate code sums.
             colsum[..nr].fill(0);
-            if trans {
-                let mut q = [0i8; 256];
+            let mut q = [0i8; crate::micro::NR_MAX];
+            for p in 0..k {
+                for (off, seg) in src.row_pieces(p, col0, c) {
+                    quantize_i8_lanes(&mut q[off..off + seg.len()], seg, &inv[off..off + seg.len()], have512);
+                }
+                let base = (p / ks) * nr * ks + p % ks;
                 for j in 0..c {
-                    let col = &src[(col0 + j) * k..(col0 + j) * k + k];
-                    let mut sum = 0i32;
-                    let mut p0 = 0usize;
-                    while p0 < k {
-                        let len = q.len().min(k - p0);
-                        quantize_i8_slice(&mut q[..len], &col[p0..p0 + len], inv[j]);
-                        for (o, &qv) in q[..len].iter().enumerate() {
-                            let p = p0 + o;
-                            dst[(p / ks) * nr * ks + p % ks + j * ks] = qv as u8;
-                            sum += qv as i32;
-                        }
-                        p0 += len;
-                    }
-                    colsum[j] = sum;
+                    dst[base + j * ks] = q[j] as u8;
+                    colsum[j] += q[j] as i32;
                 }
-                for p in 0..k {
-                    let base = (p / ks) * nr * ks + p % ks;
-                    for j in c..nr {
-                        dst[base + j * ks] = 0;
-                    }
-                }
-            } else {
-                let mut q = [0i8; crate::micro::NR_MAX];
-                for p in 0..k {
-                    let seg = &src[p * n + col0..p * n + col0 + c];
-                    quantize_i8_lanes(&mut q[..c], seg, &inv[..c], have512);
-                    let base = (p / ks) * nr * ks + p % ks;
-                    for j in 0..c {
-                        dst[base + j * ks] = q[j] as u8;
-                        colsum[j] += q[j] as i32;
-                    }
-                    for j in c..nr {
-                        dst[base + j * ks] = 0;
-                    }
+                for j in c..nr {
+                    dst[base + j * ks] = 0;
                 }
             }
             for p in k..pk {
@@ -1519,7 +1487,16 @@ mod tests {
         let mut colsum = vec![i32::MAX; kern.nr];
         let mut cvt = vec![0u16; k.max(kern.nr)];
         pack_a_panel_lowp(kern, &mut a_panel, &mut sa, a, 0, m, k, &mut cvt);
-        pack_b_panel_lowp(kern, &mut b_panel, &mut sb, &mut colsum, b, false, 0, n, n, k, &mut cvt);
+        pack_b_panel_lowp(
+            kern,
+            &mut b_panel,
+            &mut sb,
+            &mut colsum,
+            &PackedB::pack(b, false, k, n),
+            0,
+            n,
+            &mut cvt,
+        );
         let mut acc = vec![0.0f32; kern.mr * kern.nr];
         kern.run_block(k, &a_panel, &b_panel, &mut acc, &sa, &sb, &colsum);
         acc

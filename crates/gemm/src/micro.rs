@@ -10,14 +10,16 @@
 //! kernel — which makes the inner loop two contiguous streams regardless of
 //! a `B` transpose.
 //!
-//! Since PR 3 the microkernel is a *family*: the portable scalar 8×8 kernel
+//! The microkernel is a *family*: the portable scalar 4×16 kernel
 //! (autovectorized under whatever `-C target-cpu` the build used), an
 //! explicit AVX2+FMA 8×16 kernel, and an explicit AVX-512 16×16 kernel —
 //! the CPU counterpart of the paper's hardware-wide CUTLASS tiles and
 //! `__half2` SIMD2 vectorization (§III.C, §III.E). One kernel is selected
-//! at runtime by [`crate::isa`]; because `MR`/`NR` differ per kernel, the
-//! packing routines here and both drivers take the geometry as runtime
-//! parameters instead of constants.
+//! at runtime by [`crate::isa`]. Every tier is 16 columns wide
+//! ([`crate::packed::PANEL_NR`]), so a weight packed once into a
+//! [`crate::PackedB`] is every tier's `B` panel set and tiers can switch
+//! mid-process; `MR` differs per kernel, so the packing routines here and
+//! both drivers take the geometry as runtime parameters.
 //!
 //! Panel layout (for a kernel of geometry `mr×nr`):
 //!
@@ -38,8 +40,10 @@
 #![allow(unsafe_code)]
 
 use crate::isa::Isa;
+use crate::packed::{PackedB, PANEL_NR};
 use crate::prec::Precision;
 use crate::scratch::PanelElem;
+use std::borrow::Cow;
 
 /// Largest `MR` of any kernel in the family (the AVX-512 tile height).
 /// Stack accumulators in the drivers are sized `MR_MAX × NR_MAX`.
@@ -49,9 +53,9 @@ pub const MR_MAX: usize = 16;
 pub const NR_MAX: usize = 32;
 
 /// Geometry of the portable scalar kernel.
-pub(crate) const SCALAR_MR: usize = 8;
-/// Geometry of the portable scalar kernel.
-pub(crate) const SCALAR_NR: usize = 8;
+pub(crate) const SCALAR_MR: usize = 4;
+/// Geometry of the portable scalar kernel: the shared panel width.
+pub(crate) const SCALAR_NR: usize = crate::packed::PANEL_NR;
 
 /// Whether the scalar kernel contracts with hardware FMA. Decided **once,
 /// at kernel definition**, from the features the *crate* was compiled with:
@@ -155,22 +159,11 @@ pub(crate) trait PanelKernel: Sync {
     /// `rows[i*k ..]`) into one `A` panel with their scales in `sa`, pad
     /// lanes neutral.
     fn pack_a_rows(&self, dst: &mut [Self::Elem], sa: &mut [f32], rows: &[f32], r: usize, k: usize, cvt: &mut [u16]);
-    /// Packs columns `col0 .. col0 + c` of a row-major `k×n` `B` (`n×k`
-    /// when `trans`) into one panel; see [`pack_b_panel`].
-    #[allow(clippy::too_many_arguments)] // geometry params are the point
-    fn pack_b_panel(
-        &self,
-        dst: &mut [Self::Elem],
-        sb: &mut [f32],
-        colsum: &mut [i32],
-        src: &[f32],
-        trans: bool,
-        col0: usize,
-        c: usize,
-        n: usize,
-        k: usize,
-        cvt: &mut [u16],
-    );
+    /// `b` in this kernel's panel format: ⌈n/nr⌉ panels of
+    /// [`PanelKernel::panel_lens`]`(k).1` elements, each with `nr` scale /
+    /// code-sum lanes when [`PanelKernel::NARROW`]. f32 borrows the
+    /// [`PackedB`]'s own panels; a narrow format quantises them per launch.
+    fn b_panels<'b>(&self, b: &'b PackedB) -> BPanels<'b, Self::Elem>;
     /// Accumulates one register block over depth `k` into `acc`.
     #[allow(clippy::too_many_arguments)] // the full kernel operand set is the point
     fn run_block(
@@ -186,8 +179,7 @@ pub(crate) trait PanelKernel: Sync {
     /// Counts packed panel elements for telemetry (narrow formats only).
     fn count_pack_bytes(&self, _elems: usize) {}
 
-    /// Scale lanes per `A` panel (one per row; a `B` panel's scales and code
-    /// sums are one per column, `nr`).
+    /// Scale lanes per `A` panel (one per row).
     fn a_scale_lanes(&self) -> usize {
         if Self::NARROW {
             self.tile().0
@@ -195,6 +187,23 @@ pub(crate) trait PanelKernel: Sync {
             0
         }
     }
+
+    /// Scale and code-sum lanes per `B` panel (one per column).
+    fn b_scale_lanes(&self) -> usize {
+        if Self::NARROW {
+            self.tile().1
+        } else {
+            0
+        }
+    }
+}
+
+/// A launch's `B` in a kernel's panel format, with the per-column scales
+/// and code sums of a narrow format (empty for f32).
+pub(crate) struct BPanels<'b, E: Clone> {
+    pub data: Cow<'b, [E]>,
+    pub sb: Vec<f32>,
+    pub colsum: Vec<i32>,
 }
 
 impl PanelKernel for MicroKernel {
@@ -217,20 +226,13 @@ impl PanelKernel for MicroKernel {
         interleave_rows(dst, rows, r, k, self.mr);
     }
 
-    fn pack_b_panel(
-        &self,
-        dst: &mut [f32],
-        _: &mut [f32],
-        _: &mut [i32],
-        src: &[f32],
-        trans: bool,
-        col0: usize,
-        c: usize,
-        n: usize,
-        k: usize,
-        _: &mut [u16],
-    ) {
-        pack_b_panel(dst, src, trans, col0, c, n, k, self.nr);
+    fn b_panels<'b>(&self, b: &'b PackedB) -> BPanels<'b, f32> {
+        debug_assert_eq!(self.nr, PANEL_NR, "every f32 tier reads the shared panel format");
+        BPanels {
+            data: Cow::Borrowed(b.panels()),
+            sb: Vec::new(),
+            colsum: Vec::new(),
+        }
     }
 
     fn run_block(&self, k: usize, a: &[f32], b: &[f32], acc: &mut [f32], _: &[f32], _: &[f32], _: &[i32]) {
@@ -261,7 +263,7 @@ pub(crate) fn contract<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// The portable scalar kernel (8×8). With fixed loop bounds the two inner
+/// The portable scalar kernel (4×16). With fixed loop bounds the two inner
 /// loops fully unroll and autovectorize to whatever the build's target CPU
 /// offers; `FUSED` pins the contraction mode per [`SCALAR_FUSED_FMA`].
 ///

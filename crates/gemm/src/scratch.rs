@@ -91,7 +91,7 @@ impl PanelElem for u8 {
 /// (contents are stale, callers overwrite fully): packed `A` / `B`
 /// micropanels, the accumulator tile, f32 staging for `A` rows, and — for
 /// narrow formats only — the `A` panels' scales and conversion staging
-/// (the packed driver keeps its one packed `B` and its scales per launch).
+/// (a launch's `B` panels are the weight's own, or built once per launch).
 pub(crate) struct Panels<'s, E> {
     pub a: &'s mut [E],
     pub b: &'s mut [E],
@@ -246,7 +246,10 @@ mod tests {
         assert!(after_first > 0);
         for _ in 0..1000 {
             let p = s.panels(kern, 8, 3, 4, 64, 32);
-            assert_eq!((p.a.len(), p.b.len(), p.tile.len(), p.row.len()), (192, 256, 64, 32));
+            assert_eq!(
+                (p.a.len(), p.b.len(), p.tile.len(), p.row.len()),
+                (3 * 8 * kern.mr, 4 * 8 * kern.nr, 64, 32)
+            );
             assert_eq!((p.sa.len(), p.cvt.len()), (0, 0));
         }
         assert_eq!(s.grow_count(), after_first, "reuse must not reallocate");

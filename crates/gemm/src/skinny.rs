@@ -1,60 +1,72 @@
-//! The skinny-`M` f32 driver: few rows of `A` against a large row-major `B`
-//! that is **read in place**.
+//! The skinny-`M` f32 driver: few rows of `A` against a `B` that is **read
+//! in place** — a caller's row-major slice or a weight's [`PackedB`] panels.
 //!
-//! The packed driver in [`crate::blocked`] re-lays-out the whole of `B` on
-//! every call and parallelises over 32-row panels of `C`. That is the right
-//! trade when `M` rows amortise the repack; at the auto-regressive decode
-//! step (`M` = live sessions, a handful) it triples the weight traffic and
-//! leaves one task for the whole product. cuBLAS — where the paper gets its
-//! dense GEMMs — never re-lays-out weights per launch; this driver is the
-//! CPU counterpart for the shapes where that matters:
+//! The packed driver in [`crate::blocked`] parallelises over 32-row panels
+//! of `C`. That is the right trade when `M` rows amortise its `A` packing
+//! and give every core a panel; at the auto-regressive decode step (`M` =
+//! live sessions, a handful) it leaves one task for the whole product. This
+//! driver is the CPU counterpart of cuBLAS's GEMV-shaped kernels for those
+//! shapes:
 //!
 //! * only the tiny `A` is packed (once per launch, k-major, one micropanel
-//!   per row group; `M = 1` is already that layout and is used as is);
-//! * `B` is consumed straight from the caller's row-major slice — no
-//!   `b_pack`, no allocation proportional to `k·n`;
+//!   per row group, into a process-wide grow-only buffer; `M = 1` is
+//!   already that layout and is used as is);
+//! * `B` is consumed straight from where it lives: a strip kernel reads
+//!   element `(p, j)` at `p·ldb + (j / 16)·vs + j % 16`, so one kernel
+//!   serves a row-major slice (`ldb = n`, `vs = 16`) and the 16-column
+//!   panels of a [`PackedB`] (`ldb = 16`, `vs = 16·k`) — no allocation
+//!   proportional to `k·n` either way;
 //! * `C` is split into **column blocks**, one pool task per block, so every
 //!   core streams its own share of the weights;
 //! * inside a block the product runs `K`-chunk by `K`-chunk over
-//!   [`SkinnyKernel::cols`]-wide strips with a register tile specialised on
-//!   the row count (`M = 8` does not pay for 16 rows; `M = 1` is a GEMV),
-//!   the intrinsic tiers software-prefetching the next chunk's rows while
-//!   the current one computes.
+//!   [`SkinnyKernel::cols`]-wide strips (a multiple of 16, so a strip is
+//!   whole panels) with a register tile specialised on the row count
+//!   (`M = 8` does not pay for 16 rows; `M = 1` is a GEMV), the intrinsic
+//!   tiers software-prefetching the next chunk's rows while the current one
+//!   computes.
 //!
 //! Numerics: every output element is still one `p`-ascending
 //! multiply-accumulate chain started from `0.0` — register tiles spilled to
 //! the task's scratch between chunks round-trip exactly — and is finished by
 //! the packed driver's `store_row`, so the result is **bitwise identical**
 //! to the packed driver of the same [`crate::micro::MicroKernel::fused_fma`]
-//! class (`tests/skinny_differential.rs`).
+//! class, on either layout of `B` (`tests/skinny_differential.rs`).
 //!
-//! Safety story: the intrinsic kernels read `B` at `p·ldb + j` for exactly
-//! the `p < kc`, `j < cols` the safe wrapper [`SkinnyKernel::run`] bounds
-//! against the slice it was handed; a strip narrower than the tile uses
-//! masked loads (AVX-512 `k`-masks, AVX2 `vmaskmov`), which do not touch
-//! masked-off lanes, so nothing past `b.len()` is ever read. Prefetch
-//! addresses are formed with `wrapping_add` and never dereferenced.
+//! Safety story: the intrinsic kernels read `B` at `p·ldb + (j / 16)·vs +
+//! j % 16` for exactly the `p < kc`, `j < cols` the safe wrapper
+//! [`SkinnyKernel::run`] bounds against the slice it was handed; a strip
+//! narrower than the tile uses masked loads (AVX-512 `k`-masks, AVX2
+//! `vmaskmov`), which do not touch masked-off lanes, so nothing past
+//! `b.len()` is ever read — a ragged raw slice needs that, panels are
+//! zero-padded anyway. Prefetch addresses are formed with `wrapping_add` and
+//! never dereferenced.
 
 #![allow(unsafe_code)]
 
-use crate::blocked::{store_row, GemmSpec};
+use crate::blocked::store_row;
 use crate::grouped::TileEpilogue;
 use crate::isa::Isa;
 use crate::micro::{contract, pack_a_panel, SCALAR_FUSED_FMA};
+use crate::packed::{BView, PANEL_NR};
 use crate::scratch::with_worker_scratch;
 use crate::store::DisjointWriter;
 use rayon::prelude::*;
+use std::sync::{Mutex, TryLockError};
 
 /// Largest `m` the shape-driven selection in `blocked.rs` sends here
 /// (re-exported, hidden, for the tests and benches that pin the boundary).
 /// Read off the `skinny` section of `BENCH_gemm.json` (`gemm_isa` bench,
-/// both drivers pinned at the decode weight shapes): it is the largest row
-/// count there at which this driver is no slower than the packed one on
-/// **every** tier at every shape (`skinny_no_slower_through_m`; AVX-512
-/// still leads by ~1.3× at 256 and draws level at 512, AVX2 and scalar draw
-/// level at 256). End to end the constant decides nothing for
-/// `decode_paged` (8 rows) and moves `serve_open` (51–256 rows per batch)
-/// the right way; EXPERIMENTS.md has both tables.
+/// both drivers pinned at the decode weight shapes, on `PackedB` weights —
+/// what every layer GEMM reads): it is the largest row count there at which
+/// this driver is no slower than the packed one on the widest tier, and the
+/// packed driver does not win it on **every** tier. On PackedB the AVX-512
+/// skinny driver still leads by 1.05–1.15× at 256 (two full runs) and
+/// falls behind at 512; scalar and AVX2 read 0.79–1.00× at 256, so 256
+/// stays. (Before weights were packed once, the packed driver repacked `B`
+/// per launch and the AVX-512 lead at 256 was ~1.3×.)
+/// End to end the constant decides nothing for `decode_paged` (8 rows) and
+/// moves `serve_open` (51–256 rows per batch) the right way; EXPERIMENTS.md
+/// has both tables.
 pub const SKINNY_MAX_M: usize = 256;
 
 /// `K` rows per chunk. A task sweeps its column block one `KC`-row slab of
@@ -71,21 +83,23 @@ const MAX_BLOCK_STRIPS: usize = 16;
 
 /// Raw strip kernel for `R` rows: continues the accumulation chains in
 /// `acc` (`R × cols_per_strip`, row-major at full strip width) with
-/// `acc[i][j] += a[p*R + i] · b[p*ldb + j]` for `p` in `0..kc` ascending and
-/// `j < cols`; lanes `j ≥ cols` hold don't-care values. `pf` rows ahead of
-/// each `B` row it reads, the kernel may issue a prefetch.
+/// `acc[i][j] += a[p*R + i] · B(p, j)` for `p` in `0..kc` ascending and
+/// `j < cols`, where `B(p, j)` is `b[p*ldb + (j / 16)*vs + j % 16]`; lanes
+/// `j ≥ cols` hold don't-care values. `pf` rows ahead of each `B` row it
+/// reads, the kernel may issue a prefetch.
 ///
 /// # Safety
 /// `a` must be valid for `kc*R` reads, `acc` for `R × strip width` reads
-/// and writes, `b` for reads of `cols` elements at each `p*ldb`, `p < kc`;
+/// and writes, `b` for reads of `B(p, j)` for every `p < kc`, `j < cols`;
 /// and the CPU must support the kernel's ISA.
-type SkinnyFn = unsafe fn(kc: usize, a: *const f32, b: *const f32, ldb: usize, cols: usize, pf: usize, acc: *mut f32);
+type SkinnyFn =
+    unsafe fn(kc: usize, a: *const f32, b: *const f32, ldb: usize, vs: usize, cols: usize, pf: usize, acc: *mut f32);
 
 /// One ISA tier's family of row-count-specialised strip kernels.
 pub(crate) struct SkinnyKernel {
     /// Rows of the tallest register tile (row groups are cut at this).
     pub rows: usize,
-    /// Columns of one strip (the register tile's width).
+    /// Columns of one strip (the register tile's width), a multiple of 16.
     pub cols: usize,
     /// `funcs[r - 1]` is the kernel for an `r`-row group.
     funcs: &'static [SkinnyFn],
@@ -94,21 +108,25 @@ pub(crate) struct SkinnyKernel {
 impl SkinnyKernel {
     /// Runs the `r`-row kernel over `kc` steps of one strip of `cols`
     /// columns; `b` starts at the strip's first element of the chunk's
-    /// first row and `ldb` is `B`'s row stride.
+    /// first row, `ldb` is `B`'s row stride and `vs` its 16-column stride.
     ///
     /// # Panics
     /// Panics if `r`/`cols` exceed the tile or a slice is too short for the
     /// extents the kernel reads.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn run(&self, r: usize, kc: usize, a: &[f32], b: &[f32], ldb: usize, cols: usize, pf: usize, acc: &mut [f32]) {
+    fn run(&self, r: usize, kc: usize, a: &[f32], b: BView<'_>, cols: usize, pf: usize, acc: &mut [f32]) {
         assert!((1..=self.rows).contains(&r) && (1..=self.cols).contains(&cols));
+        assert!(b.ldb >= 1 && b.vs >= PANEL_NR, "strides out of range");
         assert!(a.len() >= kc * r, "A micropanel too short");
-        assert!(kc == 0 || b.len() >= (kc - 1) * ldb + cols, "B strip too short");
+        // The last element read is `B(kc - 1, cols - 1)`; both strides are
+        // positive, so every other one lies below it.
+        let last = |kc: usize| (kc - 1) * b.ldb + ((cols - 1) / PANEL_NR) * b.vs + (cols - 1) % PANEL_NR;
+        assert!(kc == 0 || b.data.len() > last(kc), "B strip too short");
         assert!(acc.len() >= r * self.cols, "accumulator tile too short");
         // SAFETY: extents asserted above; a kernel table is only reachable
         // through `kernel_for` with a tier `crate::isa` verified present.
-        unsafe { (self.funcs[r - 1])(kc, a.as_ptr(), b.as_ptr(), ldb, cols, pf, acc.as_mut_ptr()) }
+        unsafe { (self.funcs[r - 1])(kc, a.as_ptr(), b.data.as_ptr(), b.ldb, b.vs, cols, pf, acc.as_mut_ptr()) }
     }
 }
 
@@ -126,42 +144,59 @@ pub(crate) fn kernel_for(isa: Isa) -> &'static SkinnyKernel {
     }
 }
 
+/// `A` packed for a launch. Process-wide and grow-only, as the fused
+/// attention's staging is: a serving thread may live for one batch only,
+/// and a thread-local buffer would be freed and re-grown with it.
+static A_PACK: Mutex<Vec<f32>> = Mutex::new(Vec::new());
+
+/// Runs `f` with `a`'s `m` rows packed for the strip kernels — group `g` a
+/// `k × r` k-major micropanel at its own height (no zero rows) starting at
+/// `g*rmax*k` — in [`A_PACK`], or in a fresh buffer while another launch
+/// holds it (concurrent GEMMs). One row is that layout already.
+fn with_packed_a<R>(a: &[f32], m: usize, k: usize, rmax: usize, f: impl FnOnce(&[f32]) -> R) -> R {
+    if m == 1 {
+        return f(&a[..k]);
+    }
+    let run = |buf: &mut Vec<f32>| {
+        if buf.len() < m * k {
+            buf.resize(m * k, 0.0);
+        }
+        for g0 in (0..m).step_by(rmax) {
+            let r = rmax.min(m - g0);
+            pack_a_panel(&mut buf[g0 * k..][..r * k], a, g0, r, k, r);
+        }
+        f(&buf[..m * k])
+    };
+    match A_PACK.try_lock() {
+        Ok(mut buf) => run(&mut buf),
+        // Every launch overwrites what it reads, so a panic mid-launch
+        // leaves nothing to distrust.
+        Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => run(&mut Vec::new()),
+    }
+}
+
 /// `C = alpha * A·B` for few rows: see the module docs.
-/// `isa` is the launch's dispatch tier; `B` is row-major `k×n` (`transb` is
-/// the packed driver's business). Shapes are validated by the caller.
+/// `isa` is the launch's dispatch tier; `b` is `k×n`, row-major or panels
+/// (`transb` is the packed driver's business). Shapes are validated by the
+/// caller.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sgemm_skinny(
     isa: Isa,
-    spec: GemmSpec,
+    alpha: f32,
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: BView<'_>,
     c: &mut [f32],
     epilogue: Option<&dyn TileEpilogue>,
 ) {
-    debug_assert!(!spec.transb && m > 0 && n > 0 && k > 0);
+    debug_assert!(m > 0 && n > 0 && k > 0);
     let kern = kernel_for(isa);
     let (rmax, w) = (kern.rows, kern.cols);
     let groups = m.div_ceil(rmax);
     let group_rows = |g: usize| rmax.min(m - g * rmax);
-
-    // Pack A once per launch: group `g` is a `k × r` k-major micropanel at
-    // its own height (no zero rows) starting at `g*rmax*k`. One row is that
-    // layout already.
-    let packed: Vec<f32>;
-    let a_pack: &[f32] = if m == 1 {
-        &a[..k]
-    } else {
-        let mut buf = vec![0.0f32; m * k];
-        for g in 0..groups {
-            let r = group_rows(g);
-            pack_a_panel(&mut buf[g * rmax * k..][..r * k], a, g * rmax, r, k, r);
-        }
-        packed = buf;
-        &packed
-    };
 
     // Column blocks: about two per pool lane (the launch cursor balances
     // them), whole strips, capped so a chunk's slab of B stays in cache.
@@ -170,56 +205,60 @@ pub(crate) fn sgemm_skinny(
     let nb = block_strips * w;
     let writer = DisjointWriter::new(&mut c[..m * n]);
 
-    (0..n.div_ceil(nb)).into_par_iter().for_each(|jb| {
-        let j0 = jb * nb;
-        let strips = nb.min(n - j0).div_ceil(w);
-        with_worker_scratch(|scratch| {
-            // One `rmax × w` accumulator tile per (group, strip), spilled
-            // here between K chunks.
-            let tile_len = rmax * w;
-            let acc = scratch.tile(groups * strips * tile_len);
-            acc.fill(0.0);
-            for p0 in (0..k).step_by(KC) {
-                let kc = KC.min(k - p0);
-                // Prefetch one chunk ahead, from the first row group only
-                // (later groups find the slab already in cache).
-                let pf = if p0 + kc < k { kc } else { 0 };
-                for s in 0..strips {
-                    let col = j0 + s * w;
-                    let cols = w.min(n - col);
-                    let b_strip = &b[p0 * n + col..k * n];
-                    for g in 0..groups {
-                        let r = group_rows(g);
-                        kern.run(
-                            r,
-                            kc,
-                            &a_pack[g * rmax * k + p0 * r..][..kc * r],
-                            b_strip,
-                            n,
-                            cols,
-                            if g == 0 { pf } else { 0 },
-                            &mut acc[(g * strips + s) * tile_len..][..tile_len],
-                        );
+    with_packed_a(a, m, k, rmax, |a_pack| {
+        (0..n.div_ceil(nb)).into_par_iter().for_each(|jb| {
+            let j0 = jb * nb;
+            let strips = nb.min(n - j0).div_ceil(w);
+            with_worker_scratch(|scratch| {
+                // One `rmax × w` accumulator tile per (group, strip), spilled
+                // here between K chunks.
+                let tile_len = rmax * w;
+                let acc = scratch.tile(groups * strips * tile_len);
+                acc.fill(0.0);
+                for p0 in (0..k).step_by(KC) {
+                    let kc = KC.min(k - p0);
+                    // Prefetch one chunk ahead, from the first row group only
+                    // (later groups find the slab already in cache).
+                    let pf = if p0 + kc < k { kc } else { 0 };
+                    for s in 0..strips {
+                        let col = j0 + s * w;
+                        let cols = w.min(n - col);
+                        let b_strip = BView {
+                            data: b.at(p0, col),
+                            ..b
+                        };
+                        for g in 0..groups {
+                            let r = group_rows(g);
+                            kern.run(
+                                r,
+                                kc,
+                                &a_pack[g * rmax * k + p0 * r..][..kc * r],
+                                b_strip,
+                                cols,
+                                if g == 0 { pf } else { 0 },
+                                &mut acc[(g * strips + s) * tile_len..][..tile_len],
+                            );
+                        }
                     }
                 }
-            }
-            // Each row's share of the block is finished strip by strip, then
-            // handed to the epilogue whole.
-            let block_cols = nb.min(n - j0);
-            for g in 0..groups {
-                for i in 0..group_rows(g) {
-                    let row = g * rmax + i;
-                    writer.update(row * n + j0, block_cols, |c_seg| {
-                        for (s, c_strip) in c_seg.chunks_mut(w).enumerate() {
-                            let acc_row = &acc[(g * strips + s) * tile_len + i * w..][..c_strip.len()];
-                            store_row(c_strip, acc_row, spec.alpha);
-                        }
-                        if let Some(epi) = epilogue {
-                            epi.apply(0, row, j0, 1, block_cols, c_seg);
-                        }
-                    });
+                // Each row's share of the block is finished strip by strip,
+                // then handed to the epilogue whole.
+                let block_cols = nb.min(n - j0);
+                for g in 0..groups {
+                    for i in 0..group_rows(g) {
+                        let row = g * rmax + i;
+                        writer.update(row * n + j0, block_cols, |c_seg| {
+                            for (s, c_strip) in c_seg.chunks_mut(w).enumerate() {
+                                let acc_row = &acc[(g * strips + s) * tile_len + i * w..][..c_strip.len()];
+                                store_row(c_strip, acc_row, alpha);
+                            }
+                            if let Some(epi) = epilogue {
+                                epi.apply(0, row, j0, 1, block_cols, c_seg);
+                            }
+                        });
+                    }
                 }
-            }
+            });
         });
     });
 }
@@ -227,22 +266,24 @@ pub(crate) fn sgemm_skinny(
 // --- scalar tier -----------------------------------------------------------
 
 /// Strip width of the portable tier (one 64-byte line of `B` per step).
-const SCALAR_W: usize = 16;
+const SCALAR_W: usize = PANEL_NR;
 
-/// Portable strip kernel, `R ≤ 4` rows × 16 columns (the packed scalar
-/// kernel's 64 accumulators, laid out one cache line of `B` wide): fixed
-/// bounds unroll and autovectorize to whatever the build's target CPU
-/// offers; contraction is pinned like the packed scalar kernel's
+/// Portable strip kernel, `R ≤ 4` rows × 16 columns (one cache line of `B`
+/// wide, so a strip is one panel and `vs` is never needed): fixed bounds
+/// unroll and autovectorize to whatever the build's target CPU offers;
+/// contraction is pinned like the packed scalar kernel's
 /// ([`SCALAR_FUSED_FMA`]). No prefetch — the tier stays portable safe code
 /// past its slice construction.
 ///
 /// # Safety
 /// See [`SkinnyFn`].
+#[allow(clippy::too_many_arguments)]
 unsafe fn scalar_skinny<const R: usize, const FUSED: bool>(
     kc: usize,
     a: *const f32,
     b: *const f32,
     ldb: usize,
+    _vs: usize,
     cols: usize,
     _pf: usize,
     acc: *mut f32,
@@ -250,7 +291,8 @@ unsafe fn scalar_skinny<const R: usize, const FUSED: bool>(
     if kc == 0 {
         return;
     }
-    // SAFETY: caller guarantees exactly these extents.
+    // SAFETY: caller guarantees exactly these extents (`cols ≤ 16`: one
+    // 16-column group per row).
     let (a, b, acc) = unsafe {
         (
             std::slice::from_raw_parts(a, kc * R),
@@ -315,26 +357,30 @@ static SCALAR_SKINNY: SkinnyKernel = SkinnyKernel {
 
 // --- AVX2 tier ---------------------------------------------------------------
 
-/// AVX2+FMA strip kernel, `R ≤ 4` rows × 24 columns: `3R` `ymm`
-/// accumulators, three `B` vectors per step shared by every row, one
-/// broadcast `A` element per row. A narrow strip takes the `vmaskmov`
-/// loop, which never touches lanes at or past `cols`.
+/// AVX2+FMA strip kernel, `R ≤ 6` rows × 16 columns (one 16-column group,
+/// so `vs` is never needed): `2R` `ymm` accumulators, two `B` vectors per
+/// step shared by every row, one broadcast `A` element per row — at `R = 6`
+/// the twelve FMAs per step the old 4 × 24 tile issued, in 15 registers. A narrow
+/// strip takes the `vmaskmov` loop, which never touches lanes at or past
+/// `cols`.
 ///
 /// # Safety
 /// See [`SkinnyFn`]; the CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn avx2_skinny<const R: usize>(
     kc: usize,
     a: *const f32,
     b: *const f32,
     ldb: usize,
+    _vs: usize,
     cols: usize,
     pf: usize,
     acc: *mut f32,
 ) {
     use std::arch::x86_64::*;
-    const V: usize = 3;
+    const V: usize = 2;
     // SAFETY: extents guaranteed by the caller contract; masked loads read
     // only lanes below `cols`; prefetch addresses are never dereferenced.
     unsafe {
@@ -344,7 +390,7 @@ unsafe fn avx2_skinny<const R: usize>(
                 *x = _mm256_loadu_ps(acc.add((i * V + v) * 8));
             }
         }
-        // One k step of every row against the step's three B vectors.
+        // One k step of every row against the step's two B vectors.
         let fma_rows = |c: &mut [[__m256; V]; R], p: usize, bv: [__m256; V]| {
             for (i, row) in c.iter_mut().enumerate() {
                 let ai = _mm256_set1_ps(*a.add(p * R + i));
@@ -358,26 +404,18 @@ unsafe fn avx2_skinny<const R: usize>(
                 let bp = b.add(p * ldb);
                 let ahead = b.wrapping_add((p + pf) * ldb);
                 _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
-                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16) as *const i8);
-                let bv = [
-                    _mm256_loadu_ps(bp),
-                    _mm256_loadu_ps(bp.add(8)),
-                    _mm256_loadu_ps(bp.add(16)),
-                ];
-                fma_rows(&mut c, p, bv);
+                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(V * 8 - 1) as *const i8);
+                fma_rows(&mut c, p, [_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8))]);
             }
         } else {
-            // Holding three masks next to 3R accumulators would spill at
-            // R = 4, which is why the full-width loop above is separate.
             let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
             let mask = |v: usize| _mm256_cmpgt_epi32(_mm256_set1_epi32(cols as i32 - (v * 8) as i32), lane);
-            let masks = [mask(0), mask(1), mask(2)];
+            let masks = [mask(0), mask(1)];
             for p in 0..kc {
                 let bp = b.add(p * ldb);
                 let bv = [
                     _mm256_maskload_ps(bp, masks[0]),
                     _mm256_maskload_ps(bp.wrapping_add(8), masks[1]),
-                    _mm256_maskload_ps(bp.wrapping_add(16), masks[2]),
                 ];
                 fma_rows(&mut c, p, bv);
             }
@@ -392,28 +430,37 @@ unsafe fn avx2_skinny<const R: usize>(
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_SKINNY: SkinnyKernel = SkinnyKernel {
-    rows: 4,
-    cols: 24,
-    funcs: &[avx2_skinny::<1>, avx2_skinny::<2>, avx2_skinny::<3>, avx2_skinny::<4>],
+    rows: 6,
+    cols: 16,
+    funcs: &[
+        avx2_skinny::<1>,
+        avx2_skinny::<2>,
+        avx2_skinny::<3>,
+        avx2_skinny::<4>,
+        avx2_skinny::<5>,
+        avx2_skinny::<6>,
+    ],
 };
 
 // --- AVX-512 tier ------------------------------------------------------------
 
 /// AVX-512F strip kernel, `R ≤ 8` rows × 48 columns: `3R` `zmm`
-/// accumulators, three `B` vectors per step shared by every row. Every `B`
-/// load is `k`-masked — a full mask costs nothing, a partial or empty one
-/// leaves the lanes at or past `cols` untouched — so one loop serves full
-/// and narrow strips.
+/// accumulators, three `B` vectors per step — one per 16-column group, `vs`
+/// apart — shared by every row. Every `B` load is `k`-masked — a full mask
+/// costs nothing, a partial or empty one leaves the lanes at or past `cols`
+/// untouched — so one loop serves full and narrow strips.
 ///
 /// # Safety
 /// See [`SkinnyFn`]; the CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn avx512_skinny<const R: usize>(
     kc: usize,
     a: *const f32,
     b: *const f32,
     ldb: usize,
+    vs: usize,
     cols: usize,
     pf: usize,
     acc: *mut f32,
@@ -437,12 +484,10 @@ unsafe fn avx512_skinny<const R: usize>(
         for p in 0..kc {
             let bp = b.add(p * ldb);
             let ahead = b.wrapping_add((p + pf) * ldb);
-            _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
-            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16) as *const i8);
-            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(32) as *const i8);
             let mut bv = [_mm512_setzero_ps(); V];
             for (v, x) in bv.iter_mut().enumerate() {
-                *x = _mm512_maskz_loadu_ps(masks[v], bp.wrapping_add(v * 16));
+                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(v * vs) as *const i8);
+                *x = _mm512_maskz_loadu_ps(masks[v], bp.wrapping_add(v * vs));
             }
             for (i, row) in c.iter_mut().enumerate() {
                 let ai = _mm512_set1_ps(*a.add(p * R + i));

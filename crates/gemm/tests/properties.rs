@@ -11,7 +11,7 @@ use bt_gemm::lowp::{
     quantize_i8,
 };
 use bt_gemm::micro::{pack_a_panel, pack_b_panel};
-use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, Precision, TileEpilogue};
+use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, PackedB, Precision, TileEpilogue, PANEL_NR};
 use bt_tensor::compare::max_abs_diff;
 use bt_tensor::half::f16;
 use bt_tensor::rng::Xoshiro256StarStar;
@@ -43,6 +43,24 @@ impl TileEpilogue for BiasTanh<'_> {
                 *v = (*v + self.0[col0 + j]).tanh();
             }
         }
+    }
+}
+
+#[test]
+fn packed_b_degenerate_depths() {
+    // k = 0 holds no element whatever n is; k = 1 is one row per panel.
+    for n in [0usize, 1, 15, 16, 17, 33] {
+        let empty = PackedB::pack(&[], false, 0, n);
+        assert!(
+            empty.panels().is_empty() && empty.to_row_major().is_empty(),
+            "k = 0, n = {n}"
+        );
+        let row: Vec<f32> = (0..n).map(|j| j as f32 + 1.0).collect();
+        let one = PackedB::pack(&row, false, 1, n);
+        assert_eq!(one.panels().len(), n.div_ceil(PANEL_NR) * PANEL_NR, "k = 1, n = {n}");
+        assert_eq!(&one.panels()[..n], &row[..], "k = 1, n = {n}");
+        assert!(one.panels()[n..].iter().all(|&v| v == 0.0), "k = 1, n = {n}: pads");
+        assert_eq!(one.to_row_major(), row);
     }
 }
 
@@ -216,6 +234,42 @@ proptest! {
     }
 
     #[test]
+    fn prop_packed_b_roundtrips_and_zero_pads(
+        n in 1usize..70,
+        k in 0usize..24,
+        trans: bool,
+        seed in 0u64..1000,
+    ) {
+        // Ragged n and k: every panel slot holds its element, every pad lane
+        // of the last panel is zero, and the row-major view round-trips —
+        // whether packed from B, from its transpose, or drawn in row order.
+        let b = rand_vec(k * n, seed);
+        let src = if trans {
+            let mut t = vec![0.0f32; n * k];
+            for p in 0..k {
+                for j in 0..n {
+                    t[j * k + p] = b[p * n + j];
+                }
+            }
+            t
+        } else {
+            b.clone()
+        };
+        let packed = PackedB::pack(&src, trans, k, n);
+        prop_assert_eq!(&packed, &PackedB::from_fn(k, n, |p, j| b[p * n + j]));
+        prop_assert_eq!((packed.k(), packed.n()), (k, n));
+        let panels = packed.panels();
+        prop_assert_eq!(panels.len(), n.div_ceil(PANEL_NR) * k * PANEL_NR);
+        for (i, &v) in panels.iter().enumerate() {
+            let (jb, p, lane) = (i / (k * PANEL_NR), (i / PANEL_NR) % k, i % PANEL_NR);
+            let j = jb * PANEL_NR + lane;
+            let want = if j < n { b[p * n + j] } else { 0.0 };
+            prop_assert_eq!(v.to_bits(), want.to_bits(), "slot ({}, {})", p, j);
+        }
+        prop_assert_eq!(packed.to_row_major(), b);
+    }
+
+    #[test]
     fn prop_pack_a_zero_pads_and_roundtrips(
         mr_sel in 0usize..3,
         m in 1usize..40,
@@ -322,6 +376,7 @@ proptest! {
         } else {
             b.clone()
         };
+        let packed = PackedB::pack(&src, trans, k, n);
         for isa in lowp_impl_isas(prec) {
             let kern = lowp_impl(prec, isa).unwrap();
             let nr = kern.nr;
@@ -332,7 +387,7 @@ proptest! {
             let mut sb = vec![f32::NAN; nr];
             let mut colsum = vec![i32::MIN; nr];
             let mut cvt = vec![0u16; k.max(nr)];
-            pack_b_panel_lowp(kern, &mut dst, &mut sb, &mut colsum, &src, trans, col0, c, n, k, &mut cvt);
+            pack_b_panel_lowp(kern, &mut dst, &mut sb, &mut colsum, &packed, col0, c, &mut cvt);
             for j in 0..nr {
                 let (scale, expect_sum) = if j < c && prec == Precision::Int8 {
                     let colmax = (0..k).fold(0.0f32, |x, p| x.max(b[p * n + col0 + j].abs()));

@@ -3,14 +3,19 @@
 //! in-place-`B`, column-parallel driver) is **bit-equal** to the same rows
 //! computed inside a tall product on the packed driver — the
 //! `MicroKernel::fused_fma` invariant the paged≡contiguous and
-//! chunked≡whole suites rest on, extended across the two drivers.
+//! chunked≡whole suites rest on, extended across the two drivers — and
+//! both drivers reading a weight's [`PackedB`] panels store the bits they
+//! store reading its row-major slice.
 //!
 //! `scripts/check.sh` runs this file under `BYTE_GEMM_ISA=scalar|auto` and
 //! under `BYTE_POOL_THREADS=1`; the tests pin each tier programmatically on
 //! top of that, so every tier is covered whatever the environment says.
 
 use bt_gemm::isa::{self, Isa};
-use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, sgemm_pinned, Driver, GemmSpec, TileEpilogue, SKINNY_MAX_M};
+use bt_gemm::{
+    gemm_ref, sgemm, sgemm_epilogue, sgemm_pinned, sgemm_prepacked, sgemm_prepacked_pinned, Driver, GemmSpec, PackedB,
+    TileEpilogue, SKINNY_MAX_M,
+};
 use bt_tensor::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -114,7 +119,7 @@ fn assert_case(tier: Isa, case: Case) {
 
 #[test]
 fn every_m_up_to_the_crossover_equals_tall_packed_rows() {
-    // Shapes cycle with m: ragged n on every tier's strip width (16/24/48),
+    // Shapes cycle with m: ragged n on every tier's strip width (16/48),
     // n below every strip width, k = 1, k straddling the 16-row K chunk.
     let shapes = [(97usize, 33usize), (7, 20), (48, 1), (130, 53), (49, 16), (23, 17)];
     for_each_tier(|tier| {
@@ -186,6 +191,42 @@ fn model_shapes_at_decode_row_counts() {
                         seed: (m * n) as u64,
                     },
                 );
+            }
+        }
+    });
+}
+
+#[test]
+fn prepacked_panels_equal_the_raw_slice_on_both_drivers() {
+    // Decode- and prefill-shaped weight products (hidden 768 scaled down 8×
+    // to keep a debug run short, plus a ragged n that leaves a partial panel
+    // and a partial AVX-512 strip): both drivers pinned and the shape-chosen one, with and
+    // without an epilogue, read the panels (row stride 16, one panel per
+    // 16 columns) to the bits they read off the row-major slice.
+    for_each_tier(|tier| {
+        for &(k, n) in &[(96usize, 288usize), (96, 386), (384, 96), (17, 33)] {
+            let b = rand_vec(k * n, (k + n) as u64);
+            let w = PackedB::pack(&b, false, k, n);
+            for &m in &[1usize, 8, 17, SKINNY_MAX_M + 1] {
+                let a = rand_vec(m * k, m as u64);
+                for epi in [None, Some(&BiasClamp as &dyn TileEpilogue)] {
+                    let run = |f: &dyn Fn(&mut [f32])| {
+                        let mut c = vec![f32::NAN; m * n];
+                        f(&mut c);
+                        bits(&c)
+                    };
+                    let label = format!("{tier}: m={m} n={n} k={k} epilogue={}", epi.is_some());
+                    let raw = run(&|c| match epi {
+                        None => sgemm(GemmSpec::nn(), m, n, k, &a, &b, c),
+                        Some(e) => sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, c, e),
+                    });
+                    assert_eq!(run(&|c| sgemm_prepacked(m, &a, &w, c, epi)), raw, "{label}");
+                    for driver in [Driver::Packed, Driver::Skinny] {
+                        let raw = run(&|c| sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, &b, c, epi));
+                        let packed = run(&|c| sgemm_prepacked_pinned(driver, m, &a, &w, c, epi));
+                        assert_eq!(packed, raw, "{label} {}", driver.name());
+                    }
+                }
             }
         }
     });

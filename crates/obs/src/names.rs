@@ -148,6 +148,11 @@ pub const GEMM_GROUPED_SCHEDULER_VISITS: &str = "gemm.grouped.scheduler_visits";
 pub const GEMM_SCRATCH_HIGH_WATER: &str = "gemm.scratch.high_water_elems";
 /// Scratch-arena grow events across grouped launches.
 pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";
+/// Dense launches that laid out their `B` operand themselves: an f32 pack
+/// of a raw slice into panels, or a low-precision quantisation of panels.
+/// A weight packed at load costs an f32 launch none, so a forward at f32
+/// reads 0 here.
+pub const GEMM_B_PACKS: &str = "gemm.b_packs";
 
 // --- mha.* / core.* — bt-core attention dispatch and decode rows ----------
 
@@ -251,6 +256,7 @@ pub const ALL: &[&str] = &[
     GEMM_GROUPED_SCHEDULER_VISITS,
     GEMM_SCRATCH_HIGH_WATER,
     GEMM_SCRATCH_GROWS,
+    GEMM_B_PACKS,
     MHA_PATH_SHORT,
     MHA_PATH_LONG,
     MHA_GROUPED_SCHEDULER_VISITS,

@@ -44,7 +44,7 @@ fn reference_layer(
     };
 
     // QKV projection + bias.
-    let mut qkv = matmul(x, len, w.qkv_weight.as_slice(), hidden, 3 * hidden);
+    let mut qkv = matmul(x, len, &w.qkv_weight.to_row_major(), hidden, 3 * hidden);
     for row in qkv.chunks_mut(3 * hidden) {
         for (v, &b) in row.iter_mut().zip(&w.qkv_bias) {
             *v += b;
@@ -80,7 +80,7 @@ fn reference_layer(
     }
 
     // Output projection + residual + LN.
-    let mut attn = matmul(&ctx, len, w.attn_out_weight.as_slice(), hidden, hidden);
+    let mut attn = matmul(&ctx, len, &w.attn_out_weight.to_row_major(), hidden, hidden);
     for (i, row) in attn.chunks_mut(hidden).enumerate() {
         for (j, v) in row.iter_mut().enumerate() {
             *v += x[i * hidden + j] + w.attn_out_bias[j];
@@ -89,13 +89,13 @@ fn reference_layer(
     layernorm(&mut attn, &w.ln0_gamma, &w.ln0_beta);
 
     // FFN.
-    let mut up = matmul(&attn, len, w.ffn_up_weight.as_slice(), hidden, inter);
+    let mut up = matmul(&attn, len, &w.ffn_up_weight.to_row_major(), hidden, inter);
     for row in up.chunks_mut(inter) {
         for (v, &b) in row.iter_mut().zip(&w.ffn_up_bias) {
             *v = gelu_tanh(*v + b);
         }
     }
-    let mut out = matmul(&up, len, w.ffn_down_weight.as_slice(), inter, hidden);
+    let mut out = matmul(&up, len, &w.ffn_down_weight.to_row_major(), inter, hidden);
     for (i, row) in out.chunks_mut(hidden).enumerate() {
         for (j, v) in row.iter_mut().enumerate() {
             *v += attn[i * hidden + j] + w.ffn_down_bias[j];

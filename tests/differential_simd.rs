@@ -41,7 +41,7 @@ use bt_gemm::isa::{self, Isa};
 use bt_gemm::lowp::{lowp_impl, lowp_impl_isas};
 use bt_gemm::{
     active_precision, dot_error_bound, int8_dot_error_bound, set_active_precision, sgemm, sgemm_epilogue, sgemm_pinned,
-    Driver, GemmSpec, Precision, TileEpilogue,
+    sgemm_prepacked, sgemm_prepacked_pinned, Driver, GemmSpec, PackedB, Precision, TileEpilogue,
 };
 use bt_kernels::activation::{add_bias_gelu_fused, bias_gelu_epilogue};
 use bt_tensor::rng::Xoshiro256StarStar;
@@ -204,6 +204,60 @@ fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
             });
         }
     }
+}
+
+/// A weight packed once ([`PackedB`]) multiplies to the bits its row-major
+/// slice does, on every tier at every precision: the shape-chosen path at
+/// f32 / f16 / int8 (f32 panels read in place; narrow formats quantised
+/// from the panels rather than from the slice) and both f32 drivers pinned,
+/// with and without the bias + GELU epilogue, at every row count through
+/// the skinny crossover and at `enc_short` / `enc_long` heights, `n` mostly
+/// off the 16-column panel grid.
+#[test]
+fn prepacked_weight_equals_raw_slice_bitwise() {
+    let _g = ISA_LOCK.lock().unwrap();
+    let (prev, prev_prec) = (isa::active_isa(), active_precision());
+    let shapes = [(37usize, 4usize), (77, 3), (16, 2)];
+    for tier in isa::available_isas() {
+        isa::set_active_isa(tier).unwrap();
+        for m in (1..=257).chain([614, 1229]) {
+            let (n, k) = shapes[m % shapes.len()];
+            let a = rand_vec(m * k, m as u64);
+            let b = rand_vec(k * n, 0x70 + n as u64);
+            let w = PackedB::pack(&b, false, k, n);
+            let bias = rand_vec(n, 0x71);
+            let gelu = bias_gelu_epilogue(&bias);
+            for epi in [None, Some(&gelu as &dyn TileEpilogue)] {
+                let run = |f: &dyn Fn(&mut [f32])| {
+                    let mut c = vec![f32::NAN; m * n];
+                    f(&mut c);
+                    c.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+                };
+                let label = |what: &str| format!("{tier} {what} m={m} n={n} k={k} epilogue={}", epi.is_some());
+                for prec in Precision::ALL {
+                    set_active_precision(prec);
+                    let raw = run(&|c| match epi {
+                        None => sgemm(GemmSpec::nn(), m, n, k, &a, &b, c),
+                        Some(e) => sgemm_epilogue(GemmSpec::nn(), m, n, k, &a, &b, c, e),
+                    });
+                    assert_eq!(
+                        run(&|c| sgemm_prepacked(m, &a, &w, c, epi)),
+                        raw,
+                        "{}",
+                        label(prec.name())
+                    );
+                }
+                set_active_precision(Precision::F32);
+                for driver in [Driver::Packed, Driver::Skinny] {
+                    let raw = run(&|c| sgemm_pinned(driver, GemmSpec::nn(), m, n, k, &a, &b, c, epi));
+                    let packed = run(&|c| sgemm_prepacked_pinned(driver, m, &a, &w, c, epi));
+                    assert_eq!(packed, raw, "{}", label(driver.name()));
+                }
+            }
+        }
+    }
+    isa::set_active_isa(prev).unwrap();
+    set_active_precision(prev_prec);
 }
 
 // --- grouped ---------------------------------------------------------------

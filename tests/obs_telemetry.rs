@@ -13,6 +13,7 @@ use bytetransformer::frameworks::admission::{CutPolicy, ShedReason};
 use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
 use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop, Outcome, ServeConfig};
 use bytetransformer::gemm::grouped::Scheduler;
+use bytetransformer::gemm::{active_precision, set_active_precision, sgemm, GemmSpec, Precision, SKINNY_MAX_M};
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
 use bytetransformer::varlen::paged::PagedLayout;
@@ -188,6 +189,72 @@ fn paged_forwards_hand_the_grouped_engine_no_problem() {
         (problems, rows + 24),
         "decode steps must not reach the grouped engine"
     );
+}
+
+#[test]
+fn weight_gemms_lay_out_no_b_operand() {
+    // Every model weight is packed once at construction, so an f32 forward
+    // of any stack makes no per-launch `B` pack (`gemm.b_packs`), while a
+    // raw-slice sgemm of the same shape on the packed driver makes one.
+    // Pinned to f32 under the lock: a low precision quantises per launch.
+    let _guard = setup();
+    let prev = active_precision();
+    set_active_precision(Precision::F32);
+    let b_packs = || counter_of(&obs::drain(), obs::names::GEMM_B_PACKS);
+    let config = BertConfig::tiny();
+    let hidden = config.hidden();
+    let dev = Device::with_model(CostModel::unit());
+
+    // A warm encoder forward past the skinny crossover (every GEMM on the
+    // packed driver).
+    let model = BertModel::new_random(config, 2, 7);
+    let mask = BatchMask::from_lens(vec![100, 90, 80, 70], 100).unwrap();
+    let rows = mask.valid_words();
+    assert!(rows > SKINNY_MAX_M);
+    let input = masked_randn(&mask, hidden, 3);
+    model.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
+    let before = b_packs();
+    model.forward(&dev, &input, &mask, OptLevel::FusedMha).unwrap();
+    assert_eq!(b_packs(), before, "a warm encoder forward packs no weight");
+    let w = &model.weights.layers[0].qkv_weight;
+    let a = Tensor::randn([rows, hidden], 4);
+    let mut c = vec![0.0f32; rows * w.n()];
+    sgemm(
+        GemmSpec::nn(),
+        rows,
+        w.n(),
+        w.k(),
+        a.as_slice(),
+        &w.to_row_major(),
+        &mut c,
+    );
+    assert_eq!(b_packs(), before + 1, "a raw sgemm of the qkv shape packs its B once");
+
+    // A mixed PagedDecoder::forward: one session prefilling five rows, one
+    // stepping one.
+    let decoder = TransformerDecoder::new_random(config, 2, 5);
+    let mut paged = PagedDecoder::new(&decoder, PagedLayout::new(4, 32));
+    let (s0, s1) = (
+        paged.open_session(&dev, &Tensor::randn([4, hidden], 1)),
+        paged.open_session(&dev, &Tensor::randn([6, hidden], 2)),
+    );
+    paged.prefill(&dev, s1, &Tensor::randn([3, hidden], 3)).unwrap();
+    let (prompt, step) = (Tensor::randn([5, hidden], 4), Tensor::randn([1, hidden], 5));
+    let before = b_packs();
+    let outs = paged.forward(&dev, &[(s0, prompt.as_slice()), (s1, step.as_slice())]);
+    assert!(outs.iter().all(Result::is_ok));
+    assert_eq!(b_packs(), before, "a mixed prefill + decode forward packs no weight");
+
+    // A teacher-forced forward (one paged prefill of every target).
+    let (tm, mm) = (
+        BatchMask::from_lens(vec![6, 3, 8], 8).unwrap(),
+        BatchMask::from_lens(vec![5, 9, 2], 9).unwrap(),
+    );
+    let x = masked_randn(&tm, hidden, 6);
+    let m = masked_randn(&mm, hidden, 7);
+    decoder.forward(&dev, &x, &tm, &m, &mm).unwrap();
+    assert_eq!(b_packs(), before, "a teacher-forced forward packs no weight");
+    set_active_precision(prev);
 }
 
 #[test]
