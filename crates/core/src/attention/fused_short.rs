@@ -19,12 +19,14 @@
 //! packed as `A` panels against `K` packed as transposed `B` panels, and
 //! `P·V` on the probabilities packed as `A` panels against `V` as `B`
 //! panels. K and V are packed once per `(sequence, head)`, in one parallel
-//! pass before the Q-tile walk, into a launch-scoped buffer every tile
-//! reads (the GPU kernel re-stages them per threadblock; the launch still
-//! declares that traffic). The `rows × len` logits strip between the two
-//! products is the shared memory; the softmax runs in place over each row.
-//! The Q panels and the strip live in one per-worker scratch that grows and
-//! is reused, never freed. Every stored logit and context element is one
+//! pass before the Q-tile walk, into a launch buffer every tile reads
+//! (`bt_gemm::scratch::LAUNCH`; the GPU kernel re-stages them per
+//! threadblock, and the launch still declares that traffic). The `rows ×
+//! len` logits strip between the two products is the shared memory; the
+//! softmax runs in place over each row. The Q panels and the strip are an
+//! `Smem` each task checks out of this kernel's process-wide
+//! [`bt_gemm::scratch::Pool`]: grow-only, never freed, warm for whichever
+//! thread runs the next launch. Every stored logit and context element is one
 //! multiply-accumulate chain in `p`-order whatever the tile geometry, so
 //! results are bitwise independent of `split_seq_len` and of the batch a
 //! sequence runs in, and equal across kernels of equal
@@ -38,11 +40,10 @@ use super::packed_dims;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::isa::active_kernel;
 use bt_gemm::micro::{pack_a_panel, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
+use bt_gemm::scratch::{grow, Pool, LAUNCH};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 use rayon::prelude::*;
-use std::cell::RefCell;
-use std::sync::{Mutex, TryLockError};
 
 /// Upper sequence-length bound of the shared-memory kernel on the GPU. The
 /// paper's Fig. 11 evaluates this path below 384 and switches to grouped
@@ -115,7 +116,7 @@ pub fn fused_short_attention(
             // One kernel per launch: every task agrees on the tile geometry
             // even if the process-wide selection changes mid-flight.
             let kern = active_kernel();
-            with_staging(|buf| {
+            LAUNCH.with(|buf| {
                 let staged = Staged::pack(kern, k.as_slice(), v.as_slice(), idx, heads, head, buf);
                 let q = q.as_slice();
                 tasks.into_par_iter().for_each(|(b, t0, out_chunk)| {
@@ -126,8 +127,7 @@ pub fn fused_short_attention(
                         len,
                         head,
                     };
-                    SMEM.with(|cell| {
-                        let smem = &mut *cell.borrow_mut();
+                    SMEM.with(|smem| {
                         for h in 0..heads {
                             // The sequence's rows of head plane `h` of Q.
                             let q = &q[(h * valid + off) * head..(h * valid + off + len) * head];
@@ -141,25 +141,6 @@ pub fn fused_short_attention(
         },
     );
     Tensor::from_vec(out, [valid, hidden]).expect("shape consistent")
-}
-
-/// Every `(sequence, head)`'s K/V panels of the launch in flight.
-/// Process-wide and grow-only, like the grouped engine's launch arena, so a
-/// warm launch allocates nothing on whichever thread it runs — a serving
-/// thread may live for one batch only, and a thread-local buffer would be
-/// freed and re-grown with it.
-static STAGING: Mutex<Vec<f32>> = Mutex::new(Vec::new());
-
-/// Runs `f` with the staging buffer, or with a fresh one while another
-/// launch holds it (concurrent forwards).
-fn with_staging<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
-    match STAGING.try_lock() {
-        Ok(mut buf) => f(&mut buf),
-        // Every launch overwrites what it reads, so a panic mid-launch
-        // leaves nothing to distrust.
-        Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => f(&mut Vec::new()),
-    }
 }
 
 /// Every `(sequence, head)`'s K and V, packed once per launch as the `B`
@@ -236,10 +217,10 @@ impl<'a> Staged<'a> {
     }
 }
 
-/// The per-worker "shared memory": the staged Q tile and the logits strip.
-/// It grows geometrically to the largest tile a worker has seen and is
-/// reused for every later tile — like a threadblock's fixed shared-memory
-/// carve-out, with zero heap traffic per tile.
+/// A task's "shared memory": the staged Q tile and the logits strip. It
+/// grows to the largest tile it has served and is reused for every later
+/// one — like a threadblock's fixed shared-memory carve-out, with zero heap
+/// traffic per tile.
 #[derive(Default)]
 struct Smem {
     /// The Q tile as `A` panels of depth `head`.
@@ -250,18 +231,9 @@ struct Smem {
     logits: Vec<f32>,
 }
 
-thread_local! {
-    static SMEM: RefCell<Smem> = RefCell::new(Smem::default());
-}
-
-/// The first `n` elements of `buf`, growing it (geometrically, as `Vec`
-/// does) when it is shorter.
-fn grow(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
-    if buf.len() < n {
-        buf.resize(n, 0.0);
-    }
-    &mut buf[..n]
-}
+/// Every launch's `Smem`s: one per concurrent task, process-wide and
+/// grow-only (see [`bt_gemm::scratch`]).
+static SMEM: Pool<Smem> = Pool::new();
 
 /// One Q tile of one sequence: rows `t0 .. t0 + rows` of a `len`-token
 /// unit.

@@ -38,17 +38,21 @@
 //! units of 1 … `kv_len` rows under both key ranges on every ISA tier), so
 //! the paged decoder's prefill ≡ steps and block-size invariance hold, and
 //! a row does not depend on its batch-mates. The arithmetic is f32 at every
-//! precision
-//! tier, as Algorithm III.1's ([`super::fused_short`]) and the engine's are.
+//! precision tier, as Algorithm III.1's ([`super::fused_short`]) and the
+//! engine's are.
+//!
+//! A row task's query row, logits and partials are an `Smem` checked out of
+//! this kernel's process-wide [`bt_gemm::scratch::Pool`]: grow-only, never
+//! freed, and warm for whichever thread runs the next launch.
 
 use super::fused_grouped::{merge_partials, normalize, tile_partials};
 use super::KeyRange;
 use bt_device::{Device, KernelSpec};
 use bt_gemm::grouped::GroupedConfig;
 use bt_gemm::isa::active_kernel;
+use bt_gemm::scratch::{grow, Pool};
 use bt_tensor::Tensor;
 use rayon::prelude::*;
-use std::cell::RefCell;
 
 /// Keys whose logit chains advance side by side: enough independent
 /// multiply-adds to cover the FMA latency.
@@ -133,8 +137,7 @@ pub(crate) fn session_rows<'s>(
         let mut out = vec![0.0f32; rows * hidden];
         // One task per query row, its heads inside.
         out.par_chunks_mut(hidden).enumerate().for_each(|(i, ctx)| {
-            SMEM.with(|cell| {
-                let smem = &mut *cell.borrow_mut();
+            SMEM.with(|smem| {
                 // The query row, heads side by side.
                 let q = grow(&mut smem.q, hidden);
                 for (h, q) in q.chunks_exact_mut(head).enumerate() {
@@ -156,10 +159,10 @@ pub(crate) fn session_rows<'s>(
     Tensor::from_vec(out, [rows, hidden]).expect("shape consistent")
 }
 
-/// A worker's scratch: the query row, its logits (then its probabilities)
+/// A task's scratch: the query row, its logits (then its probabilities)
 /// head by head, and one head's per-tile partials. It grows to the most
-/// keys a row of the worker's has seen and is reused for every later row,
-/// with no heap traffic per unit.
+/// keys of any row it has served and is reused for every later row, with no
+/// heap traffic per unit.
 #[derive(Default)]
 struct Smem {
     q: Vec<f32>,
@@ -168,17 +171,9 @@ struct Smem {
     sums: Vec<f32>,
 }
 
-thread_local! {
-    static SMEM: RefCell<Smem> = RefCell::new(Smem::default());
-}
-
-/// The first `n` elements of `buf`, growing it when it is shorter.
-fn grow(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
-    if buf.len() < n {
-        buf.resize(n, 0.0);
-    }
-    &mut buf[..n]
-}
+/// Every launch's `Smem`s: one per concurrent task, process-wide and
+/// grow-only (see [`bt_gemm::scratch`]).
+static SMEM: Pool<Smem> = Pool::new();
 
 /// One multiply-accumulate step, contracted or not per `FUSED`.
 #[inline(always)]

@@ -1,8 +1,8 @@
 //! The [`Device`] handle and its execution trace.
 
 use crate::cost::{CostModel, KernelCost, KernelSpec};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One completed kernel launch.
@@ -137,7 +137,7 @@ impl Device {
         spec.host_overhead += self.tax.dispatch;
         let modeled = self.model.kernel_time(&spec);
         if self.tracing {
-            self.trace.lock().push(KernelRecord {
+            self.records().push(KernelRecord {
                 name: spec.name,
                 cost: spec.cost,
                 wall,
@@ -162,19 +162,25 @@ impl Device {
         self.launches.load(Ordering::Relaxed)
     }
 
+    /// The trace, locked. A panic while it was held (a failing test's
+    /// launch) leaves whole records behind, so a poisoned lock is taken over.
+    fn records(&self) -> MutexGuard<'_, Vec<KernelRecord>> {
+        self.trace.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the execution trace.
     pub fn trace(&self) -> Vec<KernelRecord> {
-        self.trace.lock().clone()
+        self.records().clone()
     }
 
     /// Sum of modeled kernel times over the whole trace, in seconds.
     pub fn modeled_total(&self) -> f64 {
-        self.trace.lock().iter().map(|r| r.modeled).sum()
+        self.records().iter().map(|r| r.modeled).sum()
     }
 
     /// Clears the trace and counters.
     pub fn reset(&self) {
-        self.trace.lock().clear();
+        self.records().clear();
         self.total_flops.store(0, Ordering::Relaxed);
         self.total_bytes.store(0, Ordering::Relaxed);
         self.launches.store(0, Ordering::Relaxed);

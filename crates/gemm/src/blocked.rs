@@ -52,7 +52,7 @@ use crate::isa::active_kernel;
 use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
 use crate::packed::{BView, PackedB};
 use crate::prec::Precision;
-use crate::scratch::with_worker_scratch;
+use crate::scratch::TASK;
 use crate::skinny::SKINNY_MAX_M;
 use bt_obs::names::{GEMM_BLOCKED_LAUNCHES_PREFIX, GEMM_B_PACKS, GEMM_SKINNY_LAUNCHES_PREFIX};
 use rayon::prelude::*;
@@ -385,11 +385,11 @@ fn sgemm_packed<K: PanelKernel>(
             let rows = c_panel.len() / n;
             let m_panels = rows.div_ceil(mr);
             // Packed A rows (the task's full K extent, reused across every
-            // column panel) live in the worker's persistent arena — no heap
-            // allocation once the worker has seen this panel size. The
+            // column panel) live in pooled task scratch — no heap
+            // allocation once the process has seen this panel size. The
             // packers overwrite every lane including the pads, so stale
             // contents are harmless.
-            with_worker_scratch(|scratch| {
+            TASK.with(|scratch| {
                 let s = scratch.panels(kern, k, m_panels, 0, 0, 0);
                 for ib in 0..m_panels {
                     let (r0, r) = (row0 + ib * mr, mr.min(rows - ib * mr));

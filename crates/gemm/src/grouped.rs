@@ -50,23 +50,22 @@
 //! whole `B`, in one parallel pass before the CTA walk (the `ALoadTransform`
 //! runs once per element, in that pass). Tiles read those panels and pack
 //! only their single-use operands (`P` in `P·V`, the keys of a unit with
-//! one tile row) into worker scratch. Panel contents are the per-tile packers' bits, so
-//! the output does not depend on which side packed them. `Q·Kᵀ` at
-//! `L = 1024` used to pack `Q` and `K` 16 times each.
+//! one tile row) into their task scratch. Panel contents are the per-tile
+//! packers' bits, so the output does not depend on which side packed them.
+//! `Q·Kᵀ` at `L = 1024` used to pack `Q` and `K` 16 times each.
 //!
 //! **Zero allocations once shapes have been seen.** Both kinds of panel
-//! live in grow-only `Scratch` arenas: the pre-packed ones in the launching
-//! thread's launch arena, the per-tile ones (and the accumulator tile) in
-//! the persistent arena of the pool worker running the CTA — workers
-//! outlive launches, so a CTA borrows an arena that is already warm. No
-//! arena grows per tile, and none at all in a launch whose shapes the
-//! threads have already seen ([`GroupedStats::scratch_grows`] counts both
-//! kinds).
+//! live in grow-only [`crate::scratch`] pools: the pre-packed ones in a
+//! launch buffer, the per-tile ones (and the accumulator tile) in the
+//! `Scratch` a CTA checks out for its walk. The pools outlive launches and
+//! threads, so a CTA finds its buffers already warm: none grows per tile,
+//! and none at all in a launch of shapes the process has already seen
+//! (`gemm.scratch.grows` stays flat).
 
 use crate::blocked::record_dispatch;
 use crate::isa::active_kernel;
 use crate::micro::{interleave_rows, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
-use crate::scratch::{with_launch_arena, with_worker_scratch, Panels, Scratch};
+use crate::scratch::{grow, Scratch, LAUNCH, TASK};
 use crate::store::DisjointWriter;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,12 +135,6 @@ pub struct GroupedStats {
     /// Scheduler interactions performed (tiles / 32, rounded up per CTA,
     /// under warp prefetch).
     pub scheduler_visits: u64,
-    /// Scratch-arena growth events this launch caused, summed over CTAs,
-    /// the pre-pack pass and the launch arena. Bounded by shape high-water
-    /// marks — *not* by tile count — and **zero** for a launch whose shapes
-    /// the threads have already seen, because the arenas persist across
-    /// launches.
-    pub scratch_grows: u64,
 }
 
 /// The one output-epilogue contract of every GEMM driver: an element-wise
@@ -286,7 +279,7 @@ impl TileStore for StridedStore<'_> {
 /// The shared CTA walk: virtual CTAs pull tile batches from the scheduler
 /// (one assignment per visit under [`Scheduler::PerTile`],
 /// [`PREFETCH_WIDTH`] under [`Scheduler::WarpPrefetch`]), compute each tile
-/// on the launch's kernel out of a per-CTA scratch arena, and store through
+/// on the launch's kernel out of a pooled per-CTA `Scratch`, and store through
 /// the policy. Both public entry points funnel here, so the two paths cannot
 /// drift. The kernel is the active ISA tier's f32 one at every precision
 /// (see the module doc).
@@ -306,11 +299,9 @@ fn run_grouped(
         return GroupedStats {
             tiles: 0,
             scheduler_visits: 0,
-            scratch_grows: 0,
         };
     }
     let visits = AtomicU64::new(0);
-    let grows = AtomicU64::new(0);
     if bt_obs::enabled() {
         let flops = problems.iter().map(|p| 2 * (p.m * p.n * p.k) as u64).sum();
         record_dispatch(kern, flops, bt_obs::names::GEMM_GROUPED_TILES_PREFIX, total);
@@ -320,27 +311,19 @@ fn run_grouped(
         Scheduler::WarpPrefetch => PREFETCH_WIDTH,
     };
 
-    // The panels more than one tile reads live in the launching thread's
-    // arena; one parallel pass packs them before any CTA runs.
-    with_launch_arena(|arena| {
+    // The panels more than one tile reads live in a launch buffer; one
+    // parallel pass packs them before any CTA runs.
+    LAUNCH.with(|buf| {
         let (starts, [a_len, b_len]) = plan_prepack(kern, problems, &config);
-        let arena_grows = arena.grow_count();
-        let mut s = arena.packed(a_len, b_len);
-        prepack(kern, problems, &config, a_transform, &starts, &mut s, &grows);
-        let pre = Prepacked {
-            a: s.a,
-            b: s.b,
-            starts: &starts,
-        };
+        let (a, b) = grow(buf, a_len + b_len).split_at_mut(a_len);
+        prepack(kern, problems, &config, a_transform, &starts, [&mut *a, &mut *b]);
+        let pre = Prepacked { a, b, starts: &starts };
 
         (0..config.num_ctas).into_par_iter().for_each(|cta| {
-            // The CTA's "shared memory" is its worker's persistent arena: the
-            // pool workers outlive launches, so the buffers are usually warm
-            // already. Grows are reported as this launch's delta so the stat
-            // stays per-launch even though the arena is not.
-            with_worker_scratch(|scratch| {
+            // The CTA's "shared memory" is a pooled `Scratch`, usually warm
+            // already: the pool outlives launches.
+            TASK.with(|scratch| {
                 let _span = bt_obs::span!("gemm.grouped.cta");
-                let grows_before = scratch.grow_count();
                 let mut cursor = 0usize;
                 let mut local_visits = 0u64;
                 let mut batch = [TileAssignment {
@@ -373,21 +356,15 @@ fn run_grouped(
                     }
                 }
                 visits.fetch_add(local_visits, Ordering::Relaxed);
-                grows.fetch_add(scratch.grow_count() - grows_before, Ordering::Relaxed);
-                SCRATCH_HWM.record_max(scratch.high_water_elems() as u64);
             });
         });
-        grows.fetch_add(arena.grow_count() - arena_grows, Ordering::Relaxed);
-        SCRATCH_HWM.record_max(arena.high_water_elems() as u64);
     });
 
     let stats = GroupedStats {
         tiles: total,
         scheduler_visits: visits.load(Ordering::Relaxed),
-        scratch_grows: grows.load(Ordering::Relaxed),
     };
     SCHED_VISITS.add(stats.scheduler_visits);
-    SCRATCH_GROWS.add(stats.scratch_grows);
     stats
 }
 
@@ -398,11 +375,6 @@ fn run_grouped(
 static PACK_NS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_PACK_NS);
 /// Accumulated nanoseconds in the microkernel mainloop of [`compute_tile`].
 static COMPUTE_NS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_COMPUTE_NS);
-/// High-water mark of any worker's scratch arena or launch arena, in f32
-/// elements.
-static SCRATCH_HWM: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_HIGH_WATER);
-/// Total scratch-arena grow events across grouped launches.
-static SCRATCH_GROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_GROWS);
 /// Total tile-scheduler visits across grouped launches (warp-prefetch
 /// batching makes this `≈ tiles / PREFETCH_WIDTH`).
 static SCHED_VISITS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_GROUPED_SCHEDULER_VISITS);
@@ -503,7 +475,7 @@ fn panels_in(extent: usize, tile: usize, r: usize) -> usize {
 /// row, so a problem with more than one tile column has its whole `A`
 /// packed once before the CTA walk, and one with more than one tile row its
 /// whole `B`; single-use operands stay per tile. Returns each problem's
-/// `[A, B]` element offset in the launch arena (`None`: packed per tile),
+/// `[A, B]` element offset in the launch buffer (`None`: packed per tile),
 /// laid out problem by problem and tile by tile, and the `[A, B]` totals.
 fn plan_prepack(
     kern: &MicroKernel,
@@ -532,7 +504,7 @@ fn plan_prepack(
 }
 
 /// One unit of the pre-pack pass: one tile row of a problem's `A`, or one
-/// tile column of its `B`, with its destination in the launch arena.
+/// tile column of its `B`, with its destination in the launch buffer.
 enum PackJob<'s> {
     A {
         problem: usize,
@@ -555,21 +527,19 @@ fn take_front<'s, T>(rest: &mut &'s mut [T], n: usize) -> &'s mut [T] {
     head
 }
 
-/// The pre-pack pass: every panel `plan_prepack` placed in the arena,
+/// The pre-pack pass: every panel `plan_prepack` placed in the launch buffer,
 /// packed in parallel, one job per tile row of `A` / tile column of `B`,
 /// through the same packers a tile uses (so the contents are the per-tile
-/// panels' bits). Timed into `PACK_NS`; worker-scratch grows add to `grows`.
+/// panels' bits). Timed into `PACK_NS`.
 fn prepack(
     kern: &MicroKernel,
     problems: &[GroupedProblem<'_>],
     config: &GroupedConfig,
     a_transform: &dyn ALoadTransform,
     starts: &[[Option<usize>; 2]],
-    arena: &mut Panels<'_, f32>,
-    grows: &AtomicU64,
+    [mut a, mut b]: [&mut [f32]; 2],
 ) {
     let (mr, nr) = (kern.mr, kern.nr);
-    let (mut a, mut b) = (&mut *arena.a, &mut *arena.b);
     let mut jobs = Vec::new();
     for (problem, (p, [pre_a, pre_b])) in problems.iter().zip(starts).enumerate() {
         if pre_a.is_some() {
@@ -606,14 +576,12 @@ fn prepack(
             row0,
             rows,
             dst,
-        } => with_worker_scratch(|scratch| {
-            let grows_before = scratch.grow_count();
+        } => TASK.with(|scratch| {
             let p = &problems[problem];
             let staging = scratch.panels(kern, p.k, 0, 0, 0, mr * p.k.min(A_STAGE_K)).row;
             bt_obs::timed(&PACK_NS, || {
                 pack_a_rows(kern, p, problem, a_transform, row0, rows, dst, staging)
             });
-            grows.fetch_add(scratch.grow_count() - grows_before, Ordering::Relaxed);
         }),
         PackJob::B {
             problem,
@@ -686,7 +654,7 @@ fn pack_b_cols(kern: &MicroKernel, p: &GroupedProblem<'_>, col0: usize, cols: us
 
 /// Computes one `C` tile: takes its `A` / `B` micropanels from the launch's
 /// pre-packed panels, or packs the single-use ones into the CTA's scratch
-/// arena at the launch kernel's `mr×nr` geometry; accumulates every `mr×nr`
+/// at the launch kernel's `mr×nr` geometry; accumulates every `mr×nr`
 /// block in registers across the full `K` extent, then applies alpha, the
 /// tile epilogue, and the store policy.
 #[allow(clippy::too_many_arguments)]
@@ -868,41 +836,6 @@ mod tests {
             PREFETCH_WIDTH,
             num_ctas
         );
-    }
-
-    #[test]
-    fn scratch_reused_across_tiles_and_launches() {
-        // Steady-state allocation invariants: within a launch, scratch
-        // growth is bounded by shape high-water marks, never by the tile
-        // count; and across launches the worker arenas and the launch arena
-        // persist, so an identical second launch allocates nothing at all.
-        // Every problem spans ≥ 2 × 2 tiles at a different depth, so both
-        // of its operands go through the launch arena. Run under
-        // `sequential` so both launches execute on this one thread (under
-        // a wide pool the dynamic scheduler could hand a still-cold worker
-        // its first task during the second launch).
-        rayon::sequential(|| {
-            let num_ctas = 4;
-            let shapes: Vec<(usize, usize, usize)> = (0..12).map(|i| (70 + i * 17, 65 + i * 13, 16 + i * 24)).collect();
-            let cold = run_and_check_ctas(&shapes, false, Scheduler::WarpPrefetch, num_ctas);
-            assert!(cold.tiles > 60, "want many tiles, got {}", cold.tiles);
-            // The test harness gives each #[test] a fresh thread, so this
-            // thread's arena starts cold and the first launch must grow it —
-            // but only up to the shape high-water marks.
-            assert!(cold.scratch_grows > 0);
-            assert!(
-                cold.scratch_grows < cold.tiles,
-                "scratch grew {} times over {} tiles",
-                cold.scratch_grows,
-                cold.tiles
-            );
-            let warm = run_and_check_ctas(&shapes, false, Scheduler::WarpPrefetch, num_ctas);
-            assert_eq!(warm.tiles, cold.tiles);
-            assert_eq!(
-                warm.scratch_grows, 0,
-                "identical second launch must find every buffer at its high-water mark"
-            );
-        });
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod micro;
 mod packed;
 pub mod prec;
 mod reference;
-mod scratch;
+pub mod scratch;
 mod skinny;
 pub mod store;
 

@@ -53,7 +53,7 @@ use crate::isa::Isa;
 use crate::micro::{contract, BPanels, PanelKernel, SCALAR_FUSED_FMA};
 use crate::packed::PackedB;
 use crate::prec::Precision;
-use crate::scratch::with_worker_scratch;
+use crate::scratch::TASK;
 use bt_tensor::half::f16;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -226,7 +226,7 @@ impl PanelKernel for LowpKernel {
             .enumerate()
             .for_each(|(jb, ((dst, sb), colsum))| {
                 let col0 = jb * nr;
-                with_worker_scratch(|scratch| {
+                TASK.with(|scratch| {
                     let cvt = scratch.panels(self, k, 0, 0, 0, 0).cvt;
                     pack_b_panel_lowp(self, dst, sb, colsum, b, col0, nr.min(n - col0), cvt);
                 });

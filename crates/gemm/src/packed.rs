@@ -38,13 +38,28 @@ pub struct PackedB {
 
 impl PackedB {
     /// Builds a `k×n` matrix from values produced in row-major order:
-    /// `next(p, j)` is called for `p` in `0..k`, then `j` in `0..n`, and its
-    /// value goes straight into its panel slot.
+    /// `next(p, j)` is called for `p` in `0..k`, then `j` in `0..n`. The
+    /// values are drawn 16 rows at a time into a staging block, and each
+    /// panel then takes its 16 × 16 piece of the block as one sequential
+    /// run (a value written straight into its panel slot would jump
+    /// `k · 16` elements per 16 columns).
     pub fn from_fn(k: usize, n: usize, mut next: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = vec![0.0f32; n.div_ceil(PANEL_NR) * k * PANEL_NR];
-        for p in 0..k {
-            for j in 0..n {
-                data[(j / PANEL_NR) * k * PANEL_NR + p * PANEL_NR + j % PANEL_NR] = next(p, j);
+        let mut block = vec![0.0f32; PANEL_NR * n];
+        for p0 in (0..k).step_by(PANEL_NR) {
+            let rows = PANEL_NR.min(k - p0);
+            let block = &mut block[..rows * n];
+            for (i, row) in block.chunks_exact_mut(n.max(1)).enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = next(p0 + i, j);
+                }
+            }
+            for (jb, panel) in data.chunks_exact_mut(k * PANEL_NR).enumerate() {
+                let (c0, c) = (jb * PANEL_NR, PANEL_NR.min(n - jb * PANEL_NR));
+                let dst = &mut panel[p0 * PANEL_NR..(p0 + rows) * PANEL_NR];
+                for (dst, row) in dst.chunks_exact_mut(PANEL_NR).zip(block.chunks_exact(n)) {
+                    dst[..c].copy_from_slice(&row[c0..c0 + c]);
+                }
             }
         }
         Self { k, n, data }
@@ -172,18 +187,21 @@ mod tests {
 
     #[test]
     fn from_fn_draws_row_major_and_equals_pack() {
-        let (k, n) = (5, 37);
-        let b = row_major(k, n);
-        let mut order = Vec::new();
-        let built = PackedB::from_fn(k, n, |p, j| {
-            order.push((p, j));
-            b[p * n + j]
-        });
-        assert_eq!(
-            order,
-            (0..k).flat_map(|p| (0..n).map(move |j| (p, j))).collect::<Vec<_>>()
-        );
-        assert_eq!(built, PackedB::pack(&b, false, k, n));
+        // One partial row block, whole blocks with a ragged one after, an
+        // exact panel, and the empty shapes.
+        for (k, n) in [(5, 37), (40, 37), (16, 16), (33, 3), (0, 5), (3, 0)] {
+            let b = row_major(k, n);
+            let mut order = Vec::new();
+            let built = PackedB::from_fn(k, n, |p, j| {
+                order.push((p, j));
+                b[p * n + j]
+            });
+            assert_eq!(
+                order,
+                (0..k).flat_map(|p| (0..n).map(move |j| (p, j))).collect::<Vec<_>>()
+            );
+            assert_eq!(built, PackedB::pack(&b, false, k, n), "k {k} n {n}");
+        }
     }
 
     #[test]

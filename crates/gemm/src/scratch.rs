@@ -1,64 +1,101 @@
-//! Worker-keyed scratch arenas for the GEMM hot paths.
+//! Grow-only kernel working memory and its one owner, [`Pool`].
 //!
-//! One [`Scratch`] lives in a thread-local slot per pool worker (the rayon
-//! shim's workers are persistent, so "per thread" *is* "per worker id"),
-//! and **survives across launches**: a virtual CTA borrows its worker's
-//! arena for the duration of one task, reuses it across every tile it
-//! computes — the analogue of a threadblock's fixed shared-memory
-//! allocation — and the next launch finds the buffers already at their
-//! high-water marks. Buffers only ever grow, so the steady state performs
-//! **zero heap allocations per tile, and zero per launch once shapes have
-//! been seen**; the grow counter makes both properties assertable in tests
-//! via [`crate::grouped::GroupedStats::scratch_grows`].
+//! A fused kernel on the GPU keeps its working state in a fixed
+//! shared-memory carve-out per threadblock (§III.E: Algorithm III.1's
+//! logits tile, the grouped GEMM's per-CTA tiles). Here every buffer a
+//! kernel keeps between calls lives in a `Pool`, under one lifetime policy:
+//! **a buffer belongs to its pool for the life of the process; a task
+//! checks one out for the span of one closure, it only ever grows, and it
+//! is never freed.** Its contents are stale at checkout — every caller
+//! overwrites what it reads. A pool is keyed by nothing, not by thread and
+//! not by pool lane, so a thread that lives for one batch (a serving
+//! thread per burst) finds the buffers earlier threads grew. It holds one
+//! buffer per concurrent checkout it has seen: a checkout while every
+//! buffer is out (a second lane, a GEMM nested in an epilogue) builds
+//! another.
 //!
-//! A second, equally grow-only [`Scratch`] per thread is the **launch
-//! arena** ([`with_launch_arena`]): the thread that launches a grouped GEMM
-//! keeps the f32 operand panels it packs once per problem there, for every
-//! CTA of the launch to read. The grouped engine is f32 at every precision,
-//! so only the packed dense driver ever asks for byte panels, scales or
-//! conversion space.
+//! The pools:
+//!
+//! * [`LAUNCH`]: buffers that live for one launch — the skinny driver's
+//!   packed `A`, the tiled MHA's K/V staging, the grouped engine's operand
+//!   panels packed once per problem. Launches run one after another, so the
+//!   three share one high-water mark.
+//! * The GEMM drivers' per-task `Scratch`: one virtual CTA's packed
+//!   micropanels, accumulator tile and `A` staging row, plus the scales and
+//!   conversion space only narrow formats ask for.
+//! * The attention kernels' own `Smem` (`bt_core::attention`), one pool per
+//!   kernel.
+//!
+//! Every buffer grows through [`grow`], which fills only up to the
+//! requested length — the capacity `Vec` reserves ahead is never touched,
+//! so it costs no resident memory. It is where telemetry sees the pools:
+//! each reallocation counts one `gemm.scratch.grows`, and every new length
+//! raises `gemm.scratch.high_water_elems` (the longest pooled buffer, in
+//! f32 elements). Once every shape in a workload has been seen,
+//! no task allocates.
 //!
 //! Requested lengths are geometry-dependent — callers size panels from the
-//! launch kernel's `mr×nr` tile and panel format (see
-//! [`PanelKernel`]) — so switching dispatch tiers mid-process at most
-//! ratchets a new high-water mark once; the arenas themselves are
-//! geometry-agnostic pools.
-//!
-//! Borrow discipline: [`with_worker_scratch`] hands out the arena for the
-//! span of one closure. The closure must not re-enter the parallel runtime
-//! while holding it (every current caller is a leaf task); if a re-entrant
-//! borrow ever happens anyway, the fallback is a fresh one-shot arena —
-//! correct, just not amortized.
+//! launch kernel's `mr×nr` tile and panel format (see `PanelKernel`) — so
+//! switching dispatch tiers mid-process at most ratchets a new high-water
+//! mark once.
 
 use crate::micro::PanelKernel;
-use std::cell::RefCell;
-use std::thread::LocalKey;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-thread_local! {
-    static WORKER_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-    static LAUNCH_ARENA: RefCell<Scratch> = RefCell::new(Scratch::new());
+/// A process-wide free list of grow-only `T`s (see the module doc).
+pub struct Pool<T> {
+    free: Mutex<Vec<T>>,
 }
 
-fn with_arena<R>(key: &'static LocalKey<RefCell<Scratch>>, f: impl FnOnce(&mut Scratch) -> R) -> R {
-    key.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // Re-entrant borrow (nested GEMM on one worker): fall back to a
-        // temporary arena rather than aliasing or panicking.
-        Err(_) => f(&mut Scratch::new()),
-    })
+impl<T: Default + Send> Pool<T> {
+    /// An empty pool: its `T`s are built by the checkouts that find none
+    /// free. (Pools are `static`s, so a `const` constructor is all they
+    /// need.)
+    #[allow(clippy::new_without_default)]
+    pub const fn new() -> Self {
+        Self {
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Runs `f` with a `T` checked out of the pool — a new one when every
+    /// `T` is checked out — and returns it to the pool afterwards.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut t = self.free().pop().unwrap_or_default();
+        let r = f(&mut t);
+        self.free().push(t);
+        r
+    }
+
+    fn free(&self) -> MutexGuard<'_, Vec<T>> {
+        // The lock is never held across `f`, so a poisoned list is whole.
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// Runs `f` with this worker's persistent scratch arena.
-pub(crate) fn with_worker_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    with_arena(&WORKER_SCRATCH, f)
-}
+/// Buffers that live for one launch (see the module doc).
+pub static LAUNCH: Pool<Vec<f32>> = Pool::new();
 
-/// Runs `f` with the calling thread's persistent launch arena: the operand
-/// panels a grouped launch packs once before its CTA walk and every CTA then
-/// reads (see [`crate::grouped`]). A second arena per thread, so a launch
-/// that runs CTAs on its own thread never aliases the worker scratch.
-pub(crate) fn with_launch_arena<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    with_arena(&LAUNCH_ARENA, f)
+/// The GEMM drivers' per-task working sets.
+pub(crate) static TASK: Pool<Scratch> = Pool::new();
+
+static GROWS: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_GROWS);
+static HIGH_WATER: bt_obs::Counter = bt_obs::Counter::new(bt_obs::names::GEMM_SCRATCH_HIGH_WATER);
+
+/// The first `len` elements of `buf`, growing it when it is shorter. Only
+/// elements up to `len` are written; a longer `buf` reports its new length
+/// (in f32 elements) as a high-water mark, and a reallocation counts one
+/// grow.
+pub fn grow<T: Default + Clone>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        let cap = buf.capacity();
+        buf.resize(len, T::default());
+        HIGH_WATER.record_max((len * std::mem::size_of::<T>()).div_ceil(4) as u64);
+        if buf.capacity() != cap {
+            GROWS.incr();
+        }
+    }
+    &mut buf[..len]
 }
 
 /// Element type of a packed micropanel — `f32`, or the bytes of a narrow
@@ -104,55 +141,22 @@ pub(crate) struct Panels<'s, E> {
 /// Reusable packing + accumulation buffers for one virtual CTA: panel
 /// pools per element type, plus the f32 tile / staging row and the scale
 /// and conversion buffers only narrow formats ask for.
+#[derive(Default)]
 pub(crate) struct Scratch {
     pools: PanelPools,
     tile: Vec<f32>,
     row_buf: Vec<f32>,
     scale_a: Vec<f32>,
     cvt: Vec<u16>,
-    grows: u64,
 }
 
 impl Scratch {
-    pub(crate) fn new() -> Self {
-        Self {
-            pools: PanelPools::default(),
-            tile: Vec::new(),
-            row_buf: Vec::new(),
-            scale_a: Vec::new(),
-            cvt: Vec::new(),
-            grows: 0,
-        }
-    }
-
-    /// Times any buffer had to grow. Stays flat once every shape in the
-    /// problem set has been seen — the "zero allocations per tile" invariant.
-    pub(crate) fn grow_count(&self) -> u64 {
-        self.grows
-    }
-
-    /// Total f32-equivalent elements currently held across all buffers —
-    /// the arena's high-water mark (buffers only ever grow), reported to
-    /// telemetry. Sub-f32 buffers are rounded up to whole elements.
-    pub(crate) fn high_water_elems(&self) -> usize {
-        let [a, b] = &self.pools.f32;
-        let [la, lb] = &self.pools.bytes;
-        a.len()
-            + b.len()
-            + self.tile.len()
-            + self.row_buf.len()
-            + self.scale_a.len()
-            + (la.len() + lb.len()).div_ceil(4)
-            + (self.cvt.len() * 2).div_ceil(4)
-    }
-
     /// Returns just the accumulator-tile buffer at the requested length (the
     /// skinny driver's column-block tasks spill their register tiles here
     /// between `K` chunks; `A` is packed once per launch and shared, `B` is
     /// read in place).
     pub(crate) fn tile(&mut self, len: usize) -> &mut [f32] {
-        grow(&mut self.tile, len, &mut self.grows);
-        &mut self.tile[..len]
+        grow(&mut self.tile, len)
     }
 
     /// The working set of one task of `kern` at depth `k`: `a_panels` `A`
@@ -181,32 +185,15 @@ impl Scratch {
         })
     }
 
-    /// A grouped launch's pre-packed operand store: `a` / `b` f32 panel
-    /// elements; no scales, tile, staging row or conversion space.
-    pub(crate) fn packed(&mut self, a: usize, b: usize) -> Panels<'_, f32> {
-        self.take(Lens {
-            a,
-            b,
-            ..Lens::default()
-        })
-    }
-
     fn take<E: PanelElem>(&mut self, len: Lens) -> Panels<'_, E> {
         let [a, b] = E::pools(&mut self.pools);
-        let g = &mut self.grows;
-        grow(a, len.a, g);
-        grow(b, len.b, g);
-        grow(&mut self.tile, len.tile, g);
-        grow(&mut self.row_buf, len.row, g);
-        grow(&mut self.scale_a, len.sa, g);
-        grow(&mut self.cvt, len.cvt, g);
         Panels {
-            a: &mut a[..len.a],
-            b: &mut b[..len.b],
-            tile: &mut self.tile[..len.tile],
-            row: &mut self.row_buf[..len.row],
-            sa: &mut self.scale_a[..len.sa],
-            cvt: &mut self.cvt[..len.cvt],
+            a: grow(a, len.a),
+            b: grow(b, len.b),
+            tile: grow(&mut self.tile, len.tile),
+            row: grow(&mut self.row_buf, len.row),
+            sa: grow(&mut self.scale_a, len.sa),
+            cvt: grow(&mut self.cvt, len.cvt),
         }
     }
 }
@@ -222,28 +209,41 @@ struct Lens {
     cvt: usize,
 }
 
-fn grow<T: Default + Clone>(buf: &mut Vec<T>, len: usize, grows: &mut u64) {
-    if buf.len() < len {
-        // Geometric growth keeps the number of grows logarithmic even when
-        // successive tiles ratchet the high-water mark up gradually.
-        let target = len.max(buf.len() * 2);
-        buf.resize(target, T::default());
-        *grows += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::{kernel_for, Isa};
 
+    /// Where each of `s`'s buffers lives and how much it holds: equal
+    /// before and after a request only if nothing reallocated.
+    fn allocations(s: &Scratch) -> [(usize, usize); 8] {
+        fn at<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr() as usize, v.capacity())
+        }
+        let [a, b] = &s.pools.f32;
+        let [la, lb] = &s.pools.bytes;
+        [
+            at(a),
+            at(b),
+            at(la),
+            at(lb),
+            at(&s.tile),
+            at(&s.row_buf),
+            at(&s.scale_a),
+            at(&s.cvt),
+        ]
+    }
+
     #[test]
     fn steady_state_stops_growing() {
         let kern = kernel_for(Isa::Scalar).unwrap();
-        let mut s = Scratch::new();
+        let mut s = Scratch::default();
+        // The counter only ever rises, so other tests running meanwhile
+        // cannot hide this first request's grows.
+        let before = GROWS.get();
         s.panels(kern, 8, 3, 4, 64, 32);
-        let after_first = s.grow_count();
-        assert!(after_first > 0);
+        assert!(GROWS.get() >= before + 4, "a fresh scratch grows a, b, tile and row");
+        let warm = allocations(&s);
         for _ in 0..1000 {
             let p = s.panels(kern, 8, 3, 4, 64, 32);
             assert_eq!(
@@ -252,16 +252,43 @@ mod tests {
             );
             assert_eq!((p.sa.len(), p.cvt.len()), (0, 0));
         }
-        assert_eq!(s.grow_count(), after_first, "reuse must not reallocate");
+        assert_eq!(allocations(&s), warm, "reuse must not reallocate");
     }
 
     #[test]
     fn smaller_requests_reuse_high_water() {
         let kern = kernel_for(Isa::Scalar).unwrap();
-        let mut s = Scratch::new();
+        let mut s = Scratch::default();
         s.panels(kern, 64, 8, 8, 512, 512);
-        let g = s.grow_count();
+        let warm = allocations(&s);
         s.panels(kern, 8, 1, 1, 8, 8);
-        assert_eq!(s.grow_count(), g);
+        assert_eq!(allocations(&s), warm);
+    }
+
+    #[test]
+    fn nested_checkouts_get_their_own_buffer_and_keep_it() {
+        let pool: Pool<Vec<u8>> = Pool::new();
+        pool.with(|outer| {
+            grow(outer, 10);
+            pool.with(|inner| {
+                assert!(inner.is_empty(), "every buffer is checked out: a new one");
+                grow(inner, 20);
+            });
+            assert_eq!(outer.len(), 10);
+        });
+        // Both stay in the pool, grown: the last one returned comes out first.
+        pool.with(|a| pool.with(|b| assert_eq!((a.len(), b.len()), (10, 20))));
+        pool.with(|a| assert_eq!(a.len(), 10));
+    }
+
+    #[test]
+    fn grow_fills_only_the_requested_length() {
+        let mut buf = vec![1.0f32; 4];
+        assert_eq!(grow(&mut buf, 2), &[1.0, 1.0]);
+        let before = GROWS.get();
+        assert_eq!(grow(&mut buf, 6), &[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]);
+        assert_eq!(buf.len(), 6);
+        assert!(GROWS.get() > before, "outgrowing a full Vec reallocates: one grow");
+        assert!(HIGH_WATER.get() >= 6);
     }
 }

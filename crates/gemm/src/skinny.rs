@@ -48,10 +48,9 @@ use crate::grouped::TileEpilogue;
 use crate::isa::Isa;
 use crate::micro::{contract, pack_a_panel, SCALAR_FUSED_FMA};
 use crate::packed::{BView, PANEL_NR};
-use crate::scratch::with_worker_scratch;
+use crate::scratch::{grow, LAUNCH, TASK};
 use crate::store::DisjointWriter;
 use rayon::prelude::*;
-use std::sync::{Mutex, TryLockError};
 
 /// Largest `m` the shape-driven selection in `blocked.rs` sends here
 /// (re-exported, hidden, for the tests and benches that pin the boundary).
@@ -144,36 +143,21 @@ pub(crate) fn kernel_for(isa: Isa) -> &'static SkinnyKernel {
     }
 }
 
-/// `A` packed for a launch. Process-wide and grow-only, as the fused
-/// attention's staging is: a serving thread may live for one batch only,
-/// and a thread-local buffer would be freed and re-grown with it.
-static A_PACK: Mutex<Vec<f32>> = Mutex::new(Vec::new());
-
 /// Runs `f` with `a`'s `m` rows packed for the strip kernels — group `g` a
 /// `k × r` k-major micropanel at its own height (no zero rows) starting at
-/// `g*rmax*k` — in [`A_PACK`], or in a fresh buffer while another launch
-/// holds it (concurrent GEMMs). One row is that layout already.
+/// `g*rmax*k` — in a launch buffer. One row is that layout already.
 fn with_packed_a<R>(a: &[f32], m: usize, k: usize, rmax: usize, f: impl FnOnce(&[f32]) -> R) -> R {
     if m == 1 {
         return f(&a[..k]);
     }
-    let run = |buf: &mut Vec<f32>| {
-        if buf.len() < m * k {
-            buf.resize(m * k, 0.0);
-        }
+    LAUNCH.with(|buf| {
+        let buf = grow(buf, m * k);
         for g0 in (0..m).step_by(rmax) {
             let r = rmax.min(m - g0);
             pack_a_panel(&mut buf[g0 * k..][..r * k], a, g0, r, k, r);
         }
-        f(&buf[..m * k])
-    };
-    match A_PACK.try_lock() {
-        Ok(mut buf) => run(&mut buf),
-        // Every launch overwrites what it reads, so a panic mid-launch
-        // leaves nothing to distrust.
-        Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => run(&mut Vec::new()),
-    }
+        f(buf)
+    })
 }
 
 /// `C = alpha * A·B` for few rows: see the module docs.
@@ -209,7 +193,7 @@ pub(crate) fn sgemm_skinny(
         (0..n.div_ceil(nb)).into_par_iter().for_each(|jb| {
             let j0 = jb * nb;
             let strips = nb.min(n - j0).div_ceil(w);
-            with_worker_scratch(|scratch| {
+            TASK.with(|scratch| {
                 // One `rmax × w` accumulator tile per (group, strip), spilled
                 // here between K chunks.
                 let tile_len = rmax * w;

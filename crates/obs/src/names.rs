@@ -143,10 +143,10 @@ pub const GEMM_GROUPED_PACK_NS: &str = "gemm.grouped.pack_ns";
 pub const GEMM_GROUPED_COMPUTE_NS: &str = "gemm.grouped.compute_ns";
 /// Tile-scheduler visits across grouped launches.
 pub const GEMM_GROUPED_SCHEDULER_VISITS: &str = "gemm.grouped.scheduler_visits";
-/// High-water mark of any worker's scratch arena or grouped-GEMM launch
-/// arena, in f32 elements (merges by max).
+/// Length of the longest pooled kernel scratch buffer
+/// (`bt_gemm::scratch`), in f32 elements (merges by max).
 pub const GEMM_SCRATCH_HIGH_WATER: &str = "gemm.scratch.high_water_elems";
-/// Scratch-arena grow events across grouped launches.
+/// Reallocations of any pooled kernel scratch buffer (`bt_gemm::scratch`).
 pub const GEMM_SCRATCH_GROWS: &str = "gemm.scratch.grows";
 /// Dense launches that laid out their `B` operand themselves: an f32 pack
 /// of a raw slice into panels, or a low-precision quantisation of panels.

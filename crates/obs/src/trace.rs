@@ -117,11 +117,6 @@ impl RequestTrace {
         self.events.iter().find(|e| e.name == name).map(|e| e.t_ns)
     }
 
-    /// Timestamp of the last event named `name`.
-    pub fn last_ns(&self, name: &str) -> Option<u64> {
-        self.events.iter().rev().find(|e| e.name == name).map(|e| e.t_ns)
-    }
-
     /// The enqueue timestamp (falls back to the first event if the
     /// `req.enqueue` mark was lost).
     pub fn enqueue_ns(&self) -> u64 {

@@ -6,7 +6,7 @@
 //! synthetic equivalents: the paper's own uniform-α distribution plus Zipf
 //! and clamped-normal shapes for the serving example's request streams.
 
-use crate::mask::{BatchMask, VarlenError};
+use crate::mask::BatchMask;
 use bt_tensor::rng::Xoshiro256StarStar;
 use bt_tensor::Tensor;
 
@@ -111,12 +111,6 @@ pub fn fixed_workload(batch: usize, max_seq_len: usize) -> BatchMask {
     BatchMask::from_lens(vec![max_seq_len; batch], max_seq_len).expect("fixed lengths equal the maximum")
 }
 
-/// Returns an error-typed variant of [`BatchMask::from_lens`] re-exported
-/// for workload code that builds custom masks.
-pub fn custom_workload(lens: Vec<usize>, max_seq_len: usize) -> Result<BatchMask, VarlenError> {
-    BatchMask::from_lens(lens, max_seq_len)
-}
-
 /// Zero-padded random input for a masked batch: a `[batch, max_seq,
 /// hidden]` [`Tensor::randn`] draw with every row past a sequence's length
 /// zeroed. The packed pipeline never reads padded rows, but padded
@@ -201,11 +195,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_panics() {
         LengthDistribution::PaperUniform { alpha: 0.3 }.sample(1, 10, 0);
-    }
-
-    #[test]
-    fn custom_workload_propagates_errors() {
-        assert!(custom_workload(vec![5], 4).is_err());
-        assert!(custom_workload(vec![4], 4).is_ok());
     }
 }

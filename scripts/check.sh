@@ -27,6 +27,18 @@ knobs_readme="$(sed -n '/^### Environment variables/,/^## /p' README.md \
 diff <(echo "$knobs_code") <(echo "$knobs_readme") \
   || { echo "README knob table (>) and env::var names in code (<) differ"; exit 1; }
 
+step "kernel scratch has one owner (bt_gemm::scratch::Pool)"
+# A grow-only buffer kept in a thread-local is grown again by every new
+# thread (the threaded Server starts one per burst), and one behind a
+# `static Mutex<Vec>` needs its own busy / poison fallback. Every kernel's
+# working memory is a checkout of a process-wide `Pool` instead; this step
+# fails on the next buffer that skips it. The pool itself, in
+# crates/gemm/src/scratch.rs, is the one exception.
+if grep -rnE 'thread_local!|static [A-Z0-9_]+: ([a-z_]+::)*Mutex<Vec' crates/gemm/src crates/core/src crates/kernels/src \
+  | grep -v '^crates/gemm/src/scratch.rs:'; then
+  echo "kernel scratch outside bt_gemm::scratch::Pool (above)"; exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 

@@ -785,7 +785,7 @@ fn grouped_and_packed_agree_bitwise() {
 
 /// One launch mixing problems whose panels are packed once before the CTA
 /// walk (> 1 tile column: `A`; > 1 tile row: `B`) with single-use ones
-/// packed per tile, empty ones and `k = 0`, so the launch arena holds
+/// packed per tile, empty ones and `k = 0`, so the launch buffer holds
 /// panels of several depths side by side: every problem is still bitwise
 /// its own f32 `sgemm` on every tier, both `B` layouts.
 #[test]

@@ -12,7 +12,11 @@ use bytetransformer::core::paged::PagedDecoder;
 use bytetransformer::frameworks::admission::{CutPolicy, ShedReason};
 use bytetransformer::frameworks::calibration::TURBO_MAX_SEQ;
 use bytetransformer::frameworks::server::{modeled_forward_executor, run_open_loop, Outcome, ServeConfig};
-use bytetransformer::gemm::grouped::Scheduler;
+use bytetransformer::gemm::grouped::{
+    grouped_sgemm, GroupedConfig, GroupedProblem, GroupedStats, NoEpilogue, NoTransform, Scheduler,
+};
+use bytetransformer::gemm::scratch::grow;
+use bytetransformer::gemm::TileEpilogue;
 use bytetransformer::gemm::{active_precision, set_active_precision, sgemm, GemmSpec, Precision, SKINNY_MAX_M};
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
@@ -365,4 +369,118 @@ fn disabling_telemetry_stops_recording() {
         profile.events.is_empty(),
         "no spans may be recorded while telemetry is disabled"
     );
+}
+
+/// One grouped launch of twelve multi-tile problems (every problem's `A`
+/// and `B` go through the launch buffer), a skinny GEMM, and the tiled
+/// (Algorithm III.1) and rows (III.2) attentions; returns the grouped
+/// launch's stats and every output.
+fn pooled_kernels_once(epilogue: &dyn TileEpilogue) -> (GroupedStats, Vec<Vec<f32>>) {
+    let shapes: Vec<(usize, usize, usize)> = (0..12).map(|i| (70 + i * 17, 65 + i * 13, 16 + i * 24)).collect();
+    let operands: Vec<(Tensor, Tensor)> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(m, n, k))| (Tensor::randn([m, k], i as u64), Tensor::randn([k, n], 50 + i as u64)))
+        .collect();
+    let problems: Vec<GroupedProblem<'_>> = shapes
+        .iter()
+        .zip(&operands)
+        .map(|(&(m, n, k), (a, b))| GroupedProblem {
+            m,
+            n,
+            k,
+            transb: false,
+            alpha: 1.0,
+            a: a.as_slice(),
+            b: b.as_slice(),
+        })
+        .collect();
+    let mut outs: Vec<Vec<f32>> = shapes.iter().map(|&(m, n, _)| vec![0.0; m * n]).collect();
+    let config = GroupedConfig {
+        num_ctas: 4,
+        ..Default::default()
+    };
+    let stats = grouped_sgemm(
+        &problems,
+        outs.iter_mut().map(Vec::as_mut_slice).collect(),
+        config,
+        epilogue,
+        &NoTransform,
+    );
+
+    let (m, n, k) = (8, 300, 200);
+    assert!(m <= SKINNY_MAX_M);
+    let (a, b) = (Tensor::randn([m, k], 1), Tensor::randn([k, n], 2));
+    let mut c = vec![0.0f32; m * n];
+    sgemm(GemmSpec::nn(), m, n, k, a.as_slice(), b.as_slice(), &mut c);
+    outs.push(c);
+
+    let dev = Device::with_model(CostModel::unit());
+    let idx = PackingIndex::from_mask(&BatchMask::from_lens(vec![37, 200, 5], 200).unwrap());
+    let (heads, head) = (4, 16);
+    let [q, k, v] = [3u64, 4, 5].map(|seed| Tensor::randn([heads, idx.valid_words(), head], seed));
+    outs.push(fused_attention(&dev, &q, &k, &v, &idx).as_slice().to_vec());
+    outs.push(causal_fused_attention(&dev, &q, &k, &v, &idx).as_slice().to_vec());
+    (stats, outs)
+}
+
+#[test]
+fn warm_scratch_pools_serve_a_new_thread() {
+    // Kernel scratch belongs to process-wide pools, not to a thread: a
+    // thread that lives for one batch (the threaded `Server` starts one per
+    // burst) finds the buffers earlier threads grew. Both passes run under
+    // `sequential`, so each pool serves one checkout at a time and the
+    // second pass asks for exactly what the first grew.
+    let _guard = setup();
+    let grows = || counter_of(&obs::drain(), obs::names::GEMM_SCRATCH_GROWS);
+    let before = grows();
+    grow(&mut Vec::<f32>::new(), 1);
+    assert!(grows() > before, "the counter read here counts a pooled buffer's grow");
+
+    let before = grows();
+    let (first, outs) = rayon::sequential(|| pooled_kernels_once(&NoEpilogue));
+    assert!(grows() - before < first.tiles, "grows are bounded by shapes, not tiles");
+    let before = grows();
+    let (second, again) = std::thread::spawn(|| rayon::sequential(|| pooled_kernels_once(&NoEpilogue)))
+        .join()
+        .unwrap();
+    assert_eq!(grows() - before, 0, "a new thread's kernels must grow no pooled buffer");
+    assert_eq!(second.tiles, first.tiles);
+    assert!(outs.iter().zip(&again).all(|(x, y)| x == y));
+}
+
+/// A skinny GEMM small enough to run inside a tile epilogue.
+fn small_gemm() -> Vec<f32> {
+    let (m, n, k) = (4, 40, 24);
+    let (a, b) = (Tensor::randn([m, k], 7), Tensor::randn([k, n], 8));
+    let mut c = vec![0.0f32; m * n];
+    sgemm(GemmSpec::nn(), m, n, k, a.as_slice(), b.as_slice(), &mut c);
+    c
+}
+
+#[test]
+fn nested_checkouts_are_served_and_stay_warm() {
+    // An epilogue that runs a skinny GEMM checks a launch buffer and a task
+    // scratch out while the grouped launch holds one of each: it gets its
+    // own, and the pools keep both, warm.
+    struct NestedGemm(Vec<f32>);
+    impl TileEpilogue for NestedGemm {
+        fn apply(&self, _: usize, _: usize, _: usize, _: usize, _: usize, _: &mut [f32]) {
+            assert_eq!(
+                small_gemm(),
+                self.0,
+                "a nested GEMM must compute what an outer one does"
+            );
+        }
+    }
+    let _guard = setup();
+    let nested = NestedGemm(small_gemm());
+    let grows = || counter_of(&obs::drain(), obs::names::GEMM_SCRATCH_GROWS);
+    let (_, plain) = rayon::sequential(|| pooled_kernels_once(&NoEpilogue));
+    let (_, first) = rayon::sequential(|| pooled_kernels_once(&nested));
+    assert_eq!(first, plain);
+    let before = grows();
+    let (_, second) = rayon::sequential(|| pooled_kernels_once(&nested));
+    assert_eq!(grows() - before, 0, "a warm nested launch must grow no pooled buffer");
+    assert_eq!(second, plain);
 }
