@@ -32,11 +32,11 @@
 //! shrinks the shapes for smoke runs).
 
 use bt_bench::{banner, fast_mode, wall};
+use bt_gemm::dispatch;
 use bt_gemm::grouped::{grouped_sgemm, GroupedConfig, GroupedProblem, NoEpilogue, NoTransform};
-use bt_gemm::isa::active_kernel;
 use bt_gemm::{
-    available_isas, resolve_lowp_kernel, set_active_isa, set_active_precision, sgemm, sgemm_pinned, sgemm_prepacked,
-    sgemm_prepacked_pinned, Driver, GemmSpec, Isa, PackedB, Precision, SKINNY_MAX_M,
+    available_isas, set_active_isa, set_active_precision, sgemm, sgemm_pinned, sgemm_prepacked, sgemm_prepacked_pinned,
+    Driver, GemmSpec, Isa, PackedB, Precision, SKINNY_MAX_M,
 };
 use bt_tensor::rng::Xoshiro256StarStar;
 use rayon::prelude::*;
@@ -366,8 +366,7 @@ fn main() {
         // duplicate the row of the tier it degrades to).
         for prec in LOW_PRECS {
             set_active_precision(prec);
-            let served =
-                resolve_lowp_kernel(prec, active_kernel().isa).is_some_and(|lk| lk.prec == prec && lk.isa == tier);
+            let served = dispatch::active().lowp.is_some_and(|lk| lk.isa == tier);
             if served {
                 sweep(tier.name(), prec.name(), reps, scale, &mut rows);
             } else {

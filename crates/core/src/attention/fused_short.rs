@@ -38,7 +38,7 @@
 
 use super::packed_dims;
 use bt_device::{Device, KernelSpec};
-use bt_gemm::isa::active_kernel;
+use bt_gemm::dispatch;
 use bt_gemm::micro::{pack_a_panel, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
 use bt_gemm::scratch::{grow, Pool, LAUNCH};
 use bt_tensor::Tensor;
@@ -115,7 +115,7 @@ pub fn fused_short_attention(
             }
             // One kernel per launch: every task agrees on the tile geometry
             // even if the process-wide selection changes mid-flight.
-            let kern = active_kernel();
+            let kern = dispatch::active().micro;
             LAUNCH.with(|buf| {
                 let staged = Staged::pack(kern, k.as_slice(), v.as_slice(), idx, heads, head, buf);
                 let q = q.as_slice();

@@ -48,8 +48,8 @@
 use super::fused_grouped::{merge_partials, normalize, tile_partials};
 use super::KeyRange;
 use bt_device::{Device, KernelSpec};
+use bt_gemm::dispatch;
 use bt_gemm::grouped::GroupedConfig;
-use bt_gemm::isa::active_kernel;
 use bt_gemm::scratch::{grow, Pool};
 use bt_tensor::Tensor;
 use rayon::prelude::*;
@@ -129,7 +129,7 @@ pub(crate) fn session_rows<'s>(
         // One kernel per launch: every task agrees on the contraction mode
         // even if the process-wide selection changes mid-flight.
         let launch = Launch {
-            fused: active_kernel().fused_fma,
+            fused: dispatch::active().micro.fused_fma,
             tile_n,
             heads,
         };

@@ -33,8 +33,8 @@
 //!   "shared memory" image, shared read-only by every task). A weight is
 //!   already in that form; a raw slice is packed into it once per launch
 //!   (consuming the `transb` layout directly — no separate transpose pass),
-//!   and then the same body runs; a narrow precision quantises the panels
-//!   into its own format per launch;
+//!   and then the same body runs; a narrow precision quantises `B` into its
+//!   own format per launch, from the panels or the untransposed raw slice;
 //! * `C` is split into row panels, one rayon task per panel (the
 //!   "threadblock" grid); each task packs its own row-major `A` rows into
 //!   `MR`-wide micropanels;
@@ -47,11 +47,10 @@
 //!   as much as a 16-element GELU, and a long contiguous segment is what the
 //!   epilogue's loop vectorises best.
 
+use crate::dispatch::{self, Precision};
 use crate::grouped::TileEpilogue;
-use crate::isa::active_kernel;
 use crate::micro::{PanelKernel, MR_MAX, NR_MAX};
 use crate::packed::{BView, PackedB};
-use crate::prec::Precision;
 use crate::scratch::TASK;
 use crate::skinny::SKINNY_MAX_M;
 use bt_obs::names::{GEMM_BLOCKED_LAUNCHES_PREFIX, GEMM_B_PACKS, GEMM_SKINNY_LAUNCHES_PREFIX};
@@ -233,7 +232,7 @@ pub fn sgemm_prepacked_pinned(
 
 /// A launch's `B`: a caller's raw slice, or a matrix packed ahead of time.
 #[derive(Clone, Copy)]
-enum BOperand<'b> {
+pub(crate) enum BOperand<'b> {
     /// Row-major `k×n` (`n×k` when `transb`).
     Raw {
         b: &'b [f32],
@@ -256,20 +255,20 @@ impl<'b> BOperand<'b> {
     }
 
     /// `(k, n)`.
-    fn dims(self) -> (usize, usize) {
+    pub(crate) fn dims(self) -> (usize, usize) {
         match self {
             BOperand::Raw { k, n, .. } => (k, n),
             BOperand::Packed(b) => (b.k(), b.n()),
         }
     }
 
-    fn transb(self) -> bool {
+    pub(crate) fn transb(self) -> bool {
         matches!(self, BOperand::Raw { transb: true, .. })
     }
 
-    /// The panels the packed driver reads: a raw slice is packed here, once
-    /// per launch (counted on `gemm.b_packs`); a [`PackedB`] is used as is.
-    fn panels(self) -> Cow<'b, PackedB> {
+    /// `B` as f32 panels: a raw slice is packed here, once per launch
+    /// (counted on `gemm.b_packs`); a [`PackedB`] is used as is.
+    pub(crate) fn panels(self) -> Cow<'b, PackedB> {
         match self {
             BOperand::Raw { b, transb, k, n } => {
                 count_b_pack();
@@ -279,8 +278,8 @@ impl<'b> BOperand<'b> {
         }
     }
 
-    /// The skinny driver's view (never transposed).
-    fn view(self) -> BView<'b> {
+    /// `B` where it lies (never transposed): the skinny driver's view.
+    pub(crate) fn view(self) -> BView<'b> {
         match self {
             BOperand::Raw { b, n, .. } => BView::row_major(b, n),
             BOperand::Packed(b) => BView::panels(b),
@@ -322,21 +321,14 @@ fn sgemm_inner(
         return;
     }
 
-    // The precision axis: a non-f32 active precision resolves to a
-    // low-precision kernel (possibly ISA-degraded, with a warn_once) and
-    // takes the packed driver with byte panels quantised from the f32 ones.
-    // `None` means f32 — the two drivers below. A pinned driver (tests,
-    // benches) is by definition an f32 launch.
-    if pinned.is_none() {
-        let prec = crate::prec::active_precision();
-        if let Some(lk) = crate::lowp::resolve_lowp_kernel(prec, crate::isa::active_isa()) {
-            return sgemm_packed(lk, alpha, m, a, &b.panels(), c, epilogue);
-        }
+    // One read of the selection per launch, so its geometry holds even if
+    // the selection changes mid-flight. Below f32 the packed driver runs the
+    // low-precision kernel; a pinned driver (tests, benches) is f32.
+    let kernels = dispatch::active();
+    if let (Some(lk), None) = (kernels.lowp, pinned) {
+        return sgemm_packed(lk, alpha, m, a, b, c, epilogue);
     }
-
-    // One kernel per launch: the geometry below must stay consistent even
-    // if the process-wide selection changes mid-flight.
-    let kern = active_kernel();
+    let kern = kernels.micro;
     // The driver is a function of the shape alone: few rows stream `B` in
     // place; everything else runs register tiles over its panels. Both
     // produce the same bits (see `crate::skinny`).
@@ -346,14 +338,14 @@ fn sgemm_inner(
         Driver::Packed
     });
     if driver == Driver::Packed {
-        return sgemm_packed(kern, alpha, m, a, &b.panels(), c, epilogue);
+        return sgemm_packed(kern, alpha, m, a, b, c, epilogue);
     }
     record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_SKINNY_LAUNCHES_PREFIX, 1);
-    crate::skinny::sgemm_skinny(kern.isa, alpha, m, n, k, a, b.view(), c, epilogue)
+    crate::skinny::sgemm_skinny(kern.skinny, alpha, m, n, k, a, b.view(), c, epilogue)
 }
 
 /// The packed driver, one body for every precision: `B`'s panels in
-/// `kern`'s format (the [`PackedB`] itself for f32; quantised once per
+/// `kern`'s format (a [`PackedB`]'s own for f32; quantised once per
 /// launch, each panel with its scale lanes, for a narrow format), one rayon
 /// task per `C` row panel packing its own `A` rows, register-tile
 /// accumulation over the full `K` extent, and the shared alpha store and
@@ -364,11 +356,11 @@ fn sgemm_packed<K: PanelKernel>(
     alpha: f32,
     m: usize,
     a: &[f32],
-    b: &PackedB,
+    b: BOperand<'_>,
     c: &mut [f32],
     epilogue: Option<&dyn TileEpilogue>,
 ) {
-    let (k, n) = (b.k(), b.n());
+    let (k, n) = b.dims();
     record_dispatch(kern, 2 * (m * n * k) as u64, GEMM_BLOCKED_LAUNCHES_PREFIX, 1);
     let (mr, nr) = kern.tile();
     let (apl, bpl) = kern.panel_lens(k);

@@ -63,7 +63,7 @@
 //! (`gemm.scratch.grows` stays flat).
 
 use crate::blocked::record_dispatch;
-use crate::isa::active_kernel;
+use crate::dispatch;
 use crate::micro::{interleave_rows, pack_b_panel, MicroKernel, MR_MAX, NR_MAX};
 use crate::scratch::{grow, Scratch, LAUNCH, TASK};
 use crate::store::DisjointWriter;
@@ -292,7 +292,7 @@ fn run_grouped(
 ) -> GroupedStats {
     // One kernel per launch, shared by every CTA: tile geometry must stay
     // consistent even if the process-wide selection changes mid-flight.
-    let kern = active_kernel();
+    let kern = dispatch::active().micro;
     let visitor = ProblemVisitor::new(problems, config.tile_m, config.tile_n);
     let total = visitor.total;
     if total == 0 {

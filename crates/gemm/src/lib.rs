@@ -47,23 +47,25 @@
 
 pub mod batched;
 mod blocked;
+pub mod dispatch;
 pub mod grouped;
 pub mod isa;
 pub mod lowp;
 pub mod micro;
 mod packed;
-pub mod prec;
 mod reference;
 pub mod scratch;
 mod skinny;
 pub mod store;
 
 pub use blocked::{sgemm, sgemm_epilogue, sgemm_pinned, sgemm_prepacked, sgemm_prepacked_pinned, Driver, GemmSpec};
+pub use dispatch::{
+    active_isa, active_precision, available_isas, parse_prec_request, set_active_isa, set_active_precision, Precision,
+};
 pub use grouped::TileEpilogue;
-pub use isa::{active_isa, available_isas, set_active_isa, Isa};
-pub use lowp::{dot_error_bound, int8_dot_error_bound, lowp_impl, resolve_lowp_kernel, Chain, LowpKernel};
+pub use isa::Isa;
+pub use lowp::{dot_error_bound, int8_dot_error_bound, lowp_impl, Chain, LowpKernel};
 pub use packed::{PackedB, PANEL_NR};
-pub use prec::{active_precision, parse_prec_request, set_active_precision, Precision};
 pub use reference::gemm_ref;
 #[doc(hidden)]
 pub use skinny::SKINNY_MAX_M;

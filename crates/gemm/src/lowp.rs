@@ -1,5 +1,5 @@
-//! Low-precision microkernel family — the [`crate::prec::Precision`] axis
-//! of runtime dispatch.
+//! Low-precision microkernel family — the [`crate::dispatch::Precision`]
+//! axis of runtime dispatch.
 //!
 //! This is the measured CPU realization of the paper's §III.C SIMD2
 //! `half2` path: packed panels are stored half-width (f16) or
@@ -11,12 +11,10 @@
 //! conversion is round-to-nearest-even and bitwise identical to the
 //! hardware instruction, which keeps scalar and vector tiers comparable.
 //!
-//! Implementations, by precision × ISA tier:
-//!
-//! | precision | scalar (8×8)        | avx2 (8×8)                  | avx512 tier                         |
-//! |-----------|---------------------|-----------------------------|-------------------------------------|
-//! | `f16`     | sw convert + f32 acc| F16C `vcvtph2ps` + f32 FMA  | 16×32 `vfmadd231ph` (AVX512-FP16)   |
-//! | `int8`    | i32 dots            | 8×8 `pmaddwd` (i16 pairs)   | 16×16 `vpdpbusd` (AVX512-VNNI)      |
+//! One implementation per precision × ISA tier: scalar 8×8 for both, AVX2
+//! 8×8 (F16C widen + FMA; `pmaddwd` pairs), and on AVX-512 a 16×32
+//! `vfmadd231ph` f16 kernel (AVX512-FP16) and a 16×16 `vpdpbusd` int8 one
+//! (VNNI). Which runs is [`crate::dispatch`]'s decision.
 //!
 //! Numeric contract (what the differential suite asserts):
 //!
@@ -48,11 +46,11 @@
 // `asm!` kernel, and the raw-slice plumbing of the scalar kernels.
 #![allow(unsafe_code)]
 
-use crate::blocked::count_b_pack;
+use crate::blocked::{count_b_pack, BOperand};
+use crate::dispatch::{host, Precision};
 use crate::isa::Isa;
 use crate::micro::{contract, BPanels, PanelKernel, SCALAR_FUSED_FMA};
-use crate::packed::PackedB;
-use crate::prec::Precision;
+use crate::packed::{BView, PackedB};
 use crate::scratch::TASK;
 use bt_tensor::half::f16;
 use rayon::prelude::*;
@@ -74,16 +72,6 @@ pub enum Chain {
     /// f16 accumulation in ≤128-step chunks, f32 between chunks (the
     /// AVX512-FP16 `vfmadd231ph` kernel). Tolerance-only comparisons.
     ChunkedF16,
-}
-
-/// The chain of the scalar f16 kernel, pinned at crate compile time
-/// exactly like [`SCALAR_FUSED_FMA`].
-const fn scalar_chain() -> Chain {
-    if SCALAR_FUSED_FMA {
-        Chain::FusedF32
-    } else {
-        Chain::UnfusedF32
-    }
 }
 
 /// Storage layout of a packed low-precision `A` micropanel.
@@ -128,7 +116,7 @@ type LowpKernelFn =
 
 /// One member of the low-precision kernel family: a precision × ISA
 /// implementation with its geometry, packing formats and chain class.
-/// Obtain instances from [`lowp_impl`] / [`resolve_lowp_kernel`].
+/// Obtain instances from [`lowp_impl`] or [`crate::dispatch::active`].
 pub struct LowpKernel {
     /// Storage precision of the packed panels.
     pub prec: Precision,
@@ -211,10 +199,19 @@ impl PanelKernel for LowpKernel {
         }
     }
 
-    /// Quantises `b`'s f32 panels into this format, one parallel task per
-    /// panel: the per-launch `B` work a narrow precision still does.
-    fn b_panels<'b>(&self, b: &'b PackedB) -> BPanels<'b, u8> {
-        let (k, n, nr) = (b.k(), b.n(), self.nr);
+    /// Quantises `b` into this format, one parallel task per panel: the
+    /// per-launch `B` work a narrow precision still does. A weight's panels
+    /// and an untransposed raw slice are read where they lie; a transposed
+    /// slice is packed into f32 panels first.
+    fn b_panels<'b>(&self, b: BOperand<'b>) -> BPanels<'b, u8> {
+        let ((k, n), nr) = (b.dims(), self.nr);
+        let packed;
+        let src = if b.transb() {
+            packed = b.panels();
+            BView::panels(&packed)
+        } else {
+            b.view()
+        };
         let n_panels = n.div_ceil(nr);
         let bpl = self.b_panel_bytes(k);
         let mut data = vec![0u8; n_panels * bpl];
@@ -228,7 +225,7 @@ impl PanelKernel for LowpKernel {
                 let col0 = jb * nr;
                 TASK.with(|scratch| {
                     let cvt = scratch.panels(self, k, 0, 0, 0, 0).cvt;
-                    pack_b_panel_lowp(self, dst, sb, colsum, b, col0, nr.min(n - col0), cvt);
+                    pack_b_view(self, dst, sb, colsum, src, k, col0, nr.min(n - col0), cvt);
                 });
             });
         self.count_pack_bytes(n_panels * bpl);
@@ -259,8 +256,8 @@ impl PanelKernel for LowpKernel {
             assert!(colsum.len() >= self.nr, "colsum too short");
         }
         let kq = self.padded_k(k) / self.k_step;
-        // SAFETY: extents asserted above; the function pointer was only
-        // handed out after `impl_detected` verified its CPU features.
+        // SAFETY: extents asserted above; a kernel is only handed out for a
+        // `prec × isa` that `crate::dispatch` found on this CPU.
         unsafe {
             (self.func)(
                 kq,
@@ -318,7 +315,7 @@ pub fn quantize_i8(x: f32, inv_scale: f32) -> i8 {
 pub fn f32_to_f16_bits_slice(dst: &mut [u16], src: &[f32]) {
     assert!(dst.len() >= src.len());
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("f16c") {
+    if host().f16c {
         // SAFETY: f16c verified present on this CPU.
         unsafe { f16_cvt_slice_f16c(&mut dst[..src.len()], src) };
         return;
@@ -351,55 +348,27 @@ unsafe fn f16_cvt_slice_f16c(dst: &mut [u16], src: &[f32]) {
 
 /// Absolute maximum of a slice, NaN entries skipped (like a fold over
 /// `f32::max`, which returns the other operand on NaN) — the scale pass of
-/// the int8 quantizer. Vectorized on AVX-512 hosts; same result either way
-/// because `max` over the non-NaN values is order-independent.
+/// the int8 quantizer, through `maxabs_lanes` 16 lanes at a time (`max`
+/// over the non-NaN values is order-independent, so every path agrees).
 pub fn maxabs_f32(src: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx512f") {
-        // SAFETY: avx512f verified present.
-        return unsafe { maxabs_avx512(src) };
+    let mut lanes = [0.0f32; 16];
+    for chunk in src.chunks(16) {
+        maxabs_lanes(&mut lanes[..chunk.len()], chunk);
     }
-    src.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn maxabs_avx512(src: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let n = src.len();
-    let mut c = 0;
-    // SAFETY: every 16-lane load is within the slice's extent.
-    let mut m = unsafe {
-        let absmask = _mm512_set1_epi32(0x7FFF_FFFF);
-        let mut acc = _mm512_setzero_ps();
-        while c + 16 <= n {
-            let x = _mm512_loadu_ps(src.as_ptr().add(c));
-            let ax = _mm512_castsi512_ps(_mm512_and_si512(_mm512_castps_si512(x), absmask));
-            // Operand order matters: vmaxps returns the SECOND source when
-            // either is NaN, so a NaN |x| lane leaves `acc` untouched.
-            acc = _mm512_max_ps(ax, acc);
-            c += 16;
-        }
-        _mm512_reduce_max_ps(acc)
-    };
-    for &x in &src[c..] {
-        m = m.max(x.abs());
-    }
-    m
+    lanes.into_iter().fold(0.0, f32::max)
 }
 
 /// Lane-wise `acc[j] = max(acc[j], |src[j]|)` — the streaming (row-major
 /// friendly) form of the B-panel scale pass. NaN lanes are skipped, like
 /// `f32::max`.
-fn maxabs_lanes(acc: &mut [f32], src: &[f32], have512: bool) {
+fn maxabs_lanes(acc: &mut [f32], src: &[f32]) {
     debug_assert_eq!(acc.len(), src.len());
     #[cfg(target_arch = "x86_64")]
-    if have512 {
-        // SAFETY: caller verified avx512f.
+    if host().avx512f {
+        // SAFETY: avx512f verified present.
         unsafe { maxabs_lanes_avx512(acc, src) };
         return;
     }
-    let _ = have512;
     for (a, &x) in acc.iter_mut().zip(src) {
         *a = a.max(x.abs());
     }
@@ -426,20 +395,14 @@ unsafe fn maxabs_lanes_avx512(acc: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Quantizes a slice with one reciprocal scale — bitwise identical to
-/// [`quantize_i8`] per element (the AVX-512 path clamps in the float
-/// domain, which commutes with round-to-nearest-even at ±127.5, zeroes NaN
-/// lanes the way `as i8` does, then does one RNE convert).
+/// Quantizes a slice with one reciprocal scale, through
+/// `quantize_i8_lanes` 16 lanes at a time — bitwise identical to
+/// [`quantize_i8`] per element.
 pub fn quantize_i8_slice(dst: &mut [i8], src: &[f32], inv_scale: f32) {
     assert!(dst.len() >= src.len());
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx512f") {
-        // SAFETY: avx512f verified present.
-        unsafe { quantize_i8_slice_avx512(&mut dst[..src.len()], src, inv_scale) };
-        return;
-    }
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = quantize_i8(x, inv_scale);
+    let inv = [inv_scale; 16];
+    for (d, x) in dst.chunks_mut(16).zip(src.chunks(16)) {
+        quantize_i8_lanes(&mut d[..x.len()], x, &inv[..x.len()]);
     }
 }
 
@@ -456,45 +419,19 @@ unsafe fn quantize16(t: std::arch::x86_64::__m512) -> std::arch::x86_64::__m128i
     _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(z))
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn quantize_i8_slice_avx512(dst: &mut [i8], src: &[f32], inv_scale: f32) {
-    use std::arch::x86_64::*;
-    let n = src.len();
-    // SAFETY: full 16-lane loads/stores stay in bounds; the tail uses
-    // masked loads and a bounced store.
-    unsafe {
-        let vinv = _mm512_set1_ps(inv_scale);
-        let mut c = 0;
-        while c + 16 <= n {
-            let x = _mm512_loadu_ps(src.as_ptr().add(c));
-            let q = quantize16(_mm512_mul_ps(x, vinv));
-            _mm_storeu_si128(dst.as_mut_ptr().add(c) as *mut _, q);
-            c += 16;
-        }
-        if c < n {
-            let len = n - c;
-            let m = ((1u32 << len) - 1) as __mmask16;
-            let x = _mm512_maskz_loadu_ps(m, src.as_ptr().add(c));
-            let q = quantize16(_mm512_mul_ps(x, vinv));
-            let mut out = [0i8; 16];
-            _mm_storeu_si128(out.as_mut_ptr() as *mut _, q);
-            dst[c..].copy_from_slice(&out[..len]);
-        }
-    }
-}
-
 /// Quantizes with per-lane reciprocal scales (the B panel's per-column
-/// symmetric scales). Bitwise identical to [`quantize_i8`] per lane.
-fn quantize_i8_lanes(dst: &mut [i8], src: &[f32], inv: &[f32], have512: bool) {
+/// symmetric scales). Bitwise identical to [`quantize_i8`] per lane (the
+/// AVX-512 path clamps in the float domain, which commutes with
+/// round-to-nearest-even at ±127.5, zeroes NaN lanes the way `as i8` does,
+/// then does one RNE convert).
+fn quantize_i8_lanes(dst: &mut [i8], src: &[f32], inv: &[f32]) {
     debug_assert!(dst.len() == src.len() && src.len() == inv.len());
     #[cfg(target_arch = "x86_64")]
-    if have512 {
-        // SAFETY: caller verified avx512f.
+    if host().avx512f {
+        // SAFETY: avx512f verified present.
         unsafe { quantize_i8_lanes_avx512(dst, src, inv) };
         return;
     }
-    let _ = have512;
     for ((d, &x), &v) in dst.iter_mut().zip(src).zip(inv) {
         *d = quantize_i8(x, v);
     }
@@ -689,12 +626,8 @@ pub fn pack_a_panel_lowp(
     kern.pack_a_rows(dst, sa, &src[row0 * k..(row0 + r) * k], r, k, cvt);
 }
 
-/// Quantises columns `col0..col0+c` of `src` into one micropanel,
-/// recording per-column scales in `sb[..nr]` and (for int8) per-column code
-/// sums in `colsum[..nr]`. Each k-step's row segment is read from the f32
-/// panels it lies in (one per 16-column panel it spans: two for the 32-wide
-/// AVX512-FP16 panel). Every lane — including pads — is overwritten; pad
-/// columns get scale 1.0 and colsum 0.
+/// Quantises columns `col0..col0+c` of `src`'s panels into one micropanel
+/// (see `pack_b_view`).
 #[allow(clippy::too_many_arguments)] // geometry params are the point
 pub fn pack_b_panel_lowp(
     kern: &LowpKernel,
@@ -706,8 +639,29 @@ pub fn pack_b_panel_lowp(
     c: usize,
     cvt: &mut [u16],
 ) {
-    let (nr, k) = (kern.nr, src.k());
-    debug_assert!(c <= nr && col0 + c <= src.n());
+    pack_b_view(kern, dst, sb, colsum, BView::panels(src), src.k(), col0, c, cvt);
+}
+
+/// Quantises columns `col0..col0+c` of the `k`-row `src` into one
+/// micropanel, recording per-column scales in `sb[..nr]` and (for int8)
+/// per-column code sums in `colsum[..nr]`. Each k-step's row segment is read
+/// in the pieces `src` holds it in (one per 16-column panel it spans, one for
+/// a row-major row). Every lane — including pads — is overwritten; pad
+/// columns get scale 1.0 and colsum 0.
+#[allow(clippy::too_many_arguments)] // geometry params are the point
+fn pack_b_view(
+    kern: &LowpKernel,
+    dst: &mut [u8],
+    sb: &mut [f32],
+    colsum: &mut [i32],
+    src: BView<'_>,
+    k: usize,
+    col0: usize,
+    c: usize,
+    cvt: &mut [u16],
+) {
+    let nr = kern.nr;
+    debug_assert!(c <= nr);
     debug_assert!(dst.len() >= kern.b_panel_bytes(k));
     debug_assert!(sb.len() >= nr && colsum.len() >= nr);
     match kern.b_fmt {
@@ -729,17 +683,13 @@ pub fn pack_b_panel_lowp(
         BFmt::I8Quads => {
             let ks = kern.k_step;
             let pk = kern.padded_k(k);
-            #[cfg(target_arch = "x86_64")]
-            let have512 = is_x86_feature_detected!("avx512f");
-            #[cfg(not(target_arch = "x86_64"))]
-            let have512 = false;
             // Pass 1: per-column absolute maxima → symmetric scales, one
             // streamed row segment per k-step.
             let mut inv = [0.0f32; crate::micro::NR_MAX];
             let mut maxabs = [0.0f32; crate::micro::NR_MAX];
             for p in 0..k {
                 for (off, seg) in src.row_pieces(p, col0, c) {
-                    maxabs_lanes(&mut maxabs[off..off + seg.len()], seg, have512);
+                    maxabs_lanes(&mut maxabs[off..off + seg.len()], seg);
                 }
             }
             for j in 0..c {
@@ -753,7 +703,7 @@ pub fn pack_b_panel_lowp(
             let mut q = [0i8; crate::micro::NR_MAX];
             for p in 0..k {
                 for (off, seg) in src.row_pieces(p, col0, c) {
-                    quantize_i8_lanes(&mut q[off..off + seg.len()], seg, &inv[off..off + seg.len()], have512);
+                    quantize_i8_lanes(&mut q[off..off + seg.len()], seg, &inv[off..off + seg.len()]);
                 }
                 let base = (p / ks) * nr * ks + p % ks;
                 for j in 0..c {
@@ -1151,7 +1101,7 @@ unsafe fn int8_avx512vnni_16x16(
 }
 
 // ---------------------------------------------------------------------------
-// Kernel table, detection, resolution
+// Kernel table
 // ---------------------------------------------------------------------------
 
 static F16_SCALAR: LowpKernel = LowpKernel {
@@ -1160,7 +1110,11 @@ static F16_SCALAR: LowpKernel = LowpKernel {
     mr: 8,
     nr: 8,
     k_step: 1,
-    chain: scalar_chain(),
+    chain: if SCALAR_FUSED_FMA {
+        Chain::FusedF32
+    } else {
+        Chain::UnfusedF32
+    },
     a_fmt: AFmt::F16,
     b_fmt: BFmt::F16,
     func: f16_scalar_8x8::<SCALAR_FUSED_FMA>,
@@ -1230,38 +1184,12 @@ static INT8_AVX512: LowpKernel = LowpKernel {
     func: int8_avx512vnni_16x16,
 };
 
-/// Whether this host can run the `prec × isa` implementation. F32 rows are
-/// always `false` — that precision is served by [`crate::isa`]'s family.
-fn impl_detected(prec: Precision, isa: Isa) -> bool {
+/// The `prec × isa` implementation, unchecked (`None` at f32, which the
+/// [`crate::isa`] family serves): callers pass a pair the host was checked
+/// for ([`crate::dispatch`] resolves against it, [`lowp_impl`] asks it).
+pub(crate) fn implementation(prec: Precision, isa: Isa) -> Option<&'static LowpKernel> {
     match (prec, isa) {
-        (Precision::F32, _) => false,
-        (_, Isa::Scalar) => true,
-        #[cfg(target_arch = "x86_64")]
-        (Precision::F16, Isa::Avx2) => {
-            is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") && is_x86_feature_detected!("f16c")
-        }
-        #[cfg(target_arch = "x86_64")]
-        (Precision::F16, Isa::Avx512) => is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512fp16"),
-        #[cfg(target_arch = "x86_64")]
-        (Precision::Int8, Isa::Avx2) => is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "x86_64")]
-        (Precision::Int8, Isa::Avx512) => {
-            is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512bw")
-                && is_x86_feature_detected!("avx512vnni")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
-}
-
-/// The `prec × isa` implementation, or `None` when this host cannot run it
-/// (or `prec` is F32 — that axis row belongs to [`crate::isa`]).
-pub fn lowp_impl(prec: Precision, isa: Isa) -> Option<&'static LowpKernel> {
-    if !impl_detected(prec, isa) {
-        return None;
-    }
-    match (prec, isa) {
+        (Precision::F32, _) => None,
         (Precision::F16, Isa::Scalar) => Some(&F16_SCALAR),
         (Precision::Int8, Isa::Scalar) => Some(&INT8_SCALAR),
         #[cfg(target_arch = "x86_64")]
@@ -1272,71 +1200,15 @@ pub fn lowp_impl(prec: Precision, isa: Isa) -> Option<&'static LowpKernel> {
         (Precision::F16, Isa::Avx512) => Some(&F16_AVX512),
         #[cfg(target_arch = "x86_64")]
         (Precision::Int8, Isa::Avx512) => Some(&INT8_AVX512),
-        _ => None,
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("no intrinsic tier is ever detected off x86_64"),
     }
 }
 
-/// The ISA tiers with an available implementation of `prec` on this host.
-/// Always contains [`Isa::Scalar`] for the low precisions; empty for F32.
-pub fn lowp_impl_isas(prec: Precision) -> Vec<Isa> {
-    Isa::ALL.into_iter().filter(|&i| impl_detected(prec, i)).collect()
-}
-
-/// Resolves the active ISA tier against a precision's implementation set
-/// (pure — unit-testable without faking CPUID). The best implementation
-/// *not above* the requested tier wins: a `BYTE_GEMM_ISA=scalar` pin stays
-/// scalar, while a wide request degrades to the widest available
-/// implementation with a human-readable warning.
-pub fn resolve_lowp_tier(prec: Precision, requested: Isa, available: &[Isa]) -> (Isa, Option<String>) {
-    if available.contains(&requested) {
-        return (requested, None);
-    }
-    let best = available
-        .iter()
-        .copied()
-        .filter(|&i| i <= requested)
-        .max()
-        .unwrap_or(Isa::Scalar);
-    (
-        best,
-        Some(format!(
-            "no {} implementation at ISA tier `{}` on this host; degrading to `{}` for {}",
-            prec.name(),
-            requested.name(),
-            best.name(),
-            prec.name(),
-        )),
-    )
-}
-
-/// The low-precision kernel for a precision at (or degraded below) the
-/// given ISA tier — `None` exactly when `prec` is F32, meaning "use the
-/// [`crate::isa`] f32 family". Degradation warns once per `prec × isa`
-/// pair through [`bt_obs::warn_once`].
-pub fn resolve_lowp_kernel(prec: Precision, isa: Isa) -> Option<&'static LowpKernel> {
-    if prec == Precision::F32 {
-        return None;
-    }
-    let available = lowp_impl_isas(prec);
-    let (selected, warning) = resolve_lowp_tier(prec, isa, &available);
-    if let Some(w) = warning {
-        bt_obs::warn_once(degrade_warn_key(prec, isa), &format!("bt-gemm: {w}"));
-    }
-    lowp_impl(prec, selected)
-}
-
-/// `warn_once` deduplication key for a degraded `prec × isa` resolution
-/// (the key must be `'static`, so the combinations are enumerated).
-fn degrade_warn_key(prec: Precision, isa: Isa) -> &'static str {
-    match (prec, isa) {
-        (Precision::F16, Isa::Scalar) => "bt-gemm.prec.f16.scalar",
-        (Precision::F16, Isa::Avx2) => "bt-gemm.prec.f16.avx2",
-        (Precision::F16, Isa::Avx512) => "bt-gemm.prec.f16.avx512",
-        (Precision::Int8, Isa::Scalar) => "bt-gemm.prec.int8.scalar",
-        (Precision::Int8, Isa::Avx2) => "bt-gemm.prec.int8.avx2",
-        (Precision::Int8, Isa::Avx512) => "bt-gemm.prec.int8.avx512",
-        (Precision::F32, _) => "bt-gemm.prec.f32",
-    }
+/// The `prec × isa` implementation, or `None` when this host cannot run it
+/// (or `prec` is F32).
+pub fn lowp_impl(prec: Precision, isa: Isa) -> Option<&'static LowpKernel> {
+    host().supports(prec, isa).then(|| implementation(prec, isa)).flatten()
 }
 
 // ---------------------------------------------------------------------------
@@ -1388,38 +1260,19 @@ mod tests {
 
     const LOWP: [Precision; 2] = [Precision::F16, Precision::Int8];
 
+    /// This host's implementations of `prec`, poorest tier first.
+    fn impls(prec: Precision) -> impl Iterator<Item = &'static LowpKernel> {
+        Isa::ALL.into_iter().filter_map(move |isa| lowp_impl(prec, isa))
+    }
+
     #[test]
     fn scalar_impl_exists_for_every_low_precision() {
         for prec in LOWP {
             let k = lowp_impl(prec, Isa::Scalar).expect("scalar impl is universal");
             assert_eq!((k.prec, k.isa), (prec, Isa::Scalar));
-            assert!(lowp_impl_isas(prec).contains(&Isa::Scalar));
         }
-        assert!(lowp_impl(Precision::F32, Isa::Scalar).is_none());
-        assert!(lowp_impl_isas(Precision::F32).is_empty());
-    }
-
-    #[test]
-    fn resolve_degrades_below_request_with_warning() {
-        // Only scalar available: a wide request degrades and warns.
-        let (isa, w) = resolve_lowp_tier(Precision::F16, Isa::Avx512, &[Isa::Scalar]);
-        assert_eq!(isa, Isa::Scalar);
-        let w = w.expect("degradation must warn");
-        assert!(w.contains("f16") && w.contains("avx512") && w.contains("scalar"));
-        // Exact availability: no warning.
-        let (isa, w) = resolve_lowp_tier(Precision::Int8, Isa::Avx2, &[Isa::Scalar, Isa::Avx2]);
-        assert_eq!(isa, Isa::Avx2);
-        assert!(w.is_none());
-        // Never resolve *above* the request: a scalar pin stays scalar even
-        // when wider implementations exist.
-        let (isa, _) = resolve_lowp_tier(Precision::Int8, Isa::Scalar, &[Isa::Scalar, Isa::Avx512]);
-        assert_eq!(isa, Isa::Scalar);
-    }
-
-    #[test]
-    fn f32_resolves_to_no_lowp_kernel() {
         for isa in Isa::ALL {
-            assert!(resolve_lowp_kernel(Precision::F32, isa).is_none());
+            assert!(lowp_impl(Precision::F32, isa).is_none());
         }
     }
 
@@ -1512,8 +1365,8 @@ mod tests {
         for prec in LOWP {
             let scalar = lowp_impl(prec, Isa::Scalar).unwrap();
             let reference = pack_and_run(scalar, &a, &b, m, n, k);
-            for isa in lowp_impl_isas(prec) {
-                let kern = lowp_impl(prec, isa).unwrap();
+            for kern in impls(prec) {
+                let isa = kern.isa;
                 let acc = pack_and_run(kern, &a, &b, m, n, k);
                 for i in 0..m {
                     for j in 0..n {
@@ -1588,11 +1441,14 @@ mod tests {
     #[test]
     fn k_zero_is_identity_for_every_impl() {
         for prec in LOWP {
-            for isa in lowp_impl_isas(prec) {
-                let kern = lowp_impl(prec, isa).unwrap();
+            for kern in impls(prec) {
                 let mut acc = vec![3.0f32; kern.mr * kern.nr];
                 kern.run_block(0, &[], &[], &mut acc, &[], &[], &[]);
-                assert!(acc.iter().all(|&v| v == 3.0), "{prec}/{isa} k=0 must be identity");
+                assert!(
+                    acc.iter().all(|&v| v == 3.0),
+                    "{prec}/{} k=0 must be identity",
+                    kern.isa
+                );
             }
         }
     }

@@ -15,7 +15,7 @@
 //! explicit AVX2+FMA 8×16 kernel, and an explicit AVX-512 16×16 kernel —
 //! the CPU counterpart of the paper's hardware-wide CUTLASS tiles and
 //! `__half2` SIMD2 vectorization (§III.C, §III.E). One kernel is selected
-//! at runtime by [`crate::isa`]. Every tier is 16 columns wide
+//! at runtime by [`crate::dispatch`]. Every tier is 16 columns wide
 //! ([`crate::packed::PANEL_NR`]), so a weight packed once into a
 //! [`crate::PackedB`] is every tier's `B` panel set and tiers can switch
 //! mid-process; `MR` differs per kernel, so the packing routines here and
@@ -39,10 +39,12 @@
 // intrinsic kernels in `crate::isa`.
 #![allow(unsafe_code)]
 
+use crate::blocked::BOperand;
+use crate::dispatch::Precision;
 use crate::isa::Isa;
-use crate::packed::{PackedB, PANEL_NR};
-use crate::prec::Precision;
+use crate::packed::PANEL_NR;
 use crate::scratch::PanelElem;
+use crate::skinny::SkinnyKernel;
 use std::borrow::Cow;
 
 /// Largest `MR` of any kernel in the family (the AVX-512 tile height).
@@ -83,9 +85,9 @@ pub(crate) const SCALAR_FUSED_FMA: bool = cfg!(target_feature = "fma");
 pub(crate) type KernelFn = unsafe fn(kc: usize, a: *const f32, b: *const f32, acc: *mut f32);
 
 /// One member of the microkernel family: an ISA tier plus its register-tile
-/// geometry and contraction mode. Obtain instances from [`crate::isa`]
-/// ([`crate::isa::active_kernel`] / [`crate::isa::kernel_for`]) — they are
-/// only ever constructed for ISAs verified present at runtime.
+/// geometry and contraction mode, and its strip kernels for the skinny
+/// driver. Obtain instances from [`crate::dispatch::active`] or
+/// [`crate::isa::kernel_for`] — both hand out only tiers the host runs.
 pub struct MicroKernel {
     /// The instruction-set tier this kernel is implemented in.
     pub isa: Isa,
@@ -99,20 +101,12 @@ pub struct MicroKernel {
     /// element is one accumulation chain in `p`-order regardless of tile
     /// geometry, and padded lanes never reach a store.
     pub fused_fma: bool,
-    func: KernelFn,
+    pub(crate) func: KernelFn,
+    /// The tier's row-count-specialised strip kernels ([`crate::skinny`]).
+    pub(crate) skinny: &'static SkinnyKernel,
 }
 
 impl MicroKernel {
-    pub(crate) const fn new(isa: Isa, mr: usize, nr: usize, fused_fma: bool, func: KernelFn) -> Self {
-        Self {
-            isa,
-            mr,
-            nr,
-            fused_fma,
-            func,
-        }
-    }
-
     /// Runs the kernel: `acc[i*nr + j] += Σ_p a[p*mr + i] · b[p*nr + j]`
     /// over `kc` steps. The accumulator block stays in registers for the
     /// whole `kc` loop.
@@ -125,9 +119,9 @@ impl MicroKernel {
         assert!(a.len() >= kc * self.mr, "A micropanel too short");
         assert!(b.len() >= kc * self.nr, "B micropanel too short");
         assert!(acc.len() >= self.mr * self.nr, "accumulator too short");
-        // SAFETY: lengths asserted above; the function pointer was only
-        // constructed for an ISA that `crate::isa` verified present on this
-        // CPU (scalar is universally valid).
+        // SAFETY: lengths asserted above; a kernel is only handed out for an
+        // ISA that `crate::dispatch` found on this CPU (scalar is
+        // universally valid).
         unsafe { (self.func)(kc, a.as_ptr(), b.as_ptr(), acc.as_mut_ptr()) }
     }
 }
@@ -161,9 +155,10 @@ pub(crate) trait PanelKernel: Sync {
     fn pack_a_rows(&self, dst: &mut [Self::Elem], sa: &mut [f32], rows: &[f32], r: usize, k: usize, cvt: &mut [u16]);
     /// `b` in this kernel's panel format: ⌈n/nr⌉ panels of
     /// [`PanelKernel::panel_lens`]`(k).1` elements, each with `nr` scale /
-    /// code-sum lanes when [`PanelKernel::NARROW`]. f32 borrows the
-    /// [`PackedB`]'s own panels; a narrow format quantises them per launch.
-    fn b_panels<'b>(&self, b: &'b PackedB) -> BPanels<'b, Self::Elem>;
+    /// code-sum lanes when [`PanelKernel::NARROW`]. f32 borrows a
+    /// [`crate::PackedB`]'s own panels (a raw slice is packed into them); a
+    /// narrow format quantises `b` where it lies, once per launch.
+    fn b_panels<'b>(&self, b: BOperand<'b>) -> BPanels<'b, Self::Elem>;
     /// Accumulates one register block over depth `k` into `acc`.
     #[allow(clippy::too_many_arguments)] // the full kernel operand set is the point
     fn run_block(
@@ -226,10 +221,13 @@ impl PanelKernel for MicroKernel {
         interleave_rows(dst, rows, r, k, self.mr);
     }
 
-    fn b_panels<'b>(&self, b: &'b PackedB) -> BPanels<'b, f32> {
+    fn b_panels<'b>(&self, b: BOperand<'b>) -> BPanels<'b, f32> {
         debug_assert_eq!(self.nr, PANEL_NR, "every f32 tier reads the shared panel format");
         BPanels {
-            data: Cow::Borrowed(b.panels()),
+            data: match b.panels() {
+                Cow::Borrowed(packed) => Cow::Borrowed(packed.panels()),
+                Cow::Owned(packed) => Cow::Owned(packed.into_panels()),
+            },
             sb: Vec::new(),
             colsum: Vec::new(),
         }
@@ -349,12 +347,13 @@ pub fn pack_b_panel(dst: &mut [f32], src: &[f32], trans: bool, col0: usize, c: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::available_isas;
     use crate::isa;
 
     #[test]
     fn every_kernel_matches_naive() {
         let kc = 13;
-        for tier in isa::available_isas() {
+        for tier in available_isas() {
             let kern = isa::kernel_for(tier).expect("available tier has a kernel");
             let (mr, nr) = (kern.mr, kern.nr);
             let a: Vec<f32> = (0..kc * mr).map(|i| (i as f32 * 0.37).sin()).collect();
@@ -379,7 +378,7 @@ mod tests {
 
     #[test]
     fn every_kernel_k_zero_is_identity() {
-        for tier in isa::available_isas() {
+        for tier in available_isas() {
             let kern = isa::kernel_for(tier).unwrap();
             let mut acc = vec![3.0f32; kern.mr * kern.nr];
             kern.run(0, &[], &[], &mut acc);
@@ -389,7 +388,7 @@ mod tests {
 
     #[test]
     fn geometry_bounded_by_maxima() {
-        for tier in isa::available_isas() {
+        for tier in available_isas() {
             let kern = isa::kernel_for(tier).unwrap();
             assert!(kern.mr <= MR_MAX, "{tier:?} mr {} > MR_MAX", kern.mr);
             assert!(kern.nr <= NR_MAX, "{tier:?} nr {} > NR_MAX", kern.nr);

@@ -14,12 +14,11 @@
 //! * the skinny driver ([`crate::skinny`]) reads them through the same
 //!   strip kernels that read a row-major slice, with a row stride of 16 and
 //!   a 16-column stride of one panel;
-//! * the f16 / int8 tiers quantise `B` from these panels per launch
-//!   ([`crate::lowp`]).
+//! * the f16 / int8 tiers quantise `B` per launch ([`crate::lowp`]), from
+//!   these panels or an untransposed raw slice alike.
 //!
-//! A raw-slice [`crate::sgemm`] on the packed driver packs its `B` into a
-//! `PackedB` first ([`PackedB::pack`]) and then runs the same body; that
-//! per-launch pack is what the `gemm.b_packs` counter counts.
+//! Otherwise a raw-slice [`crate::sgemm`] on the packed driver packs its `B`
+//! first ([`PackedB::pack`]); `gemm.b_packs` counts that and quantisations.
 
 use crate::micro::pack_b_panel;
 use rayon::prelude::*;
@@ -110,23 +109,13 @@ impl PackedB {
     }
 
     /// Index of element `(p, j)` in [`Self::panels`].
-    pub(crate) fn offset(&self, p: usize, j: usize) -> usize {
+    fn offset(&self, p: usize, j: usize) -> usize {
         (j / PANEL_NR) * self.k * PANEL_NR + p * PANEL_NR + j % PANEL_NR
     }
 
-    /// Row `p`, columns `col0 .. col0 + c`, as the contiguous pieces the
-    /// panels hold it in: `(column offset from col0, values)`.
-    pub(crate) fn row_pieces(&self, p: usize, col0: usize, c: usize) -> impl Iterator<Item = (usize, &[f32])> + '_ {
-        let mut j = col0;
-        std::iter::from_fn(move || {
-            (j < col0 + c).then(|| {
-                let len = (PANEL_NR - j % PANEL_NR).min(col0 + c - j);
-                let at = self.offset(p, j);
-                let piece = (j - col0, &self.data[at..at + len]);
-                j += len;
-                piece
-            })
-        })
+    /// The panels, handed over (a raw slice's per-launch pack).
+    pub(crate) fn into_panels(self) -> Vec<f32> {
+        self.data
     }
 }
 
@@ -175,6 +164,27 @@ impl<'a> BView<'a> {
         debug_assert_eq!(col % PANEL_NR, 0);
         &self.data[p * self.ldb + (col / PANEL_NR) * self.vs..]
     }
+
+    /// Row `p`, columns `col0 .. col0 + c`, as the contiguous pieces the view
+    /// holds it in: `(column offset from col0, values)` — one per 16-column
+    /// panel, one for a row-major row (fewer, longer conversion runs).
+    pub fn row_pieces(self, p: usize, col0: usize, c: usize) -> impl Iterator<Item = (usize, &'a [f32])> {
+        let mut j = col0;
+        std::iter::from_fn(move || {
+            (j < col0 + c).then(|| {
+                let run_on = self.vs == PANEL_NR; // adjacent groups: a row-major row
+                let end = if run_on {
+                    col0 + c
+                } else {
+                    (j / PANEL_NR + 1) * PANEL_NR
+                };
+                let len = end.min(col0 + c) - j;
+                let piece = (j - col0, &self.at(p, j - j % PANEL_NR)[j % PANEL_NR..][..len]);
+                j += len;
+                piece
+            })
+        })
+    }
 }
 
 #[cfg(test)]
@@ -205,14 +215,16 @@ mod tests {
     }
 
     #[test]
-    fn row_pieces_cover_a_span_across_panels() {
+    fn row_pieces_cover_a_span_in_both_layouts() {
         let (k, n) = (3, 40);
         let b = row_major(k, n);
         let pb = PackedB::pack(&b, false, k, n);
-        let mut got = vec![0.0f32; 32];
-        for (off, piece) in pb.row_pieces(2, 8, 32) {
-            got[off..off + piece.len()].copy_from_slice(piece);
+        for view in [BView::panels(&pb), BView::row_major(&b, n)] {
+            let mut got = vec![0.0f32; 32];
+            for (off, piece) in view.row_pieces(2, 8, 32) {
+                got[off..off + piece.len()].copy_from_slice(piece);
+            }
+            assert_eq!(got, b[2 * n + 8..2 * n + 40]);
         }
-        assert_eq!(got, b[2 * n + 8..2 * n + 40]);
     }
 }

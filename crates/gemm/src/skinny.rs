@@ -45,7 +45,6 @@
 
 use crate::blocked::store_row;
 use crate::grouped::TileEpilogue;
-use crate::isa::Isa;
 use crate::micro::{contract, pack_a_panel, SCALAR_FUSED_FMA};
 use crate::packed::{BView, PANEL_NR};
 use crate::scratch::{grow, LAUNCH, TASK};
@@ -124,22 +123,9 @@ impl SkinnyKernel {
         assert!(kc == 0 || b.data.len() > last(kc), "B strip too short");
         assert!(acc.len() >= r * self.cols, "accumulator tile too short");
         // SAFETY: extents asserted above; a kernel table is only reachable
-        // through `kernel_for` with a tier `crate::isa` verified present.
+        // through a `MicroKernel` of a tier `crate::dispatch` found on this
+        // CPU.
         unsafe { (self.funcs[r - 1])(kc, a.as_ptr(), b.data.as_ptr(), b.ldb, b.vs, cols, pf, acc.as_mut_ptr()) }
-    }
-}
-
-/// The strip-kernel family of a tier the host was verified to support (the
-/// caller passes the `isa` of an obtained [`crate::micro::MicroKernel`]).
-pub(crate) fn kernel_for(isa: Isa) -> &'static SkinnyKernel {
-    match isa {
-        Isa::Scalar => &SCALAR_SKINNY,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => &AVX2_SKINNY,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => &AVX512_SKINNY,
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("no intrinsic tier is ever detected off x86_64"),
     }
 }
 
@@ -161,12 +147,12 @@ fn with_packed_a<R>(a: &[f32], m: usize, k: usize, rmax: usize, f: impl FnOnce(&
 }
 
 /// `C = alpha * A·B` for few rows: see the module docs.
-/// `isa` is the launch's dispatch tier; `b` is `k×n`, row-major or panels
+/// `kern` is the launch's strip family; `b` is `k×n`, row-major or panels
 /// (`transb` is the packed driver's business). Shapes are validated by the
 /// caller.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sgemm_skinny(
-    isa: Isa,
+    kern: &SkinnyKernel,
     alpha: f32,
     m: usize,
     n: usize,
@@ -177,7 +163,6 @@ pub(crate) fn sgemm_skinny(
     epilogue: Option<&dyn TileEpilogue>,
 ) {
     debug_assert!(m > 0 && n > 0 && k > 0);
-    let kern = kernel_for(isa);
     let (rmax, w) = (kern.rows, kern.cols);
     let groups = m.div_ceil(rmax);
     let group_rows = |g: usize| rmax.min(m - g * rmax);
@@ -328,7 +313,7 @@ fn scalar_steps<const R: usize, const FUSED: bool>(
     }
 }
 
-static SCALAR_SKINNY: SkinnyKernel = SkinnyKernel {
+pub(crate) static SCALAR_SKINNY: SkinnyKernel = SkinnyKernel {
     rows: 4,
     cols: SCALAR_W,
     funcs: &[
@@ -413,7 +398,7 @@ unsafe fn avx2_skinny<const R: usize>(
 }
 
 #[cfg(target_arch = "x86_64")]
-static AVX2_SKINNY: SkinnyKernel = SkinnyKernel {
+pub(crate) static AVX2_SKINNY: SkinnyKernel = SkinnyKernel {
     rows: 6,
     cols: 16,
     funcs: &[
@@ -489,7 +474,7 @@ unsafe fn avx512_skinny<const R: usize>(
 }
 
 #[cfg(target_arch = "x86_64")]
-static AVX512_SKINNY: SkinnyKernel = SkinnyKernel {
+pub(crate) static AVX512_SKINNY: SkinnyKernel = SkinnyKernel {
     rows: 8,
     cols: 48,
     funcs: &[

@@ -1,6 +1,7 @@
-//! Tests for the `BYTE_GEMM_PREC` dispatch machinery: request parsing, the
-//! precision × ISA implementation-resolution layer, and end-to-end dispatch
-//! accuracy for every precision through the public `sgemm` entry point.
+//! Tests for the `BYTE_GEMM_PREC` axis of dispatch: request parsing, the
+//! precision × ISA resolution on this host (`isa_dispatch.rs` walks the
+//! resolver over synthetic hosts), and end-to-end dispatch accuracy for
+//! every precision through the public `sgemm` entry point.
 //!
 //! Like `isa_dispatch.rs`, env-var integration is exercised by the
 //! `scripts/check.sh` matrix, which reruns this binary under every
@@ -8,9 +9,9 @@
 //! asserts the env selection was honored (before any programmatic override
 //! can shadow it), then walks every precision programmatically.
 
-use bt_gemm::lowp::{lowp_impl_isas, resolve_lowp_tier};
+use bt_gemm::dispatch::{self, host, resolve, Host};
 use bt_gemm::{
-    active_precision, dot_error_bound, int8_dot_error_bound, lowp_impl, parse_prec_request, resolve_lowp_kernel,
+    active_precision, available_isas, dot_error_bound, int8_dot_error_bound, lowp_impl, parse_prec_request,
     set_active_precision, sgemm, GemmSpec, Isa, Precision,
 };
 use bt_tensor::rng::Xoshiro256StarStar;
@@ -30,16 +31,17 @@ fn removed_tier_name_is_rejected_with_the_accepted_set() {
 
 #[test]
 fn f32_never_resolves_a_lowp_kernel() {
-    for isa in Isa::ALL {
-        assert!(resolve_lowp_kernel(Precision::F32, isa).is_none());
+    for isa in available_isas() {
+        let (selection, warning) = resolve(Some(isa), Precision::F32, host());
+        assert_eq!((selection.isa, selection.prec_isa), (isa, isa));
+        assert!(warning.is_none());
+        assert!(lowp_impl(Precision::F32, isa).is_none());
     }
 }
 
 #[test]
 fn every_low_precision_has_a_scalar_implementation() {
     for prec in [Precision::F16, Precision::Int8] {
-        let isas = lowp_impl_isas(prec);
-        assert!(isas.contains(&Isa::Scalar), "{prec}: {isas:?}");
         let kern = lowp_impl(prec, Isa::Scalar).unwrap();
         assert_eq!(kern.prec, prec);
         assert_eq!(kern.isa, Isa::Scalar);
@@ -49,13 +51,22 @@ fn every_low_precision_has_a_scalar_implementation() {
 #[test]
 fn resolution_degrades_downward_never_upward() {
     // A scalar pin must stay scalar even when wider impls exist.
-    let (isa, warn) = resolve_lowp_tier(Precision::F16, Isa::Scalar, &[Isa::Scalar, Isa::Avx2, Isa::Avx512]);
-    assert_eq!(isa, Isa::Scalar);
+    let everything = Host {
+        avx2: true,
+        fma: true,
+        f16c: true,
+        avx512f: true,
+        avx512bw: true,
+        avx512vnni: true,
+        avx512fp16: true,
+    };
+    let (selection, warn) = resolve(Some(Isa::Scalar), Precision::F16, everything);
+    assert_eq!(selection.prec_isa, Isa::Scalar);
     assert!(warn.is_none());
     // A wide request with only scalar available degrades with a warning
     // that names the precision, the request, and the substitute.
-    let (isa, warn) = resolve_lowp_tier(Precision::Int8, Isa::Avx512, &[Isa::Scalar]);
-    assert_eq!(isa, Isa::Scalar);
+    let (selection, warn) = resolve(Some(Isa::Avx512), Precision::Int8, Host::default());
+    assert_eq!(selection.prec_isa, Isa::Scalar);
     let warn = warn.expect("degrade must warn");
     assert!(warn.contains("int8"), "warning names the precision: {warn}");
     assert!(warn.contains("avx512"), "warning names the request: {warn}");
@@ -65,10 +76,16 @@ fn resolution_degrades_downward_never_upward() {
 #[test]
 fn resolved_kernel_matches_requested_precision_on_this_host() {
     for prec in [Precision::F16, Precision::Int8] {
-        for isa in bt_gemm::available_isas() {
-            let kern = resolve_lowp_kernel(prec, isa).expect("every precision has at least the scalar tier");
-            assert_eq!(kern.prec, prec);
-            assert!(kern.isa <= isa, "resolved {} above the {} request", kern.isa, isa);
+        for isa in available_isas() {
+            let (selection, _) = resolve(Some(isa), prec, host());
+            assert_eq!((selection.isa, selection.prec), (isa, prec));
+            assert!(
+                selection.prec_isa <= isa,
+                "resolved {} above the {isa} request",
+                selection.prec_isa
+            );
+            let kern = lowp_impl(prec, selection.prec_isa).expect("resolution picks an implementation this host runs");
+            assert_eq!((kern.prec, kern.isa), (prec, selection.prec_isa));
         }
     }
 }
@@ -126,6 +143,13 @@ fn env_selection_honored_then_every_precision_dispatches_accurately() {
         expect,
         "BYTE_GEMM_PREC must drive the first active_precision() read"
     );
+    let lowp = dispatch::active().lowp;
+    assert_eq!(
+        lowp.map_or(Precision::F32, |k| k.prec),
+        expect,
+        "the launch kernels match"
+    );
+    assert!(lowp.is_none_or(|k| k.isa <= bt_gemm::active_isa()));
 
     for prec in Precision::ALL {
         set_active_precision(prec);

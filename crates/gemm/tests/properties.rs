@@ -7,11 +7,10 @@ use bt_gemm::grouped::{
     StridedOutput,
 };
 use bt_gemm::lowp::{
-    a_panel_code, b_panel_code, f16_bits, int8_scale, lowp_impl, lowp_impl_isas, pack_a_panel_lowp, pack_b_panel_lowp,
-    quantize_i8,
+    a_panel_code, b_panel_code, f16_bits, int8_scale, lowp_impl, pack_a_panel_lowp, pack_b_panel_lowp, quantize_i8,
 };
 use bt_gemm::micro::{pack_a_panel, pack_b_panel};
-use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, PackedB, Precision, TileEpilogue, PANEL_NR};
+use bt_gemm::{gemm_ref, sgemm, sgemm_epilogue, GemmSpec, Isa, PackedB, Precision, TileEpilogue, PANEL_NR};
 use bt_tensor::compare::max_abs_diff;
 use bt_tensor::half::f16;
 use bt_tensor::rng::Xoshiro256StarStar;
@@ -377,8 +376,8 @@ proptest! {
             b.clone()
         };
         let packed = PackedB::pack(&src, trans, k, n);
-        for isa in lowp_impl_isas(prec) {
-            let kern = lowp_impl(prec, isa).unwrap();
+        for kern in Isa::ALL.into_iter().filter_map(|isa| lowp_impl(prec, isa)) {
+            let isa = kern.isa;
             let nr = kern.nr;
             let col0 = (panel * nr).min(n.saturating_sub(1));
             let c = nr.min(n - col0);
@@ -428,8 +427,8 @@ proptest! {
     ) {
         let prec = [Precision::F16, Precision::Int8][prec_sel];
         let a = rand_vec(m * k, seed);
-        for isa in lowp_impl_isas(prec) {
-            let kern = lowp_impl(prec, isa).unwrap();
+        for kern in Isa::ALL.into_iter().filter_map(|isa| lowp_impl(prec, isa)) {
+            let isa = kern.isa;
             let mr = kern.mr;
             let row0 = (panel * mr).min(m.saturating_sub(1));
             let r = mr.min(m - row0);

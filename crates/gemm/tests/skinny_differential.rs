@@ -11,7 +11,7 @@
 //! under `BYTE_POOL_THREADS=1`; the tests pin each tier programmatically on
 //! top of that, so every tier is covered whatever the environment says.
 
-use bt_gemm::isa::{self, Isa};
+use bt_gemm::isa::Isa;
 use bt_gemm::{
     gemm_ref, sgemm, sgemm_epilogue, sgemm_pinned, sgemm_prepacked, sgemm_prepacked_pinned, Driver, GemmSpec, PackedB,
     TileEpilogue, SKINNY_MAX_M,
@@ -31,12 +31,12 @@ fn lock() -> MutexGuard<'static, ()> {
 /// previous selection afterwards.
 fn for_each_tier(mut f: impl FnMut(Isa)) {
     let _g = lock();
-    let prev = isa::active_isa();
-    for tier in isa::available_isas() {
-        isa::set_active_isa(tier).expect("tier reported available");
+    let prev = bt_gemm::active_isa();
+    for tier in bt_gemm::available_isas() {
+        bt_gemm::set_active_isa(tier).expect("tier reported available");
         f(tier);
     }
-    isa::set_active_isa(prev).expect("previous tier was active");
+    bt_gemm::set_active_isa(prev).expect("previous tier was active");
 }
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
@@ -324,13 +324,13 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let _g = lock();
-        let prev = isa::active_isa();
-        let tiers = isa::available_isas();
+        let prev = bt_gemm::active_isa();
+        let tiers = bt_gemm::available_isas();
         let tier = tiers[tier_pick % tiers.len()];
-        isa::set_active_isa(tier).expect("tier reported available");
+        bt_gemm::set_active_isa(tier).expect("tier reported available");
         let case = Case { spec: GemmSpec::nn().alpha(alpha), m, n, k, with_epilogue, seed };
         let (got, want) = run_case(case);
-        isa::set_active_isa(prev).expect("previous tier was active");
+        bt_gemm::set_active_isa(prev).expect("previous tier was active");
         prop_assert_eq!(bits(&got), bits(&want), "{}: {:?}", tier, case);
     }
 }

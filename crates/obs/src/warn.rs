@@ -12,8 +12,8 @@ use std::collections::HashSet;
 use std::sync::{LazyLock, Mutex};
 
 struct WarnState {
-    seen: HashSet<&'static str>,
-    log: Vec<(&'static str, String)>,
+    seen: HashSet<String>,
+    log: Vec<(String, String)>,
 }
 
 static WARNS: LazyLock<Mutex<WarnState>> = LazyLock::new(|| {
@@ -25,25 +25,19 @@ static WARNS: LazyLock<Mutex<WarnState>> = LazyLock::new(|| {
 
 /// Prints `msg` to stderr and records it, unless `key` has already warned.
 /// Returns true when the warning was emitted (first time for this key).
-pub fn warn_once(key: &'static str, msg: &str) -> bool {
+pub fn warn_once(key: &str, msg: &str) -> bool {
     let mut state = WARNS.lock().expect("warning log poisoned");
-    if !state.seen.insert(key) {
+    if !state.seen.insert(key.to_string()) {
         return false;
     }
-    state.log.push((key, msg.to_string()));
+    state.log.push((key.to_string(), msg.to_string()));
     eprintln!("{msg}");
     true
 }
 
 /// All warnings emitted so far, as `(key, message)` pairs.
 pub fn warnings() -> Vec<(String, String)> {
-    WARNS
-        .lock()
-        .expect("warning log poisoned")
-        .log
-        .iter()
-        .map(|(k, m)| (k.to_string(), m.clone()))
-        .collect()
+    WARNS.lock().expect("warning log poisoned").log.clone()
 }
 
 /// Clears the deduplication set and log (test isolation only).

@@ -39,6 +39,14 @@ if grep -rnE 'thread_local!|static [A-Z0-9_]+: ([a-z_]+::)*Mutex<Vec' crates/gem
   echo "kernel scratch outside bt_gemm::scratch::Pool (above)"; exit 1
 fi
 
+step "CPU feature probes have one owner (bt_gemm::dispatch)"
+# Which kernel a GEMM runs is resolved once, in crates/gemm/src/dispatch.rs,
+# from one host record probed there; a packer or driver that asks the CPU
+# itself is a second selection rule. This step fails on the next one.
+if grep -rn 'is_x86_feature_detected!' crates/*/src | grep -v '^crates/gemm/src/dispatch.rs:'; then
+  echo "CPU feature probe outside bt_gemm::dispatch (above)"; exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 

@@ -75,20 +75,20 @@ fn device() -> Device {
 /// contraction mode, within [`TOL`] otherwise.
 fn decode_differential(label: &str, case: impl Fn() -> Vec<f32>) {
     let _g = ISA_LOCK.lock().unwrap();
-    let prev = isa::active_isa();
+    let prev = bt_gemm::active_isa();
     let prev_prec = active_precision();
     set_active_precision(Precision::F32);
-    let available = isa::available_isas();
+    let available = bt_gemm::available_isas();
     for tier in Isa::ALL {
         if !available.contains(&tier) {
             eprintln!("differential_decode: {label}: skipping {tier} — not supported on this host");
         }
     }
-    isa::set_active_isa(Isa::Scalar).unwrap();
+    bt_gemm::set_active_isa(Isa::Scalar).unwrap();
     let reference = case();
     let scalar_fused = isa::kernel_for(Isa::Scalar).unwrap().fused_fma;
     for &tier in available.iter().filter(|&&t| t != Isa::Scalar) {
-        isa::set_active_isa(tier).unwrap();
+        bt_gemm::set_active_isa(tier).unwrap();
         let got = case();
         assert_eq!(reference.len(), got.len(), "{label} [{tier}]: output lengths differ");
         let same = isa::kernel_for(tier).unwrap().fused_fma == scalar_fused;
@@ -106,7 +106,7 @@ fn decode_differential(label: &str, case: impl Fn() -> Vec<f32>) {
             }
         }
     }
-    isa::set_active_isa(prev).unwrap();
+    bt_gemm::set_active_isa(prev).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -270,7 +270,7 @@ fn block_size_invariance_holds_on_every_tier() {
                 assert!(
                     bits_match,
                     "block geometry {i} changed the math on {} at {}",
-                    isa::active_isa(),
+                    bt_gemm::active_isa(),
                     active_precision()
                 );
             }
@@ -302,7 +302,11 @@ fn oom_shedding_is_tier_invariant() {
         tight.prefill(&dev, b, &prompt_b).unwrap();
         let out = tight.forward(&dev, &rows_of(&[a, b], step_input.as_slice(), hidden));
         assert!(out[0].is_ok(), "session with tail-block room proceeds");
-        assert!(out[1].is_err(), "starved session is refused on {}", isa::active_isa());
+        assert!(
+            out[1].is_err(),
+            "starved session is refused on {}",
+            bt_gemm::active_isa()
+        );
 
         // Same step with a roomy pool: the survivor's token is bitwise the
         // same — shedding a neighbor must not perturb the batch's math.
@@ -437,7 +441,7 @@ fn assert_bitwise(label: &str, got: &[f32], want: &[f32]) {
         assert!(
             g.to_bits() == w.to_bits(),
             "{label}, dim {d} on {}: {g:?} vs {w:?}",
-            isa::active_isa()
+            bt_gemm::active_isa()
         );
     }
 }

@@ -38,7 +38,7 @@ use bt_gemm::grouped::{
     StridedOutput,
 };
 use bt_gemm::isa::{self, Isa};
-use bt_gemm::lowp::{lowp_impl, lowp_impl_isas};
+use bt_gemm::lowp::lowp_impl;
 use bt_gemm::{
     active_precision, dot_error_bound, int8_dot_error_bound, set_active_precision, sgemm, sgemm_epilogue, sgemm_pinned,
     sgemm_prepacked, sgemm_prepacked_pinned, Driver, GemmSpec, PackedB, Precision, TileEpilogue,
@@ -86,29 +86,29 @@ fn assert_matches(label: &str, tier: Isa, reference: &[f32], got: &[f32], same_c
 /// and logs (never silently drops) unavailable tiers.
 fn differential(label: &str, max_k: usize, case: impl Fn() -> Vec<f32>) {
     let _g = ISA_LOCK.lock().unwrap();
-    let prev = isa::active_isa();
+    let prev = bt_gemm::active_isa();
     // This harness asserts the *f32 family's* bitwise contract; the
     // precision axis has its own chain-aware section below. Pin f32 so a
     // `BYTE_GEMM_PREC` env selection doesn't reroute these cases through
     // the tolerance-only low-precision kernels.
     let prev_prec = active_precision();
     set_active_precision(Precision::F32);
-    let available = isa::available_isas();
+    let available = bt_gemm::available_isas();
     for tier in Isa::ALL {
         if !available.contains(&tier) {
             eprintln!("differential_simd: {label}: skipping {tier} — not supported on this host");
         }
     }
-    isa::set_active_isa(Isa::Scalar).unwrap();
+    bt_gemm::set_active_isa(Isa::Scalar).unwrap();
     let reference = case();
     let scalar_fused = isa::kernel_for(Isa::Scalar).unwrap().fused_fma;
     for &tier in available.iter().filter(|&&t| t != Isa::Scalar) {
-        isa::set_active_isa(tier).unwrap();
+        bt_gemm::set_active_isa(tier).unwrap();
         let got = case();
         let same = isa::kernel_for(tier).unwrap().fused_fma == scalar_fused;
         assert_matches(label, tier, &reference, &got, same, max_k);
     }
-    isa::set_active_isa(prev).unwrap();
+    bt_gemm::set_active_isa(prev).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -186,7 +186,7 @@ fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
                     u.to_bits() == f.to_bits(),
                     "{label} m={m} [{i}]: unfused {u:?} != fused {f:?} ({}, {})",
                     active_precision(),
-                    isa::active_isa()
+                    bt_gemm::active_isa()
                 );
             }
         };
@@ -216,10 +216,10 @@ fn bias_gelu_epilogue_equals_gemm_then_fused_kernel() {
 #[test]
 fn prepacked_weight_equals_raw_slice_bitwise() {
     let _g = ISA_LOCK.lock().unwrap();
-    let (prev, prev_prec) = (isa::active_isa(), active_precision());
+    let (prev, prev_prec) = (bt_gemm::active_isa(), active_precision());
     let shapes = [(37usize, 4usize), (77, 3), (16, 2)];
-    for tier in isa::available_isas() {
-        isa::set_active_isa(tier).unwrap();
+    for tier in bt_gemm::available_isas() {
+        bt_gemm::set_active_isa(tier).unwrap();
         for m in (1..=257).chain([614, 1229]) {
             let (n, k) = shapes[m % shapes.len()];
             let a = rand_vec(m * k, m as u64);
@@ -256,7 +256,7 @@ fn prepacked_weight_equals_raw_slice_bitwise() {
             }
         }
     }
-    isa::set_active_isa(prev).unwrap();
+    bt_gemm::set_active_isa(prev).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -478,9 +478,9 @@ const LOW_PRECS: [Precision; 2] = [Precision::F16, Precision::Int8];
 /// missing ones logged (never silently dropped) — every precision × ISA
 /// combination is accounted for in the suite's log.
 fn lowp_tiers_logged(prec: Precision, what: &str) -> Vec<Isa> {
-    let impls: Vec<Isa> = lowp_impl_isas(prec)
+    let impls: Vec<Isa> = bt_gemm::available_isas()
         .into_iter()
-        .filter(|t| isa::available_isas().contains(t))
+        .filter(|&t| lowp_impl(prec, t).is_some())
         .collect();
     for tier in Isa::ALL {
         if !impls.contains(&tier) {
@@ -544,7 +544,7 @@ fn assert_tracks_f64(
 #[test]
 fn lowp_blocked_every_precision_and_tier_tracks_reference() {
     let _g = ISA_LOCK.lock().unwrap();
-    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let (prev_isa, prev_prec) = (bt_gemm::active_isa(), active_precision());
     // Remainder edges of every lowp tile geometry (8×8, 16×16, 16×32),
     // depths crossing the int8 k-step groups (2 and 4) and odd against
     // both, plus k = 0 and a 1-token row.
@@ -566,7 +566,7 @@ fn lowp_blocked_every_precision_and_tier_tracks_reference() {
             let a = rand_vec(m * k, 0x51 + k as u64);
             let b = rand_vec(k * n, 0x52 + n as u64);
             let run = |tier: Isa| {
-                isa::set_active_isa(tier).unwrap();
+                bt_gemm::set_active_isa(tier).unwrap();
                 let mut c = vec![f32::NAN; m * n];
                 sgemm(GemmSpec::nn().alpha(alpha), m, n, k, &a, &b, &mut c);
                 c
@@ -607,7 +607,7 @@ fn lowp_blocked_every_precision_and_tier_tracks_reference() {
             }
         }
     }
-    isa::set_active_isa(prev_isa).unwrap();
+    bt_gemm::set_active_isa(prev_isa).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -618,7 +618,7 @@ fn lowp_blocked_every_precision_and_tier_tracks_reference() {
 #[test]
 fn lowp_grouped_every_precision_empty_and_single_token() {
     let _g = ISA_LOCK.lock().unwrap();
-    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let (prev_isa, prev_prec) = (bt_gemm::active_isa(), active_precision());
     let shapes: &[(usize, usize, usize)] = &[(17, 23, 31), (0, 10, 8), (1, 1, 1), (5, 7, 0), (1, 64, 32), (40, 5, 70)];
     let a_bufs: Vec<Vec<f32>> = shapes
         .iter()
@@ -643,8 +643,8 @@ fn lowp_grouped_every_precision_empty_and_single_token() {
             b: &b_bufs[i],
         })
         .collect();
-    for tier in isa::available_isas() {
-        isa::set_active_isa(tier).unwrap();
+    for tier in bt_gemm::available_isas() {
+        bt_gemm::set_active_isa(tier).unwrap();
         for scheduler in [Scheduler::PerTile, Scheduler::WarpPrefetch] {
             let run = |prec: Precision| {
                 set_active_precision(prec);
@@ -675,7 +675,7 @@ fn lowp_grouped_every_precision_empty_and_single_token() {
             }
         }
     }
-    isa::set_active_isa(prev_isa).unwrap();
+    bt_gemm::set_active_isa(prev_isa).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -685,11 +685,11 @@ fn lowp_grouped_every_precision_empty_and_single_token() {
 #[test]
 fn lowp_fused_mha_every_precision_is_bitwise_f32() {
     let _g = ISA_LOCK.lock().unwrap();
-    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let (prev_isa, prev_prec) = (bt_gemm::active_isa(), active_precision());
     let (idx, [q, k, v]) = packed_qkv(&[33, 1, 96, 17], 96, 2, 32, 53);
     let dev = Device::new();
-    for tier in isa::available_isas() {
-        isa::set_active_isa(tier).unwrap();
+    for tier in bt_gemm::available_isas() {
+        bt_gemm::set_active_isa(tier).unwrap();
         let run = |prec: Precision| {
             set_active_precision(prec);
             fused_grouped_attention(&dev, &q, &k, &v, &idx, Scheduler::WarpPrefetch)
@@ -704,7 +704,7 @@ fn lowp_fused_mha_every_precision_is_bitwise_f32() {
             }
         }
     }
-    isa::set_active_isa(prev_isa).unwrap();
+    bt_gemm::set_active_isa(prev_isa).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -719,7 +719,7 @@ fn lowp_fused_mha_every_precision_is_bitwise_f32() {
 #[test]
 fn grouped_and_packed_agree_bitwise() {
     let _g = ISA_LOCK.lock().unwrap();
-    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let (prev_isa, prev_prec) = (bt_gemm::active_isa(), active_precision());
     let shapes: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (7, 9, 5),
@@ -734,8 +734,8 @@ fn grouped_and_packed_agree_bitwise() {
         (200, 150, 300),
     ];
     set_active_precision(Precision::F32);
-    for tier in isa::available_isas() {
-        isa::set_active_isa(tier).unwrap();
+    for tier in bt_gemm::available_isas() {
+        bt_gemm::set_active_isa(tier).unwrap();
         for &(m, n, k) in shapes {
             for transb in [false, true] {
                 let a = rand_vec(m * k, 0x71 + k as u64);
@@ -779,7 +779,7 @@ fn grouped_and_packed_agree_bitwise() {
             }
         }
     }
-    isa::set_active_isa(prev_isa).unwrap();
+    bt_gemm::set_active_isa(prev_isa).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -791,7 +791,7 @@ fn grouped_and_packed_agree_bitwise() {
 #[test]
 fn grouped_mixed_reuse_list_is_bitwise_per_problem_sgemm() {
     let _g = ISA_LOCK.lock().unwrap();
-    let (prev_isa, prev_prec) = (isa::active_isa(), active_precision());
+    let (prev_isa, prev_prec) = (bt_gemm::active_isa(), active_precision());
     let shapes: &[(usize, usize, usize)] = &[
         (130, 129, 70),
         (17, 33, 31),
@@ -814,8 +814,8 @@ fn grouped_mixed_reuse_list_is_bitwise_per_problem_sgemm() {
         .map(|(i, &(_, n, k))| rand_vec(k * n, 0x91 + i as u64))
         .collect();
     set_active_precision(Precision::F32);
-    for tier in isa::available_isas() {
-        isa::set_active_isa(tier).unwrap();
+    for tier in bt_gemm::available_isas() {
+        bt_gemm::set_active_isa(tier).unwrap();
         for transb in [false, true] {
             let problems: Vec<GroupedProblem<'_>> = shapes
                 .iter()
@@ -864,7 +864,7 @@ fn grouped_mixed_reuse_list_is_bitwise_per_problem_sgemm() {
             }
         }
     }
-    isa::set_active_isa(prev_isa).unwrap();
+    bt_gemm::set_active_isa(prev_isa).unwrap();
     set_active_precision(prev_prec);
 }
 

@@ -86,20 +86,20 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 /// the whole-input outputs as the cross-tier payload.
 fn on_every_tier(label: &str, case: impl Fn() -> Vec<f32>) {
     let _g = ISA_LOCK.lock().unwrap();
-    let prev = isa::active_isa();
+    let prev = bt_gemm::active_isa();
     let prev_prec = active_precision();
     set_active_precision(Precision::F32);
-    let available = isa::available_isas();
+    let available = bt_gemm::available_isas();
     for tier in Isa::ALL {
         if !available.contains(&tier) {
             eprintln!("differential_streaming: {label}: skipping {tier} — not supported on this host");
         }
     }
-    isa::set_active_isa(Isa::Scalar).unwrap();
+    bt_gemm::set_active_isa(Isa::Scalar).unwrap();
     let reference = case();
     let scalar_fused = isa::kernel_for(Isa::Scalar).unwrap().fused_fma;
     for &tier in available.iter().filter(|&&t| t != Isa::Scalar) {
-        isa::set_active_isa(tier).unwrap();
+        bt_gemm::set_active_isa(tier).unwrap();
         let got = case();
         assert_eq!(reference.len(), got.len(), "{label} [{tier}]: payload lengths differ");
         let same = isa::kernel_for(tier).unwrap().fused_fma == scalar_fused;
@@ -117,7 +117,7 @@ fn on_every_tier(label: &str, case: impl Fn() -> Vec<f32>) {
             }
         }
     }
-    isa::set_active_isa(prev).unwrap();
+    bt_gemm::set_active_isa(prev).unwrap();
     set_active_precision(prev_prec);
 }
 
@@ -248,7 +248,7 @@ fn prefill_case(len: usize, seed: u64) {
                     bits(&pieces),
                     bits(&whole),
                     "{len}-row prompt in pieces of {chunk} diverged from whole prefill on {} at {prec}",
-                    isa::active_isa()
+                    bt_gemm::active_isa()
                 );
             }
             if prec == Precision::F32 {
@@ -302,7 +302,7 @@ fn sub_batches_match_one_batch_bitwise_on_every_tier() {
                     bits(&pieces),
                     bits(&whole),
                     "{label} batch in sub-batches of {chunk} diverged from one batch on {}",
-                    isa::active_isa()
+                    bt_gemm::active_isa()
                 );
             }
             whole
@@ -374,7 +374,7 @@ fn chunk_rounds_match_the_whole_cut_bitwise_on_every_tier() {
                     bits(w),
                     "{}-token request in rounds of {chunk_tokens} tokens (re-padded: {repad}) diverged from the whole cut on {}",
                     lens[id],
-                    isa::active_isa()
+                    bt_gemm::active_isa()
                 );
             }
         }
@@ -401,7 +401,7 @@ fn embedded_sub_batches_match_one_batch_bitwise_on_every_tier() {
                 bits(&pieces),
                 bits(&whole),
                 "embedded batch in sub-batches of {chunk} diverged from one batch on {}",
-                isa::active_isa()
+                bt_gemm::active_isa()
             );
         }
         whole

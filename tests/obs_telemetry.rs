@@ -17,12 +17,16 @@ use bytetransformer::gemm::grouped::{
 };
 use bytetransformer::gemm::scratch::grow;
 use bytetransformer::gemm::TileEpilogue;
-use bytetransformer::gemm::{active_precision, set_active_precision, sgemm, GemmSpec, Precision, SKINNY_MAX_M};
+use bytetransformer::gemm::{
+    active_precision, set_active_precision, sgemm, sgemm_prepacked, GemmSpec, PackedB, Precision, SKINNY_MAX_M,
+};
 use bytetransformer::obs;
 use bytetransformer::prelude::*;
 use bytetransformer::varlen::paged::PagedLayout;
 use bytetransformer::varlen::workload::masked_randn;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Mutex, Once, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Pool width must be set before the pool's lazy init; the CI host may
 /// expose a single CPU, and the steal/park assertions need real workers.
@@ -116,38 +120,66 @@ fn pool_counters_show_multi_worker_scheduling() {
         // siblings to steal from, so there is nothing to assert here.
         return;
     }
-    // External launches only reach the shared injector; steals happen when
-    // a *worker* pushes sub-tasks to its own deque and siblings take them.
-    // Run forwards from inside a pool task until a steal shows up
-    // (work-stealing is probabilistic; bound the retries).
-    let mut steals = 0u64;
-    let mut parks = 0u64;
-    let mut launches = 0u64;
-    for _ in 0..200 {
-        rayon::scope(|s| {
-            s.spawn(|| {
-                let _ = forward_once(32);
-            });
-        });
+    // (launches, steals, parks) summed over every pool lane, cumulative.
+    let pool_counts = || {
         let profile = obs::drain();
-        for (name, v) in &profile.counters {
-            if name.starts_with("pool.worker") && name.ends_with(".steals") {
-                steals += v;
+        let sum = |suffix: &str| -> u64 {
+            profile
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("pool.") && name.ends_with(suffix))
+                .map(|(_, v)| v)
+                .sum()
+        };
+        (sum(".launches"), sum(".steals"), sum(".parks"))
+    };
+    let before = pool_counts();
+    // A forward run from inside a pool task: its fan-outs are launches.
+    rayon::scope(|s| {
+        s.spawn(|| {
+            let _ = forward_once(32);
+        });
+    });
+    // A steal, made certain rather than likely: a pool task pushes a
+    // sub-task onto its own deque and then spins without popping it, so only
+    // a sibling worker's steal can run it. Meanwhile the launching thread has
+    // nothing to do but park.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let ext_parks = obs::counter("pool.ext.parks");
+    let ext_parked = ext_parks.get();
+    rayon::scope(|s| {
+        s.spawn(|| {
+            let me = rayon::current_worker_id().expect("a spawned task runs on a pool worker");
+            let ran_on = AtomicUsize::new(usize::MAX);
+            rayon::scope(|inner| {
+                inner.spawn(|| ran_on.store(rayon::current_worker_id().unwrap_or(usize::MAX - 1), SeqCst));
+                while ran_on.load(SeqCst) == usize::MAX {
+                    assert!(
+                        Instant::now() < deadline,
+                        "no sibling worker stole the sub-task within 30 s"
+                    );
+                    std::thread::yield_now();
+                }
+            });
+            assert_ne!(
+                ran_on.load(SeqCst),
+                me,
+                "the sub-task ran on a sibling, not its spawner"
+            );
+            // Hold the launching thread in its wait until it has parked.
+            while ext_parks.get() == ext_parked {
+                assert!(
+                    Instant::now() < deadline,
+                    "the launching thread never parked within 30 s"
+                );
+                std::thread::yield_now();
             }
-            if name.starts_with("pool.") && name.ends_with(".parks") {
-                parks += v;
-            }
-            if name.starts_with("pool.") && name.ends_with(".launches") {
-                launches += v;
-            }
-        }
-        if steals > 0 && parks > 0 {
-            break;
-        }
-    }
-    assert!(launches > 0, "parallel_for launches must be counted");
-    assert!(steals > 0, "multi-worker pool must record deque steals");
-    assert!(parks > 0, "idle workers must record parks");
+        });
+    });
+    let after = pool_counts();
+    assert!(after.0 > before.0, "parallel_for launches must be counted");
+    assert!(after.1 > before.1, "multi-worker pool must record deque steals");
+    assert!(after.2 > before.2, "idle workers must record parks");
 }
 
 #[test]
@@ -258,6 +290,36 @@ fn weight_gemms_lay_out_no_b_operand() {
     let m = masked_randn(&mm, hidden, 7);
     decoder.forward(&dev, &x, &tm, &m, &mm).unwrap();
     assert_eq!(b_packs(), before, "a teacher-forced forward packs no weight");
+    set_active_precision(prev);
+}
+
+#[test]
+fn a_raw_low_precision_gemm_lays_out_b_once() {
+    // At f16 / int8 a raw untransposed `B` is quantised where it lies: one
+    // per-launch layout, not an f32 pack and then a quantisation of it. A
+    // transposed one is packed first (two); a weight is only quantised (one).
+    let _guard = setup();
+    let prev = active_precision();
+    let b_packs = || counter_of(&obs::drain(), obs::names::GEMM_B_PACKS);
+    let (m, n, k) = (40, 70, 33);
+    let a = Tensor::randn([m, k], 1);
+    let b = Tensor::randn([k, n], 2);
+    let w = PackedB::pack(b.as_slice(), false, k, n);
+    let mut c = vec![0.0f32; m * n];
+    for prec in [Precision::F16, Precision::Int8] {
+        set_active_precision(prec);
+        let before = b_packs();
+        sgemm(GemmSpec::nn(), m, n, k, a.as_slice(), b.as_slice(), &mut c);
+        assert_eq!(b_packs(), before + 1, "{prec}: a raw B is laid out once");
+        sgemm(GemmSpec::nt(), m, n, k, a.as_slice(), b.as_slice(), &mut c);
+        assert_eq!(
+            b_packs(),
+            before + 3,
+            "{prec}: a transposed B is packed, then quantised"
+        );
+        sgemm_prepacked(m, a.as_slice(), &w, &mut c, None);
+        assert_eq!(b_packs(), before + 4, "{prec}: a weight is quantised once");
+    }
     set_active_precision(prev);
 }
 
