@@ -1,4 +1,4 @@
-//! Launch-overhead harness: the persistent work-stealing pool vs the old
+//! Launch-overhead harness: the persistent launch pool vs the old
 //! spawn-per-call strategy on the paper's memory-bound kernels.
 //!
 //! ByteTransformer's fused kernels exist because, at short sequence
@@ -7,7 +7,7 @@
 //! shim spawned fresh OS threads on *every* `par_*` call, so a fig. 9/10
 //! kernel at batch ≤ 8 and short seq paid thread creation that dwarfed its
 //! row loop. The persistent pool replaces that with two-word job tokens
-//! pushed to already-running workers.
+//! queued for already-running workers.
 //!
 //! Both strategies run in this binary, same build, same machine: the
 //! spawn-per-call baseline is the seed shim's `run` transcribed verbatim

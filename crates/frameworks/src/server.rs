@@ -48,7 +48,7 @@
 //!   MPSC channel ([`std::sync::mpsc::sync_channel`]), time is an
 //!   [`Instant`] epoch, outcomes leave on a result channel. [`Server`] is
 //!   this front plus one thread that calls the engine; batch execution runs
-//!   on the persistent work-stealing pool (the forwards' internal
+//!   on the persistent launch pool (the forwards' internal
 //!   `parallel_for` fan-outs).
 //!
 //! Everything is instrumented with `bt-obs`: queue-depth, batch-occupancy,
@@ -322,7 +322,7 @@ impl ServeSummary {
 /// each batch synthesizes a masked random input, executes `fw.forward` on a
 /// fresh device (so per-batch modeled time is isolated), and returns the
 /// modeled device seconds. The forwards' internal `parallel_for` fan-outs
-/// run on the persistent work-stealing pool.
+/// run on the persistent launch pool.
 pub fn modeled_forward_executor(
     fw: &crate::SimFramework,
     cost: bt_device::CostModel,

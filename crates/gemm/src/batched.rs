@@ -79,8 +79,8 @@ pub fn batched_sgemm(spec: GemmSpec, args: BatchedArgs, a: &[f32], b: &[f32], c:
     );
 
     // Parallelize over the batch; each sub-GEMM runs single-panel (they are
-    // small in MHA) but `sgemm` may further split large panels — rayon's
-    // work stealing balances either way.
+    // small in MHA) but `sgemm` may further split large panels — the pool's
+    // shared cursor balances either way.
     c[..(batch - 1) * stride_c + m * n]
         .par_chunks_mut(stride_c)
         .enumerate()
@@ -95,9 +95,10 @@ pub fn batched_sgemm(spec: GemmSpec, args: BatchedArgs, a: &[f32], b: &[f32], c:
 /// already the parallel axis). Falls back to the parallel path for a batch
 /// of one, where panel parallelism is the only parallelism available.
 fn sgemm_serial(spec: GemmSpec, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    // `sgemm` uses rayon internally; nested parallelism under an outer
-    // par_chunks_mut is handled by rayon's work stealing without
-    // oversubscription, so delegating is both simplest and fastest.
+    // `sgemm` uses rayon internally; a launch nested under the outer
+    // par_chunks_mut queues its tokens on the same pool (a waiting worker
+    // runs queued jobs), so there is no oversubscription and delegating is
+    // both simplest and fastest.
     sgemm(spec, m, n, k, a, b, c);
 }
 

@@ -1,5 +1,5 @@
-//! Layout kernels around attention: head split/merge transposes, and the
-//! pack/unpack transitions *fused* with bias-add and transpose.
+//! Layout kernels around attention: the pack/unpack transitions *fused*
+//! with bias-add and head split/merge transposes.
 //!
 //! Paper Fig. 2(c): "padding and remove padding operations are fused with
 //! existing memory-bound footprints such as adding bias and transpose to
@@ -14,76 +14,11 @@
 //! * [`add_bias_split_qkv_packed`] — for the fused MHA paths: packed QKV to
 //!   per-head packed `[heads, valid, head]` operands with bias fused; no
 //!   padded tensor is ever materialized.
-//! * [`split_heads`] / [`merge_heads`] — the plain padded transposes used by
-//!   the conventional baselines.
 
 use bt_device::{Device, KernelSpec};
 use bt_tensor::Tensor;
 use bt_varlen::PackingIndex;
 use rayon::prelude::*;
-
-/// Padded `[batch, seq, hidden]` → `[batch, heads, seq, head]`.
-///
-/// # Panics
-/// Panics if the tensor is not rank-3 or `hidden % heads != 0`.
-pub fn split_heads(device: &Device, input: &Tensor, heads: usize) -> Tensor {
-    let dims = input.dims();
-    assert_eq!(dims.len(), 3, "split_heads expects [batch, seq, hidden]");
-    let (batch, seq, hidden) = (dims[0], dims[1], dims[2]);
-    assert_eq!(hidden % heads, 0, "hidden not divisible by heads");
-    let head = hidden / heads;
-    let nbytes = (input.numel() * 4) as u64;
-    let out = device.launch(
-        KernelSpec::new("layout.split_heads").reads(nbytes).writes(nbytes),
-        || {
-            let src = input.as_slice();
-            let mut data = vec![0.0f32; input.numel()];
-            data.par_chunks_mut(heads * seq * head)
-                .enumerate()
-                .for_each(|(b, dst)| {
-                    for s in 0..seq {
-                        for h in 0..heads {
-                            let from = (b * seq + s) * hidden + h * head;
-                            let to = (h * seq + s) * head;
-                            dst[to..to + head].copy_from_slice(&src[from..from + head]);
-                        }
-                    }
-                });
-            data
-        },
-    );
-    Tensor::from_vec(out, [batch, heads, seq, head]).expect("shape consistent")
-}
-
-/// Padded `[batch, heads, seq, head]` → `[batch, seq, hidden]`.
-///
-/// # Panics
-/// Panics if the tensor is not rank-4.
-pub fn merge_heads(device: &Device, input: &Tensor) -> Tensor {
-    let dims = input.dims();
-    assert_eq!(dims.len(), 4, "merge_heads expects [batch, heads, seq, head]");
-    let (batch, heads, seq, head) = (dims[0], dims[1], dims[2], dims[3]);
-    let hidden = heads * head;
-    let nbytes = (input.numel() * 4) as u64;
-    let out = device.launch(
-        KernelSpec::new("layout.merge_heads").reads(nbytes).writes(nbytes),
-        || {
-            let src = input.as_slice();
-            let mut data = vec![0.0f32; input.numel()];
-            data.par_chunks_mut(seq * hidden).enumerate().for_each(|(b, dst)| {
-                for h in 0..heads {
-                    for s in 0..seq {
-                        let from = ((b * heads + h) * seq + s) * head;
-                        let to = s * hidden + h * head;
-                        dst[to..to + head].copy_from_slice(&src[from..from + head]);
-                    }
-                }
-            });
-            data
-        },
-    );
-    Tensor::from_vec(out, [batch, seq, hidden]).expect("shape consistent")
-}
 
 /// Fused unpack + bias + head-split for the batched-GEMM attention path:
 /// packed QKV GEMM output `[valid, 3·hidden]` (Q|K|V interleaved per row)
@@ -330,33 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn split_merge_roundtrip() {
-        let dev = device();
-        let t = Tensor::randn([2, 5, 12], 1);
-        let split = split_heads(&dev, &t, 4);
-        assert_eq!(split.dims(), &[2, 4, 5, 3]);
-        let merged = merge_heads(&dev, &split);
-        assert_eq!(merged.dims(), t.dims());
-        assert_close(merged.as_slice(), t.as_slice(), 0.0);
-    }
-
-    #[test]
-    fn split_heads_places_elements() {
-        let dev = device();
-        // hidden = 4, heads = 2, head = 2; value = s*100 + c.
-        let mut t = Tensor::zeros([1, 2, 4]);
-        for s in 0..2 {
-            for c in 0..4 {
-                t.set(&[0, s, c], (s * 100 + c) as f32).unwrap();
-            }
-        }
-        let split = split_heads(&dev, &t, 2);
-        // [b, h, s, d]: element (h=1, s=0, d=1) should be column 3 of row 0.
-        assert_eq!(split.at(&[0, 1, 0, 1]).unwrap(), 3.0);
-        assert_eq!(split.at(&[0, 0, 1, 0]).unwrap(), 100.0);
-    }
-
-    #[test]
     fn unpack_split_qkv_bias_and_padding() {
         let dev = device();
         let lens = [2usize, 1];
@@ -490,7 +398,7 @@ mod tests {
     #[should_panic(expected = "hidden not divisible")]
     fn bad_head_count_panics() {
         let dev = device();
-        let t = Tensor::zeros([1, 2, 5]);
-        split_heads(&dev, &t, 2);
+        let qkv = Tensor::zeros([1, 15]);
+        add_bias_unpack_split_qkv(&dev, &qkv, &[0.0; 15], &idx(&[1], 1), 2);
     }
 }

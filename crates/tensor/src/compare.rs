@@ -14,18 +14,6 @@ pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).fold(0.0f32, f32::max)
 }
 
-/// Maximum relative difference `|a-b| / max(|a|, |b|, eps)`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn max_rel_diff(a: &[f32], b: &[f32], eps: f32) -> f32 {
-    assert_eq!(a.len(), b.len(), "compared slices must match in length");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y).abs() / x.abs().max(y.abs()).max(eps))
-        .fold(0.0f32, f32::max)
-}
-
 /// Asserts two slices are element-wise close within an absolute tolerance,
 /// reporting the first offending index on failure.
 ///
@@ -45,23 +33,6 @@ pub fn assert_close(a: &[f32], b: &[f32], tol: f32) {
     }
 }
 
-/// Relative L2 error `||a-b||₂ / (||b||₂ + eps)` — a scale-free summary used
-/// when comparing whole activations where element-wise tolerances are too
-/// strict for long accumulation chains.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn rel_l2_error(a: &[f32], b: &[f32], eps: f32) -> f32 {
-    assert_eq!(a.len(), b.len(), "compared slices must match in length");
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        num += ((x - y) as f64).powi(2);
-        den += (y as f64).powi(2);
-    }
-    (num.sqrt() / (den.sqrt() + eps as f64)) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,12 +41,6 @@ mod tests {
     fn abs_diff_basics() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.0, 2.5]), 0.5);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn rel_diff_scale_free() {
-        let d = max_rel_diff(&[1000.0], &[1001.0], 1e-12);
-        assert!((d - 1.0 / 1001.0).abs() < 1e-6);
     }
 
     #[test]
@@ -89,12 +54,5 @@ mod tests {
     fn close_rejects_nan() {
         let r = std::panic::catch_unwind(|| assert_close(&[f32::NAN], &[0.0], 1.0));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn l2_error_zero_for_identical() {
-        let v = [3.0f32, -4.0, 5.5];
-        assert_eq!(rel_l2_error(&v, &v, 1e-12), 0.0);
-        assert!(rel_l2_error(&[1.0, 0.0], &[0.0, 1.0], 1e-12) > 0.9);
     }
 }

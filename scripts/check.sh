@@ -79,9 +79,9 @@ step "cargo test --release (standalone benchmark/ package)"
 # by the benchmark pipeline.
 cargo test --release --quiet --manifest-path benchmark/Cargo.toml
 
-step "cargo test -p rayon --features interleave"
-# Seeded yield points in the deque's steal/pop race windows.
-cargo test -p rayon --features interleave --quiet
+step "pool counters at width 2 (obs_telemetry pool_counters_show_multi_worker_scheduling)"
+# The narrowest multi-lane pool: one worker plus the launching thread.
+BYTE_POOL_THREADS=2 cargo test --test obs_telemetry --quiet pool_counters_show_multi_worker_scheduling
 
 # ISA matrix: the GEMM suites must pass with dispatch pinned to the scalar
 # tier and with auto-detection (widest tier on this host). Covers the

@@ -1,5 +1,5 @@
-//! Type-erased jobs: the two-word unit of work the deques and injector
-//! move between threads.
+//! Type-erased jobs: the two-word unit of work the pool's queue moves
+//! between threads.
 //!
 //! A [`JobRef`] is a `(data, exec)` pair — the moral equivalent of rayon's
 //! `JobRef`. The pointee lives either on the launching thread's stack

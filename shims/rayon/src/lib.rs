@@ -1,5 +1,5 @@
 //! Offline stand-in for the `rayon` crate, backed by a **persistent
-//! work-stealing pool**.
+//! launch pool**.
 //!
 //! The build environment has no network access and no registry cache, so
 //! the real rayon can never be fetched. This crate implements the exact
@@ -7,18 +7,15 @@
 //! `par_chunks_mut`, `into_par_iter` (ranges and `Vec`), the `zip` /
 //! `enumerate` / `map` / `for_each` / `collect` adapters, plus [`join`]
 //! and [`scope`] — on top of the in-tree pool in [`mod@pool`] (lazily
-//! spawned workers, per-worker Chase–Lev deques, eventcount parking; see
-//! that module's docs for the full protocol).
+//! spawned workers, one shared job queue, eventcount parking; see that
+//! module's docs for the full protocol).
 //!
-//! The previous revision of this shim spawned fresh OS threads on *every*
-//! parallel call, so the many small memory-bound kernels (add-bias +
-//! LayerNorm, add-bias + GELU, pack/unpack) paid thread-creation latency
-//! that dwarfed their work — the per-launch overhead ByteTransformer's
-//! fused, back-to-back GPU kernels exist to avoid. Now a launch is a
-//! stack descriptor plus `width − 1` two-word tokens pushed to persistent
-//! workers: no thread creation, no per-launch allocation on the submit
-//! path, and worker thread-locals (e.g. `bt-gemm`'s scratch arenas)
-//! survive across launches.
+//! A launch is a stack descriptor plus `width − 1` two-word tokens queued
+//! for persistent workers: no thread creation and no per-launch
+//! allocation on the submit path, so the many small memory-bound kernels
+//! (add-bias + LayerNorm, add-bias + GELU, pack/unpack) are not swamped by
+//! dispatch — the per-launch overhead ByteTransformer's fused, back-to-back
+//! GPU kernels exist to avoid.
 //!
 //! Semantics match rayon where it matters for this workspace:
 //!
@@ -30,8 +27,7 @@
 //!   or spawn unbounded threads);
 //! * scheduling is dynamic: lanes pull the next unclaimed item from a
 //!   shared cursor, so uneven per-item cost (e.g. grouped-GEMM CTAs with
-//!   different tile counts) balances the same way rayon's work stealing
-//!   would.
+//!   different tile counts) balances across lanes.
 //!
 //! Beyond rayon's API there are two test hooks: [`sequential`] forces
 //! every parallel entry point inline on the calling thread (the
@@ -39,14 +35,10 @@
 //! [`current_worker_id`] exposes the stable worker index. The pool width
 //! is `BYTE_POOL_THREADS` (default: host parallelism).
 
-mod deque;
 mod job;
 pub mod pool;
 
 pub use pool::{current_num_threads, current_worker_id, join, scope, sequential, Scope};
-
-#[cfg(feature = "interleave")]
-pub use deque::interleave::seed_thread;
 
 /// Runs `f` over every item on the pool, returning results in item order.
 fn run<T, R, F>(items: Vec<T>, f: F) -> Vec<R>

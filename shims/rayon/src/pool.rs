@@ -1,5 +1,4 @@
-//! The persistent work-stealing pool: N pinned workers, per-worker
-//! Chase–Lev deques, a shared injector for external launches, and an
+//! The persistent launch pool: N workers, one shared job queue, and an
 //! eventcount parking protocol.
 //!
 //! ## Topology
@@ -8,24 +7,24 @@
 //! `BYTE_POOL_THREADS` (default: `available_parallelism`). For a total
 //! parallelism of `T` it spawns `T − 1` *workers*; the thread that issues
 //! a parallel call is always the remaining lane, so a launch never blocks
-//! a thread just to coordinate. Workers live for the process lifetime —
-//! this is what lets thread-local state (e.g. `bt-gemm`'s scratch arenas)
-//! survive across launches, the property the paper gets from a GPU's
-//! persistent SMs.
+//! a thread just to coordinate. Workers live for the process lifetime, so
+//! a launch never pays for thread creation — the property the paper gets
+//! from a GPU's resident SMs.
 //!
 //! ## Scheduling
 //!
-//! Each worker owns a fixed-capacity `Deque`: it pushes and pops its own
-//! fork-join work LIFO at the bottom while idle workers steal FIFO from
-//! the top. Launches from non-pool threads go to a shared injector queue.
-//! A worker looks for work in that order — own deque, steal sweep,
-//! injector — and parks on the eventcount when all are empty.
+//! Every submission, from a worker or from an outside thread, goes to the
+//! one FIFO queue (`Registry::injector`). Workers pop its front and park on
+//! the eventcount when it is empty. A launcher runs its own lane first and
+//! then takes back every token of its launch still in the queue
+//! (`Registry::cancel_injected`), so it only ever waits on tokens some
+//! other lane has already claimed.
 //!
 //! ## Parking protocol
 //!
 //! `Sleep` is a classic eventcount: a generation counter under a mutex
 //! plus a condvar. A would-be sleeper (1) reads the epoch, (2) re-checks
-//! every queue, and only then (3) parks, conditional on the epoch being
+//! the queue, and only then (3) parks, conditional on the epoch being
 //! unchanged. Every producer bumps the epoch *after* publishing work, so
 //! the re-check/park pair can never miss a wakeup. Terminal events (a
 //! launch's last token retiring, a `join` job completing, a scope's last
@@ -37,15 +36,14 @@
 //! `parallel_for` drives every `par_*` iterator: the launch descriptor
 //! (cursor, body, panic slot, token refcount) lives on the launcher's
 //! stack, and `width − 1` two-word `JobRef` *tokens* pointing at it are
-//! pushed into the queues. Each token claims items from the shared atomic
-//! cursor until it runs dry — the same dynamic balancing the old
-//! spawn-per-call shim had, minus the thread creation. The launcher runs
-//! the same loop inline, then waits for the tokens to retire; a worker
-//! launcher executes other pool jobs while it waits (this is what makes
-//! nested `par_iter`/`join` deadlock-free), while an external launcher
-//! first cancels its still-unclaimed tokens from the injector and then
-//! parks. Retiring (`refs -= 1`) is the token's final access to the
-//! descriptor, so the stack frame can never be vacated early.
+//! queued. Each token claims items from the shared atomic cursor until it
+//! runs dry, so uneven per-item cost balances dynamically. The launcher
+//! runs the same loop inline, cancels its unclaimed tokens, then waits for
+//! the claimed ones to retire; a worker launcher executes other queued
+//! jobs while it waits (this is what makes nested `par_iter`/`join`
+//! deadlock-free), an outside launcher parks. Retiring (`refs -= 1`) is
+//! the token's final access to the descriptor, so the stack frame can
+//! never be vacated early.
 //!
 //! ## Panic discipline
 //!
@@ -56,7 +54,6 @@
 //! lowest spawn sequence for [`Scope`] — instead of whichever thread
 //! happens to unwind last.
 
-use crate::deque::Deque;
 use crate::job::JobRef;
 use std::any::Any;
 use std::cell::Cell;
@@ -136,18 +133,12 @@ impl Sleep {
     }
 }
 
-struct WorkerState {
-    deque: Deque,
-}
-
 /// Per-lane telemetry counters (one set per worker plus one for the
 /// external lane). Interned once at pool construction so the hot paths
 /// never format names; every bump is a single relaxed atomic when
 /// recording is on and one branch when it is off.
 struct LaneObs {
     launches: &'static bt_obs::Counter,
-    local_pops: &'static bt_obs::Counter,
-    steals: &'static bt_obs::Counter,
     injector_pops: &'static bt_obs::Counter,
     parks: &'static bt_obs::Counter,
     unparks: &'static bt_obs::Counter,
@@ -157,8 +148,6 @@ impl LaneObs {
     fn new(lane: &str) -> Self {
         LaneObs {
             launches: bt_obs::counter(&format!("pool.{lane}.launches")),
-            local_pops: bt_obs::counter(&format!("pool.{lane}.local_pops")),
-            steals: bt_obs::counter(&format!("pool.{lane}.steals")),
             injector_pops: bt_obs::counter(&format!("pool.{lane}.injector_pops")),
             parks: bt_obs::counter(&format!("pool.{lane}.parks")),
             unparks: bt_obs::counter(&format!("pool.{lane}.unparks")),
@@ -171,35 +160,27 @@ fn lane_name(me: Option<usize>) -> String {
     me.map_or_else(|| "ext".to_string(), |i| format!("worker{i}"))
 }
 
-/// The global pool: worker deques, the external-launch injector, and the
-/// parking eventcount.
+/// The global pool: the one job queue and the parking eventcount.
 pub(crate) struct Registry {
-    workers: Box<[WorkerState]>,
+    /// Every queued job, oldest first: launch tokens, `join` jobs and
+    /// scope spawns alike.
     injector: Mutex<VecDeque<JobRef>>,
     sleep: Sleep,
     /// Total parallelism `T` (= workers + the launching lane).
     threads: usize,
-    /// `obs[i]` for worker `i`; `obs[workers.len()]` is the external lane.
+    /// `obs[i]` for worker `i`; the last entry is the external lane.
     obs: Box<[LaneObs]>,
-}
-
-impl Registry {
-    /// The [`LaneObs`] for worker `me`, or the external lane when `None`.
-    fn lane_obs(&self, me: Option<usize>) -> &LaneObs {
-        &self.obs[me.unwrap_or(self.workers.len())]
-    }
 }
 
 static REGISTRY: OnceLock<&'static Registry> = OnceLock::new();
 
 /// The lazily-initialized global registry. Never torn down: worker
-/// threads and their thread-locals persist for the process lifetime.
+/// threads persist for the process lifetime.
 pub(crate) fn global() -> &'static Registry {
     REGISTRY.get_or_init(|| {
         let threads = configured_threads();
         let n_workers = threads.saturating_sub(1);
         let registry: &'static Registry = Box::leak(Box::new(Registry {
-            workers: (0..n_workers).map(|_| WorkerState { deque: Deque::new() }).collect(),
             injector: Mutex::new(VecDeque::new()),
             sleep: Sleep::new(),
             threads,
@@ -207,7 +188,7 @@ pub(crate) fn global() -> &'static Registry {
                 .map(|i| LaneObs::new(&lane_name(Some(i).filter(|&i| i < n_workers))))
                 .collect(),
         }));
-        for index in 0..registry.workers.len() {
+        for index in 0..n_workers {
             std::thread::Builder::new()
                 .name(format!("byte-pool-{index}"))
                 .spawn(move || worker_main(registry, index))
@@ -219,83 +200,38 @@ pub(crate) fn global() -> &'static Registry {
 
 fn worker_main(registry: &'static Registry, index: usize) {
     WORKER_INDEX.with(|w| w.set(Some(index)));
-    loop {
-        if let Some(job) = registry.find_work(Some(index)) {
-            unsafe { job.execute() };
-            continue;
-        }
-        let seen = registry.sleep.epoch();
-        // Re-check after reading the epoch: a producer that published
-        // work in between has already bumped, so `wait` returns at once.
-        if let Some(job) = registry.find_work(Some(index)) {
-            unsafe { job.execute() };
-            continue;
-        }
-        let lane = registry.lane_obs(Some(index));
-        lane.parks.incr();
-        registry.sleep.wait(seen);
-        lane.unparks.incr();
-    }
+    // A worker is a launcher waiting on a condition that never holds: it
+    // runs queued jobs, and parks while there are none.
+    registry.wait_until(&|| false);
 }
 
 impl Registry {
-    /// Looks for a job: own deque (LIFO), steal sweep over the other
-    /// workers (FIFO), then the injector.
-    fn find_work(&self, me: Option<usize>) -> Option<JobRef> {
-        let lane = self.lane_obs(me);
-        if let Some(i) = me {
-            if let Some(job) = self.workers[i].deque.pop() {
-                lane.local_pops.incr();
-                return Some(job);
-            }
-        }
-        let w = self.workers.len();
-        if w > 0 {
-            let start = me.map_or(0, |i| i + 1);
-            for off in 0..w {
-                let victim = (start + off) % w;
-                if Some(victim) == me {
-                    continue;
-                }
-                if let Some(job) = self.workers[victim].deque.steal() {
-                    lane.steals.incr();
-                    return Some(job);
-                }
-            }
-        }
+    /// The [`LaneObs`] for worker `me`, or the external lane when `None`.
+    fn lane_obs(&self, me: Option<usize>) -> &LaneObs {
+        &self.obs[me.unwrap_or(self.obs.len() - 1)]
+    }
+
+    /// Pops the oldest queued job on behalf of worker `me`.
+    fn pop(&self, me: usize) -> Option<JobRef> {
         let job = self.injector.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
         if job.is_some() {
-            lane.injector_pops.incr();
+            self.obs[me].injector_pops.incr();
         }
         job
     }
 
-    /// Publishes `count` copies of `job`: onto the caller's own deque when
-    /// called from a worker (overflow spills to the injector), else onto
-    /// the injector. Bumps the eventcount once at the end.
+    /// Queues `count` copies of `job`, then bumps the eventcount once.
     fn submit_n(&self, job: JobRef, count: usize) {
-        let me = WORKER_INDEX.with(|w| w.get());
-        let mut spill = 0usize;
-        if let Some(i) = me {
-            for _ in 0..count {
-                if self.workers[i].deque.push(job).is_err() {
-                    spill += 1;
-                }
-            }
-        } else {
-            spill = count;
-        }
-        if spill > 0 {
-            let mut inj = self.injector.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..spill {
-                inj.push_back(job);
-            }
-        }
+        self.injector
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(std::iter::repeat_n(job, count));
         self.sleep.bump();
     }
 
-    /// Removes still-queued copies of `job` (by identity) from the
-    /// injector, returning how many were cancelled.
+    /// Takes back the still-queued copies of `job` (by identity), returning
+    /// how many were cancelled. Every launcher calls this once its own
+    /// share is done, so what it then waits on has all been claimed.
     fn cancel_injected(&self, data: *const ()) -> usize {
         let mut inj = self.injector.lock().unwrap_or_else(|e| e.into_inner());
         let before = inj.len();
@@ -303,27 +239,35 @@ impl Registry {
         before - inj.len()
     }
 
-    /// Blocks until `cond` holds. A worker keeps executing pool jobs while
-    /// it waits (nested fork-join stays deadlock-free); an external thread
-    /// parks on the eventcount.
+    /// Blocks until `cond` holds. A worker keeps executing queued jobs
+    /// while it waits (nested fork-join stays deadlock-free); an external
+    /// thread parks on the eventcount.
     fn wait_until(&self, cond: &dyn Fn() -> bool) {
         let me = WORKER_INDEX.with(|w| w.get());
+        let run_one = || match me.and_then(|i| self.pop(i)) {
+            Some(job) => {
+                // SAFETY: a queued job's pointee outlives it: a launcher
+                // waits for its tokens to retire or be cancelled before
+                // its stack descriptor goes, and a scope job is boxed
+                // until it runs. `exec` was paired with `data` at submit.
+                unsafe { job.execute() };
+                true
+            }
+            None => false,
+        };
         while !cond() {
-            if me.is_some() {
-                if let Some(job) = self.find_work(me) {
-                    unsafe { job.execute() };
-                    continue;
-                }
+            if run_one() {
+                continue;
             }
             let seen = self.sleep.epoch();
+            // Re-check after reading the epoch: a producer that published
+            // work (or an event) in between has already bumped, so `wait`
+            // returns at once.
             if cond() {
                 return;
             }
-            if me.is_some() {
-                if let Some(job) = self.find_work(me) {
-                    unsafe { job.execute() };
-                    continue;
-                }
+            if run_one() {
+                continue;
             }
             let lane = self.lane_obs(me);
             lane.parks.incr();
@@ -377,9 +321,8 @@ pub fn current_num_threads() -> usize {
     global().threads
 }
 
-/// Index of the current pool worker (`None` on external threads,
-/// including any thread currently inside [`sequential`]). Stable for the
-/// life of the process — suitable for keying per-worker caches.
+/// Index of the current pool worker (`None` on threads outside the pool).
+/// Stable for the life of the process.
 pub fn current_worker_id() -> Option<usize> {
     WORKER_INDEX.with(|w| w.get())
 }
@@ -451,7 +394,7 @@ unsafe fn for_token_exec(data: *const ()) {
 }
 
 /// Runs `body(0..n)` across the pool. Items are claimed dynamically from
-/// a shared cursor (uneven per-item cost balances via work stealing); the
+/// a shared cursor, so uneven per-item cost balances across lanes; the
 /// caller is always one of the lanes. Panics rethrow deterministically:
 /// the panicking item with the lowest index wins.
 pub(crate) fn parallel_for(n: usize, body: &(dyn Fn(usize) + Sync)) {
@@ -482,15 +425,8 @@ pub(crate) fn parallel_for(n: usize, body: &(dyn Fn(usize) + Sync)) {
     };
     registry.submit_n(job, tokens);
     launch.run_lane();
-    // External launchers reclaim tokens nobody picked up; worker
-    // launchers get theirs back through their own deque inside
-    // `wait_until`'s find_work loop.
-    if WORKER_INDEX.with(|w| w.get()).is_none() {
-        let cancelled = registry.cancel_injected(job.data);
-        if cancelled > 0 && launch.refs.fetch_sub(cancelled, SeqCst) == cancelled {
-            registry.sleep.bump();
-        }
-    }
+    // The cursor is dry: a token nobody claimed has nothing left to run.
+    launch.refs.fetch_sub(registry.cancel_injected(job.data), SeqCst);
     registry.wait_until(&|| launch.refs.load(SeqCst) == 0);
     launch.panic.rethrow_if_armed();
 }
@@ -530,8 +466,8 @@ where
 }
 
 /// Potentially-parallel fork-join: runs `a` on the calling thread while
-/// `b` is offered to the pool; if nobody stole `b`, the caller runs it
-/// inline after `a`. Panics propagate deterministically — `a`'s panic
+/// `b` is offered to the pool; if no worker claimed `b`, the caller runs
+/// it inline after `a`. Panics propagate deterministically — `a`'s panic
 /// wins over `b`'s, and both sides always run to completion first.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -557,22 +493,7 @@ where
     };
     registry.submit_n(job_ref, 1);
     let ra = catch_unwind(AssertUnwindSafe(a));
-
-    let me = WORKER_INDEX.with(|w| w.get());
-    if let Some(i) = me {
-        // LIFO discipline: our job is the bottom-most unless stolen.
-        // Anything above it was left by `a` and is executed on the way.
-        while !job.done.load(SeqCst) {
-            match registry.workers[i].deque.pop() {
-                Some(j) if std::ptr::eq(j.data, job_ref.data) => {
-                    job.run();
-                    break;
-                }
-                Some(j) => unsafe { j.execute() },
-                None => break, // stolen — fall through to the wait loop
-            }
-        }
-    } else if registry.cancel_injected(job_ref.data) == 1 {
+    if registry.cancel_injected(job_ref.data) == 1 {
         job.run();
     }
     registry.wait_until(&|| job.done.load(SeqCst));

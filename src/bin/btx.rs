@@ -867,32 +867,17 @@ fn cmd_profile(a: &Args) {
     use bytetransformer::obs;
     use std::collections::{BTreeMap, HashSet};
 
-    // Steal/park attribution needs real workers: widen the pool before its
-    // lazy init unless the host already chose a width.
-    if std::env::var("BYTE_POOL_THREADS").is_err() {
-        std::env::set_var("BYTE_POOL_THREADS", "4");
-    }
     let width = rayon::current_num_threads();
     obs::set_enabled(true);
     let _ = obs::drain(); // start the profile from a clean slate
 
     // Segment 1: the optimized encoder forward on a variable-length batch.
-    // Running it from *inside* a pool task means the inner parallel_for
-    // fan-outs push to that worker's own deque — which is what gives the
-    // other workers something to steal (external launches only reach the
-    // shared injector).
     let config = config_of(a);
     let mask = workload_of(a);
     let model = BertModel::new_random(config, a.layers, 1);
     let input = masked_randn(&mask, config.hidden(), 7);
     let dev = Device::new();
-    let mut forward = None;
-    rayon::scope(|s| {
-        s.spawn(|| {
-            forward = Some(model.forward(&dev, &input, &mask, a.opt));
-        });
-    });
-    forward.expect("spawned task ran").expect("validated shapes");
+    model.forward(&dev, &input, &mask, a.opt).expect("validated shapes");
 
     // Segment 2: a short request stream through the continuous-batching
     // server, every batch a real forward on one shared traced device.

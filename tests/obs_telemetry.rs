@@ -29,7 +29,7 @@ use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Pool width must be set before the pool's lazy init; the CI host may
-/// expose a single CPU, and the steal/park assertions need real workers.
+/// expose a single CPU, and the pool-counter assertions need real workers.
 fn setup() -> std::sync::MutexGuard<'static, ()> {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
@@ -114,72 +114,56 @@ fn forward_spans_reconcile_with_device_trace() {
 
 #[test]
 fn pool_counters_show_multi_worker_scheduling() {
+    use rayon::prelude::*;
     let _guard = setup();
     if rayon::current_num_threads() < 2 {
-        // check.sh's BYTE_POOL_THREADS=1 pass: a width-1 pool has no
-        // siblings to steal from, so there is nothing to assert here.
+        // check.sh's BYTE_POOL_THREADS=1 pass: a width-1 pool runs every
+        // launch inline and has no worker lane to assert on.
         return;
     }
-    // (launches, steals, parks) summed over every pool lane, cumulative.
+    // (launches over every lane, injector pops over the worker lanes,
+    // parks over every lane), cumulative.
     let pool_counts = || {
-        let profile = obs::drain();
-        let sum = |suffix: &str| -> u64 {
-            profile
-                .counters
+        let sum = |prefix: &str, suffix: &str| -> u64 {
+            obs::counter_values()
                 .iter()
-                .filter(|(name, _)| name.starts_with("pool.") && name.ends_with(suffix))
+                .filter(|(name, _)| name.starts_with(prefix) && name.ends_with(suffix))
                 .map(|(_, v)| v)
                 .sum()
         };
-        (sum(".launches"), sum(".steals"), sum(".parks"))
+        (
+            sum("pool.", ".launches"),
+            sum("pool.worker", ".injector_pops"),
+            sum("pool.", ".parks"),
+        )
     };
     let before = pool_counts();
-    // A forward run from inside a pool task: its fan-outs are launches.
-    rayon::scope(|s| {
-        s.spawn(|| {
-            let _ = forward_once(32);
-        });
-    });
-    // A steal, made certain rather than likely: a pool task pushes a
-    // sub-task onto its own deque and then spins without popping it, so only
-    // a sibling worker's steal can run it. Meanwhile the launching thread has
-    // nothing to do but park.
+    // An outside launch of two items that wait for each other: the
+    // launching thread claims one and holds it until the other has run, so
+    // a worker must pop the launch's token off the queue.
     let deadline = Instant::now() + Duration::from_secs(30);
-    let ext_parks = obs::counter("pool.ext.parks");
-    let ext_parked = ext_parks.get();
-    rayon::scope(|s| {
-        s.spawn(|| {
-            let me = rayon::current_worker_id().expect("a spawned task runs on a pool worker");
-            let ran_on = AtomicUsize::new(usize::MAX);
-            rayon::scope(|inner| {
-                inner.spawn(|| ran_on.store(rayon::current_worker_id().unwrap_or(usize::MAX - 1), SeqCst));
-                while ran_on.load(SeqCst) == usize::MAX {
-                    assert!(
-                        Instant::now() < deadline,
-                        "no sibling worker stole the sub-task within 30 s"
-                    );
-                    std::thread::yield_now();
-                }
-            });
-            assert_ne!(
-                ran_on.load(SeqCst),
-                me,
-                "the sub-task ran on a sibling, not its spawner"
+    let arrived = AtomicUsize::new(0);
+    (0..2usize).into_par_iter().for_each(|_| {
+        arrived.fetch_add(1, SeqCst);
+        while arrived.load(SeqCst) < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "no worker claimed the second item within 30 s"
             );
-            // Hold the launching thread in its wait until it has parked.
-            while ext_parks.get() == ext_parked {
-                assert!(
-                    Instant::now() < deadline,
-                    "the launching thread never parked within 30 s"
-                );
-                std::thread::yield_now();
-            }
-        });
+            std::thread::yield_now();
+        }
     });
     let after = pool_counts();
     assert!(after.0 > before.0, "parallel_for launches must be counted");
-    assert!(after.1 > before.1, "multi-worker pool must record deque steals");
-    assert!(after.2 > before.2, "idle workers must record parks");
+    assert!(after.1 > before.1, "a worker lane must pop the launch's token");
+    // The queue is empty again, so the worker parks on the eventcount.
+    while pool_counts().2 == before.2 {
+        assert!(
+            Instant::now() < deadline,
+            "idle workers must record parks (none within 30 s)"
+        );
+        std::thread::yield_now();
+    }
 }
 
 #[test]
